@@ -1,21 +1,25 @@
-"""SCHED — the sharded scheduling plane scales placement throughput.
+"""SCHED — placement cost is flat in pool size; sharding buys isolation.
 
-One Load Balancer is a control-plane choke point: every placement scans
-the whole replica estate.  The ``repro.sched`` plane splits that estate
-over N rendezvous-hashed shards, so this bench pins the refactor's three
-claims:
+The ``repro.sched`` plane splits the replica estate over N
+rendezvous-hashed shards.  A placement is a peek at the pool's replica
+ranking, so its host cost does not depend on how many replicas the pool
+holds, and a shard adds a rendezvous hash to every placement rather
+than removing work from it.  The bench pins three claims:
 
 1. **shards=1 is bit-identical to the pre-refactor dispatch paths** —
    sessions placed through the router, ensembles run with a scheduler
    attached and workflows dispatched through ``admit_call`` produce
    exactly the results of the direct paths they replaced;
-2. **aggregate placement throughput scales** — at 8 shards the plane
-   places sessions at >= 3x the single-shard rate (wall clock), because
-   each placement scans only its shard's slice of the estate;
+2. **placement cost is flat in pool size** — at one shard, a placement
+   into 512 replicas costs at most 2x a placement into 64 (host clock,
+   best of three).  The per-shard throughput table is reported beside
+   it, ungated: it shows what the rendezvous hash costs;
 3. **priority isolation survives sharding** — under a batch-sweep flood
    the interactive p95 queue wait at 8 shards is no worse than the
    1-shard baseline (per-shard batch headroom spreads reserved slots
-   across the estate).
+   across the estate).  Simulated clock, exact for a commit: the
+   process-global id counters are rewound before every measurement,
+   because session ids feed the rendezvous hash.
 
 Results land in ``BENCH_shard_scaling.json`` at the repo root.  Run as
 a script (``python benchmarks/bench_shard_scaling.py [--quick]``) or
@@ -31,6 +35,7 @@ from pathlib import Path
 if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from benchmarks.e2e.workloads.common import fresh_ids
 from benchmarks.harness import once, print_table
 from repro.broker import (
     HealthMonitor,
@@ -59,6 +64,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_shard_scaling.json"
 
 SHARD_COUNTS = (1, 2, 4, 8)
+#: the largest pool may cost this many times the smallest, per placement
+POOL_COST_CEILING = 2.0
 
 
 # -- plane construction ------------------------------------------------------
@@ -193,11 +200,12 @@ def run_identity():
     }
 
 
-# -- arm 2: aggregate placement throughput -----------------------------------
+# -- arm 2: placement cost by pool size and by shard count --------------------
 
 
 def measure_throughput(shards, replicas, placements, seed=42):
     """Wall-clock placement rate over a warm N-shard estate."""
+    fresh_ids()
     plane = Plane(shards=shards, replicas=replicas, seed=seed)
     plane.warm(replicas)
     users = [plane.sessions.create(f"user-{i}") for i in range(placements)]
@@ -221,6 +229,21 @@ def run_scaling(replicas, placements):
     return rows
 
 
+def run_pool_sizes(sizes, placements, repeats=3):
+    """One shard, growing pool: host cost per placement, best of N."""
+    rows = []
+    for replicas in sizes:
+        best = min((measure_throughput(1, replicas, placements)
+                    for _ in range(repeats)),
+                   key=lambda row: row["wall_seconds"])
+        rows.append({"replicas": replicas, "placements": placements,
+                     "us_per_placement":
+                         best["wall_seconds"] / placements * 1e6})
+    return {"rows": rows,
+            "cost_ratio": (rows[-1]["us_per_placement"]
+                           / max(rows[0]["us_per_placement"], 1e-9))}
+
+
 # -- arm 3: interactive isolation under a batch flood ------------------------
 
 
@@ -233,6 +256,7 @@ def measure_isolation(shards, replicas=32, batch_n=300, interactive_n=24,
     slots (or queue ahead of the flood and drain first as batch
     sessions end).  Returns the wait-time distributions per class.
     """
+    fresh_ids()
     plane = Plane(shards=shards, replicas=replicas, sessions_per_replica=8,
                   strict_capacity=True, batch_headroom=4,
                   autoscale_interval=autoscale_interval)
@@ -281,10 +305,11 @@ def _pct(sorted_values, q):
 
 def run_bench(replicas, placements):
     identity = run_identity()
+    pool_sizes = run_pool_sizes((64, replicas), placements)
     scaling = run_scaling(replicas, placements)
     isolation = [measure_isolation(shards) for shards in (1, 8)]
-    return {"identity": identity, "scaling": scaling,
-            "isolation": isolation}
+    return {"identity": identity, "pool_sizes": pool_sizes,
+            "scaling": scaling, "isolation": isolation}
 
 
 def report(result):
@@ -296,7 +321,15 @@ def report(result):
          ["ensemble batches", identity["ensemble_identical"]],
          ["workflow stages", identity["workflow_identical"]]])
     print_table(
-        f"placement throughput - {result['scaling'][0]['replicas']} "
+        "placement cost by pool size - 1 shard (host clock, best of 3)",
+        ["replicas", "us/placement"],
+        [[r["replicas"], r["us_per_placement"]]
+         for r in result["pool_sizes"]["rows"]]
+        + [["largest / smallest",
+            f"{result['pool_sizes']['cost_ratio']:.2f}x"]])
+    print_table(
+        f"placement throughput by shard count (ungated) - "
+        f"{result['scaling'][0]['replicas']} "
         f"replicas, {result['scaling'][0]['placements']} placements",
         ["shards", "wall s", "placements/s", "speedup"],
         [[r["shards"], r["wall_seconds"], r["throughput_per_s"],
@@ -312,17 +345,22 @@ def report(result):
     print(f"wrote {RESULT_FILE}")
 
 
-def check(result, speedup_floor):
+def check(result):
     failures = []
     identity = result["identity"]
     for arm in ("sessions", "ensemble", "workflow"):
         if not identity[f"{arm}_identical"]:
             failures.append(f"shards=1 {arm} path is not bit-identical "
                             f"to the direct path")
-    eight = next(r for r in result["scaling"] if r["shards"] == 8)
-    if eight["speedup"] < speedup_floor:
-        failures.append(f"8-shard placement speedup {eight['speedup']:.2f}x "
-                        f"below {speedup_floor}x")
+    sizes = result["pool_sizes"]
+    if sizes["cost_ratio"] > POOL_COST_CEILING:
+        small, large = sizes["rows"][0], sizes["rows"][-1]
+        failures.append(
+            f"placement cost grows with the pool: "
+            f"{large['us_per_placement']:.1f} us at {large['replicas']} "
+            f"replicas vs {small['us_per_placement']:.1f} us at "
+            f"{small['replicas']} ({sizes['cost_ratio']:.2f}x, ceiling "
+            f"{POOL_COST_CEILING}x)")
     base, sharded = result["isolation"]
     if sharded["interactive_p95"] > base["interactive_p95"] + 1e-9:
         failures.append(
@@ -342,32 +380,31 @@ def test_shard_scaling(benchmark):
     result = once(benchmark, lambda: run_bench(replicas=512,
                                                placements=3000))
     report(result)
-    failures = check(result, speedup_floor=3.0)
+    failures = check(result)
     assert not failures, "; ".join(failures)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: smaller estate, relaxed "
-                             "speedup floor")
+                        help="CI smoke: smaller estate, same gates")
     args = parser.parse_args(argv)
 
     if args.quick:
         result = run_bench(replicas=256, placements=1000)
-        speedup_floor = 1.5    # small estate: keep CI timing-noise safe
     else:
         result = run_bench(replicas=512, placements=3000)
-        speedup_floor = 3.0
     report(result)
 
-    failures = check(result, speedup_floor)
+    failures = check(result)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
-        eight = next(r for r in result["scaling"] if r["shards"] == 8)
+        sizes = result["pool_sizes"]
         print(f"\nOK: shards=1 bit-identical on all three paths, "
-              f"8-shard placement {eight['speedup']:.2f}x, interactive "
+              f"placement cost at {sizes['rows'][-1]['replicas']} replicas "
+              f"{sizes['cost_ratio']:.2f}x that at "
+              f"{sizes['rows'][0]['replicas']}, interactive "
               f"p95 {result['isolation'][1]['interactive_p95']:.1f}s vs "
               f"{result['isolation'][0]['interactive_p95']:.1f}s baseline")
     return 1 if failures else 0

@@ -17,6 +17,7 @@ instances; everything else asks it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Optional
 
@@ -128,7 +129,7 @@ class LoadBalancer:
 
     def _service_of(self, instance: Instance) -> Optional[ManagedService]:
         for service in self._services.values():
-            if instance in service.replicas:
+            if service.has_replica(instance):
                 return service
         return None
 
@@ -207,7 +208,7 @@ class LoadBalancer:
         if not self.strict_capacity:
             return service.least_loaded()
         candidates = service.healthy_serving() or service.serving()
-        counts = {inst.instance_id: len(self.sessions.on_instance(inst))
+        counts = {inst.instance_id: self.sessions.count_on(inst)
                   for inst in candidates}
         open_slots = [inst for inst in candidates
                       if counts[inst.instance_id] < service.sessions_per_replica]
@@ -338,7 +339,7 @@ class LoadBalancer:
                 instance.max_queue = (self.queue_bound_factor
                                       * instance.flavor.vcpus)
             server = service.make_server(instance)
-            service.replicas.append(instance)
+            service.add_replica(instance)
             self.monitor.watch(instance)
             try:
                 self.registry.register(ServiceRecord(
@@ -374,8 +375,7 @@ class LoadBalancer:
         idle = [inst for inst in candidates if inst.load() == 0]
         if not idle:
             return False
-        victim = min(idle,
-                     key=lambda inst: len(self.sessions.on_instance(inst)))
+        victim = min(idle, key=self.sessions.count_on)
         remaining = [inst for inst in serving if inst is not victim]
         if not remaining:
             return False
@@ -491,7 +491,7 @@ class LoadBalancer:
                 self._autoscale_service(service)
 
     def _autoscale_service(self, service: ManagedService) -> None:
-        demand = (sum(len(self.sessions.on_instance(inst))
+        demand = (sum(self.sessions.count_on(inst)
                       for inst in service.serving())
                   + self.dispatcher.depth(service.name))
         desired = max(service.min_replicas,
@@ -514,21 +514,37 @@ class LoadBalancer:
         self._drain_waiting(service)
 
     def _rebalance(self, service: ManagedService) -> None:
-        """Even out session counts across serving replicas."""
+        """Even out session counts across serving replicas.
+
+        Each move takes the oldest-created session of the busiest
+        replica to the quietest; ties on either side go to the replica
+        earliest in ``serving()`` order.  Two heaps over the count
+        vector find both ends in O(log n) per move: a move pushes the
+        two changed counts, and an entry whose count is no longer the
+        replica's current one is skipped when it surfaces.
+        """
         serving = service.serving()
         if len(serving) < 2:
             return
-        counts = {inst.instance_id: len(self.sessions.on_instance(inst))
-                  for inst in serving}
+        counts = [self.sessions.count_on(inst) for inst in serving]
+        busiest_first = [(-count, at) for at, count in enumerate(counts)]
+        quietest_first = [(count, at) for at, count in enumerate(counts)]
+        heapq.heapify(busiest_first)
+        heapq.heapify(quietest_first)
         while True:
-            busiest = max(serving, key=lambda i: counts[i.instance_id])
-            quietest = min(serving, key=lambda i: counts[i.instance_id])
-            if counts[busiest.instance_id] - counts[quietest.instance_id] <= 1:
+            while -busiest_first[0][0] != counts[busiest_first[0][1]]:
+                heapq.heappop(busiest_first)
+            while quietest_first[0][0] != counts[quietest_first[0][1]]:
+                heapq.heappop(quietest_first)
+            busiest, quietest = busiest_first[0][1], quietest_first[0][1]
+            if counts[busiest] - counts[quietest] <= 1:
                 break
-            session = self.sessions.on_instance(busiest)[0]
-            session.assign(quietest)
-            counts[busiest.instance_id] -= 1
-            counts[quietest.instance_id] += 1
+            session = self.sessions.oldest_on(serving[busiest])
+            session.assign(serving[quietest])
+            for at, change in ((busiest, -1), (quietest, +1)):
+                counts[at] += change
+                heapq.heappush(busiest_first, (-counts[at], at))
+                heapq.heappush(quietest_first, (counts[at], at))
             self.metrics.counter("rebalances").increment()
 
     # -- cloudburst bookkeeping -----------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Dict, List, Optional
+from bisect import bisect_left, insort
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.instance import Instance
 from repro.sim import Simulator
@@ -33,8 +34,13 @@ class UserSession:
 
     def __init__(self, sim: Simulator, user_name: str,
                  channel: Optional[Any] = None, purpose: str = "general",
-                 tenant: Optional[str] = None):
+                 tenant: Optional[str] = None,
+                 table: Optional["SessionTable"] = None, seq: int = 0):
         self._sim = sim
+        # the table indexing this session by where it sits, and the
+        # session's creation rank in it; a bare session is unindexed
+        self._table = table
+        self._seq = seq
         self.session_id = f"sess-{next(_session_ids):06d}"
         self.user_name = user_name
         self.channel = channel      # anything with .push(payload)
@@ -76,6 +82,8 @@ class UserSession:
             raise ValueError(f"session {self.session_id} already ended")
         previous = self.instance
         self.instance = instance
+        if self._table is not None and previous is not instance:
+            self._table._placed(self, previous, instance)
         if self.assigned_at is None:
             self.assigned_at = self._sim.now
         if previous is not None and previous is not instance:
@@ -99,6 +107,8 @@ class UserSession:
         """
         if self.state == SessionState.ENDED:
             return
+        if self._table is not None and self.instance is not None:
+            self._table._displaced(self, self.instance)
         self.instance = None
         self.state = SessionState.WAITING
         self._push({"type": "session.wait", "sessionId": self.session_id})
@@ -109,6 +119,8 @@ class UserSession:
             return
         self.state = SessionState.ENDED
         self.ended_at = self._sim.now
+        if self._table is not None:
+            self._table._leave(self, self.instance)
         self.instance = None
         if self.trace_span is not None and not self.trace_span.finished:
             self.trace_span.set_attribute("migrations", len(self.migrations))
@@ -125,46 +137,120 @@ class UserSession:
 
 
 class SessionTable:
-    """Registry of all sessions, live and ended."""
+    """Registry of all sessions, live and ended.
+
+    Live sessions are also indexed by where they sit: the waiting ones
+    by creation rank, the placed ones in one bucket per instance kept in
+    creation order.  ``UserSession.assign`` / ``unassign`` / ``end``
+    keep the index in step, so the per-instance reads and every count
+    cost what they return, however many sessions have come and gone.
+    """
 
     def __init__(self, sim: Simulator):
         self._sim = sim
         self._sessions: Dict[str, UserSession] = {}
+        self._ranks = itertools.count()
+        #: creation rank -> waiting session
+        self._waiting: Dict[int, UserSession] = {}
+        #: instance -> [(creation rank, session)], ascending; a bucket
+        #: that empties is deleted
+        self._buckets: Dict[Instance, List[Tuple[int, UserSession]]] = {}
+        self._active = 0
 
     def create(self, user_name: str, channel: Optional[Any] = None,
                purpose: str = "general",
                tenant: Optional[str] = None) -> UserSession:
         """Open a new session in WAITING state."""
+        seq = next(self._ranks)
         session = UserSession(self._sim, user_name, channel, purpose,
-                              tenant=tenant)
+                              tenant, self, seq)
         self._sessions[session.session_id] = session
+        self._waiting[seq] = session
         return session
+
+    # -- index upkeep (called by UserSession) --------------------------------
+
+    def _placed(self, session: UserSession, previous: Optional[Instance],
+                instance: Instance) -> None:
+        self._leave(session, previous)
+        insort(self._buckets.setdefault(instance, []),
+               (session._seq, session))
+        self._active += 1
+
+    def _displaced(self, session: UserSession, instance: Instance) -> None:
+        self._leave(session, instance)
+        self._waiting[session._seq] = session
+
+    def _leave(self, session: UserSession,
+               where: Optional[Instance]) -> None:
+        """Take ``session`` out of wherever it sits (``None`` = waiting)."""
+        if where is None:
+            del self._waiting[session._seq]
+            return
+        bucket = self._buckets[where]
+        # (rank,) sorts just before (rank, session): no session compare
+        del bucket[bisect_left(bucket, (session._seq,))]
+        if not bucket:
+            del self._buckets[where]
+        self._active -= 1
+
+    # -- reads ---------------------------------------------------------------
 
     def get(self, session_id: str) -> UserSession:
         """Look a session up by id."""
         return self._sessions[session_id]
 
     def active(self) -> List[UserSession]:
-        """Sessions currently pinned to an instance."""
-        return [s for s in self._sessions.values()
-                if s.state == SessionState.ACTIVE]
+        """Sessions currently pinned to an instance, in creation order.
+
+        Order contract: oldest-created first, whichever instance each
+        sits on (the order the tenancy console and the benches' digests
+        iterate in).
+        """
+        placed = [entry for bucket in self._buckets.values()
+                  for entry in bucket]
+        placed.sort()
+        return [session for _, session in placed]
 
     def waiting(self) -> List[UserSession]:
-        """Sessions not yet assigned."""
-        return [s for s in self._sessions.values()
-                if s.state == SessionState.WAITING]
+        """Sessions not yet assigned, in creation order."""
+        return [self._waiting[seq] for seq in sorted(self._waiting)]
 
     def on_instance(self, instance: Instance) -> List[UserSession]:
-        """Active sessions pinned to ``instance``."""
-        return [s for s in self.active() if s.instance is instance]
+        """Active sessions pinned to ``instance``, in creation order.
+
+        Order contract: oldest-created first, *not* oldest-arrived — a
+        session migrated here takes the place its creation rank gives
+        it.  Migration and rebalancing move sessions in this order, and
+        every move is a push that draws delivery latency from the
+        seeded stream, so the order is part of the simulated result.
+        """
+        return [session for _, session in self._buckets.get(instance, ())]
+
+    def oldest_on(self, instance: Instance) -> Optional[UserSession]:
+        """The first session :meth:`on_instance` would return, if any."""
+        bucket = self._buckets.get(instance)
+        return bucket[0][1] if bucket else None
+
+    def count_on(self, instance: Instance) -> int:
+        """How many active sessions are pinned to ``instance``."""
+        return len(self._buckets.get(instance, ()))
 
     def all(self) -> List[UserSession]:
         """Every session ever created."""
         return list(self._sessions.values())
 
+    def waiting_count(self) -> int:
+        """Sessions not yet assigned."""
+        return len(self._waiting)
+
+    def active_count(self) -> int:
+        """Sessions currently pinned to an instance."""
+        return self._active
+
     def live_count(self) -> int:
         """Active plus waiting sessions."""
-        return len(self.active()) + len(self.waiting())
+        return self._active + len(self._waiting)
 
     def prune_ended(self, older_than_seconds: float = 0.0) -> int:
         """Housekeeping: forget sessions that ended before the cutoff.

@@ -128,6 +128,10 @@ class Instance:
         self.net_bytes_in = 0.0
         self.net_bytes_out = 0.0
         self.network_blackholed = False
+        #: the replica pool ranking this instance by health and load (set
+        #: by ``ManagedService.add_replica``); :meth:`_rank_changed`
+        #: tells it whenever either input of that ranking moves
+        self._pool: Optional[Any] = None
 
         # what payload the guest carries (models installed post-boot on
         # incubators; streamlined bundles start with their bundled set)
@@ -174,6 +178,18 @@ class Instance:
         """Busy servers plus queued jobs, per vCPU — the LB's load metric."""
         return (self._busy_servers + len(self._queue)) / self.flavor.vcpus
 
+    def _rank_changed(self) -> None:
+        """Tell the owning pool that :meth:`load` or health just changed.
+
+        Called wherever ``state`` or ``network_blackholed`` is assigned
+        and wherever ``load()`` moves: a queue append in :meth:`submit`
+        and a job finishing.  ``_dispatch`` only moves a job from the
+        queue to a server, and ``_abort_all_work`` only runs once the
+        state is already FAILED/TERMINATED (unranked for good).
+        """
+        if self._pool is not None:
+            self._pool.replica_changed(self)
+
     # -- lifecycle (driven by the provider / fault injector) -----------------
 
     def _emit(self, kind: str, **fields) -> None:
@@ -185,6 +201,7 @@ class Instance:
         if self.state != InstanceState.PENDING:
             return  # crashed or terminated while booting
         self.state = InstanceState.RUNNING
+        self._rank_changed()
         self._emit("instance.running",
                    boot_seconds=self._sim.now - self.launched_at)
         self.ready.fire(self)
@@ -194,6 +211,7 @@ class Instance:
             return
         previous = self.state
         self.state = InstanceState.TERMINATED
+        self._rank_changed()
         self._emit("instance.terminated", previous=previous.value)
         self._abort_all_work("instance terminated")
         if previous == InstanceState.PENDING and not self.ready.fired:
@@ -205,6 +223,7 @@ class Instance:
             return
         previous = self.state
         self.state = InstanceState.FAILED
+        self._rank_changed()
         self._emit("instance.failed", previous=previous.value, cause=cause)
         self._abort_all_work(cause)
         if previous == InstanceState.PENDING and not self.ready.fired:
@@ -216,6 +235,7 @@ class Instance:
             raise InvalidStateError(
                 f"cannot degrade {self.instance_id} in state {self.state}")
         self.state = InstanceState.DEGRADED
+        self._rank_changed()
         self._emit("instance.degraded", speed_multiplier=speed_multiplier)
         self._reschedule_running_jobs(speed_multiplier)
 
@@ -224,6 +244,7 @@ class Instance:
             raise InvalidStateError(
                 f"cannot blackhole {self.instance_id} in state {self.state}")
         self.network_blackholed = True
+        self._rank_changed()
         self._emit("instance.blackholed")
 
     def _heal(self) -> None:
@@ -233,9 +254,11 @@ class Instance:
                 f"cannot heal {self.instance_id} in state {self.state}")
         if self.network_blackholed:
             self.network_blackholed = False
+            self._rank_changed()
             self._emit("instance.healed", fault="blackhole")
         if self.state == InstanceState.DEGRADED:
             self.state = InstanceState.RUNNING
+            self._rank_changed()
             self._emit("instance.healed", fault="degrade")
             self._reschedule_running_jobs(1.0)
 
@@ -296,6 +319,7 @@ class Instance:
             self._fail_job(job, "queue full")
             return job.done
         self._queue.append(job)
+        self._rank_changed()
         self._dispatch()
         return job.done
 
@@ -319,6 +343,7 @@ class Instance:
         def finish() -> None:
             self._running_jobs.pop(job.job_id, None)
             self._busy_servers -= 1
+            self._rank_changed()
             self._account_cpu(job.job_id)
             self.disk_read_mb += job.disk_read_mb
             self.disk_write_mb += job.disk_write_mb

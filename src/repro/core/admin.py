@@ -41,7 +41,7 @@ class AdminConsole:
                     "state": instance.state.value,
                     "cpu": round(instance.cpu_utilization(), 3),
                     "load": round(instance.load(), 3),
-                    "sessions": len(evop.sessions.on_instance(instance)),
+                    "sessions": evop.sessions.count_on(instance),
                     "verdict": evop.monitor.verdict(instance).value,
                 })
             services.append({
@@ -104,8 +104,8 @@ class AdminConsole:
             "observability": observability,
             "services": services,
             "sessions": {
-                "active": len(evop.sessions.active()),
-                "waiting": len(evop.sessions.waiting()),
+                "active": evop.sessions.active_count(),
+                "waiting": evop.sessions.waiting_count(),
                 "total_ever": len(evop.sessions.all()),
             },
             "faults": {

@@ -549,7 +549,7 @@ class Evop:
                 service="cloud", location=location)
         plane.watch_registry(self.broker_metrics, service="broker")
         plane.watch_probe("sessions.active",
-                          lambda: float(len(self.sessions.active())),
+                          lambda: float(self.sessions.active_count()),
                           service="broker")
         hub = obs_of(self.sim)
         plane.watch_probe("events.dropped",
