@@ -171,6 +171,7 @@ def run_arm(arm: str, total_requests: int, rows_per_catchment: int) -> dict:
                 bodies[catchment] = response.body
 
     storm_start = sim.now
+    events_before = sim.events_scheduled
     for i in range(CONCURRENCY):
         sim.spawn(reader(i, share + (1 if i < extra else 0)),
                   name=f"reader-{i}")
@@ -197,6 +198,10 @@ def run_arm(arm: str, total_requests: int, rows_per_catchment: int) -> dict:
         "server_busy_s": instance.cpu_busy_seconds,
         "storm_sim_s": sim.now - storm_start,
         "host_cpu_s": time.process_time() - host_start,
+        # a count, so exact: job completion, the server's reaction, the
+        # RED meter and the reader's resume (no transport in this bench)
+        "events_per_get": (sim.events_scheduled - events_before
+                           - CONCURRENCY) / max(1, len(latencies)),
         "bodies": bodies,
         "identical_to_recompute": identical,
     }
@@ -215,9 +220,10 @@ def run_bench(total_requests: int = 1_000_000,
         f"Read storm: {total_requests:,} readers, "
         f"{rows_per_catchment:,} rows/catchment archive",
         ["arm", "requests", "p50 s", "p99 s", "server busy s",
-         "storm sim s", "host cpu s"],
+         "storm sim s", "host cpu s", "events/GET"],
         [[a["arm"], a["requests"], a["p50_s"], a["p99_s"],
-          a["server_busy_s"], a["storm_sim_s"], f"{a['host_cpu_s']:.1f}"]
+          a["server_busy_s"], a["storm_sim_s"], f"{a['host_cpu_s']:.1f}",
+          f"{a['events_per_get']:.4f}"]
          for a in (view, recompute)])
     print(f"\np99 speedup: {speedup:.1f}x  "
           f"(floor {SPEEDUP_FLOOR:.0f}x); "
@@ -300,6 +306,11 @@ def main(argv=None) -> int:
         print(f"\nOK: p99 {report['p99_speedup']:.1f}x lower, "
               f"server CPU {view['server_busy_s']:.0f}s vs "
               f"{recompute['server_busy_s']:.0f}s, views bit-identical")
+    # reported, never gated: a count that repeats exactly, and two host
+    # timings of one run each that do not
+    print(f"ungated: {view['events_per_get']:.4f} calendar events per GET; "
+          f"host CPU view arm {view['host_cpu_s']:.2f}s vs recompute arm "
+          f"{recompute['host_cpu_s']:.2f}s")
     return 1 if failures else 0
 
 

@@ -92,6 +92,13 @@ class MaterializedView:
     ``apply`` is idempotent under redelivery — an event at or below the
     stream's applied high-water mark is dropped.  ``revision`` bumps on
     every state change, which is what the read API's ETags key off.
+
+    Read methods hand back the *materialized* document — built once per
+    change and shared between readers until the next ``_apply`` or
+    ``reset`` replaces it.  A caller that wants to mutate one copies it
+    first; the read API copies what it puts in a response body (the one
+    document or the rows of the page served), so a client cannot reach
+    the view through a body.
     """
 
     name = "view"
@@ -141,6 +148,7 @@ class LatestObservationView(MaterializedView):
     def __init__(self):
         super().__init__()
         self._latest: Dict[str, Dict[str, Any]] = {}
+        self._rows: Optional[List[Dict[str, Any]]] = None
 
     def _apply(self, event: Event) -> None:
         if event.kind != "observation":
@@ -149,14 +157,22 @@ class LatestObservationView(MaterializedView):
         current = self._latest.get(event.key)
         if current is None or row["time"] >= current["time"]:
             self._latest[event.key] = row
+            self._rows = None
 
     def latest(self, procedure: str) -> Optional[Dict[str, Any]]:
         return self._latest.get(procedure)
 
     def rows(self) -> List[Dict[str, Any]]:
         """All latest rows, keyed and sorted by procedure id."""
-        return [dict(self._latest[p], procedure=p)
-                for p in sorted(self._latest)]
+        if self._rows is None:
+            self._rows = [dict(self._latest[p], procedure=p)
+                          for p in sorted(self._latest)]
+        return self._rows
+
+    def reset(self) -> None:
+        super().reset()
+        self._latest = {}
+        self._rows = None
 
 
 class CatchmentStatsView(MaterializedView):
@@ -178,12 +194,14 @@ class CatchmentStatsView(MaterializedView):
         self._sums: Dict[str, float] = {}
         self._latest_time: Dict[str, Optional[float]] = {}
         self._revisions: Dict[str, int] = {}
+        self._documents: Dict[str, Dict[str, Any]] = {}
 
     def _apply(self, event: Event) -> None:
         if event.kind != "observation":
             return
         row = event.payload
         catchment = row.get("catchment") or event.key
+        self._documents.pop(catchment, None)
         window = self._windows.setdefault(catchment, deque())
         window.append((row["time"], row["value"]))
         latest = self._latest_time.get(catchment)
@@ -206,16 +224,19 @@ class CatchmentStatsView(MaterializedView):
 
     def stats(self, catchment: str) -> Optional[Dict[str, Any]]:
         """The materialized stats document, or ``None`` if unknown."""
-        window = self._windows.get(catchment)
-        if window is None:
-            return None
-        values = [v for _, v in window]
-        count = len(values)
-        lo = min(values) if values else None
-        hi = max(values) if values else None
-        return stats_document(
-            catchment, count, self._sums.get(catchment, 0.0), lo, hi,
-            self._latest_time.get(catchment), self.window_hours)
+        document = self._documents.get(catchment)
+        if document is None:
+            window = self._windows.get(catchment)
+            if window is None:
+                return None
+            values = [v for _, v in window]
+            count = len(values)
+            lo = min(values) if values else None
+            hi = max(values) if values else None
+            document = self._documents[catchment] = stats_document(
+                catchment, count, self._sums.get(catchment, 0.0), lo, hi,
+                self._latest_time.get(catchment), self.window_hours)
+        return document
 
     def catchments(self) -> List[str]:
         return sorted(self._windows)
@@ -230,6 +251,7 @@ class CatchmentStatsView(MaterializedView):
         self._sums = {}
         self._latest_time = {}
         self._revisions = {}
+        self._documents = {}
 
 
 class RunSummaryView(MaterializedView):
@@ -241,11 +263,13 @@ class RunSummaryView(MaterializedView):
         super().__init__()
         self._runs: Dict[str, Dict[str, Any]] = {}
         self._order: List[str] = []
+        self._rows: Optional[List[Dict[str, Any]]] = None
 
     def _apply(self, event: Event) -> None:
         if event.kind not in ("run.submitted", "run.finished",
                               "run.failed"):
             return
+        self._rows = None
         run_id = event.key
         entry = self._runs.get(run_id)
         if entry is None:
@@ -263,12 +287,15 @@ class RunSummaryView(MaterializedView):
 
     def rows(self) -> List[Dict[str, Any]]:
         """All runs, in first-seen order (stable pagination keys)."""
-        return [dict(self._runs[r]) for r in self._order]
+        if self._rows is None:
+            self._rows = [dict(self._runs[r]) for r in self._order]
+        return self._rows
 
     def reset(self) -> None:
         super().reset()
         self._runs = {}
         self._order = []
+        self._rows = None
 
 
 def view_fingerprint(view: MaterializedView) -> str:

@@ -18,7 +18,7 @@ push-vs-poll argument applied to the operators themselves.
 
 from __future__ import annotations
 
-import math
+from operator import sub
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.hub import obs_of
@@ -56,10 +56,11 @@ class SLO:
         self.target = target
         self.params = params
         self.labels = {k: str(v) for k, v in labels.items()}
-        # (candidate-count, owning ``le``) memo — bucket bounds are
-        # fixed per histogram, so the owning bound only changes when new
-        # bucket series appear
-        self._bound_memo: Optional[Tuple[int, str]] = None
+        # (candidate-count, total series, good series) memo — bucket
+        # bounds are fixed per histogram, so which ``.bucket`` series
+        # carry the total (``+Inf``) and the good count (the owning
+        # bound) only changes when new bucket series appear
+        self._bound_memo: Optional[Tuple[int, List[Any], List[Any]]] = None
 
     # -- factories ----------------------------------------------------------
 
@@ -144,28 +145,23 @@ class SLO:
         candidates = store.query(bucket_name, **self.labels)
         if self._bound_memo is None or \
                 self._bound_memo[0] != len(candidates):
-            self._bound_memo = (len(candidates),
-                                self._owning_bound(candidates, threshold))
-        owning = self._bound_memo[1]
-        good = 0.0
-        total = 0.0
-        saw_total = False
-        # group by non-le labels so multi-source metrics aggregate cleanly
-        for series in candidates:
-            le = series.labels.get("le")
-            if le is None:
-                continue
-            bound = math.inf if le == "+Inf" else float(le)
-            delta = series.delta(start, end)
-            if delta is None:
-                continue
-            if math.isinf(bound):
-                total += delta
-                saw_total = True
-            elif bound >= threshold and format_bound(bound) == owning:
-                good += delta
-        if not saw_total or total <= 0:
+            owning = self._owning_bound(candidates, threshold)
+            self._bound_memo = (
+                len(candidates),
+                [s for s in candidates if s.labels.get("le") == "+Inf"],
+                # multi-source metrics aggregate: one owning series each
+                [s for s in candidates if s.labels.get("le") == owning
+                 and owning != "+Inf"])
+        _, totals, goods = self._bound_memo
+        # only those two bounds enter the ratio; the other dozen bucket
+        # series per source are never windowed
+        seen = [d for d in (s.delta(start, end) for s in totals)
+                if d is not None]
+        total = sum(seen)
+        if not seen or total <= 0:
             return None
+        good = sum(d for d in (s.delta(start, end) for s in goods)
+                   if d is not None)
         return min(1.0, good / total)
 
     @staticmethod
@@ -192,16 +188,17 @@ class SLO:
                 times.insert(0, prior[0])
             if not times:
                 continue
-            stale = 0.0
-            cursor = max(start, times[0])
-            for t in times:
-                if t > cursor:
-                    gap = t - cursor
-                    stale += max(0.0, gap - max_age)
-                cursor = max(cursor, t)
-            if end > cursor:
-                stale += max(0.0, (end - cursor) - max_age)
-            span = end - max(start, times[0])
+            # samples are time-ordered and only the prior can precede
+            # the window, so once it is clamped the gaps are the
+            # neighbour differences; the filter runs at C speed and a
+            # healthy series has no gap left for the sum
+            times[0] = max(start, times[0])
+            stale = sum(gap - max_age for gap in
+                        filter(float(max_age).__lt__,
+                               map(sub, times[1:], times)))
+            if end - times[-1] > max_age:
+                stale += (end - times[-1]) - max_age
+            span = end - times[0]
             if span <= 0:
                 fractions.append(1.0)
             else:

@@ -272,7 +272,10 @@ class MetricsScraper:
                                  Callable[[], Optional[float]]]] = []
         self._hooks: List[Callable[[float], None]] = []
         # source-key -> Series, so steady-state ticks append directly
-        # instead of re-sorting label sets through SeriesStore.record
+        # instead of re-sorting label sets through SeriesStore.record:
+        # one table per registry (keyed by metric name, or (name, bucket
+        # bound)) and one for probes and the scraper's own series
+        self._tables: List[Dict[Any, Series]] = []
         self._resolved: Dict[Any, Series] = {}
         self._running = False
         self.scrapes = 0
@@ -289,6 +292,7 @@ class MetricsScraper:
         """Sample every metric of ``registry`` under ``labels`` each tick."""
         self._registries.append(({k: str(v) for k, v in labels.items()},
                                  registry))
+        self._tables.append({})
 
     def add_probe(self, name: str, fn: Callable[[], Optional[float]],
                   **labels: str) -> None:
@@ -340,17 +344,17 @@ class MetricsScraper:
 
     # -- one tick -----------------------------------------------------------
 
-    def _record(self, key: Any, name: str, now: float, value: float,
-                labels: Dict[str, str]) -> bool:
-        """Append via the resolved-series cache; ``False`` if dropped."""
-        series = self._resolved.get(key)
+    def _record(self, table: Dict[Any, Series], key: Any, name: str,
+                now: float, value: float, labels: Dict[str, str]) -> bool:
+        """Append via a resolved-series table; ``False`` if dropped."""
+        series = table.get(key)
         if series is None:
             series = self.store.record(name, now, value, **labels)
             if series is None:
                 return False
-            self._resolved[key] = series
+            table[key] = series
             return True
-        series.append(now, float(value))
+        series.append(now, value)
         return True
 
     def scrape_once(self) -> int:
@@ -360,47 +364,46 @@ class MetricsScraper:
         host_start = time.process_time()
         now = self.sim.now
         written = 0
-        resolved = self._resolved
-        for idx, (labels, registry) in enumerate(self._registries):
+        for (labels, registry), table in zip(self._registries, self._tables):
             for name, value in registry.snapshot().items():
-                series = resolved.get((idx, name))
+                series = table.get(name)
                 if series is not None:
-                    series.append(now, float(value))
+                    series.append(now, value)
                     written += 1
-                elif self._record((idx, name), name, now, value, labels):
+                elif self._record(table, name, name, now, value, labels):
                     written += 1
             for name, hist in registry.each_histogram():
                 running = 0
                 for bound, count in hist.bucket_counts():
                     running += count
-                    series = resolved.get((idx, name, bound))
+                    series = table.get((name, bound))
                     if series is not None:
                         # cumulative bucket: an unchanged count carries
                         # no new information and delta() baselines
                         # through sparse points, so skip the append
                         if series._values[-1] != running:
-                            series.append(now, float(running))
+                            series.append(now, running)
                             written += 1
                         continue
                     le = format_bound(bound)
-                    if self._record((idx, name, bound), f"{name}.bucket",
+                    if self._record(table, (name, bound), f"{name}.bucket",
                                     now, running, {"le": le, **labels}):
                         written += 1
+        resolved = self._resolved
         for idx, (name, labels, fn) in enumerate(self._probes):
             value = fn()
             if value is None:
                 continue
-            if self._record(("probe", idx), name, now, float(value), labels):
+            if self._record(resolved, idx, name, now, value, labels):
                 written += 1
         self.scrapes += 1
         self.samples += written
         self.last_scrape_at = now
         # self-metering rides in the same store, labeled as its own service
-        self._record(("meta", "samples"), "scrape.samples", now,
-                     float(written), {"service": "telemetry"})
-        self._record(("meta", "series"), "scrape.series", now,
-                     float(self.store.series_count()),
+        self._record(resolved, "samples", "scrape.samples", now, written,
                      {"service": "telemetry"})
+        self._record(resolved, "series", "scrape.series", now,
+                     self.store.series_count(), {"service": "telemetry"})
         for hook in self._hooks:
             hook(now)
         self.host_seconds += time.process_time() - host_start

@@ -242,12 +242,11 @@ class ResilientClient:
         timer = self.sim.schedule(min(QUEUE_WAIT, budget),
                                   self._fire_unset, decided, False)
 
-        def on_gate():
-            granted = yield ticket.gate
+        def on_gate(granted: bool) -> None:
             if granted and not decided.fired:
                 decided.fire(True)
 
-        self.sim.spawn(on_gate(), name="resilience.gate")
+        ticket.gate.then(on_gate)
         admitted = yield decided
         timer.cancel()
         if admitted:
@@ -284,8 +283,7 @@ class ResilientClient:
         state = {"pending": 1}
 
         def watch(sig: Signal, label: str, slot_owner) -> None:
-            def waiter():
-                out = yield sig
+            def settled(out: Any) -> None:
                 slot_owner.release()
                 self._observe_latency(out, started)
                 state["pending"] -= 1
@@ -298,7 +296,7 @@ class ResilientClient:
                     if label == "hedge" and won:
                         self._count("hedge.wins")
                     decided.fire(out)
-            self.sim.spawn(waiter(), name=f"resilience.hedge.{label}")
+            sig.then(settled)
 
         watch(primary, "primary", bulkhead)
 

@@ -461,6 +461,10 @@ class Dispatcher:
         queue = self._queues.get(service_name)
         return 0 if queue is None else queue.depth(priority)
 
+    def class_depth(self, priority: PriorityClass) -> int:
+        """Queue depth of one class, summed across services."""
+        return sum(queue.depth(priority) for queue in self._queues.values())
+
     def depths(self) -> Dict[str, Dict[str, int]]:
         """Per-service, per-class queue depths (the admin view)."""
         return {name: queue.counts()

@@ -321,10 +321,7 @@ class ShardedRouter:
         for shard in self.shard_ids():
             for cls in PriorityClass:
                 def depth(s=shard, p=cls) -> float:
-                    per_service = self.lbs[s].dispatcher.depths()
-                    return float(sum(
-                        counts.get(p.name.lower(), 0)
-                        for counts in per_service.values()))
+                    return float(self.lbs[s].dispatcher.class_depth(p))
                 out.append(("sched.queue.depth",
                             {"service": "sched", "shard": str(shard),
                              "priority": cls.name.lower()},

@@ -63,9 +63,9 @@ class WebSocketConnection:
         """Register a server-side handler for client sends."""
         self._server_handlers.append(handler)
 
-    def push(self, payload: Any) -> None:
-        """Server → client frame."""
-        self.gateway._transmit(self, payload, to_client=True)
+    def push(self, payload: Any, payload_size: Optional[int] = None) -> None:
+        """Server → client frame (``payload_size`` when already measured)."""
+        self.gateway._transmit(self, payload, True, payload_size)
 
     def send(self, payload: Any) -> None:
         """Client → server frame."""
@@ -122,14 +122,18 @@ class PushGateway:
 
     def broadcast(self, payload: Any) -> None:
         """Push ``payload`` to every open connection."""
+        # one frame, many sockets: serialise it once, not per connection
+        size = payload_bytes(payload)
         for conn in self.connections():
-            conn.push(payload)
+            conn.push(payload, size)
 
     def _transmit(self, conn: WebSocketConnection, payload: Any,
-                  to_client: bool) -> None:
+                  to_client: bool, payload_size: Optional[int] = None) -> None:
         if conn.closed:
             raise ChannelClosed(conn.connection_id)
-        frame_bytes = WS_FRAME_BYTES + payload_bytes(payload)
+        if payload_size is None:
+            payload_size = payload_bytes(payload)
+        frame_bytes = WS_FRAME_BYTES + payload_size
         self.metrics.counter("bytes").increment(frame_bytes)
         self.metrics.counter("messages").increment()
         if to_client:

@@ -95,11 +95,7 @@ class RestClient:
             deadline=deadline if deadline is not None else self.deadline)
         done = self.sim.signal(f"client.{method}.{path}")
 
-        def translate():
-            response = yield raw
-            done.fire(self._revalidate(path, response))
-
-        self.sim.spawn(translate(), name=f"client.request.{path}")
+        raw.then(lambda response: done.fire(self._revalidate(path, response)))
         return done
 
     def _revalidate(self, path: str, response: HttpResponse) -> HttpResponse:

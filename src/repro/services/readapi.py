@@ -66,7 +66,9 @@ def build_read_api(sim: Simulator, plane: "DataPlane",
                 f"no observations materialized for {catchment!r}",
                 retryable=False)
         revision = plane.stats.catchment_revision(catchment)
-        return RestCacheable(body=stats,
+        # the view shares its materialized document between readers;
+        # what leaves the server is the response's own copy
+        return RestCacheable(body=dict(stats),
                              etag=f'"stats-{catchment}-{revision}"')
 
     def latest_observations(request: HttpRequest, params: Dict[str, str]):
@@ -77,7 +79,8 @@ def build_read_api(sim: Simulator, plane: "DataPlane",
         except CursorError as err:
             return 400, problem(400, "invalid cursor", str(err),
                                 retryable=False)
-        return 200, {"observations": page.items, "total": page.total,
+        return 200, {"observations": [dict(row) for row in page.items],
+                     "total": page.total,
                      "nextCursor": page.next_cursor}, page.headers
 
     def runs(request: HttpRequest, params: Dict[str, str]):
@@ -85,16 +88,18 @@ def build_read_api(sim: Simulator, plane: "DataPlane",
         # the sort key is the run's position in the *unfiltered* index:
         # append-only, so cursors stay stable even when a run's status
         # (and thus its filtered membership) changes mid-pagination
-        pairs = [(i, row) for i, row in enumerate(plane.runs.rows())
-                 if not status or row.get("status") == status]
-        keys = [i for i, _ in pairs]
-        rows = [row for _, row in pairs]
+        rows = plane.runs.rows()
+        keys = range(len(rows))
+        if status:
+            keys = [i for i in keys if rows[i].get("status") == status]
+            rows = [rows[i] for i in keys]
         try:
             page = paginate(request, rows, keys)
         except CursorError as err:
             return 400, problem(400, "invalid cursor", str(err),
                                 retryable=False)
-        return 200, {"runs": page.items, "total": page.total,
+        return 200, {"runs": [dict(row) for row in page.items],
+                     "total": page.total,
                      "nextCursor": page.next_cursor}, page.headers
 
     def run_detail(request: HttpRequest, params: Dict[str, str]):

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cloud.instance import Instance, Job
+from repro.cloud.instance import Instance, Job, JobOutcome
 from repro.obs.context import extract_context
 from repro.obs.hub import obs_of
 from repro.obs.tracer import Span
@@ -72,12 +72,17 @@ class HttpError(Exception):
         return problem(self.status, self.message, retryable=self.retryable)
 
 
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+
 @dataclass
 class Route:
     """One method+path-pattern binding.
 
     Patterns use ``{name}`` placeholders: ``/datasets/{dataset_id}``.
-    ``cost`` is the CPU charge of running the handler; handlers that do
+    A placeholder stands for exactly one path segment and every other
+    character of the pattern for itself (``/files/{name}.json`` wants a
+    literal dot; the text is not a regular expression).  ``cost`` is the CPU charge of running the handler; handlers that do
     real modelling work instead return a :class:`RestDeferred` carrying
     their own job.  ``safe`` declares the handler side-effect-free /
     replayable (defaults to ``True`` for GET); ``cacheable`` declares
@@ -98,14 +103,22 @@ class Route:
     def __post_init__(self) -> None:
         if self.safe is None:
             self.safe = self.method == "GET"
-        regex = re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", self.pattern)
-        self._compiled = re.compile(f"^{regex}$")
+        # literal text between placeholders matches itself and a
+        # placeholder exactly one segment, so a matching path always has
+        # the pattern's number of slashes — what RestApi buckets on
+        parts = _PLACEHOLDER.split(self.pattern)
+        self._compiled = re.compile("".join(
+            f"(?P<{part}>[^/]+)" if i % 2 else re.escape(part)
+            for i, part in enumerate(parts)))
+        self._literal = len(parts) == 1
+        #: what the handler's job (and its span) is called
+        self.job_name = f"rest:{self.method}:{self.pattern}"
 
     def match(self, method: str, path: str) -> Optional[Dict[str, str]]:
         """Path params when the route matches, else ``None``."""
         if method != self.method:
             return None
-        found = self._compiled.match(path)
+        found = self._compiled.fullmatch(path)
         if found is None:
             return None
         return found.groupdict()
@@ -167,6 +180,11 @@ class RestApi:
         self.name = name
         self._routes: List[Route] = []
         self._canonical: List[Route] = []
+        # the lookup ``resolve`` reads, built as routes are mounted:
+        # parameterless patterns by (method, path); the rest, in
+        # registration order, by (method, number of slashes)
+        self._exact: Dict[Tuple[str, str], Route] = {}
+        self._parametric: Dict[Tuple[str, int], List[Route]] = {}
         #: Shared :class:`~repro.services.idempotency.IdempotencyIndex`;
         #: when set, mutating requests carrying an ``Idempotency-Key``
         #: header execute exactly once across every replica of this api.
@@ -194,8 +212,18 @@ class RestApi:
         #: the anonymous default principal.
         self.require_tenant: bool = False
         describe = Route("GET", f"/{API_VERSION}", self._describe_api)
-        self._routes.append(describe)
+        self._mount(describe)
         self._canonical.append(describe)
+
+    def _mount(self, route: Route) -> None:
+        self._routes.append(route)
+        if not route._literal:
+            self._parametric.setdefault(
+                (route.method, route.pattern.count("/")), []).append(route)
+        elif self._lookup(route.method, route.pattern)[0] is None:
+            # first match wins: a literal path an earlier route already
+            # answers stays shadowed, as it was under the linear scan
+            self._exact[(route.method, route.pattern)] = route
 
     def route(self, method: str, pattern: str,
               handler: Callable[[HttpRequest, Dict[str, str]], Any],
@@ -207,7 +235,8 @@ class RestApi:
         shim = Route(method, pattern, handler, cost, safe=safe,
                      cacheable=cacheable, deprecated=True,
                      successor=canonical.pattern)
-        self._routes.extend((canonical, shim))
+        self._mount(canonical)
+        self._mount(shim)
         self._canonical.append(canonical)
 
     def get(self, pattern: str, handler, cost: float = DEFAULT_HANDLER_COST,
@@ -224,10 +253,17 @@ class RestApi:
 
     def resolve(self, request: HttpRequest) -> Tuple[Optional[Route], Dict[str, str]]:
         """Find the route matching ``request`` (first match wins)."""
-        for route in self._routes:
-            params = route.match(request.method, request.path)
-            if params is not None:
-                return route, params
+        return self._lookup(request.method, request.path)
+
+    def _lookup(self, method: str, path: str
+                ) -> Tuple[Optional[Route], Dict[str, str]]:
+        route = self._exact.get((method, path))
+        if route is not None:
+            return route, {}
+        for route in self._parametric.get((method, path.count("/")), ()):
+            found = route._compiled.fullmatch(path)
+            if found is not None:
+                return route, found.groupdict()
         return None, {}
 
     @property
@@ -277,7 +313,7 @@ class RestServer:
 
     def handle(self, request: HttpRequest) -> Signal:
         """Process a request; returns a signal fired with the response."""
-        done = self.sim.signal(f"rest.{self.api.name}.{request.path}")
+        done = self.sim.signal("rest.response")
         route, params = self.api.resolve(request)
         # traced requests get a server span covering route resolution
         # through response emission; the job it submits continues below it
@@ -289,17 +325,16 @@ class RestServer:
                 f"{route.pattern if route else request.path}",
                 parent=context, kind="server",
                 attributes={"instance": self.instance.instance_id})
-        # server-side RED metrics ride a second waiter on the response
-        # signal: requests/errors counters plus a duration histogram
-        # whose buckets retain a trace exemplar when the request was
-        # traced (a replica that never answers records nothing — the
-        # client's view covers that failure mode)
+        # server-side RED metrics react to the response signal:
+        # requests/errors counters plus a duration histogram whose
+        # buckets retain a trace exemplar when the request was traced
+        # (a replica that never answers records nothing — the client's
+        # view covers that failure mode)
         started = self.sim.now
         api_metrics = obs_of(self.sim).api_metrics.sub(self.api.name)
         tenant_id: Optional[str] = None
 
-        def metered():
-            response = yield done
+        def metered(response: HttpResponse) -> None:
             api_metrics.counter("requests").increment()
             if response.status >= 500:
                 api_metrics.counter("errors").increment()
@@ -321,7 +356,7 @@ class RestServer:
             api_metrics.histogram("duration").observe(
                 self.sim.now - started, exemplar=exemplar)
 
-        self.sim.spawn(metered(), name=f"rest.meter.{self.api.name}")
+        done.then(metered)
         if route is None:
             self._finish(done, HttpResponse(
                 status=404,
@@ -345,44 +380,25 @@ class RestServer:
                                         tenant_id)
         if ticket is _REQUEST_ANSWERED:
             return done
-        job = Job(cost=route.cost, name=f"rest:{request.method}:{route.pattern}",
+        job = Job(cost=route.cost, name=route.job_name,
                   compute=lambda: route.handler(request, params))
         if span is not None:
             job.trace = span.context
-        outcome_signal = self.instance.submit(job)
 
-        def waiter():
-            outcome = yield outcome_signal
+        def on_outcome(outcome: JobOutcome) -> None:
             self.requests_handled += 1
             if not outcome.succeeded:
-                if outcome.error == "queue full":
-                    self._finish(done, self._overloaded(), span, route, ticket)
-                elif outcome.error and outcome.error.startswith("job raised"):
-                    self._finish(done, self._error_response(outcome.error),
-                                 span, route, ticket)
-                elif span is not None:
-                    # instance died: the response never leaves; the caller
-                    # times out, and the server span records why
-                    span.finish(error=outcome.error or "instance lost")
+                self._job_failed(done, outcome, span, route, ticket)
                 return
             result = outcome.value
             if isinstance(result, RestDeferred):
                 deferred_job = result.job
                 if span is not None and deferred_job.trace is None:
                     deferred_job.trace = span.context
-                deferred_signal = self.instance.submit(deferred_job)
 
-                def deferred_waiter():
-                    deferred = yield deferred_signal
+                def on_deferred(deferred: JobOutcome) -> None:
                     if not deferred.succeeded:
-                        if deferred.error == "queue full":
-                            self._finish(done, self._overloaded(), span,
-                                         route, ticket)
-                        elif deferred.error and deferred.error.startswith("job raised"):
-                            self._finish(done, self._error_response(
-                                deferred.error), span, route, ticket)
-                        elif span is not None:
-                            span.finish(error=deferred.error or "instance lost")
+                        self._job_failed(done, deferred, span, route, ticket)
                         return
                     status, body, headers = self._coerce(
                         result.render(deferred.value))
@@ -390,7 +406,7 @@ class RestServer:
                                                     headers=headers),
                                  span, route, ticket)
 
-                self.sim.spawn(deferred_waiter(), name="rest.deferred")
+                self.instance.submit(deferred_job).then(on_deferred)
             elif isinstance(result, RestCacheable):
                 self._finish(done, self._revalidate(request, result), span,
                              route, ticket)
@@ -408,8 +424,20 @@ class RestServer:
                                                 headers=headers),
                              span, route, ticket)
 
-        self.sim.spawn(waiter(), name=f"rest.wait.{self.api.name}")
+        self.instance.submit(job).then(on_outcome)
         return done
+
+    def _job_failed(self, done: Signal, outcome: JobOutcome,
+                    span: Optional[Span], route: Route, ticket) -> None:
+        if outcome.error == "queue full":
+            self._finish(done, self._overloaded(), span, route, ticket)
+        elif outcome.error and outcome.error.startswith("job raised"):
+            self._finish(done, self._error_response(outcome.error),
+                         span, route, ticket)
+        elif span is not None:
+            # instance died: the response never leaves; the caller
+            # times out, and the server span records why
+            span.finish(error=outcome.error or "instance lost")
 
     def _resolve_tenant(self, request: HttpRequest
                         ) -> Tuple[Optional[str], Optional[HttpResponse]]:

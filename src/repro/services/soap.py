@@ -129,10 +129,8 @@ class SoapServer:
             return fn(session, body.get("payload"))
 
         job = Job(cost=cost, name=f"soap:{op}", compute=run)
-        outcome_signal = self.instance.submit(job)
 
-        def waiter():
-            outcome = yield outcome_signal
+        def on_outcome(outcome) -> None:
             if not outcome.succeeded:
                 if outcome.error == "queue full":
                     # previously a silent drop that forced the caller to
@@ -151,7 +149,7 @@ class SoapServer:
             else:
                 done.fire(HttpResponse(status=200, body=result))
 
-        self.sim.spawn(waiter(), name=f"soap.wait.{self.name}")
+        self.instance.submit(job).then(on_outcome)
         return done
 
 

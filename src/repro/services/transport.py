@@ -49,10 +49,10 @@ def payload_bytes(body: Any) -> int:
     """Estimate the serialised size of a message body in bytes."""
     if body is None:
         return 0
-    if isinstance(body, (bytes, bytearray)):
+    if isinstance(body, (str, bytes, bytearray)):
         return len(body)
-    if isinstance(body, str):
-        return len(body)
+    if not body and isinstance(body, (dict, list)):
+        return 2  # "{}" / "[]": most requests carry an empty query
     try:
         return len(json.dumps(body, default=str))
     except (TypeError, ValueError):
@@ -176,7 +176,7 @@ class Network:
         partitions — partitioned traffic is dropped (timeout), never
         refused.
         """
-        reply = self.sim.signal(f"net.{address}.{request.method}.{request.path}")
+        reply = self.sim.signal("net.reply")
         self.total_requests += 1
         request_bytes = request.wire_bytes() + extra_request_bytes
         self.total_bytes += request_bytes
@@ -199,8 +199,7 @@ class Network:
                 attributes=attributes)
             inject_context(span.context, request.headers)
 
-            def client_watch():
-                outcome = yield reply
+            def client_watch(outcome: Any) -> None:
                 if isinstance(outcome, HttpResponse):
                     span.set_attribute("status", outcome.status)
                     span.finish(error=None if outcome.status < 500
@@ -213,7 +212,7 @@ class Network:
                 else:
                     span.finish(error=f"no response: {outcome!r}")
 
-            self.sim.spawn(client_watch(), name=f"net.trace.{address}")
+            reply.then(client_watch)
 
         # Every path that can complete this request funnels through one
         # settle helper: it cancels the timeout timer and fires the reply
@@ -243,10 +242,8 @@ class Network:
             instance.record_bytes_out(TCP_ACK_BYTES)  # ack; dropped if blackholed
             if not instance.network_blackholed:
                 self.total_bytes += TCP_ACK_BYTES
-            response_signal = server.handle(request)
 
-            def respond():
-                response = yield response_signal
+            def respond(response: Any) -> None:
                 if not isinstance(response, HttpResponse):
                     response = HttpResponse(status=500, body=problem(
                         500, "bad handler",
@@ -259,18 +256,15 @@ class Network:
                         and self.is_partitioned(source, address)):
                     # partition opened mid-request: the response is lost
                     return
-                if reply.fired:
-                    # the caller already saw a timeout: the late response
-                    # still pays its wire bytes but must not re-fire
-                    instance.record_bytes_out(response_bytes)
-                    self.total_bytes += response_bytes
-                    return
                 instance.record_bytes_out(response_bytes)
                 self.total_bytes += response_bytes
-                yield self._latency()
-                self._settle(reply, timeout_handle, response)
+                if not reply.fired:
+                    # a response later than the caller's timeout has
+                    # paid its wire bytes but must not re-fire
+                    self.sim.schedule(self._latency(), self._settle, reply,
+                                      timeout_handle, response)
 
-            self.sim.spawn(respond(), name=f"net.respond.{address}")
+            server.handle(request).then(respond)
 
         self.sim.schedule(self._latency(), deliver)
         return reply

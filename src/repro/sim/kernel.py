@@ -8,6 +8,13 @@ substrate needs:
   non-negative number (sleep that many simulated seconds), a
   :class:`Signal` (block until fired), or another :class:`Process` (join).
 * ``Signal`` — a one-shot level-triggered event carrying a value.
+* ``Signal.then(fn)`` — a *continuation*: run ``fn(value)`` as a zero-delay
+  event once the signal fires.
+
+Coroutines are for flows (several waits, loops, interrupts); continuations
+are for reactions (one wait, then done).  A continuation costs one calendar
+event and no generator, where a one-yield process costs two events, a
+generator frame and a ``Process``.
 
 Time is a float in seconds; the unit is a convention shared by all
 subsystems.  Determinism is guaranteed by a monotonically increasing
@@ -18,7 +25,8 @@ instant.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Generator, Iterable, List, Optional,
+                    Tuple, Union)
 
 
 class SimulationError(RuntimeError):
@@ -73,6 +81,10 @@ class Signal:
     value.  This level-triggered behaviour avoids lost-wakeup races between
     subsystems that are composed loosely (e.g. a session waiting for an
     instance that already booted).
+
+    Waiters are processes (``yield signal``) and continuations
+    (:meth:`then`), mixed; they are woken in registration order, each by
+    its own zero-delay event.
     """
 
     __slots__ = ("_sim", "name", "_fired", "_value", "_waiters")
@@ -82,7 +94,7 @@ class Signal:
         self.name = name
         self._fired = False
         self._value: Any = None
-        self._waiters: List["Process"] = []
+        self._waiters: List[Union["Process", Callable[[Any], None]]] = []
 
     @property
     def fired(self) -> bool:
@@ -104,9 +116,31 @@ class Signal:
             raise SimulationError(f"signal {self.name!r} fired twice")
         self._fired = True
         self._value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self._sim._resume(proc, value)
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            sim = self._sim
+            for waiter in waiters:
+                if type(waiter) is Process:
+                    sim._resume(waiter, value)
+                else:
+                    sim.schedule(0.0, sim._react, waiter, value)
+
+    def then(self, fn: Callable[[Any], None]) -> None:
+        """Run ``fn(value)`` as a zero-delay event once the signal fires.
+
+        On an already-fired signal the event is scheduled now.  The body
+        runs where a process resumed by the same signal would run its
+        own: after the firing event returns, in registration order with
+        the signal's other waiters.  An exception in ``fn`` is recorded
+        as a failure under ``fn``'s qualified name, exactly like a
+        process that raised — a strict ``run`` re-raises it.
+        """
+        if self._fired:
+            sim = self._sim
+            sim.schedule(0.0, sim._react, fn, self._value)
+        else:
+            self._waiters.append(fn)
 
     def _add_waiter(self, proc: "Process") -> None:
         self._waiters.append(proc)
@@ -138,7 +172,7 @@ class Process:
         self._alive = True
         self._result: Any = None
         self._error: Optional[BaseException] = None
-        self._done_signal = Signal(sim, name=f"{self.name}.done")
+        self._done_signal: Optional[Signal] = None
         self._waiting_on: Optional[Signal] = None
         self._pending_timer: Optional[EventHandle] = None
 
@@ -159,8 +193,18 @@ class Process:
 
     @property
     def done_signal(self) -> Signal:
-        """Signal fired with the process result when it finishes."""
-        return self._done_signal
+        """Signal fired with the process result when it finishes.
+
+        Created on first access — most processes are never joined — and
+        handed back already fired when the process is dead by then.
+        """
+        done = self._done_signal
+        if done is None:
+            done = self._done_signal = Signal(self._sim, f"{self.name}.done")
+            if not self._alive:
+                done._fired = True
+                done._value = self._result
+        return done
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current wait.
@@ -228,17 +272,35 @@ class Process:
     def _finish(self, result: Any) -> None:
         self._alive = False
         self._result = result
-        self._done_signal.fire(result)
+        if self._done_signal is not None:
+            self._done_signal.fire(result)
 
     def _fail(self, err: BaseException) -> None:
         self._alive = False
         self._error = err
         self._sim._record_failure(self, err)
-        self._done_signal.fire(None)
+        if self._done_signal is not None:
+            self._done_signal.fire(None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self._alive else "done"
         return f"<Process {self.name!r} {state}>"
+
+
+class Continuation:
+    """Names a failed :meth:`Signal.then` callback in ``Simulator.failures``.
+
+    Built only when a continuation raises; the ones that return cost
+    nothing beyond their calendar event.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, fn: Callable):
+        self.name = getattr(fn, "__qualname__", None) or repr(fn)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Continuation {self.name!r} failed>"
 
 
 class Simulator:
@@ -269,7 +331,6 @@ class Simulator:
         self._queue: list = []
         self._strict = strict
         self._failures: list = []
-        self._processes: List[Process] = []
         self._cancelled = 0
 
     @property
@@ -283,8 +344,14 @@ class Simulator:
         return len(self._queue)
 
     @property
-    def failures(self) -> List[Tuple["Process", BaseException]]:
-        """Processes that terminated with an unhandled exception."""
+    def events_scheduled(self) -> int:
+        """Events ever put on the calendar — the unit of kernel work."""
+        return self._seq
+
+    @property
+    def failures(self) -> List[Tuple[Union[Process, Continuation],
+                                     BaseException]]:
+        """Processes and continuations that raised, with what they raised."""
         return list(self._failures)
 
     # -- scheduling --------------------------------------------------------
@@ -297,9 +364,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._seq += 1
-        handle = EventHandle(self._now + delay, fn, args, sim=self)
-        heapq.heappush(self._queue, (handle.when, self._seq, handle))
+        seq = self._seq = self._seq + 1
+        when = self._now + delay
+        handle = EventHandle(when, fn, args, self)
+        heapq.heappush(self._queue, (when, seq, handle))
         return handle
 
     def _note_cancelled(self) -> None:
@@ -310,8 +378,9 @@ class Simulator:
 
     def _compact(self) -> None:
         """Drop cancelled entries and restore the heap invariant."""
-        self._queue = [entry for entry in self._queue
-                       if not entry[2].cancelled]
+        # in place: ``run`` holds a reference to the list
+        self._queue[:] = [entry for entry in self._queue
+                          if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled = 0
 
@@ -321,7 +390,6 @@ class Simulator:
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a process; it takes its first step at now."""
         proc = Process(self, gen, name=name)
-        self._processes.append(proc)
         self._schedule_now(proc._step, None)
         return proc
 
@@ -333,7 +401,15 @@ class Simulator:
         proc._waiting_on = None
         self._schedule_now(proc._step, value)
 
-    def _record_failure(self, proc: Process, err: BaseException) -> None:
+    def _react(self, fn: Callable[[Any], None], value: Any) -> None:
+        """The event body of a continuation."""
+        try:
+            fn(value)
+        except BaseException as err:  # noqa: BLE001 - surfaced via .failures
+            self._record_failure(Continuation(fn), err)
+
+    def _record_failure(self, proc: Union[Process, Continuation],
+                        err: BaseException) -> None:
         self._failures.append((proc, err))
 
     # -- running -----------------------------------------------------------
@@ -345,20 +421,22 @@ class Simulator:
         ``until`` set, the clock is advanced exactly to ``until`` even if
         the last event fires earlier, so periodic measurements line up.
         """
-        while self._queue:
-            when, _seq, handle = self._queue[0]
+        queue, pop = self._queue, heapq.heappop
+        strict, failures = self._strict, self._failures
+        while queue:
+            when, _seq, handle = queue[0]
             if handle.cancelled:
-                heapq.heappop(self._queue)
+                pop(queue)
                 if self._cancelled > 0:
                     self._cancelled -= 1
                 continue
             if until is not None and when > until:
                 break
-            heapq.heappop(self._queue)
+            pop(queue)
             self._now = when
             handle.fn(*handle.args)
-            if self._strict and self._failures:
-                proc, err = self._failures[0]
+            if strict and failures:
+                proc, err = failures[0]
                 raise SimulationError(
                     f"process {proc.name!r} failed at t={self._now:.3f}"
                 ) from err
@@ -389,16 +467,14 @@ class Simulator:
         if not pending:
             self._schedule_now(combined.fire, [])
             return combined
-        remaining = {"n": len(pending)}
+        remaining = len(pending)
 
-        def arm(sig: Signal) -> None:
-            def waiter():
-                yield sig
-                remaining["n"] -= 1
-                if remaining["n"] == 0:
-                    combined.fire([s.value for s in pending])
-            self.spawn(waiter(), name=f"{name}.wait")
+        def arrived(_value: Any) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                combined.fire([s.value for s in pending])
 
         for sig in pending:
-            arm(sig)
+            sig.then(arrived)
         return combined

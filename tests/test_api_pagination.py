@@ -13,6 +13,7 @@ from repro.cloud import BlobStore, Flavor, ImageKind, Instance, MachineImage
 from repro.data.catalog import AssetCatalog
 from repro.data.warehouse import DataWarehouse
 from repro.dataplane import DataPlane
+from repro.dataplane.views import view_fingerprint
 from repro.portal.uploads import UploadService
 from repro.portal.widgets import CatchmentDashboard
 from repro.resilience.policy import RetryPolicy
@@ -520,6 +521,29 @@ def test_runs_route_filter_rides_the_next_link(sim):
                  query={"status": "finished"})
     run_ids = [r["runId"] for p in pages for r in p.body["runs"]]
     assert run_ids == [f"run-{i}" for i in range(4)]
+
+
+def test_a_mutated_response_body_does_not_reach_the_views(sim):
+    plane = seed_plane(sim)
+    plane.outbox.record("runs", "run.submitted", key="run-0",
+                        payload={"process": "double", "submittedAt": 0.0})
+    plane.pump()
+    server = RestServer(sim, build_read_api(sim, plane), make_instance(sim))
+    fingerprints = [view_fingerprint(view) for view in plane.views]
+
+    stats = call(sim, server, HttpRequest("GET", "/v1/catchments/eden/stats"))
+    stats.body["count"] = -1
+    latest = call(sim, server, HttpRequest("GET", "/v1/observations/latest"))
+    latest.body["observations"][0]["value"] = -1.0
+    latest.body["observations"].clear()
+    runs = call(sim, server, HttpRequest("GET", "/v1/runs"))
+    runs.body["runs"][0]["status"] = "vandalised"
+
+    assert [view_fingerprint(view) for view in plane.views] == fingerprints
+    again = call(sim, server, HttpRequest("GET", "/v1/catchments/eden/stats"))
+    assert again.body["count"] == 5
+    again = call(sim, server, HttpRequest("GET", "/v1/runs"))
+    assert again.body["runs"][0]["status"] == "submitted"
 
 
 # -- the client side: revalidation and the dashboard widget ------------------

@@ -362,6 +362,54 @@ def test_run_summary_view_tracks_lifecycle(plane):
     assert plane.runs.run("run-2")["status"] == "submitted"
 
 
+def test_views_serve_the_materialized_document_until_it_changes(plane):
+    observe(plane, "eden", 0.0, 1.0)
+    plane.outbox.record("runs", "run.submitted", key="run-1",
+                        payload={"process": "topmodel"})
+    plane.pump()
+    stats, latest, runs = (plane.stats.stats("eden"), plane.latest.rows(),
+                           plane.runs.rows())
+    # no rebuild per read: the same document object every time
+    assert plane.stats.stats("eden") is stats
+    assert plane.latest.rows() is latest
+    assert plane.runs.rows() is runs
+    fingerprints = [view_fingerprint(view) for view in plane.views]
+    # a change replaces the document; what was handed out is untouched
+    observe(plane, "eden", 900.0, 3.0)
+    plane.outbox.record("runs", "run.finished", key="run-1",
+                        payload={"finishedAt": 9.0})
+    plane.pump()
+    assert plane.stats.stats("eden") is not stats
+    assert (stats["count"], plane.stats.stats("eden")["count"]) == (1, 2)
+    assert latest[0]["time"] == 0.0
+    assert plane.latest.rows()[0]["time"] == 900.0
+    assert runs[0]["status"] == "submitted"
+    assert plane.runs.rows()[0]["status"] == "finished"
+    assert [view_fingerprint(view) for view in plane.views] != fingerprints
+    # an untouched catchment keeps its document across another's change
+    observe(plane, "kent", 0.0, 5.0)
+    plane.pump()
+    eden = plane.stats.stats("eden")
+    observe(plane, "kent", 900.0, 6.0)
+    plane.pump()
+    assert plane.stats.stats("eden") is eden
+
+
+def test_view_reset_drops_the_materialized_documents(plane):
+    observe(plane, "eden", 0.0, 1.0)
+    plane.outbox.record("runs", "run.submitted", key="run-1", payload={})
+    plane.pump()
+    for view in plane.views:
+        view_fingerprint(view)      # materialize
+        view.reset()
+    assert plane.stats.stats("eden") is None
+    assert plane.latest.rows() == [] and plane.runs.rows() == []
+    for view in plane.views:
+        plane.rebuild(view)
+    assert plane.stats.stats("eden")["count"] == 1
+    assert len(plane.latest.rows()) == 1 and len(plane.runs.rows()) == 1
+
+
 # -- producers ----------------------------------------------------------------
 
 

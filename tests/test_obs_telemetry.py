@@ -9,6 +9,8 @@ wiring end to end.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Evop, EvopConfig
 from repro.obs import (
@@ -146,6 +148,29 @@ def test_scraper_skips_unchanged_bucket_points():
     assert bucket.delta(0.5, 2.0) == pytest.approx(1.0)
 
 
+def test_scraper_keeps_same_named_metrics_of_two_registries_apart():
+    sim = Simulator()
+    store = SeriesStore()
+    scraper = MetricsScraper(sim, store, interval=1.0)
+    for service, hits, seen in (("a", 2, 0.5), ("b", 5, 3.0)):
+        registry = MetricsRegistry(sim)
+        registry.counter("requests").increment(hits)
+        registry.histogram("dur", buckets=(1.0,)).observe(seen)
+        scraper.add_registry(registry, service=service)
+    scraper.add_probe("requests", lambda: 9, service="probe")
+
+    # first tick resolves every series, the second takes the tables
+    for _ in range(2):
+        scraper.scrape_once()
+
+    assert [store.get("requests", service=s).points() for s in "ab"] == [
+        [(0.0, 2.0), (0.0, 2.0)], [(0.0, 5.0), (0.0, 5.0)]]
+    assert store.get("requests", service="probe").latest() == (0.0, 9.0)
+    assert store.get("dur.bucket", service="a", le="1").latest()[1] == 1.0
+    assert store.get("dur.bucket", service="b", le="1").latest()[1] == 0.0
+    assert len(store.get("scrape.samples", service="telemetry")) == 2
+
+
 def test_red_view_over_scraped_series():
     store = SeriesStore()
     for t in (0.0, 30.0, 60.0):
@@ -194,6 +219,73 @@ def test_latency_sli_counts_fraction_under_owning_bound():
     slo = SLO.latency("lat", metric="dur", threshold=5.0, target=0.95,
                       service="w")
     assert slo.sli(store, 60.0, 60.0) == pytest.approx(0.9)
+
+
+def test_latency_sli_sums_sources_and_follows_new_bucket_series():
+    store = SeriesStore()
+
+    def observe(instance, t, under1, under5, under10, total):
+        for le, value in (("1", under1), ("5", under5), ("10", under10),
+                          ("+Inf", total)):
+            store.record("dur.bucket", t, value, le=le, service="w",
+                         instance=instance)
+
+    observe("i1", 0.0, 0, 0, 0, 0)
+    observe("i1", 60.0, 40, 90, 95, 100)
+    # threshold 4 is owned by the "5" bound; "1" and "10" stay out of it
+    slo = SLO.latency("lat", metric="dur", threshold=4.0, target=0.95,
+                      service="w")
+    assert slo.sli(store, 60.0, 60.0) == pytest.approx(0.9)
+    # a second source appearing later joins both sums
+    observe("i2", 30.0, 0, 0, 0, 0)
+    observe("i2", 60.0, 10, 50, 80, 100)
+    assert slo.sli(store, 60.0, 60.0) == pytest.approx(140.0 / 200.0)
+    # past the last finite bound only +Inf owns the threshold: nothing
+    # can be shown good
+    beyond = SLO.latency("lat", metric="dur", threshold=11.0, target=0.95,
+                         service="w")
+    assert beyond.sli(store, 60.0, 60.0) == 0.0
+    # no +Inf sample in reach: no verdict
+    assert slo.sli(store, -1.0, 60.0) is None
+
+
+def _freshness_by_cursor_walk(times, start, end, max_age):
+    """The freshness fraction of one series, walked sample by sample."""
+    stale = 0.0
+    cursor = max(start, times[0])
+    for t in times:
+        if t > cursor:
+            stale += max(0.0, (t - cursor) - max_age)
+        cursor = max(cursor, t)
+    if end > cursor:
+        stale += max(0.0, (end - cursor) - max_age)
+    span = end - max(start, times[0])
+    return 1.0 if span <= 0 else max(0.0, 1.0 - stale / span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.floats(0.0, 120.0), min_size=1, max_size=30),
+       start=st.floats(0.0, 400.0), window=st.floats(0.0, 600.0),
+       max_age=st.one_of(st.integers(0, 90), st.floats(0.0, 90.0)))
+def test_freshness_sli_equals_the_cursor_walk(gaps, start, window, max_age):
+    store = SeriesStore()
+    t = 0.0
+    for gap in gaps:
+        t += gap
+        store.record("beat", t, 1.0, service="w")
+    series = store.get("beat", service="w")
+    end = start + window
+    start = end - window    # the window as ``sli`` will cut it
+    slo = SLO.freshness("fresh", series="beat", max_age=max_age, target=0.99,
+                        service="w")
+
+    times = series.times(start, end)
+    prior = series.prior(start)
+    if prior is not None:
+        times.insert(0, prior[0])
+    expected = (_freshness_by_cursor_walk(times, start, end, max_age)
+                if times else None)
+    assert slo.sli(store, end, window) == expected
 
 
 def test_freshness_sli_measures_gap_beyond_max_age():

@@ -144,6 +144,12 @@ def test_dispatcher_counters_and_depths():
     assert d.depth("svc", PriorityClass.BATCH) == 1
     assert d.depths() == {"svc": {"interactive": 1, "workflow": 0,
                                   "batch": 1}}
+    # one class across services: what the queue-depth probes sample
+    d.register("other")
+    assert d.enqueue("other", "c", PriorityClass.BATCH)
+    assert [d.class_depth(cls) for cls in PriorityClass] == [
+        sum(counts[cls.name.lower()] for counts in d.depths().values())
+        for cls in PriorityClass] == [1, 0, 2]
     item, cls = d.dequeue("svc")
     assert item == "a" and cls is PriorityClass.INTERACTIVE
     assert d.depth("unknown-svc") == 0

@@ -130,3 +130,31 @@ def test_push_cheaper_than_polling_for_sparse_updates(sim):
     ws_bytes = gateway.metrics.counter("bytes").value
     poll_bytes = poller.metrics.counter("bytes").value
     assert poll_bytes > 20 * ws_bytes
+
+
+def test_broadcast_measures_its_frame_once(sim, monkeypatch):
+    from repro.services import channels
+
+    instance = make_instance(sim)
+    gateway = PushGateway(sim, instance)
+    received = []
+    for name in ("a", "b", "c"):
+        gateway.connect(name).on_client_message(received.append)
+    sized = []
+    measure = channels.payload_bytes
+    monkeypatch.setattr(channels, "payload_bytes",
+                        lambda body: sized.append(body) or measure(body))
+    payload = {"type": "alert", "level": 3}
+    bytes_before = gateway.metrics.counter("bytes").value
+    out_before = instance.net_bytes_out
+    gateway.broadcast(payload)
+    sim.run()
+    assert sized == [payload]
+    assert received == [payload] * 3
+    # every socket still pays for its own copy of the frame
+    frame = channels.WS_FRAME_BYTES + measure(payload)
+    assert gateway.metrics.counter("bytes").value - bytes_before == 3 * frame
+    assert instance.net_bytes_out - out_before == 3 * frame
+    # a lone push still measures for itself
+    gateway.connections()[0].push(payload)
+    assert len(sized) == 2

@@ -1,6 +1,10 @@
 """Unit tests for the transport layer and the REST engine."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import Flavor, ImageKind, Instance, MachineImage, MEDIUM
 from repro.services import (
@@ -216,3 +220,109 @@ def test_route_pattern_does_not_match_deeper_paths():
     api.get("/datasets/{dataset_id}", lambda req, p: p)
     route, params = api.resolve(HttpRequest("GET", "/datasets/a/b"))
     assert route is None
+
+
+# -- the precomputed route table ----------------------------------------------
+
+
+def scan_regex(pattern):
+    """The pattern regex as the linear scan compiled it (text unescaped)."""
+    return re.compile(
+        "^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", pattern) + "$")
+
+
+def linear_resolve(api, method, path):
+    """The oracle: scan the routes in registration order.
+
+    Shares nothing with the lookup under test but the registered
+    ``(method, pattern)`` pairs.
+    """
+    for route in api.routes:
+        found = scan_regex(route.pattern).match(path)
+        if route.method == method and found is not None:
+            return route, found.groupdict()
+    return None, {}
+
+
+def test_literal_route_registered_first_beats_a_later_pattern():
+    api = RestApi("x")
+    api.get("/datasets/special", lambda req, p: "special")
+    api.get("/datasets/{dataset_id}", lambda req, p: p)
+    route, params = api.resolve(HttpRequest("GET", "/v1/datasets/special"))
+    assert route.pattern == "/v1/datasets/special" and params == {}
+    route, params = api.resolve(HttpRequest("GET", "/v1/datasets/eden"))
+    assert route.pattern == "/v1/datasets/{dataset_id}"
+    assert params == {"dataset_id": "eden"}
+
+
+def test_literal_route_registered_after_a_matching_pattern_stays_shadowed():
+    api = RestApi("x")
+    api.get("/datasets/{dataset_id}", lambda req, p: p)
+    api.get("/datasets/special", lambda req, p: "special")
+    route, params = api.resolve(HttpRequest("GET", "/v1/datasets/special"))
+    assert route.pattern == "/v1/datasets/{dataset_id}"
+    assert params == {"dataset_id": "special"}
+
+
+def test_pattern_text_is_literal_not_regex():
+    api = RestApi("x")
+    api.get("/files/{name}.json", lambda req, p: p)
+    route, params = api.resolve(HttpRequest("GET", "/v1/files/a.json"))
+    assert params == {"name": "a"}
+    # the one place the table and the scan part ways, on purpose: the
+    # scan read the dot as "any character", which no mounted pattern
+    # relied on and which would let a match change its slash count
+    assert scan_regex("/v1/files/{name}.json").match("/v1/files/aXjson")
+    assert api.resolve(HttpRequest("GET", "/v1/files/aXjson"))[0] is None
+    api.get("/v1.0", lambda req, p: p)
+    assert scan_regex("/v1/v1.0").match("/v1/v1/0")
+    assert api.resolve(HttpRequest("GET", "/v1/v1/0"))[0] is None
+    assert api.resolve(HttpRequest("GET", "/v1/v1.0"))[0].pattern == "/v1/v1.0"
+
+
+def test_route_table_listing_is_unchanged_by_the_lookup():
+    api = RestApi("x")
+    api.get("/a/{x}", lambda req, p: p, cost=0.01)
+    api.post("/a", lambda req, p: p)
+    assert [(r.method, r.pattern, r.deprecated) for r in api.routes] == [
+        ("GET", "/v1", False),
+        ("GET", "/v1/a/{x}", False), ("GET", "/a/{x}", True),
+        ("POST", "/v1/a", False), ("POST", "/a", True)]
+    assert api.describe()["routes"] == [
+        {"method": "GET", "path": "/v1", "cost": 0.005, "safe": True,
+         "cacheable": False},
+        {"method": "GET", "path": "/v1/a/{x}", "cost": 0.01, "safe": True,
+         "cacheable": False},
+        {"method": "POST", "path": "/v1/a", "cost": 0.005, "safe": False,
+         "cacheable": False}]
+
+
+_segments = st.sampled_from(["a", "b", "{x}", "{y}", "a-{x}"])
+_patterns = st.lists(_segments, min_size=1, max_size=3).map(
+    lambda parts: "/" + "/".join(parts)).filter(
+    lambda pattern: max(pattern.count("{x}"), pattern.count("{y}")) < 2)
+_paths = st.lists(st.sampled_from(["a", "b", "c", "a-b", "v1"]), min_size=1,
+                  max_size=4).map(lambda parts: "/" + "/".join(parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["GET", "POST"]), _patterns),
+                max_size=8),
+       st.lists(st.tuples(st.sampled_from(["GET", "POST"]), _paths),
+                min_size=1, max_size=12))
+def test_resolve_equals_first_match_in_registration_order(table, requests):
+    api = RestApi("x")
+    for method, pattern in table:
+        api.route(method, pattern, lambda req, p: p)
+    for method, path in requests:
+        assert api.resolve(HttpRequest(method, path)) \
+            == linear_resolve(api, method, path)
+
+
+def test_empty_containers_are_sized_without_serialising():
+    from repro.services.transport import payload_bytes
+    assert payload_bytes({}) == payload_bytes([]) == 2
+    assert payload_bytes("") == payload_bytes(b"") == 0
+    assert payload_bytes(None) == 0
+    assert payload_bytes(0) == 1 and payload_bytes(False) == 5
+    assert payload_bytes({"a": []}) == len('{"a": []}')
