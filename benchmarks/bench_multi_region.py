@@ -1,31 +1,25 @@
 """GEO — whole-region failover with bounded RPO/RTO.
 
-Two arms:
+A three-region estate under live polling users and a chaos schedule
+that kills the *leader* region outright (storage, control plane and
+every instance) and heals it later.  Measured:
 
-* **identity** — ``GeoEstate(regions=1)`` against the classic
-  hand-wired single-region stack, same seed, same traffic.  The final
-  session snapshots ``(user, state, instance, wait_time)`` must be
-  bit-identical: the geo layer is free when it is not asked for.
-* **region kill** — a three-region estate under live polling users and
-  a chaos schedule that kills the *leader* region outright (storage,
-  control plane and every instance) and heals it later.  Measured:
-
-  - user-visible availability: every poller goes through the
-    :class:`~repro.resilience.ResilientClient`; after retries, no user
-    ever sees a ``5xx`` final outcome;
-  - **RPO**: warehouse writes land in the victim region every few
-    seconds until the kill; the survivors must hold every write acked
-    at least one replication interval before the kill (and the
-    youngest surviving write must be within interval + spacing of it);
-  - **RTO**: detection → sessions resettled in survivors, measured
-    end-to-end from the kill and checked against the declared budget;
-  - **ledger**: the capacity book re-elects a leader within the
-    election bound, admissions in the no-leader window are refused
-    (never guessed), and no vcpu is ever double-committed;
-  - **durable re-adoption**: a checkpointed sweep owned by the victim
-    region resumes in the adopter from the *replicated* journal,
-    recomputing at most the work done after its last shipped
-    checkpoint.
+- user-visible availability: every poller goes through the
+  :class:`~repro.resilience.ResilientClient`; after retries, no user
+  ever sees a ``5xx`` final outcome;
+- **RPO**: warehouse writes land in the victim region every few
+  seconds until the kill; the survivors must hold every write acked
+  at least one replication interval before the kill (and the
+  youngest surviving write must be within interval + spacing of it);
+- **RTO**: detection → sessions resettled in survivors, measured
+  end-to-end from the kill and checked against the declared budget;
+- **ledger**: the capacity book re-elects a leader within the
+  election bound, admissions in the no-leader window are refused
+  (never guessed), and no vcpu is ever double-committed;
+- **durable re-adoption**: a checkpointed sweep owned by the victim
+  region resumes in the adopter from the *replicated* journal,
+  recomputing at most the work done after its last shipped
+  checkpoint.
 
 Run directly (``--quick`` for the CI smoke variant); writes
 ``BENCH_multi_region.json``.
@@ -40,30 +34,12 @@ if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.harness import once, print_table
-from repro.broker import (
-    HealthMonitor,
-    LoadBalancer,
-    ManagedService,
-    PrivateFirstPolicy,
-    SessionTable,
-)
-from repro.cloud import (
-    MEDIUM,
-    AwsCloud,
-    ImageKind,
-    ImageStore,
-    MultiCloud,
-    OpenStackCloud,
-)
 from repro.durable import DurableSweep
 from repro.geo import GeoEstate
 from repro.hydrology.timeseries import TimeSeries
 from repro.perf.runner import EnsembleRunner
 from repro.resilience import ResilientClient
-from repro.sched import CapacityLedger, ShardedRouter
-from repro.services import Network, RestApi, RestServer
 from repro.services.transport import HttpRequest, HttpResponse
-from repro.sim import RandomStreams, Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_multi_region.json"
@@ -73,72 +49,7 @@ RESULT_FILE = REPO_ROOT / "BENCH_multi_region.json"
 RTO_BUDGET = 30.0
 
 
-# -- arm 1: regions=1 is bit-identical to the classic stack ------------------
-
-
-def _snapshot(sessions) -> list:
-    return sorted(
-        (s.user_name, s.state.value,
-         s.instance.instance_id if s.instance else None,
-         s.wait_time)
-        for s in sessions)
-
-
-def _drive_plain_stack(users: int, horizon: float) -> list:
-    """The pre-geo single-region stack, hand-wired (the reference arm)."""
-    sim = Simulator()
-    streams = RandomStreams(seed=42)
-    private = OpenStackCloud(sim, total_vcpus=16, streams=streams)
-    public = AwsCloud(sim, streams=streams)
-    multi = MultiCloud()
-    multi.register_compute("private", private)
-    multi.register_compute("public", public)
-    network = Network(sim, streams=streams)
-    sessions = SessionTable(sim)
-    monitor = HealthMonitor(sim, interval=5.0, window=3)
-    ledger = CapacityLedger(sim)
-    lb = LoadBalancer(sim, multi, network, sessions, PrivateFirstPolicy(),
-                      monitor=monitor, autoscale_interval=10.0,
-                      shard_id=0, ledger=ledger)
-    router = ShardedRouter(sim, [lb], ledger=ledger, multicloud=multi)
-    image = ImageStore().create("portal", ImageKind.GENERIC, size_gb=1.0)
-    api = RestApi("portal")
-    api.get("/ping", lambda req, p: {"pong": True})
-    service = ManagedService(
-        name="portal", image=image, flavor=MEDIUM,
-        make_server=lambda inst: RestServer(sim, api, inst).bind(network),
-        sessions_per_replica=4, min_replicas=1, max_replicas=16)
-    router.manage(service)
-    sim.run(until=120.0)
-    created = [sessions.create(f"user-{i}") for i in range(users)]
-    for session in created:
-        router.submit_session(session, "portal")
-    sim.run(until=horizon)
-    return _snapshot(created)
-
-
-def _drive_geo_single(users: int, horizon: float) -> list:
-    """The same workload through ``GeoEstate(regions=1)``."""
-    estate = GeoEstate(regions=1, private_vcpus=16, seed=42)
-    estate.warm(until=120.0)
-    created = [estate.submit(f"user-{i}") for i in range(users)]
-    estate.sim.run(until=horizon)
-    return _snapshot(created)
-
-
-def run_identity_arm(users: int = 6, horizon: float = 240.0) -> dict:
-    plain = _drive_plain_stack(users, horizon)
-    geo = _drive_geo_single(users, horizon)
-    return {
-        "arm": "identity",
-        "users": users,
-        "horizon_s": horizon,
-        "identical": plain == geo,
-        "snapshot": [list(row) for row in plain],
-    }
-
-
-# -- arm 2: three regions, leader killed outright ----------------------------
+# -- three regions, leader killed outright -----------------------------------
 
 
 def run_region_kill_arm(users_per_region: int = 3,
@@ -299,18 +210,15 @@ def _readable(estate, region, key) -> bool:
 
 def run_bench(quick: bool = False, write_artifact: bool = True):
     if quick:
-        identity = run_identity_arm(users=4, horizon=200.0)
         kill = run_region_kill_arm(users_per_region=2, horizon=560.0,
                                    kill_at=200.0, outage=160.0)
     else:
-        identity = run_identity_arm()
         kill = run_region_kill_arm()
 
     print_table(
         "Multi-region estate under a whole-region kill",
         ["measure", "value", "bound"],
         [
-            ["regions=1 bit-identical", identity["identical"], "True"],
             ["polls issued", kill["polls"], "-"],
             ["user-visible 5xx", kill["user_visible_5xx"], "0"],
             ["RPO (s)", kill["rpo_s"], kill["rpo_bound_s"]],
@@ -326,20 +234,16 @@ def run_bench(quick: bool = False, write_artifact: bool = True):
             ["region restored", kill["region_restored"], "True"],
         ])
 
-    report = {"identity": identity, "region_kill": kill,
-              "quick": quick}
+    report = {"region_kill": kill, "quick": quick}
     if write_artifact:
         RESULT_FILE.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {RESULT_FILE}")
-    return identity, kill, report
+    return kill, report
 
 
-def check_report(identity: dict, kill: dict) -> list:
+def check_report(kill: dict) -> list:
     """The bench's claims; returns human-readable failures."""
     failures = []
-    if not identity["identical"]:
-        failures.append("regions=1 estate diverged from the classic "
-                        "single-region stack")
     if kill["polls"] == 0:
         failures.append("no polls issued; the availability claim is vacuous")
     if kill["user_visible_5xx"] != 0:
@@ -376,9 +280,9 @@ def check_report(identity: dict, kill: dict) -> list:
 
 def test_multi_region_failover(benchmark):
     # the pytest smoke must not clobber the committed full-run artifact
-    identity, kill, _ = once(
+    kill, _ = once(
         benchmark, lambda: run_bench(quick=True, write_artifact=False))
-    failures = check_report(identity, kill)
+    failures = check_report(kill)
     assert not failures, failures
 
 
@@ -389,8 +293,8 @@ def main(argv=None) -> int:
                         help="CI smoke: fewer users, shorter horizon")
     args = parser.parse_args(argv)
 
-    identity, kill, _ = run_bench(quick=args.quick)
-    failures = check_report(identity, kill)
+    kill, _ = run_bench(quick=args.quick)
+    failures = check_report(kill)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
@@ -398,7 +302,7 @@ def main(argv=None) -> int:
               f"RPO {kill['rpo_s']}s <= {kill['rpo_bound_s']}s, "
               f"RTO {kill['rto_s']}s <= {kill['rto_budget_s']}s, "
               f"re-election in {kill['reelection_s']}s, "
-              f"0 double-commits, regions=1 bit-identical")
+              f"0 double-commits")
     return 1 if failures else 0
 
 

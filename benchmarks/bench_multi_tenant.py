@@ -192,7 +192,7 @@ def measure_rate_limit(requests=24):
     # accept-queue overload (a different 503, not the one under test)
     def fire(signals, headers):
         signals.append(plane.network.request(
-            address, HttpRequest("GET", "/ping", headers=headers)))
+            address, HttpRequest("GET", "/v1/ping", headers=headers)))
 
     for i in range(requests):
         plane.sim.schedule(0.1 * i, lambda: fire(
@@ -241,7 +241,7 @@ def measure_idempotency():
         if tenant is not None:
             headers[TENANT_HEADER] = tenant
         signal = plane.network.request(
-            address, HttpRequest("POST", "/runs", body={}, headers=headers))
+            address, HttpRequest("POST", "/v1/runs", body={}, headers=headers))
         plane.sim.run(until=plane.sim.now + 10.0)
         return signal.value
 

@@ -76,7 +76,7 @@ def run_rest():
             target = rng.choice(serving)
             sent = sim.now
             reply = yield network.request(
-                target.address, HttpRequest("POST", "/step",
+                target.address, HttpRequest("POST", "/v1/step",
                                             body={"state": state}),
                 timeout=15.0)
             if not isinstance(reply, HttpResponse) or not reply.ok:
@@ -87,7 +87,7 @@ def run_rest():
                     return
                 target = rng.choice(serving)
                 reply = yield network.request(
-                    target.address, HttpRequest("POST", "/step",
+                    target.address, HttpRequest("POST", "/v1/step",
                                                 body={"state": state}),
                     timeout=15.0)
                 if not isinstance(reply, HttpResponse) or not reply.ok:
@@ -214,7 +214,7 @@ def test_rest_scales_with_replicas(benchmark):
                 target = rng.choice(instances)
                 sent = sim.now
                 reply = yield network.request(
-                    target.address, HttpRequest("POST", "/step", body={}),
+                    target.address, HttpRequest("POST", "/v1/step", body={}),
                     timeout=60.0)
                 if isinstance(reply, HttpResponse):
                     latencies.append(sim.now - sent)

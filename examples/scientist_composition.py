@@ -61,7 +61,7 @@ def main() -> None:
                     + [round(max(0.0, 0.8 - 0.05 * i) + 0.03 * (i % 4), 2)
                        for i in range(120)])
     gauge_values[90] = 55.0  # the glitch
-    reply = network.request(host.address, HttpRequest("POST", "/uploads", body={
+    reply = network.request(host.address, HttpRequest("POST", "/v1/uploads", body={
         "owner": "dr-rivers", "name": "field-campaign-2013",
         "dt": 3600.0, "values": gauge_values, "units": "mm/h",
         "latitude": morland.latitude, "longitude": morland.longitude,
@@ -109,7 +109,7 @@ def main() -> None:
     # -- 4a. execute over REST ---------------------------------------------------------
     rest_reply = network.request(
         host.address,
-        HttpRequest("POST", "/wps/processes/my-storm-study/execute",
+        HttpRequest("POST", "/v1/wps/processes/my-storm-study/execute",
                     body={"inputs": {"dataset": dataset_id}}),
         timeout=120.0)
     sim.run()
@@ -140,7 +140,7 @@ def main() -> None:
     # -- 5. replay economics -------------------------------------------------------------
     tweak = network.request(
         host.address,
-        HttpRequest("POST", "/wps/processes/my-storm-study/execute",
+        HttpRequest("POST", "/v1/wps/processes/my-storm-study/execute",
                     body={"inputs": {"dataset": dataset_id, "m": 35.0}}),
         timeout=120.0)
     sim.run()

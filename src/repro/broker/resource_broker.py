@@ -96,10 +96,6 @@ class ResourceBroker:
                                      session=session.session_id)
         self.metrics.counter("disconnects").increment()
 
-    def current_address(self, session: UserSession) -> Optional[str]:
-        """Where the session should send its next request."""
-        return session.instance_address
-
     # -- QoS warm-up hooks ----------------------------------------------------
 
     def preboot(self, service_name: str, replicas: int,

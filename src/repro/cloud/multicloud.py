@@ -101,13 +101,6 @@ class MultiCloud:
                 seen.append(region)
         return seen
 
-    def region_of(self, location: str) -> str:
-        """The region a location belongs to."""
-        try:
-            return self._region_of[location]
-        except KeyError:
-            raise CloudError(f"no location {location!r} registered") from None
-
     def scoped(self, region: str) -> "RegionScopedCloud":
         """A view of this estate restricted to one region.
 

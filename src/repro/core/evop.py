@@ -10,7 +10,7 @@ for portal sessions.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.broker.health import HealthMonitor
 from repro.broker.load_balancer import LoadBalancer
@@ -210,10 +210,6 @@ class Evop:
             self.enable_telemetry(self.config.telemetry_interval)
         return self
 
-    def run_until(self, t: float) -> float:
-        """Advance the simulation to absolute time ``t``."""
-        return self.sim.run(until=t)
-
     def run_for(self, seconds: float) -> float:
         """Advance the simulation by ``seconds``."""
         return self.sim.run(until=self.sim.now + seconds)
@@ -354,26 +350,42 @@ class Evop:
             raise RuntimeError("call bootstrap() first")
         name = catchment_name or self.config.catchments[0]
         service_name = f"sos-{name}"
-        if any(s.name == service_name for s in self.sched.services()):
-            return service_name
-        from repro.cloud.flavors import SMALL
         from repro.services.sos import SosService
 
-        tool = self.left_tools[name]
-        sos = SosService(self.sim, service_name, tool.sensors)
-        sos_image = self.images.create(f"sos-host-{name}", ImageKind.GENERIC,
-                                       size_gb=1.2)
+        return self._publish(
+            service_name,
+            lambda: SosService(self.sim, service_name,
+                               self.left_tools[name].sensors).api,
+            image_name=f"sos-host-{name}", size_gb=1.2,
+            purpose="sensor-data", sessions_per_replica=32,
+            replicas=replicas)
+
+    def _publish(self, service_name: str, build_api: Callable[[], Any],
+                 image_name: str, size_gb: float, purpose: str,
+                 sessions_per_replica: int, replicas: int) -> str:
+        """Put one on-demand REST api under scheduler management.
+
+        Idempotent by service name: an api already managed is neither
+        rebuilt nor re-imaged.  Returns the managed-service name.
+        """
+        if any(s.name == service_name for s in self.sched.services()):
+            return service_name
+        from repro.services.rest import RestServer
+
+        api = build_api()
+        image = self.images.create(image_name, ImageKind.GENERIC,
+                                   size_gb=size_gb)
 
         def make_server(instance):
-            return sos.replica(instance).bind(self.network)
+            return RestServer(self.sim, api, instance).bind(self.network)
 
         self.sched.manage(ManagedService(
             name=service_name,
-            image=sos_image,
+            image=image,
             flavor=SMALL,
             make_server=make_server,
-            purpose="sensor-data",
-            sessions_per_replica=32,
+            purpose=purpose,
+            sessions_per_replica=sessions_per_replica,
             min_replicas=replicas,
         ))
         return service_name
@@ -421,31 +433,17 @@ class Evop:
             raise RuntimeError("call bootstrap() first")
         if self.dataplane is None:
             self.enable_dataplane()
-        service_name = "read"
-        if any(s.name == service_name for s in self.sched.services()):
-            return service_name
         from repro.services.readapi import build_read_api
-        from repro.services.rest import RestServer
 
-        api = build_read_api(self.sim, self.dataplane,
-                             tenants=self.tenants, limiter=self.ratelimit)
-        self.read_api = api
-        read_image = self.images.create("read-host", ImageKind.GENERIC,
-                                        size_gb=1.0)
+        def build_api():
+            self.read_api = build_read_api(
+                self.sim, self.dataplane,
+                tenants=self.tenants, limiter=self.ratelimit)
+            return self.read_api
 
-        def make_server(instance):
-            return RestServer(self.sim, api, instance).bind(self.network)
-
-        self.sched.manage(ManagedService(
-            name=service_name,
-            image=read_image,
-            flavor=SMALL,
-            make_server=make_server,
-            purpose="read-model",
-            sessions_per_replica=64,
-            min_replicas=replicas,
-        ))
-        return service_name
+        return self._publish("read", build_api, image_name="read-host",
+                             size_gb=1.0, purpose="read-model",
+                             sessions_per_replica=64, replicas=replicas)
 
     # -- tenancy ------------------------------------------------------------------------
 
@@ -597,30 +595,15 @@ class Evop:
             raise RuntimeError("call bootstrap() first")
         if self.telemetry is None:
             self.enable_telemetry()
-        service_name = "observability"
-        if any(s.name == service_name for s in self.sched.services()):
-            return service_name
         from repro.services.obsapi import build_observability_api
-        from repro.services.rest import RestServer
 
-        api = build_observability_api(self.sim, self.telemetry,
-                                      obs_of(self.sim).tracer)
-        obs_image = self.images.create("observability-host",
-                                       ImageKind.GENERIC, size_gb=1.0)
-
-        def make_server(instance):
-            return RestServer(self.sim, api, instance).bind(self.network)
-
-        self.sched.manage(ManagedService(
-            name=service_name,
-            image=obs_image,
-            flavor=SMALL,
-            make_server=make_server,
-            purpose="operations",
-            sessions_per_replica=16,
-            min_replicas=replicas,
-        ))
-        return service_name
+        return self._publish(
+            "observability",
+            lambda: build_observability_api(self.sim, self.telemetry,
+                                            obs_of(self.sim).tracer),
+            image_name="observability-host", size_gb=1.0,
+            purpose="operations", sessions_per_replica=16,
+            replicas=replicas)
 
     # -- conveniences -------------------------------------------------------------------
 

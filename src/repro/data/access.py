@@ -107,10 +107,6 @@ class AccessPolicy:
                 f"{principal!r} may not read restricted dataset "
                 f"{dataset_id!r}")
 
-    def acl_of(self, dataset_id: str) -> Optional[DatasetAcl]:
-        """The ACL, or ``None`` for public/unregistered data."""
-        return self._acls.get(dataset_id)
-
 
 class GuardedWarehouse:
     """A warehouse view bound to one principal.

@@ -87,7 +87,7 @@ def _probe_device_independence(evop) -> bool:
         evop.service_name(evop.config.catchments[0]))
     if address is None:
         return False
-    reply = evop.network.request(address, HttpRequest("GET", "/wps"))
+    reply = evop.network.request(address, HttpRequest("GET", "/v1/wps"))
     evop.run_for(10.0)
     if not getattr(reply.value, "ok", False):
         return False

@@ -1,7 +1,7 @@
 """repro.geo — the geo-distributed estate.
 
-Runs the full stack across 2–3 simulated regions with any single
-region expendable:
+Runs the full stack across 1–3 simulated regions; from two up, any
+single region is expendable:
 
 * :mod:`repro.geo.topology` — the shared region map: status verdicts,
   ring-ordered proximity, transition history.
@@ -18,8 +18,8 @@ region expendable:
   with brownout spillover, plus the RFC-7807 ``503`` region guard.
 * :mod:`repro.geo.failover` — whole-region verdicts, session
   evacuation, durable-run re-adoption, measured RTO.
-* :mod:`repro.geo.estate` — the builder that wires it all, with
-  ``regions=1`` bit-identical to the classic single-region stack.
+* :mod:`repro.geo.estate` — the builder that wires it all, one region
+  or three by the same path.
 """
 
 from repro.geo.election import ELECTION_GRACE, LeaderElection

@@ -26,7 +26,7 @@ within ``ttl + ELECTION_GRACE + check_interval`` of the loss.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.errors import StorageUnavailable
 from repro.durable.journal import JournalStore, LeaseError, LeaseState, RunJournal
@@ -59,14 +59,9 @@ class LeaderElection:
         self.leader_region: Optional[str] = None
         #: (time, leader, term) per successful campaign
         self.elections: List[Tuple[float, str, int]] = []
-        self._callbacks: List[Callable[[str, int], None]] = []
         self._started = False
 
     # -- wiring --------------------------------------------------------------
-
-    def on_elected(self, callback: Callable[[str, int], None]) -> None:
-        """Call ``callback(leader, term)`` after every campaign."""
-        self._callbacks.append(callback)
 
     def start(self) -> "LeaderElection":
         """Run the first campaign now and keep checking forever."""
@@ -166,8 +161,6 @@ class LeaderElection:
         obs_of(self.sim).events.emit("geo.leader.elected",
                                      cluster=self.cluster, leader=candidate,
                                      term=self.term)
-        for callback in self._callbacks:
-            callback(candidate, self.term)
         return candidate
 
     def _renew(self, holder: str) -> None:

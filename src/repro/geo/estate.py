@@ -11,13 +11,9 @@ plane on top: shared :class:`~repro.geo.topology.RegionTopology`,
 :class:`~repro.geo.routing.RegionGuard`s on the REST apis) and the
 :class:`~repro.geo.failover.FailoverCoordinator`.
 
-``regions=1`` is the compatibility contract: the estate then builds
-exactly the classic single-region stack — default provider names,
-plain :class:`~repro.sched.ledger.CapacityLedger`, un-qualified
-"private"/"public" locations, no geo processes — and the
-:class:`~repro.geo.routing.GeoRouter` delegates verbatim, so behaviour
-is bit-identical to the pre-geo deployment
-(``benchmarks/bench_multi_region.py`` pins this).
+One region is the same build over a list of length one: it elects
+itself, replicates to nobody and qualifies its locations like any other
+region.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from repro.geo.ledger import GeoLedger
 from repro.geo.replication import Replicator
 from repro.geo.routing import GeoRouter, RegionGuard
 from repro.geo.topology import RegionTopology, qualify
-from repro.sched import CapacityLedger, PriorityClass, ShardedRouter
+from repro.sched import PriorityClass, ShardedRouter
 from repro.services import Network, RestApi, RestServer
 from repro.sim import RandomStreams, Simulator
 
@@ -79,7 +75,7 @@ class GeoCell:
 
 
 class GeoEstate:
-    """2–3 regions of the full stack with any single one expendable."""
+    """1–3 regions of the full stack; from two up, any one is expendable."""
 
     def __init__(self, regions: Union[int, Sequence[str]] = 1,
                  shards_per_region: int = 1,
@@ -100,7 +96,6 @@ class GeoEstate:
             names = list(REGIONS[:regions])
         else:
             names = list(regions)
-        self.single = len(names) == 1
         self.service_name = service_name
         self.replication_interval = replication_interval
 
@@ -115,79 +110,21 @@ class GeoEstate:
                                         size_gb=1.0)
 
         self.cells: Dict[str, GeoCell] = {}
-        self.ledger: Optional[CapacityLedger] = None
-        self.geo_ledger: Optional[GeoLedger] = None
-        self.election: Optional[LeaderElection] = None
-        self.replicator: Optional[Replicator] = None
-        self.failover: Optional[FailoverCoordinator] = None
-
-        if self.single:
-            self._build_single(names[0], private_vcpus, sessions_per_replica,
-                               min_replicas, max_replicas, autoscale_interval,
-                               health_interval, capacity, shards_per_region)
-        else:
-            self._build_multi(names, private_vcpus, sessions_per_replica,
-                              min_replicas, max_replicas, autoscale_interval,
-                              health_interval, capacity, shards_per_region,
-                              election_ttl, election_check,
-                              failover_interval)
+        self._build_multi(names, private_vcpus, sessions_per_replica,
+                          min_replicas, max_replicas, autoscale_interval,
+                          health_interval, capacity, shards_per_region,
+                          election_ttl, election_check, failover_interval)
 
         self.geo_router = GeoRouter(
             self.sim, self.topology,
             {region: cell.router for region, cell in self.cells.items()},
             spillover_depth=spillover_depth)
-        if not self.single:
-            for region, cell in self.cells.items():
-                cell.guard = RegionGuard(self.geo_router, region)
-                cell.api.guard = cell.guard
+        for region, cell in self.cells.items():
+            cell.guard = RegionGuard(self.geo_router, region)
+            cell.api.guard = cell.guard
         self._started = False
 
-    # -- single region: the classic stack, verbatim --------------------------
-
-    def _build_single(self, region, private_vcpus, sessions_per_replica,
-                      min_replicas, max_replicas, autoscale_interval,
-                      health_interval, capacity, shards) -> None:
-        private = OpenStackCloud(self.sim, total_vcpus=private_vcpus,
-                                 streams=self.streams)
-        public = AwsCloud(self.sim, streams=self.streams)
-        self.multi.register_compute("private", private, region=region)
-        self.multi.register_compute("public", public, region=region)
-        monitor = HealthMonitor(self.sim, interval=health_interval, window=3)
-        self.ledger = CapacityLedger(self.sim, capacity=capacity)
-        lbs = [LoadBalancer(self.sim, self.multi, self.network, self.sessions,
-                            PrivateFirstPolicy(), monitor=monitor,
-                            autoscale_interval=autoscale_interval,
-                            shard_id=shard, ledger=self.ledger)
-               for shard in range(shards)]
-        router = ShardedRouter(self.sim, lbs, ledger=self.ledger,
-                               multicloud=self.multi)
-        api = RestApi(self.service_name)
-        api.get("/ping", lambda req, p: {"pong": True})
-        service = ManagedService(
-            name=self.service_name, image=self.image, flavor=MEDIUM,
-            make_server=lambda inst: RestServer(self.sim, api, inst)
-            .bind(self.network),
-            sessions_per_replica=sessions_per_replica,
-            min_replicas=min_replicas, max_replicas=max_replicas)
-        # inert durability substrate (no geo processes touch it at one
-        # region, and the recovery manager is not monitor-driven here —
-        # exactly the classic wiring)
-        store = BlobStore(self.sim, name=f"{region}-store")
-        self.multi.register_blobstore("private", store, region=region)
-        journals = JournalStore(self.sim, store)
-        recovery = RecoveryManager(self.sim, journals)
-        self.injector = FaultInjector(self.sim, [private, public],
-                                      streams=self.streams,
-                                      network=self.network,
-                                      stores={store.name: store})
-        self.injector.register_region(region, [private, public], [store])
-        self.cells[region] = GeoCell(
-            region=region, private=private, public=public, store=store,
-            warehouse=DataWarehouse(store), journals=journals,
-            monitor=monitor, recovery=recovery, lbs=lbs, router=router,
-            api=api, service=service, providers=[private, public])
-
-    # -- multi region: one cell each + the geo control plane -----------------
+    # -- one cell per region + the geo control plane -------------------------
 
     def _build_multi(self, names, private_vcpus, sessions_per_replica,
                      min_replicas, max_replicas, autoscale_interval,
@@ -293,8 +230,8 @@ class GeoEstate:
         return self
 
     def start(self) -> "GeoEstate":
-        """Start the geo control-plane processes (no-op at one region)."""
-        if self._started or self.single:
+        """Start the geo control-plane processes."""
+        if self._started:
             return self
         self._started = True
         self.failover.georouter = self.geo_router

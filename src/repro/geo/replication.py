@@ -6,9 +6,8 @@ interval and ships changed blobs between regions.  Causality is
 tracked per key with a :class:`VersionVector`: a write that descends
 everything the other regions have is shipped as-is; concurrent writes
 (both regions wrote since they last converged) are a *conflict*,
-resolved deterministically (a registered per-container merge hook, or
-last-writer-wins on ``(created_at, region)``) so every region
-converges on the same blob.
+resolved deterministically (last-writer-wins on ``(created_at,
+region)``) so every region converges on the same blob.
 
 The sweep interval is the estate's RPO knob: a write acknowledged more
 than one interval before a region is lost has been shipped to the
@@ -20,7 +19,7 @@ bound rather than assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.errors import StorageUnavailable
 from repro.cloud.storage import Blob, BlobStore
@@ -108,7 +107,6 @@ class Replicator:
         self.metrics = metrics
         self._sites: Dict[str, BlobStore] = {}
         self._containers: List[str] = []
-        self._mergers: Dict[str, Callable[[Blob, Blob], object]] = {}
         #: (region, container, key) → etag last seen/applied there
         self._seen: Dict[Tuple[str, str, str], str] = {}
         #: (region, container, key) → that site's version vector
@@ -132,15 +130,6 @@ class Replicator:
         """Add a container (by name) to the replication set."""
         if container not in self._containers:
             self._containers.append(container)
-
-    def register_merge(self, container: str,
-                       merge: Callable[[Blob, Blob], object]) -> None:
-        """Resolve this container's conflicts with ``merge(a, b)``.
-
-        The callable receives the two conflicting blobs and returns the
-        merged *payload*; without a hook, last-writer-wins applies.
-        """
-        self._mergers[container] = merge
 
     def start(self) -> "Replicator":
         """Begin sweeping every ``interval`` seconds."""
@@ -270,19 +259,9 @@ class Replicator:
         self.conflicts += 1
         if self.metrics is not None:
             self.metrics.counter("conflicts").increment()
-        merge = self._mergers.get(cname)
         # deterministic tiebreak: newest write wins, region name breaks
         # simultaneous writes
         winner = max(blobs, key=lambda r: (blobs[r].created_at, r))
-        if merge is not None:
-            merged = blobs[winner]
-            for region in sorted(blobs):
-                if region == winner:
-                    continue
-                payload = merge(merged, blobs[region])
-                merged = self._sites[winner].create_container(cname).put(
-                    key, payload, metadata=dict(merged.metadata))
-            self._seen[(winner, cname, key)] = merged.etag
         obs_of(self.sim).events.emit("geo.replicate.conflict",
                                      container=cname, key=key,
                                      winner=winner,

@@ -18,12 +18,9 @@ order:
   not-DOWN region still takes the session (serving slowly beats
   refusing).
 
-With a single region the router delegates verbatim — same calls, same
-order — so ``regions=1`` stays bit-identical to the pre-geo stack.
-
 :class:`RegionGuard` is the REST-side enforcement (satellite: RFC-7807
-``503`` + ``Retry-After`` on ``/v1`` routes when the serving region is
-degraded *and* no region can absorb the spillover).
+``503`` + ``Retry-After`` when the serving region is degraded *and* no
+region can absorb the spillover).
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from repro.geo.topology import RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
 from repro.sched.core import PriorityClass
 from repro.services.envelope import problem
-from repro.services.rest import API_VERSION
 from repro.services.transport import HttpRequest, HttpResponse
 from repro.tenancy.context import DEFAULT_TENANT, TENANT_HEADER
 from repro.sim import Simulator
@@ -71,11 +67,6 @@ class GeoRouter:
         ``origin`` is where the user is; a session that was already
         placed is sticky to its previous region instead.
         """
-        if len(self.routers) == 1:
-            (only,) = self.routers
-            self.routers[only].submit_session(session, service_name,
-                                              priority=priority)
-            return only
         home = getattr(session, "region", None) or origin
         region = self.pick_region(home)
         if region is None:
@@ -168,7 +159,7 @@ class GeoRouter:
 
 
 class RegionGuard:
-    """Sheds ``/v1`` traffic while a region is degraded and spill-less.
+    """Sheds traffic while a region is degraded and spill-less.
 
     Installed as a :class:`~repro.services.rest.RestApi` guard on a
     region's api.  While the serving region is impaired *and*
@@ -193,8 +184,6 @@ class RegionGuard:
         self.shed_by_tenant: Dict[str, int] = {}
 
     def __call__(self, request: HttpRequest) -> Optional[HttpResponse]:
-        if not request.path.startswith(f"/{API_VERSION}"):
-            return None
         status = self.georouter.topology.status(self.region)
         if status is RegionStatus.HEALTHY:
             return None

@@ -68,8 +68,9 @@ class MonteCarloCalibrator:
     Pass a :class:`~repro.perf.runner.EnsembleRunner` to funnel the
     evaluations through the shared run cache (and, opt-in, the parallel
     backend); ``simulate`` may then be omitted — the runner's own
-    callable is used.  With or without a runner, and with a cold or warm
-    cache, the calibration result is identical draw for draw.
+    callable is used.  A bare ``simulate`` gets an uncached serial
+    runner of its own.  Either way, and with a cold or warm cache, the
+    calibration result is identical draw for draw.
     """
 
     def __init__(self, ranges: Dict[str, Tuple[float, float]],
@@ -87,8 +88,8 @@ class MonteCarloCalibrator:
         if simulate is None and runner is None:
             raise ValueError("need a simulate callable or a runner")
         self.ranges = dict(ranges)
-        self.runner = runner
-        self.simulate = simulate if simulate is not None else runner.simulate
+        self.runner = runner if runner is not None \
+            else EnsembleRunner(simulate)
         self.objective = objective or nash_sutcliffe_efficiency
         self.rng = rng or random.Random(0)
 
@@ -107,15 +108,7 @@ class MonteCarloCalibrator:
         # all draws happen before any evaluation, so the RNG sequence is
         # independent of how (or whether) evaluations are cached
         draws = [self.sample_parameters() for _ in range(iterations)]
-        if self.runner is not None:
-            outcomes = self.runner.run_many(draws, capture_errors=True)
-        else:
-            outcomes = []
-            for params in draws:
-                try:
-                    outcomes.append(self.simulate(params))
-                except CAPTURED_ERRORS as err:
-                    outcomes.append(RunFailure.of(err))
+        outcomes = self.runner.run_many(draws, capture_errors=True)
         samples: List[CalibrationSample] = []
         for params, outcome in zip(draws, outcomes):
             if isinstance(outcome, RunFailure):

@@ -74,10 +74,9 @@ def one_at_a_time(simulate_metric: Callable[[Dict[str, float]], float],
             params = dict(reference)
             params[name] = value
             plan.append((name, value, params))
-    if runner is not None:
-        metrics = runner.run_many([params for _n, _v, params in plan])
-    else:
-        metrics = [simulate_metric(params) for _n, _v, params in plan]
+    if runner is None:
+        runner = EnsembleRunner(simulate_metric)
+    metrics = runner.run_many([params for _n, _v, params in plan])
     curves: Dict[str, OatCurve] = {}
     for (name, value, _params), metric in zip(plan, metrics):
         curves.setdefault(

@@ -72,8 +72,8 @@ class GlueAnalysis:
             raise ValueError("need 0 <= lower < upper <= 1")
         if simulate is None and runner is None:
             raise ValueError("need a simulate callable or a runner")
-        self.runner = runner
-        self.simulate = simulate if simulate is not None else runner.simulate
+        self.runner = runner if runner is not None \
+            else EnsembleRunner(simulate)
         self.lower_quantile = lower_quantile
         self.upper_quantile = upper_quantile
 
@@ -89,11 +89,8 @@ class GlueAnalysis:
         total_weight = sum(weights)
         weights = [w / total_weight for w in weights]
 
-        if self.runner is not None:
-            runs = [list(r) for r in self.runner.run_many(
-                [s.parameters for s in behavioural])]
-        else:
-            runs = [list(self.simulate(s.parameters)) for s in behavioural]
+        runs = [list(r) for r in self.runner.run_many(
+            [s.parameters for s in behavioural])]
         n = min(len(r) for r in runs)
 
         lower, median, upper = [], [], []

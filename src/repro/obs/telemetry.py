@@ -527,20 +527,6 @@ class TelemetryPlane:
         """Scrape ``fn()`` into series ``name`` every tick."""
         self.scraper.add_probe(name, fn, **labels)
 
-    def watch_cache(self, cache: Any, **labels: str) -> MetricsRegistry:
-        """Scrape a :class:`~repro.perf.runcache.RunCache` under ``labels``.
-
-        Binds the cache's hit/miss/eviction counters into a fresh
-        registry (back-filling existing totals) and adds an ``entries``
-        probe, so warm-path behaviour shows up as time series.
-        """
-        registry = MetricsRegistry(self.sim, namespace="runcache")
-        cache.bind_metrics(registry)
-        self.watch_registry(registry, **labels)
-        self.watch_probe("runcache.entries", lambda: float(len(cache)),
-                         **labels)
-        return registry
-
     def watch_ensemble_runner(self, runner: Any, **labels: str) -> None:
         """Scrape an :class:`~repro.perf.runner.EnsembleRunner`'s
         backend counters under ``labels``.

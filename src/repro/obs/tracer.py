@@ -176,13 +176,6 @@ class Tracer:
             out = [s for s in out if s.name == name]
         return out
 
-    def trace_ids(self) -> List[str]:
-        """Distinct trace ids, in order of first appearance."""
-        seen: Dict[str, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def finish_open_spans(self, error: Optional[str] = None) -> int:
         """Close every still-open span (end-of-run flush); returns count."""
         closed = 0

@@ -205,14 +205,19 @@ class EnsembleRunner:
                                 "backend": backend})
             try:
                 if backend != "scalar":
-                    results = self._run_batched(parameter_sets,
-                                                capture_errors, backend)
+                    results = self._run_misses(
+                        parameter_sets, capture_errors,
+                        partial(self._compute_batch,
+                                capture_errors=capture_errors,
+                                backend=backend))
                 elif self.workers == 1 or len(parameter_sets) < 2:
                     results = [self.run_one(p, capture_errors)
                                for p in parameter_sets]
                 else:
-                    results = self._run_parallel(parameter_sets,
-                                                 capture_errors)
+                    results = self._run_misses(
+                        parameter_sets, capture_errors,
+                        partial(self._compute_threaded,
+                                capture_errors=capture_errors))
             finally:
                 if span is not None:
                     if self.cache is not None:
@@ -226,62 +231,23 @@ class EnsembleRunner:
                                     backend=backend)
         return results
 
-    def _run_parallel(self, parameter_sets: Sequence[Dict[str, float]],
-                      capture_errors: bool) -> List[Any]:
+    def _run_misses(self, parameter_sets: Sequence[Dict[str, float]],
+                    capture_errors: bool,
+                    compute: Callable[[List[Dict[str, float]]], List[Any]]
+                    ) -> List[Any]:
+        """The cache discipline of every concurrent path: hits resolved
+        up front, each unique miss computed exactly once — by
+        ``compute``, parameter sets in, their results out, same order —
+        stores in first-occurrence order (the deterministic merge),
+        outputs merged back to input order."""
         if self.cache is None:
-            # no cache: evaluate everything concurrently, merge by index
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(
-                    lambda p: self._evaluate(p, capture_errors),
-                    parameter_sets))
-        # resolve hits up front; compute each unique miss exactly once
-        keys = [self.key_of(p) for p in parameter_sets]
-        resolved: Dict[str, Any] = {}
-        seen = set()
-        miss_keys: List[str] = []
-        miss_params: List[Dict[str, float]] = []
-        for key, params in zip(keys, parameter_sets):
-            if key in seen:
-                continue
-            seen.add(key)
-            found, value = self.cache.lookup(key)
-            if found:
-                resolved[key] = value
-            else:
-                miss_keys.append(key)
-                miss_params.append(params)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            computed = list(pool.map(
-                lambda p: self._evaluate(p, capture_errors), miss_params))
-        # store in first-occurrence order: the deterministic merge
-        for key, value in zip(miss_keys, computed):
-            self.cache.store(key, value)
-            resolved[key] = value
-        out = []
-        for key in keys:
-            value = resolved[key]
-            if isinstance(value, RunFailure) and not capture_errors:
-                raise ValueError(
-                    f"cached run failed: {value.error_type}: {value.message}")
-            out.append(value)
-        return out
-
-    def _run_batched(self, parameter_sets: Sequence[Dict[str, float]],
-                     capture_errors: bool, backend: str) -> List[Any]:
-        """Vector / process-pool evaluation with the same cache
-        discipline as ``_run_parallel``: hits resolved up front, each
-        unique miss computed exactly once, stores in first-occurrence
-        order, outputs merged back to input order."""
-        if self.cache is None:
-            resolved = None
-            miss_keys: List[str] = []
-            miss_params = list(parameter_sets)
+            out = compute(list(parameter_sets))
         else:
             keys = [self.key_of(p) for p in parameter_sets]
-            resolved = {}
+            resolved: Dict[str, Any] = {}
             seen = set()
-            miss_keys = []
-            miss_params = []
+            miss_keys: List[str] = []
+            miss_params: List[Dict[str, float]] = []
             for key, params in zip(keys, parameter_sets):
                 if key in seen:
                     continue
@@ -292,15 +258,7 @@ class EnsembleRunner:
                 else:
                     miss_keys.append(key)
                     miss_params.append(params)
-
-        computed = self._compute_batch(miss_params, capture_errors,
-                                       backend)
-        self.backend_runs[backend] += len(miss_params)
-
-        if resolved is None:
-            out = computed
-        else:
-            for key, value in zip(miss_keys, computed):
+            for key, value in zip(miss_keys, compute(miss_params)):
                 self.cache.store(key, value)
                 resolved[key] = value
             out = [resolved[key] for key in keys]
@@ -311,28 +269,36 @@ class EnsembleRunner:
                     f"{value.message}")
         return out
 
+    def _compute_threaded(self, miss_params: List[Dict[str, float]],
+                          capture_errors: bool) -> List[Any]:
+        # the pool reorders computation only: map merges by index
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            return list(pool.map(
+                lambda p: self._evaluate(p, capture_errors), miss_params))
+
     def _compute_batch(self, miss_params: Sequence[Dict[str, float]],
                        capture_errors: bool, backend: str) -> List[Any]:
         if not miss_params:
             return []
         if backend == "vector":
-            self.chunks_dispatched += 1
-            return _eval_batch_chunk(self.batch, capture_errors,
-                                     miss_params)
-        # process-pool: fixed-size chunks in input order; pool.map
-        # preserves submission order, so the merged result — and, by
-        # the kernel's chunk invariance, every bit of it — matches the
-        # single-batch vector backend
-        chunks = [list(miss_params[i:i + self.chunk_size])
-                  for i in range(0, len(miss_params), self.chunk_size)]
+            chunks = [miss_params]
+        else:
+            # process-pool: fixed-size chunks in input order; pool.map
+            # preserves submission order, so the merged result — and, by
+            # the kernel's chunk invariance, every bit of it — matches
+            # the single-batch vector backend
+            chunks = [list(miss_params[i:i + self.chunk_size])
+                      for i in range(0, len(miss_params), self.chunk_size)]
         self.chunks_dispatched += len(chunks)
         evaluate = partial(_eval_batch_chunk, self.batch, capture_errors)
         if len(chunks) == 1:
-            return evaluate(chunks[0])
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            computed: List[Any] = []
-            for chunk_result in pool.map(evaluate, chunks):
-                computed.extend(chunk_result)
+            computed = evaluate(chunks[0])
+        else:
+            with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                computed = []
+                for chunk_result in pool.map(evaluate, chunks):
+                    computed.extend(chunk_result)
+        self.backend_runs[backend] += len(miss_params)
         return computed
 
     def _evaluate(self, parameters: Dict[str, float],
@@ -368,19 +334,3 @@ class EnsembleRunner:
         return stats
 
     # -- durable execution ---------------------------------------------------
-
-    def durable_sweep(self, store, sweep_id: str,
-                      checkpoint_every: int = 50, effects=None,
-                      owner: str = "sweep-executor"):
-        """A journaled, checkpointed sweep backed by this runner.
-
-        ``store`` is a :class:`~repro.durable.journal.JournalStore`;
-        the returned :class:`~repro.durable.ensemble.DurableSweep`
-        checkpoints every ``checkpoint_every`` completed parameter sets
-        and (with an ``effects`` container) publishes each result under
-        its content-addressed run key exactly once across crashes.
-        """
-        from repro.durable.ensemble import DurableSweep
-        return DurableSweep(self, store, sweep_id,
-                            checkpoint_every=checkpoint_every,
-                            effects=effects, owner=owner)

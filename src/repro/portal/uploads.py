@@ -81,8 +81,6 @@ class UploadService:
     def _list(self, request: HttpRequest, params: Dict[str, str]):
         """Paginated listing of user-provided datasets.
 
-        A new collection route, so there is no legacy unpaginated body
-        to preserve: both the ``/v1`` route and its shim paginate.
         Dataset ids are the sort keys — the warehouse lists them
         sorted, and new uploads only add keys, so cursors stay stable
         across ingest.

@@ -413,17 +413,6 @@ class Dispatcher:
         self._record_service(tenant)
         return item, cls
 
-    def dequeue_batch(self, service_name: str, count: int
-                      ) -> List[Tuple[Any, PriorityClass]]:
-        """Pop up to ``count`` items in priority order in one pass."""
-        out: List[Tuple[Any, PriorityClass]] = []
-        while len(out) < count:
-            entry = self.dequeue(service_name)
-            if entry is None:
-                break
-            out.append(entry)
-        return out
-
     def requeue_front(self, service_name: str, items: List[Any],
                       priority: PriorityClass,
                       tenants: Optional[List[Optional[str]]] = None

@@ -110,10 +110,6 @@ class ShardedRouter:
         ids = self._service_shards.get(service_name) if service_name else None
         return rendezvous_shard(key, ids or self.shard_ids())
 
-    def lb_of(self, key: str, service_name: Optional[str] = None):
-        """The shard LB ``key`` routes to."""
-        return self.lbs[self.shard_of(key, service_name)]
-
     # -- service management --------------------------------------------------
 
     def manage(self, service, initial_replicas: Optional[int] = None):

@@ -57,12 +57,6 @@ def problem(status: int, title: str, detail: str = "",
     return doc
 
 
-def is_problem(body: Any) -> bool:
-    """Whether ``body`` looks like a problem document."""
-    return (isinstance(body, dict) and "status" in body
-            and "title" in body and "retryable" in body)
-
-
 def retryable_from_body(body: Any) -> Optional[bool]:
     """The body's own retryability verdict, if it carries one."""
     if isinstance(body, dict) and isinstance(body.get("retryable"), bool):

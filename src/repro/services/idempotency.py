@@ -42,13 +42,7 @@ PENDING_TTL = 120.0
 
 
 def request_fingerprint(method: str, path: str, body: Any) -> str:
-    """The content identity of a request, for key-reuse detection.
-
-    The version prefix is stripped so the same request through the
-    legacy shim and the ``/v1`` route share one identity.
-    """
-    if path.startswith("/v1/"):
-        path = path[len("/v1"):]
+    """The content identity of a request, for key-reuse detection."""
     try:
         return content_key({"method": method, "path": path, "body": body})
     except TypeError:

@@ -7,8 +7,7 @@ problems for misses and ``ETag`` revalidation on the heavy read paths
 (a span tree is immutable once its trace goes quiet; polling it should
 cost header bytes, not payload bytes).
 
-Routes (all mounted under ``/v1`` with deprecated unversioned shims,
-like every other API in the fabric):
+Routes (mounted under ``/v1``, like every other API in the fabric):
 
 * ``GET /observability/health`` — composite health score + plane vitals;
 * ``GET /observability/slo`` — per-SLO state with burn rates;

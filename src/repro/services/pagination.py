@@ -136,13 +136,3 @@ def paginate(request: HttpRequest, items: List[Any], keys: List[Any],
         page.next_cursor = encode_cursor(keys[start + limit - 1])
         page.headers["Link"] = _next_link(request, page.next_cursor, limit)
     return page
-
-
-def is_paginated(request: HttpRequest) -> bool:
-    """Whether this request came in on a canonical (paginated) route.
-
-    Legacy shim paths keep their historical unpaginated bodies — the
-    shim's ``Deprecation``/``Link`` headers already steer clients to
-    the ``/v1`` successor, which is where pagination lives.
-    """
-    return request.path.startswith("/v1/") or request.path == "/v1"

@@ -16,14 +16,13 @@ request's processing cost as a job on that instance (so CPU utilisation
 and queueing reflect request load, which the LB observes).
 
 The route table is **versioned**: every registered pattern is mounted
-canonically under ``/v1`` and, for compatibility, at its original
-unversioned path as a *deprecation shim* — same handler, same cost, but
-responses carry a ``Deprecation`` header and a ``Link`` to the successor
-route.  ``GET /v1`` answers with a machine-readable description of the
-table (method, path, cost, safety, cacheability) — the contract a typed
-client or a substitutable execution node programs against.  All error
-bodies are RFC-7807-style problem documents (:mod:`.envelope`) whose
-``retryable`` field feeds the client-side retry decision.
+once, under ``/v1``; a path outside the version prefix has no route and
+answers ``404`` like any other unknown path.  ``GET /v1`` answers with
+a machine-readable description of the table (method, path, cost,
+safety, cacheability) — the contract a typed client or a substitutable
+execution node programs against.  All error bodies are RFC-7807-style
+problem documents (:mod:`.envelope`) whose ``retryable`` field feeds
+the client-side retry decision.
 """
 
 from __future__ import annotations
@@ -86,9 +85,7 @@ class Route:
     real modelling work instead return a :class:`RestDeferred` carrying
     their own job.  ``safe`` declares the handler side-effect-free /
     replayable (defaults to ``True`` for GET); ``cacheable`` declares
-    that responses carry an ``ETag`` worth revalidating.  Shim routes
-    (``deprecated=True``) answer with a ``Deprecation`` header naming
-    their ``successor``.
+    that responses carry an ``ETag`` worth revalidating.
     """
 
     method: str
@@ -97,8 +94,6 @@ class Route:
     cost: float = DEFAULT_HANDLER_COST
     safe: Optional[bool] = None
     cacheable: bool = False
-    deprecated: bool = False
-    successor: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.safe is None:
@@ -171,15 +166,13 @@ class RestBackground:
 class RestApi:
     """A versioned route table; stateless by construction.
 
-    Registering ``GET /datasets`` mounts the canonical route at
-    ``/v1/datasets`` *and* an unversioned deprecation shim at
-    ``/datasets``; ``GET /v1`` describes the canonical table.
+    Registering ``GET /datasets`` mounts the route at ``/v1/datasets``;
+    ``GET /v1`` describes the table.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._routes: List[Route] = []
-        self._canonical: List[Route] = []
         # the lookup ``resolve`` reads, built as routes are mounted:
         # parameterless patterns by (method, path); the rest, in
         # registration order, by (method, number of slashes)
@@ -211,9 +204,7 @@ class RestApi:
         #: ``Tenant`` header are refused with 401 instead of running as
         #: the anonymous default principal.
         self.require_tenant: bool = False
-        describe = Route("GET", f"/{API_VERSION}", self._describe_api)
-        self._mount(describe)
-        self._canonical.append(describe)
+        self._mount(Route("GET", f"/{API_VERSION}", self._describe_api))
 
     def _mount(self, route: Route) -> None:
         self._routes.append(route)
@@ -229,15 +220,9 @@ class RestApi:
               handler: Callable[[HttpRequest, Dict[str, str]], Any],
               cost: float = DEFAULT_HANDLER_COST,
               safe: Optional[bool] = None, cacheable: bool = False) -> None:
-        """Register ``handler`` for ``method pattern`` (v1 + legacy shim)."""
-        canonical = Route(method, f"/{API_VERSION}{pattern}", handler,
-                          cost, safe=safe, cacheable=cacheable)
-        shim = Route(method, pattern, handler, cost, safe=safe,
-                     cacheable=cacheable, deprecated=True,
-                     successor=canonical.pattern)
-        self._mount(canonical)
-        self._mount(shim)
-        self._canonical.append(canonical)
+        """Register ``handler`` for ``method /v1{pattern}``."""
+        self._mount(Route(method, f"/{API_VERSION}{pattern}", handler,
+                          cost, safe=safe, cacheable=cacheable))
 
     def get(self, pattern: str, handler, cost: float = DEFAULT_HANDLER_COST,
             safe: Optional[bool] = None, cacheable: bool = False) -> None:
@@ -272,7 +257,7 @@ class RestApi:
         return list(self._routes)
 
     def describe(self) -> Dict[str, Any]:
-        """The machine-readable contract of the canonical (v1) table."""
+        """The machine-readable contract of the route table."""
         return {
             "service": self.name,
             "version": API_VERSION,
@@ -284,7 +269,7 @@ class RestApi:
                     "safe": bool(route.safe),
                     "cacheable": route.cacheable,
                 }
-                for route in self._canonical
+                for route in self._routes
             ],
         }
 
@@ -367,17 +352,16 @@ class RestServer:
             return done
         tenant_id, denied = self._resolve_tenant(request)
         if denied is not None:
-            self._finish(done, denied, span, route)
+            self._finish(done, denied, span)
             return done
         if span is not None and tenant_id is not None:
             span.set_attribute("tenant", tenant_id)
         if self.api.guard is not None:
             denial = self.api.guard(request)
             if denial is not None:
-                self._finish(done, denial, span, route)
+                self._finish(done, denial, span)
                 return done
-        ticket = self._admit_idempotent(done, request, route, span,
-                                        tenant_id)
+        ticket = self._admit_idempotent(done, request, span, tenant_id)
         if ticket is _REQUEST_ANSWERED:
             return done
         job = Job(cost=route.cost, name=route.job_name,
@@ -388,7 +372,7 @@ class RestServer:
         def on_outcome(outcome: JobOutcome) -> None:
             self.requests_handled += 1
             if not outcome.succeeded:
-                self._job_failed(done, outcome, span, route, ticket)
+                self._job_failed(done, outcome, span, ticket)
                 return
             result = outcome.value
             if isinstance(result, RestDeferred):
@@ -398,42 +382,42 @@ class RestServer:
 
                 def on_deferred(deferred: JobOutcome) -> None:
                     if not deferred.succeeded:
-                        self._job_failed(done, deferred, span, route, ticket)
+                        self._job_failed(done, deferred, span, ticket)
                         return
                     status, body, headers = self._coerce(
                         result.render(deferred.value))
                     self._finish(done, HttpResponse(status=status, body=body,
                                                     headers=headers),
-                                 span, route, ticket)
+                                 span, ticket)
 
                 self.instance.submit(deferred_job).then(on_deferred)
             elif isinstance(result, RestCacheable):
                 self._finish(done, self._revalidate(request, result), span,
-                             route, ticket)
+                             ticket)
             elif isinstance(result, RestBackground):
                 background_job = result.job
                 if span is not None and background_job.trace is None:
                     background_job.trace = span.context
                 self.instance.submit(background_job)
                 self._finish(done, HttpResponse(status=result.status,
-                                                body=result.body), span, route,
+                                                body=result.body), span,
                              ticket)
             else:
                 status, body, headers = self._coerce(result)
                 self._finish(done, HttpResponse(status=status, body=body,
                                                 headers=headers),
-                             span, route, ticket)
+                             span, ticket)
 
         self.instance.submit(job).then(on_outcome)
         return done
 
     def _job_failed(self, done: Signal, outcome: JobOutcome,
-                    span: Optional[Span], route: Route, ticket) -> None:
+                    span: Optional[Span], ticket) -> None:
         if outcome.error == "queue full":
-            self._finish(done, self._overloaded(), span, route, ticket)
+            self._finish(done, self._overloaded(), span, ticket)
         elif outcome.error and outcome.error.startswith("job raised"):
             self._finish(done, self._error_response(outcome.error),
-                         span, route, ticket)
+                         span, ticket)
         elif span is not None:
             # instance died: the response never leaves; the caller
             # times out, and the server span records why
@@ -495,7 +479,7 @@ class RestServer:
                             headers=decision.headers())
 
     def _admit_idempotent(self, done: Signal, request: HttpRequest,
-                          route: Route, span: Optional[Span],
+                          span: Optional[Span],
                           tenant: Optional[str] = None):
         """Classify a keyed mutating request before any work happens.
 
@@ -517,13 +501,13 @@ class RestServer:
             headers["Idempotency-Replayed"] = "true"
             self._finish(done, HttpResponse(
                 status=stored.get("status", 200), body=stored.get("body"),
-                headers=headers), span, route)
+                headers=headers), span)
             return _REQUEST_ANSWERED
         if admission.kind == "conflict":
             self._finish(done, HttpResponse(status=422, body=problem(
                 422, "idempotency key reuse",
                 f"Idempotency-Key {key!r} was already used with a "
-                f"different request", retryable=False)), span, route)
+                f"different request", retryable=False)), span)
             return _REQUEST_ANSWERED
         if admission.kind == "pending":
             # Another attempt with this key is executing right now; a
@@ -532,7 +516,7 @@ class RestServer:
             self._finish(done, HttpResponse(status=409, body=problem(
                 409, "request in flight",
                 f"Idempotency-Key {key!r} has an attempt in flight",
-                retryable=True)), span, route)
+                retryable=True)), span)
             return _REQUEST_ANSWERED
         return (key, admission.epoch, tenant)
 
@@ -573,7 +557,6 @@ class RestServer:
 
     def _finish(self, done: Signal, response: HttpResponse,
                 span: Optional[Span] = None,
-                route: Optional[Route] = None,
                 ticket: Optional[Tuple[str, int, Optional[str]]] = None
                 ) -> None:
         if ticket is not None and self.api.idempotency is not None:
@@ -588,32 +571,9 @@ class RestServer:
                 # the handler never completed usefully (5xx); release
                 # the reservation so a retry can execute fresh
                 self.api.idempotency.forget(key, tenant=tenant)
-        if route is not None and route.deprecated:
-            # the legacy shim answers, but tells the client where to go
-            response.headers.setdefault("Deprecation", "true")
-            if route.successor:
-                response.headers.setdefault(
-                    "Link", f"<{route.successor}>; rel=\"successor-version\"")
         if span is not None and not span.finished:
             span.set_attribute("status", response.status)
             span.finish(error=None if response.status < 500
                         else f"http {response.status}")
         if not done.fired:
             done.fire(response)
-
-
-def handler_error_to_response(fn: Callable) -> Callable:
-    """Wrap a handler so :class:`HttpError` becomes a status tuple.
-
-    Job execution converts exceptions to failed outcomes, losing the
-    status code; wrapping keeps 4xx semantics (and the ``retryable``
-    verdict) intact.
-    """
-
-    def wrapped(request: HttpRequest, params: Dict[str, str]):
-        try:
-            return fn(request, params)
-        except HttpError as err:
-            return err.status, err.to_problem()
-
-    return wrapped

@@ -174,11 +174,3 @@ class SoapClient:
             extra_request_bytes=SOAP_ENVELOPE_BYTES,
             extra_response_bytes=SOAP_ENVELOPE_BYTES,
         )
-
-    def begin_process(self, sim: Simulator):
-        """Process: open a session, storing ``session_id`` on success."""
-        reply = yield self.call("begin")
-        if isinstance(reply, HttpResponse) and reply.ok:
-            self.session_id = reply.body["session_id"]
-            return True
-        return False

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.instance import Instance
 from repro.services.envelope import problem
-from repro.services.pagination import CursorError, is_paginated, paginate
+from repro.services.pagination import CursorError, paginate
 from repro.services.rest import RestApi, RestServer
 from repro.services.transport import HttpRequest
 from repro.sim import Simulator
@@ -126,10 +126,6 @@ class SosService:
             "end": end,
             "observations": documents,
         }
-        if not is_paginated(request):
-            # legacy shim: the historical unpaginated body, behind the
-            # Deprecation/Link headers the shim route already adds
-            return body
         # keyset: [time, position] — ties on time break by position, and
         # a later ingest only ever appends larger keys, so a cursor a
         # client is holding stays valid across new observations

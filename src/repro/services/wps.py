@@ -22,7 +22,7 @@ from repro.cloud.instance import Instance, Job
 from repro.cloud.storage import Container
 from repro.durable.journal import jsonable
 from repro.services.envelope import problem
-from repro.services.pagination import CursorError, is_paginated, paginate
+from repro.services.pagination import CursorError, paginate
 from repro.services.rest import (
     HttpError,
     RestApi,
@@ -234,9 +234,6 @@ class WpsService:
             "title": self.name,
             "processes": processes,
         }
-        if not is_paginated(request):
-            # legacy shim keeps the historical unpaginated body
-            return body
         keys = [p["identifier"] for p in processes]
         try:
             page = paginate(request, processes, keys)

@@ -249,17 +249,17 @@ class CloudWorkflowEngine:
                                 if self.scheduler is not None else None)
                             if ticket is not None and ticket.wait is not None:
                                 yield ticket.wait
+                            request = HttpRequest(
+                                "POST",
+                                f"/v1/wps/processes/{call.process_id}"
+                                f"/execute",
+                                body={"inputs": inputs})
                             try:
                                 if self.client is not None:
-                                    # resilient dispatch: canonical v1
-                                    # route, retries/breakers/admission
-                                    # via the fabric; Execute is
-                                    # replayable, hence safe=True
-                                    request = HttpRequest(
-                                        "POST",
-                                        f"/v1/wps/processes/"
-                                        f"{call.process_id}/execute",
-                                        body={"inputs": inputs})
+                                    # resilient dispatch: retries /
+                                    # breakers / admission via the
+                                    # fabric; Execute is replayable,
+                                    # hence safe=True
                                     reply = yield self.client.call(
                                         call.address_of, request, safe=True,
                                         timeout=self.request_timeout,
@@ -273,11 +273,6 @@ class CloudWorkflowEngine:
                                              f"(session migrated away?)",
                                              stage_span)
                                         return
-                                    request = HttpRequest(
-                                        "POST",
-                                        f"/wps/processes/{call.process_id}"
-                                        f"/execute",
-                                        body={"inputs": inputs})
                                     inject_context(stage_span.context,
                                                    request.headers)
                                     reply = yield self.network.request(

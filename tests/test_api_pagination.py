@@ -1,11 +1,13 @@
 """PR 8 API-redesign contract tests: pagination, idempotency, caching.
 
 Pins the redesigned ``/v1`` surface from the outside: keyset cursors
-that survive ingest, legacy shims that keep their historical bodies
-behind ``Deprecation`` headers, ``Idempotency-Key`` replay semantics on
+that survive ingest, every collection route paginating and nothing
+answering outside ``/v1``, ``Idempotency-Key`` replay semantics on
 mutating routes, ETag revalidation on the materialized-view routes, and
 the RFC-7807 problem envelope on every failure path.
 """
+
+import re
 
 import pytest
 
@@ -14,6 +16,9 @@ from repro.data.catalog import AssetCatalog
 from repro.data.warehouse import DataWarehouse
 from repro.dataplane import DataPlane
 from repro.dataplane.views import view_fingerprint
+from repro.geo import GeoEstate
+from repro.obs.hub import obs_of
+from repro.obs.telemetry import TelemetryPlane
 from repro.portal.uploads import UploadService
 from repro.portal.widgets import CatchmentDashboard
 from repro.resilience.policy import RetryPolicy
@@ -31,6 +36,7 @@ from repro.services import (
 )
 from repro.services.client import RestClient
 from repro.services.idempotency import IdempotencyIndex
+from repro.services.obsapi import build_observability_api
 from repro.services.pagination import (
     MAX_LIMIT,
     CursorError,
@@ -167,7 +173,7 @@ def test_next_link_preserves_filter_params():
     assert f"cursor={page.next_cursor}" in link
 
 
-# -- SOS: the v1 route paginates, the shim keeps its body --------------------
+# -- SOS: observations paginate ----------------------------------------------
 
 
 def make_sos(sim, observations=7):
@@ -192,21 +198,6 @@ def test_sos_v1_observations_paginate_exactly(sim):
     assert pages[0].body["total"] == 7
     assert 'rel="next"' in pages[0].headers["Link"]
     assert "Link" not in pages[-1].headers
-
-
-def test_sos_legacy_shim_keeps_body_and_warns(sim):
-    service = make_sos(sim, observations=4)
-    server = RestServer(sim, service.api, make_instance(sim))
-    legacy = call(sim, server,
-                  HttpRequest("GET", "/sos/observations/eden-level-1",
-                              query={"limit": "2"}))
-    # historical body: every observation, no pagination envelope
-    assert legacy.status == 200
-    assert len(legacy.body["observations"]) == 4
-    assert "nextCursor" not in legacy.body
-    assert legacy.headers["Deprecation"] == "true"
-    assert 'rel="successor-version"' in legacy.headers["Link"]
-    assert "/v1/sos/observations" in legacy.headers["Link"]
 
 
 def test_sos_link_header_preserves_temporal_filter(sim):
@@ -291,12 +282,6 @@ def test_wps_capabilities_paginate_on_v1_only(sim):
     assert [p["identifier"] for p in v1.body["processes"]] == \
         ["proc-0", "proc-1"]
     assert v1.body["total"] == 3 and v1.body["nextCursor"]
-
-    legacy = call(sim, server, HttpRequest("GET", "/wps",
-                                           query={"limit": "2"}))
-    assert len(legacy.body["processes"]) == 3
-    assert "nextCursor" not in legacy.body
-    assert legacy.headers["Deprecation"] == "true"
 
 
 def test_wps_execute_rejects_malformed_body(sim):
@@ -521,6 +506,78 @@ def test_runs_route_filter_rides_the_next_link(sim):
                  query={"status": "finished"})
     run_ids = [r["runId"] for p in pages for r in p.body["runs"]]
     assert run_ids == [f"run-{i}" for i in range(4)]
+
+
+# -- every route table the source tree builds --------------------------------
+
+
+#: the GET patterns that answer with a page of a collection
+COLLECTION_ROUTES = {
+    "/v1/wps", "/v1/sos/observations/{procedure_id}", "/v1/uploads",
+    "/v1/catchments", "/v1/observations/latest", "/v1/runs"}
+
+
+def mounted_apis(sim):
+    """``(sim, api)`` for each ``RestApi`` that ``src/`` constructs."""
+    estate = GeoEstate(regions=1)
+    return [
+        (sim, make_sos(sim).api),
+        (sim, make_wps(sim).api),
+        (sim, UploadService(sim, DataWarehouse(BlobStore(sim)),
+                            AssetCatalog()).api),
+        (sim, build_read_api(sim, seed_plane(sim))),
+        (sim, build_observability_api(sim, TelemetryPlane(sim),
+                                      obs_of(sim).tracer)),
+        (estate.sim, estate.cells["eu-west"].api),
+    ]
+
+
+def concrete(pattern):
+    """A path the pattern matches (the one id a fixture knows, else x)."""
+    path = pattern.replace("{procedure_id}", "eden-level-1")
+    return re.sub(r"\{\w+\}", "x", path)
+
+
+def test_a_path_outside_v1_is_a_plain_404_on_every_api(sim):
+    for api_sim, api in mounted_apis(sim):
+        server = RestServer(api_sim, api, make_instance(api_sim))
+        assert len(api.routes) == len(api.describe()["routes"])
+        for route in api.routes:
+            assert route.pattern.startswith("/v1")
+            path = concrete(route.pattern)
+            bare = call(api_sim, server, HttpRequest(
+                route.method, path[len("/v1"):] or "/"))
+            assert bare.status == 404, route.pattern
+            assert bare.body["retryable"] is False
+            versioned = call(api_sim, server,
+                             HttpRequest(route.method, path))
+            for response in (bare, versioned):
+                assert "Deprecation" not in response.headers
+                assert "successor-version" not in \
+                    response.headers.get("Link", "")
+
+
+def test_every_collection_route_paginates(sim):
+    paginating = set()
+    for api_sim, api in mounted_apis(sim):
+        server = RestServer(api_sim, api, make_instance(api_sim))
+        for route in api.routes:
+            if route.method != "GET":
+                continue
+            path = concrete(route.pattern)
+            garbled = call(api_sim, server, HttpRequest(
+                "GET", path, query={"cursor": "%%%"}))
+            if garbled.status != 400:
+                continue
+            assert garbled.body["title"] == "invalid cursor"
+            paginating.add(route.pattern)
+            page = call(api_sim, server, HttpRequest(
+                "GET", path, query={"limit": "1"}))
+            assert page.status == 200
+            assert {"total", "nextCursor"} <= set(page.body)
+            assert all(len(value) <= 1 for value in page.body.values()
+                       if isinstance(value, list))
+    assert paginating == COLLECTION_ROUTES
 
 
 def test_a_mutated_response_body_does_not_reach_the_views(sim):

@@ -49,7 +49,7 @@ def test_async_execution_survives_accepting_replica_crash():
     a, b = service.serving()[:2]
 
     accept = evop.network.request(a.address, HttpRequest(
-        "POST", "/wps/processes/topmodel-morland/execute",
+        "POST", "/v1/wps/processes/topmodel-morland/execute",
         body={"inputs": {"duration_hours": 48}, "mode": "async"}),
         timeout=120.0)
     evop.run_for(30.0)

@@ -107,7 +107,7 @@ def test_composite_deployable_behind_wps(tmp_path):
 
     reply = network.request(
         instance.address,
-        HttpRequest("POST", "/wps/processes/storm-impact-study/execute",
+        HttpRequest("POST", "/v1/wps/processes/storm-impact-study/execute",
                     body={"inputs": {"depth": 70.0}}),
         timeout=120.0)
     sim.run()

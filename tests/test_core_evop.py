@@ -75,7 +75,7 @@ def test_wps_roundtrip_through_registry(evop):
     """Any advertised replica answers GetCapabilities (XaaS uniformity)."""
     from repro.services import HttpRequest
     address = evop.registry.first_address("left-morland")
-    reply = evop.network.request(address, HttpRequest("GET", "/wps"))
+    reply = evop.network.request(address, HttpRequest("GET", "/v1/wps"))
     evop.run_for(10.0)
     assert reply.value.ok
     identifiers = {p["identifier"] for p in reply.value.body["processes"]}

@@ -22,7 +22,7 @@ def world():
     uploads.replica(host).bind(evop.network)
 
     reply = evop.network.request(host.address, HttpRequest(
-        "POST", "/uploads", body={
+        "POST", "/v1/uploads", body={
             "owner": "dr-rivers", "name": "embargoed-2013",
             "dt": 3600.0,
             "values": [0.2] * 24 + [9.0, 14.0, 7.0] + [0.1] * 69,
@@ -37,7 +37,7 @@ def world():
 def download(evop, host, dataset_id, principal):
     headers = {"X-Principal": principal} if principal else {}
     reply = evop.network.request(host.address, HttpRequest(
-        "GET", f"/uploads/{dataset_id.replace('/', '__')}/data",
+        "GET", f"/v1/uploads/{dataset_id.replace('/', '__')}/data",
         headers=headers))
     evop.run_for(10.0)
     return reply.value
@@ -63,7 +63,7 @@ def test_stranger_can_still_run_model_on_restricted_data(world):
     evop, host, dataset_id = world
     address = evop.registry.first_address("left-morland")
     run = evop.network.request(address, HttpRequest(
-        "POST", "/wps/processes/topmodel-morland/execute",
+        "POST", "/v1/wps/processes/topmodel-morland/execute",
         body={"inputs": {"rainfall_dataset": dataset_id}}),
         timeout=300.0)
     evop.run_for(120.0)

@@ -229,13 +229,13 @@ def test_partition_fault_drops_traffic_until_healed(rig):
     server_addr = rig["wps_host"].address
     injector.partition(client_addr, server_addr)
 
-    reply = network.request(server_addr, HttpRequest("GET", "/wps"),
+    reply = network.request(server_addr, HttpRequest("GET", "/v1/wps"),
                             timeout=5.0, source=client_addr)
     sim.run()
     assert not isinstance(reply.value, HttpResponse)  # timed out
 
     injector.heal_partition(client_addr, server_addr)
-    reply = network.request(server_addr, HttpRequest("GET", "/wps"),
+    reply = network.request(server_addr, HttpRequest("GET", "/v1/wps"),
                             timeout=5.0, source=client_addr)
     sim.run()
     assert isinstance(reply.value, HttpResponse) and reply.value.ok

@@ -90,7 +90,7 @@ def test_rest_responds_503_when_overloaded(sim):
     api = RestApi("x")
     api.get("/work", lambda req, p: {"ok": True}, cost=30.0)
     RestServer(sim, api, inst).bind(network)
-    replies = [network.request(inst.address, HttpRequest("GET", "/work"),
+    replies = [network.request(inst.address, HttpRequest("GET", "/v1/work"),
                                timeout=120.0) for _ in range(4)]
     sim.run()
     statuses = sorted(r.value.status for r in replies)
@@ -239,9 +239,9 @@ def test_rest_first_matching_route_wins(sim):
     api = RestApi("x")
     api.get("/datasets/{id}", lambda req, p: {"which": "param"})
     api.get("/datasets/special", lambda req, p: {"which": "literal"})
-    route, params = api.resolve(HttpRequest("GET", "/datasets/special"))
+    route, params = api.resolve(HttpRequest("GET", "/v1/datasets/special"))
     # registration order decides: the parameterised route was first
-    assert route.pattern == "/datasets/{id}"
+    assert route.pattern == "/v1/datasets/{id}"
     assert params == {"id": "special"}
 
 
@@ -251,7 +251,7 @@ def test_rest_method_mismatch_is_404(sim):
     api = RestApi("x")
     api.get("/thing", lambda req, p: {"ok": True})
     RestServer(sim, api, inst).bind(network)
-    reply = network.request(inst.address, HttpRequest("POST", "/thing"))
+    reply = network.request(inst.address, HttpRequest("POST", "/v1/thing"))
     sim.run()
     assert reply.value.status == 404
 

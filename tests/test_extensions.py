@@ -138,7 +138,7 @@ def test_upload_lands_in_warehouse_and_catalog(sim, network):
     service.replica(instance).bind(network)
 
     reply = network.request(instance.address,
-                            HttpRequest("POST", "/uploads",
+                            HttpRequest("POST", "/v1/uploads",
                                         body=upload_body()))
     sim.run()
     assert reply.value.status == 201
@@ -151,7 +151,7 @@ def test_upload_lands_in_warehouse_and_catalog(sim, network):
 
     describe = network.request(
         instance.address,
-        HttpRequest("GET", f"/uploads/{dataset_id.replace('/', '__')}"))
+        HttpRequest("GET", f"/v1/uploads/{dataset_id.replace('/', '__')}"))
     sim.run()
     assert describe.value.ok
     assert "farmer-jo" in describe.value.body["provenance"]
@@ -171,7 +171,7 @@ def test_upload_validation(sim, network, mutation, expected):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     reply = network.request(instance.address,
-                            HttpRequest("POST", "/uploads",
+                            HttpRequest("POST", "/v1/uploads",
                                         body=upload_body(**mutation)))
     sim.run()
     assert reply.value.status == 400
@@ -193,13 +193,13 @@ def test_uploaded_rainfall_drives_model_run(sim, network):
     big_storm = upload_body(values=[0.2] * 24 + [10, 15, 20, 12, 6]
                             + [0.1] * 96)
     upload = network.request(instance.address,
-                             HttpRequest("POST", "/uploads", body=big_storm))
+                             HttpRequest("POST", "/v1/uploads", body=big_storm))
     sim.run()
     dataset_id = upload.value.body["datasetId"]
 
     run = network.request(
         wps_instance.address,
-        HttpRequest("POST", "/wps/processes/topmodel-morland/execute",
+        HttpRequest("POST", "/v1/wps/processes/topmodel-morland/execute",
                     body={"inputs": {"rainfall_dataset": dataset_id}}),
         timeout=120.0)
     sim.run()
@@ -215,7 +215,7 @@ def test_rainfall_dataset_without_warehouse_errors(sim, network):
     wps.replica(instance).bind(network)
     reply = network.request(
         instance.address,
-        HttpRequest("POST", "/wps/processes/topmodel-morland/execute",
+        HttpRequest("POST", "/v1/wps/processes/topmodel-morland/execute",
                     body={"inputs": {"rainfall_dataset": "user/x/y"}}),
         timeout=120.0)
     sim.run()
@@ -361,7 +361,7 @@ def test_evop_supports_uploaded_dataset_runs():
     address = evop.registry.first_address("left-morland")
     reply = evop.network.request(
         address,
-        HttpRequest("POST", "/wps/processes/topmodel-morland/execute",
+        HttpRequest("POST", "/v1/wps/processes/topmodel-morland/execute",
                     body={"inputs": {"rainfall_dataset": "user/alice/rain"}}),
         timeout=300.0)
     evop.run_for(120.0)
@@ -376,15 +376,15 @@ def test_describe_and_download_carry_etags(sim, network):
     UploadService(sim, warehouse, catalog).replica(instance).bind(network)
 
     upload = network.request(instance.address,
-                             HttpRequest("POST", "/uploads",
+                             HttpRequest("POST", "/v1/uploads",
                                          body=upload_body()))
     sim.run()
     dataset_id = upload.value.body["datasetId"].replace("/", "__")
 
     describe = network.request(
-        instance.address, HttpRequest("GET", f"/uploads/{dataset_id}"))
+        instance.address, HttpRequest("GET", f"/v1/uploads/{dataset_id}"))
     download = network.request(
-        instance.address, HttpRequest("GET", f"/uploads/{dataset_id}/data"))
+        instance.address, HttpRequest("GET", f"/v1/uploads/{dataset_id}/data"))
     sim.run()
     assert describe.value.status == 200
     assert describe.value.headers["ETag"]
@@ -400,20 +400,20 @@ def test_if_none_match_revalidates_with_304(sim, network):
     UploadService(sim, warehouse, catalog).replica(instance).bind(network)
 
     upload = network.request(instance.address,
-                             HttpRequest("POST", "/uploads",
+                             HttpRequest("POST", "/v1/uploads",
                                          body=upload_body()))
     sim.run()
     dataset_id = upload.value.body["datasetId"].replace("/", "__")
 
     first = network.request(
-        instance.address, HttpRequest("GET", f"/uploads/{dataset_id}/data"))
+        instance.address, HttpRequest("GET", f"/v1/uploads/{dataset_id}/data"))
     sim.run()
     etag = first.value.headers["ETag"]
 
     # the widget's poll: replaying the etag yields a bodyless 304
     revalidated = network.request(
         instance.address,
-        HttpRequest("GET", f"/uploads/{dataset_id}/data",
+        HttpRequest("GET", f"/v1/uploads/{dataset_id}/data",
                     headers={"If-None-Match": etag}))
     sim.run()
     assert revalidated.value.status == 304
@@ -423,11 +423,11 @@ def test_if_none_match_revalidates_with_304(sim, network):
     # content changed: the stale etag misses and the new body flows
     body = upload_body(values=[0.0, 9.0, 9.0, 9.0] + [0.1] * 68)
     network.request(instance.address,
-                    HttpRequest("POST", "/uploads", body=body))
+                    HttpRequest("POST", "/v1/uploads", body=body))
     sim.run()
     changed = network.request(
         instance.address,
-        HttpRequest("GET", f"/uploads/{dataset_id}/data",
+        HttpRequest("GET", f"/v1/uploads/{dataset_id}/data",
                     headers={"If-None-Match": etag}))
     sim.run()
     assert changed.value.status == 200
@@ -442,7 +442,7 @@ def test_wps_status_poll_revalidates_with_304(sim, network):
 
     accepted = network.request(
         instance.address,
-        HttpRequest("POST", "/wps/processes/topmodel-morland/execute",
+        HttpRequest("POST", "/v1/wps/processes/topmodel-morland/execute",
                     body={"inputs": {"duration_hours": 48},
                           "mode": "async"}))
     sim.run()           # drain: the async job settles the status document

@@ -43,12 +43,12 @@ def test_purge_executions_drops_only_old_finished(sim=None):
     # two executions early, one much later
     for x in (1.0, 2.0):
         network.request(instance.address, HttpRequest(
-            "POST", "/wps/processes/double/execute",
+            "POST", "/v1/wps/processes/double/execute",
             body={"inputs": {"x": x}, "mode": "async"}))
     sim.run()
     sim.run(until=sim.now + 10_000.0)
     network.request(instance.address, HttpRequest(
-        "POST", "/wps/processes/double/execute",
+        "POST", "/v1/wps/processes/double/execute",
         body={"inputs": {"x": 3.0}, "mode": "async"}))
     sim.run()
 

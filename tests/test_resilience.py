@@ -238,7 +238,7 @@ def test_bulkhead_try_acquire_never_queues(sim):
 def test_late_response_after_timeout_never_double_fires(sim, network):
     instance = make_instance(sim)
     network.register(instance.address, ScriptedServer(sim, [10.0]), instance)
-    reply = network.request(instance.address, HttpRequest("GET", "/slow"),
+    reply = network.request(instance.address, HttpRequest("GET", "/v1/slow"),
                             timeout=3.0)
     sim.run()
     # the timeout fired first; the late answer at t=10 must not re-fire
@@ -254,7 +254,7 @@ def test_blackholed_then_recovered_instance_regression(sim, network):
     network.register(instance.address, ScriptedServer(sim, [8.0, 0.1]),
                      instance)
     instance._blackhole()
-    reply = network.request(instance.address, HttpRequest("GET", "/x"),
+    reply = network.request(instance.address, HttpRequest("GET", "/v1/x"),
                             timeout=3.0)
     # the NIC recovers while the handler is still working: the answer
     # leaves at t=8, long after the caller gave up at t=3
@@ -266,7 +266,7 @@ def test_blackholed_then_recovered_instance_regression(sim, network):
     sim.run()
     assert isinstance(reply.value, RequestTimeout)
     # the recovered instance serves new requests normally
-    second = network.request(instance.address, HttpRequest("GET", "/x"),
+    second = network.request(instance.address, HttpRequest("GET", "/v1/x"),
                              timeout=3.0)
     sim.run()
     assert isinstance(second.value, HttpResponse) and second.value.ok
@@ -293,7 +293,7 @@ def test_client_retries_through_crash_to_replacement(sim, network):
     client, metrics = client_with_metrics(sim, network)
     done = client.call(lambda: addresses[0] if sim.now < 1.0
                        else addresses[1],
-                       HttpRequest("GET", "/data"), deadline=60.0)
+                       HttpRequest("GET", "/v1/data"), deadline=60.0)
     sim.run()
     assert done.value.ok
     assert metrics.snapshot()["retries"] >= 1
@@ -304,7 +304,7 @@ def test_client_synthesises_problem_responses(sim, network):
     client, _ = client_with_metrics(
         sim, network, policy=RetryPolicy(max_attempts=2, base_delay=0.1,
                                          deadline=10.0))
-    done = client.call("ghost.addr", HttpRequest("POST", "/x"), safe=False)
+    done = client.call("ghost.addr", HttpRequest("POST", "/v1/x"), safe=False)
     sim.run()
     response = done.value
     assert isinstance(response, HttpResponse)
@@ -321,10 +321,10 @@ def test_client_breaker_fastfails_after_repeated_500s(sim, network):
         sim, network, policy=RetryPolicy(max_attempts=2, base_delay=0.1,
                                          deadline=20.0))
     for _ in range(4):                 # 500s are permanent: one attempt each
-        client.call(instance.address, HttpRequest("POST", "/x"), safe=False)
+        client.call(instance.address, HttpRequest("POST", "/v1/x"), safe=False)
         sim.run()
     assert client.breakers.get(f"svc@{instance.address}").state == "open"
-    done = client.call(instance.address, HttpRequest("POST", "/x"),
+    done = client.call(instance.address, HttpRequest("POST", "/v1/x"),
                        safe=False)
     sim.run()
     assert done.value.status == 503
@@ -340,8 +340,8 @@ def test_client_sheds_via_bulkhead(sim, network):
     client, metrics = client_with_metrics(
         sim, network, max_in_flight=1, max_queue=0, hedge=False,
         policy=RetryPolicy(max_attempts=1, base_delay=0.1, deadline=30.0))
-    first = client.call(instance.address, HttpRequest("GET", "/x"))
-    second = client.call(instance.address, HttpRequest("GET", "/x"))
+    first = client.call(instance.address, HttpRequest("GET", "/v1/x"))
+    second = client.call(instance.address, HttpRequest("GET", "/v1/x"))
     sim.run()
     values = sorted([first.value.status, second.value.status])
     assert values == [200, 429]
@@ -355,7 +355,7 @@ def test_hedged_get_first_response_wins(sim, network):
     network.register(instance.address, ScriptedServer(sim, [10.0, 0.1]),
                      instance)
     client, metrics = client_with_metrics(sim, network, hedge_after=1.0)
-    done = client.call(instance.address, HttpRequest("GET", "/x"),
+    done = client.call(instance.address, HttpRequest("GET", "/v1/x"),
                        timeout=30.0)
     sim.run(until=5.0)
     # the hedge (second request, fast) answered long before the primary
@@ -373,7 +373,7 @@ def test_hedging_skips_unsafe_posts(sim, network):
                      instance)
     client, metrics = client_with_metrics(sim, network, hedge_after=0.5)
     done = client.call(instance.address,
-                       HttpRequest("POST", "/execute"), safe=True)
+                       HttpRequest("POST", "/v1/execute"), safe=True)
     sim.run()
     assert done.value.ok and done.value.body["n"] == 1
     assert metrics.snapshot().get("hedges", 0) == 0
@@ -386,7 +386,7 @@ def test_client_blackholed_then_recovered_is_masked(sim, network):
     client, metrics = client_with_metrics(
         sim, network, hedge=False,
         policy=RetryPolicy(max_attempts=5, base_delay=0.5, deadline=60.0))
-    done = client.call(instance.address, HttpRequest("GET", "/x"),
+    done = client.call(instance.address, HttpRequest("GET", "/v1/x"),
                        timeout=2.0)
 
     def recover():
@@ -428,7 +428,7 @@ def test_rest_client_revalidates_with_etag(sim, network):
     assert client.revalidated_hits == 1
 
 
-def test_versioned_routes_and_deprecation_shim(sim, network):
+def test_versioned_routes_are_the_only_routes(sim, network):
     instance, api = make_v1_server(sim, network)
     client = RestClient(sim, network, instance.address)
 
@@ -440,19 +440,18 @@ def test_versioned_routes_and_deprecation_shim(sim, network):
     assert ("GET", "/v1/datasets/{dataset_id}") in paths
     assert all(path.startswith("/v1") for _m, path in paths)
 
-    # the canonical path answers cleanly; the legacy path still works
-    # but is marked deprecated and names its successor
-    legacy = network.request(instance.address,
-                             HttpRequest("GET", "/datasets/eden"))
-    sim.run()
-    assert legacy.value.ok
-    assert legacy.value.headers["Deprecation"] == "true"
-    assert "/v1/datasets/{dataset_id}" in legacy.value.headers["Link"]
-    canonical = network.request(instance.address,
+    # the pattern as registered, without the version prefix, is no route
+    bare = network.request(instance.address,
+                           HttpRequest("GET", "/datasets/eden"))
+    versioned = network.request(instance.address,
                                 HttpRequest("GET", "/v1/datasets/eden"))
     sim.run()
-    assert canonical.value.ok
-    assert "Deprecation" not in canonical.value.headers
+    assert bare.value.status == 404
+    assert bare.value.body["retryable"] is False
+    assert versioned.value.ok
+    for response in (bare.value, versioned.value):
+        assert "Deprecation" not in response.headers
+        assert "Link" not in response.headers
 
 
 # ------------------------------------------------- deployment integration

@@ -155,7 +155,7 @@ def test_wps_get_capabilities_lists_processes(sim, network):
     service = make_wps(sim)
     instance = make_instance(sim)
     service.replica(instance).bind(network)
-    reply = roundtrip(sim, network, instance.address, HttpRequest("GET", "/wps"))
+    reply = roundtrip(sim, network, instance.address, HttpRequest("GET", "/v1/wps"))
     assert reply.body["service"] == "WPS"
     assert reply.body["processes"][0]["identifier"] == "double"
 
@@ -165,7 +165,7 @@ def test_wps_describe_process(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     reply = roundtrip(sim, network, instance.address,
-                      HttpRequest("GET", "/wps/processes/double"))
+                      HttpRequest("GET", "/v1/wps/processes/double"))
     doc = reply.body
     assert doc["identifier"] == "double"
     assert doc["inputs"][0]["name"] == "x"
@@ -177,7 +177,7 @@ def test_wps_describe_unknown_process_404(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     reply = roundtrip(sim, network, instance.address,
-                      HttpRequest("GET", "/wps/processes/nope"))
+                      HttpRequest("GET", "/v1/wps/processes/nope"))
     assert reply.status == 404
 
 
@@ -186,7 +186,7 @@ def test_wps_execute_sync(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     reply = roundtrip(sim, network, instance.address,
-                      HttpRequest("POST", "/wps/processes/double/execute",
+                      HttpRequest("POST", "/v1/wps/processes/double/execute",
                                   body={"inputs": {"x": 21.0}}))
     assert reply.ok
     assert reply.body["outputs"] == {"y": 42.0}
@@ -198,15 +198,15 @@ def test_wps_execute_validates_inputs(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     missing = roundtrip(sim, network, instance.address,
-                        HttpRequest("POST", "/wps/processes/double/execute",
+                        HttpRequest("POST", "/v1/wps/processes/double/execute",
                                     body={"inputs": {}}))
     assert missing.status == 400
     out_of_range = roundtrip(sim, network, instance.address,
-                             HttpRequest("POST", "/wps/processes/double/execute",
+                             HttpRequest("POST", "/v1/wps/processes/double/execute",
                                          body={"inputs": {"x": 1000.0}}))
     assert out_of_range.status == 400
     unknown = roundtrip(sim, network, instance.address,
-                        HttpRequest("POST", "/wps/processes/double/execute",
+                        HttpRequest("POST", "/v1/wps/processes/double/execute",
                                     body={"inputs": {"x": 1.0, "bogus": 2}}))
     assert unknown.status == 400
 
@@ -216,7 +216,7 @@ def test_wps_execute_async_and_poll_status(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     accepted = roundtrip(sim, network, instance.address,
-                         HttpRequest("POST", "/wps/processes/double/execute",
+                         HttpRequest("POST", "/v1/wps/processes/double/execute",
                                      body={"inputs": {"x": 5.0}, "mode": "async"}))
     # run() above drained everything, so the job already finished; check doc
     assert accepted.status == 202
@@ -234,7 +234,7 @@ def test_wps_async_status_readable_from_any_replica(sim, network):
     service.replica(a).bind(network)
     service.replica(b).bind(network)
     accepted = roundtrip(sim, network, a.address,
-                         HttpRequest("POST", "/wps/processes/double/execute",
+                         HttpRequest("POST", "/v1/wps/processes/double/execute",
                                      body={"inputs": {"x": 5.0}, "mode": "async"}))
     status = roundtrip(sim, network, b.address,
                        HttpRequest("GET", accepted.body["statusLocation"]))
@@ -254,7 +254,7 @@ def test_wps_async_failure_recorded(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     accepted = roundtrip(sim, network, instance.address,
-                         HttpRequest("POST", "/wps/processes/bad/execute",
+                         HttpRequest("POST", "/v1/wps/processes/bad/execute",
                                      body={"mode": "async"}))
     status = roundtrip(sim, network, instance.address,
                        HttpRequest("GET", accepted.body["statusLocation"]))
@@ -288,7 +288,7 @@ def test_sos_capabilities_lists_offerings(sim, network):
     service = make_sos(sim)
     instance = make_instance(sim)
     service.replica(instance).bind(network)
-    reply = roundtrip(sim, network, instance.address, HttpRequest("GET", "/sos"))
+    reply = roundtrip(sim, network, instance.address, HttpRequest("GET", "/v1/sos"))
     assert reply.body["offerings"] == [{
         "procedure": "morland-rain-1", "observedProperty": "rainfall",
         "catchment": "morland"}]
@@ -299,7 +299,7 @@ def test_sos_describe_sensor(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     reply = roundtrip(sim, network, instance.address,
-                      HttpRequest("GET", "/sos/sensors/morland-rain-1"))
+                      HttpRequest("GET", "/v1/sos/sensors/morland-rain-1"))
     assert reply.body["uom"] == "mm"
     assert reply.body["position"]["lat"] == 54.6
 
@@ -309,7 +309,7 @@ def test_sos_get_observation_with_temporal_filter(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     reply = roundtrip(sim, network, instance.address,
-                      HttpRequest("GET", "/sos/observations/morland-rain-1",
+                      HttpRequest("GET", "/v1/sos/observations/morland-rain-1",
                                   query={"begin": "1000", "end": "7000"}))
     values = [obs["value"] for obs in reply.body["observations"]]
     assert values == [1.4]
@@ -320,7 +320,7 @@ def test_sos_unknown_procedure_404(sim, network):
     instance = make_instance(sim)
     service.replica(instance).bind(network)
     reply = roundtrip(sim, network, instance.address,
-                      HttpRequest("GET", "/sos/sensors/nope"))
+                      HttpRequest("GET", "/v1/sos/sensors/nope"))
     assert reply.status == 404
 
 

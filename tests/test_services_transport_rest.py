@@ -57,7 +57,7 @@ def test_basic_get_roundtrip(sim, network):
     instance = make_instance(sim)
     make_catalog_server(sim, network, instance)
     response = request(sim, network, instance.address,
-                       HttpRequest("GET", "/datasets"))
+                       HttpRequest("GET", "/v1/datasets"))
     assert response.ok
     assert response.body == {"datasets": ["eden-rain"]}
     assert sim.now > 0  # network latency + handler cost elapsed
@@ -67,7 +67,7 @@ def test_path_params_are_extracted(sim, network):
     instance = make_instance(sim)
     make_catalog_server(sim, network, instance)
     response = request(sim, network, instance.address,
-                       HttpRequest("GET", "/datasets/eden-rain"))
+                       HttpRequest("GET", "/v1/datasets/eden-rain"))
     assert response.body["id"] == "eden-rain"
 
 
@@ -75,7 +75,7 @@ def test_post_returns_custom_status(sim, network):
     instance = make_instance(sim)
     make_catalog_server(sim, network, instance)
     response = request(sim, network, instance.address,
-                       HttpRequest("POST", "/datasets", body={"name": "new"}))
+                       HttpRequest("POST", "/v1/datasets", body={"name": "new"}))
     assert response.status == 201
     assert response.body == {"created": "new"}
 
@@ -84,13 +84,13 @@ def test_unknown_route_is_404(sim, network):
     instance = make_instance(sim)
     make_catalog_server(sim, network, instance)
     response = request(sim, network, instance.address,
-                       HttpRequest("GET", "/nope"))
+                       HttpRequest("GET", "/v1/nope"))
     assert response.status == 404
 
 
 def test_unregistered_address_refused(sim, network):
     result = request(sim, network, "ghost.openstack.evop",
-                     HttpRequest("GET", "/datasets"))
+                     HttpRequest("GET", "/v1/datasets"))
     assert isinstance(result, ConnectionRefused)
 
 
@@ -99,7 +99,7 @@ def test_dead_instance_refuses_connections(sim, network):
     make_catalog_server(sim, network, instance)
     instance._mark_failed("crash")
     result = request(sim, network, instance.address,
-                     HttpRequest("GET", "/datasets"))
+                     HttpRequest("GET", "/v1/datasets"))
     assert isinstance(result, ConnectionRefused)
 
 
@@ -108,7 +108,7 @@ def test_blackholed_instance_times_out(sim, network):
     make_catalog_server(sim, network, instance)
     instance._blackhole()
     result = request(sim, network, instance.address,
-                     HttpRequest("GET", "/datasets"), timeout=5.0)
+                     HttpRequest("GET", "/v1/datasets"), timeout=5.0)
     assert isinstance(result, RequestTimeout)
     assert result.after_seconds == 5.0
     # the request *was* received: inbound counted, nothing transmitted
@@ -122,7 +122,7 @@ def test_instance_dying_mid_request_times_out(sim, network):
     api = RestApi("slow")
     api.get("/slow", lambda req, p: {"ok": True}, cost=10.0)
     RestServer(sim, api, instance).bind(network)
-    reply = network.request(instance.address, HttpRequest("GET", "/slow"),
+    reply = network.request(instance.address, HttpRequest("GET", "/v1/slow"),
                             timeout=20.0)
     sim.schedule(2.0, instance._mark_failed, "crash")
     sim.run()
@@ -139,7 +139,7 @@ def test_handler_exception_becomes_500(sim, network):
     api.get("/bad", explode)
     RestServer(sim, api, instance).bind(network)
     response = request(sim, network, instance.address,
-                       HttpRequest("GET", "/bad"))
+                       HttpRequest("GET", "/v1/bad"))
     assert response.status == 500
     assert "kaboom" in str(response.body)
 
@@ -147,7 +147,7 @@ def test_handler_exception_becomes_500(sim, network):
 def test_byte_accounting_on_instance(sim, network):
     instance = make_instance(sim)
     make_catalog_server(sim, network, instance)
-    request(sim, network, instance.address, HttpRequest("GET", "/datasets"))
+    request(sim, network, instance.address, HttpRequest("GET", "/v1/datasets"))
     assert instance.net_bytes_in > 0
     assert instance.net_bytes_out > 0
     assert network.total_bytes >= instance.net_bytes_in + instance.net_bytes_out
@@ -158,9 +158,9 @@ def test_requests_queue_on_busy_instance(sim, network):
     api = RestApi("model")
     api.get("/run", lambda req, p: {"ok": True}, cost=5.0)
     RestServer(sim, api, instance).bind(network)
-    first = network.request(instance.address, HttpRequest("GET", "/run"),
+    first = network.request(instance.address, HttpRequest("GET", "/v1/run"),
                             timeout=60)
-    second = network.request(instance.address, HttpRequest("GET", "/run"),
+    second = network.request(instance.address, HttpRequest("GET", "/v1/run"),
                              timeout=60)
     sim.run()
     assert first.value.ok and second.value.ok
@@ -177,7 +177,7 @@ def test_rest_deferred_runs_job_then_renders(sim, network):
     api.post("/execute", execute)
     RestServer(sim, api, instance).bind(network)
     response = request(sim, network, instance.address,
-                       HttpRequest("POST", "/execute"))
+                       HttpRequest("POST", "/v1/execute"))
     assert response.ok
     assert response.body["outputs"] == {"peak": 3.2}
     assert sim.now >= 8.0 / instance.effective_speed
@@ -194,7 +194,7 @@ def test_rest_background_answers_before_job_finishes(sim, network):
 
     api.post("/execute", execute)
     RestServer(sim, api, instance).bind(network)
-    reply = network.request(instance.address, HttpRequest("POST", "/execute"),
+    reply = network.request(instance.address, HttpRequest("POST", "/v1/execute"),
                             timeout=120)
     sim.run(until=5.0)
     assert reply.value.status == 202
@@ -210,15 +210,15 @@ def test_stateless_replicas_answer_identically(sim, network):
     b = make_instance(sim, "os-0002")
     RestServer(sim, api, a).bind(network)
     RestServer(sim, api, b).bind(network)
-    first = request(sim, network, a.address, HttpRequest("GET", "/datasets"))
-    second = request(sim, network, b.address, HttpRequest("GET", "/datasets"))
+    first = request(sim, network, a.address, HttpRequest("GET", "/v1/datasets"))
+    second = request(sim, network, b.address, HttpRequest("GET", "/v1/datasets"))
     assert first.body == second.body
 
 
 def test_route_pattern_does_not_match_deeper_paths():
     api = RestApi("x")
     api.get("/datasets/{dataset_id}", lambda req, p: p)
-    route, params = api.resolve(HttpRequest("GET", "/datasets/a/b"))
+    route, params = api.resolve(HttpRequest("GET", "/v1/datasets/a/b"))
     assert route is None
 
 
@@ -284,10 +284,9 @@ def test_route_table_listing_is_unchanged_by_the_lookup():
     api = RestApi("x")
     api.get("/a/{x}", lambda req, p: p, cost=0.01)
     api.post("/a", lambda req, p: p)
-    assert [(r.method, r.pattern, r.deprecated) for r in api.routes] == [
-        ("GET", "/v1", False),
-        ("GET", "/v1/a/{x}", False), ("GET", "/a/{x}", True),
-        ("POST", "/v1/a", False), ("POST", "/a", True)]
+    assert [(r.method, r.pattern) for r in api.routes] == [
+        ("GET", "/v1"), ("GET", "/v1/a/{x}"), ("POST", "/v1/a")]
+    assert len(api.routes) == len(api.describe()["routes"])
     assert api.describe()["routes"] == [
         {"method": "GET", "path": "/v1", "cost": 0.005, "safe": True,
          "cacheable": False},

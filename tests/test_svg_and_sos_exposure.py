@@ -66,7 +66,7 @@ def test_expose_sos_serves_catchment_sensors():
     address = evop.registry.first_address(service_name)
     assert address is not None
 
-    caps = evop.network.request(address, HttpRequest("GET", "/sos"))
+    caps = evop.network.request(address, HttpRequest("GET", "/v1/sos"))
     evop.run_for(10.0)
     assert caps.value.ok
     offerings = {o["procedure"] for o in caps.value.body["offerings"]}
@@ -74,7 +74,7 @@ def test_expose_sos_serves_catchment_sensors():
     assert len(offerings) == 4
 
     obs = evop.network.request(address, HttpRequest(
-        "GET", "/sos/observations/morland-rain-1",
+        "GET", "/v1/sos/observations/morland-rain-1",
         query={"begin": "0", "end": str(evop.sim.now)}))
     evop.run_for(10.0)
     assert obs.value.ok

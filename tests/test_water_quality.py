@@ -110,7 +110,7 @@ def test_water_quality_served_by_deployment():
     assert entry.kind.value == "experimental"   # the incubator path
     address = evop.registry.first_address("left-morland")
     reply = evop.network.request(address, HttpRequest(
-        "POST", "/wps/processes/water-quality-morland/execute",
+        "POST", "/v1/wps/processes/water-quality-morland/execute",
         body={"inputs": {"duration_hours": 72,
                          "scenario": "storage_ponds"}}),
         timeout=300.0)
