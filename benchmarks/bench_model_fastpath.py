@@ -20,9 +20,10 @@ the reference baseline:
   process-pool backend returns bit-identical results to the vector
   backend — the backend-comparison table prints all four arms.
 
-Results land in ``BENCH_model_fastpath.json`` at the repo root.  Run as
-a script for CI smoke (``python benchmarks/bench_model_fastpath.py
---quick``) or under pytest like every other bench.
+Run as a script (``python benchmarks/bench_model_fastpath.py``, CI smoke
+adds ``--quick``) and the results land in ``BENCH_model_fastpath.json``
+at the repo root; under pytest, like every other bench, it gates the
+same numbers and writes nothing.
 """
 
 import argparse
@@ -198,10 +199,14 @@ def identical(a: TopmodelResult, b: TopmodelResult) -> bool:
             and a.water_balance_error_mm == b.water_balance_error_mm)
 
 
-def timed(fn, repeats: int = 2):
-    """(best wall seconds, last result) — best-of-N with the collector
+def timed(fn, repeats: int = 2, clock=time.process_time):
+    """(best seconds, last result) — best-of-N with the collector
     quiesced, so a run inside the full suite (big heap, pending garbage)
-    measures the loops and not the interpreter's housekeeping."""
+    measures the loops and not the interpreter's housekeeping.  The
+    default clock is this process's CPU time (the e2e harness's host
+    clock): a busy box stretches the wall time of the two arms of a
+    ratio unevenly.  Only the arm whose work leaves the process (the
+    pool) is timed on the wall."""
     best = float("inf")
     result = None
     gc.collect()
@@ -209,9 +214,9 @@ def timed(fn, repeats: int = 2):
     gc.disable()
     try:
         for _ in range(repeats):
-            started = time.perf_counter()
+            started = clock()
             result = fn()
-            best = min(best, time.perf_counter() - started)
+            best = min(best, clock() - started)
     finally:
         if enabled:
             gc.enable()
@@ -261,7 +266,7 @@ def run_fastpath(samples: int = SAMPLES, hours: int = FORCING_HOURS) -> dict:
             batch=ensemble.batch, workers=2,
             chunk_size=max(1, samples // 2))
         pool_seconds, pool_results = timed(
-            lambda: pool_runner.run_many(draws))
+            lambda: pool_runner.run_many(draws), clock=time.perf_counter)
         vector_pool_identical = all(
             identical(a, b)
             for a, b in zip(vector_results, pool_results))
@@ -327,7 +332,7 @@ def report(result: dict) -> None:
     print_table(
         f"TOPMODEL fast path - {result['samples']}-sample GLUE ensemble, "
         f"{result['steps']} steps x {result['ti_classes']} TI classes",
-        ["path", "wall s", "speedup vs seed", "runs/s"],
+        ["path", "seconds", "speedup vs seed", "runs/s"],
         rows)
     if result["numpy"]:
         print(f"vectorized kernel: {result['vector_speedup_vs_cold']:.2f}x "
@@ -339,8 +344,6 @@ def report(result: dict) -> None:
     else:
         print("numpy absent: vectorized arms skipped "
               "(scalar fallback active)")
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_FILE}")
 
 
 def test_model_fastpath(benchmark):
@@ -378,6 +381,8 @@ def main(argv=None) -> int:
         result = run_fastpath()
         cold_floor = 1.5
     report(result)
+    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {RESULT_FILE}")
 
     failures = []
     if not result["bit_identical"]:

@@ -19,9 +19,10 @@ PR 6 telemetry plane:
    span tree through ``/v1/observability`` (ETag-revalidated on the
    second read).
 
-Results land in ``BENCH_observability.json`` at the repo root.  Run as a
-script (``python benchmarks/bench_observability.py [--quick]``) or under
-pytest like every other bench.
+Run as a script (``python benchmarks/bench_observability.py [--quick]``)
+and the results land in ``BENCH_observability.json`` at the repo root;
+under pytest, like every other bench, it gates the same numbers and
+writes nothing.
 """
 
 import argparse
@@ -198,7 +199,7 @@ def _probe_exemplar_api(evop):
 
 
 def run_bench(horizon: float = 1800.0):
-    """Both arms, the printed report, and the JSON artifact."""
+    """Both arms, the printed report, and the document script mode writes."""
     observed = run_arm(True, horizon=horizon)
     baseline = run_arm(False, horizon=horizon)
 
@@ -255,8 +256,6 @@ def run_bench(horizon: float = 1800.0):
         "exemplar": {k: v for k, v in exemplar.items() if k != "error"}
         if "trace_id" in exemplar else exemplar,
     }
-    RESULT_FILE.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {RESULT_FILE}")
     return observed, baseline, report
 
 
@@ -324,6 +323,8 @@ def main(argv=None) -> int:
 
     horizon = 900.0 if args.quick else 1800.0
     observed, _baseline, report = run_bench(horizon=horizon)
+    RESULT_FILE.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"\nwrote {RESULT_FILE}")
 
     failures = check_report(report, observed)
     for failure in failures:

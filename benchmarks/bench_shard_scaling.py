@@ -21,9 +21,10 @@ than removing work from it.  The bench pins three claims:
    process-global id counters are rewound before every measurement,
    because session ids feed the rendezvous hash.
 
-Results land in ``BENCH_shard_scaling.json`` at the repo root.  Run as
-a script (``python benchmarks/bench_shard_scaling.py [--quick]``) or
-under pytest like every other bench.
+Run as a script (``python benchmarks/bench_shard_scaling.py [--quick]``)
+and the results land in ``BENCH_shard_scaling.json`` at the repo root;
+under pytest, like every other bench, it gates the same numbers and
+writes nothing.
 """
 
 import argparse
@@ -341,8 +342,6 @@ def report(result):
         [[r["shards"], r["interactive_p50"], r["interactive_p95"],
           r["interactive_max"], r["batch_p50"], r["batch_p95"]]
          for r in result["isolation"]])
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_FILE}")
 
 
 def check(result):
@@ -395,6 +394,8 @@ def main(argv=None) -> int:
     else:
         result = run_bench(replicas=512, placements=3000)
     report(result)
+    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {RESULT_FILE}")
 
     failures = check(result)
     for failure in failures:

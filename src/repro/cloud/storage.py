@@ -88,6 +88,13 @@ class Container:
         except KeyError:
             raise BlobNotFound(f"{self.name}/{key}") from None
 
+    def read(self, key: str, default: Any = None) -> Any:
+        """The payload stored under ``key``, or ``default`` when absent."""
+        try:
+            return self.get(key).payload
+        except BlobNotFound:
+            return default
+
     def get_if_none_match(self, key: str, etag: str) -> Optional[Blob]:
         """Conditional get: ``None`` when the caller's etag is current."""
         blob = self.get(key)
@@ -105,6 +112,13 @@ class Container:
         if key not in self._blobs:
             raise BlobNotFound(f"{self.name}/{key}")
         del self._blobs[key]
+
+    def discard(self, key: str) -> None:
+        """Remove ``key`` if it is stored; an absent key is not an error."""
+        try:
+            self.delete(key)
+        except BlobNotFound:
+            pass
 
     def list(self, prefix: str = "") -> List[str]:
         """Keys with the given prefix, sorted."""

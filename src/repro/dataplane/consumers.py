@@ -1,11 +1,12 @@
 """Competing consumers: lease-claimed streams, redelivery, dead letters.
 
 Several consumer instances share the work of applying streams to the
-materialized views.  Coordination mirrors the PR 4 journal lease
-protocol: a consumer *claims* a stream by writing a lease blob with a
-TTL and a monotonically-increasing epoch; a dead consumer's claim
-expires and a peer takes over with a higher epoch, fencing any late
-writes from the previous holder.
+materialized views.  A consumer *claims* a stream under the estate's one
+lease rule (:func:`~repro.durable.journal.take_lease` and friends — the
+rule run journals and the leader election follow): the
+:class:`ClaimTable` keeps one lease blob per stream, a dead consumer's
+claim lapses, and the peer that takes over holds a higher epoch, which
+fences any late cursor commit from the previous holder.
 
 Delivery is at-least-once — a consumer can die after applying an event
 but before committing its cursor, so the next holder redelivers.  The
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import Container
 from repro.dataplane.events import Event
 from repro.dataplane.stream import StreamSet
+from repro.durable.journal import (LeaseState, drop_lease, extend_lease,
+                                   take_lease)
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
@@ -36,7 +38,7 @@ CLAIM_TTL = 30.0
 
 
 class ClaimTable:
-    """Durable per-stream leases with TTL expiry and epoch fencing."""
+    """Durable per-stream leases: one blob each, the shared lease rule."""
 
     def __init__(self, sim: Simulator, container: Container,
                  ttl: float = CLAIM_TTL):
@@ -44,70 +46,53 @@ class ClaimTable:
         self.ttl = ttl
         self._container = container
 
-    @staticmethod
-    def _key(stream: str) -> str:
-        return f"claims/{stream}"
+    def _read(self, stream: str) -> Optional[LeaseState]:
+        payload = self._container.read(f"claims/{stream}")
+        return None if payload is None else LeaseState.from_payload(payload)
 
-    def _read(self, stream: str) -> Optional[Dict[str, Any]]:
-        try:
-            return self._container.get(self._key(stream)).payload
-        except BlobNotFound:
-            return None
+    def _write(self, stream: str, lease: Optional[LeaseState]) -> bool:
+        """Store what the rule granted; ``False`` when it refused."""
+        if lease is None:
+            return False
+        self._container.put(f"claims/{stream}", lease.payload())
+        return True
 
     def claim(self, stream: str, owner: str) -> Optional[int]:
         """Try to claim ``stream``; returns the epoch held, or ``None``.
 
-        A live claim by another owner refuses; an expired or absent
-        claim is taken over with a bumped epoch (fencing the old
-        holder's late commits).
+        A live claim by another owner refuses; a change of owner bumps
+        the epoch (fencing the old holder's late commits).
         """
-        current = self._read(stream)
-        now = self.sim.now
-        if current is not None:
-            alive = current["expires"] > now
-            if alive and current["owner"] != owner:
-                return None
-            epoch = current["epoch"] + (0 if current["owner"] == owner
-                                        and alive else 1)
-        else:
-            epoch = 0
-        self._container.put(self._key(stream), {
-            "owner": owner, "epoch": epoch, "expires": now + self.ttl})
-        return epoch
+        lease = take_lease(self._read(stream), owner, self.sim.now, self.ttl)
+        return lease.epoch if self._write(stream, lease) else None
 
     def renew(self, stream: str, owner: str, epoch: int) -> bool:
         """Extend a held claim; ``False`` if it was lost (fenced)."""
         current = self._read(stream)
-        if (current is None or current["owner"] != owner
-                or current["epoch"] != epoch):
+        if current is None or current.epoch != epoch:
             return False
-        self._container.put(self._key(stream), {
-            "owner": owner, "epoch": epoch,
-            "expires": self.sim.now + self.ttl})
-        return True
+        return self._write(stream, extend_lease(current, owner, self.sim.now,
+                                                self.ttl))
 
     def holds(self, stream: str, owner: str, epoch: int) -> bool:
         """Whether ``owner`` still holds ``stream`` at ``epoch``."""
         current = self._read(stream)
-        return (current is not None and current["owner"] == owner
-                and current["epoch"] == epoch
-                and current["expires"] > self.sim.now)
+        return (current is not None and current.owner == owner
+                and current.epoch == epoch
+                and current.held_at(self.sim.now))
 
     def release(self, stream: str, owner: str) -> None:
-        """Drop a claim so peers can take the stream immediately."""
-        current = self._read(stream)
-        if current is not None and current["owner"] == owner:
-            try:
-                self._container.delete(self._key(stream))
-            except BlobNotFound:  # pragma: no cover - defensive
-                pass
+        """Give a claim up so peers can take the stream immediately; the
+        blob stays, so the stream's epoch never restarts."""
+        self._write(stream, drop_lease(self._read(stream), owner,
+                                       self.sim.now))
 
     def owner_of(self, stream: str) -> Optional[str]:
         """The live holder of ``stream``, if any."""
         current = self._read(stream)
-        if current is None or current["expires"] <= self.sim.now:
+        if current is None or not current.held_at(self.sim.now):
             return None
-        return current["owner"]
+        return current.owner
 
 
 class DeadLetterQueue:
@@ -195,10 +180,7 @@ class ConsumerGroup:
 
     def committed_cursor(self, stream: str) -> int:
         """The first sequence not yet durably applied for ``stream``."""
-        try:
-            return self._container.get(self._cursor_key(stream)).payload
-        except BlobNotFound:
-            return 0
+        return self._container.read(self._cursor_key(stream), 0)
 
     def _commit_cursor(self, stream: str, seq: int, epoch: int) -> None:
         # Fenced commit: a holder that lost its claim must not move the
@@ -210,23 +192,14 @@ class ConsumerGroup:
     def _attempts_key(self, stream: str, seq: int) -> str:
         return f"attempts/{stream}/{seq:08d}"
 
-    def _attempts(self, stream: str, seq: int) -> int:
-        try:
-            return self._container.get(
-                self._attempts_key(stream, seq)).payload
-        except BlobNotFound:
-            return 0
-
     def _bump_attempts(self, stream: str, seq: int) -> int:
-        count = self._attempts(stream, seq) + 1
-        self._container.put(self._attempts_key(stream, seq), count)
+        key = self._attempts_key(stream, seq)
+        count = self._container.read(key, 0) + 1
+        self._container.put(key, count)
         return count
 
     def _clear_attempts(self, stream: str, seq: int) -> None:
-        try:
-            self._container.delete(self._attempts_key(stream, seq))
-        except BlobNotFound:
-            pass
+        self._container.discard(self._attempts_key(stream, seq))
 
     # -- the drain loop ------------------------------------------------------
 

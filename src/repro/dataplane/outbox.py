@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import Container
 from repro.durable.journal import jsonable
 from repro.obs.hub import obs_of
@@ -90,21 +89,14 @@ class TransactionalOutbox:
 
     def pending(self) -> List[OutboxEntry]:
         """Entries recorded but not yet marked published, oldest first."""
-        entries = []
-        for key in self._container.list(prefix="pending/"):
-            try:
-                entries.append(
-                    OutboxEntry.from_document(self._container.get(key).payload))
-            except BlobNotFound:  # pragma: no cover - concurrent mark
-                continue
-        return entries
+        documents = (self._container.read(key)
+                     for key in self._container.list(prefix="pending/"))
+        return [OutboxEntry.from_document(doc) for doc in documents
+                if doc is not None]  # None: marked published meanwhile
 
     def mark_published(self, entry: OutboxEntry) -> None:
         """Drop a pending entry once its stream append is durable."""
-        try:
-            self._container.delete(self._key(entry.seq))
-        except BlobNotFound:
-            pass
+        self._container.discard(self._key(entry.seq))
 
     def depth(self) -> int:
         """How many entries await publication."""

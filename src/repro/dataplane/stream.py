@@ -1,11 +1,12 @@
-"""Append-only event streams on the durable journal substrate.
+"""Append-only event streams on the durable record log.
 
-An :class:`EventStream` is a sequence of CRC-checked records in a blob
-container — the same record format, keying scheme (``<name>/<seq>``)
-and torn-tail truncation the write-ahead run journal uses, so every
-storage fault the chaos harness can inject applies to event streams
-too, and a reopened stream exposes exactly what its writers made
-durable.
+An :class:`EventStream` is one :class:`~repro.durable.journal.RecordLog`
+of ``EVENT`` records plus what it folds them into: the event list and
+the publisher dedup tokens.  Record format, keys (``<name>/<seq>``),
+torn-tail truncation on open and the durable append are the log's (see
+:mod:`repro.durable.journal`), so every storage fault the chaos harness
+can inject applies to event streams too, and a reopened stream exposes
+exactly what its writers made durable.
 
 Streams are *partitions*: observation events are partitioned per
 catchment, run events live on one ``runs`` stream.  Consumers claim
@@ -19,11 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import Container
 from repro.dataplane.events import Event
-from repro.durable.journal import EVENT, JournalRecord, jsonable
-from repro.obs.hub import obs_of
+from repro.durable.journal import EVENT, JournalRecord, RecordLog, jsonable
 from repro.sim import Simulator
 
 
@@ -35,50 +34,18 @@ class EventStream:
             raise ValueError(f"stream name {name!r} must not contain '/'")
         self.sim = sim
         self.name = name
-        self._container = container
+        self._log = RecordLog(sim, container, name)
         self._events: List[Event] = []
         self._tokens: set = set()
-        self.truncated_records = 0
         self.deduplicated = 0
-        self._load()
-
-    # -- durability ---------------------------------------------------------
-
-    def _key(self, seq: int) -> str:
-        return f"{self.name}/{seq:08d}"
-
-    def _load(self) -> None:
-        """Replay the container, truncating any torn tail (open path)."""
-        keys = self._container.list(prefix=f"{self.name}/")
-        expected = 0
-        good: List[JournalRecord] = []
-        bad_from: Optional[int] = None
-        for i, key in enumerate(keys):
-            record = self._safe_parse(key)
-            if record is None or record.seq != expected:
-                bad_from = i
-                break
-            good.append(record)
-            expected += 1
-        if bad_from is not None:
-            dropped = keys[bad_from:]
-            for key in dropped:
-                try:
-                    self._container.delete(key)
-                except BlobNotFound:  # pragma: no cover - defensive
-                    pass
-            self.truncated_records += len(dropped)
-            obs_of(self.sim).events.emit(
-                "dataplane.stream.truncated", stream=self.name,
-                dropped=len(dropped), first_bad=dropped[0])
-        for record in good:
+        for record in self._log.open("dataplane.stream.truncated",
+                                     stream=name):
             self._absorb(record)
 
-    def _safe_parse(self, key: str) -> Optional[JournalRecord]:
-        try:
-            return JournalRecord.parse(self._container.get(key).payload)
-        except BlobNotFound:  # pragma: no cover - defensive
-            return None
+    @property
+    def truncated_records(self) -> int:
+        """Records the open path dropped as a torn tail."""
+        return self._log.truncated_records
 
     def _absorb(self, record: JournalRecord) -> Event:
         data = record.payload
@@ -117,12 +84,9 @@ class EventStream:
             raise ValueError(
                 f"stream {self.name}: event payload for kind {kind!r} is "
                 f"not JSON-serialisable")
-        record = JournalRecord(
-            seq=self.head, time=self.sim.now, run_id=self.name, kind=EVENT,
-            payload={"kind": kind, "key": key, "data": canonical_data,
-                     "token": token})
-        self._container.put(self._key(record.seq), record.to_text())
-        return self._absorb(record)
+        return self._absorb(self._log.append(self.sim.now, EVENT, {
+            "kind": kind, "key": key, "data": canonical_data,
+            "token": token}))
 
     def read(self, from_seq: int = 0,
              limit: Optional[int] = None) -> List[Event]:

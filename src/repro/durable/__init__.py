@@ -4,9 +4,13 @@ The paper's portal promises stakeholders a submitted experiment
 *completes*; PR 3's resilience fabric hardened the client path, and
 this package hardens the work itself:
 
-* :mod:`repro.durable.journal` — write-ahead :class:`RunJournal` on the
-  blob store (CRC records, fsync points, torn-tail truncation, leases
-  with fencing epochs) and the :class:`JournalStore` namespace.
+* :mod:`repro.durable.journal` — the durable substrate the whole estate
+  stands on: the one record log (CRC records, torn-tail truncation) and
+  the one lease rule (fencing epochs), plus their first carrier, the
+  write-ahead :class:`RunJournal` (fsync points) in its
+  :class:`JournalStore` namespace.  Event streams and stream claims
+  (:mod:`repro.dataplane`) and the leader election (:mod:`repro.geo`)
+  are the other carriers.
 * :mod:`repro.durable.state` — pure journal replay into
   :class:`RunState`; consistent for every record prefix.
 * :mod:`repro.durable.recovery` — :class:`RecoveryManager`: orphan

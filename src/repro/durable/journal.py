@@ -1,38 +1,43 @@
-"""Write-ahead run journal on the simulated blob store.
+"""The durable substrate: one record log, one lease rule, the run journal.
 
-Durable execution starts from one primitive: an append-only journal of
-run lifecycle records that outlives the executor that wrote it.  The
-journal lives in :class:`~repro.cloud.storage.BlobStore` containers
-(one blob per record, keyed ``<run_id>/<seq>``), so everything the
-fault injector can do to storage — outages, torn writes — applies to
-the journal too, and recovery reads exactly what a crashed executor
-managed to make durable.
+Everything that must outlive the replica that wrote it stands on two
+primitives defined here and nowhere else:
 
-Semantics:
+* **the record log** (:class:`RecordLog`) — one blob per record in a
+  :class:`~repro.cloud.storage.BlobStore` container, keyed
+  ``<name>/<seq:08d>``, each the CRC-checked text of a
+  :class:`JournalRecord`.  Opening truncates the torn tail (the first
+  record that fails its CRC or breaks the sequence goes, with everything
+  after it), so whatever the fault injector does to storage — outages,
+  torn writes — a reopen reads exactly what was made durable.
+* **the lease rule** (:func:`take_lease`, :func:`extend_lease`,
+  :func:`drop_lease` over :class:`LeaseState`) — a live lease refuses
+  every other owner; a change of owner bumps the epoch, which starts at
+  1 and never goes down; giving up is "expires now", so the record and
+  its epoch survive the release.
+
+Carriers: :class:`RunJournal` (log + lease, below),
+:class:`~repro.dataplane.stream.EventStream` (log),
+:class:`~repro.dataplane.consumers.ClaimTable` (lease) and, through its
+journals, :class:`~repro.geo.election.LeaderElection`.  The run journal
+adds:
 
 * **fsync points** — ``append(..., sync=False)`` buffers in executor
   memory; only ``sync()`` makes records durable.  An executor crash
   (:meth:`RunJournal.crash`) loses the unsynced tail, and may leave the
   first in-flight record *torn* (partially written).
-* **CRC-checked records** — every record carries a CRC32 of its
-  canonical JSON text; a torn or corrupt record fails verification.
-* **torn-tail truncation on open** — :meth:`JournalStore.open` replays
-  blobs in sequence order and truncates at the first record that fails
-  CRC or breaks the sequence, deleting it and everything after it.
-* **leases** — journal-recorded ownership with simulated-clock expiry
-  and fencing epochs.  ``sync()`` refuses to append over records a new
-  owner wrote (:class:`Fenced`), so a healed-from-blackhole executor
-  can never scribble on a run that was re-adopted while it was dark.
+* **fencing** — ``sync()`` refuses to append over records a new owner
+  wrote (:class:`Fenced`), so a healed-from-blackhole executor can never
+  scribble on a run that was re-adopted while it was dark.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import BlobStore, Container
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
@@ -120,16 +125,134 @@ class JournalRecord:
 
 @dataclass(frozen=True)
 class LeaseState:
-    """The journal's current view of run ownership."""
+    """Who owns something, at which fencing epoch, until when."""
 
     owner: str
     epoch: int
     expires: float
     ttl: float
 
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "LeaseState":
+        """The lease a ``LEASE`` record (or a claim blob) carries."""
+        return cls(owner=payload["owner"], epoch=payload["epoch"],
+                   expires=payload["expires"], ttl=payload["ttl"])
+
+    def payload(self) -> Dict[str, Any]:
+        """The durable form :meth:`from_payload` reads back."""
+        return {"owner": self.owner, "epoch": self.epoch,
+                "expires": self.expires, "ttl": self.ttl}
+
     def held_at(self, now: float) -> bool:
         """Whether the lease is still live at ``now``."""
         return now < self.expires
+
+
+# -- the lease rule ---------------------------------------------------------
+# Pure: the lease a carrier read back in, the lease it should write out, or
+# ``None`` for refused.  Storage and the error reported are the carrier's.
+
+def take_lease(current: Optional[LeaseState], owner: str, now: float,
+               ttl: float) -> Optional[LeaseState]:
+    """Take (or retake) the lease; refused while another owner's is live.
+
+    The first lease has epoch 1, the same owner keeps its epoch, and a
+    change of owner bumps it — which is what fences the previous owner.
+    """
+    if current is None:
+        epoch = 1
+    elif current.owner == owner:
+        epoch = current.epoch
+    elif current.held_at(now):
+        return None
+    else:
+        epoch = current.epoch + 1
+    return LeaseState(owner, epoch, now + ttl, ttl)
+
+
+def extend_lease(current: Optional[LeaseState], owner: str, now: float,
+                 ttl: float) -> Optional[LeaseState]:
+    """Push the expiry out; refused once the lease moved to someone else."""
+    if current is None or current.owner != owner:
+        return None
+    return LeaseState(owner, current.epoch, now + ttl, ttl)
+
+
+def drop_lease(current: Optional[LeaseState], owner: str,
+               now: float) -> Optional[LeaseState]:
+    """Give the lease up: it expires now, and the epoch stays on record."""
+    if current is None or current.owner != owner:
+        return None
+    return LeaseState(owner, current.epoch, now, 0.0)
+
+
+class RecordLog:
+    """The durable record log under every journal and event stream.
+
+    The log keeps no records, only how far the contiguous durable prefix
+    reaches (``next_seq``): each carrier folds the records it is handed
+    into whatever it needs (a lease, a run state, an event list).
+    """
+
+    def __init__(self, sim: Simulator, container: Container, name: str):
+        self.sim = sim
+        self.name = name
+        self._container = container
+        self.next_seq = 0
+        self.truncated_records = 0
+
+    def key(self, seq: int) -> str:
+        """The blob key of record ``seq``."""
+        return f"{self.name}/{seq:08d}"
+
+    def open(self, event: str, **who: str) -> List[JournalRecord]:
+        """Replay the store, truncate the torn tail, return the good prefix.
+
+        A truncation is announced as ``event`` with the carrier's ``who``
+        field first, then ``dropped`` and ``first_bad``.
+        """
+        keys = self._container.list(prefix=f"{self.name}/")
+        good: List[JournalRecord] = []
+        for i, key in enumerate(keys):
+            record = JournalRecord.parse(self._container.read(key))
+            if record is None or record.seq != len(good):
+                dropped = keys[i:]
+                for bad in dropped:
+                    self._container.discard(bad)
+                self.truncated_records += len(dropped)
+                obs_of(self.sim).events.emit(
+                    event, **who, dropped=len(dropped), first_bad=dropped[0])
+                break
+            good.append(record)
+        self.next_seq = len(good)
+        return good
+
+    def tail(self) -> List[JournalRecord]:
+        """Records other writers made durable since the last look.
+
+        Stops at the first record that fails its CRC or breaks the
+        sequence; nothing is deleted outside :meth:`open`.
+        """
+        fresh: List[JournalRecord] = []
+        first_new = self.key(self.next_seq)
+        for key in self._container.list(prefix=f"{self.name}/"):
+            if key < first_new:
+                continue
+            record = JournalRecord.parse(self._container.read(key))
+            if record is None or record.seq != self.next_seq:
+                break
+            fresh.append(record)
+            self.next_seq += 1
+        return fresh
+
+    def append(self, time: float, kind: str,
+               payload: Dict[str, Any]) -> JournalRecord:
+        """Write the next record; it is durable when this returns."""
+        record = JournalRecord(seq=self.next_seq, time=time,
+                               run_id=self.name, kind=kind, payload=payload)
+        self._container.put(self.key(record.seq), record.to_text())
+        self.next_seq += 1
+        return record
 
 
 class RunJournal:
@@ -142,84 +265,46 @@ class RunJournal:
     def __init__(self, sim: Simulator, container: Container,
                  run_id: str):
         self.sim = sim
-        self._container = container
         self.run_id = run_id
+        self._container = container
+        self._log = RecordLog(sim, container, run_id)
         self._records: List[JournalRecord] = []   # durable + verified
         self._tail: List[JournalRecord] = []      # appended, unsynced
         self._mine: set = set()                   # seqs this writer synced
         self._lease: Optional[LeaseState] = None
-        self.truncated_records = 0
+
+    @property
+    def truncated_records(self) -> int:
+        """Records the open path dropped as a torn tail."""
+        return self._log.truncated_records
 
     # -- load / refresh ------------------------------------------------------
 
-    def _key(self, seq: int) -> str:
-        return f"{self.run_id}/{seq:08d}"
-
     def _load(self) -> None:
         """Replay the store, truncating the torn tail (open path)."""
-        keys = self._container.list(prefix=f"{self.run_id}/")
-        expected = 0
-        good: List[JournalRecord] = []
-        bad_from: Optional[int] = None
-        for i, key in enumerate(keys):
-            record = self._safe_parse(key)
-            if record is None or record.seq != expected:
-                bad_from = i
-                break
-            good.append(record)
-            expected += 1
-        if bad_from is not None:
-            dropped = keys[bad_from:]
-            for key in dropped:
-                try:
-                    self._container.delete(key)
-                except BlobNotFound:  # pragma: no cover - defensive
-                    pass
-            self.truncated_records += len(dropped)
-            obs_of(self.sim).events.emit(
-                "durable.journal.truncated", run=self.run_id,
-                dropped=len(dropped), first_bad=dropped[0])
-        self._records = good
-        for record in good:
+        for record in self._log.open("durable.journal.truncated",
+                                     run=self.run_id):
             self._apply(record)
-
-    def _safe_parse(self, key: str) -> Optional[JournalRecord]:
-        try:
-            return JournalRecord.parse(self._container.get(key).payload)
-        except BlobNotFound:  # pragma: no cover - defensive
-            return None
 
     def _refresh(self) -> int:
         """Absorb records another writer appended since we last looked."""
-        top = self._records[-1].seq if self._records else -1
-        keys = self._container.list(prefix=f"{self.run_id}/")
-        absorbed = 0
         foreign = 0
-        for key in keys:
-            try:
-                seq = int(key.rsplit("/", 1)[1])
-            except (IndexError, ValueError):  # pragma: no cover
-                continue
-            if seq <= top:
-                continue
-            record = self._safe_parse(key)
-            if record is None or record.seq != top + 1:
-                break
-            self._records.append(record)
+        for record in self._log.tail():
             self._apply(record)
-            top = record.seq
-            absorbed += 1
-            if record.seq not in self._mine:
-                foreign += 1
+            foreign += record.seq not in self._mine
         return foreign
+
+    def _apply(self, record: JournalRecord) -> None:
+        self._records.append(record)
+        if record.kind == LEASE:
+            self._lease = LeaseState.from_payload(record.payload)
 
     # -- append / sync -------------------------------------------------------
 
     @property
     def next_seq(self) -> int:
         """The sequence number the next appended record will take."""
-        base = self._records[-1].seq + 1 if self._records else 0
-        return base + len(self._tail)
+        return self._log.next_seq + len(self._tail)
 
     def append(self, kind: str, sync: bool = True,
                **payload: Any) -> JournalRecord:
@@ -251,18 +336,14 @@ class RunJournal:
                                          run=self.run_id)
             raise Fenced(f"run {self.run_id}: journal advanced by another "
                          f"owner; this executor is fenced")
-        written = 0
-        base = self._records[-1].seq + 1 if self._records else 0
-        for offset, record in enumerate(self._tail):
-            renumbered = JournalRecord(
-                seq=base + offset, time=record.time, run_id=record.run_id,
-                kind=record.kind, payload=record.payload)
-            self._container.put(self._key(renumbered.seq),
-                                renumbered.to_text())
-            self._mine.add(renumbered.seq)
-            self._records.append(renumbered)
-            self._apply(renumbered)
-            written += 1
+        # The log renumbers: a buffered record takes the sequence the
+        # store is at now, not the one it was handed when buffered.
+        for record in self._tail:
+            durable = self._log.append(record.time, record.kind,
+                                       record.payload)
+            self._mine.add(durable.seq)
+            self._apply(durable)
+        written = len(self._tail)
         self._tail.clear()
         return written
 
@@ -276,12 +357,9 @@ class RunJournal:
         """
         lost = len(self._tail)
         if torn and self._tail:
-            record = self._tail[0]
-            base = self._records[-1].seq + 1 if self._records else 0
-            text = JournalRecord(seq=base, time=record.time,
-                                 run_id=record.run_id, kind=record.kind,
-                                 payload=record.payload).to_text()
-            self._container.put(self._key(base),
+            base = self._log.next_seq
+            text = replace(self._tail[0], seq=base).to_text()
+            self._container.put(self._log.key(base),
                                 text[: max(1, (2 * len(text)) // 3)])
             obs_of(self.sim).events.emit("durable.journal.torn",
                                          run=self.run_id, seq=base)
@@ -315,56 +393,37 @@ class RunJournal:
         """Take (or retake) the lease; returns the fencing epoch.
 
         Refused with :class:`LeaseError` while a *different* owner's
-        lease is unexpired.  Taking over an expired or released lease
-        bumps the epoch, which is what fences the previous owner.
+        lease is unexpired (the rule is :func:`take_lease`).
         """
-        self._refresh()
+        current = self.lease()
         now = self.sim.now
-        current = self._lease
-        if (current is not None and current.owner != owner
-                and current.held_at(now)):
+        lease = take_lease(current, owner, now, ttl)
+        if lease is None:
             raise LeaseError(
                 f"run {self.run_id} leased by {current.owner!r} until "
                 f"t={current.expires:.1f} (now t={now:.1f})")
-        if current is None:
-            epoch = 1
-        elif current.owner == owner:
-            epoch = current.epoch
-        else:
-            epoch = current.epoch + 1
-        self.append(LEASE, owner=owner, epoch=epoch,
-                    expires=now + ttl, ttl=ttl)
+        self.append(LEASE, **lease.payload())
         obs_of(self.sim).events.emit("durable.lease.acquired",
                                      run=self.run_id, owner=owner,
-                                     epoch=epoch, ttl=ttl)
-        return epoch
+                                     epoch=lease.epoch, ttl=ttl)
+        return lease.epoch
 
     def renew(self, owner: str, ttl: float) -> int:
         """Extend the lease; :class:`LeaseError` if it moved on."""
-        self._refresh()
-        current = self._lease
-        if current is None or current.owner != owner:
+        current = self.lease()
+        lease = extend_lease(current, owner, self.sim.now, ttl)
+        if lease is None:
             holder = current.owner if current else None
             raise LeaseError(f"run {self.run_id}: lease lost "
                              f"(now held by {holder!r})")
-        self.append(LEASE, owner=owner, epoch=current.epoch,
-                    expires=self.sim.now + ttl, ttl=ttl)
-        return current.epoch
+        self.append(LEASE, **lease.payload())
+        return lease.epoch
 
     def release(self, owner: str) -> None:
         """Give the lease up early (expires immediately); idempotent."""
-        self._refresh()
-        current = self._lease
-        if current is None or current.owner != owner:
-            return
-        self.append(LEASE, owner=owner, epoch=current.epoch,
-                    expires=self.sim.now, ttl=0.0)
-
-    def _apply(self, record: JournalRecord) -> None:
-        if record.kind == LEASE:
-            p = record.payload
-            self._lease = LeaseState(owner=p["owner"], epoch=p["epoch"],
-                                     expires=p["expires"], ttl=p["ttl"])
+        lease = drop_lease(self.lease(), owner, self.sim.now)
+        if lease is not None:
+            self.append(LEASE, **lease.payload())
 
 
 class JournalStore:

@@ -114,9 +114,7 @@ def replay(records: Iterable[j.JournalRecord],
             state.adoptions += 1
             state._advance("running")
         elif record.kind == j.LEASE:
-            state.lease = j.LeaseState(
-                owner=p["owner"], epoch=p["epoch"],
-                expires=p["expires"], ttl=p["ttl"])
+            state.lease = j.LeaseState.from_payload(p)
         elif record.kind == j.CHECKPOINT:
             if "node_id" in p:
                 node = p["node_id"]

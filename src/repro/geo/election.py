@@ -1,15 +1,17 @@
 """Leases-based leader election across regional journals.
 
 The geo capacity ledger needs exactly one decision-maker at a time.
-Rather than invent a consensus protocol, the election reuses the
-``repro.durable`` lease primitive: every region's
+Rather than invent a consensus protocol — or a lease rule — the
+election carries none of its own: every region's
 :class:`~repro.durable.journal.JournalStore` holds an election journal
-(run id ``geo/<cluster>``) and the coordinator writes the same
-``LEASE`` record into every reachable region's copy.  The *merged*
-view — the lease with the highest ``(epoch, expires)`` across
+(run id ``geo/<cluster>``), the coordinator takes, extends and reads the
+lease through :class:`~repro.durable.journal.RunJournal` on every
+reachable region's copy, and the estate's one lease rule
+(:func:`~repro.durable.journal.take_lease`) decides each of them.  The
+*merged* view — the lease with the highest ``(epoch, expires)`` across
 reachable journals — is the cluster's truth, so a candidate campaigning
-while the old leader's lease is still live anywhere is refused by the
-journal's own :class:`~repro.durable.journal.LeaseError` rules.
+while the old leader's lease is still live anywhere is refused with the
+journal's :class:`~repro.durable.journal.LeaseError`.
 
 Fencing: every successful campaign advances a monotonic **term**
 (never below any journal epoch it acquired).  Ledger writes carry the

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import Container
 from repro.perf.keys import content_key
 from repro.sim import Simulator
@@ -91,13 +90,6 @@ class IdempotencyIndex:
             return f"idem/{content_key(key)}"
         return f"idem/{content_key((tenant, key))}"
 
-    def _read(self, key: str,
-              tenant: Optional[str] = None) -> Optional[Dict[str, Any]]:
-        try:
-            return self._container.get(self._key(key, tenant)).payload
-        except BlobNotFound:
-            return None
-
     def admit(self, key: str, fingerprint: str,
               tenant: Optional[str] = None) -> Admission:
         """Classify one attempt and, when fresh, reserve the key.
@@ -105,7 +97,7 @@ class IdempotencyIndex:
         ``tenant`` scopes the key: reservations, replays and conflicts
         are all per ``(tenant, key)``.
         """
-        record = self._read(key, tenant)
+        record = self._container.read(self._key(key, tenant))
         if record is not None:
             if record["fingerprint"] != fingerprint:
                 self.conflicts += 1
@@ -137,7 +129,7 @@ class IdempotencyIndex:
         over) must not overwrite the new attempt's state.  Returns
         whether the response was stored.
         """
-        record = self._read(key, tenant)
+        record = self._container.read(self._key(key, tenant))
         if record is None or record["epoch"] != epoch:
             return False
         self._container.put(self._key(key, tenant), {
@@ -152,10 +144,7 @@ class IdempotencyIndex:
     def forget(self, key: str, tenant: Optional[str] = None) -> None:
         """Drop a reservation (a failed attempt that should not pin the
         key — e.g. the handler never produced a recordable response)."""
-        try:
-            self._container.delete(self._key(key, tenant))
-        except BlobNotFound:
-            pass
+        self._container.discard(self._key(key, tenant))
 
     def depth(self) -> int:
         """How many keys are tracked (pending + done)."""

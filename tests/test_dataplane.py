@@ -187,15 +187,34 @@ def test_consumers_split_streams_and_drain(plane):
 def test_claim_refuses_live_holder_and_takes_over_expired(sim, store):
     claims = ClaimTable(sim, store.create_container("claims"), ttl=30.0)
     epoch_a = claims.claim("s", "a")
-    assert epoch_a == 0
+    assert epoch_a == 1
     assert claims.claim("s", "b") is None
     sim.run(until=sim.now + 31.0)
     epoch_b = claims.claim("s", "b")
-    assert epoch_b == 1
+    assert epoch_b == 2
     # the fenced old holder can no longer renew or commit
     assert not claims.renew("s", "a", epoch_a)
     assert not claims.holds("s", "a", epoch_a)
     assert claims.holds("s", "b", epoch_b)
+
+
+def test_claim_epochs_never_restart_across_release_and_expiry(sim, store):
+    claims = ClaimTable(sim, store.create_container("claims"), ttl=30.0)
+    first = claims.claim("s", "consumer-0")
+    claims.release("s", "consumer-0")
+    assert claims.owner_of("s") is None
+    # a peer takes the released stream at once, above the old epoch
+    taken = claims.claim("s", "consumer-1")
+    assert taken > first
+    claims.release("s", "consumer-1")
+    # the restarted first consumer can never hold its dead incarnation's
+    # (owner, epoch) pair again
+    again = claims.claim("s", "consumer-0")
+    assert again > taken
+    assert not claims.holds("s", "consumer-0", first)
+    sim.run(until=sim.now + 31.0)
+    assert claims.owner_of("s") is None
+    assert claims.claim("s", "consumer-1") > again
 
 
 def test_consumer_crash_failover_resumes_at_committed_cursor(sim, store):

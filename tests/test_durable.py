@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import BlobStore, StorageUnavailable
+from repro.dataplane import ClaimTable
 from repro.durable import (
     DurableSweep,
     Fenced,
@@ -132,6 +133,98 @@ def test_expired_lease_takeover_fences_old_owner(sim, store):
     with pytest.raises(LeaseError):
         journal_a.renew("exec-a", ttl=60.0)
     assert journal_a.owner_at() == "exec-b"
+
+
+# -- the lease rule, on both carriers (property) ------------------------------
+
+_OWNERS = ("a", "b", "c")
+_TTL = 10.0
+
+
+class _JournalLeases:
+    """The rule as run journals carry it: one handle per owner."""
+
+    def __init__(self, sim):
+        store = JournalStore(sim, BlobStore(sim))
+        self.sim = sim
+        self.handles = {o: store.open_or_create("run-l") for o in _OWNERS}
+
+    def take(self, owner):
+        try:
+            return self.handles[owner].acquire(owner, _TTL)
+        except LeaseError:
+            return None
+
+    def extend(self, owner, epoch):
+        try:
+            return self.handles[owner].renew(owner, _TTL)
+        except LeaseError:
+            return None
+
+    def give_up(self, owner):
+        self.handles[owner].release(owner)
+
+    def holds(self, owner, epoch):
+        lease = self.handles[owner].lease()
+        return lease is not None and lease.held_at(self.sim.now) \
+            and (lease.owner, lease.epoch) == (owner, epoch)
+
+
+class _ClaimLeases:
+    """The rule as stream claims carry it: one blob, one table."""
+
+    def __init__(self, sim):
+        self.claims = ClaimTable(sim, BlobStore(sim).create_container("c"),
+                                 ttl=_TTL)
+
+    def take(self, owner):
+        return self.claims.claim("s", owner)
+
+    def extend(self, owner, epoch):
+        return epoch if self.claims.renew("s", owner, epoch) else None
+
+    def give_up(self, owner):
+        self.claims.release("s", owner)
+
+    def holds(self, owner, epoch):
+        return self.claims.holds("s", owner, epoch)
+
+
+_LEASE_STEPS = st.lists(st.tuples(
+    st.sampled_from(["take", "extend", "give_up"]),
+    st.sampled_from(_OWNERS),
+    st.sampled_from([0.0, 1.0, _TTL / 2, _TTL, _TTL + 1.0])), max_size=40)
+
+
+@pytest.mark.parametrize("carrier", [_JournalLeases, _ClaimLeases])
+@settings(max_examples=150, deadline=None)
+@given(steps=_LEASE_STEPS)
+def test_lease_rule_one_holder_and_monotonic_epochs(carrier, steps):
+    sim = Simulator()
+    leases = carrier(sim)
+    granted = {}                  # owner -> the epoch it was last handed
+    holder, top = None, 0         # the last grant, whoever it went to
+    for op, owner, wait in steps:
+        sim.run(until=sim.now + wait)
+        if op == "give_up":
+            leases.give_up(owner)
+            assert not leases.holds(owner, granted.get(owner, 0))
+        else:
+            others_live = any(leases.holds(o, e) for o, e in granted.items()
+                              if o != owner)
+            epoch = leases.take(owner) if op == "take" \
+                else leases.extend(owner, granted.get(owner, 0))
+            if op == "take":
+                # refused exactly while another owner's lease is live
+                assert (epoch is None) == others_live
+            if epoch is not None:
+                assert epoch >= max(top, 1)        # never goes down
+                if holder is not None and owner != holder:
+                    assert epoch > top             # a new holder is fenced off
+                granted[owner] = epoch
+                holder, top = owner, epoch
+        live = [o for o, e in granted.items() if leases.holds(o, e)]
+        assert len(live) <= 1
 
 
 # -- replay consistency (property) ------------------------------------------
