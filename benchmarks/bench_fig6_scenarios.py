@@ -9,7 +9,7 @@ reduce it.  We regenerate the widget's summary table for both deployed
 models (TOPMODEL and the FUSE ensemble) on the Morland design storm.
 """
 
-from benchmarks.harness import once, print_table
+from benchmarks.harness import assert_each_was_computed, once, print_table
 from repro.data import STUDY_CATCHMENTS
 from repro.modellib import make_fuse_process, make_topmodel_process
 
@@ -26,6 +26,8 @@ def run_experiment():
         top_out = topmodel.execute(topmodel.validate(dict(inputs)))
         fuse_out = fuse.execute(fuse.validate(dict(inputs)))
         results[scenario] = {"topmodel": top_out, "fuse": fuse_out}
+    assert_each_was_computed(topmodel, len(results))
+    assert_each_was_computed(fuse, len(results))
     return results
 
 
@@ -79,6 +81,7 @@ def test_fig6_slider_sensitivity(benchmark):
         for m_value in (8.0, 15.0, 40.0):
             inputs = process.validate({"duration_hours": 96, "m": m_value})
             out[m_value] = process.execute(inputs)["peak_mm_h"]
+        assert_each_was_computed(process, len(out))
         return out
 
     peaks = once(benchmark, run)

@@ -25,7 +25,7 @@ from repro.cloud import (
     OpenStackCloud,
 )
 from repro.cloud.flavors import Flavor
-from repro.perf import RunCache
+from repro.perf import RunCache, run_key
 from repro.sim import RandomStreams, Simulator
 
 SWEEP_RUNS = 200
@@ -34,7 +34,7 @@ WORKER = Flavor("worker", vcpus=1, ram_mb=2048, disk_gb=20)
 
 
 def _draw_key(run_id: int) -> str:
-    return RunCache.key_of("glue", {"draw": run_id}, "storm-forcing")
+    return run_key("glue", {"draw": run_id}, "storm-forcing")
 
 
 def run_sweep(workers: int, elastic: bool, cache: RunCache = None):

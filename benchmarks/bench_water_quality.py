@@ -10,7 +10,7 @@ Morland outlet.  Expected shape: soil compaction multiplies the sediment
 and phosphorus export; afforestation and attenuation ponds cut it.
 """
 
-from benchmarks.harness import once, print_table
+from benchmarks.harness import assert_each_was_computed, once, print_table
 from repro.data import STUDY_CATCHMENTS
 from repro.modellib import make_water_quality_process
 
@@ -25,6 +25,7 @@ def run_scenarios():
                                    "scenario": scenario,
                                    "storm_depth_mm": 60.0})
         results[scenario] = process.execute(inputs)
+    assert_each_was_computed(process, len(results))
     return results
 
 

@@ -49,6 +49,18 @@ def once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
+def assert_each_was_computed(process, distinct: int) -> None:
+    """Every distinct input set missed the process's result memo.
+
+    A key that confused two input sets would answer the second from the
+    first's entry and the table would silently repeat a neighbour's
+    hydrograph; the miss count makes that a failed job instead.
+    """
+    stats = process.results.stats()
+    assert (stats["misses"], stats["hits"], stats["entries"]) == \
+        (distinct, 0, distinct), stats
+
+
 def trace_summary(source, title: str = "trace summary",
                   min_count: int = 1) -> Dict[str, Dict[str, float]]:
     """Print per-span-name p50/p95/p99 (simulated seconds) and return it.

@@ -29,18 +29,6 @@ class Blob:
     metadata: Dict[str, str] = field(default_factory=dict)
 
 
-def _etag_of(payload: Any) -> str:
-    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
-
-
-def _size_of(payload: Any, declared: Optional[int]) -> int:
-    if declared is not None:
-        return declared
-    if isinstance(payload, (bytes, bytearray, str)):
-        return len(payload)
-    return len(repr(payload))
-
-
 class Container:
     """A named bucket of blobs."""
 
@@ -69,11 +57,17 @@ class Container:
         """Store (or overwrite) ``key``; returns the stored blob."""
         self._check_available(writing=True)
         payload = self._maybe_tear(payload)
+        # serialised once: the etag hashes this text and, for a
+        # structured payload of undeclared size, its length is the size
+        text = repr(payload)
+        if size_bytes is None:
+            size_bytes = len(payload) \
+                if isinstance(payload, (bytes, bytearray, str)) else len(text)
         blob = Blob(
             key=key,
             payload=payload,
-            size_bytes=_size_of(payload, size_bytes),
-            etag=_etag_of(payload),
+            size_bytes=size_bytes,
+            etag=hashlib.sha256(text.encode()).hexdigest()[:16],
             created_at=self._sim.now,
             metadata=dict(metadata or {}),
         )

@@ -255,14 +255,18 @@ class CatchmentStatsView(MaterializedView):
 
 
 class RunSummaryView(MaterializedView):
-    """Index of model runs: submitted / finished, with result summaries."""
+    """Index of model runs: submitted / finished, with result summaries.
+
+    An event re-copies the one row it touched, never the whole list.
+    """
 
     name = "runs"
 
     def __init__(self):
         super().__init__()
         self._runs: Dict[str, Dict[str, Any]] = {}
-        self._order: List[str] = []
+        self._position: Dict[str, int] = {}
+        self._built: List[Dict[str, Any]] = []
         self._rows: Optional[List[Dict[str, Any]]] = None
 
     def _apply(self, event: Event) -> None:
@@ -275,12 +279,15 @@ class RunSummaryView(MaterializedView):
         if entry is None:
             entry = {"runId": run_id, "status": "submitted"}
             self._runs[run_id] = entry
-            self._order.append(run_id)
         entry.update(event.payload)
         if event.kind == "run.finished":
             entry["status"] = "finished"
         elif event.kind == "run.failed":
             entry["status"] = "failed"
+        # a fresh row object (appended on first sight): lists handed out
+        # earlier keep the old one
+        position = self._position.setdefault(run_id, len(self._built))
+        self._built[position:position + 1] = [dict(entry)]
 
     def run(self, run_id: str) -> Optional[Dict[str, Any]]:
         return self._runs.get(run_id)
@@ -288,13 +295,14 @@ class RunSummaryView(MaterializedView):
     def rows(self) -> List[Dict[str, Any]]:
         """All runs, in first-seen order (stable pagination keys)."""
         if self._rows is None:
-            self._rows = [dict(self._runs[r]) for r in self._order]
+            self._rows = list(self._built)
         return self._rows
 
     def reset(self) -> None:
         super().reset()
         self._runs = {}
-        self._order = []
+        self._position = {}
+        self._built = []
         self._rows = None
 
 

@@ -82,7 +82,11 @@ def jsonable(value: Any) -> Tuple[bool, Any]:
 
     Journal payloads must be replayable from bytes; anything without a
     JSON form is journaled by ``repr`` only and marked non-replayable.
+    A plain JSON scalar is its own round trip and is handed straight
+    back; subclasses and containers take the trip.
     """
+    if value is None or type(value) in (bool, int, float, str):
+        return True, value
     try:
         return True, json.loads(json.dumps(value))
     except (TypeError, ValueError):

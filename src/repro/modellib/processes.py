@@ -10,14 +10,15 @@ hydrograph plus the summary numbers the widget displays.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from repro.data.catchments import Catchment
 from repro.data.weather import DesignStorm
-from repro.hydrology.fuse import FuseModel, FuseParameters
+from repro.hydrology.fuse import FuseParameters, fuse_ensemble
 from repro.hydrology.hydrograph import HydrographAnalysis
 from repro.hydrology.scenarios import STANDARD_SCENARIOS
 from repro.hydrology.topmodel import TopmodelParameters
+from repro.perf import RunCache, run_key
 from repro.services.wps import InputSpec, ProcessDescription, WpsProcess
 from repro.sim import RandomStreams
 
@@ -27,6 +28,9 @@ _COST_PER_HOUR = 0.004
 _COST_OVERHEAD = 0.4
 
 _SCENARIO_KEYS = tuple(STANDARD_SCENARIOS)
+#: Distinct runs a process remembers: the scenario buttons repeat a
+#: handful, the bound keeps slider exploration from growing memory.
+_RESULT_ENTRIES = 64
 
 
 def _common_inputs() -> list:
@@ -84,6 +88,11 @@ def _scenario(inputs: Dict[str, Any]):
     return STANDARD_SCENARIOS[key]
 
 
+def _overrides(inputs: Dict[str, Any], *names: str) -> Dict[str, float]:
+    return {name: float(inputs[name]) for name in names
+            if inputs.get(name) is not None}
+
+
 def _summarise(flow, rain, catchment: Catchment) -> Dict[str, Any]:
     analysis = HydrographAnalysis(flow, rain)
     threshold = catchment.flood_threshold_mm_h
@@ -101,7 +110,55 @@ def _summarise(flow, rain, catchment: Catchment) -> Dict[str, Any]:
     }
 
 
-def make_topmodel_process(catchment: Catchment, warehouse=None) -> WpsProcess:
+class ModelProcess(WpsProcess):
+    """A pure model run behind ``Execute``, computed once per content.
+
+    ``simulate(inputs, rain, pet, scenario)`` is the model's own part of
+    a run.  ``execute`` answers from :attr:`results`, keyed by process
+    identifier + validated inputs + the etag of the uploaded rainfall
+    series when one is named, so a dataset replaced under the same id
+    misses.  The memo is the process object's: a service's replicas
+    share it, every estate starts cold, a run that raises is not stored.
+    Only host work is saved — the job is charged ``cost(inputs)`` on the
+    simulated clock, hit or miss.
+    """
+
+    def __init__(self, description: ProcessDescription, catchment: Catchment,
+                 warehouse, simulate: Callable[..., Dict[str, Any]],
+                 cost: Callable[[Dict[str, Any]], float]):
+        super().__init__(description, run=self._answer, cost=cost)
+        self._catchment = catchment
+        self._warehouse = warehouse
+        self._simulate = simulate
+        self.results = RunCache(max_entries=_RESULT_ENTRIES)
+
+    def compute(self, inputs: Dict[str, Any]) -> Dict[str, Any]:
+        """The un-memoised run (what a miss executes; the tests' oracle)."""
+        rain, pet = _storm_rainfall(self._catchment, inputs, self._warehouse)
+        return self._simulate(inputs, rain, pet, _scenario(inputs))
+
+    def _answer(self, inputs: Dict[str, Any]) -> Dict[str, Any]:
+        dataset_id = inputs.get("rainfall_dataset")
+        # no warehouse: the miss below raises before anything is stored
+        forcing = self._warehouse.etag_of(dataset_id) \
+            if dataset_id and self._warehouse is not None else ""
+        key = run_key(self.identifier, inputs, forcing)
+        found, outputs = self.results.lookup(key)
+        if not found:
+            outputs = self.compute(inputs)
+            self.results.store(key, outputs)
+        # one level deep: outputs are scalars and flat lists, and neither
+        # a client nor the idempotency index may reach the stored entry
+        return {name: list(value) if isinstance(value, list) else value
+                for name, value in outputs.items()}
+
+
+def _single_run_cost(inputs: Dict[str, Any]) -> float:
+    return _COST_OVERHEAD + _COST_PER_HOUR * float(inputs["duration_hours"])
+
+
+def make_topmodel_process(catchment: Catchment,
+                          warehouse=None) -> ModelProcess:
     """TOPMODEL as a WPS process for ``catchment``.
 
     Slider-facing model parameters (``m``, ``srmax``, ``q0_mm_h``,
@@ -134,13 +191,9 @@ def make_topmodel_process(catchment: Catchment, warehouse=None) -> WpsProcess:
     )
     model = catchment.topmodel()
 
-    def run(inputs: Dict[str, Any]) -> Dict[str, Any]:
-        rain, pet = _storm_rainfall(catchment, inputs, warehouse)
-        scenario = _scenario(inputs)
+    def simulate(inputs, rain, pet, scenario) -> Dict[str, Any]:
         base = TopmodelParameters(q0_mm_h=float(inputs["q0_mm_h"]))
-        overrides = {name: float(inputs[name])
-                     for name in ("m", "srmax", "td")
-                     if inputs.get(name) is not None}
+        overrides = _overrides(inputs, "m", "srmax", "td")
         if overrides:
             base = base.with_updates(**overrides)
         result = scenario.run(model, rain, pet=pet, base_parameters=base)
@@ -150,14 +203,12 @@ def make_topmodel_process(catchment: Catchment, warehouse=None) -> WpsProcess:
         outputs["model"] = "topmodel"
         return outputs
 
-    def cost(inputs: Dict[str, Any]) -> float:
-        return _COST_OVERHEAD + _COST_PER_HOUR * float(inputs["duration_hours"])
-
-    return WpsProcess(description, run=run, cost=cost)
+    return ModelProcess(description, catchment, warehouse, simulate,
+                        cost=_single_run_cost)
 
 
 def make_water_quality_process(catchment: Catchment,
-                               warehouse=None) -> WpsProcess:
+                               warehouse=None) -> ModelProcess:
     """Water quality as a WPS process — the stakeholders' next storyboard.
 
     Runs TOPMODEL under the chosen land-use scenario, then the
@@ -182,9 +233,7 @@ def make_water_quality_process(catchment: Catchment,
     )
     model = catchment.topmodel()
 
-    def run(inputs: Dict[str, Any]) -> Dict[str, Any]:
-        rain, pet = _storm_rainfall(catchment, inputs, warehouse)
-        scenario = _scenario(inputs)
+    def simulate(inputs, rain, pet, scenario) -> Dict[str, Any]:
         hydrology = scenario.run(model, rain, pet=pet,
                                  base_parameters=TopmodelParameters(
                                      q0_mm_h=0.3))
@@ -207,10 +256,10 @@ def make_water_quality_process(catchment: Catchment,
         return (_COST_OVERHEAD
                 + 1.3 * _COST_PER_HOUR * float(inputs["duration_hours"]))
 
-    return WpsProcess(description, run=run, cost=cost)
+    return ModelProcess(description, catchment, warehouse, simulate, cost)
 
 
-def make_fuse_process(catchment: Catchment, warehouse=None) -> WpsProcess:
+def make_fuse_process(catchment: Catchment, warehouse=None) -> ModelProcess:
     """The FUSE ensemble as a WPS process for ``catchment``.
 
     Runs all 16 structures and returns the ensemble mean and spread —
@@ -234,17 +283,12 @@ def make_fuse_process(catchment: Catchment, warehouse=None) -> WpsProcess:
                  "peak_mm_h", "members"],
     )
 
-    def run(inputs: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.hydrology.fuse import fuse_ensemble
-        rain, pet = _storm_rainfall(catchment, inputs, warehouse)
-        overrides = {name: float(inputs[name])
-                     for name in ("smax_upper", "k_base")
-                     if inputs.get(name) is not None}
+    def simulate(inputs, rain, pet, scenario) -> Dict[str, Any]:
+        overrides = _overrides(inputs, "smax_upper", "k_base")
         params = FuseParameters().with_updates(**overrides) if overrides \
             else FuseParameters()
         # scenarios adjust TOPMODEL parameters; for FUSE the equivalent
         # knob is rainfall interception, applied as a pre-filter
-        scenario = _scenario(inputs)
         if scenario.parameter_updates.get("interception_mm"):
             depth = scenario.parameter_updates["interception_mm"]
             rain = rain.map(lambda v: max(0.0, v - depth))
@@ -259,7 +303,6 @@ def make_fuse_process(catchment: Catchment, warehouse=None) -> WpsProcess:
 
     def cost(inputs: Dict[str, Any]) -> float:
         # 16 structures: an ensemble costs what 16 single runs cost
-        single = _COST_OVERHEAD + _COST_PER_HOUR * float(inputs["duration_hours"])
-        return single * 16
+        return _single_run_cost(inputs) * 16
 
-    return WpsProcess(description, run=run, cost=cost)
+    return ModelProcess(description, catchment, warehouse, simulate, cost)

@@ -7,8 +7,7 @@ those evaluations cheap:
 
 * :class:`~repro.perf.runcache.RunCache` — content-addressed (model id +
   canonical parameters + forcing digest), LRU-bounded cache of run
-  results, with hit/miss counters that plug into
-  :class:`~repro.sim.metrics.MetricsRegistry`;
+  results, with hit/miss counters behind ``stats()``;
 * :class:`~repro.perf.runner.EnsembleRunner` — the single funnel that
   calibration, OAT/regional sensitivity and GLUE evaluate through, with
   an opt-in thread-pool backend whose results are bit-identical to

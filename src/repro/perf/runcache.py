@@ -9,17 +9,14 @@ parameters + forcing digest, mirroring the stage-cache design in
 :mod:`repro.workflow.engine` — so identical runs are served from memory
 regardless of which analysis asked.
 
-Hit/miss/eviction totals are plain counters, optionally mirrored into a
-:class:`~repro.sim.metrics.MetricsRegistry` (``bind_metrics``) so cache
-behaviour shows up in bench snapshots next to every other subsystem.
+Hit/miss/eviction totals are plain counters read through ``stats()``;
+nothing scrapes them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
-
-from repro.perf.keys import run_key
+from typing import Any, Dict, Tuple
 
 
 class RunCache:
@@ -40,14 +37,6 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._metrics = None
-
-    # -- keys ---------------------------------------------------------------
-
-    @staticmethod
-    def key_of(model_id: str, parameters: Any, forcing: str = "") -> str:
-        """Content-addressed key: model id + params + forcing digest."""
-        return run_key(model_id, parameters, forcing)
 
     # -- lookups ------------------------------------------------------------
 
@@ -57,11 +46,9 @@ class RunCache:
             value = self._entries[key]
         except KeyError:
             self.misses += 1
-            self._count("misses")
             return False, None
         self._entries.move_to_end(key)
         self.hits += 1
-        self._count("hits")
         return True, value
 
     def peek(self, key: str) -> bool:
@@ -75,34 +62,11 @@ class RunCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
-            self._count("evictions")
-
-    def clear(self) -> None:
-        """Drop every entry (counters are cumulative and survive)."""
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     # -- observability ------------------------------------------------------
-
-    def bind_metrics(self, registry) -> "RunCache":
-        """Mirror counters into ``registry`` (a ``MetricsRegistry``).
-
-        Existing totals are back-filled so late binding loses nothing;
-        returns self for chaining.
-        """
-        self._metrics = registry
-        for name, value in (("hits", self.hits), ("misses", self.misses),
-                            ("evictions", self.evictions)):
-            counter = registry.counter(name)
-            if value > counter.value:
-                counter.increment(value - counter.value)
-        return self
-
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name).increment()
 
     def stats(self) -> Dict[str, float]:
         """Snapshot: hits, misses, evictions, entries, hit rate."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.perf.keys import run_key
 from repro.perf.runcache import RunCache
 
 #: Exception families a model evaluation may deterministically raise for
@@ -153,7 +154,7 @@ class EnsembleRunner:
 
     def key_of(self, parameters: Dict[str, float]) -> str:
         """The content-addressed cache key of one parameter set."""
-        return RunCache.key_of(self.model_id, parameters, self.forcing)
+        return run_key(self.model_id, parameters, self.forcing)
 
     def run_one(self, parameters: Dict[str, float],
                 capture_errors: bool = False) -> Any:

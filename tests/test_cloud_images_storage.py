@@ -1,5 +1,7 @@
 """Unit tests for the image store, blob storage and provisioning recipes."""
 
+import hashlib
+
 import pytest
 
 from repro.cloud import (
@@ -138,6 +140,39 @@ def test_delete_blob_and_container(sim):
 def test_container_create_is_idempotent(sim):
     store = BlobStore(sim)
     assert store.create_container("c") is store.create_container("c")
+
+
+@pytest.mark.parametrize("payload", [
+    "plain text", "", b"raw \x00 bytes", bytearray(b"mutable"),
+    {"status": "succeeded", "outputs": {"peak_mm_h": 4.25, "series": [0.1] * 9}},
+    [1, "two", 3.0, None, {"nested": ("tuple", [True])}],
+    0, 3.5, None,
+])
+@pytest.mark.parametrize("declared", [None, 0, 4096])
+def test_put_etag_and_size_follow_the_two_repr_formula(sim, payload, declared):
+    """``put`` serialises once; what it stamps is what serialising the
+    payload separately for the size and for the etag always stamped."""
+    blob = BlobStore(sim).create_container("c").put(
+        "k", payload, metadata={"units": "mm"}, size_bytes=declared)
+    if declared is not None:
+        size = declared
+    elif isinstance(payload, (bytes, bytearray, str)):
+        size = len(payload)
+    else:
+        size = len(repr(payload))
+    assert blob.size_bytes == size
+    assert blob.etag == hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+    assert (blob.key, blob.payload, blob.created_at, blob.metadata) == \
+        ("k", payload, sim.now, {"units": "mm"})
+
+
+def test_a_torn_put_stamps_the_stored_text(sim):
+    store = BlobStore(sim)
+    store.set_fault("torn_write")
+    blob = store.create_container("c").put("k", "0123456789ab")
+    assert blob.payload == "01234567"
+    assert blob.size_bytes == 8
+    assert blob.etag == hashlib.sha256(repr("01234567").encode()).hexdigest()[:16]
 
 
 # -- provisioning ------------------------------------------------------------

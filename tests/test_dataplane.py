@@ -28,9 +28,11 @@ from repro.dataplane import (
     StreamSet,
     TransactionalOutbox,
 )
+from repro.dataplane.events import Event
 from repro.dataplane.views import (
     CatchmentStatsView,
     LatestObservationView,
+    RunSummaryView,
     recompute_catchment_stats,
     view_fingerprint,
 )
@@ -412,6 +414,42 @@ def test_views_serve_the_materialized_document_until_it_changes(plane):
     observe(plane, "kent", 900.0, 6.0)
     plane.pump()
     assert plane.stats.stats("eden") is eden
+
+
+run_events = st.lists(
+    st.tuples(st.integers(0, 5),
+              st.sampled_from(["run.submitted", "run.finished", "run.failed",
+                               "series.put"]),
+              st.floats(0.0, 50.0), st.booleans()),
+    max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_events)
+def test_run_rows_kept_incrementally_equal_a_rebuild(script):
+    """Rows maintained one event at a time, read at arbitrary points,
+    are the rows a from-scratch copy of every run gives."""
+    events = [Event("runs", seq, float(seq), kind, key=f"run-{run}",
+                    payload={"process": "topmodel", "peak_mm_h": peak})
+              for seq, (run, kind, peak, _) in enumerate(script)]
+    view = RunSummaryView()
+    handed_out = []
+    for event, (_, _, _, read_now) in zip(events, script):
+        view.apply(event)
+        if read_now:
+            rows = view.rows()
+            handed_out.append((rows, [dict(row) for row in rows]))
+    order = list(dict.fromkeys(
+        event.key for event in events if event.kind.startswith("run.")))
+    assert view.rows() == [dict(view.run(run_id)) for run_id in order]
+    assert view.rows() is view.rows()
+    # no row is the view's own entry, and nothing handed out ever moved
+    assert not any(row is view.run(row["runId"]) for row in view.rows())
+    assert all(rows == snapshot for rows, snapshot in handed_out)
+    replayed = RunSummaryView()
+    for event in events:
+        replayed.apply(event)
+    assert view_fingerprint(replayed) == view_fingerprint(view)
 
 
 def test_view_reset_drops_the_materialized_documents(plane):

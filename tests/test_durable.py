@@ -1,5 +1,8 @@
 """Durable execution: journal mechanics, replay, checkpointed sweeps."""
 
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +58,37 @@ def test_corrupt_and_torn_records_fail_parse():
     assert JournalRecord.parse(text.replace('"seq":0', '"seq":9')) is None
     assert JournalRecord.parse(None) is None
     assert JournalRecord.parse("not a record") is None
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False), st.text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(json_scalars,
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                    max_leaves=12))
+def test_jsonable_answers_as_the_round_trip_does(value):
+    ok, clean = j.jsonable(value)
+    trip = json.loads(json.dumps(value))
+    assert ok and clean == trip and type(clean) is type(trip)
+    assert json.dumps(clean) == json.dumps(value)      # record bytes
+
+
+def test_jsonable_edges():
+    for value in (math.nan, math.inf, -math.inf):        # survive, as ever
+        ok, clean = j.jsonable(value)
+        assert ok and json.dumps(clean) == json.dumps(value)
+    assert j.jsonable((1, 2)) == (True, [1, 2])
+    assert j.jsonable({1: "int key"}) == (True, {"1": "int key"})
+    assert j.jsonable(object()) == (False, None)
+    assert j.jsonable({"nested": {1, 2}}) == (False, None)
+
+    class Celsius(float):
+        """A scalar subclass is not handed back as itself."""
+    ok, clean = j.jsonable(Celsius(3.5))
+    assert ok and type(clean) is float and clean == 3.5
 
 
 # -- append / sync / crash --------------------------------------------------

@@ -20,7 +20,6 @@ from repro.perf import (
     forcing_digest,
     run_key,
 )
-from repro.sim.metrics import MetricsRegistry
 
 
 # -- canonical keys ---------------------------------------------------------
@@ -93,21 +92,6 @@ def test_runcache_lru_eviction_order():
     cache.store("c", 3)
     assert cache.peek("a") and cache.peek("c") and not cache.peek("b")
     assert cache.evictions == 1
-
-
-def test_runcache_bind_metrics_backfills_and_mirrors():
-    from repro.sim import Simulator
-
-    cache = RunCache()
-    cache.store("k", 1)
-    cache.lookup("k")
-    cache.lookup("absent")
-    registry = MetricsRegistry(Simulator(), "runcache")
-    cache.bind_metrics(registry)
-    assert registry.counter("hits").value == 1
-    assert registry.counter("misses").value == 1
-    cache.lookup("k")
-    assert registry.counter("hits").value == 2
 
 
 # -- ensemble runner --------------------------------------------------------
