@@ -1,31 +1,31 @@
 """TENANCY — weighted-fair scheduling and token-bucket admission.
 
-One aggressive tenant flooding the interactive class used to starve
-everyone else: the pre-tenancy ClassedQueue was FIFO within a priority
-class, so 600 flood sessions queued ahead of every stakeholder.  The
-tenancy refactor gives each tenant its own deficit-round-robin lane,
-a token bucket at the ``/v1`` edge and tenant-scoped idempotency, and
-this bench pins the four claims:
+One aggressive tenant flooding the interactive class starves everyone
+who shares its lane: within one lane a priority class is served in
+arrival order, so 600 flood sessions queue ahead of every stakeholder.
+Each tenant has its own deficit-round-robin lane, a token bucket at
+the ``/v1`` edge and tenant-scoped idempotency, and this bench pins
+three claims:
 
-1. **single-tenant identity** — the default (no-tenant) configuration
-   is bit-identical on the shard-scaling identity arm: DRR with one
-   lane *is* the old FIFO;
-2. **weighted fairness under a flood** — one aggressive tenant (600
+1. **weighted fairness under a flood** — one aggressive tenant (600
    sessions at t0) plus nine normal tenants (60 each): Jain's index
-   over the contended window is >= 0.9 with DRR lanes and < 0.6 on the
-   unfair pre-refactor arm (everything in one FIFO lane), and the
-   normal tenants' p95 wait stays within 2x of their solo baseline;
-3. **token-bucket admission** — a burst tenant with ``rate=1/s,
+   over the contended window is >= 0.9 with a lane per tenant and
+   < 0.6 on the unfair arm (every session the default tenant's, so one
+   lane), and the normal tenants' p95 wait stays within 2x of their
+   solo baseline;
+2. **token-bucket admission** — a burst tenant with ``rate=1/s,
    burst=5`` gets 429 problem documents carrying ``Retry-After`` and
-   ``X-RateLimit-*`` once the bucket drains, while anonymous traffic
-   rides the unlimited default bucket;
-4. **tenant-scoped idempotency** — the same ``Idempotency-Key`` from
-   two tenants executes twice (zero cross-tenant replay) while a
-   same-tenant retry replays the original response.
+   ``X-RateLimit-*`` once the bucket drains, while unnamed traffic
+   rides the default tenant's unlimited bucket;
+3. **tenant-scoped idempotency** — the same ``Idempotency-Key`` from
+   two tenants executes twice (zero cross-tenant replay), a
+   same-tenant retry replays the original response, and the default
+   tenant is one principal whether or not the header names it.
 
-Results land in ``BENCH_multi_tenant.json`` at the repo root.  Run as
-a script (``python benchmarks/bench_multi_tenant.py [--quick]``) or
-under pytest like every other bench.
+Run as a script (``python benchmarks/bench_multi_tenant.py [--quick]``)
+and the results land in ``BENCH_multi_tenant.json`` at the repo root;
+under pytest, like every other bench, it gates the same numbers and
+writes nothing.
 """
 
 import argparse
@@ -37,11 +37,12 @@ if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.harness import once, print_table
-from benchmarks.bench_shard_scaling import Plane, run_identity
+from benchmarks.bench_shard_scaling import Plane
 from repro.cloud.storage import BlobStore
 from repro.services.idempotency import IdempotencyIndex
 from repro.services.transport import HttpRequest
 from repro.tenancy import (
+    DEFAULT_TENANT,
     RateLimiter,
     TENANT_HEADER,
     TenantRegistry,
@@ -92,10 +93,10 @@ def measure_contention(fair, replicas, aggressive_n, normal_n,
                        window, horizon):
     """One aggressive tenant floods, nine normal tenants follow.
 
-    ``fair=False`` is the pre-refactor arm: no tenant labels, so every
-    session shares the single default FIFO lane and the flood owns the
-    head of the queue.  ``fair=True`` labels sessions with their tenant
-    and attaches a registry, so each tenant gets a DRR lane.  Fairness
+    ``fair=False`` is the one-lane arm: every session is the default
+    tenant's, so they share its lane and the flood owns the head of the
+    queue.  ``fair=True`` labels sessions with their tenant and
+    attaches a registry, so each tenant gets a DRR lane.  Fairness
     is Jain's index over per-tenant sessions served *from the queue*
     during the contended window (instant warm-slot placements at t0 are
     excluded — they all go to whoever submitted first, in both arms).
@@ -111,7 +112,8 @@ def measure_contention(fair, replicas, aggressive_n, normal_n,
     def submit(logical, count):
         for i in range(count):
             session = plane.sessions.create(
-                f"{logical}-{i}", tenant=logical if fair else None)
+                f"{logical}-{i}",
+                tenant=logical if fair else DEFAULT_TENANT)
             owner[session.session_id] = logical
             plane.sched.submit_session(session, "svc")
 
@@ -177,7 +179,7 @@ def _pct(sorted_values, q):
 
 
 def measure_rate_limit(requests=24):
-    """A burst tenant drains its bucket; anonymous traffic never does."""
+    """A burst tenant drains its bucket; unnamed traffic never does."""
     plane = Plane(shards=1, replicas=2)
     plane.warm(2)
     registry = TenantRegistry(
@@ -249,12 +251,14 @@ def measure_idempotency():
     first_b = call("org-b")
     retry_a = call("org-a")
     anonymous = call(None)
+    named_default = call(DEFAULT_TENANT)
     return {
         "executions": executions["n"],
         "cross_tenant_replays": int(first_a.body == first_b.body),
         "same_tenant_replayed": retry_a.body == first_a.body,
         "anonymous_separate": anonymous.body not in (first_a.body,
                                                      first_b.body),
+        "default_is_one_principal": named_default.body == anonymous.body,
     }
 
 
@@ -262,7 +266,6 @@ def measure_idempotency():
 
 
 def run_bench(replicas, aggressive_n, normal_n, window=300.0, horizon=2000.0):
-    identity = run_identity()
     unfair = measure_contention(False, replicas, aggressive_n, normal_n,
                                 window, horizon)
     fair = measure_contention(True, replicas, aggressive_n, normal_n,
@@ -271,7 +274,6 @@ def run_bench(replicas, aggressive_n, normal_n, window=300.0, horizon=2000.0):
     fair["p95_vs_solo"] = round(
         fair["normal_p95"] / max(solo["normal_p95"], 1e-9), 3)
     return {
-        "identity": identity,
         "contention": {"unfair": unfair, "fair": fair, "solo": solo},
         "rate_limit": measure_rate_limit(),
         "idempotency": measure_idempotency(),
@@ -279,13 +281,6 @@ def run_bench(replicas, aggressive_n, normal_n, window=300.0, horizon=2000.0):
 
 
 def report(result):
-    identity = result["identity"]
-    print_table(
-        "single-tenant identity with the pre-tenancy dispatch paths",
-        ["path", "identical"],
-        [["broker sessions", identity["sessions_identical"]],
-         ["ensemble batches", identity["ensemble_identical"]],
-         ["workflow stages", identity["workflow_identical"]]])
     contention = result["contention"]
     print_table(
         "fairness under a one-tenant flood (contended-window Jain)",
@@ -306,17 +301,10 @@ def report(result):
         ["executions", "cross-tenant replays", "same-tenant replayed"],
         [[idem["executions"], idem["cross_tenant_replays"],
           idem["same_tenant_replayed"]]])
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_FILE}")
 
 
 def check(result):
     failures = []
-    identity = result["identity"]
-    for arm in ("sessions", "ensemble", "workflow"):
-        if not identity[f"{arm}_identical"]:
-            failures.append(f"default single-tenant {arm} path is not "
-                            f"bit-identical to the pre-tenancy path")
     contention = result["contention"]
     if contention["fair"]["jain"] < 0.9:
         failures.append(f"fair-arm Jain {contention['fair']['jain']:.3f} "
@@ -338,7 +326,7 @@ def check(result):
         failures.append("429 responses missing Retry-After / X-RateLimit-* "
                         "headers or the rate-limited problem type")
     if not limit["anonymous_all_ok"]:
-        failures.append("anonymous traffic was throttled by default")
+        failures.append("unnamed traffic was throttled by default")
     idem = result["idempotency"]
     if idem["cross_tenant_replays"]:
         failures.append("an idempotency key replayed across tenants")
@@ -346,7 +334,10 @@ def check(result):
         failures.append("a same-tenant retry did not replay")
     if idem["executions"] != 3 or not idem["anonymous_separate"]:
         failures.append(f"expected 3 distinct executions (two tenants + "
-                        f"anonymous), saw {idem['executions']}")
+                        f"the default), saw {idem['executions']}")
+    if not idem["default_is_one_principal"]:
+        failures.append("naming the default tenant did not replay the "
+                        "unnamed request with the same key")
     return failures
 
 
@@ -373,6 +364,8 @@ def main(argv=None) -> int:
     else:
         result = run_bench(replicas=16, aggressive_n=600, normal_n=60)
     report(result)
+    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
+    print(f"wrote {RESULT_FILE}")
 
     failures = check(result)
     for failure in failures:

@@ -12,8 +12,12 @@ PR 6 telemetry plane:
    detection budget (burn-rate alerts on attempt availability and
    request latency, re-checked on the plane's evaluation cadence);
 2. **overhead** — the scraper's directly-metered host cost (every
-   scrape tick, SLO evaluation included) stays under 5% of the CPU an
-   identical run spends with telemetry off;
+   scrape tick, SLO evaluation included) stays under 5 host-µs per
+   scrape per series — an absolute, because the share of an identical
+   telemetry-off run's CPU (reported beside it, ungated) is a ratio of
+   two noisy arms whose denominator shrinks whenever the request path
+   gets cheaper; the telemetry-off arm stays for the claim only it can
+   make: the same faults raise no alert without the plane;
 3. **exemplar flow** — after the latency SLO breach, a trace exemplar
    retained by the ``request.duration`` histogram resolves to a full
    span tree through ``/v1/observability`` (ETag-revalidated on the
@@ -49,8 +53,10 @@ FAULT_SCHEDULE = ((120.0, "crash"), (600.0, "blackhole"),
                   (1080.0, "degrade"))
 #: a firing transition must follow each injection within this budget
 DETECTION_BUDGET = 300.0
-#: host-CPU overhead budget for the scraper arm
-OVERHEAD_BUDGET_PCT = 5.0
+#: scraper host cost ceiling, µs per scrape per series: 1.48 in the
+#: committed BENCH_observability.json (0.0867 s / 512 scrapes / 114
+#: series), so 3.4x headroom for a slow box
+SCRAPE_US_PER_SERIES_CEILING = 5.0
 
 
 def run_arm(telemetry: bool, horizon: float = 1800.0, users: int = 32,
@@ -207,11 +213,13 @@ def run_bench(horizon: float = 1800.0):
     cpu_off = baseline["cpu_seconds"]
     # the asserted overhead is the scraper's directly-metered host cost
     # (perf_counter around every scrape tick, SLO evaluation included)
-    # against the scraper-off arm's CPU for the identical simulated
-    # work; the whole-arm CPU delta is reported too, but its run-to-run
+    # per scrape per series; its share of the scraper-off arm's CPU and
+    # the whole-arm CPU delta are reported too, but their run-to-run
     # noise is of the same magnitude as the scraper cost itself
     plane = observed["plane"] or {}
     scraper_cost = plane.get("host_seconds") or 0.0
+    us_per_series = scraper_cost * 1e6 / max(
+        1, (plane.get("scrapes") or 0) * (plane.get("series") or 0))
     overhead_pct = scraper_cost / cpu_off * 100.0
     delta_pct = (cpu_on - cpu_off) / cpu_off * 100.0
 
@@ -225,10 +233,10 @@ def run_bench(horizon: float = 1800.0):
          for f in observed["faults"]])
     print_table(
         "Scraper overhead (host CPU, identical simulated work)",
-        ["arm", "cpu s", "scraper s", "overhead"],
+        ["arm", "cpu s", "scraper s", "us/scrape/series", "share of off"],
         [["telemetry on", f"{cpu_on:.2f}", f"{scraper_cost:.3f}",
-          f"{overhead_pct:.2f}%"],
-         ["telemetry off", f"{cpu_off:.2f}", "-", "-"]])
+          f"{us_per_series:.2f}", f"{overhead_pct:.2f}%"],
+         ["telemetry off", f"{cpu_off:.2f}", "-", "-", "-"]])
     exemplar = observed["exemplar"] or {}
     if "trace_id" in exemplar:
         print(f"\nexemplar flow: request.duration {exemplar['value_s']}s -> "
@@ -246,9 +254,10 @@ def run_bench(horizon: float = 1800.0):
         "overhead": {
             "cpu_on_s": round(cpu_on, 3),
             "cpu_off_s": round(cpu_off, 3),
+            "us_per_scrape_per_series": round(us_per_series, 3),
+            "ceiling_us_per_scrape_per_series": SCRAPE_US_PER_SERIES_CEILING,
             "overhead_pct": round(overhead_pct, 2),
             "whole_arm_delta_pct": round(delta_pct, 2),
-            "budget_pct": OVERHEAD_BUDGET_PCT,
             "scraper_host_s": plane.get("host_seconds"),
             "scrapes": plane.get("scrapes"),
             "series": plane.get("series"),
@@ -274,10 +283,11 @@ def check_report(report, observed) -> list:
         failures.append("no alert fired under the fault schedule")
     if report["alerts_resolved"] == 0:
         failures.append("no alert ever resolved (stuck firing)")
-    if report["overhead"]["overhead_pct"] >= OVERHEAD_BUDGET_PCT:
+    per_series = report["overhead"]["us_per_scrape_per_series"]
+    if per_series >= SCRAPE_US_PER_SERIES_CEILING:
         failures.append(
-            f"scraper overhead {report['overhead']['overhead_pct']:.1f}% "
-            f">= {OVERHEAD_BUDGET_PCT}% budget")
+            f"scraper costs {per_series:.2f} host-us per scrape per "
+            f"series (ceiling {SCRAPE_US_PER_SERIES_CEILING})")
     exemplar = report["exemplar"]
     if "trace_id" not in exemplar:
         failures.append(f"exemplar flow failed: "
@@ -332,9 +342,12 @@ def main(argv=None) -> int:
     if not failures:
         detected = ", ".join(
             f"{f['kind']} in {f['mttd_s']:.0f}s" for f in report["faults"])
-        print(f"\nOK: detected {detected}; overhead "
-              f"{report['overhead']['overhead_pct']:.1f}% "
-              f"(budget {OVERHEAD_BUDGET_PCT}%)")
+        print(f"\nOK: detected {detected}; scraper "
+              f"{report['overhead']['us_per_scrape_per_series']:.2f} "
+              f"host-us per scrape per series "
+              f"(ceiling {SCRAPE_US_PER_SERIES_CEILING}), "
+              f"{report['overhead']['overhead_pct']:.1f}% of the "
+              f"telemetry-off arm")
     return 1 if failures else 0
 
 

@@ -6,10 +6,13 @@ ranking, so its host cost does not depend on how many replicas the pool
 holds, and a shard adds a rendezvous hash to every placement rather
 than removing work from it.  The bench pins three claims:
 
-1. **shards=1 is bit-identical to the pre-refactor dispatch paths** —
-   sessions placed through the router, ensembles run with a scheduler
-   attached and workflows dispatched through ``admit_call`` produce
-   exactly the results of the direct paths they replaced;
+1. **the router changes no result** — 200 sessions placed through a
+   one-shard router land exactly where they did when the snapshot's
+   ``content_key`` was recorded (the router is the only door, so there
+   is no second path to race it against); ensembles run with a
+   scheduler attached and workflows dispatched through ``admit_call``
+   produce exactly the results of library use without an estate
+   (``scheduler=None``);
 2. **placement cost is flat in pool size** — at one shard, a placement
    into 512 replicas costs at most 2x a placement into 64 (host clock,
    best of three).  The per-shard throughput table is reported beside
@@ -53,6 +56,7 @@ from repro.cloud import (
     MultiCloud,
     OpenStackCloud,
 )
+from repro.perf.keys import content_key
 from repro.perf.runcache import RunCache
 from repro.perf.runner import EnsembleRunner
 from repro.sched import CapacityLedger, PriorityClass, ShardedRouter
@@ -65,6 +69,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_shard_scaling.json"
 
 SHARD_COUNTS = (1, 2, 4, 8)
+#: ``content_key`` of the routed 200-session snapshot, recorded at
+#: e85d8d2 (where driving ``lb.place_session`` by hand gave the same key)
+ROUTED_SESSIONS_KEY = "ec9a96f441728313"
 #: the largest pool may cost this many times the smallest, per placement
 POOL_COST_CEILING = 2.0
 
@@ -128,18 +135,15 @@ class Plane:
         return self
 
 
-# -- arm 1: shards=1 identity with the pre-refactor paths --------------------
+# -- arm 1: the router changes no result -------------------------------------
 
 
-def _session_snapshot(via_router, count=200):
+def _session_snapshot(count=200):
+    fresh_ids()
     plane = Plane(shards=1, replicas=4)
     plane.warm(4)
     for i in range(count):
-        session = plane.sessions.create(f"user-{i}")
-        if via_router:
-            plane.sched.submit_session(session, "svc")
-        else:
-            plane.lb.place_session(session, "svc")
+        plane.sched.submit_session(plane.sessions.create(f"user-{i}"), "svc")
     plane.sim.run(until=1200.0)
     return [(s.user_name, s.state.value,
              None if s.instance is None else s.instance.instance_id,
@@ -184,16 +188,16 @@ def _workflow_outputs(with_scheduler):
 
 
 def run_identity():
-    """shards=1 vs the direct dispatch paths, bit for bit."""
-    sessions_direct = _session_snapshot(via_router=False)
-    sessions_routed = _session_snapshot(via_router=True)
+    """The routed paths against their recorded / estate-free results."""
+    sessions_routed = _session_snapshot()
     ens_direct, stats_direct = _ensemble_results(with_scheduler=False)
     ens_routed, stats_routed = _ensemble_results(with_scheduler=True)
     wf_direct = _workflow_outputs(with_scheduler=False)
     wf_routed = _workflow_outputs(with_scheduler=True)
     return {
-        "sessions_identical": sessions_routed == sessions_direct,
-        "sessions_compared": len(sessions_direct),
+        "sessions_identical":
+            content_key(sessions_routed) == ROUTED_SESSIONS_KEY,
+        "sessions_compared": len(sessions_routed),
         "ensemble_identical": (ens_routed == ens_direct
                                and stats_routed == stats_direct),
         "workflow_identical": (wf_routed is not None
@@ -316,7 +320,8 @@ def run_bench(replicas, placements):
 def report(result):
     identity = result["identity"]
     print_table(
-        "shards=1 identity with the pre-refactor dispatch paths",
+        "routed results: sessions vs the recorded key, ensemble and "
+        "workflow vs no scheduler",
         ["path", "identical"],
         [["broker sessions", identity["sessions_identical"]],
          ["ensemble batches", identity["ensemble_identical"]],
@@ -349,8 +354,7 @@ def check(result):
     identity = result["identity"]
     for arm in ("sessions", "ensemble", "workflow"):
         if not identity[f"{arm}_identical"]:
-            failures.append(f"shards=1 {arm} path is not bit-identical "
-                            f"to the direct path")
+            failures.append(f"routed {arm} results moved")
     sizes = result["pool_sizes"]
     if sizes["cost_ratio"] > POOL_COST_CEILING:
         small, large = sizes["rows"][0], sizes["rows"][-1]
@@ -402,7 +406,7 @@ def main(argv=None) -> int:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
         sizes = result["pool_sizes"]
-        print(f"\nOK: shards=1 bit-identical on all three paths, "
+        print(f"\nOK: routed results unmoved on all three paths, "
               f"placement cost at {sizes['rows'][-1]['replicas']} replicas "
               f"{sizes['cost_ratio']:.2f}x that at "
               f"{sizes['rows'][0]['replicas']}, interactive "

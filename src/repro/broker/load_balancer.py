@@ -81,7 +81,7 @@ class LoadBalancer:
         #: shared deployment-wide capacity/cloudburst book (optional)
         self.ledger = ledger
         #: hard per-replica session cap (sessions_per_replica) when True;
-        #: the pre-refactor behaviour piles sessions without bound
+        #: otherwise sessions pile onto the least-loaded replica unbounded
         self.strict_capacity = strict_capacity
         #: free slots batch-class placements must leave for higher classes
         #: (strict mode only)
@@ -148,18 +148,16 @@ class LoadBalancer:
         """
         service = self._services[service_name]
         session.priority = priority
-        tenant = getattr(session, "tenant", None)
+        tenant = session.tenant
         span: Optional[Span] = None
         if session.trace_context is not None:
-            attributes = {"service": service_name,
-                          "session": session.session_id,
-                          "shard": self.shard_id,
-                          "class": priority.name.lower()}
-            if tenant is not None:
-                attributes["tenant"] = tenant
             span = obs_of(self.sim).tracer.start_span(
                 "lb.place", parent=session.trace_context, kind="placement",
-                attributes=attributes)
+                attributes={"service": service_name,
+                            "session": session.session_id,
+                            "shard": self.shard_id,
+                            "class": priority.name.lower(),
+                            "tenant": tenant})
         replica = self._candidate_replica(service, priority)
         if replica is not None:
             session.assign(replica)
@@ -181,7 +179,7 @@ class LoadBalancer:
                 self._log("shed", session=session.session_id,
                           service=service_name,
                           priority=priority.name.lower(),
-                          tenant=tenant or "default")
+                          tenant=tenant)
                 if span is not None:
                     span.finish(error="shed: class queue full")
                 return
@@ -198,8 +196,8 @@ class LoadBalancer:
                            priority: PriorityClass) -> Optional[Instance]:
         """The replica this placement may use right now, if any.
 
-        Pre-refactor semantics (``strict_capacity`` off): any serving
-        replica, least-loaded first.  In strict mode
+        With ``strict_capacity`` off: any serving replica, least-loaded
+        first.  In strict mode
         ``sessions_per_replica`` is a hard per-replica cap and batch
         placements must additionally leave ``batch_headroom`` free
         slots for interactive/workflow arrivals — how a sweep saturates
@@ -427,7 +425,7 @@ class LoadBalancer:
                 if batch:
                     self.dispatcher.requeue_front(
                         service.name, batch, cls,
-                        tenants=[getattr(s, "tenant", None) for s in batch])
+                        tenants=[s.tenant for s in batch])
 
     def drain(self, instance: Instance) -> Signal:
         """Gracefully retire one replica on operator request.

@@ -17,6 +17,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro.cloud.flavors import Flavor
 from repro.cloud.images import MachineImage
 from repro.cloud.instance import Instance, InstanceState
+from repro.tenancy.context import DEFAULT_TENANT
 
 #: one replica's place in the ranking: (unhealthy, load, join order, replica)
 _Rank = Tuple[bool, float, int, Instance]
@@ -46,9 +47,8 @@ class ManagedService:
     flavor: Flavor
     make_server: Callable[[Instance], Any]
     purpose: str = "general"
-    #: owning tenant for capacity-ledger attribution (``None`` — the
-    #: common case — is the shared/default principal)
-    tenant: Optional[str] = None
+    #: owning tenant: whose ledger row this pool's launches commit to
+    tenant: str = DEFAULT_TENANT
     sessions_per_replica: int = 10
     min_replicas: int = 1
     max_replicas: int = 64

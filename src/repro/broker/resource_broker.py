@@ -7,9 +7,10 @@ along with some session information.  This communication is done ...
 using HTML5 WebSockets."
 
 The RB owns the push gateway (hosted on its own instance), creates
-sessions, asks the Load Balancer to place them, and exposes prefetch /
-preemptive-bootstrap hooks ("prefetching data records and preemptively
-bootstrapping cloud instances as soon as a user visits the portal").
+sessions, submits them to the scheduling plane's router — the only
+door to placement — and exposes prefetch / preemptive-bootstrap hooks
+("prefetching data records and preemptively bootstrapping cloud
+instances as soon as a user visits the portal").
 """
 
 from __future__ import annotations
@@ -21,31 +22,28 @@ from repro.broker.sessions import SessionTable, UserSession
 from repro.obs.hub import obs_of
 from repro.services.channels import PushGateway
 from repro.sim import MetricsRegistry, Simulator
+from repro.tenancy.context import DEFAULT_TENANT
 
 
 class ResourceBroker:
     """Front door for portal sessions.
 
-    With a ``scheduler`` (a :class:`~repro.sched.router.ShardedRouter`)
-    attached, sessions are submitted through the scheduling plane —
-    rendezvous-routed to a control-plane shard at interactive priority.
-    Without one, placement goes straight to the single Load Balancer
-    (the pre-sharding path, still used by minimal test rigs).
+    Sessions are submitted through ``router`` (a
+    :class:`~repro.sched.router.ShardedRouter`): rendezvous-routed to a
+    control-plane shard at interactive priority.
     """
 
-    def __init__(self, sim: Simulator, load_balancer: LoadBalancer,
-                 sessions: SessionTable, gateway: PushGateway,
-                 scheduler: Optional[Any] = None):
+    def __init__(self, sim: Simulator, router: Any,
+                 sessions: SessionTable, gateway: PushGateway):
         self.sim = sim
-        self.lb = load_balancer
+        self.router = router
         self.sessions = sessions
         self.gateway = gateway
-        self.scheduler = scheduler
         self.metrics = MetricsRegistry(sim, namespace="rb")
 
     def connect(self, user_name: str, service_name: str,
                 channel: Optional[Any] = None,
-                tenant: Optional[str] = None) -> UserSession:
+                tenant: str = DEFAULT_TENANT) -> UserSession:
         """Open a session for ``user_name`` against ``service_name``.
 
         Establishes a WebSocket connection (unless the caller brings its
@@ -62,27 +60,16 @@ class ResourceBroker:
         # the session span is the root of this user's journey trace; every
         # widget request and its server-side work nests beneath it
         hub = obs_of(self.sim)
-        attributes = {"user": user_name, "session": session.session_id}
-        if tenant is not None:
-            attributes["tenant"] = tenant
         span = hub.tracer.start_span(
             f"rb.session {service_name}", kind="session",
-            attributes=attributes)
+            attributes={"user": user_name, "session": session.session_id,
+                        "tenant": tenant})
         session.trace_context = span.context
         session.trace_span = span
-        if tenant is not None:
-            hub.events.emit("rb.connect", user=user_name,
-                            service=service_name,
-                            session=session.session_id, tenant=tenant)
-        else:
-            hub.events.emit("rb.connect", user=user_name,
-                            service=service_name,
-                            session=session.session_id)
+        hub.events.emit("rb.connect", user=user_name, service=service_name,
+                        session=session.session_id, tenant=tenant)
         self.metrics.counter("connects").increment()
-        if self.scheduler is not None:
-            self.scheduler.submit_session(session, service_name)
-        else:
-            self.lb.place_session(session, service_name)
+        self.router.submit_session(session, service_name)
         return session
 
     def disconnect(self, session: UserSession) -> None:
@@ -106,14 +93,11 @@ class ResourceBroker:
         a user visits the portal", trading a little cost for much lower
         first-interaction latency.  The pool floor is raised for
         ``warm_seconds`` so the autoscaler doesn't reap the still-idle
-        warm replicas before the demand they anticipate arrives.  In a
-        sharded plane the warm capacity is spread over every shard
-        hosting a slice of the service.
+        warm replicas before the demand they anticipate arrives.  The
+        warm capacity is spread over every shard hosting a slice of the
+        service.
         """
-        if self.scheduler is not None:
-            slices = self.scheduler.slices(service_name)
-        else:
-            slices = [(self.lb, self.lb.service(service_name))]
+        slices = self.router.slices(service_name)
         shares = _spread(replicas, len(slices))
         for (lb, service), share in zip(slices, shares):
             self._preboot_slice(lb, service, share, warm_seconds)

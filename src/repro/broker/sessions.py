@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.instance import Instance
 from repro.sim import Simulator
+from repro.tenancy.context import DEFAULT_TENANT
 
 _session_ids = itertools.count()
 
@@ -34,7 +35,7 @@ class UserSession:
 
     def __init__(self, sim: Simulator, user_name: str,
                  channel: Optional[Any] = None, purpose: str = "general",
-                 tenant: Optional[str] = None,
+                 tenant: str = DEFAULT_TENANT,
                  table: Optional["SessionTable"] = None, seq: int = 0):
         self._sim = sim
         # the table indexing this session by where it sits, and the
@@ -45,9 +46,8 @@ class UserSession:
         self.user_name = user_name
         self.channel = channel      # anything with .push(payload)
         self.purpose = purpose      # e.g. the model the user wants to run
-        # the principal this session bills to; None is the anonymous
-        # single-tenant default (kept a plain string: the session layer
-        # stays below the tenancy package)
+        # the principal this session bills to: its DRR lane, its
+        # fairness row and the label on its trace
         self.tenant = tenant
         self.state = SessionState.WAITING
         self.created_at = sim.now
@@ -159,7 +159,7 @@ class SessionTable:
 
     def create(self, user_name: str, channel: Optional[Any] = None,
                purpose: str = "general",
-               tenant: Optional[str] = None) -> UserSession:
+               tenant: str = DEFAULT_TENANT) -> UserSession:
         """Open a new session in WAITING state."""
         seq = next(self._ranks)
         session = UserSession(self._sim, user_name, channel, purpose,

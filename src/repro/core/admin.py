@@ -67,19 +67,17 @@ class AdminConsole:
                     for s in evop.telemetry.slo_status()
                 ],
             })
-        tenancy: Dict[str, Any] = {"enabled": evop.tenants is not None}
-        if evop.tenants is not None:
-            depths = evop.sched.tenant_depths()
-            shed = evop.sched.shed_by_tenant()
-            inflight: Dict[str, int] = {}
-            for session in evop.sessions.active():
-                tenant = session.tenant or "default"
-                inflight[tenant] = inflight.get(tenant, 0) + 1
-            buckets = (evop.ratelimit.snapshot()["buckets"]
-                       if evop.ratelimit is not None else {})
-            per_tenant: Dict[str, Any] = {}
-            for tenant_id, policy in evop.tenants.snapshot().items():
-                per_tenant[tenant_id] = {
+        depths = evop.sched.tenant_depths()
+        shed = evop.sched.shed_by_tenant()
+        inflight: Dict[str, int] = {}
+        for session in evop.sessions.active():
+            inflight[session.tenant] = inflight.get(session.tenant, 0) + 1
+        buckets = evop.ratelimit.snapshot()["buckets"]
+        tenancy: Dict[str, Any] = {
+            "fairness": round(evop.tenants.fairness(), 4),
+            "quota_committed": evop.ledger.committed_by_tenant(),
+            "tenants": {
+                tenant_id: {
                     "weight": policy["weight"],
                     "served": policy["served"],
                     "in_flight": inflight.get(tenant_id, 0),
@@ -87,11 +85,8 @@ class AdminConsole:
                     "shed": shed.get(tenant_id, 0),
                     "bucket": buckets.get(tenant_id),
                 }
-            tenancy.update({
-                "fairness": round(evop.tenants.fairness(), 4),
-                "quota_committed": evop.ledger.committed_by_tenant(),
-                "tenants": per_tenant,
-            })
+                for tenant_id, policy in evop.tenants.snapshot().items()},
+        }
         return {
             "time": evop.sim.now,
             "instances": evop.instances_by_location(),
@@ -159,17 +154,16 @@ class AdminConsole:
         if snapshot["faults"]["detected"]:
             lines.append(f"faults detected: {snapshot['faults']['detected']}")
         tenancy = snapshot["tenancy"]
-        if tenancy["enabled"]:
-            lines.append(f"tenants: fairness={tenancy['fairness']:.3f}")
-            for tenant_id, row in tenancy["tenants"].items():
-                bucket = row["bucket"]
-                fill = ("unlimited" if bucket is None
-                        else f"{bucket['fill']:.0f}/{bucket['burst']:.0f}")
-                lines.append(
-                    f"  {tenant_id:16s} w={row['weight']:g} "
-                    f"inflight={row['in_flight']} queued={row['queued']} "
-                    f"shed={row['shed']} served={row['served']:g} "
-                    f"bucket={fill}")
+        lines.append(f"tenants: fairness={tenancy['fairness']:.3f}")
+        for tenant_id, row in tenancy["tenants"].items():
+            bucket = row["bucket"]
+            fill = ("unlimited" if bucket is None
+                    else f"{bucket['fill']:.0f}/{bucket['burst']:.0f}")
+            lines.append(
+                f"  {tenant_id:16s} w={row['weight']:g} "
+                f"inflight={row['in_flight']} queued={row['queued']} "
+                f"shed={row['shed']} served={row['served']:g} "
+                f"bucket={fill}")
         obs = snapshot["observability"]
         if obs["enabled"]:
             lag = obs["scraper_lag"]

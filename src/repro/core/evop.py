@@ -61,6 +61,7 @@ from repro.services.idempotency import IdempotencyIndex
 from repro.services.registry import ServiceRegistry
 from repro.services.transport import Network
 from repro.sim import MetricsRegistry, RandomStreams, Simulator
+from repro.tenancy import RateLimiter
 
 _POLICIES: Dict[str, type] = {
     "private-first": PrivateFirstPolicy,
@@ -162,6 +163,13 @@ class Evop:
         self.sched = ShardedRouter(self.sim, shard_lbs, ledger=self.ledger,
                                    multicloud=self.multicloud,
                                    metrics=self.sched_metrics)
+        # one registry and one limiter for the estate: the shard
+        # dispatchers and every published api share these two objects,
+        # so policy registered on them later (enable_tenancy) reaches
+        # all of them whatever the order of calls
+        self.tenants = self.sched.tenants
+        self.ratelimit = RateLimiter(self.sim, self.tenants,
+                                     metrics=self.sched_metrics)
         self.multicloud.attach_resilience(self.breakers)
         self.injector = FaultInjector(self.sim, [self.private, self.public],
                                       streams=self.streams,
@@ -188,9 +196,6 @@ class Evop:
         self.wps_services: Dict[str, Any] = {}
         self.telemetry: Optional[TelemetryPlane] = None
         self.dataplane: Optional[Any] = None
-        self.tenants: Optional[Any] = None
-        self.ratelimit: Optional[Any] = None
-        self.read_api: Optional[Any] = None
         self._bootstrapped = False
 
     # -- lifecycle ------------------------------------------------------------------
@@ -224,8 +229,8 @@ class Evop:
         self.sim.run(until=self.sim.now + 120.0)
         gateway = PushGateway(self.sim, gateway_instance,
                               streams=self.streams)
-        self.rb = ResourceBroker(self.sim, self.lb, self.sessions, gateway,
-                                 scheduler=self.sched)
+        self.rb = ResourceBroker(self.sim, self.sched, self.sessions,
+                                 gateway)
 
     def _publish_models(self, catchment: Catchment) -> None:
         def topmodel_factory(c: Catchment):
@@ -272,6 +277,7 @@ class Evop:
              f"water-quality-{catchment.name}"],
             status, {catchment.name: catchment})
         wps.api.idempotency = self.idempotency
+        self._behind_boundary(wps.api)
         self.wps_services[catchment.name] = wps
         image = self.library.image_for(f"topmodel-{catchment.name}")
 
@@ -360,6 +366,12 @@ class Evop:
             purpose="sensor-data", sessions_per_replica=32,
             replicas=replicas)
 
+    def _behind_boundary(self, api: Any) -> Any:
+        """Put ``api`` behind the estate's tenancy boundary."""
+        api.tenants = self.tenants
+        api.limiter = self.ratelimit
+        return api
+
     def _publish(self, service_name: str, build_api: Callable[[], Any],
                  image_name: str, size_gb: float, purpose: str,
                  sessions_per_replica: int, replicas: int) -> str:
@@ -372,7 +384,7 @@ class Evop:
             return service_name
         from repro.services.rest import RestServer
 
-        api = build_api()
+        api = self._behind_boundary(build_api())
         image = self.images.create(image_name, ImageKind.GENERIC,
                                    size_gb=size_gb)
 
@@ -435,66 +447,44 @@ class Evop:
             self.enable_dataplane()
         from repro.services.readapi import build_read_api
 
-        def build_api():
-            self.read_api = build_read_api(
-                self.sim, self.dataplane,
-                tenants=self.tenants, limiter=self.ratelimit)
-            return self.read_api
-
-        return self._publish("read", build_api, image_name="read-host",
-                             size_gb=1.0, purpose="read-model",
-                             sessions_per_replica=64, replicas=replicas)
+        return self._publish(
+            "read", lambda: build_read_api(self.sim, self.dataplane),
+            image_name="read-host", size_gb=1.0, purpose="read-model",
+            sessions_per_replica=64, replicas=replicas)
 
     # -- tenancy ------------------------------------------------------------------------
 
-    def enable_tenancy(self, registry: Optional[Any] = None,
-                       specs: Optional[List[Any]] = None,
+    def enable_tenancy(self, specs: Optional[List[Any]] = None,
                        default_rate: Optional[float] = None,
                        default_burst: Optional[float] = None,
                        require_tenant: bool = False):
-        """Install the tenancy plane: registry, fair lanes, token buckets.
+        """Register tenant policy on the estate's registry and limiter.
 
-        One :class:`~repro.tenancy.TenantRegistry` (built from ``specs``
-        unless an existing ``registry`` is handed in) becomes the single
-        source of truth across the layers:
+        The registry (``self.tenants``) and limiter (``self.ratelimit``)
+        exist from construction and already sit under the shard
+        dispatchers and in front of every published ``/v1`` API — WPS,
+        read, SOS, observability — so this only states policy:
 
-        * every shard Dispatcher starts weighting its per-class DRR
-          lanes by the registry's weights and crediting dequeues back
-          into its fairness accounting;
-        * the capacity ledger enforces each spec's ``vcpu_quota``;
-        * every deployed ``/v1`` API (WPS now, the read API when
-          :meth:`expose_read_api` runs) validates the ``Tenant`` header
-          and admits through a per-tenant token bucket — exhausted
-          buckets answer 429 with ``Retry-After``.
+        * each spec's weight (DRR lanes), rate/burst (token bucket:
+          exhausted buckets answer 429 with ``Retry-After``) and
+          ``vcpu_quota`` (enforced by the capacity ledger);
+        * ``default_rate``/``default_burst`` for tenants whose spec
+          sets none (``None``: unlimited);
+        * ``require_tenant`` makes the ``Tenant`` header mandatory (401
+          without it); otherwise a request naming nobody is the
+          ``default`` tenant's.
 
-        ``require_tenant`` makes the header mandatory (401 without it);
-        the default keeps anonymous traffic on the ``default`` tenant.
-        Idempotent: returns the existing registry on repeat calls.
+        Returns the registry.
         """
-        if self.tenants is not None:
-            return self.tenants
-        from repro.tenancy import RateLimiter, TenantRegistry
-
-        if registry is None:
-            registry = TenantRegistry(specs=specs)
-        self.tenants = registry
-        self.ratelimit = RateLimiter(
-            self.sim, registry, default_rate=default_rate,
-            default_burst=default_burst, metrics=self.sched_metrics)
-        self.sched.attach_tenants(registry)
-        for spec in registry:
+        for spec in specs or ():
+            self.tenants.register(spec)
             if spec.vcpu_quota is not None:
                 self.ledger.set_tenant_quota(spec.tenant_id,
                                              spec.vcpu_quota)
-        for wps in self.wps_services.values():
-            wps.api.tenants = registry
-            wps.api.limiter = self.ratelimit
-            wps.api.require_tenant = require_tenant
-        if self.read_api is not None:
-            self.read_api.tenants = registry
-            self.read_api.limiter = self.ratelimit
-            self.read_api.require_tenant = require_tenant
-        return registry
+        self.tenants.require_tenant = require_tenant
+        self.ratelimit.default_rate = default_rate
+        self.ratelimit.default_burst = default_burst
+        return self.tenants
 
     # -- observability ------------------------------------------------------------------
 

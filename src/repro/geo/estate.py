@@ -69,7 +69,6 @@ class GeoCell:
     lbs: List[LoadBalancer]
     router: ShardedRouter
     api: RestApi
-    service: ManagedService
     guard: Optional[RegionGuard] = None
     providers: List[object] = field(default_factory=list)
 
@@ -108,10 +107,13 @@ class GeoEstate:
         self.images = ImageStore()
         self.image = self.images.create(service_name, ImageKind.GENERIC,
                                         size_gb=1.0)
+        #: pool shape of the service each region's router is handed
+        self._pool = dict(sessions_per_replica=sessions_per_replica,
+                          min_replicas=min_replicas,
+                          max_replicas=max_replicas)
 
         self.cells: Dict[str, GeoCell] = {}
-        self._build_multi(names, private_vcpus, sessions_per_replica,
-                          min_replicas, max_replicas, autoscale_interval,
+        self._build_multi(names, private_vcpus, autoscale_interval,
                           health_interval, capacity, shards_per_region,
                           election_ttl, election_check, failover_interval)
 
@@ -126,8 +128,7 @@ class GeoEstate:
 
     # -- one cell per region + the geo control plane -------------------------
 
-    def _build_multi(self, names, private_vcpus, sessions_per_replica,
-                     min_replicas, max_replicas, autoscale_interval,
+    def _build_multi(self, names, private_vcpus, autoscale_interval,
                      health_interval, capacity, shards,
                      election_ttl, election_check, failover_interval) -> None:
         global_capacity: Optional[Dict[str, int]] = None
@@ -162,7 +163,7 @@ class GeoEstate:
                 journals=JournalStore(self.sim, store),
                 monitor=HealthMonitor(self.sim, interval=health_interval,
                                       window=3),
-                recovery=None, lbs=[], router=None, api=None, service=None,
+                recovery=None, lbs=[], router=None, api=None,
                 providers=[private, public])
 
         self.election = LeaderElection(
@@ -189,11 +190,6 @@ class GeoEstate:
                                         multicloud=scoped)
             cell.api = RestApi(self.service_name)
             cell.api.get("/ping", lambda req, p: {"pong": True})
-            cell.service = ManagedService(
-                name=self.service_name, image=self.image, flavor=MEDIUM,
-                make_server=self._server_factory(cell),
-                sessions_per_replica=sessions_per_replica,
-                min_replicas=min_replicas, max_replicas=max_replicas)
 
         self.replicator = Replicator(self.sim, self.topology,
                                      interval=self.replication_interval)
@@ -226,7 +222,10 @@ class GeoEstate:
     def manage(self, initial_replicas: Optional[int] = None) -> "GeoEstate":
         """Put every region's service under router management."""
         for cell in self.cells.values():
-            cell.router.manage(cell.service, initial_replicas)
+            cell.router.manage(ManagedService(
+                name=self.service_name, image=self.image, flavor=MEDIUM,
+                make_server=self._server_factory(cell), **self._pool),
+                initial_replicas)
         return self
 
     def start(self) -> "GeoEstate":

@@ -30,6 +30,7 @@ from repro.geo.topology import RegionStatus, RegionTopology, qualify
 from repro.obs.hub import obs_of
 from repro.sched.ledger import CapacityLedger
 from repro.sim import Simulator
+from repro.tenancy.context import DEFAULT_TENANT
 
 
 class GeoLedger:
@@ -102,7 +103,7 @@ class GeoLedger:
     # -- decisions (leader only) ---------------------------------------------
 
     def admit(self, location: str, vcpus: int,
-              tenant: Optional[str] = None) -> bool:
+              tenant: str = DEFAULT_TENANT) -> bool:
         """Leader-decided admission against the global budget.
 
         ``location`` is a global label (``region/local``).  With no
@@ -118,7 +119,7 @@ class GeoLedger:
         return self.admit_as(leader, term, location, vcpus, tenant=tenant)
 
     def admit_as(self, owner: str, term: int, location: str,
-                 vcpus: int, tenant: Optional[str] = None) -> bool:
+                 vcpus: int, tenant: str = DEFAULT_TENANT) -> bool:
         """An admission issued under an explicit grant (fenced)."""
         if not self._fresh(owner, term):
             return False
@@ -127,7 +128,7 @@ class GeoLedger:
     # -- facts (fan out everywhere) ------------------------------------------
 
     def commit(self, location: str, vcpus: int, public: bool = False,
-               tenant: Optional[str] = None) -> None:
+               tenant: str = DEFAULT_TENANT) -> None:
         """Record a launch in every reachable replica."""
         budget = self.capacity.get(location)
         for _, replica in self._live_replicas():
@@ -139,7 +140,7 @@ class GeoLedger:
                     committed=replica.committed(location), budget=budget)
 
     def release(self, location: str, vcpus: int, public: bool = False,
-                tenant: Optional[str] = None) -> None:
+                tenant: str = DEFAULT_TENANT) -> None:
         """Record a retirement in every reachable replica."""
         for _, replica in self._live_replicas():
             replica.release(location, vcpus, public=public, tenant=tenant)
@@ -200,18 +201,18 @@ class RegionLedgerHandle:
         return qualify(self.region, location)
 
     def admit(self, location: str, vcpus: int,
-              tenant: Optional[str] = None) -> bool:
+              tenant: str = DEFAULT_TENANT) -> bool:
         """Leader-decided admission for a local location."""
         return self.geo.admit(self._global(location), vcpus, tenant=tenant)
 
     def commit(self, location: str, vcpus: int, public: bool = False,
-               tenant: Optional[str] = None) -> None:
+               tenant: str = DEFAULT_TENANT) -> None:
         """Record a local launch estate-wide."""
         self.geo.commit(self._global(location), vcpus, public=public,
                         tenant=tenant)
 
     def release(self, location: str, vcpus: int, public: bool = False,
-                tenant: Optional[str] = None) -> None:
+                tenant: str = DEFAULT_TENANT) -> None:
         """Record a local retirement estate-wide."""
         self.geo.release(self._global(location), vcpus, public=public,
                          tenant=tenant)

@@ -190,7 +190,7 @@ class RegionGuard:
         if self.georouter.spillover_target(self.region) is not None:
             return None
         self.shed += 1
-        tenant = request.headers.get(TENANT_HEADER) or DEFAULT_TENANT
+        tenant = request.headers.get(TENANT_HEADER, DEFAULT_TENANT)
         self.shed_by_tenant[tenant] = self.shed_by_tenant.get(tenant, 0) + 1
         obs_of(self.georouter.sim).events.emit(
             "geo.guard.shed", region=self.region, status=status.value,

@@ -4,15 +4,15 @@ The substrate everything places through.  A :class:`Dispatcher` owns one
 :class:`ClassedQueue` per managed service: three priority classes
 (interactive portal sessions ahead of workflow stages ahead of batch
 sweeps), deficit-round-robin weighted-fair service across tenant lanes
-within a class (plain FIFO when only the default tenant exists),
-optional per-class bounds that shed the lowest-value work instead of
-queueing it forever, and batch dequeue so a freshly booted replica can
-claim several waiters in one pass.
+within a class (arrival order while only one lane has work), optional
+per-class bounds that shed the lowest-value work instead of queueing it
+forever, and batch dequeue so a freshly booted replica can claim
+several waiters in one pass.
 
 This module deliberately imports nothing from :mod:`repro.broker` — the
 broker's Load Balancer imports *it*, and the layering (broker, workflow
-and ensemble layers above; one scheduling substrate below) is the point
-of the refactor.
+and ensemble layers above; one scheduling substrate below) is the
+point.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 from repro.tenancy.context import DEFAULT_TENANT
+from repro.tenancy.registry import TenantRegistry
 
 
 class PriorityClass(enum.IntEnum):
@@ -78,18 +79,18 @@ class ClassedQueue:
     """Per-priority-class queues: FIFO per tenant, DRR across tenants.
 
     ``bounds`` maps a :class:`PriorityClass` to its maximum depth;
-    classes without a bound queue without limit (the pre-refactor FIFO
-    behaviour).  A push against a full class is *shed* — the caller is
-    told, the shed counter ticks, and nothing is enqueued.
+    classes without a bound queue without limit.  A push against a full
+    class is *shed* — the caller is told, the shed counter ticks, and
+    nothing is enqueued.
 
     *Within* each class, dequeue is deficit round robin across tenant
     lanes: each visit to the tenant at the head of the rotation adds
     its ``weight`` to a deficit counter, one unit of deficit buys one
     dequeue, and a weight-w tenant therefore gets w dequeues per round
-    while every lane stays backlogged.  Items pushed without a tenant
-    share the :data:`~repro.tenancy.context.DEFAULT_TENANT` lane; with
-    only that lane present every visit serves its head — byte-for-byte
-    the old single-principal FIFO.
+    while every lane stays backlogged.  Items pushed without naming a
+    tenant ride the :data:`~repro.tenancy.context.DEFAULT_TENANT` lane;
+    while only one lane has work every visit serves its head, so
+    service order is arrival order.
     """
 
     def __init__(self, bounds: Optional[Dict[PriorityClass, int]] = None,
@@ -116,7 +117,7 @@ class ClassedQueue:
 
     def push(self, item: Any,
              priority: PriorityClass = PriorityClass.INTERACTIVE,
-             front: bool = False, tenant: Optional[str] = None,
+             front: bool = False, tenant: str = DEFAULT_TENANT,
              weight: Optional[float] = None) -> bool:
         """Enqueue ``item``; returns ``False`` if its class is full.
 
@@ -126,7 +127,6 @@ class ClassedQueue:
         tenant is also promoted to the head of the rotation with enough
         deficit for one immediate dequeue.
         """
-        tenant = tenant if tenant is not None else DEFAULT_TENANT
         if weight is not None:
             self.set_weight(tenant, weight)
         state = self._lanes[priority]
@@ -157,11 +157,8 @@ class ClassedQueue:
         return True
 
     def push_front_many(self, items: List[Any], priority: PriorityClass,
-                        tenants: Optional[List[Optional[str]]] = None
-                        ) -> None:
+                        tenants: List[str]) -> None:
         """Re-enter ``items`` at the head, preserving their order."""
-        if tenants is None:
-            tenants = [None] * len(items)
         for item, tenant in zip(reversed(items), reversed(tenants)):
             self.push(item, priority, front=True, tenant=tenant)
 
@@ -251,7 +248,7 @@ class ClassedQueue:
 
         Computed on a copy of the DRR state — peeking never perturbs
         the deficits or the rotation.  With a single lane this is the
-        lane itself: the plain FIFO order.
+        lane itself, in arrival order.
         """
         state = self._lanes[priority]
         if len(state.lanes) <= 1:
@@ -280,7 +277,7 @@ class InFlightGate:
     immediately), else a :class:`~repro.sim.kernel.Signal` the caller
     must yield on; slots hand over to waiters FIFO on ``release()``.
     With ``limit=None`` the gate is wide open and never makes anyone
-    wait — the behaviour-compatible default.
+    wait.
     """
 
     def __init__(self, sim: Simulator, limit: Optional[int] = None,
@@ -326,16 +323,14 @@ class Dispatcher:
 
     def __init__(self, sim: Simulator, shard_id: int = 0,
                  metrics=None,
-                 bounds: Optional[Dict[PriorityClass, int]] = None,
-                 tenants=None):
+                 bounds: Optional[Dict[PriorityClass, int]] = None):
         self.sim = sim
         self.shard_id = shard_id
         self.metrics = metrics
         self.bounds = dict(bounds or {})
-        #: optional :class:`~repro.tenancy.registry.TenantRegistry` —
         #: the source of DRR weights and the sink of service accounting;
-        #: ``None`` keeps the single-principal FIFO path bit-identical
-        self.tenants = tenants
+        #: knows only ``default`` until :meth:`attach_tenants` swaps it
+        self.tenants = TenantRegistry()
         self._queues: Dict[str, ClassedQueue] = {}
         #: open sched.submit spans per queued traceable item id
         self._submit_spans: Dict[str, Any] = {}
@@ -362,7 +357,7 @@ class Dispatcher:
                 front: bool = False,
                 item_id: Optional[str] = None,
                 trace_parent=None,
-                tenant: Optional[str] = None) -> bool:
+                tenant: str = DEFAULT_TENANT) -> bool:
         """Queue ``item``; returns ``False`` when its class shed it.
 
         ``item_id``/``trace_parent`` open a ``sched.submit`` span that
@@ -370,32 +365,23 @@ class Dispatcher:
         class attributes) when the item is dequeued or shed.  ``tenant``
         selects the item's DRR lane (and stamps the shed event / span).
         """
-        weight = (self.tenants.weight_of(tenant)
-                  if self.tenants is not None and tenant is not None
-                  else None)
-        accepted = self._queues[service_name].push(item, priority,
-                                                   front=front,
-                                                   tenant=tenant,
-                                                   weight=weight)
+        accepted = self._queues[service_name].push(
+            item, priority, front=front, tenant=tenant,
+            weight=self.tenants.weight_of(tenant))
         self._count(f"enqueue.{priority.name.lower()}" if accepted
                     else f"shed.{priority.name.lower()}")
         if not accepted:
             obs_of(self.sim).events.emit(
                 "sched.shed", service=service_name, shard=self.shard_id,
-                priority=priority.name.lower(),
-                tenant=tenant if tenant is not None else DEFAULT_TENANT)
+                priority=priority.name.lower(), tenant=tenant)
             return False
         if item_id is not None and trace_parent is not None:
-            attributes = {"service": service_name,
-                          "shard": self.shard_id,
-                          "class": priority.name.lower(),
-                          "queued": True}
-            if tenant is not None:
-                attributes["tenant"] = tenant
-            span = obs_of(self.sim).tracer.start_span(
+            self._submit_spans[item_id] = obs_of(self.sim).tracer.start_span(
                 "sched.submit", parent=trace_parent, kind="sched",
-                attributes=attributes)
-            self._submit_spans[item_id] = span
+                attributes={"service": service_name,
+                            "shard": self.shard_id,
+                            "class": priority.name.lower(),
+                            "queued": True, "tenant": tenant})
         return True
 
     def next_class(self, service_name: str) -> Optional[PriorityClass]:
@@ -410,16 +396,14 @@ class Dispatcher:
             return None
         item, cls, tenant = entry
         self._count(f"place.{cls.name.lower()}")
-        self._record_service(tenant)
+        self.tenants.record_service(tenant)
         return item, cls
 
     def requeue_front(self, service_name: str, items: List[Any],
                       priority: PriorityClass,
-                      tenants: Optional[List[Optional[str]]] = None
-                      ) -> None:
+                      tenants: List[str]) -> None:
         """Displaced items re-enter at the head of their class, in order."""
-        self._queues[service_name].push_front_many(items, priority,
-                                                   tenants=tenants)
+        self._queues[service_name].push_front_many(items, priority, tenants)
         self._count(f"requeue.{priority.name.lower()}", len(items))
 
     # -- bookkeeping ---------------------------------------------------------
@@ -435,14 +419,10 @@ class Dispatcher:
         span.finish(error=error)
 
     def placed_now(self, service_name: str, priority: PriorityClass,
-                   tenant: Optional[str] = None) -> None:
+                   tenant: str = DEFAULT_TENANT) -> None:
         """Record an immediate (queue-bypassing) placement."""
         self._count(f"place.{priority.name.lower()}")
-        self._record_service(tenant)
-
-    def _record_service(self, tenant: Optional[str]) -> None:
-        if self.tenants is not None:
-            self.tenants.record_service(tenant)
+        self.tenants.record_service(tenant)
 
     def depth(self, service_name: str,
               priority: Optional[PriorityClass] = None) -> int:

@@ -9,9 +9,10 @@ into, so those decisions stay correct at any shard count.
 
 The ledger is advisory bookkeeping plus optional hard caps: with no
 ``capacity`` configured, :meth:`admit` always says yes and the ledger
-only observes (the behaviour-compatible default); with caps set, a
-shard about to launch past the deployment-wide budget is refused before
-it ever reaches a provider.
+only observes; with caps set, a shard about to launch past the
+deployment-wide budget is refused before it ever reaches a provider.
+Every launch is some tenant's: one nobody claimed is committed to the
+``default`` tenant's row.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Dict, Optional
 
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
+from repro.tenancy.context import DEFAULT_TENANT
 
 
 class CapacityLedger:
@@ -60,12 +62,11 @@ class CapacityLedger:
     # -- admission -----------------------------------------------------------
 
     def admit(self, location: str, vcpus: int,
-              tenant: Optional[str] = None) -> bool:
+              tenant: str = DEFAULT_TENANT) -> bool:
         """Would committing ``vcpus`` at ``location`` stay in budget?
 
-        Checks the location budget first, then — when the launch is
-        attributed to a tenant with a quota — that tenant's estate-wide
-        vCPU cap.
+        Checks the location budget first, then — when the tenant has a
+        quota — that tenant's estate-wide vCPU cap.
         """
         budget = self.capacity.get(location)
         if budget is not None and \
@@ -77,7 +78,7 @@ class CapacityLedger:
                 location=location, vcpus=vcpus,
                 committed=self._committed.get(location, 0))
             return False
-        quota = self.tenant_quotas.get(tenant) if tenant is not None else None
+        quota = self.tenant_quotas.get(tenant)
         if quota is not None and \
                 self._tenant_committed.get(tenant, 0) + vcpus > quota:
             self.refusals += 1
@@ -94,26 +95,24 @@ class CapacityLedger:
     # -- accounting ----------------------------------------------------------
 
     def commit(self, location: str, vcpus: int, public: bool = False,
-               tenant: Optional[str] = None) -> None:
+               tenant: str = DEFAULT_TENANT) -> None:
         """Record a launch at ``location``."""
         self._committed[location] = self._committed.get(location, 0) + vcpus
         self._count(f"commit.{location}", vcpus)
-        if tenant is not None:
-            self._tenant_committed[tenant] = \
-                self._tenant_committed.get(tenant, 0) + vcpus
+        self._tenant_committed[tenant] = \
+            self._tenant_committed.get(tenant, 0) + vcpus
         if public:
             self._public_nodes += 1
             self._update_burst()
 
     def release(self, location: str, vcpus: int, public: bool = False,
-                tenant: Optional[str] = None) -> None:
+                tenant: str = DEFAULT_TENANT) -> None:
         """Record a retirement (or failed boot) at ``location``."""
         self._committed[location] = max(
             0, self._committed.get(location, 0) - vcpus)
         self._count(f"release.{location}", vcpus)
-        if tenant is not None:
-            self._tenant_committed[tenant] = max(
-                0, self._tenant_committed.get(tenant, 0) - vcpus)
+        self._tenant_committed[tenant] = max(
+            0, self._tenant_committed.get(tenant, 0) - vcpus)
         if public:
             self._public_nodes = max(0, self._public_nodes - 1)
             self._update_burst()
@@ -123,7 +122,7 @@ class CapacityLedger:
         return self._committed.get(location, 0)
 
     def committed_by_tenant(self) -> Dict[str, int]:
-        """vCPUs currently committed per attributed tenant (a copy)."""
+        """vCPUs currently committed per tenant (a copy)."""
         return dict(self._tenant_committed)
 
     def public_nodes(self) -> int:

@@ -9,10 +9,12 @@ of every service — and routes each session/run to its shard by
 (pure SHA-256, no RNG), uniform, and minimally disruptive: adding or
 removing a shard only moves the keys that land on it.
 
-The router is also the one front door the upper layers submit through:
+The router is the only door the upper layers submit through:
 ``submit_session`` (broker), ``admit_call`` (workflow stage dispatch)
 and ``batch_submission`` (ensemble sweeps) — so priority classes,
 admission gates and ``sched.submit`` spans attach in exactly one place.
+One shard is not a special case: the same rendezvous, the same slicing
+and the same shared tenant registry run at any shard count.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.obs.hub import obs_of
 from repro.sched.core import InFlightGate, PriorityClass
 from repro.sched.ledger import CapacityLedger
 from repro.sim import MetricsRegistry, Simulator
+from repro.tenancy.registry import TenantRegistry
 
 
 def _score(key: str, shard_id: int) -> int:
@@ -62,10 +65,8 @@ class ShardedRouter:
 
     ``lbs`` are already-constructed Load Balancers (shard id = list
     index) sharing one simulator, session table and (usually) one
-    :class:`~repro.sched.ledger.CapacityLedger`.  At ``shards == 1``
-    every call delegates straight to the single LB with the same
-    arguments the pre-refactor call sites used — behaviour-identical by
-    construction, which the shard-scaling bench asserts bit-for-bit.
+    :class:`~repro.sched.ledger.CapacityLedger`.  Every shard's
+    dispatcher shares the router's tenant registry.
     """
 
     def __init__(self, sim: Simulator, lbs: Sequence[Any],
@@ -84,10 +85,9 @@ class ShardedRouter:
             sim, namespace="sched")
         self._workflow_gate = InFlightGate(sim, workflow_inflight,
                                            name="sched.workflow")
-        #: tenancy registry shared by every shard (attach_tenants)
-        self.tenants: Optional[Any] = None
         #: service name -> shard ids hosting a slice of it
         self._service_shards: Dict[str, List[int]] = {}
+        self.attach_tenants(TenantRegistry())
 
     # -- topology ------------------------------------------------------------
 
@@ -115,16 +115,14 @@ class ShardedRouter:
     def manage(self, service, initial_replicas: Optional[int] = None):
         """Manage ``service``, splitting its slices across the shards.
 
-        At one shard the service object is handed to the LB untouched.
-        With N shards each participating shard gets its own
-        ``ManagedService`` clone whose replica floors/ceilings split the
-        originals as evenly as possible; shards whose slice would have
+        ``service`` is a template: each participating shard gets its
+        own ``ManagedService`` clone whose replica floors/ceilings split
+        the originals as evenly as possible (one shard: one slice with
+        the originals), and the returned slices — not the template —
+        are the live pools.  Shards whose slice would have
         ``max_replicas == 0`` do not host the service and are excluded
         from its rendezvous.
         """
-        if len(self.lbs) == 1:
-            self._service_shards[service.name] = [0]
-            return self.lbs[0].manage(service, initial_replicas)
         mins = _distribute(service.min_replicas, len(self.lbs))
         maxes = _distribute(service.max_replicas, len(self.lbs))
         initials = (_distribute(initial_replicas, len(self.lbs))
@@ -176,9 +174,8 @@ class ShardedRouter:
         shard = self.shard_of(session.session_id, service_name)
         self.metrics.counter(
             f"submit.{priority.name.lower()}").increment()
-        tenant = getattr(session, "tenant", None)
-        if tenant is not None:
-            self.metrics.counter(f"submit.tenant.{tenant}").increment()
+        self.metrics.counter(
+            f"submit.tenant.{session.tenant}").increment()
         self.lbs[shard].place_session(session, service_name,
                                       priority=priority)
         return shard
@@ -252,11 +249,11 @@ class ShardedRouter:
     # -- tenancy -------------------------------------------------------------
 
     def attach_tenants(self, registry: Any) -> None:
-        """Install a tenancy registry on every shard dispatcher.
+        """Share one tenancy registry across every shard dispatcher.
 
-        Each dispatcher starts weighting its DRR lanes by the
-        registry's per-tenant weights and reporting service back into
-        the registry's fairness accounting.
+        Each dispatcher weights its DRR lanes by the registry's
+        per-tenant weights and reports service back into the registry's
+        fairness accounting.
         """
         self.tenants = registry
         for lb in self.lbs:

@@ -35,6 +35,7 @@ from typing import Any, Dict, Optional
 from repro.cloud.storage import Container
 from repro.perf.keys import content_key
 from repro.sim import Simulator
+from repro.tenancy.context import DEFAULT_TENANT
 
 #: How long a pending reservation blocks other attempts, seconds.
 PENDING_TTL = 120.0
@@ -70,6 +71,8 @@ class IdempotencyIndex:
     Exactly-once is a *per-tenant* promise: tenants choose keys
     independently, so the same ``Idempotency-Key`` from two tenants is
     two unrelated requests and must never replay across the boundary.
+    A request that names no tenant is the default tenant's, however
+    that was spelled: no header and ``Tenant: default`` share a record.
     """
 
     def __init__(self, sim: Simulator, container: Container,
@@ -82,16 +85,11 @@ class IdempotencyIndex:
         self.takeovers = 0
 
     @staticmethod
-    def _key(key: str, tenant: Optional[str] = None) -> str:
-        # Keys are tenant-scoped: the same Idempotency-Key from two
-        # tenants must never replay across the boundary.  The untenanted
-        # path keeps the pre-tenancy blob name bit-identical.
-        if tenant is None:
-            return f"idem/{content_key(key)}"
+    def _key(key: str, tenant: str) -> str:
         return f"idem/{content_key((tenant, key))}"
 
     def admit(self, key: str, fingerprint: str,
-              tenant: Optional[str] = None) -> Admission:
+              tenant: str = DEFAULT_TENANT) -> Admission:
         """Classify one attempt and, when fresh, reserve the key.
 
         ``tenant`` scopes the key: reservations, replays and conflicts
@@ -122,7 +120,7 @@ class IdempotencyIndex:
 
     def record(self, key: str, epoch: int, status: int, body: Any,
                headers: Optional[Dict[str, str]] = None,
-               tenant: Optional[str] = None) -> bool:
+               tenant: str = DEFAULT_TENANT) -> bool:
         """Store the final response for a fresh admission.
 
         Fenced: a stale executor (its reservation expired and was taken
@@ -141,7 +139,7 @@ class IdempotencyIndex:
         })
         return True
 
-    def forget(self, key: str, tenant: Optional[str] = None) -> None:
+    def forget(self, key: str, tenant: str = DEFAULT_TENANT) -> None:
         """Drop a reservation (a failed attempt that should not pin the
         key — e.g. the handler never produced a recordable response)."""
         self._container.discard(self._key(key, tenant))

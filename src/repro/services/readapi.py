@@ -35,17 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dataplane.plane import DataPlane
 
 
-def build_read_api(sim: Simulator, plane: "DataPlane",
-                   tenants=None, limiter=None) -> RestApi:
-    """The CQRS read-side route table over ``plane``'s views.
-
-    ``tenants``/``limiter`` install the tenancy boundary: ``Tenant``
-    header validation and per-tenant token-bucket admission (429 +
-    ``Retry-After`` on exhaustion) exactly as on the WPS apis.
-    """
+def build_read_api(sim: Simulator, plane: "DataPlane") -> RestApi:
+    """The CQRS read-side route table over ``plane``'s views."""
     api = RestApi("read")
-    api.tenants = tenants
-    api.limiter = limiter
 
     def catchments(request: HttpRequest, params: Dict[str, str]):
         names = plane.stats.catchments()

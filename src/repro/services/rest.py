@@ -39,7 +39,9 @@ from repro.services.envelope import problem
 from repro.services.idempotency import request_fingerprint
 from repro.services.transport import HttpRequest, HttpResponse, Network
 from repro.sim import Signal, Simulator
-from repro.tenancy.context import TENANT_HEADER, valid_tenant_id
+from repro.tenancy.context import (DEFAULT_TENANT, TENANT_HEADER,
+                                   valid_tenant_id)
+from repro.tenancy.registry import TenantRegistry
 
 #: Default CPU cost (reference-core seconds) of a lightweight handler.
 DEFAULT_HANDLER_COST = 0.005
@@ -190,20 +192,18 @@ class RestApi:
         #: while the serving region is degraded and spillover saturated.
         self.guard: Optional[Callable[[HttpRequest],
                                       Optional[HttpResponse]]] = None
-        #: Optional :class:`~repro.tenancy.registry.TenantRegistry`;
-        #: when set, ``Tenant`` headers are validated at the boundary
-        #: (400 malformed, 403 unknown-in-strict-mode) and responses,
-        #: spans and RED metrics carry the tenant label.
-        self.tenants: Optional[Any] = None
+        #: The :class:`~repro.tenancy.registry.TenantRegistry` whose
+        #: policy the boundary applies to ``Tenant`` headers (400
+        #: malformed, 403 unknown under ``strict``, 401 missing under
+        #: ``require_tenant``); knows only ``default`` until an estate
+        #: shares its own.  Every request resolves to a tenant, and its
+        #: span and RED metrics carry the label.
+        self.tenants = TenantRegistry()
         #: Optional :class:`~repro.tenancy.ratelimit.RateLimiter`;
         #: when set, each request spends a token from its tenant's
         #: bucket and exhaustion answers 429 with ``Retry-After`` and
         #: ``X-RateLimit-*`` headers before any handler work.
         self.limiter: Optional[Any] = None
-        #: When True (and a registry is installed) requests without a
-        #: ``Tenant`` header are refused with 401 instead of running as
-        #: the anonymous default principal.
-        self.require_tenant: bool = False
         self._mount(Route("GET", f"/{API_VERSION}", self._describe_api))
 
     def _mount(self, route: Route) -> None:
@@ -317,23 +317,23 @@ class RestServer:
         # view covers that failure mode)
         started = self.sim.now
         api_metrics = obs_of(self.sim).api_metrics.sub(self.api.name)
-        tenant_id: Optional[str] = None
+        # answers given before an identity is established (no route,
+        # a refused header) are the default tenant's
+        tenant_id = DEFAULT_TENANT
 
         def metered(response: HttpResponse) -> None:
+            # per-tenant RED series ride the same registry under
+            # brace-labeled names (the scraper's label convention)
             api_metrics.counter("requests").increment()
+            api_metrics.counter(
+                f"requests{{tenant={tenant_id}}}").increment()
             if response.status >= 500:
                 api_metrics.counter("errors").increment()
-            if tenant_id is not None:
-                # per-tenant RED series ride the same registry under
-                # brace-labeled names (the scraper's label convention)
                 api_metrics.counter(
-                    f"requests{{tenant={tenant_id}}}").increment()
-                if response.status >= 500:
-                    api_metrics.counter(
-                        f"errors{{tenant={tenant_id}}}").increment()
-                if response.status == 429:
-                    api_metrics.counter(
-                        f"throttled{{tenant={tenant_id}}}").increment()
+                    f"errors{{tenant={tenant_id}}}").increment()
+            if response.status == 429:
+                api_metrics.counter(
+                    f"throttled{{tenant={tenant_id}}}").increment()
             exemplar = None
             if span is not None:
                 exemplar = {"trace_id": span.trace_id, "t": self.sim.now,
@@ -354,7 +354,7 @@ class RestServer:
         if denied is not None:
             self._finish(done, denied, span)
             return done
-        if span is not None and tenant_id is not None:
+        if span is not None:
             span.set_attribute("tenant", tenant_id)
         if self.api.guard is not None:
             denial = self.api.guard(request)
@@ -424,48 +424,45 @@ class RestServer:
             span.finish(error=outcome.error or "instance lost")
 
     def _resolve_tenant(self, request: HttpRequest
-                        ) -> Tuple[Optional[str], Optional[HttpResponse]]:
-        """Extract-and-validate the ``Tenant`` header at the boundary.
+                        ) -> Tuple[str, Optional[HttpResponse]]:
+        """Resolve the request's tenant, once, at the boundary.
 
-        Returns ``(tenant_id, denial)``: a malformed header is a 400, an
-        unknown tenant under a strict registry a 403, a missing header
-        under ``require_tenant`` a 401, and an exhausted token bucket a
-        429 carrying ``Retry-After`` + ``X-RateLimit-*``.  With neither
-        registry nor limiter installed every request passes untouched —
-        the pre-tenancy path.
+        Returns ``(tenant_id, denial)``.  No ``Tenant`` header is the
+        default tenant (a 401 when the registry requires one); a
+        malformed header is a 400 and an unknown tenant under a strict
+        registry a 403, both still the default tenant's for accounting.
+        An installed limiter then spends a token from the tenant's
+        bucket — an unlabelled flood is still a flood — and an
+        exhausted one is a 429 carrying ``Retry-After`` +
+        ``X-RateLimit-*``.
         """
         api = self.api
         raw = request.headers.get(TENANT_HEADER)
         if raw is None:
-            if api.require_tenant and api.tenants is not None:
-                return None, HttpResponse(status=401, body=problem(
+            if api.tenants.require_tenant:
+                return DEFAULT_TENANT, HttpResponse(status=401, body=problem(
                     401, "tenant required",
                     f"requests to {api.name} must carry a "
                     f"{TENANT_HEADER} header",
                     retryable=False, type_slug="tenant-required"))
-            if api.limiter is not None:
-                # anonymous traffic shares the default principal's
-                # bucket — an unlabelled flood is still a flood
-                decision = api.limiter.check(None)
-                if not decision.allowed:
-                    return None, self._throttled(decision)
-            return None, None
-        if not valid_tenant_id(raw):
-            return None, HttpResponse(status=400, body=problem(
+            tenant = DEFAULT_TENANT
+        elif not valid_tenant_id(raw):
+            return DEFAULT_TENANT, HttpResponse(status=400, body=problem(
                 400, "invalid tenant",
                 f"malformed {TENANT_HEADER} header {raw!r}",
                 retryable=False, type_slug="invalid-tenant"))
-        if api.tenants is not None and api.tenants.strict \
-                and not api.tenants.known(raw):
-            return None, HttpResponse(status=403, body=problem(
+        elif api.tenants.strict and not api.tenants.known(raw):
+            return DEFAULT_TENANT, HttpResponse(status=403, body=problem(
                 403, "unknown tenant",
                 f"tenant {raw!r} is not registered with {api.name}",
                 retryable=False, type_slug="unknown-tenant"))
+        else:
+            tenant = raw
         if api.limiter is not None:
-            decision = api.limiter.check(raw)
+            decision = api.limiter.check(tenant)
             if not decision.allowed:
-                return raw, self._throttled(decision)
-        return raw, None
+                return tenant, self._throttled(decision)
+        return tenant, None
 
     @staticmethod
     def _throttled(decision) -> HttpResponse:
@@ -479,8 +476,7 @@ class RestServer:
                             headers=decision.headers())
 
     def _admit_idempotent(self, done: Signal, request: HttpRequest,
-                          span: Optional[Span],
-                          tenant: Optional[str] = None):
+                          span: Optional[Span], tenant: str):
         """Classify a keyed mutating request before any work happens.
 
         Returns the ``(key, epoch, tenant)`` ticket the final
@@ -557,7 +553,7 @@ class RestServer:
 
     def _finish(self, done: Signal, response: HttpResponse,
                 span: Optional[Span] = None,
-                ticket: Optional[Tuple[str, int, Optional[str]]] = None
+                ticket: Optional[Tuple[str, int, str]] = None
                 ) -> None:
         if ticket is not None and self.api.idempotency is not None:
             key, epoch, tenant = ticket

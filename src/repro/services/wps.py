@@ -151,8 +151,7 @@ class WpsService:
     same container to every replica of the same service.
     """
 
-    def __init__(self, sim: Simulator, name: str, status_container: Container,
-                 tenants=None, limiter=None, idempotency=None):
+    def __init__(self, sim: Simulator, name: str, status_container: Container):
         self.sim = sim
         self.name = name
         self.status = status_container
@@ -160,11 +159,6 @@ class WpsService:
         self._outbox = None
         self._run_stream = "runs"
         self.api = RestApi(f"wps.{name}")
-        # the tenancy boundary and the idempotency index both guard the
-        # mutating execute path; all three are shared across replicas
-        self.api.tenants = tenants
-        self.api.limiter = limiter
-        self.api.idempotency = idempotency
         self.api.get("/wps", self._get_capabilities, cacheable=False)
         self.api.get("/wps/processes/{identifier}", self._describe_process)
         # Execute replays deterministically (same inputs, same outputs),
@@ -269,6 +263,8 @@ class WpsService:
             inputs = process.validate(body.get("inputs", {}))
         except HttpError as err:
             return err.status, err.to_problem()
+        # a format, not an identity: run payloads and status documents
+        # carry a ``tenant`` key only when the request carried the header
         tenant = request.headers.get(TENANT_HEADER)
         if mode == "sync":
             return self._execute_sync(process, inputs, tenant=tenant)

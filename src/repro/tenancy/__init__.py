@@ -1,39 +1,37 @@
 """First-class tenancy for the shared estate.
 
 The paper's stakeholders — farmers, flood engineers, the public — share
-one cloud; this package makes *who is asking* a first-class fact that
-every layer can act on:
+one cloud; this package makes *who is asking* a fact every layer acts
+on, and a total one: a request, session or launch that names nobody is
+the ``default`` tenant's, on the same lanes, buckets and ledger rows as
+anyone else's.
 
 * :mod:`~repro.tenancy.context` — the ``Tenant`` header contract,
-  :class:`TenantContext`, and Jain's fairness index;
+  :data:`DEFAULT_TENANT`, and Jain's fairness index;
 * :mod:`~repro.tenancy.registry` — :class:`TenantRegistry` /
-  :class:`TenantSpec`: weights, quotas, service accounting;
+  :class:`TenantSpec`: weights, quotas, boundary policy, service
+  accounting;
 * :mod:`~repro.tenancy.ratelimit` — the deterministic token-bucket
   :class:`RateLimiter` behind the /v1 429 path.
 
-With no registry installed anywhere (the default) every path in the
-estate is pinned bit-identical to the pre-tenancy single-principal
-behaviour.
+Every dispatcher, router and REST api holds a registry from
+construction — one that knows only ``default`` until specs arrive.  A
+limiter is something an estate installs; an identity is not.
 """
 
 from repro.tenancy.context import (DEFAULT_TENANT, TENANT_HEADER,
-                                   TenantContext, extract_tenant,
-                                   inject_tenant, jain_index,
-                                   valid_tenant_id)
+                                   jain_index, valid_tenant_id)
 from repro.tenancy.ratelimit import RateDecision, RateLimiter, TokenBucket
 from repro.tenancy.registry import TenantRegistry, TenantSpec
 
 __all__ = [
     "DEFAULT_TENANT",
     "TENANT_HEADER",
-    "TenantContext",
     "TenantRegistry",
     "TenantSpec",
     "TokenBucket",
     "RateLimiter",
     "RateDecision",
-    "extract_tenant",
-    "inject_tenant",
     "jain_index",
     "valid_tenant_id",
 ]

@@ -1,16 +1,21 @@
-"""Tenant identity: the context object, the header contract, fairness math.
+"""Tenant identity: the header contract, the default principal, fairness math.
 
 The reproduction models the paper's "widening the circle" estate: one
-cloud shared by farmers, flood engineers and the public.  Until this
-package every request was a single anonymous principal; a tenant is the
-unit the estate is now fair *between*.
+cloud shared by farmers, flood engineers and the public.  A tenant is
+the unit the estate is fair *between*, and every unit of work has one:
+identity is a plain ``str``, resolved once at each way in (the /v1
+boundary, session creation, a managed service's owner) and never
+re-tested downstream.  A caller who says nothing is
+:data:`DEFAULT_TENANT`, a tenant like any other — it has a DRR lane, a
+token bucket, a ledger row, an idempotency namespace and a
+``requests{tenant=default}`` counter.
 
-Identity rides requests as a plain ``Tenant`` header — deliberately the
-same shape as W3C ``traceparent`` baggage (see
-:mod:`repro.obs.context`): injected client-side into the headers dict,
-extracted server-side at the /v1 boundary, and propagated verbatim by
-anything that forwards the request.  Absence of the header is the
-pre-tenancy single-principal path and stays bit-identical to it.
+Identity rides requests as a plain ``Tenant`` header — the same shape
+as W3C ``traceparent`` baggage (see :mod:`repro.obs.context`) — and is
+propagated verbatim by anything that forwards the request.  Formats do
+not name the default: a client given no tenant stamps no header, and a
+run payload or status document carries a ``tenant`` key only when the
+request carried the header.
 
 :func:`jain_index` is the fairness yardstick the scheduler and the
 multi-tenant benchmark share: J(x) = (Σx)² / (n·Σx²), 1.0 when every
@@ -21,17 +26,13 @@ one tenant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Sequence
 
 #: HTTP header carrying the tenant id end-to-end (case-sensitive, like
 #: the transport's other headers).
 TENANT_HEADER = "Tenant"
 
-#: The implicit principal when no header / no session tenant is present.
-#: Everything pre-tenancy ran as this tenant; keeping it a plain name
-#: (rather than ``None`` leaking everywhere) gives the default path a
-#: lane, a bucket and a ledger row like anyone else.
+#: The principal of a request, session or service that names no other.
 DEFAULT_TENANT = "default"
 
 #: Tenant ids are DNS-label-ish: lowercase alphanumerics plus ``-``/``_``,
@@ -43,48 +44,6 @@ _TENANT_ID_RE = re.compile(r"^[a-z0-9][a-z0-9_-]{0,63}$")
 def valid_tenant_id(raw: object) -> bool:
     """Whether ``raw`` is a well-formed tenant id."""
     return isinstance(raw, str) and bool(_TENANT_ID_RE.match(raw))
-
-
-@dataclass(frozen=True)
-class TenantContext:
-    """The resolved identity a request carries through the layers.
-
-    Frozen: a context is resolved once at the boundary and threaded, not
-    mutated mid-flight.  ``attributes`` is free-form annotation space
-    (display name, organisation) that never affects scheduling.
-    """
-
-    tenant_id: str
-    weight: float = 1.0
-    attributes: Mapping[str, object] = field(default_factory=dict)
-
-    @classmethod
-    def anonymous(cls) -> "TenantContext":
-        """The single-principal default context."""
-        return cls(tenant_id=DEFAULT_TENANT)
-
-    def __post_init__(self):
-        if not valid_tenant_id(self.tenant_id):
-            raise ValueError(f"invalid tenant id {self.tenant_id!r}")
-        if self.weight <= 0:
-            raise ValueError("tenant weight must be positive")
-
-
-def inject_tenant(tenant_id: Optional[str],
-                  headers: Optional[Dict[str, str]] = None
-                  ) -> Dict[str, str]:
-    """Stamp ``tenant_id`` into a headers dict (no-op for ``None``)."""
-    headers = dict(headers or {})
-    if tenant_id is not None:
-        headers[TENANT_HEADER] = tenant_id
-    return headers
-
-
-def extract_tenant(headers: Optional[Mapping[str, str]]) -> Optional[str]:
-    """The raw ``Tenant`` header value (unvalidated), or ``None``."""
-    if not headers:
-        return None
-    return headers.get(TENANT_HEADER)
 
 
 def jain_index(shares: Sequence[float]) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim import Simulator
-from repro.tenancy.context import DEFAULT_TENANT
 from repro.tenancy.registry import TenantRegistry
 
 
@@ -106,13 +105,11 @@ class RateLimiter:
     """Per-tenant token buckets with registry-sourced parameters.
 
     ``default_rate``/``default_burst`` apply to tenants whose spec does
-    not set its own; both ``None`` means unregistered tenants are
-    unlimited (the bit-identical pre-tenancy default) while registered
-    tenants with explicit rates are still enforced.
+    not set its own; both ``None`` means those tenants are unlimited
+    while tenants registered with explicit rates are still enforced.
     """
 
-    def __init__(self, sim: Simulator,
-                 registry: Optional[TenantRegistry] = None,
+    def __init__(self, sim: Simulator, registry: TenantRegistry,
                  default_rate: Optional[float] = None,
                  default_burst: Optional[float] = None,
                  metrics=None):
@@ -126,50 +123,45 @@ class RateLimiter:
         self.throttled = 0
 
     def _params(self, tenant_id: str):
-        rate, burst = self.default_rate, self.default_burst
-        if self.registry is not None:
-            spec = self.registry.spec_of(tenant_id)
-            rate = spec.rate if spec.rate is not None else rate
-            burst = spec.burst if spec.burst is not None else burst
+        spec = self.registry.spec_of(tenant_id)
+        rate = spec.rate if spec.rate is not None else self.default_rate
+        burst = spec.burst if spec.burst is not None else self.default_burst
         if rate is None:
             return None
         if burst is None:
             burst = max(1.0, rate)
         return rate, burst
 
-    def bucket(self, tenant_id: Optional[str]) -> Optional[TokenBucket]:
+    def bucket(self, tenant_id: str) -> Optional[TokenBucket]:
         """The tenant's bucket (created on first use; ``None`` = unlimited)."""
-        key = tenant_id if tenant_id is not None else DEFAULT_TENANT
-        bucket = self._buckets.get(key)
+        bucket = self._buckets.get(tenant_id)
         if bucket is None:
-            params = self._params(key)
+            params = self._params(tenant_id)
             if params is None:
                 return None
             bucket = TokenBucket(self.sim, *params)
-            self._buckets[key] = bucket
+            self._buckets[tenant_id] = bucket
         return bucket
 
-    def check(self, tenant_id: Optional[str],
-              cost: float = 1.0) -> RateDecision:
+    def check(self, tenant_id: str, cost: float = 1.0) -> RateDecision:
         """Admit or throttle one request of ``cost`` tokens."""
-        key = tenant_id if tenant_id is not None else DEFAULT_TENANT
-        bucket = self.bucket(key)
+        bucket = self.bucket(tenant_id)
         if bucket is None:
             self.allowed += 1
-            self._count("allowed", key)
-            return RateDecision(allowed=True, tenant=key)
+            self._count("allowed", tenant_id)
+            return RateDecision(allowed=True, tenant=tenant_id)
         ok = bucket.try_take(cost)
         remaining = bucket.level()
         reset = (bucket.burst - remaining) / bucket.rate
         if ok:
             self.allowed += 1
-            self._count("allowed", key)
-            return RateDecision(allowed=True, tenant=key,
+            self._count("allowed", tenant_id)
+            return RateDecision(allowed=True, tenant=tenant_id,
                                 limit=bucket.burst, remaining=remaining,
                                 reset=reset)
         self.throttled += 1
-        self._count("throttled", key)
-        return RateDecision(allowed=False, tenant=key,
+        self._count("throttled", tenant_id)
+        return RateDecision(allowed=False, tenant=tenant_id,
                             limit=bucket.burst, remaining=remaining,
                             reset=reset,
                             retry_after=bucket.retry_after(cost))

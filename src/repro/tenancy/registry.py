@@ -60,14 +60,18 @@ class TenantRegistry:
     tenant at the API boundary: permissive (default) lets it through on
     default policy — the widening-the-circle stance, new participants
     are not locked out — while strict mode refuses it (403), for
-    estates that provision tenants explicitly.  The anonymous default
-    tenant is always known.
+    estates that provision tenants explicitly.  ``require_tenant``
+    refuses a request that names nobody (401) instead of serving it as
+    the default tenant.  Both are read at the boundary on every
+    request, so every api sharing the registry changes with it.  The
+    default tenant is always known.
     """
 
     def __init__(self, specs: Optional[Iterable[TenantSpec]] = None,
                  default_weight: float = 1.0, strict: bool = False):
         self.default_weight = default_weight
         self.strict = strict
+        self.require_tenant = False
         self._specs: Dict[str, TenantSpec] = {}
         #: work units served per tenant (dequeues, by default) — the
         #: series Jain's index is computed over.
@@ -87,19 +91,18 @@ class TenantRegistry:
         """Whether the tenant was explicitly registered."""
         return tenant_id in self._specs
 
-    def spec_of(self, tenant_id: Optional[str]) -> TenantSpec:
-        """The tenant's policy; unknown/None tenants get default policy."""
-        key = tenant_id if tenant_id is not None else DEFAULT_TENANT
-        spec = self._specs.get(key)
+    def spec_of(self, tenant_id: str) -> TenantSpec:
+        """The tenant's policy; unknown tenants get default policy."""
+        spec = self._specs.get(tenant_id)
         if spec is None:
-            spec = TenantSpec(key, weight=self.default_weight)
+            spec = TenantSpec(tenant_id, weight=self.default_weight)
         return spec
 
-    def weight_of(self, tenant_id: Optional[str]) -> float:
+    def weight_of(self, tenant_id: str) -> float:
         """DRR quantum for the tenant (default weight when unknown)."""
         return self.spec_of(tenant_id).weight
 
-    def quota_of(self, tenant_id: Optional[str]) -> Optional[float]:
+    def quota_of(self, tenant_id: str) -> Optional[float]:
         """The tenant's vcpu quota, or ``None`` for uncapped."""
         return self.spec_of(tenant_id).vcpu_quota
 
@@ -115,11 +118,9 @@ class TenantRegistry:
 
     # -- fairness accounting -------------------------------------------------
 
-    def record_service(self, tenant_id: Optional[str],
-                       amount: float = 1.0) -> None:
+    def record_service(self, tenant_id: str, amount: float = 1.0) -> None:
         """Credit ``amount`` units of service to the tenant."""
-        key = tenant_id if tenant_id is not None else DEFAULT_TENANT
-        self.served[key] = self.served.get(key, 0.0) + amount
+        self.served[tenant_id] = self.served.get(tenant_id, 0.0) + amount
 
     def fairness(self, tenant_ids: Optional[Iterable[str]] = None) -> float:
         """Jain's index over weight-normalized service shares.

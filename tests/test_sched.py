@@ -1,9 +1,10 @@
 """The scheduling plane: class queues, rendezvous router, ledger.
 
-Pins the refactor's two load-bearing guarantees:
+Pins the plane's two load-bearing guarantees:
 
-* ``shards=1`` is behaviour-identical to the pre-refactor direct-LB
-  dispatch path (same instances, same waits, same span names);
+* one shard is the general path: the router slices, routes and places
+  at ``shards=1`` exactly as at N, and what it places is what driving
+  the shard's LB by hand would (the LB stays as the test oracle);
 * rendezvous routing is deterministic and minimally disruptive —
   adding/removing a shard only moves the keys that land on it.
 """
@@ -118,7 +119,8 @@ def test_classed_queue_front_push_bypasses_bound_and_preserves_order():
     q.push("fresh1", PriorityClass.INTERACTIVE)
     q.push("fresh2", PriorityClass.INTERACTIVE)
     # displaced sessions re-enter at the head even when the class is full
-    q.push_front_many(["old1", "old2"], PriorityClass.INTERACTIVE)
+    q.push_front_many(["old1", "old2"], PriorityClass.INTERACTIVE,
+                      ["default", "default"])
     order = [q.pop()[0] for _ in range(len(q))]
     assert order == ["old1", "old2", "fresh1", "fresh2"]
 
@@ -271,7 +273,7 @@ def test_rendezvous_uses_every_shard_eventually(keys):
     assert len(used) >= 2
 
 
-# -- shards=1 identity with the direct-LB path -------------------------------
+# -- shards=1: the router against the LB driven by hand -----------------------
 
 
 def _place_and_snapshot(via_router):
@@ -296,11 +298,18 @@ def test_single_shard_router_identical_to_direct_lb_path():
         _place_and_snapshot(via_router=False)
 
 
-def test_single_shard_router_delegates_manage_untouched():
-    plane = Plane(shards=1)
-    managed = plane.sched.manage(plane.service)
-    assert managed is plane.service
-    assert plane.lb.service("svc") is plane.service
+def test_single_shard_router_manages_one_slice():
+    plane = Plane(shards=1, min_replicas=2, max_replicas=7)
+    (managed,) = plane.sched.manage(plane.service)
+    # the template is cut exactly as at N shards: the one slice keeps the
+    # original floors/ceilings and is the live pool; the template is not
+    assert managed is not plane.service
+    assert (managed.min_replicas, managed.max_replicas) == (2, 7)
+    assert plane.lb.service("svc") is managed
+    assert plane.sched.service_slices("svc") == [managed]
+    assert plane.sched.slices("svc") == [(plane.lb, managed)]
+    plane.sim.run(until=300.0)
+    assert len(managed.serving()) == 2 and not plane.service.replicas
 
 
 # -- sharded placement -------------------------------------------------------
@@ -395,7 +404,7 @@ def test_displaced_sessions_requeue_at_head_of_their_class():
                   max_replicas=2, autoscale_interval=10.0)
     plane.sched.manage(plane.service, initial_replicas=1)
     plane.sim.run(until=300.0)
-    (replica,) = plane.service.serving()
+    (replica,) = plane.lb.service("svc").serving()
     olds = [plane.sessions.create(f"old-{i}") for i in range(2)]
     for s in olds:
         plane.lb.place_session(s, "svc")
@@ -429,8 +438,7 @@ def test_queued_session_gets_sched_submit_span():
     plane.sim.run(until=120.0)
     gateway = PushGateway(plane.sim, gateway_instance,
                           streams=plane.streams)
-    rb = ResourceBroker(plane.sim, plane.lb, plane.sessions, gateway,
-                        scheduler=plane.sched)
+    rb = ResourceBroker(plane.sim, plane.sched, plane.sessions, gateway)
     session = rb.connect("traced-user", "svc")
     plane.sim.run(until=900.0)
     assert session.state.value == "active"

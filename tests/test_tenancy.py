@@ -1,9 +1,14 @@
-"""First-class tenancy: DRR fairness, token buckets, the /v1 boundary.
+r"""First-class tenancy: DRR fairness, token buckets, the /v1 boundary.
 
-Pins the refactor's load-bearing guarantees:
+Pins the plane's load-bearing guarantees:
 
+* identity is total: a request, session or launch that names nobody is
+  the ``default`` tenant's — same bucket, DRR lane, ledger row,
+  idempotency record and ``requests{tenant=default}`` counter as one
+  that says ``default`` — and every API an estate publishes (WPS, read,
+  SOS, observability) sits behind the same boundary;
 * deficit round robin is work-conserving, weighted within one quantum,
-  and byte-for-byte FIFO with a single lane (the pre-tenancy path);
+  and serves in arrival order while only one lane has work;
 * the token bucket is a pure function of simulation time — admission
   decisions and ``Retry-After`` are deterministic;
 * the ``Tenant`` header contract at the boundary: 400 malformed, 403
@@ -13,6 +18,21 @@ Pins the refactor's load-bearing guarantees:
   never replays across the boundary;
 * per-tenant vcpu quotas in the capacity ledger, shed/guard events
   stamped with the tenant, and the admin console's tenants section.
+
+No layer below the ways in re-tests for a missing identity.  The check::
+
+    git grep -nE "tenant is (not )?None|tenants is (not )?None|getattr\(.*\"tenant\", None\)" src/repro
+
+returns only the four format-boundary lines, where what is written
+follows what the caller sent rather than who the caller is:
+
+* ``services/client.py`` — ``RestClient`` stamps a ``Tenant`` header
+  only when it was given a tenant;
+* ``services/transport.py`` — the client span is labelled with the
+  header the request carries, if any;
+* ``services/wps.py`` (two) — a run payload and an async status
+  document carry a ``tenant`` key only when the Execute carried the
+  header (``RunSummaryView`` rows are inside the e2e digests).
 """
 
 from collections import deque
@@ -38,6 +58,10 @@ from repro.cloud import (
     MultiCloud,
     OpenStackCloud,
 )
+from repro.services import InputSpec, ProcessDescription, WpsProcess, \
+    WpsService
+from repro.services.client import RestClient
+from repro.core.config import EvopConfig
 from repro.core.evop import Evop
 from repro.core.admin import AdminConsole
 from repro.geo import GeoRouter, RegionGuard, RegionStatus, RegionTopology
@@ -57,12 +81,9 @@ from repro.tenancy import (
     DEFAULT_TENANT,
     RateLimiter,
     TENANT_HEADER,
-    TenantContext,
     TenantRegistry,
     TenantSpec,
     TokenBucket,
-    extract_tenant,
-    inject_tenant,
     jain_index,
     valid_tenant_id,
 )
@@ -88,24 +109,6 @@ def test_tenant_id_validation():
     assert not valid_tenant_id("x" * 65)
     assert not valid_tenant_id(None)
     assert not valid_tenant_id(42)
-
-
-def test_tenant_context_validates_and_freezes():
-    context = TenantContext.anonymous()
-    assert context.tenant_id == DEFAULT_TENANT
-    assert context.weight == 1.0
-    with pytest.raises(ValueError):
-        TenantContext(tenant_id="Not Valid")
-    with pytest.raises(ValueError):
-        TenantContext(tenant_id="ok", weight=0.0)
-
-
-def test_inject_extract_roundtrip():
-    headers = inject_tenant("org-a", {"Accept": "application/json"})
-    assert headers[TENANT_HEADER] == "org-a"
-    assert extract_tenant(headers) == "org-a"
-    assert extract_tenant(inject_tenant(None)) is None
-    assert extract_tenant(None) is None
 
 
 def test_jain_index_edges():
@@ -136,7 +139,7 @@ _tenant_ids = st.sampled_from(["org-a", "org-b", "org-c", "org-d"])
 @given(st.lists(st.integers(), max_size=60),
        st.lists(st.integers(min_value=0, max_value=5), max_size=20))
 def test_single_lane_is_fifo(items, pop_pattern):
-    """Without tenants the queue is byte-for-byte the old FIFO."""
+    """With only the default lane, pops interleaved with pushes are FIFO."""
     queue = ClassedQueue()
     model = deque()
     iterator = iter(items)
@@ -160,6 +163,33 @@ def test_single_lane_is_fifo(items, pop_pattern):
     while model:
         assert queue.pop() == (model.popleft(), PriorityClass.INTERACTIVE)
     assert queue.pop() is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(PriorityClass)),
+                          st.booleans()), max_size=60))
+def test_default_lane_alone_serves_in_arrival_order(arrivals):
+    """DRR with only the default lane is arrival order within each class,
+    whichever way the default tenant was spelled at enqueue."""
+    dispatcher = Dispatcher(Simulator())
+    dispatcher.register("svc")
+    for n, (cls, named) in enumerate(arrivals):
+        spelled = {"tenant": DEFAULT_TENANT} if named else {}
+        assert dispatcher.enqueue("svc", n, cls, **spelled)
+    expected = [n for cls in PriorityClass
+                for n, (arrived_in, _) in enumerate(arrivals)
+                if arrived_in == cls]
+    projected = [n for cls in PriorityClass
+                 for n in dispatcher.queue("svc").items(cls)]
+    served = []
+    while True:
+        entry = dispatcher.dequeue("svc")
+        if entry is None:
+            break
+        served.append(entry[0])
+    assert projected == served == expected
+    assert sum(dispatcher.tenants.served.values()) == len(arrivals)
+    assert set(dispatcher.tenants.served) <= {DEFAULT_TENANT}
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +307,8 @@ def test_dispatcher_records_service_in_registry():
     sim = Simulator()
     registry = TenantRegistry(specs=[TenantSpec("org-a", weight=2.0),
                                      TenantSpec("org-b")])
-    dispatcher = Dispatcher(sim, tenants=registry)
+    dispatcher = Dispatcher(sim)
+    dispatcher.attach_tenants(registry)
     dispatcher.register("svc")
     for i in range(6):
         dispatcher.enqueue("svc", f"a{i}", tenant="org-a")
@@ -308,7 +339,8 @@ def test_token_bucket_is_deterministic_on_sim_time():
 
 
 def test_rate_decision_headers():
-    limiter = RateLimiter(Simulator(), default_rate=2.0, default_burst=4.0)
+    limiter = RateLimiter(Simulator(), TenantRegistry(), default_rate=2.0,
+                          default_burst=4.0)
     allowed = limiter.check("org-a")
     assert allowed.allowed
     headers = allowed.headers()
@@ -329,8 +361,8 @@ def test_rate_limiter_spec_overrides_and_unlimited_default():
     registry = TenantRegistry(specs=[TenantSpec("metered", rate=1.0,
                                                 burst=2.0)])
     limiter = RateLimiter(sim, registry)
-    # no default rate: unregistered tenants and anonymous are unlimited
-    assert all(limiter.check(None).allowed for _ in range(50))
+    # no default rate: unregistered tenants and the default are unlimited
+    assert all(limiter.check(DEFAULT_TENANT).allowed for _ in range(50))
     assert all(limiter.check("stranger").allowed for _ in range(50))
     assert limiter.fill("stranger") is None
     assert limiter.check("metered").allowed
@@ -419,9 +451,9 @@ def test_idempotency_keys_are_tenant_scoped():
     # the same key from another tenant is an unrelated fresh request
     other = index.admit("key-1", fp, tenant="org-b")
     assert other.kind == "fresh"
-    # and from no tenant at all: the pre-tenancy namespace, also fresh
-    anonymous = index.admit("key-1", fp)
-    assert anonymous.kind == "fresh"
+    # and from nobody in particular: the default tenant's, also fresh
+    unnamed = index.admit("key-1", fp)
+    assert unnamed.kind == "fresh"
     # the same tenant retrying replays the original
     retry = index.admit("key-1", fp, tenant="org-a")
     assert retry.kind == "replay"
@@ -434,6 +466,11 @@ def test_idempotency_keys_are_tenant_scoped():
     assert conflict.kind == "conflict"
     index.forget("key-1", tenant="org-b")
     assert index.admit("key-1", fp, tenant="org-b").kind == "fresh"
+    # one record for the default tenant, however it is spelled: a retry
+    # that names ``default`` replays what the unnamed attempt recorded
+    assert index.record("key-1", unnamed.epoch, 200, {"run": 0})
+    named = index.admit("key-1", fp, tenant=DEFAULT_TENANT)
+    assert named.kind == "replay" and named.response["body"] == {"run": 0}
 
 
 # -- the /v1 boundary ---------------------------------------------------------
@@ -475,9 +512,10 @@ class _Rig:
         self.sim.run(until=600.0)
         self.address = self.sched.services()[0].serving()[0].address
 
-    def call(self, headers=None, path="/v1/ping"):
+    def call(self, headers=None, path="/v1/ping", method="GET", body=None):
         signal = self.network.request(
-            self.address, HttpRequest("GET", path, headers=headers or {}))
+            self.address, HttpRequest(method, path, body=body,
+                                      headers=headers or {}))
         self.sim.run(until=self.sim.now + 10.0)
         return signal.value
 
@@ -517,7 +555,7 @@ def test_boundary_strict_registry_refuses_unknown():
 def test_boundary_requires_tenant_when_configured():
     rig = _Rig()
     rig.api.tenants = TenantRegistry()
-    rig.api.require_tenant = True
+    rig.api.tenants.require_tenant = True
     denied = rig.call()
     assert denied.status == 401
     assert denied.body["type"].endswith("tenant-required")
@@ -559,6 +597,114 @@ def test_boundary_throttles_with_retry_after_and_ratelimit_headers():
     assert metrics.counter("throttled{tenant=burst}").value == 2
 
 
+_SPELLINGS = [pytest.param(None, id="unnamed"),
+              pytest.param(DEFAULT_TENANT, id="named-default")]
+
+
+@pytest.mark.parametrize("second", _SPELLINGS)
+@pytest.mark.parametrize("first", _SPELLINGS)
+def test_default_tenant_is_one_principal_however_spelled(first, second):
+    """Saying nothing and saying ``default`` land on the same bucket,
+    idempotency record, RED counter, DRR lane and ledger row."""
+    def header(spelling):
+        return {} if spelling is None else {TENANT_HEADER: spelling}
+
+    def named(spelling):
+        return {} if spelling is None else {"tenant": spelling}
+
+    rig = _Rig(replicas=1, sessions_per_replica=1, strict_capacity=True)
+    # -- REST: a bucket of two, one keyed mutation
+    executions = []
+    rig.api.post("/runs",
+                 lambda req, p: executions.append(1) or {"run": "r-1"})
+    rig.api.idempotency = IdempotencyIndex(
+        rig.sim, BlobStore(rig.sim, name="idem").create_container("idem"))
+    rig.api.tenants.register(TenantSpec(DEFAULT_TENANT, rate=1e-6,
+                                        burst=2.0))
+    rig.api.limiter = RateLimiter(rig.sim, rig.api.tenants)
+
+    def post(spelling):
+        return rig.call({"Idempotency-Key": "K", **header(spelling)},
+                        path="/v1/runs", method="POST", body={"x": 1})
+
+    original, retry, third = post(first), post(second), post(first)
+    assert original.status == 200 and len(executions) == 1
+    assert retry.headers["Idempotency-Replayed"] == "true"
+    assert (retry.status, retry.body) == (200, original.body)
+    assert third.status == 429          # the shared bucket is spent
+    assert list(rig.api.limiter.snapshot()["buckets"]) == [DEFAULT_TENANT]
+    metrics = obs_of(rig.sim).api_metrics.sub("svc")
+    assert metrics.counter("requests{tenant=default}").value == 3
+    assert metrics.counter("throttled{tenant=default}").value == 1
+    # -- sessions: the replica has one slot; the rest wait on one lane
+    sessions = [rig.sessions.create(f"user-{i}", **named(spelling))
+                for i, spelling in enumerate((first, second, first))]
+    for session in sessions:
+        rig.sched.submit_session(session, "svc")
+    assert [s.tenant for s in sessions] == [DEFAULT_TENANT] * 3
+    assert [s.state.value for s in sessions] == \
+        ["active", "waiting", "waiting"]
+    assert rig.sched.tenant_depths() == {DEFAULT_TENANT: 2}
+    assert rig.sched.tenants.served == {DEFAULT_TENANT: 1.0}
+    assert rig.sched.metrics.counter("submit.tenant.default").value == 3
+    # -- ledger: one row, one quota; an unowned pool is the default's
+    assert rig.lb.service("svc").tenant == DEFAULT_TENANT
+    ledger = CapacityLedger(rig.sim, tenant_quotas={DEFAULT_TENANT: 6})
+    ledger.commit("private", 4, **named(first))
+    ledger.commit("private", 2, **named(second))
+    assert ledger.committed_by_tenant() == {DEFAULT_TENANT: 6}
+    assert not ledger.admit("private", 1, **named(first))
+    assert not ledger.admit("private", 1, **named(second))
+    ledger.release("private", 2, **named(first))
+    assert ledger.admit("private", 1, **named(second))
+
+
+@pytest.mark.parametrize("sent", [None, "org-a", DEFAULT_TENANT],
+                         ids=["no-header", "org-a", "default-by-name"])
+def test_formats_carry_the_tenant_that_was_sent_and_no_other(sent):
+    """Identity is total; formats are not rewritten.  A run payload, an
+    async status document and a client's request carry a tenant only
+    when one was given — the default is never written in its place."""
+    rig = _Rig()
+    wps = WpsService(rig.sim, "models",
+                     BlobStore(rig.sim, name="wps").create_container("st"))
+    wps.add_process(WpsProcess(
+        ProcessDescription(identifier="double", title="Doubler",
+                           inputs=[InputSpec("x", "float")]),
+        run=lambda inputs: {"y": inputs["x"] * 2},
+        cost=lambda inputs: inputs["x"]))
+    published = []
+
+    class _Outbox:
+        def record(self, stream, kind, key="", payload=None):
+            published.append((kind, payload))
+
+    wps.attach_outbox(_Outbox())
+    replica = rig.sched.services()[0].serving()[0]
+    wps.replica(replica).bind(rig.network)      # takes over the address
+    wps.api.get("/echo", lambda req, p: {"got": req.headers.get(
+        TENANT_HEADER)})
+    client = RestClient(rig.sim, rig.network, rig.address,
+                        **({} if sent is None else {"tenant": sent}))
+    echoed = client.request("GET", "/v1/echo")
+    client.execute_wps("double", {"x": 0.01})
+    rig.sim.run(until=rig.sim.now + 30.0)
+    # the async run costs 500 core-seconds: still ``accepted`` when read
+    client.execute_wps("double", {"x": 500.0}, mode="async")
+    rig.sim.run(until=rig.sim.now + 30.0)
+    assert echoed.value.body == {"got": sent}
+    assert [kind for kind, _ in published] == \
+        ["run.submitted", "run.finished", "run.submitted"]
+    (execution,) = wps.status.list()
+    accepted = wps.status.get(execution).payload
+    assert accepted["status"] == "accepted"
+    documents = [payload for _, payload in published] + [accepted]
+    if sent is None:
+        assert not any("tenant" in document for document in documents)
+    else:
+        assert all(document["tenant"] == sent for document in documents)
+
+
 def test_sessions_carry_tenant_through_broker_and_shed_events():
     rig = _Rig(replicas=1, sessions_per_replica=2, strict_capacity=True)
     registry = TenantRegistry(specs=[TenantSpec("org-a"),
@@ -566,8 +712,7 @@ def test_sessions_carry_tenant_through_broker_and_shed_events():
     rig.sched.attach_tenants(registry)
     gateway = PushGateway(rig.sim, rig.sched.services()[0].serving()[0],
                           streams=rig.streams)
-    rb = ResourceBroker(rig.sim, rig.lb, rig.sessions, gateway,
-                        scheduler=rig.sched)
+    rb = ResourceBroker(rig.sim, rig.sched, rig.sessions, gateway)
     events = obs_of(rig.sim).events
     session = rb.connect("farmer-1", "svc", tenant="org-a")
     assert session.tenant == "org-a"
@@ -629,17 +774,21 @@ def test_region_guard_stamps_tenant_on_503():
 def test_evop_enable_tenancy_and_admin_console_section():
     evop = Evop()
     console = AdminConsole(evop)
-    assert console.status()["tenancy"] == {"enabled": False}
-    registry = evop.enable_tenancy(
-        specs=[TenantSpec("org-a", weight=2.0, rate=5.0, vcpu_quota=8.0)])
-    # idempotent: repeat calls return the installed registry
-    assert evop.enable_tenancy() is registry
+    # the estate has a tenant model from construction: one tenant
+    registry, limiter = evop.tenants, evop.ratelimit
+    assert list(console.status()["tenancy"]["tenants"]) == [DEFAULT_TENANT]
+    assert evop.enable_tenancy(
+        specs=[TenantSpec("org-a", weight=2.0, rate=5.0, vcpu_quota=8.0)],
+        require_tenant=True) is registry
+    # policy lands on the two shared objects; nothing is rebuilt
+    assert evop.tenants is registry and evop.ratelimit is limiter
     assert evop.sched.tenants is registry
+    assert all(lb.dispatcher.tenants is registry for lb in evop.sched.lbs)
+    assert registry.require_tenant
     assert evop.ledger.tenant_quotas == {"org-a": 8.0}
     registry.record_service("org-a", 4.0)
     evop.ratelimit.check("org-a")
     status = console.status()["tenancy"]
-    assert status["enabled"]
     assert status["tenants"]["org-a"]["weight"] == 2.0
     assert status["tenants"]["org-a"]["served"] == 4.0
     assert status["tenants"]["org-a"]["bucket"]["burst"] == 5.0
@@ -647,3 +796,53 @@ def test_evop_enable_tenancy_and_admin_console_section():
     rendered = console.render()
     assert "tenants: fairness=" in rendered
     assert "org-a" in rendered
+
+
+_PUBLISHED = {
+    "wps": (lambda evop: evop.service_name("morland"), "/v1/wps"),
+    "read": (lambda evop: evop.expose_read_api(), "/v1/catchments"),
+    "sos": (lambda evop: evop.expose_sos(), "/v1/sos"),
+    "observability": (lambda evop: evop.expose_observability(),
+                      "/v1/observability/slo"),
+}
+
+
+@pytest.mark.parametrize("tenancy_first", [True, False],
+                         ids=["tenancy-then-publish", "publish-then-tenancy"])
+@pytest.mark.parametrize("api", sorted(_PUBLISHED))
+def test_every_published_api_sits_behind_the_boundary(api, tenancy_first):
+    """429 / 403 / 401 read the same on all four APIs, in either order."""
+    evop = Evop(EvopConfig(truth_days=4, storm_day=2)).bootstrap()
+    publish, path = _PUBLISHED[api]
+
+    def tenancy():
+        evop.enable_tenancy(specs=[TenantSpec("org-a", rate=1.0, burst=1.0)])
+
+    if tenancy_first:
+        tenancy()
+    name = publish(evop)
+    if not tenancy_first:
+        tenancy()
+    evop.run_for(600.0)
+    address = next(s for s in evop.sched.services()
+                   if s.name == name).serving()[0].address
+
+    def get(headers):
+        return evop.network.request(address,
+                                    HttpRequest("GET", path, headers=headers))
+
+    # one malformed probe spends nothing; then three back to back against
+    # a bucket of one
+    burst = [get({TENANT_HEADER: t})
+             for t in ("Not A Tenant", "org-a", "org-a", "org-a")]
+    evop.run_for(30.0)
+    assert [s.value.status for s in burst] == [400, 200, 429, 429]
+    assert evop.ratelimit.throttled == 2
+    # strict and require_tenant are policy on the shared registry
+    evop.tenants.strict = True
+    stranger = get({TENANT_HEADER: "stranger"})
+    evop.tenants.require_tenant = True
+    unnamed = get({})
+    evop.run_for(30.0)
+    assert stranger.value.status == 403
+    assert unnamed.value.status == 401
