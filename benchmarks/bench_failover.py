@@ -93,19 +93,19 @@ def run_fault(kind: str, monitored: bool = True):
 
     evop.run_for(1200.0)
 
-    detected = [e for e in evop.lb.events
-                if e["event"] == "fault.detected" and e.get("t", 0) >= inject_time]
-    detection_latency = detected[0]["t"] - inject_time if detected else None
+    events = obs_of(evop.sim).events
+    detected = events.events("lb.fault.detected", since=inject_time)
+    detection_latency = detected[0].t - inject_time if detected else None
     healthy = [s for s in at_risk
                if s.instance is not None and s.instance.is_serving
                and s.instance is not victim]
     recovery_latency = None
     if detected:
         # recovered when the pool is back at strength and everyone serving
-        ready = [e for e in evop.lb.events
-                 if e["event"] == "replica.ready" and e["t"] > inject_time]
+        ready = [e for e in events.events("lb.replica.ready")
+                 if e.t > inject_time]
         if ready:
-            recovery_latency = ready[0]["t"] - inject_time
+            recovery_latency = ready[0].t - inject_time
     tracer = obs_of(evop.sim).tracer
     tracer.finish_open_spans()
     return {

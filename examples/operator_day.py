@@ -11,6 +11,7 @@ Run with::
 """
 
 from repro.core import AdminConsole, Evop, EvopConfig
+from repro.obs import obs_of
 
 
 def main() -> None:
@@ -46,9 +47,10 @@ def main() -> None:
     print("unhealthy replicas (pre-detection):",
           console.unhealthy_replicas() or "none yet - evidence accruing")
     evop.run_for(400.0)
-    faults = [e for e in evop.lb.events if e["event"] == "fault.detected"]
-    print(f"LB detected: {faults[-1]['verdict']} on {faults[-1]['instance']}"
-          f" at t={faults[-1]['t']:.0f}s; replacement launched")
+    fault = obs_of(evop.sim).events.events("lb.fault.detected")[-1]
+    print(f"LB detected: {fault.fields['verdict']} on "
+          f"{fault.fields['instance']} at t={fault.t:.0f}s; "
+          f"replacement launched")
     print(f"user's session now on: {widget.session.instance_address} "
           f"(migrated {len(widget.session.migrations)}x, seamlessly)")
 

@@ -93,7 +93,6 @@ class LoadBalancer:
         self.dispatcher = dispatcher if dispatcher is not None else Dispatcher(
             sim, shard_id=shard_id, metrics=self.metrics.sub("sched"),
             bounds=queue_bounds)
-        self.events: List[Dict] = []
         self._services: Dict[str, ManagedService] = {}
         self._place_spans: Dict[str, Span] = {}  # session_id -> open span
         self._replacing: set = set()
@@ -565,9 +564,6 @@ class LoadBalancer:
             self._log("cloudburst.exit")
 
     def _log(self, kind: str, **fields) -> None:
-        entry = {"t": self.sim.now, "event": kind}
-        entry.update(fields)
-        self.events.append(entry)
-        # mirror every decision into the shared structured event log, so
-        # LB activity lines up with traces and instance lifecycle events
+        # every decision goes to the shared structured event log, so LB
+        # activity lines up with traces and instance lifecycle events
         obs_of(self.sim).events.emit(f"lb.{kind}", **fields)

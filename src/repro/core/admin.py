@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.core.evop import Evop
+from repro.obs.hub import obs_of
 
 
 class AdminConsole:
@@ -51,8 +52,13 @@ class AdminConsole:
                 "min": service.min_replicas,
                 "max": service.max_replicas,
             })
-        faults = [e for lb in evop.sched.lbs for e in lb.events
-                  if e["event"].startswith("fault.")]
+        # the event log is a bounded ring: it shows what happened lately,
+        # the LBs' fault counters say how often since boot
+        faults_detected = sum(
+            counter.value for lb in evop.sched.lbs
+            for name, _labels, counter in lb.metrics.instruments()
+            if name.startswith("fault."))
+        recent_faults = obs_of(evop.sim).events.events("lb.fault")[-5:]
         observability: Dict[str, Any] = {"enabled": evop.telemetry is not None}
         if evop.telemetry is not None:
             plane = evop.telemetry.snapshot()
@@ -104,9 +110,8 @@ class AdminConsole:
                 "total_ever": len(evop.sessions.all()),
             },
             "faults": {
-                "detected": sum(1 for e in faults
-                                if e["event"] == "fault.detected"),
-                "recent": faults[-5:],
+                "detected": int(faults_detected),
+                "recent": [e.to_dict() for e in recent_faults],
             },
             "cost": evop.cost_report(),
             "registry": [

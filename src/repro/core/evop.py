@@ -93,8 +93,12 @@ class Evop:
             self.sim, account_instance_limit=self.config.public_account_limit,
             streams=self.streams, meter=self.meter)
         self.multicloud = MultiCloud()
-        self.multicloud.register_compute("private", self.private)
-        self.multicloud.register_compute("public", self.public)
+        for location, provider in (("private", self.private),
+                                   ("public", self.public)):
+            self.multicloud.register_compute(location, provider)
+            provider.metrics.callback_gauge(
+                "instances",
+                lambda loc=location: len(self.multicloud.list_nodes(loc)))
 
         # storage + data
         self.storage = BlobStore(self.sim, name="evop-store")
@@ -136,6 +140,8 @@ class Evop:
         # — the signal that catches single-replica faults the request-
         # level availability ratio dilutes away once the LB fails over
         self.broker_metrics = MetricsRegistry(self.sim, namespace="broker")
+        self.broker_metrics.callback_gauge("sessions.active",
+                                           self.sessions.active_count)
         self.monitor = HealthMonitor(
             self.sim, interval=self.config.health_interval,
             window=self.config.health_window, metrics=self.broker_metrics)
@@ -196,6 +202,10 @@ class Evop:
         self.wps_services: Dict[str, Any] = {}
         self.telemetry: Optional[TelemetryPlane] = None
         self.dataplane: Optional[Any] = None
+        # owned from construction so the telemetry plane can watch it
+        # whether or not (and whenever) the data plane is switched on
+        self.dataplane_metrics = MetricsRegistry(self.sim,
+                                                 namespace="dataplane")
         self._bootstrapped = False
 
     # -- lifecycle ------------------------------------------------------------------
@@ -429,8 +439,7 @@ class Evop:
         for wps in self.wps_services.values():
             wps.attach_outbox(plane.outbox)
         plane.start()
-        if self.telemetry is not None:
-            self.telemetry.watch_dataplane(plane)
+        plane.instrument(self.dataplane_metrics)
         self.dataplane = plane
         return plane
 
@@ -491,9 +500,9 @@ class Evop:
     def enable_telemetry(self, interval: float = 5.0) -> TelemetryPlane:
         """Start the telemetry plane: scraper, default SLOs, alert fan-out.
 
-        Registers every subsystem registry under service/location/shard
-        labels, adds live saturation probes, and declares the default
-        SLOs the fleet is operated against:
+        Watches every subsystem registry under service/location/shard
+        labels and declares the default SLOs the fleet is operated
+        against:
 
         * availability — ≥ 99.9 % of resilient-client *attempts* succeed
           (attempt failures are the early signal: retries and failover
@@ -515,39 +524,21 @@ class Evop:
                 self.rb.gateway.broadcast({"channel": "ops.alerts",
                                            **payload})
 
+        hub = obs_of(self.sim)
         plane = TelemetryPlane(self.sim, interval=interval, notifier=notify)
         plane.watch_registry(self.resilience_metrics, service="resilience")
         plane.watch_registry(self.sched_metrics, service="sched")
-        plane.watch_registry(obs_of(self.sim).api_metrics, service="rest")
+        plane.watch_registry(hub.api_metrics, service="rest")
         for shard, lb in enumerate(self.sched.lbs):
             plane.watch_registry(lb.metrics, service="lb", shard=str(shard))
-        for location in ("private", "public"):
-            provider = self.private if location == "private" else self.public
-            plane.watch_registry(provider.metrics, service="cloud",
-                                 location=location)
+        for location in self.multicloud.locations():
+            plane.watch_registry(self.multicloud.compute(location).metrics,
+                                 service="cloud", location=location)
         if self.rb is not None:
             plane.watch_registry(self.rb.gateway.metrics, service="channels")
-        for name, labels, fn in self.sched.probes():
-            plane.watch_probe(name, fn, **labels)
-        for location in self.multicloud.locations():
-            plane.watch_probe(
-                "instances",
-                lambda loc=location: float(
-                    len(self.multicloud.list_nodes(loc))),
-                service="cloud", location=location)
         plane.watch_registry(self.broker_metrics, service="broker")
-        plane.watch_probe("sessions.active",
-                          lambda: float(self.sessions.active_count()),
-                          service="broker")
-        hub = obs_of(self.sim)
-        plane.watch_probe("events.dropped",
-                          lambda: float(hub.events.dropped),
-                          service="obs")
-        plane.watch_probe("spans.dropped",
-                          lambda: float(hub.tracer.dropped),
-                          service="obs")
-        if self.dataplane is not None:
-            plane.watch_dataplane(self.dataplane)
+        plane.watch_registry(hub.metrics, service="obs")
+        plane.watch_registry(self.dataplane_metrics, service="dataplane")
 
         plane.add_slo(SLO.availability(
             "wps-attempt-availability", total="attempts",

@@ -5,7 +5,9 @@ deployment: the transactional outbox writers record into, the durable
 event streams, the competing consumer group, the dead-letter queue, and
 the materialized views the read API serves.  ``pump()`` drains the
 pipeline synchronously (deterministic tests and benchmarks);
-``start()`` spawns the background relay and consumer loops instead.
+``start()`` spawns the background relay and consumer loops instead;
+``instrument(registry)`` publishes its saturation signals as callback
+gauges, which is all the telemetry plane needs to scrape it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.dataplane.views import (
     view_fingerprint,
 )
 from repro.obs.hub import obs_of
-from repro.sim import Simulator
+from repro.sim import MetricsRegistry, Simulator
 
 
 class DataPlane:
@@ -115,21 +117,16 @@ class DataPlane:
             return self.streams.total_events()
         return self.consumers[0].lag()
 
-    def probes(self) -> List[Any]:
-        """Telemetry probes: ``(series_name, labels, fn)`` triples —
-        the saturation signals of the data plane (consumer lag, DLQ and
-        outbox depth), shaped like the scheduling plane's probes so
-        :meth:`TelemetryPlane.watch_dataplane
-        <repro.obs.telemetry.TelemetryPlane.watch_dataplane>` can mount
-        them directly."""
-        return [
-            ("dataplane.consumer.lag", {}, lambda: float(self.lag())),
-            ("dataplane.dlq.depth", {}, lambda: float(self.dlq.depth())),
-            ("dataplane.outbox.depth", {},
-             lambda: float(self.outbox.depth())),
-            ("dataplane.stream.events", {},
-             lambda: float(self.streams.total_events())),
-        ]
+    def instrument(self, registry: MetricsRegistry) -> None:
+        """Register the plane's saturation signals on ``registry`` as
+        callback gauges — consumer lag, DLQ depth, outbox depth, total
+        stream events: whether the views are keeping up with ingest and
+        whether poison events are accumulating."""
+        registry.callback_gauge("dataplane.consumer.lag", self.lag)
+        registry.callback_gauge("dataplane.dlq.depth", self.dlq.depth)
+        registry.callback_gauge("dataplane.outbox.depth", self.outbox.depth)
+        registry.callback_gauge("dataplane.stream.events",
+                                self.streams.total_events)
 
     def snapshot(self) -> Dict[str, Any]:
         """An admin/debug rendering of pipeline health."""

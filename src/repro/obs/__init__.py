@@ -14,9 +14,10 @@ workflow stage — and this package makes that path visible:
   summaries, JSON Lines, Chrome ``trace_event`` JSON that opens
   directly in ``chrome://tracing`` / Perfetto, or collapsed flamegraph
   stacks (self-time per root-to-span path);
-* :mod:`~repro.obs.telemetry` samples every metrics registry into a
-  bounded labeled :class:`~repro.obs.telemetry.SeriesStore` on the
-  simulated clock, with RED/USE views and trace exemplars;
+* :mod:`~repro.obs.telemetry` samples the raw signals of every metrics
+  registry into a bounded labeled
+  :class:`~repro.obs.telemetry.SeriesStore` on the simulated clock, with
+  a RED view and trace exemplars;
 * :mod:`~repro.obs.slo` evaluates declarative
   :class:`~repro.obs.slo.SLO` objects with multi-window multi-burn-rate
   alert rules that page over the deployment's push channels.
@@ -58,7 +59,6 @@ from repro.obs.telemetry import (
     SeriesStore,
     TelemetryPlane,
     red_view,
-    use_view,
 )
 from repro.obs.tracer import Span, Tracer
 
@@ -89,7 +89,6 @@ __all__ = [
     "to_collapsed_stacks",
     "to_jsonl",
     "tree_depth",
-    "use_view",
     "write_chrome_trace",
     "write_collapsed_stacks",
 ]

@@ -14,25 +14,11 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.events import Event
 from repro.obs.tracer import Span
-
-
-def _percentile(ordered: List[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+from repro.sim.metrics import percentile
 
 
 def summarize_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
@@ -58,9 +44,9 @@ def summarize_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
             "errors": errors,
             "error_rate": errors / len(durations),
             "mean": total / len(durations),
-            "p50": _percentile(durations, 50),
-            "p95": _percentile(durations, 95),
-            "p99": _percentile(durations, 99),
+            "p50": percentile(durations, 50),
+            "p95": percentile(durations, 95),
+            "p99": percentile(durations, 99),
             "total": total,
         }
     return out

@@ -6,10 +6,12 @@ sharing that simulator shares one hub — which is exactly what lets a
 single trace id cross the broker, the network, an instance and a
 workflow engine.
 
-The hub also owns ``api_metrics``, the registry REST servers record
-per-API request counts and duration histograms into: server-side RED
-metrics need a home that exists before any deployment wiring, for the
-same reason the tracer does.
+The hub also owns two registries.  ``api_metrics`` is where REST
+servers record per-API, per-tenant request counters and duration
+histograms: server-side RED metrics need a home that exists before any
+deployment wiring, for the same reason the tracer does.  ``metrics``
+holds the hub's own retention gauges (``events.dropped``,
+``spans.dropped``), read live from the log and the tracer.
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ class Observability:
     def __init__(self, sim: Simulator, max_spans: int = 100_000,
                  max_events: int = 20_000):
         self.sim = sim
-        self.max_events = max_events
         self.tracer = Tracer(sim, max_spans=max_spans)
         self.events = EventLog(sim, max_events=max_events)
         self.api_metrics = MetricsRegistry(sim, namespace="rest")
-
-    def reset(self) -> None:
-        """Drop all collected spans and events (benchmark hygiene)."""
-        self.tracer.clear()
-        self.events = EventLog(self.sim, max_events=self.max_events)
-        self.api_metrics = MetricsRegistry(self.sim, namespace="rest")
+        self.metrics = MetricsRegistry(sim, namespace="obs")
+        self.metrics.callback_gauge("events.dropped",
+                                    lambda: self.events.dropped)
+        self.metrics.callback_gauge("spans.dropped",
+                                    lambda: self.tracer.dropped)
 
     def snapshot(self) -> Dict[str, Any]:
         """Retention health: what was kept, what was silently shed.

@@ -18,11 +18,12 @@ push-vs-poll argument applied to the operators themselves.
 
 from __future__ import annotations
 
+import math
 from operator import sub
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.hub import obs_of
-from repro.obs.telemetry import SeriesStore, format_bound
+from repro.obs.telemetry import SeriesStore, window_buckets
 from repro.sim.kernel import Simulator
 
 #: Default (long_window, short_window, burn_factor) pairs, scaled for
@@ -56,11 +57,6 @@ class SLO:
         self.target = target
         self.params = params
         self.labels = {k: str(v) for k, v in labels.items()}
-        # (candidate-count, total series, good series) memo — bucket
-        # bounds are fixed per histogram, so which ``.bucket`` series
-        # carry the total (``+Inf``) and the good count (the owning
-        # bound) only changes when new bucket series appear
-        self._bound_memo: Optional[Tuple[int, List[Any], List[Any]]] = None
 
     # -- factories ----------------------------------------------------------
 
@@ -140,39 +136,16 @@ class SLO:
 
     def _latency_sli(self, store: SeriesStore, start: float,
                      end: float) -> Optional[float]:
-        bucket_name = f"{self.params['metric']}.bucket"
-        threshold = self.params["threshold"]
-        candidates = store.query(bucket_name, **self.labels)
-        if self._bound_memo is None or \
-                self._bound_memo[0] != len(candidates):
-            owning = self._owning_bound(candidates, threshold)
-            self._bound_memo = (
-                len(candidates),
-                [s for s in candidates if s.labels.get("le") == "+Inf"],
-                # multi-source metrics aggregate: one owning series each
-                [s for s in candidates if s.labels.get("le") == owning
-                 and owning != "+Inf"])
-        _, totals, goods = self._bound_memo
-        # only those two bounds enter the ratio; the other dozen bucket
-        # series per source are never windowed
-        seen = [d for d in (s.delta(start, end) for s in totals)
-                if d is not None]
-        total = sum(seen)
-        if not seen or total <= 0:
-            return None
-        good = sum(d for d in (s.delta(start, end) for s in goods)
-                   if d is not None)
+        buckets = window_buckets(store, self.params["metric"], start, end,
+                                 **self.labels)
+        last, total = buckets[-1] if buckets else (0.0, 0.0)
+        if last != math.inf or total <= 0:
+            return None     # no +Inf sample in reach, or nothing observed
+        # the smallest finite bound >= the threshold owns it; past the
+        # last one only +Inf does, and nothing can be shown good
+        good = next((grown for bound, grown in buckets[:-1]
+                     if bound >= self.params["threshold"]), 0.0)
         return min(1.0, good / total)
-
-    @staticmethod
-    def _owning_bound(candidates: List[Any], threshold: float) -> str:
-        """The ``le`` value of the smallest finite bound ≥ ``threshold``."""
-        bounds = sorted({float(s.labels["le"]) for s in candidates
-                         if s.labels.get("le") not in (None, "+Inf")})
-        for bound in bounds:
-            if bound >= threshold:
-                return format_bound(bound)
-        return "+Inf"
 
     def _freshness_sli(self, store: SeriesStore, start: float,
                        end: float) -> Optional[float]:

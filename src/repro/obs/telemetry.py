@@ -1,29 +1,31 @@
-"""The telemetry plane: labeled time series sampled on the simulated clock.
+"""The telemetry plane: the metrics model, windowed on the simulated clock.
 
-PRs 1–5 left the fabric covered in counters, gauges and histograms —
-cache hits, breaker trips, shard queue depths, ledger capacity — but all
-of them were end-of-run snapshots: nothing sampled them *over time*,
-correlated them with traces, or defined "healthy".  This module closes
-that gap:
+:mod:`repro.sim.metrics` is the model — labeled instruments in
+registries, each an end-of-run total on its own.  This module samples
+them *over time*, so they can be correlated with traces and held
+against a definition of "healthy":
 
 * :class:`Series` / :class:`SeriesStore` — a bounded store of labeled
   time series (dimensions: ``service``, ``location``, ``shard``,
-  ``priority`` — any string label works), queryable by name, label
-  subset and time range, with counter-delta and windowed helpers;
+  ``priority``, ``tenant`` — any string label works), queryable by
+  name, label subset and time range, with counter-delta and windowed
+  helpers;
 * :class:`MetricsScraper` — a periodic process on the simulated clock
-  that samples every registered :class:`~repro.sim.metrics.MetricsRegistry`
-  (and ad-hoc probes) into the store, including cumulative
-  ``<name>.bucket`` series per histogram bucket (the Prometheus ``le``
-  convention) so SLOs can window latency distributions exactly;
-* :func:`red_view` / :func:`use_view` — derived request-rate/error/
-  duration and utilisation/saturation views over the raw series;
+  that samples the raw signals of every watched
+  :class:`~repro.sim.metrics.MetricsRegistry` into the store: counter
+  and gauge values and cumulative ``<name>.bucket`` series per histogram
+  bucket (the Prometheus ``le`` convention) — what a delta, a mean and
+  a latency SLI are defined over.  A series' labels are its registry's
+  plus its instrument's own; statistics are derived on read;
+* :func:`red_view` — request rate / errors / duration over the raw
+  series, its p95 from the window's bucket growth;
 * :class:`TelemetryPlane` — the store + scraper + SLO evaluator bundle
   one deployment owns (see :mod:`repro.obs.slo` for the SLO half).
 
 The scraper also meters itself: cumulative *host* seconds spent
 scraping (``host_seconds``) is what the observability bench holds under
-its <5 % overhead budget, and ``lag()`` is the staleness the admin
-console surfaces.
+its per-scrape-per-series ceiling, and ``lag()`` is the staleness the
+admin console surfaces.
 """
 
 from __future__ import annotations
@@ -33,17 +35,15 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.hub import obs_of
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import (Histogram, LabelSet, MetricsRegistry,
+                               bucket_quantile)
 
 #: How many points one series retains (a ring buffer: a 5 s scrape
 #: interval keeps one simulated hour at the default).
 DEFAULT_MAX_POINTS = 720
 #: How many distinct (name, labels) series one store accepts.
 DEFAULT_MAX_SERIES = 8192
-
-LabelSet = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, str]) -> LabelSet:
@@ -54,8 +54,7 @@ def format_bound(bound: float) -> str:
     """The ``le`` label value of one histogram bucket bound."""
     if math.isinf(bound):
         return "+Inf"
-    text = f"{bound:g}"
-    return text
+    return f"{bound:g}"
 
 
 class Series:
@@ -166,16 +165,6 @@ class Series:
         values = self._values[lo:hi]
         return sum(values) / len(values)
 
-    def fraction_below(self, threshold: float, start: float,
-                       end: float) -> Optional[float]:
-        """Fraction of in-window samples with ``value <= threshold``."""
-        lo = bisect_left(self._times, start)
-        hi = bisect_right(self._times, end)
-        if hi <= lo:
-            return None
-        values = self._values[lo:hi]
-        return sum(1 for v in values if v <= threshold) / len(values)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Series {self.name} {self.labels} n={len(self._times)}>"
 
@@ -200,7 +189,10 @@ class SeriesStore:
         # appears (appends never change which series match)
         self._query_cache: Dict[Tuple[str, LabelSet], List[Series]] = {}
 
-    def record(self, name: str, t: float, value: float,
+    # names are positional-only: label keys reach here from a client's
+    # query string, and one spelled ``name`` or ``self`` is a label too
+
+    def record(self, name: str, t: float, value: float, /,
                **labels: str) -> Optional[Series]:
         """Append one point, creating the series on first sight."""
         key = (name, _label_key(labels))
@@ -216,11 +208,11 @@ class SeriesStore:
         series.append(t, value)
         return series
 
-    def get(self, name: str, **labels: str) -> Optional[Series]:
+    def get(self, name: str, /, **labels: str) -> Optional[Series]:
         """The exact series for ``name`` + ``labels``, or ``None``."""
         return self._series.get((name, _label_key(labels)))
 
-    def query(self, name: str, **labels: str) -> List[Series]:
+    def query(self, name: str, /, **labels: str) -> List[Series]:
         """Every series of ``name`` whose labels are a superset of ``labels``."""
         wanted = {str(k): str(v) for k, v in labels.items()}
         cache_key = (name, _label_key(wanted))
@@ -250,13 +242,14 @@ class SeriesStore:
 
 
 class MetricsScraper:
-    """Samples registries and probes into a :class:`SeriesStore` periodically.
+    """Samples watched registries into a :class:`SeriesStore` periodically.
 
-    Sources are added with :meth:`add_registry` (a whole
-    :class:`~repro.sim.metrics.MetricsRegistry`, snapshotted flat, plus
-    per-bucket cumulative series for each histogram) or
-    :meth:`add_probe` (one named callable).  :meth:`start` spawns the
-    scrape loop on the simulated clock; each tick also invokes every
+    :meth:`add_registry` watches a whole
+    :class:`~repro.sim.metrics.MetricsRegistry` under a label set: each
+    tick walks its ``instruments()`` (one registered later is picked up
+    by the next tick) and appends every counter and gauge value and
+    every cumulative histogram bucket.  :meth:`start` spawns the scrape
+    loop on the simulated clock; each tick also invokes every
     ``on_scrape`` hook (the SLO evaluator registers itself there).
     """
 
@@ -267,16 +260,13 @@ class MetricsScraper:
         self.sim = sim
         self.store = store
         self.interval = interval
-        self._registries: List[Tuple[Dict[str, str], MetricsRegistry]] = []
-        self._probes: List[Tuple[str, Dict[str, str],
-                                 Callable[[], Optional[float]]]] = []
+        #: the watched ``(labels, registry)`` pairs, in watch order
+        self.sources: List[Tuple[Dict[str, str], MetricsRegistry]] = []
         self._hooks: List[Callable[[float], None]] = []
-        # source-key -> Series, so steady-state ticks append directly
-        # instead of re-sorting label sets through SeriesStore.record:
-        # one table per registry (keyed by metric name, or (name, bucket
-        # bound)) and one for probes and the scraper's own series
-        self._tables: List[Dict[Any, Series]] = []
-        self._resolved: Dict[Any, Series] = {}
+        # instrument (or (histogram, bucket index), or the name of one
+        # of the scraper's own two series) -> Series: steady-state ticks
+        # append directly, no label set re-sorted through the store
+        self._table: Dict[Any, Series] = {}
         self._running = False
         self.scrapes = 0
         self.samples = 0
@@ -287,29 +277,16 @@ class MetricsScraper:
 
     # -- sources ------------------------------------------------------------
 
-    def add_registry(self, registry: MetricsRegistry,
+    def add_registry(self, registry: MetricsRegistry, /,
                      **labels: str) -> None:
-        """Sample every metric of ``registry`` under ``labels`` each tick."""
-        self._registries.append(({k: str(v) for k, v in labels.items()},
-                                 registry))
-        self._tables.append({})
-
-    def add_probe(self, name: str, fn: Callable[[], Optional[float]],
-                  **labels: str) -> None:
-        """Sample ``fn()`` into series ``name`` under ``labels`` each tick.
-
-        A probe returning ``None`` records nothing for that tick.
-        """
-        self._probes.append((name, {k: str(v) for k, v in labels.items()},
-                             fn))
+        """Sample every instrument of ``registry`` under ``labels`` each
+        tick."""
+        self.sources.append(({k: str(v) for k, v in labels.items()},
+                             registry))
 
     def on_scrape(self, hook: Callable[[float], None]) -> None:
         """Run ``hook(now)`` after every scrape (SLO evaluation, alerts)."""
         self._hooks.append(hook)
-
-    def registries(self) -> List[Tuple[Dict[str, str], MetricsRegistry]]:
-        """The registered (labels, registry) sources (a copy)."""
-        return list(self._registries)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -344,18 +321,19 @@ class MetricsScraper:
 
     # -- one tick -----------------------------------------------------------
 
-    def _record(self, table: Dict[Any, Series], key: Any, name: str,
-                now: float, value: float, labels: Dict[str, str]) -> bool:
-        """Append via a resolved-series table; ``False`` if dropped."""
-        series = table.get(key)
+    def _record(self, key: Any, name: str, now: float, value: float,
+                labels: Dict[str, str]) -> int:
+        """Append to the series of ``key``, resolving it on first sight;
+        the number of points written (0: the store dropped it)."""
+        series = self._table.get(key)
         if series is None:
             series = self.store.record(name, now, value, **labels)
             if series is None:
-                return False
-            table[key] = series
-            return True
-        series.append(now, value)
-        return True
+                return 0
+            self._table[key] = series
+        else:
+            series.append(now, value)
+        return 1
 
     def scrape_once(self) -> int:
         """Sample every source now; returns the number of points written."""
@@ -364,46 +342,43 @@ class MetricsScraper:
         host_start = time.process_time()
         now = self.sim.now
         written = 0
-        for (labels, registry), table in zip(self._registries, self._tables):
-            for name, value in registry.snapshot().items():
-                series = table.get(name)
-                if series is not None:
-                    series.append(now, value)
-                    written += 1
-                elif self._record(table, name, name, now, value, labels):
-                    written += 1
-            for name, hist in registry.each_histogram():
-                running = 0
-                for bound, count in hist.bucket_counts():
-                    running += count
-                    series = table.get((name, bound))
+        table = self._table
+        for labels, registry in self.sources:
+            for name, own, instrument in registry.instruments():
+                if type(instrument) is not Histogram:
+                    series = table.get(instrument)
                     if series is not None:
+                        series.append(now, instrument.value)
+                        written += 1
+                    else:
+                        written += self._record(
+                            instrument, name, now, instrument.value,
+                            {**labels, **dict(own)})
+                    continue
+                running = 0
+                for slot, (bound, count) in enumerate(
+                        instrument.bucket_counts()):
+                    running += count
+                    series = table.get((instrument, slot))
+                    if series is None:
+                        written += self._record(
+                            (instrument, slot), f"{name}.bucket", now,
+                            running, {"le": format_bound(bound), **labels,
+                                      **dict(own)})
+                    elif series._values[-1] != running:
                         # cumulative bucket: an unchanged count carries
                         # no new information and delta() baselines
                         # through sparse points, so skip the append
-                        if series._values[-1] != running:
-                            series.append(now, running)
-                            written += 1
-                        continue
-                    le = format_bound(bound)
-                    if self._record(table, (name, bound), f"{name}.bucket",
-                                    now, running, {"le": le, **labels}):
+                        series.append(now, running)
                         written += 1
-        resolved = self._resolved
-        for idx, (name, labels, fn) in enumerate(self._probes):
-            value = fn()
-            if value is None:
-                continue
-            if self._record(resolved, idx, name, now, value, labels):
-                written += 1
         self.scrapes += 1
         self.samples += written
         self.last_scrape_at = now
         # self-metering rides in the same store, labeled as its own service
-        self._record(resolved, "samples", "scrape.samples", now, written,
-                     {"service": "telemetry"})
-        self._record(resolved, "series", "scrape.series", now,
-                     self.store.series_count(), {"service": "telemetry"})
+        meter = {"service": "telemetry"}
+        self._record("scrape.samples", "scrape.samples", now, written, meter)
+        self._record("scrape.series", "scrape.series", now,
+                     self.store.series_count(), meter)
         for hook in self._hooks:
             hook(now)
         self.host_seconds += time.process_time() - host_start
@@ -413,6 +388,46 @@ class MetricsScraper:
 # -- derived views -----------------------------------------------------------
 
 
+def window_buckets(store: SeriesStore, metric: str, start: float,
+                   end: float, /, **labels: str) -> List[Tuple[float, float]]:
+    """What histogram ``metric`` observed in ``[start, end]``: ascending
+    ``(upper_bound, cumulative growth)`` from its ``.bucket`` series,
+    the overflow bucket (``inf``: every observation) last.
+
+    Matching sources (which share their bounds) pool into one
+    distribution; empty when no bucket has a sample in reach.
+    """
+    cumulative: Dict[float, float] = {}
+    for series in store.query(f"{metric}.bucket", **labels):
+        grown = series.delta(start, end)
+        if grown is not None:
+            le = series.labels["le"]
+            bound = math.inf if le == "+Inf" else float(le)
+            cumulative[bound] = cumulative.get(bound, 0.0) + grown
+    return sorted(cumulative.items())
+
+
+def window_quantile(store: SeriesStore, metric: str, q: float,
+                    start: float, end: float, /,
+                    **labels: str) -> Optional[float]:
+    """Percentile ``q`` of what histogram ``metric`` observed in
+    ``[start, end]``; ``None`` when the window saw nothing.
+
+    The interpolation :meth:`~repro.sim.metrics.Histogram.quantile`
+    does, over the window's counts: with no observed range to clamp to,
+    the first bucket opens at zero and the overflow bucket answers its
+    lower bound.
+    """
+    buckets = window_buckets(store, metric, start, end, **labels)
+    if len(buckets) < 2 or buckets[-1][1] <= 0:
+        return None
+    below = [0.0] + [grown for _bound, grown in buckets]
+    return bucket_quantile(
+        q, [(bound, grown - under)
+            for (bound, grown), under in zip(buckets, below)],
+        min(0.0, buckets[0][0]), buckets[-2][0])
+
+
 def red_view(store: SeriesStore, now: float, window: float = 60.0, *,
              requests: str = "requests", errors: str = "errors",
              duration: str = "request.duration",
@@ -420,9 +435,9 @@ def red_view(store: SeriesStore, now: float, window: float = 60.0, *,
     """RED (rate / errors / duration) over the window ending at ``now``.
 
     ``requests`` and ``errors`` name counter series; ``duration`` names
-    a histogram whose scraped ``.p95`` gauge supplies the duration
-    figure.  Missing series yield ``None`` fields rather than raising —
-    a dashboard renders dashes, it does not crash.
+    a histogram, whose scraped buckets supply the window's p95.  Missing
+    series yield ``None`` fields rather than raising — a dashboard
+    renders dashes, it does not crash.
     """
     start = now - window
 
@@ -438,40 +453,12 @@ def red_view(store: SeriesStore, now: float, window: float = 60.0, *,
     ratio: Optional[float] = None
     if request_rate is not None and error_rate is not None:
         ratio = error_rate / request_rate if request_rate > 0 else 0.0
-    p95_series = store.query(f"{duration}.p95", **labels)
-    p95_values = [s.mean(start, now) for s in p95_series]
-    p95_values = [v for v in p95_values if v is not None]
     return {
         "rate": request_rate,
         "error_rate": error_rate,
         "error_ratio": ratio,
-        "duration_p95": max(p95_values) if p95_values else None,
-    }
-
-
-def use_view(store: SeriesStore, now: float, window: float = 60.0, *,
-             utilization: str, saturation: str,
-             errors: Optional[str] = None,
-             **labels: str) -> Dict[str, Optional[float]]:
-    """USE (utilisation / saturation / errors) over the trailing window."""
-    start = now - window
-
-    def gauge_mean(name: str) -> Optional[float]:
-        values = [s.mean(start, now) for s in store.query(name, **labels)]
-        values = [v for v in values if v is not None]
-        if not values:
-            return None
-        return sum(values) / len(values)
-
-    error_rate: Optional[float] = None
-    if errors is not None:
-        rates = [s.rate(start, now) for s in store.query(errors, **labels)]
-        rates = [r for r in rates if r is not None]
-        error_rate = sum(rates) if rates else None
-    return {
-        "utilization": gauge_mean(utilization),
-        "saturation": gauge_mean(saturation),
-        "error_rate": error_rate,
+        "duration_p95": window_quantile(store, duration, 95.0, start, now,
+                                        **labels),
     }
 
 
@@ -517,48 +504,10 @@ class TelemetryPlane:
 
     # -- wiring -------------------------------------------------------------
 
-    def watch_registry(self, registry: MetricsRegistry,
+    def watch_registry(self, registry: MetricsRegistry, /,
                        **labels: str) -> None:
         """Scrape ``registry`` under ``labels`` every tick."""
         self.scraper.add_registry(registry, **labels)
-
-    def watch_probe(self, name: str, fn: Callable[[], Optional[float]],
-                    **labels: str) -> None:
-        """Scrape ``fn()`` into series ``name`` every tick."""
-        self.scraper.add_probe(name, fn, **labels)
-
-    def watch_ensemble_runner(self, runner: Any, **labels: str) -> None:
-        """Scrape an :class:`~repro.perf.runner.EnsembleRunner`'s
-        backend counters under ``labels``.
-
-        One ``ensemble.runs`` series per backend (labeled
-        ``backend=scalar|vector|process-pool``), plus dispatch gauges —
-        the same figures ``runner.stats()`` reports and the admin
-        console's ``top`` view tails, sampled over time so a sweep's
-        backend mix is visible next to its cache and SLO series.
-        """
-        for backend in getattr(runner, "backend_runs", {}):
-            key = f"runs{{backend={backend}}}"
-            self.watch_probe(
-                "ensemble.runs",
-                lambda r=runner, k=key: float(r.stats().get(k, 0)),
-                backend=backend, **labels)
-        for gauge in ("chunks_dispatched", "chunk_size", "pool_workers"):
-            self.watch_probe(
-                f"ensemble.{gauge}",
-                lambda r=runner, g=gauge: float(r.stats().get(g, 0)),
-                **labels)
-
-    def watch_dataplane(self, plane: Any, **labels: str) -> None:
-        """Scrape a :class:`~repro.dataplane.plane.DataPlane`'s health.
-
-        Mounts the plane's own probe triples — consumer lag, DLQ depth,
-        outbox depth, total stream events — the saturation signals that
-        say whether the materialized views are keeping up with ingest
-        and whether poison events are accumulating.
-        """
-        for name, probe_labels, fn in plane.probes():
-            self.watch_probe(name, fn, **{**probe_labels, **labels})
 
     def add_slo(self, slo: Any, windows: Optional[Iterable] = None) -> None:
         """Track ``slo`` with a multi-window burn-rate alert rule."""
@@ -600,9 +549,10 @@ class TelemetryPlane:
         what lets a bad p99 link straight to a span tree.
         """
         out: List[Dict[str, Any]] = []
-        for labels, registry in self.scraper.registries():
-            for name, hist in registry.each_histogram():
-                if name != metric and not name.endswith(f".{metric}"):
+        for labels, registry in self.scraper.sources:
+            for name, own, hist in registry.instruments():
+                if type(hist) is not Histogram or (
+                        name != metric and not name.endswith(f".{metric}")):
                     continue
                 for bound, exemplar in hist.exemplars():
                     if exemplar.get("value", 0.0) < min_value:
@@ -610,7 +560,7 @@ class TelemetryPlane:
                     entry = dict(exemplar)
                     entry["metric"] = name
                     entry["le"] = format_bound(bound)
-                    entry["labels"] = dict(labels)
+                    entry["labels"] = {**labels, **dict(own)}
                     out.append(entry)
         out.sort(key=lambda e: e.get("value", 0.0), reverse=True)
         return out

@@ -185,7 +185,3 @@ class Tracer:
                 closed += 1
         return closed
 
-    def clear(self) -> None:
-        """Drop every collected span."""
-        self._spans.clear()
-        self.dropped = 0

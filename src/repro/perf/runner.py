@@ -316,10 +316,8 @@ class EnsembleRunner:
         """Cache stats plus per-backend evaluation counters.
 
         The ``runs{backend=…}`` keys count model evaluations actually
-        computed by each backend (cache hits excluded), matching the
-        label style of the telemetry plane so
-        :meth:`~repro.obs.telemetry.TelemetryPlane.watch_ensemble_runner`
-        can scrape them directly.
+        computed by each backend (cache hits excluded), spelled the way
+        a registry snapshot spells a labeled child.
         """
         if self.cache is None:
             stats = {"hits": 0, "misses": 0, "evictions": 0,

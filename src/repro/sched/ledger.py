@@ -83,7 +83,7 @@ class CapacityLedger:
                 self._tenant_committed.get(tenant, 0) + vcpus > quota:
             self.refusals += 1
             self.tenant_refusals += 1
-            self._count(f"refused.tenant.{tenant}")
+            self._count("refused.tenant", tenant=tenant)
             obs_of(self.sim).events.emit(
                 "sched.quota.refused",
                 location=location, vcpus=vcpus, tenant=tenant,
@@ -147,6 +147,6 @@ class CapacityLedger:
             self._count("cloudburst.reversals")
             obs_of(self.sim).events.emit("sched.cloudburst.exit")
 
-    def _count(self, name: str, by: int = 1) -> None:
+    def _count(self, name: str, by: int = 1, **labels: str) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).increment(by)
+            self.metrics.counter(name, **labels).increment(by)

@@ -83,6 +83,15 @@ class ShardedRouter:
                            else getattr(lbs[0], "multicloud", None))
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             sim, namespace="sched")
+        # the saturation dimension of the plane's USE view: waiting
+        # items per (shard, priority class), summed across the shard's
+        # services and read live from its dispatcher when sampled
+        for shard, lb in enumerate(self.lbs):
+            for cls in PriorityClass:
+                self.metrics.callback_gauge(
+                    "sched.queue.depth",
+                    lambda lb=lb, cls=cls: lb.dispatcher.class_depth(cls),
+                    shard=str(shard), priority=cls.name.lower())
         self._workflow_gate = InFlightGate(sim, workflow_inflight,
                                            name="sched.workflow")
         #: service name -> shard ids hosting a slice of it
@@ -174,8 +183,7 @@ class ShardedRouter:
         shard = self.shard_of(session.session_id, service_name)
         self.metrics.counter(
             f"submit.{priority.name.lower()}").increment()
-        self.metrics.counter(
-            f"submit.tenant.{session.tenant}").increment()
+        self.metrics.counter("submit", tenant=session.tenant).increment()
         self.lbs[shard].place_session(session, service_name,
                                       priority=priority)
         return shard
@@ -300,26 +308,6 @@ class ShardedRouter:
         """Per-shard, per-service, per-class queue depths."""
         return {shard: lb.dispatcher.depths()
                 for shard, lb in enumerate(self.lbs)}
-
-    def probes(self) -> List[Any]:
-        """Telemetry probes: ``(series_name, labels, fn)`` triples.
-
-        One ``sched.queue.depth`` probe per (shard, priority class),
-        summed across that shard's services — the saturation dimension
-        of the scheduling plane's USE view, labeled so dashboards can
-        slice by shard or class.  The telemetry scraper samples these on
-        its own clock; the closures read live dispatcher state.
-        """
-        out: List[Any] = []
-        for shard in self.shard_ids():
-            for cls in PriorityClass:
-                def depth(s=shard, p=cls) -> float:
-                    return float(self.lbs[s].dispatcher.class_depth(p))
-                out.append(("sched.queue.depth",
-                            {"service": "sched", "shard": str(shard),
-                             "priority": cls.name.lower()},
-                            depth))
-        return out
 
     def drain(self, instance):
         """Route an operator drain to the shard owning ``instance``."""

@@ -322,18 +322,13 @@ class RestServer:
         tenant_id = DEFAULT_TENANT
 
         def metered(response: HttpResponse) -> None:
-            # per-tenant RED series ride the same registry under
-            # brace-labeled names (the scraper's label convention)
-            api_metrics.counter("requests").increment()
-            api_metrics.counter(
-                f"requests{{tenant={tenant_id}}}").increment()
+            # RED counters are per tenant; an api's total is their sum
+            api_metrics.counter("requests", tenant=tenant_id).increment()
             if response.status >= 500:
-                api_metrics.counter("errors").increment()
-                api_metrics.counter(
-                    f"errors{{tenant={tenant_id}}}").increment()
+                api_metrics.counter("errors", tenant=tenant_id).increment()
             if response.status == 429:
-                api_metrics.counter(
-                    f"throttled{{tenant={tenant_id}}}").increment()
+                api_metrics.counter("throttled",
+                                    tenant=tenant_id).increment()
             exemplar = None
             if span is not None:
                 exemplar = {"trace_id": span.trace_id, "t": self.sim.now,

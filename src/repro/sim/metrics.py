@@ -1,30 +1,84 @@
-"""Lightweight metrics for simulated subsystems.
+"""The metrics model: labeled instruments in namespaced registries.
 
-Three primitives cover everything the benches report:
+Four instruments carry every raw signal the system emits:
 
 * :class:`Counter` — monotonically increasing totals (requests served,
   bytes on the wire, cloudburst events).
 * :class:`Gauge` — instantaneous values with time-weighted averaging
-  (instances running, CPU utilisation).
-* :class:`TimeSeriesRecorder` — raw ``(t, value)`` samples with percentile
-  summaries (request latency, session wait).
+  (instances running, CPU utilisation); a :class:`CallbackGauge` reads
+  its value from a function when sampled (queue depth, consumer lag).
 * :class:`Histogram` — fixed-bucket distribution for high-volume series
   where keeping raw samples would be wasteful; percentiles are estimated
   by linear interpolation inside the owning bucket.
+* :class:`TimeSeriesRecorder` — raw ``(t, value)`` samples with exact
+  percentiles: an end-of-run bench instrument, never scraped.
 
-A :class:`MetricsRegistry` namespaces them per subsystem and renders a
-plain-dict snapshot the benchmark harness prints.  Child registries
-created with :meth:`MetricsRegistry.sub` are folded into their parent's
-snapshot under the child namespace.
+A :class:`MetricsRegistry` namespaces them per subsystem.  Labels are
+native: ``registry.counter("requests", tenant="org-a")`` is one child of
+the family ``requests``, whose total is the sum of its children, derived
+on read.  ``snapshot()`` renders the plain dict, derived statistics
+included, that benches print; ``instruments()`` hands the telemetry
+scraper (:mod:`repro.obs.telemetry`) the raw signals it windows over
+time.  :meth:`MetricsRegistry.sub` children appear in both, nested.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.sim.kernel import Simulator
+
+#: One child's labels inside its family: sorted ``(key, value)`` pairs,
+#: ``()`` for the single instrument of an unlabeled family.
+LabelSet = Tuple[Tuple[str, str], ...]
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """Exact percentile ``q`` in [0, 100] of an ascending sequence, by
+    linear interpolation between ranks (0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+
+
+def bucket_quantile(q: float, buckets: Iterable[Tuple[float, float]],
+                    low: float, high: float) -> float:
+    """Estimate percentile ``q`` from ascending ``(upper_bound, count)``
+    pairs holding at least one observation: linear interpolation inside
+    the owning bucket, its edges clamped to the observed range ``[low,
+    high]`` (``high`` also closes the overflow bucket, bound ``inf``).
+    """
+    buckets = list(buckets)
+    target = (q / 100.0) * sum(count for _bound, count in buckets)
+    cumulative = 0
+    previous_bound = low
+    for bound, count in buckets:
+        lower = max(previous_bound, low)
+        upper = min(high if math.isinf(bound) else bound, high)
+        upper = max(upper, lower)
+        if count > 0 and cumulative + count >= target:
+            frac = (target - cumulative) / count
+            return lower + (upper - lower) * frac
+        cumulative += count
+        previous_bound = bound
+    return high
+
+
+def _five_statistics(mean: float, quantile: Callable[[float], float],
+                     count: int) -> Dict[str, float]:
+    return {".mean": mean, ".p50": quantile(50), ".p95": quantile(95),
+            ".p99": quantile(99), ".count": float(count)}
 
 
 class Counter:
@@ -46,6 +100,10 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         self._value += amount
+
+    def summary(self) -> Dict[str, float]:
+        """What :meth:`MetricsRegistry.snapshot` reports, by key suffix."""
+        return {"": self._value}
 
 
 class Gauge:
@@ -101,6 +159,32 @@ class Gauge:
         area = self._area + self._value * (now - self._last_change)
         return area / span
 
+    def summary(self) -> Dict[str, float]:
+        """What :meth:`MetricsRegistry.snapshot` reports, by key suffix."""
+        return {"": self._value, ".mean": self.time_weighted_mean(),
+                ".peak": self._peak}
+
+
+class CallbackGauge:
+    """A gauge read from a function when it is sampled: state that
+    already lives somewhere (a queue's depth, a table's size) is seen
+    live, with no copy to keep in step."""
+
+    __slots__ = ("name", "_read")
+
+    def __init__(self, name: str, read: Callable[[], float]):
+        self.name = name
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        """The value right now."""
+        return float(self._read())
+
+    def summary(self) -> Dict[str, float]:
+        """What :meth:`MetricsRegistry.snapshot` reports, by key suffix."""
+        return {"": self.value}
+
 
 class TimeSeriesRecorder:
     """Raw samples with summary statistics.
@@ -110,22 +194,18 @@ class TimeSeriesRecorder:
     complexity of a sketch.
     """
 
-    __slots__ = ("name", "_sim", "_samples", "_sum", "_ordered_values",
-                 "_summary_cache")
+    __slots__ = ("name", "_sim", "_samples", "_sum", "_ordered_values")
 
     def __init__(self, name: str, sim: Simulator):
         self.name = name
         self._sim = sim
         self._samples: List[Tuple[float, float]] = []
         self._sum = 0.0
-        # sorted-value cache: extended lazily with whatever arrived since
-        # the last percentile call, then re-sorted — Timsort recognises
-        # the sorted prefix, so the periodic scraper asking for
-        # p50/p95/p99 every tick costs O(new samples), not O(n log n)
+        # sorted-value cache, extended lazily with whatever arrived since
+        # the last percentile call: the resilient client asks for the
+        # p95 of ``attempt_latency`` before every hedgeable GET, which
+        # must cost O(new samples), not a sort of the whole history
         self._ordered_values: List[float] = []
-        # (count, items) snapshot-fragment memo: a scraper polling an
-        # idle recorder pays one len() check, not three percentiles
-        self._summary_cache: Optional[Tuple[int, Dict[str, float]]] = None
 
     def record(self, value: float) -> None:
         """Record ``value`` at the current simulated time."""
@@ -158,8 +238,7 @@ class TimeSeriesRecorder:
         if fresh > 0:
             if fresh <= 32:
                 # a few new values insort in C-speed memmoves; a full
-                # re-sort would pay O(n) Python comparisons every time
-                # the periodic scraper asks for percentiles
+                # re-sort would pay O(n) comparisons on every call
                 for _t, v in self._samples[done:]:
                     bisect.insort(self._ordered_values, v)
             else:
@@ -172,18 +251,7 @@ class TimeSeriesRecorder:
         """Exact percentile ``q`` in [0, 100] by linear interpolation."""
         if not 0 <= q <= 100:
             raise ValueError(f"percentile out of range: {q}")
-        if not self._samples:
-            return 0.0
-        ordered = self._ordered()
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
+        return percentile(self._ordered(), q)
 
     def maximum(self) -> float:
         """Largest recorded value (0.0 when empty)."""
@@ -191,25 +259,10 @@ class TimeSeriesRecorder:
             return 0.0
         return self._ordered()[-1]
 
-    def summary_items(self, prefix: str) -> Dict[str, float]:
-        """Headline stats keyed ``<prefix>.<stat>``, memoised on count.
-
-        This is the fragment :meth:`MetricsRegistry.snapshot` merges in;
-        the memo means a periodic scraper only recomputes percentiles
-        for recorders that actually received samples since last scrape.
-        """
-        cached = self._summary_cache
-        if cached is not None and cached[0] == len(self._samples):
-            return cached[1]
-        items = {
-            f"{prefix}.mean": self.mean(),
-            f"{prefix}.p50": self.percentile(50),
-            f"{prefix}.p95": self.percentile(95),
-            f"{prefix}.p99": self.percentile(99),
-            f"{prefix}.count": float(len(self._samples)),
-        }
-        self._summary_cache = (len(self._samples), items)
-        return items
+    def summary(self) -> Dict[str, float]:
+        """What :meth:`MetricsRegistry.snapshot` reports, by key suffix."""
+        return _five_statistics(self.mean(), self.percentile,
+                                len(self._samples))
 
     def window(self, start: float, end: float) -> List[float]:
         """Values recorded in the half-open time window ``[start, end)``."""
@@ -239,7 +292,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "_bounds", "_counts", "_overflow", "_count",
-                 "_sum", "_min", "_max", "_exemplars", "_summary_cache")
+                 "_sum", "_min", "_max", "_exemplars")
 
     def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
         if not buckets:
@@ -259,9 +312,6 @@ class Histogram:
         # one slot per bucket plus one for overflow, filled lazily
         self._exemplars: List[Optional[Dict[str, object]]] = \
             [None] * (len(bounds) + 1)
-        # (count, items) snapshot-fragment memo, same contract as
-        # TimeSeriesRecorder.summary_items
-        self._summary_cache: Optional[Tuple[int, Dict[str, float]]] = None
 
     def observe(self, value: float,
                 exemplar: Optional[Dict[str, object]] = None) -> None:
@@ -325,111 +375,153 @@ class Histogram:
             raise ValueError(f"percentile out of range: {q}")
         if self._count == 0:
             return 0.0
-        target = (q / 100.0) * self._count
-        cumulative = 0
-        previous_bound = self._min
-        for bound, count in self.bucket_counts():
-            lower = max(previous_bound, self._min)
-            upper = min(self._max if math.isinf(bound) else bound, self._max)
-            upper = max(upper, lower)
-            if count > 0 and cumulative + count >= target:
-                frac = (target - cumulative) / count
-                return lower + (upper - lower) * frac
-            cumulative += count
-            previous_bound = bound
-        return self._max
+        return bucket_quantile(q, self.bucket_counts(), self._min, self._max)
 
-    def summary_items(self, prefix: str) -> Dict[str, float]:
-        """Headline stats keyed ``<prefix>.<stat>``, memoised on count."""
-        cached = self._summary_cache
-        if cached is not None and cached[0] == self._count:
-            return cached[1]
-        items = {
-            f"{prefix}.mean": self.mean(),
-            f"{prefix}.p50": self.quantile(50),
-            f"{prefix}.p95": self.quantile(95),
-            f"{prefix}.p99": self.quantile(99),
-            f"{prefix}.count": float(self._count),
-        }
-        self._summary_cache = (self._count, items)
-        return items
+    def summary(self) -> Dict[str, float]:
+        """What :meth:`MetricsRegistry.snapshot` reports, by key suffix."""
+        return _five_statistics(self.mean(), self.quantile, self._count)
+
+    @classmethod
+    def merged(cls, parts: Iterable["Histogram"]) -> "Histogram":
+        """One histogram holding every observation of ``parts`` (which
+        share their bounds) — a labeled family's total.  Exemplars stay
+        with the part that saw them."""
+        parts = list(parts)
+        total = cls(parts[0].name, parts[0]._bounds)
+        for part in parts:
+            total._counts = [a + b for a, b in zip(total._counts,
+                                                   part._counts)]
+            total._overflow += part._overflow
+            total._count += part._count
+            total._sum += part._sum
+            total._min = min(total._min, part._min)
+            total._max = max(total._max, part._max)
+        return total
+
+
+def _label_set(labels: Dict[str, str]) -> LabelSet:
+    if len(labels) > 1:
+        return tuple(sorted(labels.items()))
+    return tuple(labels.items())
 
 
 class MetricsRegistry:
-    """Namespace of counters, gauges and recorders for one subsystem."""
+    """Namespace of instrument families for one subsystem.
+
+    An accessor called with labels (string values) gets or creates that
+    child of the family ``name``; without, its one unlabeled instrument.
+    A family is labeled or it is not: mixing raises.
+    """
 
     def __init__(self, sim: Simulator, namespace: str = ""):
         self._sim = sim
         self.namespace = namespace
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._recorders: Dict[str, TimeSeriesRecorder] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        # kind -> family name -> child labels -> instrument
+        self._counters: Dict[str, Dict[LabelSet, Counter]] = {}
+        self._gauges: Dict[str, Dict[LabelSet, Any]] = {}
+        self._recorders: Dict[str, Dict[LabelSet, TimeSeriesRecorder]] = {}
+        self._histograms: Dict[str, Dict[LabelSet, Histogram]] = {}
         self._children: Dict[str, "MetricsRegistry"] = {}
 
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(self._qualify(name))
-        return self._counters[name]
+    def _child(self, table: Dict[str, Dict[LabelSet, Any]], name: str,
+               labels: Dict[str, str], make: Callable[..., Any],
+               *args: Any) -> Any:
+        key = _label_set(labels)
+        try:
+            return table[name][key]
+        except KeyError:
+            family = table.setdefault(name, {})
+        if family and (() in family) != (not key):
+            raise ValueError(
+                f"metric family {self._qualify(name)!r} is "
+                f"{'un' if () in family else ''}labeled; asked for "
+                f"{dict(key) or 'no labels'}")
+        child = family[key] = make(self._qualify(name), *args)
+        return child
 
-    def gauge(self, name: str, initial: float = 0.0) -> Gauge:
-        """Get or create the gauge ``name``."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(self._qualify(name), self._sim, initial)
-        return self._gauges[name]
+    def counter(self, name: str, /, **labels: str) -> Counter:
+        """Get or create the counter ``name`` (the child at ``labels``)."""
+        # on every request path, several times (as is ``recorder``):
+        # one that exists is two subscripts away, only a miss pays a call
+        try:
+            return self._counters[name][_label_set(labels) if labels else ()]
+        except KeyError:
+            return self._child(self._counters, name, labels, Counter)
+
+    def gauge(self, name: str, /, initial: float = 0.0,
+              **labels: str) -> Gauge:
+        """Get or create the gauge ``name`` (the child at ``labels``)."""
+        return self._child(self._gauges, name, labels, Gauge, self._sim,
+                           initial)
+
+    def callback_gauge(self, name: str, read: Callable[[], float], /,
+                       **labels: str) -> CallbackGauge:
+        """Get or create the gauge ``name`` that samples ``read()``."""
+        return self._child(self._gauges, name, labels, CallbackGauge, read)
 
     def recorder(self, name: str) -> TimeSeriesRecorder:
         """Get or create the time-series recorder ``name``."""
-        if name not in self._recorders:
-            self._recorders[name] = TimeSeriesRecorder(self._qualify(name), self._sim)
-        return self._recorders[name]
+        try:
+            return self._recorders[name][()]
+        except KeyError:
+            return self._child(self._recorders, name, {},
+                               TimeSeriesRecorder, self._sim)
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        """Get or create the fixed-bucket histogram ``name``."""
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(self._qualify(name), buckets)
-        return self._histograms[name]
+    def histogram(self, name: str, /,
+                  buckets: Sequence[float] = DEFAULT_BUCKETS,
+                  **labels: str) -> Histogram:
+        """Get or create the fixed-bucket histogram ``name`` (the child
+        at ``labels``)."""
+        return self._child(self._histograms, name, labels, Histogram,
+                           buckets)
 
     def snapshot(self) -> Dict[str, float]:
-        """Flat dict of every metric's headline number.
+        """Flat dict of every metric's headline numbers.
 
         Counters report their total, gauges their current value plus
         ``<name>.mean`` and ``<name>.peak``, recorders and histograms
         their mean plus ``<name>.p50``/``.p95``/``.p99`` and
-        ``<name>.count``.  Child registries created via :meth:`sub` are
-        merged in under their relative namespace.
+        ``<name>.count``.  A labeled family reports the sum of its
+        children under ``<name>`` and each child under
+        ``<name>{key=value,...}``.  Child registries created via
+        :meth:`sub` are merged in under their relative namespace.
         """
         out: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
-            out[f"{name}.mean"] = gauge.time_weighted_mean()
-            out[f"{name}.peak"] = gauge.peak
-        for name, rec in self._recorders.items():
-            out.update(rec.summary_items(name))
-        for name, hist in self._histograms.items():
-            out.update(hist.summary_items(name))
+        for table in (self._counters, self._gauges, self._recorders,
+                      self._histograms):
+            for name, family in table.items():
+                if () not in family:
+                    children = family.values()
+                    total = (Histogram.merged(children).summary()
+                             if table is self._histograms else
+                             {"": sum(child.value for child in children)})
+                    for suffix, value in total.items():
+                        out[name + suffix] = value
+                for labels, child in family.items():
+                    spelled = name
+                    if labels:
+                        pairs = ",".join(f"{k}={v}" for k, v in labels)
+                        spelled = f"{name}{{{pairs}}}"
+                    for suffix, value in child.summary().items():
+                        out[spelled + suffix] = value
         for relative, child in self._children.items():
             for key, value in child.snapshot().items():
                 out[f"{relative}.{key}"] = value
         return out
 
-    def each_histogram(self) -> List[Tuple[str, Histogram]]:
-        """Every histogram in this registry and its children.
-
-        Names are qualified relative to *this* registry (matching the
-        keys :meth:`snapshot` uses), so a scraper labelling series by
-        source registry gets consistent naming either way.
-        """
-        out: List[Tuple[str, Histogram]] = [
-            (name, hist) for name, hist in self._histograms.items()]
+    def instruments(self, prefix: str = ""
+                    ) -> Iterator[Tuple[str, LabelSet, Any]]:
+        """Every raw signal here and in child registries — what a
+        scraper samples: ``(name, labels, instrument)`` per counter,
+        gauge and histogram child (recorders are end-of-run instruments
+        and not among them), names relative to *this* registry like
+        :meth:`snapshot`'s keys."""
+        for table in (self._counters, self._gauges, self._histograms):
+            for name, family in table.items():
+                for labels, child in family.items():
+                    yield prefix + name, labels, child
         for relative, child in self._children.items():
-            out.extend((f"{relative}.{name}", hist)
-                       for name, hist in child.each_histogram())
-        return out
+            yield from child.instruments(f"{prefix}{relative}.")
 
     def _qualify(self, name: str) -> str:
         return f"{self.namespace}.{name}" if self.namespace else name

@@ -184,6 +184,4 @@ class RateLimiter:
 
     def _count(self, verdict: str, tenant: str) -> None:
         if self.metrics is not None:
-            self.metrics.counter(verdict).increment()
-            self.metrics.counter(
-                f"{verdict}{{tenant={tenant}}}").increment()
+            self.metrics.counter(verdict, tenant=tenant).increment()

@@ -20,6 +20,7 @@ from repro.cloud import (
     MultiCloud,
     OpenStackCloud,
 )
+from repro.obs import obs_of
 from repro.sched import ShardedRouter
 from repro.services import Network, PushGateway, RestApi, RestServer
 from repro.sim import RandomStreams, Simulator
@@ -184,9 +185,9 @@ def test_crash_triggers_replacement_and_session_migration():
     assert session.instance is not a
     assert session.instance.is_serving
     assert len(session.migrations) == 1
-    detection = [e for e in stack.lb.events if e["event"] == "fault.detected"]
-    assert detection and detection[0]["verdict"] == "dead"
-    assert detection[0]["t"] - crash_time <= stack.monitor.interval + 0.001
+    detection = obs_of(stack.sim).events.events("lb.fault.detected")
+    assert detection and detection[0].fields["verdict"] == "dead"
+    assert detection[0].t - crash_time <= stack.monitor.interval + 0.001
     # pool is back at strength
     assert len(stack.service.serving()) == 2
 

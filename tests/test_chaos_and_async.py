@@ -9,6 +9,7 @@ and exercise the asynchronous WPS path end to end.
 import pytest
 
 from repro.core import Evop, EvopConfig
+from repro.obs import obs_of
 from repro.portal import UserJourney
 
 
@@ -41,8 +42,7 @@ def test_journeys_survive_background_crashes():
     # crashes really happened and were recovered
     crashes = [e for e in evop.injector.injected if e.kind == "crash"]
     assert crashes
-    detected = [e for e in evop.lb.events if e["event"] == "fault.detected"]
-    assert detected
+    assert obs_of(evop.sim).events.events("lb.fault.detected")
     # the pool is healthy again afterwards
     service = evop.lb.service("left-morland")
     assert len(service.serving()) >= service.min_replicas

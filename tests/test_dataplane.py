@@ -40,7 +40,7 @@ from repro.hydrology.timeseries import TimeSeries
 from repro.obs.hub import obs_of
 from repro.obs.telemetry import TelemetryPlane
 from repro.services.sos import SensorDescription
-from repro.sim import Simulator
+from repro.sim import MetricsRegistry, Simulator
 
 
 @pytest.fixture()
@@ -509,18 +509,19 @@ def test_sensor_live_and_backfill_publish_in_time_order(sim, plane):
 # -- health + telemetry -------------------------------------------------------
 
 
-def test_probes_and_watch_dataplane(sim, plane):
+def test_instrumented_plane_is_scraped(sim, plane):
+    registry = MetricsRegistry(sim, namespace="dataplane")
+    plane.instrument(registry)
     observe(plane, "eden", 0.0, 1.0)
-    probes = dict((name, fn) for name, _labels, fn in plane.probes())
-    assert probes["dataplane.outbox.depth"]() == 1.0
+    assert registry.snapshot()["dataplane.outbox.depth"] == 1.0
     plane.relay.drain_once()
-    assert probes["dataplane.consumer.lag"]() == 1.0
+    assert registry.snapshot()["dataplane.consumer.lag"] == 1.0
     plane.pump()
-    assert probes["dataplane.consumer.lag"]() == 0.0
-    assert probes["dataplane.stream.events"]() == 1.0
+    assert registry.snapshot()["dataplane.consumer.lag"] == 0.0
+    assert registry.snapshot()["dataplane.stream.events"] == 1.0
 
     telemetry = TelemetryPlane(sim, interval=5.0)
-    telemetry.watch_dataplane(plane, service="dataplane")
+    telemetry.watch_registry(registry, service="dataplane")
     telemetry.start()
     sim.run(until=sim.now + 12.0)
     names = {series.name for series in telemetry.store.all_series()}

@@ -48,7 +48,6 @@ def test_series_windowed_accessors():
     assert s.prior(0.5) is None
     assert s.times(1.5, 2.5) == [2.0]
     assert s.mean(1.0, 2.0) == pytest.approx(15.0)
-    assert s.fraction_below(25.0, 1.0, 3.0) == pytest.approx(2 / 3)
 
 
 def test_series_delta_baselines_at_zero_before_first_trim():
@@ -107,9 +106,8 @@ def test_scraper_samples_registries_probes_and_buckets():
     registry = MetricsRegistry(sim, namespace="svc")
     registry.counter("requests").increment(3)
     registry.histogram("dur", buckets=(1.0, 10.0)).observe(0.5)
+    registry.callback_gauge("depth", lambda: 7)
     scraper.add_registry(registry, service="svc")
-    scraper.add_probe("depth", lambda: 7.0, service="svc")
-    scraper.add_probe("absent", lambda: None)
     scraper.start()
     sim.schedule(21.0, scraper.stop)
     sim.run()
@@ -117,7 +115,6 @@ def test_scraper_samples_registries_probes_and_buckets():
     assert scraper.scrapes == 4 and not scraper.running
     assert store.get("requests", service="svc").latest()[1] == 3.0
     assert store.get("depth", service="svc").latest() == (20.0, 7.0)
-    assert store.get("absent") is None
     # cumulative bucket series carry the le label; +Inf sees every value
     buckets = store.query("dur.bucket", service="svc")
     assert sorted(s.labels["le"] for s in buckets) == ["+Inf", "1", "10"]
@@ -157,7 +154,9 @@ def test_scraper_keeps_same_named_metrics_of_two_registries_apart():
         registry.counter("requests").increment(hits)
         registry.histogram("dur", buckets=(1.0,)).observe(seen)
         scraper.add_registry(registry, service=service)
-    scraper.add_probe("requests", lambda: 9, service="probe")
+    probed = MetricsRegistry(sim)
+    probed.callback_gauge("requests", lambda: 9)
+    scraper.add_registry(probed, service="probe")
 
     # first tick resolves every series, the second takes the tables
     for _ in range(2):
@@ -176,11 +175,13 @@ def test_red_view_over_scraped_series():
     for t in (0.0, 30.0, 60.0):
         store.record("requests", t, t, service="x")
         store.record("errors", t, t / 10.0, service="x")
-        store.record("dur.p95", t, 2.0, service="x")
+        # every observation of the window lands in (1, 3]
+        for le, seen in (("1", 0.0), ("3", t), ("+Inf", t)):
+            store.record("dur.bucket", t, seen, service="x", le=le)
     view = red_view(store, 60.0, window=60.0, duration="dur", service="x")
     assert view["rate"] == pytest.approx(1.0)
     assert view["error_ratio"] == pytest.approx(0.1)
-    assert view["duration_p95"] == pytest.approx(2.0)
+    assert view["duration_p95"] == pytest.approx(1.0 + 0.95 * 2.0)
     empty = red_view(store, 60.0, service="nowhere")
     assert empty["rate"] is None and empty["duration_p95"] is None
 

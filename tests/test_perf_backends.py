@@ -16,9 +16,8 @@ from repro.durable import DurableSweep, JournalStore
 from repro.hydrology import TimeSeries, Topmodel, TopmodelParameters
 from repro.hydrology.calibration import MonteCarloCalibrator
 from repro.hydrology.vectorized import HAVE_NUMPY, TopmodelEnsemble
-from repro.obs.telemetry import TelemetryPlane
 from repro.perf import EnsembleRunner, RunCache
-from repro.perf.runner import BACKENDS, RunFailure
+from repro.perf.runner import RunFailure
 from repro.sim import Simulator
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy absent")
@@ -283,7 +282,7 @@ def _vector_sweep(ensemble, draws, sweep_id):
     return sweep.run(draws), sweep
 
 
-# -- stats + telemetry (satellite 6) -----------------------------------------
+# -- stats (satellite 6) -----------------------------------------------------
 
 
 @needs_numpy
@@ -301,24 +300,3 @@ def test_stats_report_per_backend_counters(ensemble):
     assert stats["pool_workers"] == 2
     # the scalar backend reports no pool
     assert make_runner(ensemble, "scalar").stats()["pool_workers"] == 0
-
-
-@needs_numpy
-def test_telemetry_plane_scrapes_runner_counters(ensemble):
-    draws = draw_updates(4)
-    runner = make_runner(ensemble, "vector", cache=RunCache(max_entries=32))
-    sim = Simulator()
-    plane = TelemetryPlane(sim)
-    plane.watch_ensemble_runner(runner, service="perf")
-    plane.scraper.scrape_once()
-    runner.run_many(draws)
-    plane.scraper.scrape_once()
-    vector_series = plane.store.get("ensemble.runs", backend="vector",
-                                    service="perf")
-    assert vector_series is not None
-    assert vector_series.latest()[1] == 4.0
-    for name in BACKENDS:
-        assert plane.store.get("ensemble.runs", backend=name,
-                               service="perf") is not None
-    chunks = plane.store.get("ensemble.chunks_dispatched", service="perf")
-    assert chunks.latest()[1] == 1.0
