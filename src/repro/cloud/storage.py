@@ -5,13 +5,20 @@ clouds.  This is a faithful-but-minimal blob store: containers, keyed
 blobs with metadata and etags, list with prefix, and conditional get —
 enough for the data warehouse, the Model Library's image payloads and
 the workflow engine's stage caching.
+
+A ``put`` stores the payload and renders nothing: most blobs (journal
+records, idempotency records, checkpoints, cursors) are never asked for
+an etag or a size, so both are derived from the stored payload the first
+time either is read.  The payload is handed over at ``put``: mutating it
+afterwards changes the stored data, whenever the etag was taken.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from functools import cached_property
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cloud.errors import BlobNotFound, ContainerNotFound, StorageUnavailable
 from repro.sim import Simulator
@@ -19,14 +26,32 @@ from repro.sim import Simulator
 
 @dataclass
 class Blob:
-    """A stored object: payload plus user metadata and an etag."""
+    """A stored object: payload plus user metadata; etag and size on read."""
 
     key: str
     payload: Any
-    size_bytes: int
-    etag: str
     created_at: float
     metadata: Dict[str, str] = field(default_factory=dict)
+    declared_size: Optional[int] = None
+
+    @cached_property
+    def _stamp(self) -> Tuple[int, str]:
+        # serialised once: the etag hashes this text and, for a
+        # structured payload of undeclared size, its length is the size
+        text = repr(self.payload)
+        size = self.declared_size
+        if size is None:
+            size = len(self.payload) if isinstance(
+                self.payload, (bytes, bytearray, str)) else len(text)
+        return size, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @property
+    def size_bytes(self) -> int:
+        return self._stamp[0]
+
+    @property
+    def etag(self) -> str:
+        return self._stamp[1]
 
 
 class Container:
@@ -39,7 +64,7 @@ class Container:
         self._store = store
         self._blobs: Dict[str, Blob] = {}
 
-    def _check_available(self, writing: bool = False) -> None:
+    def _check_available(self) -> None:
         if self._store is not None:
             self._store._check_fault()
 
@@ -55,22 +80,9 @@ class Container:
             metadata: Optional[Dict[str, str]] = None,
             size_bytes: Optional[int] = None) -> Blob:
         """Store (or overwrite) ``key``; returns the stored blob."""
-        self._check_available(writing=True)
-        payload = self._maybe_tear(payload)
-        # serialised once: the etag hashes this text and, for a
-        # structured payload of undeclared size, its length is the size
-        text = repr(payload)
-        if size_bytes is None:
-            size_bytes = len(payload) \
-                if isinstance(payload, (bytes, bytearray, str)) else len(text)
-        blob = Blob(
-            key=key,
-            payload=payload,
-            size_bytes=size_bytes,
-            etag=hashlib.sha256(text.encode()).hexdigest()[:16],
-            created_at=self._sim.now,
-            metadata=dict(metadata or {}),
-        )
+        self._check_available()
+        blob = Blob(key, self._maybe_tear(payload), self._sim.now,
+                    dict(metadata or {}), declared_size=size_bytes)
         self._blobs[key] = blob
         return blob
 
@@ -102,7 +114,7 @@ class Container:
 
     def delete(self, key: str) -> None:
         """Remove ``key`` or raise :class:`BlobNotFound`."""
-        self._check_available(writing=True)
+        self._check_available()
         if key not in self._blobs:
             raise BlobNotFound(f"{self.name}/{key}")
         del self._blobs[key]

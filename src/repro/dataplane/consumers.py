@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.cloud.errors import StorageUnavailable
 from repro.cloud.storage import Container
 from repro.dataplane.events import Event
 from repro.dataplane.stream import StreamSet
@@ -275,8 +276,13 @@ class ConsumerGroup:
         self._epochs.clear()
 
     def _run(self):
-        obs_of(self.sim).events.emit(
-            "dataplane.consumer.started", consumer=self.name)
+        events = obs_of(self.sim).events
+        events.emit("dataplane.consumer.started", consumer=self.name)
         while not self._stopped:
-            self.poll_once()
+            try:
+                self.poll_once()
+            except StorageUnavailable as exc:
+                # ride the outage out: claims and cursors are durable
+                events.emit("dataplane.consumer.stalled",
+                            consumer=self.name, cause=str(exc))
             yield self.poll_interval

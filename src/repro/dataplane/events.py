@@ -12,6 +12,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 
+class CanonicalPayload(dict):
+    """A payload already in canonical JSON form: what the relay read back
+    from a ``pending/`` document, which took the round trip when it was
+    recorded.  ``EventStream.append`` validates any other mapping."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class Event:
     """One durable event on one stream.

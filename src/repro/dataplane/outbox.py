@@ -13,18 +13,31 @@ The relay can die between append and mark: the entry is then drained
 again, so publication is at-least-once.  Each entry carries its outbox
 sequence as a dedup token, which :meth:`EventStream.append
 <repro.dataplane.stream.EventStream.append>` absorbs — making the
-outbox → stream hop effectively exactly-once.
+outbox → stream hop effectively exactly-once, as long as a sequence is
+never issued twice: a restarted outbox resumes past its pending tail
+*and* past every token the streams hold (``resume_past``).
+
+A payload is made canonical once, at ``record``; what the relay reads
+back from ``pending/`` reaches the stream as a :class:`~repro.dataplane.
+events.CanonicalPayload`, which ``append`` takes as is.  A store outage
+does not kill the relay loop: it skips the tick and resumes on heal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
+from repro.cloud.errors import StorageUnavailable
 from repro.cloud.storage import Container
+from repro.dataplane.events import CanonicalPayload
 from repro.durable.journal import jsonable
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
+
+
+#: What an outbox dedup token starts with; the sequence follows.
+TOKEN_PREFIX = "outbox:"
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,7 @@ class OutboxEntry:
     @property
     def token(self) -> str:
         """The stream-side dedup token for this entry."""
-        return f"outbox:{self.seq:010d}"
+        return f"{TOKEN_PREFIX}{self.seq:010d}"
 
     def to_document(self) -> Dict[str, Any]:
         return {"seq": self.seq, "time": self.time, "stream": self.stream,
@@ -50,9 +63,10 @@ class OutboxEntry:
 
     @classmethod
     def from_document(cls, doc: Dict[str, Any]) -> "OutboxEntry":
+        # a pending document holds what ``record`` made canonical
         return cls(seq=doc["seq"], time=doc["time"], stream=doc["stream"],
                    kind=doc["kind"], key=doc["key"],
-                   payload=dict(doc["payload"]))
+                   payload=CanonicalPayload(doc["payload"]))
 
 
 class TransactionalOutbox:
@@ -66,6 +80,15 @@ class TransactionalOutbox:
         keys = container.list(prefix="pending/")
         self._next_seq = (
             int(keys[-1].rsplit("/", 1)[1]) + 1 if keys else 0)
+
+    def resume_past(self, published: Iterable[str]) -> None:
+        """Never reissue a sequence whose token a stream already holds: a
+        drained table remembers nothing, and a recycled token makes the
+        streams drop the new event as a duplicate of the old one."""
+        for token in published:
+            if token.startswith(TOKEN_PREFIX):
+                self._next_seq = max(
+                    self._next_seq, int(token[len(TOKEN_PREFIX):]) + 1)
 
     @staticmethod
     def _key(seq: int) -> str:
@@ -143,7 +166,13 @@ class OutboxRelay:
         self._stopped = True
 
     def _run(self):
-        obs_of(self.sim).events.emit("dataplane.relay.started")
+        events = obs_of(self.sim).events
+        events.emit("dataplane.relay.started")
         while not self._stopped:
-            self.drain_once()
+            try:
+                self.drain_once()
+            except StorageUnavailable as exc:
+                # ride the outage out: the pending table is durable
+                events.emit("dataplane.relay.stalled",
+                            relay="outbox-relay", cause=str(exc))
             yield self.poll_interval

@@ -48,6 +48,7 @@ class DataPlane:
             sim, store.create_container(f"{prefix}-outbox"))
         self.streams = StreamSet(
             sim, store.create_container(f"{prefix}-streams"))
+        self.outbox.resume_past(self.streams.tokens())
         coordination = store.create_container(f"{prefix}-coordination")
         self.claims = ClaimTable(sim, coordination)
         self.dlq = DeadLetterQueue(sim, coordination)

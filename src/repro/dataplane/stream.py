@@ -8,6 +8,10 @@ torn-tail truncation on open and the durable append are the log's (see
 can inject applies to event streams too, and a reopened stream exposes
 exactly what its writers made durable.
 
+``append`` takes a payload through JSON and back, so the event in memory
+is the event a reopen would parse — except a :class:`~repro.dataplane.
+events.CanonicalPayload`, which took that trip at the outbox.
+
 Streams are *partitions*: observation events are partitioned per
 catchment, run events live on one ``runs`` stream.  Consumers claim
 whole streams (see :mod:`~repro.dataplane.consumers`), so ordering is
@@ -21,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.cloud.storage import Container
-from repro.dataplane.events import Event
+from repro.dataplane.events import CanonicalPayload, Event
 from repro.durable.journal import EVENT, JournalRecord, RecordLog, jsonable
 from repro.sim import Simulator
 
@@ -78,15 +82,16 @@ class EventStream:
         if token is not None and token in self._tokens:
             self.deduplicated += 1
             return None
-        data = dict(payload or {})
-        ok, canonical_data = jsonable(data)
-        if not ok:
-            raise ValueError(
-                f"stream {self.name}: event payload for kind {kind!r} is "
-                f"not JSON-serialisable")
+        if type(payload) is CanonicalPayload:
+            data = payload      # the outbox already took the round trip
+        else:
+            ok, data = jsonable(dict(payload or {}))
+            if not ok:
+                raise ValueError(
+                    f"stream {self.name}: event payload for kind {kind!r} "
+                    f"is not JSON-serialisable")
         return self._absorb(self._log.append(self.sim.now, EVENT, {
-            "kind": kind, "key": key, "data": canonical_data,
-            "token": token}))
+            "kind": kind, "key": key, "data": data, "token": token}))
 
     def read(self, from_seq: int = 0,
              limit: Optional[int] = None) -> List[Event]:
@@ -135,3 +140,8 @@ class StreamSet:
     def total_events(self) -> int:
         """Durable events across every stream."""
         return sum(len(s) for s in self._streams.values())
+
+    def tokens(self) -> Iterator[str]:
+        """Every publisher dedup token any stream has absorbed."""
+        for stream in self._streams.values():
+            yield from stream._tokens

@@ -234,20 +234,19 @@ class RecordLog:
     def tail(self) -> List[JournalRecord]:
         """Records other writers made durable since the last look.
 
-        Stops at the first record that fails its CRC or breaks the
-        sequence; nothing is deleted outside :meth:`open`.
+        Probes ``key(next_seq)`` onwards and stops at the first key that
+        is missing, fails its CRC or breaks the sequence, so a look costs
+        what is new, not what the container holds; nothing is deleted
+        outside :meth:`open`.
         """
         fresh: List[JournalRecord] = []
-        first_new = self.key(self.next_seq)
-        for key in self._container.list(prefix=f"{self.name}/"):
-            if key < first_new:
-                continue
-            record = JournalRecord.parse(self._container.read(key))
+        while True:
+            record = JournalRecord.parse(
+                self._container.read(self.key(self.next_seq)))
             if record is None or record.seq != self.next_seq:
-                break
+                return fresh
             fresh.append(record)
             self.next_seq += 1
-        return fresh
 
     def append(self, time: float, kind: str,
                payload: Dict[str, Any]) -> JournalRecord:

@@ -55,14 +55,16 @@ class Admission:
     """The verdict for one keyed request attempt.
 
     ``kind`` is ``fresh`` / ``replay`` / ``conflict`` / ``pending``;
-    ``epoch`` fences the eventual :meth:`IdempotencyIndex.record` for
-    fresh admissions; ``response`` carries the stored document for
-    replays.
+    ``response`` carries the stored document for replays.  A fresh
+    admission is the request's ticket: ``slot`` is the blob its
+    reservation lives under (derived once, here) and ``epoch`` fences
+    the eventual :meth:`IdempotencyIndex.record`.
     """
 
     kind: str
     epoch: int = 0
     response: Optional[Dict[str, Any]] = None
+    slot: str = ""
 
 
 class IdempotencyIndex:
@@ -84,10 +86,6 @@ class IdempotencyIndex:
         self.conflicts = 0
         self.takeovers = 0
 
-    @staticmethod
-    def _key(key: str, tenant: str) -> str:
-        return f"idem/{content_key((tenant, key))}"
-
     def admit(self, key: str, fingerprint: str,
               tenant: str = DEFAULT_TENANT) -> Admission:
         """Classify one attempt and, when fresh, reserve the key.
@@ -95,7 +93,8 @@ class IdempotencyIndex:
         ``tenant`` scopes the key: reservations, replays and conflicts
         are all per ``(tenant, key)``.
         """
-        record = self._container.read(self._key(key, tenant))
+        slot = f"idem/{content_key((tenant, key))}"
+        record = self._container.read(slot)
         if record is not None:
             if record["fingerprint"] != fingerprint:
                 self.conflicts += 1
@@ -110,39 +109,38 @@ class IdempotencyIndex:
             epoch = record["epoch"] + 1
         else:
             epoch = 0
-        self._container.put(self._key(key, tenant), {
+        self._container.put(slot, {
             "state": "pending",
             "fingerprint": fingerprint,
             "epoch": epoch,
             "expires": self.sim.now + self.pending_ttl,
         })
-        return Admission(kind="fresh", epoch=epoch)
+        return Admission(kind="fresh", epoch=epoch, slot=slot)
 
-    def record(self, key: str, epoch: int, status: int, body: Any,
-               headers: Optional[Dict[str, str]] = None,
-               tenant: str = DEFAULT_TENANT) -> bool:
+    def record(self, ticket: Admission, status: int, body: Any,
+               headers: Optional[Dict[str, str]] = None) -> bool:
         """Store the final response for a fresh admission.
 
         Fenced: a stale executor (its reservation expired and was taken
         over) must not overwrite the new attempt's state.  Returns
         whether the response was stored.
         """
-        record = self._container.read(self._key(key, tenant))
-        if record is None or record["epoch"] != epoch:
+        record = self._container.read(ticket.slot)
+        if record is None or record["epoch"] != ticket.epoch:
             return False
-        self._container.put(self._key(key, tenant), {
+        self._container.put(ticket.slot, {
             "state": "done",
             "fingerprint": record["fingerprint"],
-            "epoch": epoch,
+            "epoch": ticket.epoch,
             "response": {"status": status, "body": body,
                          "headers": dict(headers or {})},
         })
         return True
 
-    def forget(self, key: str, tenant: str = DEFAULT_TENANT) -> None:
+    def forget(self, ticket: Admission) -> None:
         """Drop a reservation (a failed attempt that should not pin the
         key — e.g. the handler never produced a recordable response)."""
-        self._container.discard(self._key(key, tenant))
+        self._container.discard(ticket.slot)
 
     def depth(self) -> int:
         """How many keys are tracked (pending + done)."""

@@ -36,7 +36,7 @@ from repro.obs.context import extract_context
 from repro.obs.hub import obs_of
 from repro.obs.tracer import Span
 from repro.services.envelope import problem
-from repro.services.idempotency import request_fingerprint
+from repro.services.idempotency import Admission, request_fingerprint
 from repro.services.transport import HttpRequest, HttpResponse, Network
 from repro.sim import Signal, Simulator
 from repro.tenancy.context import (DEFAULT_TENANT, TENANT_HEADER,
@@ -474,12 +474,12 @@ class RestServer:
                           span: Optional[Span], tenant: str):
         """Classify a keyed mutating request before any work happens.
 
-        Returns the ``(key, epoch, tenant)`` ticket the final
-        ``_finish`` must record under, ``None`` when the request is
-        unkeyed, or the :data:`_REQUEST_ANSWERED` sentinel when the
-        admission itself produced the response (replay, conflict,
-        in-flight).  Keys are tenant-scoped: the same key from two
-        tenants is two independent requests."""
+        Returns the fresh admission — the ticket the final ``_finish``
+        must record under — ``None`` when the request is unkeyed, or
+        the :data:`_REQUEST_ANSWERED` sentinel when the admission
+        itself produced the response (replay, conflict, in-flight).
+        Keys are tenant-scoped: the same key from two tenants is two
+        independent requests."""
         index = self.api.idempotency
         key = request.headers.get("Idempotency-Key")
         if index is None or not key or request.method == "GET":
@@ -509,7 +509,7 @@ class RestServer:
                 f"Idempotency-Key {key!r} has an attempt in flight",
                 retryable=True)), span)
             return _REQUEST_ANSWERED
-        return (key, admission.epoch, tenant)
+        return admission
 
     @staticmethod
     def _overloaded() -> HttpResponse:
@@ -548,20 +548,17 @@ class RestServer:
 
     def _finish(self, done: Signal, response: HttpResponse,
                 span: Optional[Span] = None,
-                ticket: Optional[Tuple[str, int, str]] = None
-                ) -> None:
+                ticket: Optional[Admission] = None) -> None:
         if ticket is not None and self.api.idempotency is not None:
-            key, epoch, tenant = ticket
             if response.status < 500:
                 # pin the outcome: every replay of this key now gets
                 # exactly this response without re-running the handler
-                self.api.idempotency.record(key, epoch, response.status,
-                                            response.body, response.headers,
-                                            tenant=tenant)
+                self.api.idempotency.record(ticket, response.status,
+                                            response.body, response.headers)
             else:
                 # the handler never completed usefully (5xx); release
                 # the reservation so a retry can execute fresh
-                self.api.idempotency.forget(key, tenant=tenant)
+                self.api.idempotency.forget(ticket)
         if span is not None and not span.finished:
             span.set_attribute("status", response.status)
             span.finish(error=None if response.status < 500

@@ -1,5 +1,6 @@
 """Unit tests for the data layer: DEM, weather, sensors, webcams, catalog."""
 
+import hashlib
 import math
 
 import pytest
@@ -352,6 +353,19 @@ def test_etag_of_tracks_content(sim):
     assert warehouse.etag_of("memo/rain") == tag
     warehouse.put_series("memo/rain", TimeSeries(0, 3600, [3.0, 4.0]))
     assert warehouse.etag_of("memo/rain") != tag
+
+
+def test_memo_and_etag_of_see_the_hash_of_the_stored_rendering(sim):
+    """A blob's etag is derived on first read; both warehouse readers
+    see the value ``put`` used to stamp eagerly."""
+    store = BlobStore(sim)
+    warehouse = DataWarehouse(store)
+    warehouse.put_series("memo/rain", TimeSeries(0, 3600, [1.0, 2.0]))
+    stored = store.container(DataWarehouse.CONTAINER).read("memo/rain")
+    stamp = hashlib.sha256(repr(stored).encode()).hexdigest()[:16]
+    series = warehouse.get_series("memo/rain")
+    assert warehouse._memo["memo/rain"] == (stamp, series)
+    assert warehouse.etag_of("memo/rain") == stamp
 
 
 def test_delete_drops_memo_entry(sim):

@@ -61,7 +61,7 @@ def plane(sim, store):
 def observe(plane, catchment, time, value, procedure=None):
     """Record one observation event through the outbox."""
     procedure = procedure or f"{catchment}-level-1"
-    plane.outbox.record(
+    return plane.outbox.record(
         f"obs.{catchment}", "observation", key=procedure,
         payload={"procedure": procedure, "observedProperty": "river-level",
                  "time": time, "value": value, "uom": "m",
@@ -121,6 +121,108 @@ def test_background_relay_and_consumers_drain(sim, store):
     assert plane.lag() == 0
     assert plane.stats.stats("eden")["count"] == 1
     plane.stop()
+
+
+def test_restarted_outbox_never_recycles_a_published_sequence(sim, store):
+    first = DataPlane(sim, store)
+    for value in (1.0, 2.0, 3.0):
+        observe(first, "eden", value * 900, value)
+    first.pump()
+    assert first.outbox.depth() == 0        # drained: the table is empty
+    # a restart over the same store must not reissue outbox:0000000000...
+    second = DataPlane(sim, store)
+    entries = [observe(second, "eden", value * 900, value)
+               for value in (4.0, 5.0, 6.0)]
+    assert second.relay.drain_once() == 3
+    stream = second.streams.stream("obs.eden")
+    assert second.streams.total_events() == 6 and stream.deduplicated == 0
+    assert [e.payload["value"] for e in stream.read()] == \
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert second.outbox.depth() == 0
+    assert [entry.token for entry in entries] == \
+        [f"outbox:{seq:010d}" for seq in (3, 4, 5)]
+
+
+def test_restart_between_append_and_mark_still_deduplicates(sim, store):
+    first = DataPlane(sim, store)
+    observe(first, "eden", 0.0, 1.0)
+    first.pump()
+    crashed = observe(first, "eden", 900.0, 2.0)
+    # the relay died after the stream append, before mark_published
+    first.streams.stream("obs.eden").append(
+        crashed.kind, key=crashed.key, token=crashed.token,
+        payload=crashed.payload)
+    second = DataPlane(sim, store)
+    fresh = observe(second, "eden", 1800.0, 3.0)
+    assert fresh.seq == crashed.seq + 1
+    assert second.relay.drain_once() == 2   # the redelivery and the new one
+    stream = second.streams.stream("obs.eden")
+    assert stream.deduplicated == 1
+    assert [e.payload["value"] for e in stream.read()] == [1.0, 2.0, 3.0]
+
+
+def test_started_plane_rides_out_a_store_outage(sim, store):
+    plane = DataPlane(sim, store, consumer_count=2)
+    plane.start()
+    observe(plane, "eden", 0.0, 1.0)
+    sim.run(until=2.0)
+    store.set_fault("unavailable")
+    sim.run(until=5.0)                      # used to kill 'outbox-relay'
+    stalled = [e for e in obs_of(sim).events.events()
+               if e.kind.endswith(".stalled")]
+    assert {(e.kind, e.fields.get("relay") or e.fields["consumer"])
+            for e in stalled} == {
+        ("dataplane.relay.stalled", "outbox-relay"),
+        ("dataplane.consumer.stalled", "consumer-0"),
+        ("dataplane.consumer.stalled", "consumer-1")}
+    assert all("unavailable" in e.fields["cause"] for e in stalled)
+    store.clear_fault()
+    observe(plane, "eden", 900.0, 2.0)
+    observe(plane, "morland", 900.0, 5.0)
+    sim.run(until=8.0)
+    assert plane.lag() == 0 and plane.outbox.depth() == 0
+    assert plane.stats.stats("eden")["count"] == 2
+    assert plane.stats.stats("morland")["count"] == 1
+    # each event reached each view once
+    assert [(v.applied, v.duplicates) for v in plane.views] == [(3, 0)] * 3
+    assert sum(c.redelivered for c in plane.consumers) == 0
+    plane.stop()
+
+
+_json_payloads = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.text(max_size=8)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.tuples(inner, inner),
+            st.dictionaries(st.one_of(st.text(max_size=4), st.integers()),
+                            inner, max_size=3)),
+        max_leaves=10),
+    max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_payloads)
+def test_relayed_record_text_equals_a_direct_append(payload):
+    """One canonical form: what record -> relay writes to the stream is
+    byte for byte what a direct, validated ``append`` writes."""
+    sim = Simulator()
+    store = BlobStore(sim)
+    plane = DataPlane(sim, store)
+    entry = plane.outbox.record("s", "k", key="p", payload=payload)
+    pending = store.container("dataplane-outbox").read("pending/0000000000")
+    plane.relay.drain_once()
+    direct = EventStream(sim, store.create_container("direct"), "s")
+    direct.append("k", key="p", token=entry.token, payload=payload)
+    assert store.container("dataplane-streams").read("s/00000000") == \
+        store.container("direct").read("s/00000000")
+    [relayed], [appended] = plane.streams.stream("s").read(), direct.read()
+    assert relayed == appended
+    assert type(appended.payload) is dict
+    # the pending document is the canonical form, stored as a plain dict
+    assert pending["payload"] == relayed.payload
+    assert type(pending["payload"]) is dict
 
 
 # -- stream durability --------------------------------------------------------

@@ -135,6 +135,93 @@ def test_storage_outage_blocks_the_journal(blobstore, store):
         [j.SCHEDULED, j.STARTED]
 
 
+# -- the tail read against the listing it replaced (property) ---------------
+
+
+def listing_tail(container, name, next_seq):
+    """The replaced ``RecordLog.tail``: list and sort the whole prefix,
+    skip what is known, read on until a bad record.  The oracle."""
+    fresh = []
+    first_new = f"{name}/{next_seq:08d}"
+    for key in container.list(prefix=f"{name}/"):
+        if key < first_new:
+            continue
+        record = JournalRecord.parse(container.read(key))
+        if record is None or record.seq != next_seq:
+            break
+        fresh.append(record)
+        next_seq += 1
+    return fresh, next_seq
+
+
+_log_ops = st.one_of(
+    st.tuples(st.sampled_from(("append", "tail")), st.integers(0, 1)),
+    st.tuples(st.sampled_from(("gap", "torn", "flip", "misnumber")),
+              st.integers(0, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_log_ops, max_size=30))
+def test_tail_probe_reads_what_the_listing_read(ops):
+    sim = Simulator()
+    container = BlobStore(sim).create_container("journals")
+    # two writers of one log, and a neighbour whose name shares a prefix
+    writers = [j.RecordLog(sim, container, "run"),
+               j.RecordLog(sim, container, "run")]
+    j.RecordLog(sim, container, "run-2").append(0.0, j.DONE, {})
+    top = 0                     # one past the highest sequence ever stored
+
+    def check(log):
+        before = {key: container.read(key) for key in container.list()}
+        expected, next_seq = listing_tail(container, log.name, log.next_seq)
+        assert log.tail() == expected
+        assert log.next_seq == next_seq
+        assert {key: container.read(key)
+                for key in container.list()} == before    # nothing deleted
+
+    for op, arg in ops:
+        if op == "append":
+            check(writers[arg])                 # what ``sync`` does first
+            writers[arg].append(sim.now, j.CHECKPOINT, {"by": arg})
+            top = max(top, writers[arg].next_seq)
+        elif op == "tail":
+            check(writers[arg])
+        elif op == "gap":                       # a record past a hole
+            seq = top + 1 + arg
+            container.put(f"run/{seq:08d}", JournalRecord(
+                seq, sim.now, "run", j.DONE, {}).to_text())
+            top = seq + 1
+        elif op == "misnumber":                 # valid CRC, wrong slot
+            container.put(f"run/{top:08d}", JournalRecord(
+                top + 1 + arg, sim.now, "run", j.DONE, {}).to_text())
+            top += 1
+        elif top:                               # damage a stored record
+            key = f"run/{max(0, top - 1 - arg):08d}"
+            text = container.read(key)
+            if text is None:
+                continue
+            if op == "torn":
+                container.put(key, text[: max(1, (2 * len(text)) // 3)])
+            else:
+                flipped = chr(ord(text[arg]) ^ 1)
+                container.put(key, text[:arg] + flipped + text[arg + 1:])
+    for log in writers:
+        check(log)
+
+
+def test_sync_is_fenced_by_the_foreign_record_the_probe_finds(store):
+    mine = store.create("run-f")
+    mine.append(j.SCHEDULED, workflow="wf")
+    theirs = store.open("run-f")
+    theirs.append(j.ADOPTED, owner="exec-b")
+    mine.append(j.CHECKPOINT, sync=False, node_id="s1")
+    with pytest.raises(Fenced):
+        mine.sync()
+    assert mine.pending() == 0
+    assert [r.kind for r in store.open("run-f").records()] == \
+        [j.SCHEDULED, j.ADOPTED]
+
+
 # -- leases -----------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Tests for the extension surface: SOAP-OGC binding, uploads,
 cloud-executed workflows, the national outlook."""
 
+import hashlib
+
 import pytest
 
 from repro.cloud import BlobStore, Flavor, ImageKind, Instance, MachineImage
@@ -471,3 +473,7 @@ def test_wps_status_poll_revalidates_with_304(sim, network):
     sim.run()
     assert stale.value.status == 200
     assert stale.value.body["outputs"]
+    # the validator is the hash of the stored status document, as when
+    # ``put`` stamped it eagerly
+    document = wps.status.read(location.rsplit("/", 1)[1])
+    assert etag == hashlib.sha256(repr(document).encode()).hexdigest()[:16]

@@ -1,5 +1,7 @@
 """Geo-distributed estate: replication, election, ledger, failover."""
 
+import hashlib
+
 import pytest
 
 from repro.cloud import BlobStore, MultiCloud, OpenStackCloud
@@ -125,6 +127,23 @@ def test_replicator_converges_concurrent_writes(sim):
     us = stores["us"].container("data").get("k").payload
     assert eu == us
     assert repl.conflicts >= 1
+
+
+def test_replicator_tracks_the_etags_put_used_to_stamp(sim):
+    _, stores, repl = _two_sites(sim)
+    repl.start()
+    stores["eu"].container("data").put("k", {"v": 1})
+    sim.run(until=12.0)
+    stamp = hashlib.sha256(repr({"v": 1}).encode()).hexdigest()[:16]
+    assert repl._seen == {("eu", "data", "k"): stamp,
+                          ("us", "data", "k"): stamp}
+    # converged: equal etags on both sides, so later sweeps ship nothing
+    sim.run(until=30.0)
+    assert len(repl.shipped) == 1
+    stores["us"].container("data").put("k", {"v": 2})
+    sim.run(until=45.0)
+    assert stores["eu"].container("data").get("k").payload == {"v": 2}
+    assert len(repl.shipped) == 2 and repl.conflicts == 0
 
 
 def test_replicator_skips_faulted_site_then_catches_up(sim):

@@ -66,6 +66,7 @@ from repro.core.evop import Evop
 from repro.core.admin import AdminConsole
 from repro.geo import GeoRouter, RegionGuard, RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
+from repro.perf.keys import content_key
 from repro.sched import (
     CapacityLedger,
     ClassedQueue,
@@ -446,8 +447,7 @@ def test_idempotency_keys_are_tenant_scoped():
 
     first = index.admit("key-1", fp, tenant="org-a")
     assert first.kind == "fresh"
-    assert index.record("key-1", first.epoch, 200, {"run": 1},
-                        tenant="org-a")
+    assert index.record(first, 200, {"run": 1})
     # the same key from another tenant is an unrelated fresh request
     other = index.admit("key-1", fp, tenant="org-b")
     assert other.kind == "fresh"
@@ -464,13 +464,41 @@ def test_idempotency_keys_are_tenant_scoped():
                            request_fingerprint("POST", "/runs", {"x": 2}),
                            tenant="org-a")
     assert conflict.kind == "conflict"
-    index.forget("key-1", tenant="org-b")
+    index.forget(other)
     assert index.admit("key-1", fp, tenant="org-b").kind == "fresh"
     # one record for the default tenant, however it is spelled: a retry
     # that names ``default`` replays what the unnamed attempt recorded
-    assert index.record("key-1", unnamed.epoch, 200, {"run": 0})
+    assert index.record(unnamed, 200, {"run": 0})
     named = index.admit("key-1", fp, tenant=DEFAULT_TENANT)
     assert named.kind == "replay" and named.response["body"] == {"run": 0}
+
+
+def test_idempotency_ticket_carries_the_slot_and_fences_a_stale_record():
+    sim = Simulator()
+    container = BlobStore(sim).create_container("idempotency")
+    index = IdempotencyIndex(sim, container, pending_ttl=10.0)
+    fp = request_fingerprint("POST", "/runs", {"x": 1})
+    # the slot is the string the index always derived from (tenant, key)
+    tickets = {(tenant, key): index.admit(key, fp, tenant=tenant)
+               for tenant in ("org-a", DEFAULT_TENANT)
+               for key in ("k", "key with spaces")}
+    for (tenant, key), ticket in tickets.items():
+        assert ticket.slot == f"idem/{content_key((tenant, key))}"
+    assert sorted(t.slot for t in tickets.values()) == \
+        container.list(prefix="idem/")
+    # the executor dies; once the reservation lapses a retry takes over
+    dead = tickets[("org-a", "k")]
+    assert index.admit("k", fp, tenant="org-a").kind == "pending"
+    sim.run(until=11.0)
+    retry = index.admit("k", fp, tenant="org-a")
+    assert (retry.kind, retry.epoch, retry.slot) == \
+        ("fresh", dead.epoch + 1, dead.slot)
+    assert index.takeovers == 1
+    # the dead attempt's late record is fenced by its epoch
+    assert index.record(dead, 200, {"run": "late"}) is False
+    assert index.record(retry, 200, {"run": "retry"}) is True
+    assert index.admit("k", fp, tenant="org-a").response["body"] == \
+        {"run": "retry"}
 
 
 # -- the /v1 boundary ---------------------------------------------------------
