@@ -10,7 +10,6 @@ choosing ``m``, ``srmax``, ``td`` and ``q0`` as the widget's sliders.
 """
 
 import random
-import time
 
 from benchmarks.harness import once, print_table
 from repro.data import DesignStorm, STUDY_CATCHMENTS
@@ -49,23 +48,29 @@ def build_metric():
 def test_oat_slider_ranking(benchmark):
     def run():
         metric, _model, _rain = build_metric()
-        started = time.perf_counter()
-        direct = one_at_a_time(metric, RANGES, REFERENCE, points=7)
-        direct_seconds = time.perf_counter() - started
+        direct_evaluations = [0]
+
+        def counted(params):
+            direct_evaluations[0] += 1
+            return metric(params)
+
+        direct = one_at_a_time(counted, RANGES, REFERENCE, points=7)
         # the slider access pattern: the same exploration re-requested —
         # through the shared runner the second sweep is all cache hits
         runner = EnsembleRunner(metric, model_id="topmodel:morland:peak",
                                 cache=RunCache(max_entries=256))
         first = one_at_a_time(metric, RANGES, REFERENCE, points=7,
                               runner=runner)
-        started = time.perf_counter()
+        first_evaluations = runner.stats()["runs{backend=scalar}"]
         repeat = one_at_a_time(metric, RANGES, REFERENCE, points=7,
                                runner=runner)
-        repeat_seconds = time.perf_counter() - started
-        return direct, first, repeat, runner, direct_seconds, repeat_seconds
+        repeat_evaluations = (runner.stats()["runs{backend=scalar}"]
+                              - first_evaluations)
+        return (direct, first, repeat, runner, direct_evaluations[0],
+                first_evaluations, repeat_evaluations)
 
-    (curves, first, repeat, runner,
-     direct_seconds, repeat_seconds) = once(benchmark, run)
+    (curves, first, repeat, runner, direct_evaluations,
+     first_evaluations, repeat_evaluations) = once(benchmark, run)
     ranking = rank_oat(curves)
     print_table(
         "One-at-a-time sensitivity of the flood peak to the widget sliders",
@@ -74,10 +79,10 @@ def test_oat_slider_ranking(benchmark):
          for name, sensitivity in ranking])
     print_table(
         "Repeated slider exploration through the run cache",
-        ["sweep", "wall s", "cache hits", "cache misses"],
-        [["direct", direct_seconds, "-", "-"],
-         ["cached repeat", repeat_seconds,
-          runner.cache.hits, runner.cache.misses]])
+        ["sweep", "model evaluations"],
+        [["direct", direct_evaluations],
+         ["first through the runner", first_evaluations],
+         ["cached repeat", repeat_evaluations]])
 
     names = [name for name, _s in ranking]
     # every slider does something; m dominates (it sets flashiness)
@@ -92,6 +97,8 @@ def test_oat_slider_ranking(benchmark):
         assert repeat[name].points == curves[name].points
     assert runner.cache.hits >= 28
     assert runner.cache.misses <= 28
+    assert direct_evaluations == first_evaluations == 28
+    assert repeat_evaluations == 0
 
 
 def test_regional_sensitivity_identifiability(benchmark):

@@ -12,7 +12,8 @@ this package hardens the work itself:
   (:mod:`repro.dataplane`) and the leader election (:mod:`repro.geo`)
   are the other carriers.
 * :mod:`repro.durable.state` — pure journal replay into
-  :class:`RunState`; consistent for every record prefix.
+  :class:`RunState`, consistent for every record prefix, and the run
+  protocol every carrier calls: ``begin`` / ``finish`` / ``fail``.
 * :mod:`repro.durable.recovery` — :class:`RecoveryManager`: orphan
   scanning, lease-expiry-safe re-adoption on replacement executors.
 * :mod:`repro.durable.ensemble` — :class:`DurableSweep`: checkpointed

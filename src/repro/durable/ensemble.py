@@ -6,8 +6,9 @@ sweep executor crash meant starting the whole batch again.
 :class:`DurableSweep` wraps an
 :class:`~repro.perf.runner.EnsembleRunner` with:
 
-* a **run journal** (SCHEDULED/STARTED/CHECKPOINT/DONE) in the blob
-  store, so the sweep's existence and progress survive the executor;
+* a **run journal** in the blob store, begun, failed and finished by
+  the run protocol of :mod:`repro.durable.state`, so the sweep's
+  existence and progress survive the executor;
 * a **checkpoint every N completed parameter sets**: the results-so-far
   go to the payload container and a CHECKPOINT record points at them,
   bounding wasted recompute after a crash to at most one interval;
@@ -17,11 +18,14 @@ sweep executor crash meant starting the whole batch again.
   applies an effect twice — the MillWheel discipline, keyed by the
   cache keys the perf layer already computes.
 
-Crashes are simulated, not thrown: ``run(..., interrupt_after=k)``
-makes the executor die after ``k`` evaluations of *this attempt*
-(unsynced journal tail lost, optionally a torn record left behind) and
-returns ``None``.  A fresh sweep object pointed at the same journal
-resumes from the last checkpoint.
+Evaluation is one loop: a chunk goes through ``run_many`` up to the
+next checkpoint boundary, whatever the runner's backend.  Crashes are
+simulated, not thrown: ``run(..., interrupt_after=k)`` makes the
+executor die after ``k`` evaluations of *this attempt* (unsynced journal
+tail lost, optionally a torn record left behind) and returns ``None``.
+A fresh sweep object pointed at the same journal resumes from the last
+checkpoint.  A model that *raises* is not a crash: the run is failed,
+its lease given up, and the error propagates.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.durable import journal as j
+from repro.durable.state import begin, fail, finish
 from repro.obs.hub import obs_of
 from repro.perf.runner import EnsembleRunner
 
@@ -72,18 +77,21 @@ class DurableSweep:
         continues from the next parameter set.  ``interrupt_after``
         kills the executor after that many evaluations of this attempt
         (``torn`` leaves a torn record for the next open to truncate).
+        A model that raises ends the run ``FAILED`` with the lease given
+        up, and the error propagates.
         """
         sim = self.store.sim
         self.computed = 0
         self.effects_applied = 0
         self.effects_deduped = 0
+        total = len(parameter_sets)
         journal = self.store.open_or_create(self.sweep_id)
-        prior = self._replay(journal)
-        journal.acquire(self.owner, self.lease_ttl)
-        attributes = {"sweep": self.sweep_id,
-                      "runs": len(parameter_sets),
+        prior = begin(journal, self.owner, self.lease_ttl,
+                      workflow=f"sweep:{self.runner.model_id}",
+                      parameters={"runs": total})
+        attributes = {"sweep": self.sweep_id, "runs": total,
                       "checkpoint_every": self.checkpoint_every}
-        scheduler = getattr(self.runner, "scheduler", None)
+        scheduler = self.runner.scheduler
         if scheduler is not None:
             # the sweep rides the scheduling plane as batch-class work;
             # stamping its shard/class here lines durable sweeps up with
@@ -92,11 +100,6 @@ class DurableSweep:
             attributes["class"] = "batch"
         span = obs_of(sim).tracer.start_span(
             "durable.sweep", kind="perf", attributes=attributes)
-        if not journal.records() or prior.status == "unknown":
-            journal.append(j.SCHEDULED, sync=False,
-                           workflow=f"sweep:{self.runner.model_id}",
-                           parameters={"runs": len(parameter_sets)})
-        journal.append(j.STARTED, owner=self.owner)
 
         results: List[Any] = []
         start = 0
@@ -114,85 +117,47 @@ class DurableSweep:
                                     sweep=self.sweep_id, completed=start)
         span.set_attribute("resumed_from", start)
 
-        if interrupt_after is None and self._batch_backend():
-            # batch backends evaluate one checkpoint interval at a time:
-            # checkpoint boundaries *are* the chunk boundaries, and the
-            # kernel's chunk invariance plus backend-independent run
-            # keys keep the journal, the effects and every result bit-
-            # identical to the per-item scalar sweep
-            index = start
-            total = len(parameter_sets)
-            while index < total:
-                boundary = index + self.checkpoint_every \
-                    - (index % self.checkpoint_every)
-                end = min(total, boundary)
-                chunk = list(parameter_sets[index:end])
+        # a chunk runs to the next checkpoint boundary or the crash point:
+        # checkpoint boundaries *are* the chunk boundaries, and the
+        # kernel's chunk invariance plus backend-independent run keys keep
+        # the journal, the effects and every result bit-identical whatever
+        # the backend (a crashed-and-resumed sweep never mixes kernels)
+        stop = total if interrupt_after is None \
+            else min(total, start + interrupt_after)
+        index = start
+        while index < stop:
+            end = min(stop, index + self.checkpoint_every
+                      - (index % self.checkpoint_every))
+            chunk = list(parameter_sets[index:end])
+            try:
                 values = self.runner.run_many(chunk, capture_errors=True)
-                self.computed += len(values)
-                for params, value in zip(chunk, values):
-                    results.append(value)
-                    self._apply_effect(journal, params, value)
-                if end % self.checkpoint_every == 0:
-                    self._checkpoint(journal, results, end)
-                index = end
-            journal.append(j.DONE, outputs_repr=f"{len(results)} results")
-            journal.release(self.owner)
-            span.set_attribute("computed", self.computed)
-            span.set_attribute("effects_applied", self.effects_applied)
-            span.finish()
-            return results
-
-        # chaos mode stays per-item so interrupt_after counts single
-        # evaluations; a batch backend still evaluates each item through
-        # run_many (a size-1 batch is bit-identical to any chunking), so
-        # a crashed-and-resumed vector sweep never mixes kernels
-        batched = self._batch_backend()
-        for index in range(start, len(parameter_sets)):
-            if interrupt_after is not None \
-                    and self.computed >= interrupt_after:
-                lost = journal.crash(torn=torn)
-                obs_of(sim).events.emit(
-                    "durable.sweep.crashed", sweep=self.sweep_id,
-                    completed=index, lost_records=lost)
-                span.finish(error=f"executor crashed after "
-                                  f"{self.computed} runs")
-                return None
-            params = parameter_sets[index]
-            if batched:
-                value = self.runner.run_many([params],
-                                             capture_errors=True)[0]
-            else:
-                value = self.runner.run_one(params, capture_errors=True)
-            self.computed += 1
-            results.append(value)
-            self._apply_effect(journal, params, value)
-            if (index + 1) % self.checkpoint_every == 0:
-                self._checkpoint(journal, results, index + 1)
-        if interrupt_after is not None \
-                and self.computed >= interrupt_after:
-            # crash point landed on the final evaluation
+            except Exception as err:
+                # alive and knows the run is over: a replacement must not
+                # have to wait the lease out
+                error = f"{type(err).__name__}: {err}"
+                fail(journal, self.owner, error, completed=index)
+                span.finish(error=error)
+                raise
+            self.computed += len(values)
+            for params, value in zip(chunk, values):
+                results.append(value)
+                self._apply_effect(journal, params, value)
+            if end % self.checkpoint_every == 0:
+                self._checkpoint(journal, results, end)
+            index = end
+        if interrupt_after is not None and self.computed >= interrupt_after:
             lost = journal.crash(torn=torn)
             obs_of(sim).events.emit(
                 "durable.sweep.crashed", sweep=self.sweep_id,
-                completed=len(parameter_sets), lost_records=lost)
+                completed=index, lost_records=lost)
             span.finish(error=f"executor crashed after "
                               f"{self.computed} runs")
             return None
-        journal.append(j.DONE, outputs_repr=f"{len(results)} results")
-        journal.release(self.owner)
+        finish(journal, self.owner, f"{len(results)} results")
         span.set_attribute("computed", self.computed)
         span.set_attribute("effects_applied", self.effects_applied)
         span.finish()
         return results
-
-    def _batch_backend(self) -> bool:
-        """True when the runner will evaluate misses in batches."""
-        resolve = getattr(self.runner, "resolve_backend", None)
-        return resolve is not None and resolve() != "scalar"
-
-    def _replay(self, journal: j.RunJournal):
-        from repro.durable.state import replay
-        return replay(journal.records(), run_id=self.sweep_id)
 
     def _apply_effect(self, journal: j.RunJournal,
                       params: Dict[str, float], value: Any) -> None:

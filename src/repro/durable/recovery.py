@@ -14,10 +14,10 @@ recovery manager replaces the *work*:
    owner might still be making progress — that is how split-brain
    happens), re-checks that the run is still orphaned, and re-runs it
    on a replacement engine under the *same run id*.
-4. The replacement engine replays the journal first: completed stages
-   seed its cache, the lease is re-acquired at a higher epoch (fencing
-   the old owner), and execution continues from the first stage the
-   journal cannot prove finished.
+4. The replacement engine's :func:`~repro.durable.state.begin` replays
+   the journal first: completed stages seed its cache, the lease is
+   re-acquired at a higher epoch (fencing the old owner), and execution
+   continues from the first stage the journal cannot prove finished.
 
 Replay is at-least-once — the in-flight stage may execute twice across
 the crash — but *effects* are exactly-once because they are keyed by
@@ -34,7 +34,7 @@ from repro.cloud.errors import StorageUnavailable
 from repro.durable import journal as j
 from repro.durable.state import RunState, replay
 from repro.obs.hub import obs_of
-from repro.sim import Signal, Simulator
+from repro.sim import Simulator
 
 #: Safety margin added after lease expiry before adopting, simulated
 #: seconds.  Guards against adopt-at-the-exact-expiry-instant races.
@@ -60,10 +60,11 @@ class RecoveryReport:
 class RecoveryManager:
     """Re-adopts orphaned journaled runs onto replacement executors.
 
-    ``engine_factory`` builds a fresh engine for each adoption — it is a
-    zero-arg callable returning anything with
-    ``run(workflow, parameters, run_id=...)`` (both engines qualify;
-    the cloud engine returns a signal, the local engine a record).
+    ``engine_factory`` builds a fresh engine for each adoption — a
+    zero-arg callable returning anything whose
+    ``run(workflow, parameters, run_id=...)`` returns a signal fired
+    with the run's record, or ``None`` when it failed (a
+    :class:`~repro.workflow.cloud.CloudWorkflowEngine`).
     Workflows must be registered by name so the manager can reconstruct
     the DAG the journal's SCHEDULED record refers to.
     """
@@ -194,14 +195,13 @@ class RecoveryManager:
             replayed=report.stages_replayed,
             replacement=getattr(engine, "executor_id", "?"))
         try:
-            result = engine.run(workflow, fresh.parameters,
-                                run_id=state.run_id)
+            done = engine.run(workflow, fresh.parameters,
+                              run_id=state.run_id)
         except j.LeaseError as err:
             report.error = f"lease refused: {err}"
             span.finish(error=report.error)
             return
-        if isinstance(result, Signal):
-            result = yield result
+        result = yield done
         report.completed_at = self.sim.now
         if result is not None:
             report.ok = True

@@ -1,4 +1,4 @@
-"""Replaying a journal into run state.
+"""Replaying a journal into run state, and the run protocol over it.
 
 Recovery never trusts executor memory — it rebuilds what it knows about
 a run purely from the durable record prefix.  :func:`replay` is that
@@ -7,6 +7,14 @@ clock, no I/O.  Because a crash can truncate the journal at any fsync
 point, replay must yield a *consistent* state for **every** prefix of a
 valid record stream — the property test in ``tests/test_durable.py``
 hammers exactly that.
+
+The **run protocol** is written here once, for every carrier of a
+journaled run (the estate's workflow engine, the ensemble sweep):
+:func:`begin` (replay, lease, ``SCHEDULED`` once, ``STARTED`` or
+``ADOPTED``), the carrier's own ``CHECKPOINT`` / ``EFFECT`` records,
+then :func:`finish` (``DONE`` + release) or :func:`fail` (``FAILED`` +
+release).  An executor that dies writes nothing more: its lease lapses
+and the next :func:`begin` resumes from what replay proves.
 """
 
 from __future__ import annotations
@@ -139,3 +147,47 @@ def replay(records: Iterable[j.JournalRecord],
             state.failure = p.get("error")
             state._advance("failed")
     return state if state is not None else RunState(run_id="?")
+
+
+def begin(journal: j.RunJournal, owner: str, ttl: float, workflow: str,
+          parameters: Dict[str, Any], adopting: bool = False) -> RunState:
+    """Start (or resume) an attempt at a journaled run as ``owner``.
+
+    Returns what the journal proved *before* this attempt — the stages,
+    checkpoint and effects to resume from.  Takes the lease first
+    (:class:`~repro.durable.journal.LeaseError` while another owner's is
+    live), writes ``SCHEDULED`` only if the journal never scheduled the
+    run, then ``STARTED`` — or ``ADOPTED``, when ``adopting`` a run some
+    executor attempted before.
+    """
+    prior = replay(journal.records(), run_id=journal.run_id)
+    journal.acquire(owner, ttl)
+    if prior.workflow is None:
+        ok, clean = j.jsonable(parameters)
+        journal.append(j.SCHEDULED, sync=False, workflow=workflow,
+                       parameters=clean if ok else {})
+    if adopting and prior.attempts:
+        journal.append(j.ADOPTED, owner=owner, previous=prior.owner)
+    else:
+        journal.append(j.STARTED, owner=owner)
+    return prior
+
+
+def finish(journal: j.RunJournal, owner: str, outputs_repr: str) -> None:
+    """The run completed: ``DONE``, then give the lease up."""
+    journal.append(j.DONE, outputs_repr=outputs_repr)
+    journal.release(owner)
+
+
+def fail(journal: j.RunJournal, owner: str, error: str,
+         **detail: Any) -> None:
+    """The run is over without a result: ``FAILED``, lease given up.
+
+    Silent when fenced — the adopter owns the journal now, and the run
+    is its to finish or fail.
+    """
+    try:
+        journal.append(j.FAILED, error=error, **detail)
+        journal.release(owner)
+    except j.LeaseError:
+        pass

@@ -5,9 +5,9 @@ to the same primitive — "evaluate this model for each of these parameter
 sets" — and before this module each of them re-ran the model from
 scratch.  :class:`EnsembleRunner` is that primitive made shared: one
 ``simulate`` callable, one content-addressed
-:class:`~repro.perf.runcache.RunCache`, and an opt-in
-``concurrent.futures`` parallel backend whose output is merged back in
-input order so parallel and serial runs are bit-identical.
+:class:`~repro.perf.runcache.RunCache`, and three backends — the
+scalar loop, one vectorized batch call, or chunks across a process
+pool — whose outputs are bit-identical and in input order.
 
 ``simulate`` must be a pure function of its parameter dict (every model
 binding in :mod:`repro.hydrology` is); deterministic *failures* are as
@@ -17,7 +17,7 @@ captured as a :class:`RunFailure` once and never re-raised from compute.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -79,8 +79,9 @@ class EnsembleRunner:
     ``model_id`` and ``forcing`` scope the cache keys (same scheme as
     the workflow stage cache: model id + canonical parameters + forcing
     digest), so one :class:`RunCache` can safely back many runners.
-    ``workers > 1`` enables a thread-pool backend; results are merged in
-    input order, so the output sequence is identical to a serial run.
+    ``workers`` sizes the process pool and means nothing to the other
+    two backends (under the GIL a thread pool only slowed the scalar
+    loop down).
     ``sim`` (optional) attaches spans/events to that simulator's
     observability hub so cache behaviour shows up in traces.
     ``scheduler`` (optional, requires ``sim``) is a
@@ -90,7 +91,7 @@ class EnsembleRunner:
     sessions and workflow stages.  Results are unchanged either way.
 
     ``backend`` selects how cache misses are computed — ``"scalar"``
-    (per-set ``simulate`` calls, threaded when ``workers > 1``),
+    (per-set ``simulate`` calls, one after another),
     ``"vector"`` (all misses in one call to ``batch``, e.g. the SoA
     TOPMODEL kernel), or ``"process-pool"`` (misses chunked into
     ``chunk_size``-set slices, in input order, across a
@@ -184,9 +185,9 @@ class EnsembleRunner:
                  capture_errors: bool = False) -> List[Any]:
         """Evaluate a batch; output order always matches input order.
 
-        The serial and parallel backends return bit-identical sequences:
-        the thread pool only reorders *computation*, never results, and
-        cache stores happen in first-occurrence order.
+        Every backend returns the same sequence bit for bit: a batch
+        backend only regroups *computation*, never results, and cache
+        stores happen in first-occurrence order.
         """
         from contextlib import ExitStack
         span = None
@@ -211,14 +212,9 @@ class EnsembleRunner:
                         partial(self._compute_batch,
                                 capture_errors=capture_errors,
                                 backend=backend))
-                elif self.workers == 1 or len(parameter_sets) < 2:
+                else:
                     results = [self.run_one(p, capture_errors)
                                for p in parameter_sets]
-                else:
-                    results = self._run_misses(
-                        parameter_sets, capture_errors,
-                        partial(self._compute_threaded,
-                                capture_errors=capture_errors))
             finally:
                 if span is not None:
                     if self.cache is not None:
@@ -236,7 +232,7 @@ class EnsembleRunner:
                     capture_errors: bool,
                     compute: Callable[[List[Dict[str, float]]], List[Any]]
                     ) -> List[Any]:
-        """The cache discipline of every concurrent path: hits resolved
+        """The cache discipline of the batch backends: hits resolved
         up front, each unique miss computed exactly once — by
         ``compute``, parameter sets in, their results out, same order —
         stores in first-occurrence order (the deterministic merge),
@@ -269,13 +265,6 @@ class EnsembleRunner:
                     f"cached run failed: {value.error_type}: "
                     f"{value.message}")
         return out
-
-    def _compute_threaded(self, miss_params: List[Dict[str, float]],
-                          capture_errors: bool) -> List[Any]:
-        # the pool reorders computation only: map merges by index
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(
-                lambda p: self._evaluate(p, capture_errors), miss_params))
 
     def _compute_batch(self, miss_params: Sequence[Dict[str, float]],
                        capture_errors: bool, backend: str) -> List[Any]:

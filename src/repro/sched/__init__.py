@@ -27,7 +27,6 @@ the cycle never bites.
 from repro.sched.core import (
     ClassedQueue,
     Dispatcher,
-    InFlightGate,
     PlacementPolicy,
     PriorityClass,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "CapacityLedger",
     "ClassedQueue",
     "Dispatcher",
-    "InFlightGate",
     "PlacementPolicy",
     "PriorityClass",
     "ShardedRouter",

@@ -270,46 +270,6 @@ class ClassedQueue:
         return self.depth() > 0
 
 
-class InFlightGate:
-    """Bounded in-flight admission for dispatched calls.
-
-    ``acquire()`` returns ``None`` when a slot is free (taken
-    immediately), else a :class:`~repro.sim.kernel.Signal` the caller
-    must yield on; slots hand over to waiters FIFO on ``release()``.
-    With ``limit=None`` the gate is wide open and never makes anyone
-    wait.
-    """
-
-    def __init__(self, sim: Simulator, limit: Optional[int] = None,
-                 name: str = "gate"):
-        self.sim = sim
-        self.limit = limit
-        self.name = name
-        self.in_flight = 0
-        self._waiters: Deque[Any] = deque()
-
-    def acquire(self):
-        """Take a slot now (``None``) or get a signal to wait on."""
-        if self.limit is None or self.in_flight < self.limit:
-            self.in_flight += 1
-            return None
-        ticket = self.sim.signal(f"{self.name}.wait")
-        self._waiters.append(ticket)
-        return ticket
-
-    def release(self) -> None:
-        """Free a slot; the oldest waiter (if any) inherits it."""
-        if self._waiters:
-            # the slot transfers: in_flight stays constant
-            self._waiters.popleft().fire(True)
-            return
-        self.in_flight = max(0, self.in_flight - 1)
-
-    def waiting(self) -> int:
-        """Callers currently parked on the gate."""
-        return len(self._waiters)
-
-
 class Dispatcher:
     """The per-shard dispatch substrate one Load Balancer runs on.
 

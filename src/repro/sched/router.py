@@ -12,7 +12,7 @@ removing a shard only moves the keys that land on it.
 The router is the only door the upper layers submit through:
 ``submit_session`` (broker), ``admit_call`` (workflow stage dispatch)
 and ``batch_submission`` (ensemble sweeps) — so priority classes,
-admission gates and ``sched.submit`` spans attach in exactly one place.
+submit counters and ``sched.submit`` spans attach in exactly one place.
 One shard is not a special case: the same rendezvous, the same slicing
 and the same shared tenant registry run at any shard count.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.hub import obs_of
-from repro.sched.core import InFlightGate, PriorityClass
+from repro.sched.core import PriorityClass
 from repro.sched.ledger import CapacityLedger
 from repro.sim import MetricsRegistry, Simulator
 from repro.tenancy.registry import TenantRegistry
@@ -52,11 +52,10 @@ def rendezvous_shard(key: str, shard_ids: Sequence[int]) -> int:
 
 @dataclass
 class CallTicket:
-    """One admitted (or waiting) workflow-stage dispatch."""
+    """One admitted workflow-stage dispatch."""
 
     shard: int
     span: Any
-    wait: Optional[Any] = None      # Signal to yield on when gated
     released: bool = False
 
 
@@ -72,7 +71,6 @@ class ShardedRouter:
     def __init__(self, sim: Simulator, lbs: Sequence[Any],
                  ledger: Optional[CapacityLedger] = None,
                  multicloud=None,
-                 workflow_inflight: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None):
         if not lbs:
             raise ValueError("need at least one shard LB")
@@ -92,8 +90,6 @@ class ShardedRouter:
                     "sched.queue.depth",
                     lambda lb=lb, cls=cls: lb.dispatcher.class_depth(cls),
                     shard=str(shard), priority=cls.name.lower())
-        self._workflow_gate = InFlightGate(sim, workflow_inflight,
-                                           name="sched.workflow")
         #: service name -> shard ids hosting a slice of it
         self._service_shards: Dict[str, List[int]] = {}
         self.attach_tenants(TenantRegistry())
@@ -205,10 +201,9 @@ class ShardedRouter:
                    parent=None) -> CallTicket:
         """Admit one workflow-stage service call through the plane.
 
-        Returns a :class:`CallTicket`; when ``ticket.wait`` is not
-        ``None`` the caller must ``yield`` it before dispatching (the
-        in-flight gate is full).  ``release_call`` must follow the
-        dispatch, success or not.
+        Opens the stage's ``sched.submit`` span and counts it; nothing
+        gates.  ``release_call`` must follow the dispatch, success or
+        not.
         """
         shard = self.shard_of(run_id)
         span = obs_of(self.sim).tracer.start_span(
@@ -216,20 +211,15 @@ class ShardedRouter:
             attributes={"shard": shard, "class": "workflow",
                         "run_id": run_id, "node": node_id})
         self.metrics.counter("submit.workflow").increment()
-        wait = self._workflow_gate.acquire()
-        if wait is not None:
-            span.annotate("gated", waiting=self._workflow_gate.waiting())
-            self.metrics.counter("gated.workflow").increment()
-        return CallTicket(shard=shard, span=span, wait=wait)
+        return CallTicket(shard=shard, span=span)
 
     def release_call(self, ticket: CallTicket,
                      error: Optional[str] = None) -> None:
-        """Finish a stage dispatch: close its span, free its slot."""
+        """Finish a stage dispatch: close its span, once."""
         if ticket.released:
             return
         ticket.released = True
         ticket.span.finish(error=error)
-        self._workflow_gate.release()
 
     # -- batch / ensemble sweeps ---------------------------------------------
 

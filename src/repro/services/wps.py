@@ -279,9 +279,20 @@ class WpsService:
         submitted_at = self.sim.now
         self._publish_run(run_id, process.identifier, "submitted",
                           submitted_at, tenant=tenant)
+
+        def compute():
+            try:
+                return process.execute(inputs)
+            except Exception:
+                # the read model must not keep a run the service gave up
+                # on as ``submitted``; the 500 is still the job's to raise
+                self._publish_run(run_id, process.identifier, "failed",
+                                  submitted_at, finished_at=self.sim.now,
+                                  tenant=tenant)
+                raise
+
         job = Job(cost=process.cost(inputs),
-                  name=f"wps:{process.identifier}",
-                  compute=lambda: process.execute(inputs))
+                  name=f"wps:{process.identifier}", compute=compute)
 
         def render(outputs):
             self._publish_run(run_id, process.identifier, "finished",

@@ -1,19 +1,19 @@
-"""Cloud-executed workflows: execution units as web services.
+"""Cloud-executed workflows: the estate engine.
 
 Section VIII defines workflow nodes as "basic execution units (e.g.
-executables, scripts, web services, etc.)".  The plain
+executables, scripts, web services, etc.)".  The library
 :class:`~repro.workflow.engine.WorkflowEngine` runs callables locally;
 this module runs a workflow *against the deployment*: nodes marked as
 service calls are dispatched to WPS endpoints over the simulated
-network, so a composed experiment pays real queueing, shares the cache
-semantics, and leaves the same provenance.
+network, so a composed experiment pays real queueing, shares the stage
+key and cache semantics, and leaves the same provenance.
 
 With a :class:`~repro.durable.journal.JournalStore` attached the engine
-is *durable*: every run writes ahead SCHEDULED/STARTED records, each
-completed stage is journaled as a CHECKPOINT, ownership is held via a
-journal lease renewed by a heartbeat process, and an executor crash
-(the hosting :class:`~repro.cloud.instance.Instance` failing) leaves an
-orphaned journal that a
+is *durable*: a run is begun, failed and finished by the run protocol
+of :mod:`repro.durable.state`, each completed stage is journaled as a
+CHECKPOINT, the lease is renewed by a heartbeat process, and an executor
+crash (the hosting :class:`~repro.cloud.instance.Instance` failing)
+leaves an orphaned journal that a
 :class:`~repro.durable.recovery.RecoveryManager` can re-adopt on a
 replacement executor — replaying completed stages from cache so only
 the in-flight stage re-executes.
@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+from repro.durable import journal as j
+from repro.durable.state import begin, fail, finish
 from repro.obs.context import SpanContext, inject_context
 from repro.obs.hub import obs_of
 from repro.services.transport import HttpRequest, HttpResponse, Network
@@ -34,7 +36,7 @@ from repro.workflow.engine import (
     RunRecord,
     StageRecord,
     _short_repr,
-    stage_cache_key,
+    stage_key,
 )
 
 _run_ids = itertools.count()
@@ -78,11 +80,10 @@ def service_node(node_id: str, call: ServiceCall,
                  depends_on=(), params_used=(),
                  description: str = "") -> WorkflowNode:
     """A :class:`WorkflowNode` whose execution is a web-service call."""
-    node = WorkflowNode(node_id=node_id, fn=lambda p, u: None,
+    return WorkflowNode(node_id=node_id, fn=lambda p, u: None,
                         depends_on=depends_on, params_used=params_used,
-                        description=description or f"WPS {call.process_id}")
-    node.service_call = call  # type: ignore[attr-defined]
-    return node
+                        description=description or f"WPS {call.process_id}",
+                        service_call=call)
 
 
 class CloudWorkflowEngine:
@@ -90,7 +91,7 @@ class CloudWorkflowEngine:
 
     Execution happens inside the simulator (``run`` returns a signal
     fired with the :class:`RunRecord`), because service calls take
-    simulated time.  Stage caching matches the local engine: replaying
+    simulated time.  Stage caching matches the library engine: replaying
     an identical workflow re-issues no service calls at all.
 
     Durable-execution knobs (all optional):
@@ -108,13 +109,12 @@ class CloudWorkflowEngine:
     * ``scheduler`` — a :class:`~repro.sched.router.ShardedRouter`;
       with one attached every non-cached service-call stage is admitted
       through the scheduling plane (``sched.submit`` span at workflow
-      class, in-flight gating when the plane bounds concurrency).
+      class).
     """
 
     def __init__(self, sim: Simulator, network: Network,
                  request_timeout: float = 600.0,
                  client=None, store=None, executor=None,
-                 executor_id: Optional[str] = None,
                  lease_ttl: float = 60.0,
                  scheduler=None):
         self.sim = sim
@@ -127,8 +127,8 @@ class CloudWorkflowEngine:
         self.scheduler = scheduler
         self.store = store
         self.executor = executor
-        self.executor_id = executor_id or (
-            executor.instance_id if executor is not None else "cwf-local")
+        self.executor_id = (executor.instance_id if executor is not None
+                            else "cwf-local")
         self.lease_ttl = lease_ttl
         self._cache: Dict[str, Any] = {}
         self._runs: list = []
@@ -189,40 +189,30 @@ class CloudWorkflowEngine:
         journal = None
         journaled_stages: set = set()
         if self.store is not None:
-            from repro.durable import journal as j
-            from repro.durable.state import replay
             journal = self.store.open_or_create(record.run_id)
-            prior = replay(journal.records(), run_id=record.run_id)
+            prior = begin(journal, self.executor_id, self.lease_ttl,
+                          workflow.name, params, adopting=adopting)
             journaled_stages = set(prior.completed)
             self.seed_cache(prior.cache_entries())
-            journal.acquire(self.executor_id, self.lease_ttl)
-            if adopting and prior.attempts:
-                journal.append(j.ADOPTED, owner=self.executor_id,
-                               previous=prior.owner)
-            else:
-                ok, clean = j.jsonable(params)
-                if not journal.records() or not prior.workflow:
-                    journal.append(j.SCHEDULED, sync=False,
-                                   workflow=workflow.name,
-                                   parameters=clean if ok else {})
-                journal.append(j.STARTED, owner=self.executor_id)
 
         flags = {"finished": False}
 
-        def fail(node_id: str, kind: str, detail: str, stage_span) -> None:
+        def fail_stage(node_id: str, kind: str, detail: str,
+                       stage_span) -> None:
             failure = StageFailure(node_id=node_id, kind=kind, detail=detail)
             record.failure = failure
             stage_span.finish(error=str(failure))
-            self._journal_failed(journal, failure)
-            self._finish(record, done, run_span, failed=True, flags=flags,
-                         journal=journal)
+            if journal is not None:
+                fail(journal, self.executor_id, str(failure),
+                     stage=node_id, failure_kind=kind)
+            self._finish(record, done, run_span, failed=True, flags=flags)
 
         def runner():
             try:
                 keys: Dict[str, str] = {}
                 outputs: Dict[str, Any] = {}
                 for node in workflow.topological_order():
-                    key = self._cache_key(node, params, keys)
+                    key = stage_key(node, params, keys)
                     keys[node.node_id] = key
                     started = self.sim.now
                     stage_span = tracer.start_span(
@@ -233,8 +223,7 @@ class CloudWorkflowEngine:
                         cached = True
                     else:
                         cached = False
-                        call: Optional[ServiceCall] = getattr(
-                            node, "service_call", None)
+                        call = node.service_call
                         upstream = {dep: outputs[dep]
                                     for dep in node.depends_on}
                         if call is None:
@@ -247,8 +236,6 @@ class CloudWorkflowEngine:
                                 record.run_id, node.node_id,
                                 parent=stage_span.context)
                                 if self.scheduler is not None else None)
-                            if ticket is not None and ticket.wait is not None:
-                                yield ticket.wait
                             request = HttpRequest(
                                 "POST",
                                 f"/v1/wps/processes/{call.process_id}"
@@ -267,11 +254,12 @@ class CloudWorkflowEngine:
                                 else:
                                     address = call.address_of()
                                     if address is None:
-                                        fail(node.node_id, "no-address",
-                                             f"no endpoint resolves for WPS "
-                                             f"process {call.process_id!r} "
-                                             f"(session migrated away?)",
-                                             stage_span)
+                                        fail_stage(
+                                            node.node_id, "no-address",
+                                            f"no endpoint resolves for WPS "
+                                            f"process {call.process_id!r} "
+                                            f"(session migrated away?)",
+                                            stage_span)
                                         return
                                     inject_context(stage_span.context,
                                                    request.headers)
@@ -280,9 +268,10 @@ class CloudWorkflowEngine:
                                         timeout=self.request_timeout)
                                 if not (isinstance(reply, HttpResponse)
                                         and reply.ok):
-                                    fail(node.node_id, "service-error",
-                                         f"service call failed: {reply!r}",
-                                         stage_span)
+                                    fail_stage(
+                                        node.node_id, "service-error",
+                                        f"service call failed: {reply!r}",
+                                        stage_span)
                                     return
                                 output = reply.body["outputs"]
                             finally:
@@ -301,27 +290,22 @@ class CloudWorkflowEngine:
                         output_repr=_short_repr(output),
                         started_at=started, finished_at=self.sim.now))
                     if node.node_id not in journaled_stages:
-                        if not self._journal_stage(journal,
-                                                   record.stages[-1],
-                                                   output):
+                        if not self._checkpoint(journal, record.stages[-1],
+                                                output):
                             # fenced: another executor owns this run now
                             self._finish(record, done, run_span,
-                                         failed=True, flags=flags,
-                                         journal=None)
+                                         failed=True, flags=flags)
                             return
                 record.outputs = outputs
                 if journal is not None:
-                    from repro.durable import journal as j
                     try:
-                        journal.append(j.DONE,
-                                       outputs_repr=_short_repr(outputs))
-                        journal.release(self.executor_id)
+                        finish(journal, self.executor_id,
+                               _short_repr(outputs))
                     except j.LeaseError:
                         self._finish(record, done, run_span, failed=True,
-                                     flags=flags, journal=None)
+                                     flags=flags)
                         return
-                self._finish(record, done, run_span, failed=False,
-                             flags=flags, journal=journal)
+                self._finish(record, done, run_span, failed=False, flags=flags)
             except Interrupt as stop:
                 # the executor died (or lost its lease) mid-stage: the
                 # journal's synced prefix survives, everything in memory
@@ -331,8 +315,7 @@ class CloudWorkflowEngine:
                 record.failure = StageFailure(
                     node_id="?", kind="executor-lost",
                     detail=str(stop.cause))
-                self._finish(record, done, run_span, failed=True,
-                             flags=flags, journal=None)
+                self._finish(record, done, run_span, failed=True, flags=flags)
 
         runner_proc = self.sim.spawn(
             runner(), name=f"workflow.{workflow.name}")
@@ -358,7 +341,6 @@ class CloudWorkflowEngine:
         heals, the failed renewal tells it it lost ownership and the
         runner is stopped — exactly one owner survives.
         """
-        from repro.durable import journal as j
         interval = max(self.lease_ttl / 3.0, 0.001)
         while not flags["finished"]:
             yield interval
@@ -376,12 +358,10 @@ class CloudWorkflowEngine:
                     runner_proc.interrupt(f"lease lost: {err}")
                 return
 
-    def _journal_stage(self, journal, stage: StageRecord,
-                       output: Any) -> bool:
+    def _checkpoint(self, journal, stage: StageRecord, output: Any) -> bool:
         """CHECKPOINT a completed stage; ``False`` when fenced out."""
         if journal is None:
             return True
-        from repro.durable import journal as j
         ok, clean = j.jsonable(output)
         try:
             journal.append(j.CHECKPOINT, sync=not self._executor_dark(),
@@ -393,36 +373,12 @@ class CloudWorkflowEngine:
             return False
         return True
 
-    def _journal_failed(self, journal, failure: StageFailure) -> None:
-        if journal is None:
-            return
-        from repro.durable import journal as j
-        try:
-            journal.append(j.FAILED, error=str(failure),
-                           stage=failure.node_id,
-                           failure_kind=failure.kind)
-            journal.release(self.executor_id)
-        except j.LeaseError:
-            pass  # fenced: the adopter owns the journal now
-
     def _finish(self, record: RunRecord, done: Signal, run_span,
-                failed: bool, flags: Optional[dict] = None,
-                journal=None) -> None:
-        if flags is not None:
-            if flags["finished"]:
-                return
-            flags["finished"] = True
+                failed: bool, flags: dict) -> None:
+        if flags["finished"]:
+            return
+        flags["finished"] = True
         run_span.finish(error="workflow failed" if failed else None)
         self._runs.append(record)
         if not done.fired:
             done.fire(None if failed else record)
-
-    def _cache_key(self, node: WorkflowNode, params: Dict[str, Any],
-                   upstream_keys: Dict[str, str]) -> str:
-        call: Optional[ServiceCall] = getattr(node, "service_call", None)
-        return stage_cache_key({
-            "node": node.node_id,
-            "process": call.process_id if call else None,
-            "params": {name: params.get(name) for name in node.params_used},
-            "deps": [upstream_keys[dep] for dep in node.depends_on],
-        }, node.node_id)

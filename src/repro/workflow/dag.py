@@ -25,7 +25,9 @@ class WorkflowNode:
     of dependency outputs keyed by node id.  ``params_used`` names the
     workflow parameters the node's output depends on — the cache key
     honours only those, so tweaking an unrelated parameter doesn't
-    invalidate the stage.
+    invalidate the stage.  ``service_call`` (set by
+    :func:`~repro.workflow.cloud.service_node`) marks a node whose
+    execution is a WPS Execute rather than ``fn``.
     """
 
     node_id: str
@@ -33,7 +35,7 @@ class WorkflowNode:
     depends_on: Sequence[str] = ()
     params_used: Sequence[str] = ()
     description: str = ""
-    cost: float = 0.1           # CPU charge when run on an instance
+    service_call: Optional[Any] = None
 
 
 class Workflow:

@@ -1,12 +1,14 @@
-"""Workflow execution with caching and provenance.
+"""Workflow execution with caching and provenance: the library engine.
 
 The replay/tweak properties the paper promises come from
-content-addressed stage caching: a stage's cache key hashes its node id,
-the parameters it declares it uses, and the cache keys of its
-dependencies.  Re-running an identical workflow is a full cache hit;
-tweaking one parameter recomputes only the stages downstream of the
-nodes that read it.  Every run leaves a :class:`RunRecord` provenance
-trail.
+content-addressed stage caching: a stage's cache key (:func:`stage_key`,
+the one key both engines use) hashes its node id, the parameters it
+declares it uses, and the cache keys of its dependencies.  Re-running an
+identical workflow is a full cache hit; tweaking one parameter
+recomputes only the stages downstream of the nodes that read it.  Every
+run leaves a :class:`RunRecord` provenance trail.  Runs that call
+services, take simulated time or must survive their executor belong to
+the estate engine, :mod:`repro.workflow.cloud`.
 """
 
 from __future__ import annotations
@@ -64,47 +66,46 @@ class RunRecord:
 
 
 class WorkflowEngine:
-    """Runs workflows, caching stage outputs across runs.
+    """The library engine: runs a workflow of callables in the caller's
+    process, caching stage outputs across runs.
 
-    ``clock`` is any zero-arg callable returning the current time — pass
-    ``sim.now``-reading lambda to timestamp provenance in simulated
-    time, or leave the default monotonic counter for pure library use.
+    Provenance is stamped by a monotonic counter, not a clock, and
+    nothing is journaled: a run that must take simulated time, call
+    services or outlive its executor belongs to
+    :class:`~repro.workflow.cloud.CloudWorkflowEngine`.
     """
 
-    def __init__(self, clock=None, tracer=None, store=None,
-                 executor_id: str = "local"):
+    def __init__(self, tracer=None):
         self._cache: Dict[str, Any] = {}
         self._runs: List[RunRecord] = []
-        self._counter = itertools.count()
-        self._clock = clock or (lambda: float(next(self._counter)))
+        self._ticks = itertools.count()
         #: optional :class:`~repro.obs.tracer.Tracer`; when set, each run
         #: produces a ``workflow.run`` span with per-stage children,
         #: parented under whatever span is active (e.g. the instance job
         #: whose ``compute`` invoked this engine)
         self.tracer = tracer
-        #: optional :class:`~repro.durable.journal.JournalStore`; when
-        #: set, runs are journaled (SCHEDULED/STARTED/CHECKPOINT/DONE)
-        #: so a crashed executor's progress can be recovered
-        self.store = store
-        self.executor_id = executor_id
 
     def run(self, workflow: Workflow,
-            parameters: Optional[Dict[str, Any]] = None,
-            run_id: Optional[str] = None) -> RunRecord:
+            parameters: Optional[Dict[str, Any]] = None) -> RunRecord:
         """Execute ``workflow`` with ``parameters``; returns provenance.
 
-        Pass ``run_id`` to resume (or re-execute) a journaled run under
-        its original identity — recovery uses this so the journal stays
-        one stream per logical run.
+        A workflow holding service nodes is refused: their placeholder
+        callable would answer ``None`` for a call nobody made.
         """
         workflow.validate()
+        remote = [n.node_id for n in workflow.nodes()
+                  if n.service_call is not None]
+        if remote:
+            raise ValueError(
+                f"workflow {workflow.name!r} has service nodes {remote}: "
+                f"the library engine makes no service calls, run it on a "
+                f"CloudWorkflowEngine")
         params = dict(parameters or {})
         record = RunRecord(
-            run_id=run_id or f"run-{next(_run_ids):05d}",
+            run_id=f"run-{next(_run_ids):05d}",
             workflow=workflow.name,
             parameters=params,
         )
-        journal = self._open_journal(record, params)
         run_span = None
         if self.tracer is not None:
             run_span = self.tracer.start_span(
@@ -114,9 +115,9 @@ class WorkflowEngine:
         keys: Dict[str, str] = {}
         outputs: Dict[str, Any] = {}
         for node in workflow.topological_order():
-            key = self._cache_key(node, params, keys)
+            key = stage_key(node, params, keys)
             keys[node.node_id] = key
-            started = self._clock()
+            started = float(next(self._ticks))
             stage_span = None
             if run_span is not None:
                 stage_span = self.tracer.start_span(
@@ -140,42 +141,14 @@ class WorkflowEngine:
                 cached=cached,
                 output_repr=_short_repr(output),
                 started_at=started,
-                finished_at=self._clock(),
+                finished_at=float(next(self._ticks)),
             ))
-            self._journal_stage(journal, record.stages[-1], output)
         record.outputs = outputs
-        if journal is not None:
-            journal.append("DONE", outputs_repr=_short_repr(outputs))
         if run_span is not None:
             run_span.set_attribute("cache_hits", record.cache_hits())
             run_span.finish()
         self._runs.append(record)
         return record
-
-    def _open_journal(self, record: RunRecord, params: Dict[str, Any]):
-        """Write-ahead SCHEDULED + STARTED before any stage executes."""
-        if self.store is None:
-            return None
-        from repro.durable.journal import jsonable
-        journal = self.store.open_or_create(record.run_id)
-        if not journal.records():
-            ok, clean = jsonable(params)
-            journal.append("SCHEDULED", sync=False, workflow=record.workflow,
-                           parameters=clean if ok else {})
-        journal.append("STARTED", owner=self.executor_id)
-        return journal
-
-    def _journal_stage(self, journal, stage: StageRecord,
-                       output: Any) -> None:
-        """CHECKPOINT a completed stage, with its output when JSON-able."""
-        if journal is None:
-            return
-        from repro.durable.journal import jsonable
-        ok, clean = jsonable(output)
-        journal.append("CHECKPOINT", node_id=stage.node_id,
-                       cache_key=stage.cache_key, cached=stage.cached,
-                       replayable=ok, output=clean if ok else None,
-                       output_repr=stage.output_repr)
 
     def runs(self) -> List[RunRecord]:
         """Every run executed by this engine, oldest first."""
@@ -185,27 +158,19 @@ class WorkflowEngine:
         """Drop the stage cache (force full recomputation)."""
         self._cache.clear()
 
-    def seed_cache(self, entries) -> int:
-        """Pre-load ``(cache_key, output)`` pairs (journal replay).
 
-        Recovery seeds a replacement engine's cache from the crashed
-        run's durable CHECKPOINT records, so completed stages replay as
-        cache hits and only in-flight work re-executes.
-        """
-        count = 0
-        for key, output in entries:
-            if key not in self._cache:
-                self._cache[key] = output
-                count += 1
-        return count
-
-    def _cache_key(self, node: WorkflowNode, params: Dict[str, Any],
-                   upstream_keys: Dict[str, str]) -> str:
-        return stage_cache_key({
-            "node": node.node_id,
-            "params": {name: params.get(name) for name in node.params_used},
-            "deps": [upstream_keys[dep] for dep in node.depends_on],
-        }, node.node_id)
+def stage_key(node: WorkflowNode, params: Dict[str, Any],
+              upstream_keys: Dict[str, str]) -> str:
+    """The one stage key, whichever engine runs the stage: node id, the
+    process a service node calls, the parameters the node declares it
+    reads, and the keys of its dependencies."""
+    call = node.service_call
+    return stage_cache_key({
+        "node": node.node_id,
+        "process": call.process_id if call else None,
+        "params": {name: params.get(name) for name in node.params_used},
+        "deps": [upstream_keys[dep] for dep in node.depends_on],
+    }, node.node_id)
 
 
 def stage_cache_key(basis: Dict[str, Any], node_id: str) -> str:

@@ -322,6 +322,66 @@ def test_wps_execute_idempotency_replay_is_exactly_once(sim):
     assert outbox.kinds() == ["run.submitted", "run.finished"]
 
 
+def test_sync_execute_that_raises_ends_failed_in_the_read_model(sim):
+    """A raising model answers 500 *and* its run leaves ``submitted``:
+    sync and async Execute publish the same end state, same fields."""
+    service = make_wps(sim, processes=0)
+
+    def run(inputs):
+        if inputs["x"] > 50.0:
+            raise RuntimeError("model blew up")
+        return {"y": inputs["x"]}
+
+    service.add_process(WpsProcess(
+        ProcessDescription(
+            identifier="touchy", title="Touchy",
+            inputs=[InputSpec("x", "float", minimum=0.0, maximum=100.0)],
+            outputs=["y"]),
+        run=run, cost=lambda inputs: 4.0))
+    plane = DataPlane(sim, BlobStore(sim, name="views"), consumer_count=1)
+    service.attach_outbox(plane.outbox)
+    service.api.idempotency = IdempotencyIndex(
+        sim, BlobStore(sim, name="idem").create_container("idempotency"))
+    wps = RestServer(sim, service.api, make_instance(sim))
+    reads = RestServer(sim, build_read_api(sim, plane),
+                       make_instance(sim, "api-0001"))
+
+    def execute(x, mode, **headers):
+        return call(sim, wps, HttpRequest(
+            "POST", "/v1/wps/processes/touchy/execute",
+            body={"inputs": {"x": x}, "mode": mode}, headers=headers))
+
+    broken = execute(90.0, "sync", **{"Tenant": "org-a",
+                                      "Idempotency-Key": "once"})
+    assert broken.status == 500
+    assert execute(90.0, "async", Tenant="org-a").status == 202
+    assert execute(3.0, "sync").status == 200
+    # the failure was forgotten, not recorded: the same key runs again
+    again = execute(90.0, "sync", **{"Tenant": "org-a",
+                                     "Idempotency-Key": "once"})
+    assert again.status == 500
+    assert "Idempotency-Replayed" not in again.headers
+    plane.pump()
+
+    rows = call(sim, reads, HttpRequest("GET", "/v1/runs")).body["runs"]
+    assert [r["status"] for r in rows] == [
+        "failed", "failed", "finished", "failed"]
+    sync_failed, async_failed, finished = rows[:3]
+    assert sync_failed["runId"].startswith("run-")
+    assert async_failed["runId"].startswith("exec-")
+    # same fields as the async end state: when, and whose
+    assert set(sync_failed) == set(async_failed)
+    assert sync_failed["finishedAt"] == sync_failed["submittedAt"] + 4.0
+    assert sync_failed["tenant"] == "org-a"
+    assert "tenant" not in finished
+    # a successful sync run still publishes exactly submitted, finished
+    kinds = [(e.kind, e.key) for e in plane.streams.stream("runs").read()]
+    assert [k for k, key in kinds if key == finished["runId"]] == [
+        "run.submitted", "run.finished"]
+    assert [k for k, key in kinds if key == sync_failed["runId"]] == [
+        "run.submitted", "run.failed"]
+
+
 def test_wps_idempotency_conflict_and_pending_verdicts(sim):
     service = make_wps(sim, processes=1)
     store = BlobStore(sim, name="idem")

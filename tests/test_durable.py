@@ -18,11 +18,11 @@ from repro.durable import (
     replay,
 )
 from repro.durable import journal as j
+from repro.durable.state import begin, fail, finish
 from repro.obs.hub import obs_of
 from repro.perf.runcache import RunCache
 from repro.perf.runner import EnsembleRunner
 from repro.sim import Simulator
-from repro.workflow import Workflow, WorkflowEngine, WorkflowNode
 
 
 @pytest.fixture()
@@ -403,43 +403,6 @@ def test_replay_of_any_prefix_is_consistent(ops):
             assert state.terminal
 
 
-# -- journaled WorkflowEngine -----------------------------------------------
-
-
-def _workflow():
-    wf = Workflow("local-study")
-    wf.add(WorkflowNode("a", lambda p, u: {"x": p["depth"] * 2},
-                        params_used=("depth",)))
-    wf.add(WorkflowNode("b", lambda p, u: {"y": u["a"]["x"] + 1},
-                        depends_on=("a",)))
-    return wf
-
-
-def test_workflow_engine_journals_lifecycle(store):
-    engine = WorkflowEngine(store=store, executor_id="exec-a")
-    record = engine.run(_workflow(), {"depth": 3.0})
-    kinds = [r.kind for r in store.open(record.run_id).records()]
-    assert kinds == [j.SCHEDULED, j.STARTED, j.CHECKPOINT, j.CHECKPOINT,
-                     j.DONE]
-    state = replay(store.open(record.run_id).records())
-    assert state.terminal and state.status == "done"
-    assert state.completed == ["a", "b"]
-    assert state.parameters == {"depth": 3.0}
-
-
-def test_seed_cache_replays_completed_stages(store):
-    first = WorkflowEngine(store=store, executor_id="exec-a")
-    record = first.run(_workflow(), {"depth": 3.0})
-    state = replay(store.open(record.run_id).records())
-    # a cold replacement engine seeded from the journal recomputes nothing
-    replacement = WorkflowEngine(store=store, executor_id="exec-b")
-    assert replacement.seed_cache(state.cache_entries()) == 2
-    rerun = replacement.run(_workflow(), {"depth": 3.0},
-                            run_id=record.run_id)
-    assert rerun.recomputed() == []
-    assert rerun.outputs == record.outputs
-
-
 # -- DurableSweep -----------------------------------------------------------
 
 
@@ -513,3 +476,349 @@ def test_sweep_resumes_after_torn_checkpoint_record(sim, blobstore, store):
     results = resumed.run(params)
     assert len(results) == 12
     assert resumed.resumed_from == 4
+
+
+def test_sweep_whose_model_raises_fails_the_run_and_frees_it(
+        sim, blobstore, store):
+    """An uncaptured model error ends the run, it does not orphan it:
+    FAILED on the journal, lease released, span closed, and a
+    replacement owner resumes at the same simulated instant."""
+    def simulate(params):
+        if params["m"] == 2.0 and not healed:
+            raise TypeError("unsupported operand")
+        return {"peak": params["m"] * 3.0 + 1.0}
+
+    healed = []
+    effects = blobstore.create_container("results")
+    params = [{"m": float(i)} for i in range(6)]
+    sweep = DurableSweep(
+        EnsembleRunner(simulate, model_id="toy", cache=RunCache()),
+        store, "sweep-f", checkpoint_every=2, effects=effects,
+        owner="exec-a", lease_ttl=300.0)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        sweep.run(params)
+
+    journal = store.open("sweep-f")
+    state = replay(journal.records())
+    assert state.status == "failed"
+    assert state.failure == "TypeError: unsupported operand"
+    assert journal.owner_at() is None               # released, not lapsed
+    assert state.checkpoint["completed"] == 2
+    tracer = obs_of(sim).tracer
+    assert [s.error for s in tracer.spans(name="durable.sweep")] == [
+        "TypeError: unsupported operand"]
+    assert all(s.finished for s in tracer.spans())
+
+    healed.append(True)
+    replacement = DurableSweep(
+        EnsembleRunner(simulate, model_id="toy", cache=RunCache()),
+        store, "sweep-f", checkpoint_every=2, effects=effects,
+        owner="exec-b", lease_ttl=300.0)
+    results = replacement.run(params)               # no LeaseError, t=0
+    assert sim.now == 0.0
+    assert results == [{"peak": i * 3.0 + 1.0} for i in range(6)]
+    assert replacement.resumed_from == 2
+    assert len(effects) == 6
+    kinds = [r.kind for r in store.open("sweep-f").records()]
+    assert kinds.count(j.FAILED) == 1 and kinds[-2:] == [j.DONE, j.LEASE]
+
+
+# -- the run protocol against its replaced forms (oracles) -------------------
+# What begin() and the one-loop sweep replaced lives on here, verbatim from
+# the parent commit, and nowhere in src/.
+
+
+class TwoLoopSweep(DurableSweep):
+    """``DurableSweep.run`` as it stood before the loops were folded."""
+
+    def run(self, parameter_sets, interrupt_after=None, torn=False):
+        sim = self.store.sim
+        self.computed = 0
+        self.effects_applied = 0
+        self.effects_deduped = 0
+        journal = self.store.open_or_create(self.sweep_id)
+        prior = self._replay(journal)
+        journal.acquire(self.owner, self.lease_ttl)
+        attributes = {"sweep": self.sweep_id,
+                      "runs": len(parameter_sets),
+                      "checkpoint_every": self.checkpoint_every}
+        scheduler = getattr(self.runner, "scheduler", None)
+        if scheduler is not None:
+            attributes["shard"] = scheduler.shard_of(self.runner.model_id)
+            attributes["class"] = "batch"
+        span = obs_of(sim).tracer.start_span(
+            "durable.sweep", kind="perf", attributes=attributes)
+        if not journal.records() or prior.status == "unknown":
+            journal.append(j.SCHEDULED, sync=False,
+                           workflow=f"sweep:{self.runner.model_id}",
+                           parameters={"runs": len(parameter_sets)})
+        journal.append(j.STARTED, owner=self.owner)
+
+        results = []
+        start = 0
+        if prior.checkpoint is not None:
+            start = int(prior.checkpoint.get("completed", 0))
+            payload_key = prior.checkpoint.get("payload")
+            if payload_key and self.store.has_payload(payload_key):
+                results = list(self.store.get_payload(payload_key))[:start]
+            else:  # checkpoint record without payload: restart
+                start = 0
+                results = []
+        self.resumed_from = start
+        if start:
+            obs_of(sim).events.emit("durable.sweep.resumed",
+                                    sweep=self.sweep_id, completed=start)
+        span.set_attribute("resumed_from", start)
+
+        if interrupt_after is None and self._batch_backend():
+            index = start
+            total = len(parameter_sets)
+            while index < total:
+                boundary = index + self.checkpoint_every \
+                    - (index % self.checkpoint_every)
+                end = min(total, boundary)
+                chunk = list(parameter_sets[index:end])
+                values = self.runner.run_many(chunk, capture_errors=True)
+                self.computed += len(values)
+                for params, value in zip(chunk, values):
+                    results.append(value)
+                    self._apply_effect(journal, params, value)
+                if end % self.checkpoint_every == 0:
+                    self._checkpoint(journal, results, end)
+                index = end
+            journal.append(j.DONE, outputs_repr=f"{len(results)} results")
+            journal.release(self.owner)
+            span.set_attribute("computed", self.computed)
+            span.set_attribute("effects_applied", self.effects_applied)
+            span.finish()
+            return results
+
+        batched = self._batch_backend()
+        for index in range(start, len(parameter_sets)):
+            if interrupt_after is not None \
+                    and self.computed >= interrupt_after:
+                lost = journal.crash(torn=torn)
+                obs_of(sim).events.emit(
+                    "durable.sweep.crashed", sweep=self.sweep_id,
+                    completed=index, lost_records=lost)
+                span.finish(error=f"executor crashed after "
+                                  f"{self.computed} runs")
+                return None
+            params = parameter_sets[index]
+            if batched:
+                value = self.runner.run_many([params],
+                                             capture_errors=True)[0]
+            else:
+                value = self.runner.run_one(params, capture_errors=True)
+            self.computed += 1
+            results.append(value)
+            self._apply_effect(journal, params, value)
+            if (index + 1) % self.checkpoint_every == 0:
+                self._checkpoint(journal, results, index + 1)
+        if interrupt_after is not None \
+                and self.computed >= interrupt_after:
+            lost = journal.crash(torn=torn)
+            obs_of(sim).events.emit(
+                "durable.sweep.crashed", sweep=self.sweep_id,
+                completed=len(parameter_sets), lost_records=lost)
+            span.finish(error=f"executor crashed after "
+                              f"{self.computed} runs")
+            return None
+        journal.append(j.DONE, outputs_repr=f"{len(results)} results")
+        journal.release(self.owner)
+        span.set_attribute("computed", self.computed)
+        span.set_attribute("effects_applied", self.effects_applied)
+        span.finish()
+        return results
+
+    def _batch_backend(self):
+        resolve = getattr(self.runner, "resolve_backend", None)
+        return resolve is not None and resolve() != "scalar"
+
+    def _replay(self, journal):
+        return replay(journal.records(), run_id=self.sweep_id)
+
+
+def _toy(params):
+    if params["m"] == 7.0:
+        raise ValueError("non-behavioural draw")
+    return {"peak": params["m"] * 3.0 + 1.0}
+
+
+def _sweep_universe(sweep_class, backend, sets, every, interrupts, torn):
+    """Two crashed-or-not attempts, then one to completion, each on a
+    fresh sweep object (cold runner, same owner); everything an observer
+    can see."""
+    sim = Simulator()
+    blobstore = BlobStore(sim, name="u")
+    store = JournalStore(sim, blobstore)
+    effects = blobstore.create_container("results")
+    seen = {"attempts": []}
+    for interrupt in (*interrupts, None):
+        runner = EnsembleRunner(
+            _toy, model_id="toy", forcing="storm", cache=RunCache(),
+            sim=sim, backend=backend,
+            batch=lambda chunk: [_toy(p) for p in chunk])
+        sweep = sweep_class(runner, store, "sweep-o", checkpoint_every=every,
+                            effects=effects, owner="exec-a")
+        results = sweep.run(sets, interrupt_after=interrupt, torn=torn)
+        stats = runner.stats()
+        seen["attempts"].append((
+            results, sweep.computed, sweep.resumed_from,
+            sweep.checkpoints_written, sweep.effects_applied,
+            sweep.effects_deduped,
+            # a per-item vector sweep looked each duplicate up again
+            (stats["hits"], stats["misses"])
+            if backend == "scalar" or interrupt is None else None))
+    seen["journal"] = [(r.kind, r.payload)
+                       for r in store.open("sweep-o").records()]
+    for name in ("run-journals", "run-journals-payloads", "results"):
+        box = blobstore.container(name)
+        seen[name] = {key: repr(box.get(key).payload) for key in box.list()}
+    seen["events"] = [
+        (e.kind, e.fields) for e in obs_of(sim).events.events()
+        if e.kind.startswith("durable.")]
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       values=st.lists(st.integers(0, 12), max_size=40),
+       every=st.integers(1, 12), torn=st.booleans(),
+       backend=st.sampled_from(["scalar", "vector"]))
+def test_one_loop_sweep_is_the_two_loops_bit_for_bit(
+        data, values, every, torn, backend):
+    sets = [{"m": float(v)} for v in values]
+    interrupts = data.draw(st.tuples(*2 * [
+        st.one_of(st.none(), st.integers(0, len(sets)))]))
+    one, two = (_sweep_universe(cls, backend, sets, every, interrupts, torn)
+                for cls in (DurableSweep, TwoLoopSweep))
+    assert one == two
+    assert one["journal"][-2][0] == j.DONE
+
+
+def _begin_at_the_parent(journal, owner, ttl, workflow, params, adopting):
+    """The estate engine's hand copy of the protocol's opening."""
+    prior = replay(journal.records(), run_id=journal.run_id)
+    journal.acquire(owner, ttl)
+    if adopting and prior.attempts:
+        journal.append(j.ADOPTED, owner=owner, previous=prior.owner)
+    else:
+        ok, clean = j.jsonable(params)
+        if not journal.records() or not prior.workflow:
+            journal.append(j.SCHEDULED, sync=False, workflow=workflow,
+                           parameters=clean if ok else {})
+        journal.append(j.STARTED, owner=owner)
+    return prior
+
+
+def _journal_over(records, now):
+    """A fresh store holding exactly ``records``, its clock at ``now``."""
+    sim = Simulator()
+    sim.run(until=now)
+    blobstore = BlobStore(sim)
+    store = JournalStore(sim, blobstore)
+    box = blobstore.container("run-journals")
+    for record in records:
+        box.put(f"run-b/{record.seq:08d}", record.to_text())
+    return store.open_or_create("run-b")
+
+
+def _opening(opener, records, now, owner, adopting):
+    journal = _journal_over(records, now)
+    try:
+        prior = opener(journal, owner, 60.0, "wf", {"depth": 3.0, "x": (1,)},
+                       adopting)
+    except j.LeaseError as err:
+        return "refused", str(err)
+    return prior, [(r.kind, r.payload, r.time)
+                   for r in journal.records()[len(records):]]
+
+
+_PROTOCOL_OPS = st.lists(st.sampled_from(
+    ["open-a", "open-b", "adopt-b", "adopt-c", "stage", "effect", "renew",
+     "finish", "fail", "crash", "wait"]), max_size=14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_PROTOCOL_OPS)
+def test_begin_writes_what_the_engine_copy_wrote_on_every_prefix(ops):
+    """Drive a journal through the protocol (any owner, any interleaving
+    the lease allows), then open every prefix of the stream both ways."""
+    sim = Simulator()
+    store = JournalStore(sim, BlobStore(sim))
+    journal, holder = store.create("run-b"), None
+    for n, op in enumerate(ops):
+        kind, _, who = op.partition("-")
+        if kind in ("open", "adopt"):
+            mine = store.open_or_create("run-b")
+            try:
+                _begin_at_the_parent(mine, f"exec-{who}", 60.0, "wf",
+                                     {"depth": 3.0}, kind == "adopt")
+            except j.LeaseError:
+                continue
+            journal, holder = mine, f"exec-{who}"
+        elif op == "wait":
+            sim.run(until=sim.now + 45.0)
+        elif holder is not None:
+            try:
+                if op == "stage":
+                    journal.append(j.CHECKPOINT, node_id=f"n{n}",
+                                   cache_key=f"k{n}", replayable=True,
+                                   output={"v": n})
+                elif op == "effect":
+                    journal.append(j.EFFECT, sync=False, key=f"e{n}")
+                elif op == "renew":
+                    journal.renew(holder, 60.0)
+                elif op == "finish":
+                    finish(journal, holder, "{}")
+                elif op == "fail":
+                    fail(journal, holder, "boom", stage=f"n{n}")
+                elif op == "crash":
+                    journal.crash(torn=True)
+                    holder = None
+            except j.LeaseError:
+                holder = None
+    records = store.open_or_create("run-b").records()
+    for cut in range(len(records) + 1):
+        prefix = records[:cut]
+        last = prefix[-1].time if prefix else 0.0
+        for now in (last, last + 61.0):
+            for owner in ("exec-a", "exec-b"):
+                for adopting in (False, True):
+                    case = (prefix, now, owner, adopting)
+                    assert _opening(begin, *case) \
+                        == _opening(_begin_at_the_parent, *case)
+
+
+@pytest.mark.parametrize("prefix_kinds, owner, adopting, wrote", [
+    # fresh
+    ([], "exec-a", False, [j.LEASE, j.SCHEDULED, j.STARTED]),
+    # resumed by the same owner: a new attempt, never rescheduled
+    ([j.LEASE, j.SCHEDULED, j.STARTED, j.CHECKPOINT], "exec-a", False,
+     [j.LEASE, j.STARTED]),
+    # adopted after an attempt
+    ([j.LEASE, j.SCHEDULED, j.STARTED, j.CHECKPOINT], "exec-b", True,
+     [j.LEASE, j.ADOPTED]),
+    # adopted before anybody started: that is a first attempt
+    ([j.LEASE, j.SCHEDULED], "exec-b", True, [j.LEASE, j.STARTED]),
+    ([j.LEASE], "exec-b", True, [j.LEASE, j.SCHEDULED, j.STARTED]),
+])
+def test_begin_named_cases(prefix_kinds, owner, adopting, wrote):
+    payloads = {
+        j.LEASE: {"owner": "exec-a", "epoch": 1, "expires": 60.0,
+                  "ttl": 60.0},
+        j.SCHEDULED: {"workflow": "wf", "parameters": {}},
+        j.STARTED: {"owner": "exec-a"},
+        j.CHECKPOINT: {"node_id": "a", "cache_key": "k", "replayable": True,
+                       "output": 1}}
+    records = [JournalRecord(seq, 0.0, "run-b", kind, payloads[kind])
+               for seq, kind in enumerate(prefix_kinds)]
+    prior, written = _opening(begin, records, 100.0, owner, adopting)
+    assert [kind for kind, _, _ in written] == wrote
+    assert prior.attempts == prefix_kinds.count(j.STARTED)
+    if adopting and j.STARTED in prefix_kinds:
+        assert written[-1][1] == {"owner": "exec-b", "previous": "exec-a"}
+    # ...and while exec-a's lease is live, anyone else is refused
+    early = _opening(begin, records, 10.0, owner, adopting)[0]
+    assert (early == "refused") == (owner != "exec-a" and bool(prefix_kinds))

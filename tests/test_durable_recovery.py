@@ -125,6 +125,38 @@ def test_crashed_run_readopted_recomputes_only_in_flight_stage(rig):
     assert state.owner == rig["replacement"].instance_id
 
 
+def test_journal_lifecycle_and_a_second_engine_seeded_completely(rig):
+    """The journaling engine writes the whole protocol, and what it wrote
+    is enough for a cold engine to re-run the run with nothing executed
+    (one stage key: the journal's keys are the adopter's keys)."""
+    sim, journals = rig["sim"], rig["journals"]
+    workflow = build_workflow(lambda: rig["wps_host"].address)
+    first = CloudWorkflowEngine(sim, rig["network"], store=journals,
+                                executor=rig["executor"], lease_ttl=10.0)
+    done = first.run(workflow, {"depth": 30.0})
+    sim.run(until=sim.now + 60.0)
+    record = done.value
+    assert record.recomputed() == ["choose-storm", "run-model"]
+
+    records = journals.open(record.run_id).records()
+    assert [r.kind for r in records if r.kind != j.LEASE] == [
+        j.SCHEDULED, j.STARTED, j.CHECKPOINT, j.CHECKPOINT, j.DONE]
+    state = replay(records)
+    assert state.status == "done" and state.owner == first.executor_id
+    assert state.completed == ["choose-storm", "run-model"]
+    assert state.parameters == {"depth": 30.0}
+    assert journals.open(record.run_id).owner_at() is None   # released
+
+    second = CloudWorkflowEngine(sim, rig["network"], store=journals,
+                                 executor=rig["replacement"], lease_ttl=10.0)
+    rerun = second.run(workflow, {"depth": 30.0}, run_id=record.run_id)
+    sim.run(until=sim.now + 60.0)
+    assert rerun.value.recomputed() == []
+    assert rerun.value.outputs == record.outputs
+    assert [s.cache_key for s in rerun.value.stages] \
+        == [s.cache_key for s in record.stages]
+
+
 def test_blackhole_heal_leaves_exactly_one_owner(rig):
     sim, journals = rig["sim"], rig["journals"]
     wps = make_slow_wps(sim, seconds=25.0)

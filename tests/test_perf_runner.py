@@ -2,7 +2,6 @@
 the shared ensemble runner (including the parallel backend's determinism
 guarantees, property-tested with hypothesis)."""
 
-import math
 import random
 
 import pytest
@@ -125,19 +124,6 @@ def test_runner_captures_deterministic_failures():
     assert cache.hits == 1      # the model itself never re-ran
 
 
-def test_runner_parallel_matches_serial_on_failures_too():
-    def touchy(params):
-        if params["x"] > 0.5:
-            raise ValueError("too big")
-        return params["x"] * 3.0
-
-    sets = [{"x": v} for v in (0.1, 0.9, 0.3, 0.9, 0.1)]
-    serial = EnsembleRunner(touchy, workers=1, cache=RunCache())
-    parallel = EnsembleRunner(touchy, workers=4, cache=RunCache())
-    assert serial.run_many(sets, capture_errors=True) \
-        == parallel.run_many(sets, capture_errors=True)
-
-
 def test_runner_parallel_computes_each_unique_set_once():
     calls = []
 
@@ -145,7 +131,7 @@ def test_runner_parallel_computes_each_unique_set_once():
         calls.append(params["x"])
         return params["x"]
 
-    runner = EnsembleRunner(record, workers=4, cache=RunCache())
+    runner = EnsembleRunner(record, cache=RunCache())
     out = runner.run_many([{"x": 1.0}, {"x": 2.0}, {"x": 1.0}, {"x": 2.0}])
     assert out == [1.0, 2.0, 1.0, 2.0]
     assert sorted(calls) == [1.0, 2.0]
@@ -162,24 +148,6 @@ def test_runner_emits_span_when_given_a_sim():
     spans = [s for s in obs_of(sim).tracer.spans()
              if s.name == "ensemble.run quad"]
     assert spans and spans[0].attributes["cache_hits"] == 1
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(
-    st.fixed_dictionaries({
-        "x": st.floats(-1e3, 1e3, allow_nan=False),
-        "y": st.floats(-1e3, 1e3, allow_nan=False)}),
-    min_size=1, max_size=12))
-def test_parallel_and_serial_sequences_bit_identical(parameter_sets):
-    """Property: the thread-pool backend only reorders computation, so
-    its output sequence equals the serial backend's bit for bit."""
-    def simulate(params):
-        return [math.sin(params["x"]) * params["y"],
-                params["x"] - params["y"] / 3.0]
-
-    serial = EnsembleRunner(simulate, workers=1, cache=RunCache())
-    parallel = EnsembleRunner(simulate, workers=4, cache=RunCache())
-    assert serial.run_many(parameter_sets) == parallel.run_many(parameter_sets)
 
 
 @settings(max_examples=10, deadline=None)

@@ -33,7 +33,6 @@ from repro.sched import (
     CapacityLedger,
     ClassedQueue,
     Dispatcher,
-    InFlightGate,
     PriorityClass,
     ShardedRouter,
     rendezvous_shard,
@@ -155,32 +154,6 @@ def test_dispatcher_counters_and_depths():
     item, cls = d.dequeue("svc")
     assert item == "a" and cls is PriorityClass.INTERACTIVE
     assert d.depth("unknown-svc") == 0
-
-
-# -- in-flight gate ----------------------------------------------------------
-
-
-def test_inflight_gate_unbounded_never_waits():
-    sim = Simulator()
-    gate = InFlightGate(sim, limit=None)
-    assert all(gate.acquire() is None for _ in range(100))
-    assert gate.waiting() == 0
-
-
-def test_inflight_gate_limits_and_hands_over_fifo():
-    sim = Simulator()
-    gate = InFlightGate(sim, limit=2)
-    assert gate.acquire() is None
-    assert gate.acquire() is None
-    first = gate.acquire()
-    second = gate.acquire()
-    assert first is not None and second is not None
-    assert gate.waiting() == 2
-    gate.release()           # slot transfers to the oldest waiter
-    assert first.fired and not second.fired
-    assert gate.in_flight == 2
-    gate.release()
-    assert second.fired and gate.waiting() == 0
 
 
 # -- capacity ledger ---------------------------------------------------------

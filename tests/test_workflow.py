@@ -216,3 +216,42 @@ def test_cache_key_rejects_non_json_params_with_clear_error():
     assert "'node'" in message
     assert "blob" in message
     assert "JSON" in message
+
+
+def test_one_stage_key_whichever_engine_runs_the_stage():
+    """``stage_key`` is the estate engine's key, string for string (the
+    two literals are what ``CloudWorkflowEngine._cache_key`` gave before
+    the engines shared it), and the library engine records the same."""
+    from repro.workflow import ServiceCall, service_node
+    from repro.workflow.engine import stage_key
+
+    local = WorkflowNode("choose-storm", lambda p, u: {"depth": p["depth"]},
+                         params_used=("depth",))
+    remote = service_node(
+        "run-model",
+        ServiceCall(process_id="slow-model", address_of=lambda: None,
+                    build_inputs=lambda p, u: u["choose-storm"]),
+        depends_on=("choose-storm",))
+    keys = {"choose-storm": stage_key(local, {"depth": 30.0}, {})}
+    keys["run-model"] = stage_key(remote, {"depth": 30.0}, keys)
+    assert keys == {"choose-storm": "4efe0236e26f518c",
+                    "run-model": "01c56f43a6874b50"}
+    record = WorkflowEngine().run(Workflow("w").add(local), {"depth": 30.0})
+    assert record.stages[0].cache_key == keys["choose-storm"]
+
+
+def test_library_engine_refuses_a_workflow_with_service_nodes():
+    """It makes no service calls: running the placeholder would answer
+    ``None`` for a call nobody made, and cache it."""
+    from repro.workflow import ServiceCall, service_node
+
+    workflow = Workflow("mixed")
+    workflow.add(service_node(
+        "remote", ServiceCall(process_id="p", address_of=lambda: None,
+                              build_inputs=lambda p, u: {})))
+    workflow.add(WorkflowNode("use", lambda p, u: u["remote"],
+                              depends_on=("remote",)))
+    engine = WorkflowEngine()
+    with pytest.raises(ValueError, match=r"\['remote'\].*CloudWorkflowEngine"):
+        engine.run(workflow)
+    assert engine.runs() == []
