@@ -33,6 +33,7 @@ if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
 from benchmarks.harness import once, print_table, trace_summary
 from repro.core import Evop, EvopConfig
 from repro.obs import obs_of
+from repro.obs.refusal import refused
 from repro.services.client import RestClient
 from repro.services.transport import HttpRequest, HttpResponse
 
@@ -203,6 +204,7 @@ def run_client_comparison(protected: bool, horizon: float = 1800.0,
         "requests": stats["requests"],
         "errors": stats["errors"],
         "metrics": evop.resilience_metrics.snapshot(),
+        "circuit_open": int(refused(evop.sim, cause="circuit_open")),
         "spans": list(tracer.spans()),
     }
 
@@ -221,6 +223,12 @@ def compare_clients(horizon: float = 1800.0):
 
     interesting = [(k, v) for k, v in sorted(resilient["metrics"].items())
                    if "." not in k and v]
+    # what the fabric refused outright rather than sent: the one counter
+    # and the registry's own fast-fail tally are the same fact
+    assert resilient["circuit_open"] \
+        == resilient["metrics"].get("breaker.fastfail", 0)
+    interesting.append(("refused{cause=circuit_open}",
+                        resilient["circuit_open"]))
     print_table("Resilience fabric counters (protected arm)",
                 ["counter", "value"], interesting)
     return resilient, bare

@@ -37,6 +37,8 @@ from benchmarks.harness import once, print_table
 from repro.durable import DurableSweep
 from repro.geo import GeoEstate
 from repro.hydrology.timeseries import TimeSeries
+from repro.obs.hub import obs_of
+from repro.obs.refusal import refused
 from repro.perf.runner import EnsembleRunner
 from repro.resilience import ResilientClient
 from repro.services.transport import HttpRequest, HttpResponse
@@ -152,6 +154,11 @@ def run_region_kill_arm(users_per_region: int = 3,
     estate.sim.run(until=horizon)
 
     losses = [f for f in finals if f[2] >= 500]
+    # who said no, why and when: one event kind, whatever the site
+    refusals = {}
+    for event in obs_of(estate.sim).events.events("refused"):
+        key = (event.fields["cause"], round(event.t, 3))
+        refusals[key] = refusals.get(key, 0) + 1
     return {
         "arm": "region_kill",
         "regions": regions,
@@ -185,15 +192,16 @@ def run_region_kill_arm(users_per_region: int = 3,
         "term": estate.election.term,
         "no_leader_refusals": estate.geo_ledger.no_leader_refusals,
         "ledger_overcommits": estate.geo_ledger.overcommits,
-        "ledger_fenced": estate.geo_ledger.fenced,
+        "ledger_fenced": int(refused(estate.sim, cause="fenced")),
         "sweep_completed": (sweep_results is not None
                             and len(sweep_results) == len(sweep_params)),
         "sweep_resumed_from": resumed.resumed_from,
         "runs_seen_by_coordinator": list(report.runs_recovered),
         "region_restored": report.restored_at is not None,
         "spillovers": estate.geo_router.spillovers,
-        "guard_sheds": sum(cell.guard.shed
-                           for cell in estate.cells.values()),
+        "guard_sheds": int(refused(estate.sim, cause="region_degraded")),
+        "refusals": [[cause, t, n] for (cause, t), n in refusals.items()],
+        "events_dropped": obs_of(estate.sim).events.dropped,
     }
 
 
@@ -234,6 +242,10 @@ def run_bench(quick: bool = False, write_artifact: bool = True):
             ["region restored", kill["region_restored"], "True"],
         ])
 
+    print_table(
+        "Refusals under the kill, by cause and simulated time",
+        ["cause", "t (s)", "refusals"], kill["refusals"])
+
     report = {"region_kill": kill, "quick": quick}
     if write_artifact:
         RESULT_FILE.write_text(json.dumps(report, indent=2) + "\n")
@@ -265,6 +277,13 @@ def check_report(kill: dict) -> list:
     elif kill["reelection_s"] > kill["reelection_bound_s"]:
         failures.append(f"re-election took {kill['reelection_s']}s, "
                         f"past the {kill['reelection_bound_s']}s bound")
+    stalls = sum(n for cause, _, n in kill["refusals"] if cause == "no_leader")
+    if stalls != kill["no_leader_refusals"]:
+        failures.append(f"{stalls} no_leader refusals recorded against "
+                        f"{kill['no_leader_refusals']} the ledger tallied")
+    if kill["events_dropped"] != 0:
+        failures.append(f"the event ring dropped {kill['events_dropped']} "
+                        f"events; the refusal rows are incomplete")
     if kill["ledger_overcommits"] != 0:
         failures.append(f"{kill['ledger_overcommits']} double-committed "
                         f"capacity admissions")

@@ -39,6 +39,8 @@ if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
 from benchmarks.harness import once, print_table
 from benchmarks.bench_shard_scaling import Plane
 from repro.cloud.storage import BlobStore
+from repro.obs.hub import obs_of
+from repro.obs.refusal import refused
 from repro.services.idempotency import IdempotencyIndex
 from repro.services.transport import HttpRequest
 from repro.tenancy import (
@@ -204,6 +206,11 @@ def measure_rate_limit(requests=24):
     responses = [s.value for s in burst]
     throttled = [r for r in responses if r.status == 429]
     allowed = [r for r in responses if r.status == 200]
+    # the one counter says what the responses said: every refusal is a
+    # rate_limited of the burst tenant's, the unnamed stream has no child
+    assert refused(plane.sim, cause="rate_limited", tenant="burst") \
+        == refused(plane.sim) == len(throttled)
+    assert obs_of(plane.sim).events.dropped == 0
     return {
         "requests": requests,
         "allowed": len(allowed),

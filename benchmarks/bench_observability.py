@@ -53,9 +53,9 @@ FAULT_SCHEDULE = ((120.0, "crash"), (600.0, "blackhole"),
                   (1080.0, "degrade"))
 #: a firing transition must follow each injection within this budget
 DETECTION_BUDGET = 300.0
-#: scraper host cost ceiling, µs per scrape per series: 1.53 in the
-#: committed BENCH_observability.json (0.0648 s / 512 scrapes / 83
-#: series), so 3.3x headroom for a slow box
+#: scraper host cost ceiling, µs per scrape per series: 1.78 in the
+#: committed BENCH_observability.json (0.0773 s / 512 scrapes / 85
+#: series), so 2.8x headroom for a slow box
 SCRAPE_US_PER_SERIES_CEILING = 5.0
 
 

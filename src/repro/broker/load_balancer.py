@@ -174,11 +174,6 @@ class LoadBalancer:
             if not accepted:
                 # the class queue is full: shed instead of queueing the
                 # lowest-value work forever (bounded-queue back-pressure)
-                self.metrics.counter("sched.shed").increment()
-                self._log("shed", session=session.session_id,
-                          service=service_name,
-                          priority=priority.name.lower(),
-                          tenant=tenant)
                 if span is not None:
                     span.finish(error="shed: class queue full")
                 return
@@ -293,10 +288,6 @@ class LoadBalancer:
                     not self.ledger.admit(location, service.flavor.vcpus,
                                           tenant=service.tenant):
                 # the deployment-wide budget (all shards) is spent here
-                self.metrics.counter(
-                    f"launch.quota_refused.{location}").increment()
-                self._log("launch.quota_refused", service=service.name,
-                          location=location)
                 continue
             try:
                 instance = self.multicloud.compute(location).launch(

@@ -19,6 +19,7 @@ from typing import Any, Dict, List
 
 from repro.core.evop import Evop
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refused
 
 
 class AdminConsole:
@@ -74,7 +75,6 @@ class AdminConsole:
                 ],
             })
         depths = evop.sched.tenant_depths()
-        shed = evop.sched.shed_by_tenant()
         inflight: Dict[str, int] = {}
         for session in evop.sessions.active():
             inflight[session.tenant] = inflight.get(session.tenant, 0) + 1
@@ -88,7 +88,10 @@ class AdminConsole:
                     "served": policy["served"],
                     "in_flight": inflight.get(tenant_id, 0),
                     "queued": depths.get(tenant_id, 0),
-                    "shed": shed.get(tenant_id, 0),
+                    "refused": {
+                        cause.value: int(n) for cause in Cause
+                        if (n := refused(evop.sim, cause=cause.value,
+                                         tenant=tenant_id))},
                     "bucket": buckets.get(tenant_id),
                 }
                 for tenant_id, policy in evop.tenants.snapshot().items()},
@@ -167,7 +170,8 @@ class AdminConsole:
             lines.append(
                 f"  {tenant_id:16s} w={row['weight']:g} "
                 f"inflight={row['in_flight']} queued={row['queued']} "
-                f"shed={row['shed']} served={row['served']:g} "
+                f"refused={sum(row['refused'].values())} "
+                f"served={row['served']:g} "
                 f"bucket={fill}")
         obs = snapshot["observability"]
         if obs["enabled"]:

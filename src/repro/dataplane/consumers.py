@@ -29,6 +29,7 @@ from repro.dataplane.stream import StreamSet
 from repro.durable.journal import (LeaseState, drop_lease, extend_lease,
                                    take_lease)
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.sim import Simulator
 
 #: Deliveries before an event is declared poison and parked.
@@ -102,10 +103,9 @@ class DeadLetterQueue:
     def __init__(self, sim: Simulator, container: Container):
         self.sim = sim
         self._container = container
-        self.parked = 0
 
     def park(self, event: Event, error: str, attempts: int) -> None:
-        """Park a poison event, keeping the failure context."""
+        """Park a poison event (a ``poison`` refusal), keeping its context."""
         key = f"dlq/{event.stream}/{event.seq:08d}"
         self._container.put(key, {
             "event": event.to_document(),
@@ -113,10 +113,8 @@ class DeadLetterQueue:
             "attempts": attempts,
             "parked_at": self.sim.now,
         })
-        self.parked += 1
-        obs_of(self.sim).events.emit(
-            "dataplane.dlq.parked", stream=event.stream, seq=event.seq,
-            event_kind=event.kind, error=error, attempts=attempts)
+        refuse(self.sim, Cause.POISON, stream=event.stream, seq=event.seq,
+               event_kind=event.kind, error=error, attempts=attempts)
 
     def depth(self) -> int:
         """How many events are parked."""

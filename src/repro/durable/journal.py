@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.storage import BlobStore, Container
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.sim import Simulator
 
 # -- record kinds -----------------------------------------------------------
@@ -330,13 +331,14 @@ class RunJournal:
         moved — the write is refused with :class:`Fenced` and the local
         buffer dropped, so a stale executor cannot corrupt the journal.
         """
+        held = self._lease
         foreign = self._refresh()
         if not self._tail:
             return 0
         if foreign:
             self._tail.clear()
-            obs_of(self.sim).events.emit("durable.journal.fenced",
-                                         run=self.run_id)
+            refuse(self.sim, Cause.FENCED, run=self.run_id,
+                   owner=held and held.owner, epoch=held and held.epoch)
             raise Fenced(f"run {self.run_id}: journal advanced by another "
                          f"owner; this executor is fenced")
         # The log renumbers: a buffered record takes the sequence the

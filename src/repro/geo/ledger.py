@@ -7,13 +7,13 @@ every reachable replica.  Losing any region therefore never loses the
 book — the next leader's replica already holds every commit — and a
 bounded no-leader window (see
 :class:`~repro.geo.election.LeaderElection`) is the worst placement
-pays for a leader-region loss: admissions are *refused*, never guessed,
-so capacity cannot be double-committed while leadership moves.
+pays for a leader-region loss: admissions are *refused* (``no_leader``),
+never guessed, so capacity cannot be double-committed while it moves.
 
 Fencing: admissions carry the ``(leader, term)`` grant they were
 issued under; :meth:`GeoLedger.admit_as` rejects any grant that is not
-the current one, so a deposed leader's in-flight decisions die with
-its term.
+the current one (``fenced``), so a deposed leader's in-flight decisions
+die with its term.
 
 Shard Load Balancers never see any of this: they hold a
 :class:`RegionLedgerHandle` speaking local location labels, with the
@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.geo.election import LeaderElection
 from repro.geo.topology import RegionStatus, RegionTopology, qualify
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.sched.ledger import CapacityLedger
 from repro.sim import Simulator
 from repro.tenancy.context import DEFAULT_TENANT
@@ -39,21 +40,17 @@ class GeoLedger:
     def __init__(self, sim: Simulator, election: LeaderElection,
                  topology: RegionTopology,
                  capacity: Optional[Dict[str, int]] = None,
-                 metrics=None,
                  tenant_quotas: Optional[Dict[str, float]] = None):
         self.sim = sim
         self.election = election
         self.topology = topology
         self.capacity: Dict[str, int] = dict(capacity or {})
-        self.metrics = metrics
         #: per-tenant estate-wide vCPU caps, enforced by whichever
         #: replica is leader (every replica carries the same quotas)
         self.tenant_quotas: Dict[str, float] = dict(tenant_quotas or {})
         self._replicas: Dict[str, CapacityLedger] = {}
         #: admissions refused because no leader held a live lease
         self.no_leader_refusals = 0
-        #: writes rejected because their grant's term was stale
-        self.fenced = 0
         #: commits observed past a location's budget (must stay 0)
         self.overcommits = 0
 
@@ -89,17 +86,6 @@ class GeoLedger:
             return None
         return leader, self.election.term
 
-    def _fresh(self, owner: str, term: int) -> bool:
-        current = self.grant()
-        if current is None or current != (owner, term):
-            self.fenced += 1
-            obs_of(self.sim).events.emit(
-                "geo.ledger.fenced", owner=owner, term=term,
-                leader=current[0] if current else None,
-                current_term=self.election.term)
-            return False
-        return True
-
     # -- decisions (leader only) ---------------------------------------------
 
     def admit(self, location: str, vcpus: int,
@@ -112,8 +98,9 @@ class GeoLedger:
         granted = self.grant()
         if granted is None:
             self.no_leader_refusals += 1
-            obs_of(self.sim).events.emit("geo.ledger.noleader",
-                                         location=location, vcpus=vcpus)
+            refuse(self.sim, Cause.NO_LEADER, tenant=tenant,
+                   region=location.partition("/")[0], location=location,
+                   vcpus=vcpus)
             return False
         leader, term = granted
         return self.admit_as(leader, term, location, vcpus, tenant=tenant)
@@ -121,7 +108,11 @@ class GeoLedger:
     def admit_as(self, owner: str, term: int, location: str,
                  vcpus: int, tenant: str = DEFAULT_TENANT) -> bool:
         """An admission issued under an explicit grant (fenced)."""
-        if not self._fresh(owner, term):
+        current = self.grant()
+        if current != (owner, term):
+            refuse(self.sim, Cause.FENCED, tenant=tenant, region=owner,
+                   term=term, leader=current[0] if current else None,
+                   current_term=self.election.term)
             return False
         return self._replicas[owner].admit(location, vcpus, tenant=tenant)
 

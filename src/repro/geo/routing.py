@@ -14,9 +14,9 @@ order:
 * **spillover on brownout** — a DEGRADED region, or a healthy one
   whose scheduling queues exceed ``spillover_depth``, is skipped and
   the session spills to the next region on the ring;
-* **last resort** — if every region is browned out, the nearest
-  not-DOWN region still takes the session (serving slowly beats
-  refusing).
+* **last resort** — if every region is browned out, the nearest not-DOWN
+  region still takes the session (serving slowly beats refusing); with
+  every region DOWN, new or re-placed, it is refused (``no_region``).
 
 :class:`RegionGuard` is the REST-side enforcement (satellite: RFC-7807
 ``503`` + ``Retry-After`` when the serving region is degraded *and* no
@@ -29,11 +29,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.geo.topology import RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.sched.core import PriorityClass
-from repro.services.envelope import problem
+from repro.services.envelope import refusal_problem
 from repro.services.transport import HttpRequest, HttpResponse
 from repro.tenancy.context import DEFAULT_TENANT, TENANT_HEADER
 from repro.sim import Simulator
+
+#: What a shed request's ``Retry-After`` says, seconds.
+RETRY_AFTER = 15.0
 
 
 class GeoRouter:
@@ -41,7 +45,7 @@ class GeoRouter:
 
     def __init__(self, sim: Simulator, topology: RegionTopology,
                  routers: Dict[str, object],
-                 spillover_depth: Optional[int] = None, metrics=None):
+                 spillover_depth: Optional[int] = None):
         self.sim = sim
         self.topology = topology
         self.routers = dict(routers)
@@ -49,9 +53,7 @@ class GeoRouter:
             if region not in self.routers:
                 raise ValueError(f"region {region!r} has no router")
         self.spillover_depth = spillover_depth
-        self.metrics = metrics
         self.spillovers = 0
-        self.refused = 0
 
     def router(self, region: str):
         """The region's ShardedRouter."""
@@ -68,16 +70,11 @@ class GeoRouter:
         placed is sticky to its previous region instead.
         """
         home = getattr(session, "region", None) or origin
-        region = self.pick_region(home)
+        region = self._region_for(session, service_name, home)
         if region is None:
-            self.refused += 1
-            self._count("refused")
-            obs_of(self.sim).events.emit("geo.route.refused",
-                                         session=session.session_id)
             return None
         if home is not None and region != home:
             self.spillovers += 1
-            self._count("spillover")
             obs_of(self.sim).events.emit("geo.route.spillover",
                                          session=session.session_id,
                                          origin=home, region=region)
@@ -85,6 +82,16 @@ class GeoRouter:
         session.geo_service = service_name
         self.routers[region].submit_session(session, service_name,
                                             priority=priority)
+        return region
+
+    def _region_for(self, session, service_name: str,
+                    home: Optional[str]) -> Optional[str]:
+        """:meth:`pick_region` from ``home``; nowhere to go is a refusal."""
+        region = self.pick_region(home)
+        if region is None:
+            refuse(self.sim, Cause.NO_REGION, tenant=session.tenant,
+                   service=service_name, region=home,
+                   session=session.session_id)
         return region
 
     def pick_region(self, origin: Optional[str] = None) -> Optional[str]:
@@ -140,22 +147,16 @@ class GeoRouter:
             service = getattr(session, "geo_service", None)
             if service is None:
                 continue
-            home = getattr(session, "region", None)
-            region = self.pick_region(home)
+            region = self._region_for(session, service,
+                                      getattr(session, "region", None))
             if region is None:
-                self.refused += 1
                 continue
             priority = session.priority or PriorityClass.INTERACTIVE
             session.region = region
             self.routers[region].submit_session(session, service,
                                                 priority=priority)
-            self._count("failover_replaced")
             placed.append((session, region))
         return placed
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).increment()
 
 
 class RegionGuard:
@@ -174,14 +175,9 @@ class RegionGuard:
     router's job, not the request path's.
     """
 
-    def __init__(self, georouter: GeoRouter, region: str,
-                 retry_after: float = 15.0):
+    def __init__(self, georouter: GeoRouter, region: str):
         self.georouter = georouter
         self.region = region
-        self.retry_after = retry_after
-        self.shed = 0
-        #: sheds attributed to the billing principal that suffered them
-        self.shed_by_tenant: Dict[str, int] = {}
 
     def __call__(self, request: HttpRequest) -> Optional[HttpResponse]:
         status = self.georouter.topology.status(self.region)
@@ -189,19 +185,13 @@ class RegionGuard:
             return None
         if self.georouter.spillover_target(self.region) is not None:
             return None
-        self.shed += 1
         tenant = request.headers.get(TENANT_HEADER, DEFAULT_TENANT)
-        self.shed_by_tenant[tenant] = self.shed_by_tenant.get(tenant, 0) + 1
-        obs_of(self.georouter.sim).events.emit(
-            "geo.guard.shed", region=self.region, status=status.value,
-            path=request.path, tenant=tenant)
-        body = problem(
-            503, "region degraded",
-            f"region {self.region} is {status.value} and no healthy "
-            f"region can absorb spillover; retry after "
-            f"{self.retry_after:.0f}s",
-            retryable=True, type_slug="region-degraded",
-            region=self.region, tenant=tenant)
-        return HttpResponse(status=503, body=body,
-                            headers={"Retry-After":
-                                     f"{self.retry_after:.0f}"})
+        event = refuse(
+            self.georouter.sim, Cause.REGION_DEGRADED, tenant=tenant,
+            region=self.region, health=status.value, path=request.path,
+            retry_after=RETRY_AFTER,
+            detail=f"region {self.region} is {status.value} and no healthy "
+                   f"region can absorb spillover; retry after "
+                   f"{RETRY_AFTER:.0f}s")
+        return HttpResponse(status=503, body=refusal_problem(event),
+                            headers={"Retry-After": f"{RETRY_AFTER:.0f}"})

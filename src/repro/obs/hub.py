@@ -10,8 +10,8 @@ The hub also owns two registries.  ``api_metrics`` is where REST
 servers record per-API, per-tenant request counters and duration
 histograms: server-side RED metrics need a home that exists before any
 deployment wiring, for the same reason the tracer does.  ``metrics``
-holds the hub's own retention gauges (``events.dropped``,
-``spans.dropped``), read live from the log and the tracer.
+holds the ``refused`` family (:mod:`.refusal`) and the hub's retention
+gauges (``events.dropped``, ``spans.dropped``), read live on sampling.
 """
 
 from __future__ import annotations

@@ -131,7 +131,3 @@ class BulkheadGroup:
                                 max_queue=self.max_queue)
             self._bulkheads[target] = bulkhead
         return bulkhead
-
-    def shed_total(self) -> int:
-        """Requests shed across every target."""
-        return sum(b.shed_total for b in self._bulkheads.values())

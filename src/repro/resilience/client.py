@@ -15,8 +15,9 @@ and every hedge — which is what lets a retry after a crash land on the
 replacement instance rather than hammering the corpse.
 
 Every decision the fabric takes is observable: a ``resilience`` span
-per call (annotated with retries/hedges/sheds), ``repro.obs`` events
-per incident, and metrics counters a bench snapshot can print.
+per call (annotated with retries/hedges/refusals), ``repro.obs`` events
+per incident (a shed or a fast-fail is a ``refused`` event), and metrics
+counters a bench snapshot can print.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from typing import Any, Callable, Optional, Union
 
 from repro.obs.context import inject_context
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.resilience.breaker import BreakerRegistry
 from repro.resilience.bulkhead import BulkheadGroup
 from repro.resilience.policy import RetryPolicy
-from repro.services.envelope import problem
+from repro.services.envelope import problem, refusal_problem
 from repro.services.transport import (
     ConnectionRefused,
     HttpRequest,
@@ -37,6 +39,7 @@ from repro.services.transport import (
     RequestTimeout,
 )
 from repro.sim import RandomStreams, Signal, Simulator
+from repro.tenancy.context import DEFAULT_TENANT, TENANT_HEADER
 
 #: Hedge delay used until enough latency samples exist for a p95.
 DEFAULT_HEDGE_DELAY = 1.0
@@ -137,6 +140,15 @@ class ResilientClient:
             parent=trace, kind="client",
             attributes={"service": service, "safe": safe})
         self._count("requests")
+
+        def shed(cause: Cause, target: str, detail: str) -> HttpResponse:
+            event = refuse(
+                self.sim, cause, span=span, service=service, target=target,
+                tenant=base_request.headers.get(TENANT_HEADER, DEFAULT_TENANT),
+                path=base_request.path, detail=detail)
+            return HttpResponse(status=cause.status,
+                                body=refusal_problem(event))
+
         attempt = 0
         address: Optional[str] = None
         outcome: Any = None
@@ -156,21 +168,11 @@ class ResilientClient:
             breaker = self.breakers.get(BreakerRegistry.key(service, address))
             if not breaker.allow():
                 self._count("breaker.fastfail")
-                events.emit("resilience.fastfail", target=address,
-                            path=base_request.path)
-                span.annotate("breaker open", target=address)
-                outcome = HttpResponse(status=503, body=problem(
-                    503, "circuit open",
-                    f"circuit open for {service}@{address}",
-                    retryable=True))
+                outcome = shed(Cause.CIRCUIT_OPEN, address,
+                               f"circuit open for {service}@{address}")
             else:
-                admitted = yield from self._admit(address, remaining, events,
-                                                  span)
-                if not admitted:
-                    outcome = HttpResponse(status=429, body=problem(
-                        429, "admission shed",
-                        f"bulkhead full for {address}", retryable=True))
-                else:
+                outcome = yield from self._admit(address, remaining, shed)
+                if outcome is None:
                     outcome = yield from self._wire(
                         resolve, address, base_request,
                         min(timeout, remaining), safe, span, events)
@@ -225,22 +227,21 @@ class ResilientClient:
 
     # -- admission ---------------------------------------------------------
 
-    def _admit(self, address: str, budget: float, events, span):
+    def _admit(self, address: str, budget: float, shed):
+        """Hold a bulkhead slot (``None``) or answer with the ``shed``."""
         bulkhead = self.bulkheads.get(address)
         ticket = bulkhead.acquire()
         if ticket.admitted:
-            return True
+            return None
         if ticket.shed:
             self._count("shed")
-            events.emit("resilience.shed", target=address,
-                        queue_depth=bulkhead.queue_depth)
-            span.annotate("shed", target=address)
-            return False
+            return shed(Cause.BULKHEAD_FULL, address,
+                        f"bulkhead full for {address}")
         # queued: race the admission gate against the wait cap
         self._count("queued")
         decided = self.sim.signal(f"resilience.admit.{address}")
-        timer = self.sim.schedule(min(QUEUE_WAIT, budget),
-                                  self._fire_unset, decided, False)
+        wait = min(QUEUE_WAIT, budget)
+        timer = self.sim.schedule(wait, self._fire_unset, decided, False)
 
         def on_gate(granted: bool) -> None:
             if granted and not decided.fired:
@@ -250,15 +251,14 @@ class ResilientClient:
         admitted = yield decided
         timer.cancel()
         if admitted:
-            return True
+            return None
         if not bulkhead.abandon(ticket):
             # the slot was granted in the same instant the timer popped;
             # it is ours, so use it rather than leak it
-            return True
+            return None
         self._count("shed")
-        events.emit("resilience.shed", target=address, timed_out=True)
-        span.annotate("admission timeout", target=address)
-        return False
+        return shed(Cause.ADMISSION_TIMEOUT, address,
+                    f"no bulkhead slot for {address} within {wait:.1f}s")
 
     # -- the wire (with hedging) -------------------------------------------
 

@@ -5,9 +5,9 @@ The substrate everything places through.  A :class:`Dispatcher` owns one
 (interactive portal sessions ahead of workflow stages ahead of batch
 sweeps), deficit-round-robin weighted-fair service across tenant lanes
 within a class (arrival order while only one lane has work), optional
-per-class bounds that shed the lowest-value work instead of queueing it
-forever, and batch dequeue so a freshly booted replica can claim
-several waiters in one pass.
+per-class bounds that shed the lowest-value work (a ``queue_full``
+refusal) instead of queueing it forever, and batch dequeue so a freshly
+booted replica can claim several waiters in one pass.
 
 This module deliberately imports nothing from :mod:`repro.broker` — the
 broker's Load Balancer imports *it*, and the layering (broker, workflow
@@ -22,6 +22,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.sim import Simulator
 from repro.tenancy.context import DEFAULT_TENANT
 from repro.tenancy.registry import TenantRegistry
@@ -100,7 +101,6 @@ class ClassedQueue:
         self._bounds: Dict[PriorityClass, int] = dict(bounds or {})
         self._weights: Dict[str, float] = dict(weights or {})
         self.shed: Dict[PriorityClass, int] = {cls: 0 for cls in PriorityClass}
-        self.shed_by_tenant: Dict[str, int] = {}
 
     # -- tenant policy -------------------------------------------------------
 
@@ -133,8 +133,6 @@ class ClassedQueue:
         bound = self._bounds.get(priority)
         if bound is not None and state.depth() >= bound and not front:
             self.shed[priority] += 1
-            self.shed_by_tenant[tenant] = \
-                self.shed_by_tenant.get(tenant, 0) + 1
             return False
         lane = state.lanes.get(tenant)
         if lane is None:
@@ -323,7 +321,7 @@ class Dispatcher:
         ``item_id``/``trace_parent`` open a ``sched.submit`` span that
         stays open for the queue wait; the span closes (with shard and
         class attributes) when the item is dequeued or shed.  ``tenant``
-        selects the item's DRR lane (and stamps the shed event / span).
+        selects the item's DRR lane (and is whom a shed refuses).
         """
         accepted = self._queues[service_name].push(
             item, priority, front=front, tenant=tenant,
@@ -331,9 +329,9 @@ class Dispatcher:
         self._count(f"enqueue.{priority.name.lower()}" if accepted
                     else f"shed.{priority.name.lower()}")
         if not accepted:
-            obs_of(self.sim).events.emit(
-                "sched.shed", service=service_name, shard=self.shard_id,
-                priority=priority.name.lower(), tenant=tenant)
+            refuse(self.sim, Cause.QUEUE_FULL, tenant=tenant,
+                   service=service_name, shard=self.shard_id,
+                   priority=priority.name.lower(), item=item_id)
             return False
         if item_id is not None and trace_parent is not None:
             self._submit_spans[item_id] = obs_of(self.sim).tracer.start_span(
@@ -413,14 +411,6 @@ class Dispatcher:
         for queue in self._queues.values():
             for cls, n in queue.shed.items():
                 totals[cls.name.lower()] += n
-        return totals
-
-    def shed_by_tenant(self) -> Dict[str, int]:
-        """Total sheds per tenant across all services."""
-        totals: Dict[str, int] = {}
-        for queue in self._queues.values():
-            for tenant, n in queue.shed_by_tenant.items():
-                totals[tenant] = totals.get(tenant, 0) + n
         return totals
 
     def _count(self, name: str, by: int = 1) -> None:

@@ -10,9 +10,9 @@ into, so those decisions stay correct at any shard count.
 The ledger is advisory bookkeeping plus optional hard caps: with no
 ``capacity`` configured, :meth:`admit` always says yes and the ledger
 only observes; with caps set, a shard about to launch past the
-deployment-wide budget is refused before it ever reaches a provider.
-Every launch is some tenant's: one nobody claimed is committed to the
-``default`` tenant's row.
+deployment-wide budget (``location_budget``) or its tenant's quota
+(``tenant_quota``) is refused before it ever reaches a provider.  Every
+launch is some tenant's: one nobody claimed is the ``default`` tenant's.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.sim import Simulator
 from repro.tenancy.context import DEFAULT_TENANT
 
@@ -49,7 +50,6 @@ class CapacityLedger:
         self._public_nodes = 0
         self.bursting = False
         self.refusals = 0
-        self.tenant_refusals = 0
 
     def set_tenant_quota(self, tenant: str,
                          vcpus: Optional[float]) -> None:
@@ -72,23 +72,17 @@ class CapacityLedger:
         if budget is not None and \
                 self._committed.get(location, 0) + vcpus > budget:
             self.refusals += 1
-            self._count(f"refused.{location}")
-            obs_of(self.sim).events.emit(
-                "sched.quota.refused",
-                location=location, vcpus=vcpus,
-                committed=self._committed.get(location, 0))
+            refuse(self.sim, Cause.LOCATION_BUDGET, tenant=tenant,
+                   location=location, vcpus=vcpus, budget=budget,
+                   committed=self._committed.get(location, 0))
             return False
         quota = self.tenant_quotas.get(tenant)
         if quota is not None and \
                 self._tenant_committed.get(tenant, 0) + vcpus > quota:
             self.refusals += 1
-            self.tenant_refusals += 1
-            self._count("refused.tenant", tenant=tenant)
-            obs_of(self.sim).events.emit(
-                "sched.quota.refused",
-                location=location, vcpus=vcpus, tenant=tenant,
-                committed=self._tenant_committed.get(tenant, 0),
-                quota=quota)
+            refuse(self.sim, Cause.TENANT_QUOTA, tenant=tenant,
+                   location=location, vcpus=vcpus, budget=quota,
+                   committed=self._tenant_committed.get(tenant, 0))
             return False
         return True
 
@@ -147,6 +141,6 @@ class CapacityLedger:
             self._count("cloudburst.reversals")
             obs_of(self.sim).events.emit("sched.cloudburst.exit")
 
-    def _count(self, name: str, by: int = 1, **labels: str) -> None:
+    def _count(self, name: str, by: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name, **labels).increment(by)
+            self.metrics.counter(name).increment(by)

@@ -265,14 +265,6 @@ class ShardedRouter:
                 merged[tenant] = merged.get(tenant, 0) + depth
         return merged
 
-    def shed_by_tenant(self) -> Dict[str, int]:
-        """Sheds attributed per tenant, summed across the shards."""
-        merged: Dict[str, int] = {}
-        for lb in self.lbs:
-            for tenant, count in lb.dispatcher.shed_by_tenant().items():
-                merged[tenant] = merged.get(tenant, 0) + count
-        return merged
-
     # -- estate views --------------------------------------------------------
 
     def location_of(self, instance, default: str = "unknown") -> str:

@@ -1,9 +1,9 @@
 """The one error envelope: RFC-7807-style problem documents.
 
-Every non-2xx body the service fabric produces is built here.  Before
-this module each engine invented its own ``{"error": ...}`` dict, which
-left clients string-matching to decide whether a failure was worth
-retrying.  A problem document makes that decision explicit:
+Every non-2xx body the fabric produces, a refusal's included, is built
+here.  Before this module each engine invented its own ``{"error": ...}``
+dict, which left clients string-matching to decide whether a failure was
+worth retrying.  A problem document makes that decision explicit:
 
 * ``type`` — a stable, machine-readable slug for the failure class;
 * ``title`` — the short human summary;
@@ -22,6 +22,9 @@ burning its retry budget.
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
+
+from repro.obs.events import Event
+from repro.obs.refusal import Cause
 
 #: Namespace prefix of problem ``type`` URIs (a label, never dereferenced).
 PROBLEM_TYPE_BASE = "evop:problem:"
@@ -55,6 +58,14 @@ def problem(status: int, title: str, detail: str = "",
     }
     doc.update(extra)
     return doc
+
+
+def refusal_problem(event: Event) -> Dict[str, Any]:
+    """The wire form of one ``refused`` event: its :class:`Cause` row plus
+    what the refusing site recorded — its ``detail``, the who, the where."""
+    cause = Cause(event.fields["cause"])
+    return problem(cause.status, cause.title, type_slug=cause.slug,
+                   **event.fields)
 
 
 def retryable_from_body(body: Any) -> Optional[bool]:

@@ -34,8 +34,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.cloud.instance import Instance, Job, JobOutcome
 from repro.obs.context import extract_context
 from repro.obs.hub import obs_of
+from repro.obs.refusal import Cause, refuse
 from repro.obs.tracer import Span
-from repro.services.envelope import problem
+from repro.services.envelope import problem, refusal_problem
 from repro.services.idempotency import Admission, request_fingerprint
 from repro.services.transport import HttpRequest, HttpResponse, Network
 from repro.sim import Signal, Simulator
@@ -326,9 +327,6 @@ class RestServer:
             api_metrics.counter("requests", tenant=tenant_id).increment()
             if response.status >= 500:
                 api_metrics.counter("errors", tenant=tenant_id).increment()
-            if response.status == 429:
-                api_metrics.counter("throttled",
-                                    tenant=tenant_id).increment()
             exemplar = None
             if span is not None:
                 exemplar = {"trace_id": span.trace_id, "t": self.sim.now,
@@ -367,7 +365,7 @@ class RestServer:
         def on_outcome(outcome: JobOutcome) -> None:
             self.requests_handled += 1
             if not outcome.succeeded:
-                self._job_failed(done, outcome, span, ticket)
+                self._job_failed(done, outcome, span, ticket, tenant_id)
                 return
             result = outcome.value
             if isinstance(result, RestDeferred):
@@ -377,7 +375,7 @@ class RestServer:
 
                 def on_deferred(deferred: JobOutcome) -> None:
                     if not deferred.succeeded:
-                        self._job_failed(done, deferred, span, ticket)
+                        self._job_failed(done, deferred, span, ticket, tenant_id)
                         return
                     status, body, headers = self._coerce(
                         result.render(deferred.value))
@@ -407,9 +405,16 @@ class RestServer:
         return done
 
     def _job_failed(self, done: Signal, outcome: JobOutcome,
-                    span: Optional[Span], ticket) -> None:
+                    span: Optional[Span], ticket, tenant: str) -> None:
         if outcome.error == "queue full":
-            self._finish(done, self._overloaded(), span, ticket)
+            # a full accept queue is the canonical transient failure: the
+            # same request against a quieter (or newly booted) replica works
+            event = refuse(self.sim, Cause.SERVER_OVERLOADED, tenant=tenant,
+                           span=span, service=self.api.name,
+                           instance=self.instance.instance_id,
+                           detail="accept queue full")
+            self._finish(done, HttpResponse(
+                status=503, body=refusal_problem(event)), span, ticket)
         elif outcome.error and outcome.error.startswith("job raised"):
             self._finish(done, self._error_response(outcome.error),
                          span, ticket)
@@ -456,19 +461,16 @@ class RestServer:
         if api.limiter is not None:
             decision = api.limiter.check(tenant)
             if not decision.allowed:
-                return tenant, self._throttled(decision)
+                event = refuse(
+                    self.sim, Cause.RATE_LIMITED, tenant=tenant,
+                    service=api.name, instance=self.instance.instance_id,
+                    retry_after=decision.retry_after,
+                    detail=f"tenant {tenant!r} exhausted its request budget; "
+                           f"retry after {decision.retry_after:.0f}s")
+                return tenant, HttpResponse(status=429,
+                                            body=refusal_problem(event),
+                                            headers=decision.headers())
         return tenant, None
-
-    @staticmethod
-    def _throttled(decision) -> HttpResponse:
-        body = problem(
-            429, "rate limit exceeded",
-            f"tenant {decision.tenant!r} exhausted its request budget; "
-            f"retry after {decision.retry_after:.0f}s",
-            retryable=True, type_slug="rate-limited",
-            tenant=decision.tenant)
-        return HttpResponse(status=429, body=body,
-                            headers=decision.headers())
 
     def _admit_idempotent(self, done: Signal, request: HttpRequest,
                           span: Optional[Span], tenant: str):
@@ -510,13 +512,6 @@ class RestServer:
                 retryable=True)), span)
             return _REQUEST_ANSWERED
         return admission
-
-    @staticmethod
-    def _overloaded() -> HttpResponse:
-        # a full accept queue is the canonical transient failure: the
-        # same request against a quieter (or newly booted) replica works
-        return HttpResponse(status=503, body=problem(
-            503, "server overloaded", "accept queue full", retryable=True))
 
     def _error_response(self, error: str) -> HttpResponse:
         # handler raised: HttpError carries a status, anything else is a 500

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.cloud.instance import Instance, Job
-from repro.services.envelope import problem
+from repro.obs.refusal import Cause, refuse
+from repro.services.envelope import refusal_problem
 from repro.services.transport import (
     HttpRequest,
     HttpResponse,
@@ -31,6 +32,7 @@ from repro.services.transport import (
     SOAP_ENVELOPE_BYTES,
 )
 from repro.sim import Signal, Simulator
+from repro.tenancy.context import DEFAULT_TENANT, TENANT_HEADER
 
 #: Extra CPU charge per call for transaction-state bookkeeping.
 STATE_BOOKKEEPING_COST = 0.004
@@ -136,9 +138,13 @@ class SoapServer:
                     # previously a silent drop that forced the caller to
                     # burn its full timeout; an explicit 503 problem lets
                     # a resilient client back off and try again
-                    done.fire(HttpResponse(status=503, body=problem(
-                        503, "server overloaded", "accept queue full",
-                        retryable=True)))
+                    tenant = request.headers.get(TENANT_HEADER, DEFAULT_TENANT)
+                    event = refuse(self.sim, Cause.SERVER_OVERLOADED,
+                                   tenant=tenant, service=self.name,
+                                   instance=self.instance.instance_id,
+                                   detail="accept queue full")
+                    done.fire(HttpResponse(status=503,
+                                           body=refusal_problem(event)))
                 elif outcome.error and outcome.error.startswith("job raised"):
                     done.fire(HttpResponse(status=500,
                                            body=SoapFault("Server", outcome.error)))

@@ -147,20 +147,17 @@ class RateLimiter:
         """Admit or throttle one request of ``cost`` tokens."""
         bucket = self.bucket(tenant_id)
         if bucket is None:
-            self.allowed += 1
-            self._count("allowed", tenant_id)
+            self._allow(tenant_id)
             return RateDecision(allowed=True, tenant=tenant_id)
         ok = bucket.try_take(cost)
         remaining = bucket.level()
         reset = (bucket.burst - remaining) / bucket.rate
         if ok:
-            self.allowed += 1
-            self._count("allowed", tenant_id)
+            self._allow(tenant_id)
             return RateDecision(allowed=True, tenant=tenant_id,
                                 limit=bucket.burst, remaining=remaining,
                                 reset=reset)
         self.throttled += 1
-        self._count("throttled", tenant_id)
         return RateDecision(allowed=False, tenant=tenant_id,
                             limit=bucket.burst, remaining=remaining,
                             reset=reset,
@@ -182,6 +179,7 @@ class RateLimiter:
                         for tenant, bucket in self._buckets.items()},
         }
 
-    def _count(self, verdict: str, tenant: str) -> None:
+    def _allow(self, tenant: str) -> None:
+        self.allowed += 1
         if self.metrics is not None:
-            self.metrics.counter(verdict, tenant=tenant).increment()
+            self.metrics.counter("allowed", tenant=tenant).increment()

@@ -377,8 +377,9 @@ def test_poison_event_parks_in_dlq_without_stalling(plane):
     assert "nan" in entry["error"]
     # the healthy neighbours were applied exactly once
     assert plane.stats.stats("eden")["count"] == 2
-    parked = obs_of(plane.sim).events.events("dataplane.dlq.parked")
+    parked = obs_of(plane.sim).events.events("refused")
     assert parked and parked[-1].fields["stream"] == "obs.eden"
+    assert parked[-1].fields["cause"] == "poison"
 
 
 def test_dlq_redrive_after_fix(plane):

@@ -20,9 +20,11 @@ from repro.geo import (
     qualify,
 )
 from repro.hydrology.timeseries import TimeSeries
+from repro.obs.refusal import refused
 from repro.resilience.policy import RetryPolicy
 from repro.services.transport import HttpRequest
 from repro.sim import Simulator
+from repro.tenancy.context import DEFAULT_TENANT
 
 
 @pytest.fixture
@@ -236,7 +238,7 @@ def test_ledger_fences_stale_leader_grant(sim):
     assert election.term > stale_term
     # the deposed leader's in-flight decision arrives late: fenced
     assert geo.admit_as("eu", stale_term, qualify("us", "private"), 1) is False
-    assert geo.fenced == 1
+    assert refused(sim, cause="fenced", region="eu") == 1
     leader = election.leader()
     assert geo.admit_as(leader, election.term,
                         qualify("us", "private"), 1) is True
@@ -264,6 +266,7 @@ class _StubSession:
     def __init__(self):
         self.session_id = f"s-{next(self._ids)}"
         self.priority = None
+        self.tenant = DEFAULT_TENANT
 
 
 def test_georouter_sticky_nearest_and_spillover(sim):
@@ -289,14 +292,14 @@ def test_georouter_sticky_nearest_and_spillover(sim):
     for region in topo.regions():
         topo.mark(region, RegionStatus.DOWN)
     assert geo.submit_session(_StubSession(), "portal", origin="eu") is None
-    assert geo.refused == 1
+    assert refused(sim, cause="no_region", region="eu") == 1
 
 
 def test_region_guard_sheds_v1_with_problem_503(sim):
     topo = RegionTopology(sim, ["eu", "us"])
     routers = {r: _StubRouter() for r in topo.regions()}
     geo = GeoRouter(sim, topo, routers)
-    guard = RegionGuard(geo, "eu", retry_after=15.0)
+    guard = RegionGuard(geo, "eu")
     request = HttpRequest("GET", "/v1/ping")
     # healthy: silent
     assert guard(request) is None
@@ -384,9 +387,9 @@ def test_estate_single_region_runs_clean():
     assert estate.election.elections == [(0.0, "eu-west", 1)]
     assert estate.replicator.sweeps > 0 and estate.replicator.shipped == []
     assert estate.failover.reports == []
-    assert estate.geo_router.refused == 0
+    assert refused(estate.sim, cause="no_region") == 0
     assert estate.geo_router.spillovers == 0
-    assert estate.cells["eu-west"].guard.shed == 0
+    assert refused(estate.sim, cause="region_degraded") == 0
     assert estate.geo_ledger.overcommits == 0
     assert estate.geo_ledger.snapshot() == {"eu-west/private": 10}
     # the first replica takes everyone, then the autoscaler's four more

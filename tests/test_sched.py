@@ -29,6 +29,8 @@ from repro.cloud import (
     MultiCloud,
     OpenStackCloud,
 )
+from repro.obs.hub import obs_of
+from repro.obs.refusal import refused
 from repro.sched import (
     CapacityLedger,
     ClassedQueue,
@@ -365,7 +367,9 @@ def test_bounded_queue_sheds_batch_at_capacity():
     shed = plane.sessions.create("b-shed")
     lb.place_session(shed, "svc", priority=PriorityClass.BATCH)
     assert lb.dispatcher.depth("svc", PriorityClass.BATCH) == 1
-    assert lb.metrics.counter("sched.shed").value == 1
+    assert refused(plane.sim, cause="queue_full") == 1
+    assert obs_of(plane.sim).events.events("refused")[-1].fields["item"] \
+        == shed.session_id
     assert shed.state.value == "waiting"   # shed, never queued
 
 

@@ -66,6 +66,7 @@ from repro.core.evop import Evop
 from repro.core.admin import AdminConsole
 from repro.geo import GeoRouter, RegionGuard, RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
+from repro.obs.refusal import refused
 from repro.perf.keys import content_key
 from repro.sched import (
     CapacityLedger,
@@ -278,12 +279,18 @@ def test_projected_items_match_actual_service_order():
 
 
 def test_bounded_class_sheds_and_attributes_tenant():
-    queue = ClassedQueue(bounds={PriorityClass.BATCH: 2})
-    assert queue.push("x", PriorityClass.BATCH, tenant="org-a")
-    assert queue.push("y", PriorityClass.BATCH, tenant="org-b")
-    assert not queue.push("z", PriorityClass.BATCH, tenant="org-b")
+    sim = Simulator()
+    dispatcher = Dispatcher(sim, bounds={PriorityClass.BATCH: 2})
+    dispatcher.register("svc")
+    queue = dispatcher.queue("svc")
+    assert dispatcher.enqueue("svc", "x", PriorityClass.BATCH, tenant="org-a")
+    assert dispatcher.enqueue("svc", "y", PriorityClass.BATCH, tenant="org-b")
+    assert not dispatcher.enqueue("svc", "z", PriorityClass.BATCH,
+                                  tenant="org-b")
     assert queue.shed[PriorityClass.BATCH] == 1
-    assert queue.shed_by_tenant == {"org-b": 1}
+    # the queue counts the shed; who suffered it is the refusal's to say
+    assert refused(sim, cause="queue_full", tenant="org-b") == 1
+    assert refused(sim, cause="queue_full") == 1
     # unbounded classes never shed
     assert queue.push("i", PriorityClass.INTERACTIVE, tenant="org-b")
 
@@ -419,7 +426,8 @@ def test_ledger_enforces_tenant_quota():
     # quota spent: the next launch is refused estate-wide
     assert not ledger.admit("private", 4, tenant="org-a")
     assert not ledger.admit("public", 4, tenant="org-a")
-    assert ledger.tenant_refusals == 2
+    assert ledger.refusals == 2
+    assert refused(sim, cause="tenant_quota", tenant="org-a") == 2
     # other tenants and unattributed launches are untouched
     assert ledger.admit("private", 4, tenant="org-b")
     assert ledger.admit("private", 4)
@@ -621,8 +629,9 @@ def test_boundary_throttles_with_retry_after_and_ratelimit_headers():
     # and the bucket refills with simulation time
     _advance(rig.sim, 30.0)
     assert rig.call({TENANT_HEADER: "burst"}).status == 200
-    metrics = obs_of(rig.sim).api_metrics.sub("svc")
-    assert metrics.counter("throttled", tenant="burst").value == 2
+    assert refused(rig.sim, cause="rate_limited", tenant="burst") == 2
+    assert refused(rig.sim) == 2
+    assert denied.body["cause"] == "rate_limited"
 
 
 _SPELLINGS = [pytest.param(None, id="unnamed"),
@@ -663,7 +672,7 @@ def test_default_tenant_is_one_principal_however_spelled(first, second):
     assert list(rig.api.limiter.snapshot()["buckets"]) == [DEFAULT_TENANT]
     metrics = obs_of(rig.sim).api_metrics.sub("svc")
     assert metrics.counter("requests", tenant="default").value == 3
-    assert metrics.counter("throttled", tenant="default").value == 1
+    assert refused(rig.sim, cause="rate_limited", tenant="default") == 1
     # -- sessions: the replica has one slot; the rest wait on one lane
     sessions = [rig.sessions.create(f"user-{i}", **named(spelling))
                 for i, spelling in enumerate((first, second, first))]
@@ -763,12 +772,13 @@ def test_dispatcher_shed_event_stamps_tenant():
                               tenant="org-a")
     assert not dispatcher.enqueue("svc", "y", PriorityClass.BATCH,
                                   tenant="org-b")
-    shed = obs_of(sim).events.events("sched.shed")
+    shed = obs_of(sim).events.events("refused")
     assert shed and shed[-1].fields["tenant"] == "org-b"
-    assert dispatcher.shed_by_tenant() == {"org-b": 1}
+    assert shed[-1].fields["cause"] == "queue_full"
+    assert refused(sim, tenant="org-b") == 1
     # untenanted sheds are attributed to the default principal
     assert not dispatcher.enqueue("svc", "z", PriorityClass.BATCH)
-    shed = obs_of(sim).events.events("sched.shed")
+    shed = obs_of(sim).events.events("refused")
     assert shed[-1].fields["tenant"] == DEFAULT_TENANT
 
 
@@ -781,18 +791,19 @@ def test_region_guard_stamps_tenant_on_503():
             return 0
 
     geo = GeoRouter(sim, topo, {r: _StubRouter() for r in topo.regions()})
-    guard = RegionGuard(geo, "eu", retry_after=15.0)
+    guard = RegionGuard(geo, "eu")
     topo.mark("eu", RegionStatus.DEGRADED)
     topo.mark("us", RegionStatus.DOWN)
     denial = guard(HttpRequest("GET", "/v1/ping",
                                headers={TENANT_HEADER: "org-a"}))
     assert denial.status == 503
     assert denial.body["tenant"] == "org-a"
-    assert guard.shed_by_tenant == {"org-a": 1}
+    assert refused(sim, cause="region_degraded", tenant="org-a") == 1
     # anonymous sheds land on the default principal
     guard(HttpRequest("GET", "/v1/ping"))
-    assert guard.shed_by_tenant[DEFAULT_TENANT] == 1
-    sheds = obs_of(sim).events.events("geo.guard.shed")
+    assert refused(sim, cause="region_degraded", tenant=DEFAULT_TENANT,
+                   region="eu") == 1
+    sheds = obs_of(sim).events.events("refused")
     assert len(sheds) == 2 and sheds[0].fields["tenant"] == "org-a"
 
 
