@@ -18,16 +18,8 @@ crash loses all progress and the whole batch restarts from scratch,
 which is what the portal did before this subsystem.
 
 Everything is journaled and traced — the report includes the
-``durable.sweep`` spans and ``durable.*`` event counters.  Run directly
-with ``--quick`` for the CI smoke variant.
+``durable.sweep`` spans and ``durable.*`` event counters.
 """
-
-import argparse
-import sys
-from pathlib import Path
-
-if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.harness import once, print_table, trace_summary
 from repro.cloud import BlobStore
@@ -245,31 +237,3 @@ def test_chaos_soak_durability_properties(benchmark):
     # baseline loses everything it had computed, every time
     assert baseline["lost_per_crash"] == \
         [lost for lost in baseline["lost_per_crash"] if lost > 0]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="chaos soak: crash-riddled ensemble vs fault-free")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: 120-run ensemble, 3 crashes")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        n, checkpoint_every, crashes = 120, 20, 3
-    else:
-        n, checkpoint_every, crashes = 500, 25, 6
-    reference, chaos, baseline = run_soak(n, checkpoint_every, crashes)
-    failures = check_soak(reference, chaos, baseline, n, checkpoint_every,
-                          crashes)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(f"\nOK: {crashes} crashes, bit-identical results, waste "
-              f"<= {checkpoint_every} runs/crash, "
-              f"{chaos['effects_applied']}/{n} effects exactly once "
-              f"(baseline recomputed {baseline['calls'] - n} runs)")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,16 +19,8 @@ against deterministically chosen victims) is replayed against user
 traffic going through the bare ``Network.request`` and through the
 :class:`~repro.resilience.ResilientClient`; the bench reports
 user-visible errors for both, plus the fabric's retry/breaker/shed
-counters and its spans.  Run directly with ``--quick`` for the CI smoke
-variant.
+counters and its spans.
 """
-
-import argparse
-import sys
-from pathlib import Path
-
-if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.harness import once, print_table, trace_summary
 from repro.core import Evop, EvopConfig
@@ -209,10 +201,10 @@ def run_client_comparison(protected: bool, horizon: float = 1800.0,
     }
 
 
-def compare_clients(horizon: float = 1800.0):
+def compare_clients():
     """Both arms of the comparison plus the printed report."""
-    resilient = run_client_comparison(True, horizon=horizon)
-    bare = run_client_comparison(False, horizon=horizon)
+    resilient = run_client_comparison(True)
+    bare = run_client_comparison(False)
 
     print_table(
         "User-visible errors under one fault schedule "
@@ -303,35 +295,3 @@ def test_failover_all_fault_kinds(benchmark):
         "Crash run - per-span latency from distributed traces")
     assert any(name.startswith("rb.session") for name in summary)
     assert "lb.place" in summary
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="resilient-vs-bare client comparison under faults")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: shorter horizon (crash + blackhole)")
-    args = parser.parse_args(argv)
-
-    horizon = 900.0 if args.quick else 1800.0
-    resilient, bare = compare_clients(horizon=horizon)
-
-    failures = []
-    if bare["errors"] == 0:
-        failures.append("fault schedule produced no bare-client errors; "
-                        "the comparison is vacuous")
-    if resilient["errors"] > bare["errors"]:
-        failures.append(
-            f"resilient client surfaced MORE errors than the bare one "
-            f"({resilient['errors']} vs {bare['errors']})")
-    if resilient["metrics"].get("retries", 0) == 0:
-        failures.append("fabric reported zero retries under faults")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(f"\nOK: resilient client {resilient['errors']} user-visible "
-              f"errors vs bare {bare['errors']} under the same schedule")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,27 +20,27 @@ the reference baseline:
   process-pool backend returns bit-identical results to the vector
   backend — the backend-comparison table prints all four arms.
 
-Run as a script (``python benchmarks/bench_model_fastpath.py``, CI smoke
-adds ``--quick``) and the results land in ``BENCH_model_fastpath.json``
-at the repo root; under pytest, like every other bench, it gates the
-same numbers and writes nothing.
+Every host figure is the median of five interleaved readings off
+:func:`benchmarks.harness.stopwatch`, and every speedup the median of
+the five reading-by-reading ratios: best-of-2 with the arms run one
+after the other failed the 1.5x floor on 4 of 27 fresh-process runs of a
+ratio whose median is ~1.8.
+``python -m benchmarks model_fastpath`` rewrites
+``BENCH_model_fastpath.json``; under pytest the same ``run`` / ``check``
+gate, write nothing, and hold the file's exact half equal to this run's.
 """
 
-import argparse
-import gc
-import json
 import math
 import random
-import sys
-import time
-from pathlib import Path
 from typing import List, Optional
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
-    sys.path.insert(0, str(REPO_ROOT))
-
-from benchmarks.harness import once, print_table
+from benchmarks.harness import (
+    assert_committed,
+    once,
+    print_table,
+    ratio,
+    stopwatch,
+)
 from repro.data import DesignStorm, STUDY_CATCHMENTS
 from repro.hydrology import TopmodelParameters
 from repro.hydrology.timeseries import TimeSeries
@@ -56,7 +56,6 @@ from repro.sim import RandomStreams
 
 SAMPLES = 200            # the Section VI GLUE ensemble size
 FORCING_HOURS = 24 * 12
-RESULT_FILE = REPO_ROOT / "BENCH_model_fastpath.json"
 RANGES = {"m": (5.0, 60.0), "td": (0.1, 5.0), "q0_mm_h": (0.02, 1.0)}
 
 
@@ -199,30 +198,6 @@ def identical(a: TopmodelResult, b: TopmodelResult) -> bool:
             and a.water_balance_error_mm == b.water_balance_error_mm)
 
 
-def timed(fn, repeats: int = 2, clock=time.process_time):
-    """(best seconds, last result) — best-of-N with the collector
-    quiesced, so a run inside the full suite (big heap, pending garbage)
-    measures the loops and not the interpreter's housekeeping.  The
-    default clock is this process's CPU time (the e2e harness's host
-    clock): a busy box stretches the wall time of the two arms of a
-    ratio unevenly.  Only the arm whose work leaves the process (the
-    pool) is timed on the wall."""
-    best = float("inf")
-    result = None
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            started = clock()
-            result = fn()
-            best = min(best, clock() - started)
-    finally:
-        if enabled:
-            gc.enable()
-    return best, result
-
-
 def agreement(a: TopmodelResult, b: TopmodelResult) -> float:
     """Worst relative disagreement between two results' flow series,
     ignoring values inside the absolute floor (``VECTOR_ABS_BOUND``)."""
@@ -233,43 +208,9 @@ def agreement(a: TopmodelResult, b: TopmodelResult) -> float:
     return worst
 
 
-def run_fastpath(samples: int = SAMPLES, hours: int = FORCING_HOURS) -> dict:
-    model, rain, draws = build_workload(samples, hours)
+def run() -> dict:
+    model, rain, draws = build_workload(SAMPLES, FORCING_HOURS)
     params = [TopmodelParameters().with_updates(**d) for d in draws]
-
-    seed_seconds, seed_results = timed(
-        lambda: [seed_run(model, rain, None, p) for p in params])
-    cold_seconds, batch_results = timed(
-        lambda: model.run_batch(rain, params))
-
-    bit_identical = all(identical(a, b)
-                        for a, b in zip(seed_results, batch_results))
-
-    # the SoA vectorized kernel and its chunked process-pool twin —
-    # measured against the *cold batched* path, which is what they
-    # replace for a never-seen ensemble
-    vector_seconds = None
-    vector_speedup = None
-    pool_seconds = None
-    worst_rel_err = None
-    vector_pool_identical = None
-    if HAVE_NUMPY:
-        ensemble = TopmodelEnsemble.prepare(model, rain)
-        vector_seconds, vector_results = timed(
-            lambda: ensemble.batch(draws), repeats=3)
-        vector_speedup = cold_seconds / max(vector_seconds, 1e-9)
-        worst_rel_err = max(agreement(a, b)
-                            for a, b in zip(batch_results, vector_results))
-        pool_runner = EnsembleRunner(
-            ensemble, model_id="topmodel:morland",
-            forcing=forcing_digest(rain), backend="process-pool",
-            batch=ensemble.batch, workers=2,
-            chunk_size=max(1, samples // 2))
-        pool_seconds, pool_results = timed(
-            lambda: pool_runner.run_many(draws), clock=time.perf_counter)
-        vector_pool_identical = all(
-            identical(a, b)
-            for a, b in zip(vector_results, pool_results))
 
     # the GLUE-after-calibration pattern: the ensemble is re-requested
     # with the runs already in the shared cache
@@ -281,135 +222,137 @@ def run_fastpath(samples: int = SAMPLES, hours: int = FORCING_HOURS) -> dict:
 
     runner = EnsembleRunner(simulate, model_id="topmodel:morland",
                             forcing=forcing_digest(rain),
-                            cache=RunCache(max_entries=4 * samples))
+                            cache=RunCache(max_entries=4 * SAMPLES))
     runner.run_many(draws)                       # populate
-    warm_seconds, warm_results = timed(
-        lambda: runner.run_many(draws))          # all hits
-    warm_hits = runner.cache.hits
 
-    bit_identical = bit_identical and all(
-        identical(a, b) for a, b in zip(batch_results, warm_results))
+    arms = {"seed": lambda: [seed_run(model, rain, None, p) for p in params],
+            "cold": lambda: model.run_batch(rain, params),
+            "warm": lambda: runner.run_many(draws)}          # all hits
+    # the SoA vectorized kernel and its chunked process-pool twin —
+    # measured against the *cold batched* path, which is what they
+    # replace for a never-seen ensemble
+    if HAVE_NUMPY:
+        ensemble = TopmodelEnsemble.prepare(model, rain)
+        arms["vector"] = lambda: ensemble.batch(draws)
+    seconds, results = stopwatch(arms)
 
-    return {
-        "samples": samples,
+    worst_rel_err = None
+    vector_pool_identical = None
+    if HAVE_NUMPY:
+        worst_rel_err = max(
+            agreement(a, b)
+            for a, b in zip(results["cold"], results["vector"]))
+        pool_runner = EnsembleRunner(
+            ensemble, model_id="topmodel:morland",
+            forcing=forcing_digest(rain), backend="process-pool",
+            batch=ensemble.batch, workers=2,
+            chunk_size=max(1, SAMPLES // 2))
+        # the one arm whose work leaves the process: a wall reading
+        pool_seconds, pool_results = stopwatch(
+            {"pool": lambda: pool_runner.run_many(draws)}, wall=True)
+        seconds.update(pool_seconds)
+        vector_pool_identical = all(
+            identical(a, b)
+            for a, b in zip(results["vector"], pool_results["pool"]))
+
+    host = {f"{arm}_seconds": figure for arm, figure in seconds.items()}
+    host["cold_speedup"] = ratio(seconds["seed"], seconds["cold"])
+    host["warm_speedup"] = ratio(seconds["seed"], seconds["warm"])
+    if HAVE_NUMPY:
+        host["vector_speedup_vs_cold"] = ratio(seconds["cold"],
+                                               seconds["vector"])
+    exact = {
+        "samples": SAMPLES,
         "steps": len(rain),
         "ti_classes": len(model.ti),
-        "seed_seconds": seed_seconds,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "cold_speedup": seed_seconds / max(cold_seconds, 1e-9),
-        "warm_speedup": seed_seconds / max(warm_seconds, 1e-9),
-        "cache_hits": warm_hits,
-        "bit_identical": bit_identical,
+        # every warm reading, every sample
+        "cache_hits": runner.cache.hits,
+        "bit_identical": all(
+            identical(a, b) and identical(b, c)
+            for a, b, c in zip(results["seed"], results["cold"],
+                               results["warm"])),
         "numpy": HAVE_NUMPY,
-        "vector_seconds": vector_seconds,
-        "vector_speedup_vs_cold": vector_speedup,
-        "pool_seconds": pool_seconds,
         "vector_worst_rel_err": worst_rel_err,
         "vector_rel_bound": VECTOR_REL_BOUND,
         "vector_pool_bit_identical": vector_pool_identical,
     }
 
-
-def report(result: dict) -> None:
-    seed = result["seed_seconds"]
-    rows = [["seed serial", seed, "1.00x",
-             result["samples"] / max(seed, 1e-9)],
-            ["cold batched", result["cold_seconds"],
-             f"{result['cold_speedup']:.2f}x",
-             result["samples"] / max(result["cold_seconds"], 1e-9)]]
-    if result["numpy"]:
-        rows.append(["cold vectorized", result["vector_seconds"],
-                     f"{seed / max(result['vector_seconds'], 1e-9):.2f}x",
-                     result["samples"] / max(result["vector_seconds"],
-                                             1e-9)])
-        rows.append(["cold process-pool", result["pool_seconds"],
-                     f"{seed / max(result['pool_seconds'], 1e-9):.2f}x",
-                     result["samples"] / max(result["pool_seconds"], 1e-9)])
-    rows.append(["warm cached", result["warm_seconds"],
-                 f"{result['warm_speedup']:.2f}x",
-                 result["samples"] / max(result["warm_seconds"], 1e-9)])
+    rows = []
+    for label, arm in (("seed serial", "seed"), ("cold batched", "cold"),
+                       ("cold vectorized", "vector"),
+                       ("cold process-pool", "pool"),
+                       ("warm cached", "warm")):
+        if arm in seconds:
+            took = seconds[arm]
+            rows.append([label, took["median"], took["q1"], took["q3"],
+                         took["clock"],
+                         f"{seconds['seed']['median'] / took['median']:.2f}x",
+                         SAMPLES / took["median"]])
     print_table(
-        f"TOPMODEL fast path - {result['samples']}-sample GLUE ensemble, "
-        f"{result['steps']} steps x {result['ti_classes']} TI classes",
-        ["path", "seconds", "speedup vs seed", "runs/s"],
-        rows)
-    if result["numpy"]:
-        print(f"vectorized kernel: {result['vector_speedup_vs_cold']:.2f}x "
-              f"vs cold batched; worst flow rel err "
-              f"{result['vector_worst_rel_err']:.3e} "
-              f"(bound {result['vector_rel_bound']:.0e}); "
-              f"vector == process-pool bit-identical: "
-              f"{result['vector_pool_bit_identical']}")
+        f"TOPMODEL fast path - {SAMPLES}-sample GLUE ensemble, "
+        f"{len(rain)} steps x {len(model.ti)} TI classes "
+        f"(median of {seconds['seed']['repeats']} interleaved readings)",
+        ["path", "seconds", "q1", "q3", "clock", "speedup vs seed",
+         "runs/s"], rows)
+    print_table(
+        "gated speedups (median of the reading-by-reading ratios)",
+        ["figure", "median", "q1", "q3", "floor"],
+        [[figure, host[figure]["median"], host[figure]["q1"],
+          host[figure]["q3"], floor]
+         for figure, floor, _meaning in FLOORS if figure in host])
+    if HAVE_NUMPY:
+        print(f"vectorized kernel: worst flow rel err {worst_rel_err:.3e} "
+              f"(bound {VECTOR_REL_BOUND:.0e}); vector == process-pool "
+              f"bit-identical: {vector_pool_identical}")
     else:
         print("numpy absent: vectorized arms skipped "
               "(scalar fallback active)")
+    return {"exact": exact, "host": host}
+
+
+#: (figure, floor, what falling under it means) — the strictest floor
+#: either entry point held each claim to
+FLOORS = (
+    # hot-loop work alone carries the cold path
+    ("cold_speedup", 1.5, "cold batched path vs the seed loop"),
+    # the cached ensemble re-run is where the order of magnitude lives
+    ("warm_speedup", 5.0, "cached path vs the seed loop (cache not "
+                          "faster than recompute)"),
+    ("vector_speedup_vs_cold", 10.0, "vectorized kernel vs cold batched"),
+)
+
+
+def check(result: dict) -> list:
+    exact, host = result["exact"], result["host"]
+    failures = []
+    # the optimisation changed not one bit of the science
+    if not exact["bit_identical"]:
+        failures.append("fast path is not bit-identical to the seed loop")
+    for figure, floor, meaning in FLOORS:
+        if figure in host and host[figure]["median"] < floor:
+            failures.append(
+                f"{meaning}: {host[figure]['median']:.2f}x "
+                f"[{host[figure]['q1']:.2f}, {host[figure]['q3']:.2f}], "
+                f"below {floor}x")
+    if exact["cache_hits"] != \
+            exact["samples"] * host["warm_seconds"]["repeats"]:
+        failures.append(f"a warm reading missed the cache: "
+                        f"{exact['cache_hits']} hits")
+    if exact["numpy"]:
+        if exact["vector_worst_rel_err"] > exact["vector_rel_bound"]:
+            failures.append(
+                f"vector/scalar disagreement "
+                f"{exact['vector_worst_rel_err']:.3e} exceeds bound "
+                f"{exact['vector_rel_bound']:.0e}")
+        if not exact["vector_pool_bit_identical"]:
+            failures.append(
+                "process-pool results are not bit-identical to vector")
+    return failures
 
 
 def test_model_fastpath(benchmark):
-    result = once(benchmark, run_fastpath)
-    report(result)
-
-    # the optimisation changed not one bit of the science
-    assert result["bit_identical"]
-    # hot-loop work alone carries the cold path
-    assert result["cold_speedup"] >= 1.5
-    # the cached ensemble re-run is where the order of magnitude lives
-    assert result["warm_speedup"] >= 5.0
-    assert result["cache_hits"] >= result["samples"]
-    if result["numpy"]:
-        # softer floor than the script's 10x: pytest shares the box with
-        # the whole suite, so leave room for scheduler noise
-        assert result["vector_speedup_vs_cold"] >= 5.0
-        assert result["vector_worst_rel_err"] <= result["vector_rel_bound"]
-        assert result["vector_pool_bit_identical"]
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: relaxed cold-path threshold "
-                             "(the full ensemble runs in seconds; the "
-                             "vectorized 10x floor needs its size to "
-                             "amortize per-set setup)")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        result = run_fastpath()
-        cold_floor = 1.1       # keep CI timing-noise safe
-    else:
-        result = run_fastpath()
-        cold_floor = 1.5
-    report(result)
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_FILE}")
-
-    failures = []
-    if not result["bit_identical"]:
-        failures.append("fast path is not bit-identical to the seed loop")
-    if result["cold_speedup"] < cold_floor:
-        failures.append(f"cold speedup {result['cold_speedup']:.2f}x "
-                        f"below {cold_floor}x")
-    if result["warm_speedup"] < 5.0:
-        failures.append(f"cached path speedup {result['warm_speedup']:.2f}x "
-                        f"below 5x (cache not faster than recompute)")
-    if result["numpy"]:
-        if result["vector_speedup_vs_cold"] < 10.0:
-            failures.append(
-                f"vectorized kernel {result['vector_speedup_vs_cold']:.2f}x "
-                f"vs cold batched, below 10x")
-        if result["vector_worst_rel_err"] > result["vector_rel_bound"]:
-            failures.append(
-                f"vector/scalar disagreement "
-                f"{result['vector_worst_rel_err']:.3e} exceeds bound "
-                f"{result['vector_rel_bound']:.0e}")
-        if not result["vector_pool_bit_identical"]:
-            failures.append(
-                "process-pool results are not bit-identical to vector")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    result = once(benchmark, run)
+    failures = check(result)
+    assert not failures, "; ".join(failures)
+    if HAVE_NUMPY:      # the committed file records the vector arms
+        assert_committed("model_fastpath", result["exact"])

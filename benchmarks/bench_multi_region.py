@@ -21,19 +21,13 @@ every instance) and heals it later.  Measured:
   recomputing at most the work done after its last shipped
   checkpoint.
 
-Run directly (``--quick`` for the CI smoke variant); writes
-``BENCH_multi_region.json``.
+Every figure is on the simulated clock or a count, so the artifact has
+no host half.  ``python -m benchmarks multi_region`` rewrites
+``BENCH_multi_region.json``; under pytest the same ``run`` / ``check``
+gate, write nothing, and hold the file's exact half equal to this run's.
 """
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from benchmarks.harness import once, print_table
+from benchmarks.harness import assert_committed, once, print_table
 from repro.durable import DurableSweep
 from repro.geo import GeoEstate
 from repro.hydrology.timeseries import TimeSeries
@@ -42,9 +36,6 @@ from repro.obs.refusal import refused
 from repro.perf.runner import EnsembleRunner
 from repro.resilience import ResilientClient
 from repro.services.transport import HttpRequest, HttpResponse
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_multi_region.json"
 
 #: Declared end-to-end budget from region kill to every evacuated
 #: session active in a survivor, simulated seconds.
@@ -216,12 +207,8 @@ def _readable(estate, region, key) -> bool:
 # -- report ------------------------------------------------------------------
 
 
-def run_bench(quick: bool = False, write_artifact: bool = True):
-    if quick:
-        kill = run_region_kill_arm(users_per_region=2, horizon=560.0,
-                                   kill_at=200.0, outage=160.0)
-    else:
-        kill = run_region_kill_arm()
+def run():
+    kill = run_region_kill_arm()
 
     print_table(
         "Multi-region estate under a whole-region kill",
@@ -246,15 +233,12 @@ def run_bench(quick: bool = False, write_artifact: bool = True):
         "Refusals under the kill, by cause and simulated time",
         ["cause", "t (s)", "refusals"], kill["refusals"])
 
-    report = {"region_kill": kill, "quick": quick}
-    if write_artifact:
-        RESULT_FILE.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {RESULT_FILE}")
-    return kill, report
+    return {"exact": {"region_kill": kill}, "host": {}}
 
 
-def check_report(kill: dict) -> list:
+def check(result: dict) -> list:
     """The bench's claims; returns human-readable failures."""
+    kill = result["exact"]["region_kill"]
     failures = []
     if kill["polls"] == 0:
         failures.append("no polls issued; the availability claim is vacuous")
@@ -298,32 +282,7 @@ def check_report(kill: dict) -> list:
 
 
 def test_multi_region_failover(benchmark):
-    # the pytest smoke must not clobber the committed full-run artifact
-    kill, _ = once(
-        benchmark, lambda: run_bench(quick=True, write_artifact=False))
-    failures = check_report(kill)
+    result = once(benchmark, run)
+    failures = check(result)
     assert not failures, failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="multi-region failover with bounded RPO/RTO")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: fewer users, shorter horizon")
-    args = parser.parse_args(argv)
-
-    kill, _ = run_bench(quick=args.quick)
-    failures = check_report(kill)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(f"\nOK: zero user-visible 5xx across {kill['polls']} polls, "
-              f"RPO {kill['rpo_s']}s <= {kill['rpo_bound_s']}s, "
-              f"RTO {kill['rto_s']}s <= {kill['rto_budget_s']}s, "
-              f"re-election in {kill['reelection_s']}s, "
-              f"0 double-commits")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    assert_committed("multi_region", result["exact"])

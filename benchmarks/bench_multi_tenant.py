@@ -22,21 +22,13 @@ three claims:
    same-tenant retry replays the original response, and the default
    tenant is one principal whether or not the header names it.
 
-Run as a script (``python benchmarks/bench_multi_tenant.py [--quick]``)
-and the results land in ``BENCH_multi_tenant.json`` at the repo root;
-under pytest, like every other bench, it gates the same numbers and
-writes nothing.
+Every figure is on the simulated clock or a count, so the artifact has
+no host half.  ``python -m benchmarks multi_tenant`` rewrites
+``BENCH_multi_tenant.json``; under pytest the same ``run`` / ``check``
+gate, write nothing, and hold the file's exact half equal to this run's.
 """
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from benchmarks.harness import once, print_table
+from benchmarks.harness import assert_committed, once, print_table
 from benchmarks.bench_shard_scaling import Plane
 from repro.cloud.storage import BlobStore
 from repro.obs.hub import obs_of
@@ -51,9 +43,6 @@ from repro.tenancy import (
     TenantSpec,
     jain_index,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_FILE = REPO_ROOT / "BENCH_multi_tenant.json"
 
 AGGRESSOR = "flood-corp"
 NORMALS = [f"org-{i}" for i in range(9)]
@@ -272,7 +261,8 @@ def measure_idempotency():
 # -- orchestration -----------------------------------------------------------
 
 
-def run_bench(replicas, aggressive_n, normal_n, window=300.0, horizon=2000.0):
+def run(replicas=16, aggressive_n=600, normal_n=60, window=300.0,
+        horizon=2000.0):
     unfair = measure_contention(False, replicas, aggressive_n, normal_n,
                                 window, horizon)
     fair = measure_contention(True, replicas, aggressive_n, normal_n,
@@ -280,11 +270,13 @@ def run_bench(replicas, aggressive_n, normal_n, window=300.0, horizon=2000.0):
     solo = measure_solo(replicas, normal_n, horizon)
     fair["p95_vs_solo"] = round(
         fair["normal_p95"] / max(solo["normal_p95"], 1e-9), 3)
-    return {
+    exact = {
         "contention": {"unfair": unfair, "fair": fair, "solo": solo},
         "rate_limit": measure_rate_limit(),
         "idempotency": measure_idempotency(),
     }
+    report(exact)
+    return {"exact": exact, "host": {}}
 
 
 def report(result):
@@ -311,8 +303,9 @@ def report(result):
 
 
 def check(result):
+    exact = result["exact"]
     failures = []
-    contention = result["contention"]
+    contention = exact["contention"]
     if contention["fair"]["jain"] < 0.9:
         failures.append(f"fair-arm Jain {contention['fair']['jain']:.3f} "
                         f"below 0.9")
@@ -324,7 +317,7 @@ def check(result):
         failures.append(f"normal-tenant p95 "
                         f"{contention['fair']['p95_vs_solo']:.2f}x of solo "
                         f"baseline exceeds 2x")
-    limit = result["rate_limit"]
+    limit = exact["rate_limit"]
     if limit["throttled"] < limit["requests"] // 2:
         failures.append("token bucket throttled fewer than half the burst")
     if not (limit["retry_after_on_429"]
@@ -334,7 +327,7 @@ def check(result):
                         "headers or the rate-limited problem type")
     if not limit["anonymous_all_ok"]:
         failures.append("unnamed traffic was throttled by default")
-    idem = result["idempotency"]
+    idem = exact["idempotency"]
     if idem["cross_tenant_replays"]:
         failures.append("an idempotency key replayed across tenants")
     if not idem["same_tenant_replayed"]:
@@ -348,44 +341,8 @@ def check(result):
     return failures
 
 
-# -- entry points ------------------------------------------------------------
-
-
 def test_multi_tenant(benchmark):
-    result = once(benchmark, lambda: run_bench(replicas=16, aggressive_n=600,
-                                               normal_n=60))
-    report(result)
+    result = once(benchmark, run)
     failures = check(result)
     assert not failures, "; ".join(failures)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: smaller estate and flood")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        result = run_bench(replicas=8, aggressive_n=300, normal_n=30,
-                           horizon=1600.0)
-    else:
-        result = run_bench(replicas=16, aggressive_n=600, normal_n=60)
-    report(result)
-    RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {RESULT_FILE}")
-
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        contention = result["contention"]
-        print(f"\nOK: fair Jain {contention['fair']['jain']:.3f} vs "
-              f"{contention['unfair']['jain']:.3f} unfair, normal p95 "
-              f"{contention['fair']['p95_vs_solo']:.2f}x of solo, "
-              f"{result['rate_limit']['throttled']} throttled with "
-              f"Retry-After, zero cross-tenant replays")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    assert_committed("multi_tenant", result["exact"])
