@@ -41,26 +41,14 @@ from benchmarks.harness import (
     ratio,
     stopwatch,
 )
-from repro.broker import (
-    HealthMonitor,
-    LoadBalancer,
-    ManagedService,
-    PrivateFirstPolicy,
-    SessionTable,
-)
-from repro.cloud import (
-    AwsCloud,
-    ImageKind,
-    ImageStore,
-    MEDIUM,
-    MultiCloud,
-    OpenStackCloud,
-)
+from repro.broker import PrivateFirstPolicy, SessionTable
+from repro.cloud import ImageKind, ImageStore, MEDIUM
+from repro.core.cell import Cell
 from repro.perf.keys import content_key
 from repro.perf.runcache import RunCache
 from repro.perf.runner import EnsembleRunner
-from repro.sched import CapacityLedger, PriorityClass, ShardedRouter
-from repro.services import Network, RestApi, RestServer
+from repro.sched import CapacityLedger, PriorityClass
+from repro.services import Network, RestApi
 from repro.sim import RandomStreams, Simulator
 from repro.workflow import CloudWorkflowEngine, ServiceCall, Workflow
 from repro.workflow.cloud import service_node
@@ -83,28 +71,21 @@ class Plane:
                  autoscale_interval=1.0e9, seed=42):
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
-        self.private = OpenStackCloud(self.sim,
-                                      total_vcpus=4 * MEDIUM.vcpus * replicas,
-                                      streams=self.streams)
-        self.public = AwsCloud(self.sim, streams=self.streams)
-        self.multi = MultiCloud()
-        self.multi.register_compute("private", self.private)
-        self.multi.register_compute("public", self.public)
         self.network = Network(self.sim, streams=self.streams)
         self.sessions = SessionTable(self.sim)
-        self.monitor = HealthMonitor(self.sim, interval=1.0e9, window=3)
         self.ledger = CapacityLedger(self.sim)
-        self.lbs = [
-            LoadBalancer(self.sim, self.multi, self.network, self.sessions,
-                         PrivateFirstPolicy(), monitor=self.monitor,
-                         autoscale_interval=autoscale_interval,
-                         shard_id=shard, ledger=self.ledger,
-                         strict_capacity=strict_capacity,
-                         batch_headroom=batch_headroom)
-            for shard in range(shards)]
-        self.lb = self.lbs[0]
-        self.sched = ShardedRouter(self.sim, self.lbs, ledger=self.ledger,
-                                   multicloud=self.multi)
+        cell = Cell(self.sim, self.streams, self.network, self.sessions,
+                    self.ledger, region="bench",
+                    private_vcpus=4 * MEDIUM.vcpus * replicas, shards=shards,
+                    health_interval=1.0e9, health_window=3,
+                    autoscale_interval=autoscale_interval,
+                    policy=PrivateFirstPolicy())
+        self.private, self.public = cell.private, cell.public
+        self.multi, self.monitor = cell.multicloud, cell.monitor
+        self.lbs, self.lb, self.sched = cell.lbs, cell.lbs[0], cell.router
+        for lb in self.lbs:
+            lb.strict_capacity = strict_capacity
+            lb.batch_headroom = batch_headroom
         self.images = ImageStore()
         self.image = self.images.create("portal", ImageKind.GENERIC,
                                         size_gb=1.0)
@@ -113,14 +94,10 @@ class Plane:
         self.api.post("/wps/processes/demo/execute",
                       lambda req, p: {"outputs": {
                           "doubled": req.body["inputs"]["x"] * 2}})
-        self.service = ManagedService(
-            name="svc", image=self.image, flavor=MEDIUM,
-            make_server=self._make_server,
+        self.service = cell.service(
+            "svc", self.api, self.image,
             sessions_per_replica=sessions_per_replica,
             min_replicas=replicas, max_replicas=replicas)
-
-    def _make_server(self, instance):
-        return RestServer(self.sim, self.api, instance).bind(self.network)
 
     def warm(self, replicas):
         """Boot the full estate and prove it is serving."""

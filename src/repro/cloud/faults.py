@@ -16,8 +16,8 @@ The durable-execution work adds infrastructure-level faults:
   between them time out); heals with :meth:`heal_partition`.
 * **storage_fault** — a blob store goes unavailable or arms a one-shot
   torn write (see :class:`~repro.cloud.storage.BlobStore`).
-* **outage** — a provider's blob store is unavailable for a fixed
-  simulated duration, then heals itself.
+* **outage** — a blob store, addressed by its name, is unavailable for
+  a fixed simulated duration, then heals itself.
 * **heal** — undo a degrade/blackhole on an instance.
 
 The geo-distributed estate adds a region-scoped compound fault:
@@ -86,7 +86,8 @@ class FaultInjector:
 
     ``providers`` are the clouds whose instances can be crashed;
     ``network`` (optional) enables partitions; ``stores`` (optional,
-    name → :class:`BlobStore`) enables storage faults and outages.
+    :attr:`BlobStore.name` → store, as :meth:`register_region` files
+    them) enables storage faults and outages.
     """
 
     def __init__(self, sim: Simulator, providers: List[CloudProvider],
@@ -185,29 +186,29 @@ class FaultInjector:
 
     # -- storage faults ------------------------------------------------------
 
-    def _store_of(self, provider: str) -> BlobStore:
+    def _store_of(self, store_name: str) -> BlobStore:
         try:
-            return self.stores[provider]
+            return self.stores[store_name]
         except KeyError:
-            raise ValueError(f"no blob store registered for provider "
-                             f"{provider!r}") from None
+            raise ValueError(f"no blob store named {store_name!r} "
+                             f"registered") from None
 
-    def storage_fault(self, provider: str, kind: str) -> None:
+    def storage_fault(self, store_name: str, kind: str) -> None:
         """Inject a storage fault: ``"unavailable"`` or ``"torn_write"``."""
-        self._store_of(provider).set_fault(kind)
-        self._record("storage_fault", provider, kind)
+        self._store_of(store_name).set_fault(kind)
+        self._record("storage_fault", store_name, kind)
 
-    def heal_storage(self, provider: str) -> None:
-        """Clear an ``unavailable`` fault on ``provider``'s store."""
-        self._store_of(provider).clear_fault()
-        self._record("heal_storage", provider)
+    def heal_storage(self, store_name: str) -> None:
+        """Clear an ``unavailable`` fault on the store of that name."""
+        self._store_of(store_name).clear_fault()
+        self._record("heal_storage", store_name)
 
-    def outage(self, provider: str, duration: float) -> None:
-        """Make ``provider``'s store unavailable for ``duration`` seconds."""
-        store = self._store_of(provider)
+    def outage(self, store_name: str, duration: float) -> None:
+        """Make the named store unavailable for ``duration`` seconds."""
+        store = self._store_of(store_name)
         store.set_fault("unavailable")
-        self._record("outage", provider, f"{duration:.0f}s")
-        self.sim.schedule(duration, self.heal_storage, provider)
+        self._record("outage", store_name, f"{duration:.0f}s")
+        self.sim.schedule(duration, self.heal_storage, store_name)
 
     # -- region-scoped faults ------------------------------------------------
 

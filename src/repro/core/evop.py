@@ -1,10 +1,12 @@
 """The EVOp deployment facade.
 
-Builds and owns every subsystem; ``bootstrap()`` then reproduces the
-Figure 1 data flow: model publication into the Model Library, WPS
-services managed by the Load Balancer over the hybrid cloud, sensor
-networks feeding the catalogue, and the Resource Broker fronting it all
-for portal sessions.
+Builds one :class:`~repro.core.cell.Cell` — hybrid cloud, store,
+warehouse, journals, monitor, recovery, scheduling plane — and owns
+every subsystem above it; ``bootstrap()`` then reproduces the Figure 1
+data flow: model publication into the Model Library, WPS services
+managed by the Load Balancer over the hybrid cloud, sensor networks
+feeding the catalogue, and the Resource Broker fronting it all for
+portal sessions.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.broker.health import HealthMonitor
-from repro.broker.load_balancer import LoadBalancer
 from repro.broker.policies import (
     PrivateFirstPolicy,
     PrivateOnlyPolicy,
@@ -21,24 +21,17 @@ from repro.broker.policies import (
     SchedulingPolicy,
     WorkloadSplitPolicy,
 )
-from repro.broker.pool import ManagedService
 from repro.broker.resource_broker import ResourceBroker
 from repro.broker.sessions import SessionTable
-from repro.cloud.aws import AwsCloud
 from repro.cloud.billing import BillingMeter, PriceTable
 from repro.cloud.faults import FaultInjector
-from repro.cloud.flavors import MEDIUM, SMALL
+from repro.cloud.flavors import SMALL
 from repro.cloud.images import ImageKind, ImageStore
-from repro.cloud.multicloud import MultiCloud
-from repro.cloud.openstack import OpenStackCloud
-from repro.cloud.storage import BlobStore
+from repro.core.cell import Cell
 from repro.core.config import EvopConfig
 from repro.data.access import AccessPolicy, GuardedWarehouse, MODEL_RUNNER
-from repro.durable.journal import JournalStore
-from repro.durable.recovery import RecoveryManager
 from repro.data.catalog import AssetCatalog
 from repro.data.catchments import Catchment, STUDY_CATCHMENTS
-from repro.data.warehouse import DataWarehouse
 from repro.data.weather import DesignStorm
 from repro.hydrology.timeseries import TimeSeries
 from repro.hydrology.topmodel import TopmodelParameters
@@ -55,7 +48,7 @@ from repro.obs.slo import SLO
 from repro.obs.telemetry import TelemetryPlane
 from repro.resilience import ResilientClient
 from repro.resilience.client import observed_breakers
-from repro.sched import CapacityLedger, ShardedRouter
+from repro.sched import CapacityLedger
 from repro.services.channels import PushGateway
 from repro.services.idempotency import IdempotencyIndex
 from repro.services.registry import ServiceRegistry
@@ -79,37 +72,13 @@ class Evop:
         self.sim = Simulator()
         self.streams = RandomStreams(self.config.seed)
 
-        # hybrid cloud
+        # what the hybrid cloud bills, per provider
         self.meter = BillingMeter(self.sim)
         self.meter.register_provider(
             "openstack", PriceTable(dict(self.config.private_prices)))
         self.meter.register_provider(
             "aws", PriceTable(dict(self.config.public_prices),
                               minimum_billed_seconds=60.0))
-        self.private = OpenStackCloud(
-            self.sim, total_vcpus=self.config.private_vcpus,
-            streams=self.streams, meter=self.meter)
-        self.public = AwsCloud(
-            self.sim, account_instance_limit=self.config.public_account_limit,
-            streams=self.streams, meter=self.meter)
-        self.multicloud = MultiCloud()
-        for location, provider in (("private", self.private),
-                                   ("public", self.public)):
-            self.multicloud.register_compute(location, provider)
-            provider.metrics.callback_gauge(
-                "instances",
-                lambda loc=location: len(self.multicloud.list_nodes(loc)))
-
-        # storage + data
-        self.storage = BlobStore(self.sim, name="evop-store")
-        self.multicloud.register_blobstore("private", self.storage)
-        self.warehouse = DataWarehouse(self.storage)
-        self.access = AccessPolicy()
-        # the view model executions read data through: delegated compute
-        # may use restricted datasets without handing them to end users
-        self.model_warehouse = GuardedWarehouse(
-            self.warehouse, self.access, MODEL_RUNNER)
-        self.catalog = AssetCatalog()
 
         # services fabric
         self.network = Network(self.sim, streams=self.streams)
@@ -142,33 +111,45 @@ class Evop:
         self.broker_metrics = MetricsRegistry(self.sim, namespace="broker")
         self.broker_metrics.callback_gauge("sessions.active",
                                            self.sessions.active_count)
-        self.monitor = HealthMonitor(
-            self.sim, interval=self.config.health_interval,
-            window=self.config.health_window, metrics=self.broker_metrics)
         policy_cls = _POLICIES.get(self.config.policy)
         if policy_cls is None:
             raise ValueError(f"unknown policy {self.config.policy!r}; "
                              f"choose from {sorted(_POLICIES)}")
         self.policy: SchedulingPolicy = policy_cls()
-        # the scheduling plane: N per-shard Load Balancers (shard 0 is
-        # also exposed as ``self.lb`` for single-shard callers) sharing
-        # one capacity ledger, fronted by a rendezvous-hashing router;
         # the ledger and router share one registry so the telemetry
-        # plane sees the whole plane as the ``sched`` service
+        # plane sees the whole scheduling plane as the ``sched`` service
         self.sched_metrics = MetricsRegistry(self.sim, namespace="sched")
         self.ledger = CapacityLedger(self.sim, metrics=self.sched_metrics)
-        shard_lbs = [
-            LoadBalancer(
-                self.sim, self.multicloud, self.network, self.sessions,
-                self.policy, monitor=self.monitor, registry=self.registry,
-                autoscale_interval=self.config.autoscale_interval,
-                breakers=self.breakers, shard_id=shard_id,
-                ledger=self.ledger)
-            for shard_id in range(self.config.shards)]
-        self.lb = shard_lbs[0]
-        self.sched = ShardedRouter(self.sim, shard_lbs, ledger=self.ledger,
-                                   multicloud=self.multicloud,
-                                   metrics=self.sched_metrics)
+
+        # the one region this deployment is: hybrid cloud, store,
+        # warehouse, journals, monitor, recovery and the scheduling
+        # plane (N shard Load Balancers behind a rendezvous router)
+        self.cell = cell = Cell(
+            self.sim, self.streams, self.network, self.sessions, self.ledger,
+            region="evop", private_vcpus=self.config.private_vcpus,
+            public_limit=self.config.public_account_limit,
+            shards=self.config.shards,
+            health_interval=self.config.health_interval,
+            health_window=self.config.health_window,
+            autoscale_interval=self.config.autoscale_interval,
+            policy=self.policy, meter=self.meter, breakers=self.breakers,
+            registry=self.registry, monitor_metrics=self.broker_metrics,
+            sched_metrics=self.sched_metrics)
+        self.private, self.public = cell.private, cell.public
+        self.multicloud = cell.multicloud
+        self.storage, self.warehouse = cell.store, cell.warehouse
+        self.monitor = cell.monitor
+        self.journals, self.recovery = cell.journals, cell.recovery
+        # shard 0 is also exposed as ``self.lb`` for single-shard callers
+        self.lb, self.sched = cell.lbs[0], cell.router
+
+        self.access = AccessPolicy()
+        # the view model executions read data through: delegated compute
+        # may use restricted datasets without handing them to end users
+        self.model_warehouse = GuardedWarehouse(
+            self.warehouse, self.access, MODEL_RUNNER)
+        self.catalog = AssetCatalog()
+
         # one registry and one limiter for the estate: the shard
         # dispatchers and every published api share these two objects,
         # so policy registered on them later (enable_tenancy) reaches
@@ -176,18 +157,10 @@ class Evop:
         self.tenants = self.sched.tenants
         self.ratelimit = RateLimiter(self.sim, self.tenants,
                                      metrics=self.sched_metrics)
-        self.multicloud.attach_resilience(self.breakers)
-        self.injector = FaultInjector(self.sim, [self.private, self.public],
-                                      streams=self.streams,
-                                      network=self.network,
-                                      stores={"private": self.storage})
-
-        # durable execution: every journaled run lives in the blob
-        # store, and the recovery manager listens to the same health
-        # verdicts that drive LB replacement
-        self.journals = JournalStore(self.sim, self.storage)
-        self.recovery = RecoveryManager(self.sim, self.journals,
-                                        monitor=self.monitor)
+        self.injector = FaultInjector(self.sim, [], streams=self.streams,
+                                      network=self.network)
+        self.injector.register_region(cell.region, cell.providers,
+                                      [cell.store])
 
         # exactly-once at the API edge: one shared idempotency index so
         # a key admitted by any replica of any service is honoured by
@@ -289,22 +262,13 @@ class Evop:
         wps.api.idempotency = self.idempotency
         self._behind_boundary(wps.api)
         self.wps_services[catchment.name] = wps
-        image = self.library.image_for(f"topmodel-{catchment.name}")
-
-        def make_server(instance):
-            return wps.replica(instance).bind(self.network)
-
-        service = ManagedService(
-            name=self.service_name(catchment.name),
-            image=image,
-            flavor=MEDIUM,
-            make_server=make_server,
+        self.cell.publish(
+            self.service_name(catchment.name), wps.api,
+            self.library.image_for(f"topmodel-{catchment.name}"),
             purpose="modelling",
             sessions_per_replica=self.config.sessions_per_replica,
             min_replicas=self.config.min_replicas,
-            max_replicas=self.config.max_replicas,
-        )
-        self.sched.manage(service)
+            max_replicas=self.config.max_replicas)
 
     def _instrument_catchment(self, catchment: Catchment) -> None:
         """Generate truth series, deploy sensors, fill the catalogue."""
@@ -392,24 +356,13 @@ class Evop:
         """
         if any(s.name == service_name for s in self.sched.services()):
             return service_name
-        from repro.services.rest import RestServer
-
-        api = self._behind_boundary(build_api())
-        image = self.images.create(image_name, ImageKind.GENERIC,
-                                   size_gb=size_gb)
-
-        def make_server(instance):
-            return RestServer(self.sim, api, instance).bind(self.network)
-
-        self.sched.manage(ManagedService(
-            name=service_name,
-            image=image,
-            flavor=SMALL,
-            make_server=make_server,
-            purpose=purpose,
+        self.cell.publish(
+            service_name, self._behind_boundary(build_api()),
+            self.images.create(image_name, ImageKind.GENERIC,
+                               size_gb=size_gb),
+            flavor=SMALL, purpose=purpose,
             sessions_per_replica=sessions_per_replica,
-            min_replicas=replicas,
-        ))
+            min_replicas=replicas)
         return service_name
 
     # -- the CQRS data plane ------------------------------------------------------------

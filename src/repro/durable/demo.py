@@ -126,8 +126,8 @@ def run_chaos() -> None:
     print(f"final state: {state.status} after {state.attempts} attempt(s), "
           f"{state.adoptions} adoption(s)")
     print("\nthe run completed despite losing its executor; completed "
-          "stages were\nnever re-executed. next: python "
-          "benchmarks/bench_durability.py --quick")
+          "stages were\nnever re-executed. next: PYTHONPATH=src python "
+          "-m pytest benchmarks/bench_durability.py -s")
 
 
 if __name__ == "__main__":

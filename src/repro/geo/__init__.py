@@ -23,7 +23,7 @@ single region is expendable:
 """
 
 from repro.geo.election import ELECTION_GRACE, LeaderElection
-from repro.geo.estate import REGIONS, GeoCell, GeoEstate
+from repro.geo.estate import REGIONS, GeoEstate
 from repro.geo.failover import FailoverCoordinator, FailoverReport
 from repro.geo.ledger import GeoLedger, RegionLedgerHandle
 from repro.geo.replication import Replicator, ShippedRecord, VersionVector
@@ -39,7 +39,6 @@ __all__ = [
     "ELECTION_GRACE",
     "FailoverCoordinator",
     "FailoverReport",
-    "GeoCell",
     "GeoEstate",
     "GeoLedger",
     "GeoRouter",

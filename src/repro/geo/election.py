@@ -53,9 +53,9 @@ class LeaderElection:
         self.cluster = cluster
         self.ttl = ttl
         self.check_interval = check_interval
-        self._journals: Dict[str, RunJournal] = {
-            region: store.open_or_create(f"geo/{cluster}")
-            for region, store in journals.items()}
+        self._journals: Dict[str, RunJournal] = {}
+        for region, store in journals.items():
+            self.add_region(region, store)
         #: the monotonic fencing token ledger writes carry
         self.term = 0
         self.leader_region: Optional[str] = None
@@ -64,6 +64,11 @@ class LeaderElection:
         self._started = False
 
     # -- wiring --------------------------------------------------------------
+
+    def add_region(self, region: str, store: JournalStore) -> None:
+        """Seat ``region``: its copy of the election journal lives in
+        ``store`` (seats vote in the order they were added)."""
+        self._journals[region] = store.open_or_create(f"geo/{self.cluster}")
 
     def start(self) -> "LeaderElection":
         """Run the first campaign now and keep checking forever."""

@@ -1,11 +1,12 @@
 """Whole-region failover: verdicts, session evacuation, re-adoption.
 
-The :class:`FailoverCoordinator` turns the estate's instance-level
-health machinery into *region* verdicts and drives the failover
-sequence when one flips to DOWN:
+The :class:`FailoverCoordinator` is handed each region's
+:class:`~repro.core.cell.Cell`, turns the cells' instance-level health
+machinery into *region* verdicts and drives the failover sequence when
+one flips to DOWN:
 
 1. **detect** — every ``check_interval`` the coordinator folds each
-   region's :class:`~repro.broker.health.HealthMonitor` samples,
+   cell's :class:`~repro.broker.health.HealthMonitor` samples,
    serving-instance count and blob-store state into a
    :class:`~repro.geo.topology.RegionStatus` verdict and records it in
    the shared topology (which the router, replicator, election and
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.cell import Cell
 from repro.geo.routing import GeoRouter
 from repro.geo.topology import RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
@@ -57,18 +59,6 @@ class FailoverReport:
     evacuated: List[object] = field(default_factory=list)
 
 
-@dataclass
-class _RegionCell:
-    """The per-region components the coordinator watches and drives."""
-
-    region: str
-    monitor: object
-    providers: List[object]
-    store: object
-    recovery: Optional[object] = None
-    adopter: Optional[str] = None
-
-
 class FailoverCoordinator:
     """Folds health signals into region verdicts and drives failover."""
 
@@ -84,22 +74,19 @@ class FailoverCoordinator:
         self.georouter = georouter
         self.sessions = sessions
         self.check_interval = check_interval
-        self._cells: Dict[str, _RegionCell] = {}
+        self._cells: Dict[str, Cell] = {}
         self.reports: List[FailoverReport] = []
         self._started = False
 
     # -- wiring --------------------------------------------------------------
 
-    def add_region(self, region: str, monitor, providers, store,
-                   recovery=None) -> None:
-        """Attach one region's monitor, providers, store and recovery."""
-        if region not in self.topology.regions():
-            raise ValueError(f"region {region!r} not in topology")
-        if region in self._cells:
-            raise ValueError(f"region {region!r} already attached")
-        self._cells[region] = _RegionCell(
-            region=region, monitor=monitor, providers=list(providers),
-            store=store, recovery=recovery)
+    def add_region(self, cell: Cell) -> None:
+        """Watch and drive one region's cell."""
+        if cell.region not in self.topology.regions():
+            raise ValueError(f"region {cell.region!r} not in topology")
+        if cell.region in self._cells:
+            raise ValueError(f"region {cell.region!r} already attached")
+        self._cells[cell.region] = cell
 
     def start(self) -> "FailoverCoordinator":
         """Begin the verdict loop."""
@@ -121,7 +108,7 @@ class FailoverCoordinator:
         """This coordinator's current opinion of one region."""
         cell = self._cells[region]
         serving = sum(len(p.serving_instances()) for p in cell.providers)
-        store_down = bool(getattr(cell.store, "faulted", False))
+        store_down = cell.store.faulted
         if store_down and serving == 0:
             return RegionStatus.DOWN
         if store_down or self._faulty_fraction(cell) >= self.DEGRADED_FRACTION:
@@ -133,7 +120,7 @@ class FailoverCoordinator:
         return RegionStatus.HEALTHY
 
     @staticmethod
-    def _faulty_fraction(cell: _RegionCell) -> float:
+    def _faulty_fraction(cell: Cell) -> float:
         watched = cell.monitor.watched()
         if not watched:
             return 0.0
@@ -145,21 +132,21 @@ class FailoverCoordinator:
 
     def step(self) -> None:
         """One verdict round; drives failover/restore transitions."""
-        for region, cell in self._cells.items():
+        for region in self._cells:
             verdict = self.verdict(region)
             current = self.topology.status(region)
             if verdict is RegionStatus.DOWN and current is not RegionStatus.DOWN:
-                self._fail_over(region, cell)
+                self._fail_over(region)
             elif verdict is not RegionStatus.DOWN \
                     and current is RegionStatus.DOWN \
                     and verdict is RegionStatus.HEALTHY:
-                self._restore(region, cell)
+                self._restore(region)
             elif current is not RegionStatus.DOWN:
                 self.topology.mark(region, verdict)
         self._sweep_orphans()
         self._settle_reports()
 
-    def _fail_over(self, region: str, cell: _RegionCell) -> None:
+    def _fail_over(self, region: str) -> None:
         self.topology.mark(region, RegionStatus.DOWN)
         report = FailoverReport(region=region, detected_at=self.sim.now)
         self.reports.append(report)
@@ -176,15 +163,13 @@ class FailoverCoordinator:
         report.sessions_replaced = len(placed)
         # one survivor — the nearest at detection time — adopts the
         # lost region's durable runs from its replicated journals
-        cell.adopter = self.georouter.pick_region(region)
-        report.adopter = cell.adopter
+        report.adopter = self.georouter.pick_region(region)
         obs_of(self.sim).events.emit(
             "geo.failover.begin", region=region,
-            sessions=len(doomed), adopter=cell.adopter or "")
+            sessions=len(doomed), adopter=report.adopter or "")
 
-    def _restore(self, region: str, cell: _RegionCell) -> None:
+    def _restore(self, region: str) -> None:
         self.topology.mark(region, RegionStatus.HEALTHY)
-        cell.adopter = None
         for report in reversed(self.reports):
             if report.region == region and report.restored_at is None:
                 report.restored_at = self.sim.now
@@ -199,18 +184,15 @@ class FailoverCoordinator:
         safe; only the designated adopter sweeps, so two survivors never
         both resurrect the same run.
         """
-        for region, cell in self._cells.items():
+        for region in self._cells:
             if self.topology.status(region) is not RegionStatus.DOWN:
                 continue
-            adopter = cell.adopter
-            recovery = (self._cells[adopter].recovery
-                        if adopter in self._cells else None)
-            if recovery is None:
-                continue
             report = self._open_report(region)
+            if report is None or report.adopter not in self._cells:
+                continue
+            recovery = self._cells[report.adopter].recovery
             for state in recovery.orphans():
-                if report is not None \
-                        and state.run_id not in report.runs_recovered:
+                if state.run_id not in report.runs_recovered:
                     report.runs_recovered.append(state.run_id)
                 recovery.recover_instance(state.owner,
                                           verdict="region-failover")

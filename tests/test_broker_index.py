@@ -17,24 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker import (
-    HealthMonitor,
-    LoadBalancer,
     ManagedService,
     PrivateFirstPolicy,
     SessionState,
     SessionTable,
 )
-from repro.cloud import (
-    AwsCloud,
-    ImageKind,
-    ImageStore,
-    MEDIUM,
-    MultiCloud,
-    OpenStackCloud,
-)
+from repro.cloud import ImageKind, ImageStore, MEDIUM
 from repro.cloud.instance import Instance, Job
-from repro.sched import CapacityLedger, ShardedRouter
-from repro.services import Network, RestApi, RestServer
+from repro.core.cell import Cell
+from repro.sched import CapacityLedger
+from repro.services import Network, RestApi
 from repro.sim import RandomStreams, Simulator
 
 # -- the oracle: the scans as they stood before the indexes --------------------
@@ -229,28 +221,19 @@ def build_plane(replicas, shards=1):
     """A warm estate of ``replicas`` serving replicas behind N shard LBs."""
     sim = Simulator()
     streams = RandomStreams(seed=42)
-    private = OpenStackCloud(sim, total_vcpus=MEDIUM.vcpus * replicas,
-                             streams=streams)
-    multi = MultiCloud()
-    multi.register_compute("private", private)
-    multi.register_compute("public", AwsCloud(sim, streams=streams))
-    network = Network(sim, streams=streams)
     sessions = SessionTable(sim)
-    ledger = CapacityLedger(sim)
-    monitor = HealthMonitor(sim, interval=1.0e9, window=3)
-    lbs = [LoadBalancer(sim, multi, network, sessions, PrivateFirstPolicy(),
-                        monitor=monitor, autoscale_interval=1.0e9,
-                        shard_id=shard, ledger=ledger)
-           for shard in range(shards)]
-    router = ShardedRouter(sim, lbs, ledger=ledger, multicloud=multi)
+    cell = Cell(sim, streams, Network(sim, streams=streams), sessions,
+                CapacityLedger(sim), region="test",
+                private_vcpus=MEDIUM.vcpus * replicas, shards=shards,
+                health_interval=1.0e9, health_window=3,
+                autoscale_interval=1.0e9, policy=PrivateFirstPolicy())
+    lbs, router = cell.lbs, cell.router
     api = RestApi("svc")
     api.get("/ping", lambda req, p: {"pong": True})
-    router.manage(ManagedService(
-        name="svc",
-        image=ImageStore().create("portal", ImageKind.GENERIC, size_gb=1.0),
-        flavor=MEDIUM,
-        make_server=lambda inst: RestServer(sim, api, inst).bind(network),
-        sessions_per_replica=8, min_replicas=replicas, max_replicas=replicas))
+    cell.publish(
+        "svc", api,
+        ImageStore().create("portal", ImageKind.GENERIC, size_gb=1.0),
+        sessions_per_replica=8, min_replicas=replicas, max_replicas=replicas)
     sim.run(until=900.0)
     slices = router.services()
     assert sum(len(piece.serving()) for piece in slices) == replicas

@@ -3,26 +3,16 @@
 import pytest
 
 from repro.broker import (
-    HealthMonitor,
-    LoadBalancer,
-    ManagedService,
     PrivateFirstPolicy,
     PrivateOnlyPolicy,
     ResourceBroker,
     SessionTable,
 )
-from repro.cloud import (
-    AwsCloud,
-    FaultInjector,
-    ImageStore,
-    ImageKind,
-    MEDIUM,
-    MultiCloud,
-    OpenStackCloud,
-)
+from repro.cloud import FaultInjector, ImageStore, ImageKind, MEDIUM
+from repro.core.cell import Cell
 from repro.obs import obs_of
-from repro.sched import ShardedRouter
-from repro.services import Network, PushGateway, RestApi, RestServer
+from repro.sched import CapacityLedger
+from repro.services import Network, PushGateway, RestApi
 from repro.sim import RandomStreams, Simulator
 
 
@@ -33,40 +23,33 @@ class Stack:
                  autoscale_interval=10.0, max_replicas=16, min_replicas=1):
         self.sim = Simulator()
         self.streams = RandomStreams(seed=42)
-        self.private = OpenStackCloud(self.sim, total_vcpus=private_vcpus,
-                                      streams=self.streams)
-        self.public = AwsCloud(self.sim, streams=self.streams)
-        self.multi = MultiCloud()
-        self.multi.register_compute("private", self.private)
-        self.multi.register_compute("public", self.public)
         self.network = Network(self.sim, streams=self.streams)
         self.sessions = SessionTable(self.sim)
-        self.monitor = HealthMonitor(self.sim, interval=5.0, window=3)
-        self.lb = LoadBalancer(self.sim, self.multi, self.network,
-                               self.sessions, policy or PrivateFirstPolicy(),
-                               monitor=self.monitor,
-                               autoscale_interval=autoscale_interval)
+        cell = Cell(self.sim, self.streams, self.network, self.sessions,
+                    CapacityLedger(self.sim), region="test",
+                    private_vcpus=private_vcpus, shards=1,
+                    health_interval=5.0, health_window=3,
+                    autoscale_interval=autoscale_interval,
+                    policy=policy or PrivateFirstPolicy())
+        self.private, self.public = cell.private, cell.public
+        self.multi, self.monitor = cell.multicloud, cell.monitor
+        self.lb, self.sched = cell.lbs[0], cell.router
         self.images = ImageStore()
         self.image = self.images.create("portal", ImageKind.GENERIC, size_gb=1.0)
         self.api = RestApi("svc")
         self.api.get("/ping", lambda req, p: {"pong": True})
-        self.service = ManagedService(
-            name="svc", image=self.image, flavor=MEDIUM,
-            make_server=self._make_server,
+        self.service = cell.service(
+            "svc", self.api, self.image,
             sessions_per_replica=sessions_per_replica,
             min_replicas=min_replicas, max_replicas=max_replicas)
-        self.injector = FaultInjector(self.sim, [self.private, self.public],
+        self.injector = FaultInjector(self.sim, cell.providers,
                                       streams=self.streams)
-
-    def _make_server(self, instance):
-        return RestServer(self.sim, self.api, instance).bind(self.network)
 
     def make_rb(self):
         gateway_instance = self.private.launch(self.image, MEDIUM)
         self.sim.run(until=self.sim.now + 120.0)
         gateway = PushGateway(self.sim, gateway_instance, streams=self.streams)
-        return ResourceBroker(self.sim, ShardedRouter(self.sim, [self.lb]),
-                              self.sessions, gateway)
+        return ResourceBroker(self.sim, self.sched, self.sessions, gateway)
 
 
 def test_manage_boots_min_replicas():

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.cloud import BlobStore, MultiCloud, OpenStackCloud
+from repro.cloud import BlobStore, MultiCloud
 from repro.cloud.errors import CloudError
 from repro.durable import JournalStore
 from repro.geo import (
@@ -62,21 +62,6 @@ def test_multicloud_duplicate_blobstore_raises(sim):
     multi.register_blobstore("private", store)
     with pytest.raises(ValueError):
         multi.register_blobstore("private", BlobStore(sim, name="s2"))
-
-
-def test_multicloud_scoped_view_translates_labels(sim):
-    multi = MultiCloud()
-    eu = OpenStackCloud(sim, total_vcpus=8, name="os-eu")
-    us = OpenStackCloud(sim, total_vcpus=8, name="os-us")
-    multi.register_compute("eu/private", eu, region="eu")
-    multi.register_compute("us/private", us, region="us")
-    assert multi.regions() == ["eu", "us"]
-    scoped = multi.scoped("eu")
-    assert scoped.locations() == ["private"]
-    assert scoped.compute("private") is eu
-    assert scoped.qualify("private") == "eu/private"
-    with pytest.raises(CloudError):
-        multi.scoped("ap")
 
 
 # -- version vectors ---------------------------------------------------------

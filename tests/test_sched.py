@@ -14,21 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker import (
-    HealthMonitor,
     LoadBalancer,
-    ManagedService,
     PrivateFirstPolicy,
     ResourceBroker,
     SessionTable,
 )
-from repro.cloud import (
-    AwsCloud,
-    ImageKind,
-    ImageStore,
-    MEDIUM,
-    MultiCloud,
-    OpenStackCloud,
-)
+from repro.cloud import ImageKind, ImageStore, MEDIUM
+from repro.core.cell import Cell
 from repro.obs.hub import obs_of
 from repro.obs.refusal import refused
 from repro.sched import (
@@ -36,10 +28,9 @@ from repro.sched import (
     ClassedQueue,
     Dispatcher,
     PriorityClass,
-    ShardedRouter,
     rendezvous_shard,
 )
-from repro.services import Network, PushGateway, RestApi, RestServer
+from repro.services import Network, PushGateway, RestApi
 from repro.sim import RandomStreams, Simulator
 
 
@@ -54,40 +45,29 @@ class Plane:
                  batch_headroom=0, autoscale_interval=10.0, seed=42):
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
-        self.private = OpenStackCloud(self.sim, total_vcpus=private_vcpus,
-                                      streams=self.streams)
-        self.public = AwsCloud(self.sim, streams=self.streams)
-        self.multi = MultiCloud()
-        self.multi.register_compute("private", self.private)
-        self.multi.register_compute("public", self.public)
         self.network = Network(self.sim, streams=self.streams)
         self.sessions = SessionTable(self.sim)
-        self.monitor = HealthMonitor(self.sim, interval=5.0, window=3)
         self.ledger = CapacityLedger(self.sim)
-        self.lbs = [
-            LoadBalancer(self.sim, self.multi, self.network, self.sessions,
-                         PrivateFirstPolicy(), monitor=self.monitor,
-                         autoscale_interval=autoscale_interval,
-                         shard_id=shard, ledger=self.ledger,
-                         strict_capacity=strict_capacity,
-                         batch_headroom=batch_headroom)
-            for shard in range(shards)]
-        self.lb = self.lbs[0]
-        self.sched = ShardedRouter(self.sim, self.lbs, ledger=self.ledger,
-                                   multicloud=self.multi)
+        cell = Cell(self.sim, self.streams, self.network, self.sessions,
+                    self.ledger, region="test", private_vcpus=private_vcpus,
+                    shards=shards, health_interval=5.0, health_window=3,
+                    autoscale_interval=autoscale_interval,
+                    policy=PrivateFirstPolicy())
+        self.private, self.public = cell.private, cell.public
+        self.multi, self.monitor = cell.multicloud, cell.monitor
+        self.lbs, self.lb, self.sched = cell.lbs, cell.lbs[0], cell.router
+        for lb in self.lbs:
+            lb.strict_capacity = strict_capacity
+            lb.batch_headroom = batch_headroom
         self.images = ImageStore()
         self.image = self.images.create("portal", ImageKind.GENERIC,
                                         size_gb=1.0)
         self.api = RestApi("svc")
         self.api.get("/ping", lambda req, p: {"pong": True})
-        self.service = ManagedService(
-            name="svc", image=self.image, flavor=MEDIUM,
-            make_server=self._make_server,
+        self.service = cell.service(
+            "svc", self.api, self.image,
             sessions_per_replica=sessions_per_replica,
             min_replicas=min_replicas, max_replicas=max_replicas)
-
-    def _make_server(self, instance):
-        return RestServer(self.sim, self.api, instance).bind(self.network)
 
 
 # -- class queue -------------------------------------------------------------

@@ -41,26 +41,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker import (
-    HealthMonitor,
-    LoadBalancer,
-    ManagedService,
-    PrivateFirstPolicy,
-    ResourceBroker,
-    SessionTable,
-)
-from repro.cloud import (
-    AwsCloud,
-    BlobStore,
-    ImageKind,
-    ImageStore,
-    MEDIUM,
-    MultiCloud,
-    OpenStackCloud,
-)
+from repro.broker import PrivateFirstPolicy, ResourceBroker, SessionTable
+from repro.cloud import BlobStore, ImageKind, ImageStore
 from repro.services import InputSpec, ProcessDescription, WpsProcess, \
     WpsService
 from repro.services.client import RestClient
+from repro.core.cell import Cell
 from repro.core.config import EvopConfig
 from repro.core.evop import Evop
 from repro.core.admin import AdminConsole
@@ -73,9 +59,8 @@ from repro.sched import (
     ClassedQueue,
     Dispatcher,
     PriorityClass,
-    ShardedRouter,
 )
-from repro.services import Network, PushGateway, RestApi, RestServer
+from repro.services import Network, PushGateway, RestApi
 from repro.services.idempotency import IdempotencyIndex, request_fingerprint
 from repro.services.transport import HttpRequest
 from repro.sim import RandomStreams, Simulator
@@ -519,32 +504,24 @@ class _Rig:
                  strict_capacity=False):
         self.sim = Simulator()
         self.streams = RandomStreams(seed=7)
-        self.private = OpenStackCloud(self.sim, total_vcpus=64,
-                                      streams=self.streams)
-        self.public = AwsCloud(self.sim, streams=self.streams)
-        self.multi = MultiCloud()
-        self.multi.register_compute("private", self.private)
-        self.multi.register_compute("public", self.public)
         self.network = Network(self.sim, streams=self.streams)
         self.sessions = SessionTable(self.sim)
-        self.monitor = HealthMonitor(self.sim, interval=1.0e9, window=3)
-        self.lbs = [LoadBalancer(self.sim, self.multi, self.network,
-                                 self.sessions, PrivateFirstPolicy(),
-                                 monitor=self.monitor,
-                                 autoscale_interval=5.0,
-                                 strict_capacity=strict_capacity)]
-        self.lb = self.lbs[0]
-        self.sched = ShardedRouter(self.sim, self.lbs, multicloud=self.multi)
+        cell = Cell(self.sim, self.streams, self.network, self.sessions,
+                    CapacityLedger(self.sim), region="test", private_vcpus=64,
+                    shards=1, health_interval=1.0e9, health_window=3,
+                    autoscale_interval=5.0, policy=PrivateFirstPolicy())
+        self.private, self.public = cell.private, cell.public
+        self.multi, self.monitor = cell.multicloud, cell.monitor
+        self.lbs, self.lb, self.sched = cell.lbs, cell.lbs[0], cell.router
+        self.lb.strict_capacity = strict_capacity
         self.images = ImageStore()
-        image = self.images.create("portal", ImageKind.GENERIC, size_gb=1.0)
         self.api = RestApi("svc")
         self.api.get("/ping", lambda req, p: {"pong": True})
-        self.sched.manage(ManagedService(
-            name="svc", image=image, flavor=MEDIUM,
-            make_server=lambda inst: RestServer(
-                self.sim, self.api, inst).bind(self.network),
+        cell.publish(
+            "svc", self.api,
+            self.images.create("portal", ImageKind.GENERIC, size_gb=1.0),
             sessions_per_replica=sessions_per_replica,
-            min_replicas=replicas, max_replicas=replicas))
+            min_replicas=replicas, max_replicas=replicas)
         self.sim.run(until=600.0)
         self.address = self.sched.services()[0].serving()[0].address
 
