@@ -66,10 +66,10 @@ def drive_crowd(policy: str):
         provider = evop.multicloud.compute(loc)
         burst_peak[loc] = provider.metrics.gauge("instances.running").peak
 
-    activations = evop.lb.metrics.counter("cloudburst.activations").value
+    activations = evop.sched_metrics.counter("cloudburst.activations").value
     # let demand drain and the LB reverse
     evop.run_for(3600.0)
-    reversals = evop.lb.metrics.counter("cloudburst.reversals").value
+    reversals = evop.sched_metrics.counter("cloudburst.reversals").value
 
     ordered = sorted(round_trips)
     p95 = ordered[int(0.95 * (len(ordered) - 1))] if ordered else float("inf")

@@ -49,7 +49,7 @@ HORIZON = 1800.0
 #: a firing transition must follow each injection within this budget
 DETECTION_BUDGET = 300.0
 #: scraper host cost ceiling, µs per scrape per series: ~1.5 in the
-#: committed BENCH_observability.json (512 scrapes of 85 series), so 3x
+#: committed BENCH_observability.json (512 scrapes of 84 series), so 3x
 #: headroom for a slow box
 SCRAPE_US_PER_SERIES_CEILING = 5.0
 #: scrapes per reading of the scraper's meter

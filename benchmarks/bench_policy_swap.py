@@ -26,6 +26,7 @@ from repro.broker import (
 from repro.cloud import AwsCloud, ImageStore, MEDIUM, MultiCloud, OpenStackCloud
 from repro.data import STUDY_CATCHMENTS
 from repro.modellib import ModelLibrary, make_topmodel_process
+from repro.sched import CapacityLedger
 from repro.services import Network
 from repro.sim import RandomStreams, Simulator
 
@@ -40,7 +41,8 @@ def run_policy(policy):
     network = Network(sim, streams=streams)
     sessions = SessionTable(sim)
     lb = LoadBalancer(sim, multi, network, sessions, policy,
-                      monitor=HealthMonitor(sim), autoscale_interval=1e9)
+                      monitor=HealthMonitor(sim), ledger=CapacityLedger(sim),
+                      autoscale_interval=1e9)
 
     library = ModelLibrary(ImageStore())
     morland = STUDY_CATCHMENTS["morland"]

@@ -27,7 +27,7 @@ def main() -> None:
         cost = evop.cost_report()
         print(f"  t={evop.sim.now / 60:6.1f}min {label:28s} "
               f"private={locations['private']:2d} public={locations['public']:2d} "
-              f"bursting={str(evop.lb.cloudbursting):5s} "
+              f"bursting={str(evop.sched.cloudbursting):5s} "
               f"cost=${cost['total']:.3f}")
 
     print("== before the crowd ==")
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"  assignment waits: mean={sum(waits) / len(waits):.1f}s "
           f"max={max(waits):.1f}s")
     print(f"  cloudburst activations: "
-          f"{evop.lb.metrics.counter('cloudburst.activations').value:.0f}")
+          f"{evop.sched_metrics.counter('cloudburst.activations').value:.0f}")
 
     print("== most of the crowd loses interest; 8 users stay ==")
     for session in sessions[8:]:
@@ -67,7 +67,7 @@ def main() -> None:
     print(f"  session migrations performed: "
           f"{evop.lb.metrics.counter('migrations').value:.0f}")
     print(f"  cloudburst reversals: "
-          f"{evop.lb.metrics.counter('cloudburst.reversals').value:.0f}")
+          f"{evop.sched_metrics.counter('cloudburst.reversals').value:.0f}")
     per_provider = evop.cost_report()
     print(f"  final cost: private=${per_provider.get('openstack', 0):.3f} "
           f"public=${per_provider.get('aws', 0):.3f}")

@@ -2,7 +2,7 @@
 
 * ``python -m repro`` (or ``python -m repro tour``) — the two-minute
   tour: boot a deployment, run the LEFT scenarios, print the comparison
-  and the cloudburst counters.
+  and the simulated cloud cost.
 * ``python -m repro trace`` — run one example user journey plus a
   composed cloud workflow under distributed tracing and dump the trace
   as Chrome ``trace_event`` JSON (open it in ``chrome://tracing`` or

@@ -1,10 +1,10 @@
-"""The Load Balancer: autoscaling, cloudbursting, failure recovery.
+"""The Load Balancer: placement, autoscaling, failure recovery.
 
 Responsibilities, straight from Section IV-D:
 
 * *minimise costs* — serve from private instances by default; upon
-  saturation enter **cloudbursting** mode (public instances beside
-  private ones); reverse on underuse, migrating users back to private;
+  saturation launch public instances beside private ones; on underuse
+  retire public replicas first, migrating users back to private;
 * *maintain responsiveness* — watch instance statistics and, on the
   degradation signatures, start a replacement and redirect the affected
   users to it;
@@ -12,7 +12,13 @@ Responsibilities, straight from Section IV-D:
   to deliver updated session information.
 
 The LB is deliberately the only component that launches or terminates
-instances; everything else asks it.
+instances; everything else asks it.  It keeps no burst state: every
+launch is committed to the shared
+:class:`~repro.sched.ledger.CapacityLedger` and every retirement
+released from it, and the ledger alone says whether the estate is
+cloudbursting.  A replica leaves its pool through one exit,
+:meth:`LoadBalancer._retire`, whichever path — scale-down, fault
+replacement, boot failure or operator drain — retires it.
 """
 
 from __future__ import annotations
@@ -49,16 +55,12 @@ class LoadBalancer:
     """
 
     def __init__(self, sim: Simulator, multicloud: MultiCloud, network: Network,
-                 sessions: SessionTable, policy: SchedulingPolicy,
-                 monitor: Optional[HealthMonitor] = None,
+                 sessions: SessionTable, policy: SchedulingPolicy, *,
+                 monitor: HealthMonitor, ledger: CapacityLedger,
                  registry: Optional[ServiceRegistry] = None,
-                 private_location: str = "private",
-                 public_location: str = "public",
                  autoscale_interval: float = 15.0,
                  breakers=None,
                  shard_id: int = 0,
-                 ledger: Optional[CapacityLedger] = None,
-                 dispatcher: Optional[Dispatcher] = None,
                  strict_capacity: bool = False,
                  batch_headroom: int = 0,
                  queue_bounds: Optional[Dict[PriorityClass, int]] = None):
@@ -67,18 +69,17 @@ class LoadBalancer:
         self.network = network
         self.sessions = sessions
         self.policy = policy
-        self.monitor = monitor if monitor is not None else HealthMonitor(sim)
+        self.monitor = monitor
         # explicit None check: an empty registry is falsy (it has __len__)
         self.registry = registry if registry is not None else ServiceRegistry()
-        self.private_location = private_location
-        self.public_location = public_location
         self.autoscale_interval = autoscale_interval
         #: shared BreakerRegistry; per-location launch breakers stop the
         #: LB hammering a provider whose control plane keeps refusing
         self.breakers = breakers
         #: which control-plane shard this LB is (0 when unsharded)
         self.shard_id = shard_id
-        #: shared deployment-wide capacity/cloudburst book (optional)
+        #: the deployment-wide capacity book every shard shares; it alone
+        #: records what is committed and whether the estate is bursting
         self.ledger = ledger
         #: hard per-replica session cap (sessions_per_replica) when True;
         #: otherwise sessions pile onto the least-loaded replica unbounded
@@ -90,14 +91,13 @@ class LoadBalancer:
         #: None disables back-pressure (the ablation baseline)
         self.queue_bound_factor: Optional[int] = 4
         self.metrics = MetricsRegistry(sim, namespace="lb")
-        self.dispatcher = dispatcher if dispatcher is not None else Dispatcher(
-            sim, shard_id=shard_id, metrics=self.metrics.sub("sched"),
-            bounds=queue_bounds)
+        self.dispatcher = Dispatcher(sim, shard_id=shard_id,
+                                     metrics=self.metrics.sub("sched"),
+                                     bounds=queue_bounds)
         self._services: Dict[str, ManagedService] = {}
         self._place_spans: Dict[str, Span] = {}  # session_id -> open span
         self._replacing: set = set()
         self._autoscaler_running = False
-        self.cloudbursting = False
         self.monitor.on_verdict(self._on_verdict)
 
     # -- service management -----------------------------------------------------
@@ -284,9 +284,8 @@ class LoadBalancer:
                 self._log("launch.skipped", service=service.name,
                           location=location)
                 continue
-            if self.ledger is not None and \
-                    not self.ledger.admit(location, service.flavor.vcpus,
-                                          tenant=service.tenant):
+            if not self.ledger.admit(location, service.flavor.vcpus,
+                                     tenant=service.tenant):
                 # the deployment-wide budget (all shards) is spent here
                 continue
             try:
@@ -305,11 +304,9 @@ class LoadBalancer:
             self._log("scaleup.refused", service=service.name)
             return None
         service.pending_launches += 1
-        if self.ledger is not None:
-            self.ledger.commit(chosen_location, service.flavor.vcpus,
-                               public=chosen_location == self.public_location,
-                               tenant=service.tenant)
-        self._update_burst_state(chosen_location)
+        self.ledger.commit(chosen_location, service.flavor.vcpus,
+                           public=chosen_location == "public",
+                           tenant=service.tenant)
         self.metrics.counter(f"launch.{chosen_location}").increment()
         self._log("launch", service=service.name, location=chosen_location,
                   instance=instance.instance_id)
@@ -319,7 +316,7 @@ class LoadBalancer:
             service.pending_launches -= 1
             if booted is None or not instance.is_serving:
                 self._log("boot.failed", instance=instance.instance_id)
-                self._ledger_release(instance, service)
+                self._retire(instance, service)
                 return
             # bounded accept queue: overload turns into fast 503s the
             # client retries elsewhere, not hour-long queueing
@@ -356,7 +353,7 @@ class LoadBalancer:
             return False
         public = [inst for inst in serving
                   if self.multicloud.location_of(inst, default="unknown")
-                  == self.public_location]
+                  == "public"]
         candidates = public or serving
         # graceful drain: only retire replicas with no in-flight work, so
         # no caller ever loses a response to a scale-down
@@ -370,26 +367,32 @@ class LoadBalancer:
         self._migrate_sessions(victim, service, reason="scale-down")
         self._retire(victim, service)
         self._log("scaledown", service=service.name, instance=victim.instance_id)
-        self._update_burst_state(None)
         return True
 
     def _retire(self, instance: Instance, service: ManagedService) -> None:
+        """The one way a replica leaves its pool: both halves at once.
+
+        A drain runs the same two halves with the in-flight wait between
+        them, so every exit gives the replica's vCPUs back to the ledger.
+        """
+        self._leave(instance, service)
+        self._release(instance, service)
+
+    def _leave(self, instance: Instance, service: ManagedService) -> None:
+        """No new work reaches the replica: out of pool, monitor, registry."""
         service.drop_replica(instance)
         self.monitor.unwatch(instance)
         self.registry.deregister(service.name, instance.address)
-        self.network.unregister(instance.address)
-        self._ledger_release(instance, service)
-        if not instance.is_gone:
-            self.multicloud.destroy_node(instance)
 
-    def _ledger_release(self, instance: Instance,
-                        service: ManagedService) -> None:
-        if self.ledger is None:
-            return
+    def _release(self, instance: Instance, service: ManagedService) -> None:
+        """The replica's capacity goes back: network, ledger, provider."""
+        self.network.unregister(instance.address)
         location = self.multicloud.location_of(instance, default="unknown")
         self.ledger.release(location, service.flavor.vcpus,
-                            public=location == self.public_location,
+                            public=location == "public",
                             tenant=service.tenant)
+        if not instance.is_gone:
+            self.multicloud.destroy_node(instance)
 
     def _migrate_sessions(self, source: Instance, service: ManagedService,
                           reason: str) -> None:
@@ -422,7 +425,7 @@ class LoadBalancer:
 
         The maintenance path: stop routing new sessions to the instance
         (it leaves the pool immediately), migrate its sessions, wait for
-        in-flight work to finish, then terminate.  Returns a signal
+        in-flight work to finish, then release it.  Returns a signal
         fired with True when the instance is gone, or False if it was
         not a managed replica.
         """
@@ -431,20 +434,15 @@ class LoadBalancer:
         if service is None:
             self.sim.schedule(0.0, done.fire, False)
             return done
-        service.drop_replica(instance)
-        self.monitor.unwatch(instance)
-        self.registry.deregister(service.name, instance.address)
+        self._leave(instance, service)
         self._migrate_sessions(instance, service, reason="drain")
         self._log("drain.start", instance=instance.instance_id)
 
         def drainer():
             while instance.load() > 0 and instance.is_serving:
                 yield 5.0
-            self.network.unregister(instance.address)
-            if not instance.is_gone:
-                self.multicloud.destroy_node(instance)
+            self._release(instance, service)
             self._log("drain.done", instance=instance.instance_id)
-            self._update_burst_state(None)
             done.fire(True)
 
         self.sim.spawn(drainer(), name=f"drain.{instance.instance_id}")
@@ -534,25 +532,6 @@ class LoadBalancer:
                 heapq.heappush(busiest_first, (-counts[at], at))
                 heapq.heappush(quietest_first, (counts[at], at))
             self.metrics.counter("rebalances").increment()
-
-    # -- cloudburst bookkeeping -----------------------------------------------------------
-
-    def _update_burst_state(self, just_launched_location: Optional[str]) -> None:
-        public_nodes = [inst for service in self._services.values()
-                        for inst in service.replicas
-                        if self.multicloud.location_of(inst, default="unknown")
-                        == self.public_location
-                        and not inst.is_gone]
-        bursting_now = bool(public_nodes) or (
-            just_launched_location == self.public_location)
-        if bursting_now and not self.cloudbursting:
-            self.cloudbursting = True
-            self.metrics.counter("cloudburst.activations").increment()
-            self._log("cloudburst.enter")
-        elif not bursting_now and self.cloudbursting:
-            self.cloudbursting = False
-            self.metrics.counter("cloudburst.reversals").increment()
-            self._log("cloudburst.exit")
 
     def _log(self, kind: str, **fields) -> None:
         # every decision goes to the shared structured event log, so LB

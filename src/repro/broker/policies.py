@@ -7,16 +7,17 @@ something more selective such as 'streamlined models to AWS and
 experimental ones to the private cloud'" should require no caller
 changes.  Policies return an ordered list of locations to try; the
 Load Balancer feeds that to :class:`~repro.cloud.multicloud.MultiCloud`.
+The locations are a cell's labels, which are always ``private`` and
+``public`` (see :mod:`repro.core.cell`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.cloud.images import ImageKind, MachineImage
-from repro.sched.core import PlacementPolicy
 
 
 @dataclass(frozen=True)
@@ -27,13 +28,8 @@ class PlacementContext:
     purpose: str = "general"     # free-text workload label
 
 
-class SchedulingPolicy(PlacementPolicy, abc.ABC):
-    """Maps a placement context to an ordered location preference.
-
-    Extends the scheduling plane's provider-neutral
-    :class:`~repro.sched.core.PlacementPolicy` base, so the dispatch
-    substrate can hold policies without importing the broker layer.
-    """
+class SchedulingPolicy(abc.ABC):
+    """Maps a placement context to an ordered location preference."""
 
     name: str = "abstract"
 
@@ -53,12 +49,8 @@ class PrivateFirstPolicy(SchedulingPolicy):
 
     name = "private-until-saturation"
 
-    def __init__(self, private: str = "private", public: str = "public"):
-        self.private = private
-        self.public = public
-
     def locations(self, context: PlacementContext) -> List[str]:
-        return [self.private, self.public]
+        return ["private", "public"]
 
 
 class WorkloadSplitPolicy(SchedulingPolicy):
@@ -71,14 +63,10 @@ class WorkloadSplitPolicy(SchedulingPolicy):
 
     name = "streamlined-public-experimental-private"
 
-    def __init__(self, private: str = "private", public: str = "public"):
-        self.private = private
-        self.public = public
-
     def locations(self, context: PlacementContext) -> List[str]:
         if context.image.kind == ImageKind.STREAMLINED:
-            return [self.public, self.private]
-        return [self.private, self.public]
+            return ["public", "private"]
+        return ["private", "public"]
 
 
 class PrivateOnlyPolicy(SchedulingPolicy):
@@ -86,11 +74,8 @@ class PrivateOnlyPolicy(SchedulingPolicy):
 
     name = "private-only"
 
-    def __init__(self, private: str = "private"):
-        self.private = private
-
     def locations(self, context: PlacementContext) -> List[str]:
-        return [self.private]
+        return ["private"]
 
 
 class PublicOnlyPolicy(SchedulingPolicy):
@@ -98,8 +83,5 @@ class PublicOnlyPolicy(SchedulingPolicy):
 
     name = "public-only"
 
-    def __init__(self, public: str = "public"):
-        self.public = public
-
     def locations(self, context: PlacementContext) -> List[str]:
-        return [self.public]
+        return ["public"]

@@ -8,12 +8,13 @@ Load Balancer:
 * :class:`~repro.sched.core.Dispatcher` — the provider-neutral core:
   priority classes (interactive portal sessions > workflow stages >
   batch sweeps), per-class bounded queues with per-tenant
-  deficit-round-robin lanes (weighted-fair within each class), batch
-  dequeue, and the ``sched.submit``/``sched.place`` spans that make
-  every queueing decision observable;
-* :class:`~repro.sched.ledger.CapacityLedger` — global capacity and
-  cloudburst accounting shared by every control-plane shard, so
-  quota decisions stay correct when the plane is sharded;
+  deficit-round-robin lanes (weighted-fair within each class), and the
+  ``sched.submit``/``sched.place`` spans that make every queueing
+  decision observable;
+* :class:`~repro.sched.ledger.CapacityLedger` — the one book of
+  committed capacity and cloudburst state, shared by every
+  control-plane shard, so quota decisions stay correct when the plane
+  is sharded;
 * :class:`~repro.sched.router.ShardedRouter` — rendezvous-hashes
   sessions and runs onto N control-plane shards (each a slimmed
   per-shard Load Balancer), the scaling move the hybrid-cloud EVO
@@ -27,7 +28,6 @@ the cycle never bites.
 from repro.sched.core import (
     ClassedQueue,
     Dispatcher,
-    PlacementPolicy,
     PriorityClass,
 )
 from repro.sched.ledger import CapacityLedger
@@ -37,7 +37,6 @@ __all__ = [
     "CapacityLedger",
     "ClassedQueue",
     "Dispatcher",
-    "PlacementPolicy",
     "PriorityClass",
     "ShardedRouter",
     "rendezvous_shard",

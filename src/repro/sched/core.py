@@ -6,8 +6,7 @@ The substrate everything places through.  A :class:`Dispatcher` owns one
 sweeps), deficit-round-robin weighted-fair service across tenant lanes
 within a class (arrival order while only one lane has work), optional
 per-class bounds that shed the lowest-value work (a ``queue_full``
-refusal) instead of queueing it forever, and batch dequeue so a freshly
-booted replica can claim several waiters in one pass.
+refusal) instead of queueing it forever.
 
 This module deliberately imports nothing from :mod:`repro.broker` — the
 broker's Load Balancer imports *it*, and the layering (broker, workflow
@@ -39,22 +38,6 @@ class PriorityClass(enum.IntEnum):
     INTERACTIVE = 0
     WORKFLOW = 1
     BATCH = 2
-
-
-class PlacementPolicy:
-    """Maps a placement context to an ordered location preference.
-
-    The provider-neutral base the broker's scheduling policies extend
-    (see :mod:`repro.broker.policies`).  Lives here so the dispatch
-    substrate can be typed against policies without importing the
-    broker layer above it.
-    """
-
-    name: str = "abstract"
-
-    def locations(self, context: Any) -> List[str]:
-        """Locations to try, most preferred first."""
-        raise NotImplementedError
 
 
 class _DrrLanes:
@@ -94,12 +77,11 @@ class ClassedQueue:
     service order is arrival order.
     """
 
-    def __init__(self, bounds: Optional[Dict[PriorityClass, int]] = None,
-                 weights: Optional[Dict[str, float]] = None):
+    def __init__(self, bounds: Optional[Dict[PriorityClass, int]] = None):
         self._lanes: Dict[PriorityClass, _DrrLanes] = {
             cls: _DrrLanes() for cls in PriorityClass}
         self._bounds: Dict[PriorityClass, int] = dict(bounds or {})
-        self._weights: Dict[str, float] = dict(weights or {})
+        self._weights: Dict[str, float] = {}
         self.shed: Dict[PriorityClass, int] = {cls: 0 for cls in PriorityClass}
 
     # -- tenant policy -------------------------------------------------------
@@ -193,32 +175,18 @@ class ClassedQueue:
                 state.active.rotate(-1)
             return item, tenant
 
-    def pop(self) -> Optional[Tuple[Any, PriorityClass]]:
-        """Dequeue the highest-priority item, weighted-fair in class."""
-        entry = self.pop_ex()
-        if entry is None:
-            return None
-        item, cls, _ = entry
-        return item, cls
+    def pop(self) -> Optional[Tuple[Any, PriorityClass, str]]:
+        """Dequeue the highest-priority item, weighted-fair in class.
 
-    def pop_ex(self) -> Optional[Tuple[Any, PriorityClass, str]]:
-        """Like :meth:`pop` but also reports the served tenant."""
+        Returns ``(item, class, tenant)`` — the tenant whose lane served
+        it — or ``None`` when every class is empty.
+        """
         for cls in PriorityClass:
             state = self._lanes[cls]
             if state.active:
                 item, tenant = self._pop_class(state)
                 return item, cls, tenant
         return None
-
-    def pop_batch(self, count: int) -> List[Tuple[Any, PriorityClass]]:
-        """Dequeue up to ``count`` items in priority order."""
-        out: List[Tuple[Any, PriorityClass]] = []
-        while len(out) < count:
-            entry = self.pop()
-            if entry is None:
-                break
-            out.append(entry)
-        return out
 
     # -- introspection -------------------------------------------------------
 
@@ -349,7 +317,7 @@ class Dispatcher:
     def dequeue(self, service_name: str
                 ) -> Optional[Tuple[Any, PriorityClass]]:
         """Pop the next item in priority order (``None`` when empty)."""
-        entry = self._queues[service_name].pop_ex()
+        entry = self._queues[service_name].pop()
         if entry is None:
             return None
         item, cls, tenant = entry

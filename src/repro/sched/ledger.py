@@ -5,7 +5,9 @@ whole estate any more — yet quota ("no more than X public vCPUs,
 deployment-wide") and cloudburst state ("are we paying for public
 capacity right now?") are global facts.  The :class:`CapacityLedger` is
 the one shared book every shard writes its launches and retirements
-into, so those decisions stay correct at any shard count.
+into, so those decisions stay correct at any shard count.  It is the
+only record of either fact: a Load Balancer keeps no burst state of its
+own, and the router's ``cloudbursting`` reads :attr:`bursting`.
 
 The ledger is advisory bookkeeping plus optional hard caps: with no
 ``capacity`` configured, :meth:`admit` always says yes and the ledger
@@ -31,8 +33,8 @@ class CapacityLedger:
     ``capacity`` maps a location label to its vCPU budget; locations
     without an entry are unbudgeted.  ``commit``/``release`` must be
     called symmetrically around an instance's lifetime (the Load
-    Balancer does this on launch, retirement, drain completion and
-    boot failure).
+    Balancer commits on launch and releases through its one exit:
+    scale-down, fault replacement, drain completion and boot failure).
     """
 
     def __init__(self, sim: Simulator,
@@ -119,10 +121,6 @@ class CapacityLedger:
         """vCPUs currently committed per tenant (a copy)."""
         return dict(self._tenant_committed)
 
-    def public_nodes(self) -> int:
-        """Public-cloud nodes currently committed, across all shards."""
-        return self._public_nodes
-
     def snapshot(self) -> Dict[str, int]:
         """Committed vCPUs per location (a copy)."""
         return dict(self._committed)
@@ -134,8 +132,7 @@ class CapacityLedger:
         if bursting_now and not self.bursting:
             self.bursting = True
             self._count("cloudburst.activations")
-            obs_of(self.sim).events.emit("sched.cloudburst.enter",
-                                         public_nodes=self._public_nodes)
+            obs_of(self.sim).events.emit("sched.cloudburst.enter")
         elif not bursting_now and self.bursting:
             self.bursting = False
             self._count("cloudburst.reversals")

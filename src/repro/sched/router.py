@@ -63,22 +63,21 @@ class ShardedRouter:
     """The scheduling plane: N shard Load Balancers behind one door.
 
     ``lbs`` are already-constructed Load Balancers (shard id = list
-    index) sharing one simulator, session table and (usually) one
-    :class:`~repro.sched.ledger.CapacityLedger`.  Every shard's
-    dispatcher shares the router's tenant registry.
+    index) sharing one simulator, session table and the one
+    :class:`~repro.sched.ledger.CapacityLedger` passed here as
+    ``ledger``.  Every shard's dispatcher shares the router's tenant
+    registry.
     """
 
-    def __init__(self, sim: Simulator, lbs: Sequence[Any],
-                 ledger: Optional[CapacityLedger] = None,
-                 multicloud=None,
+    def __init__(self, sim: Simulator, lbs: Sequence[Any], *,
+                 ledger: CapacityLedger, multicloud: Any,
                  metrics: Optional[MetricsRegistry] = None):
         if not lbs:
             raise ValueError("need at least one shard LB")
         self.sim = sim
         self.lbs: List[Any] = list(lbs)
         self.ledger = ledger
-        self.multicloud = (multicloud if multicloud is not None
-                           else getattr(lbs[0], "multicloud", None))
+        self.multicloud = multicloud
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             sim, namespace="sched")
         # the saturation dimension of the plane's USE view: waiting
@@ -155,12 +154,6 @@ class ShardedRouter:
             out.extend(lb.services())
         return out
 
-    def service_slices(self, name: str) -> List[Any]:
-        """The per-shard slices of one service, shard order."""
-        return [lb.service(name)
-                for shard, lb in enumerate(self.lbs)
-                if shard in self._service_shards.get(name, [])]
-
     def slices(self, name: str) -> List[Any]:
         """``(lb, service_slice)`` pairs for one service, shard order.
 
@@ -183,17 +176,6 @@ class ShardedRouter:
         self.lbs[shard].place_session(session, service_name,
                                       priority=priority)
         return shard
-
-    def submit_many(self, sessions, service_name: str,
-                    priority: PriorityClass = PriorityClass.INTERACTIVE
-                    ) -> Dict[int, int]:
-        """Batch submission; returns placements per shard."""
-        per_shard: Dict[int, int] = {}
-        for session in sessions:
-            shard = self.submit_session(session, service_name,
-                                        priority=priority)
-            per_shard[shard] = per_shard.get(shard, 0) + 1
-        return per_shard
 
     # -- workflow stage dispatch ---------------------------------------------
 
@@ -269,16 +251,12 @@ class ShardedRouter:
 
     def location_of(self, instance, default: str = "unknown") -> str:
         """Public location lookup (the admin console's view)."""
-        if self.multicloud is None:
-            return default
         return self.multicloud.location_of(instance, default=default)
 
     @property
     def cloudbursting(self) -> bool:
-        """Whether any shard currently holds public capacity."""
-        if self.ledger is not None:
-            return self.ledger.bursting
-        return any(lb.cloudbursting for lb in self.lbs)
+        """Whether the estate holds public capacity: the ledger's word."""
+        return self.ledger.bursting
 
     def depth(self, service_name: str,
               priority: Optional[PriorityClass] = None) -> int:

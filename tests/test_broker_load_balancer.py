@@ -126,14 +126,15 @@ def test_cloudburst_on_private_saturation_and_reversal():
     locations = {stack.multi.location_of(inst)
                  for inst in stack.service.serving()}
     assert locations == {"private", "public"}
-    assert stack.lb.cloudbursting
-    assert stack.lb.metrics.counter("cloudburst.activations").value == 1
+    assert stack.sched.cloudbursting
+    events = obs_of(stack.sim).events
+    assert len(events.events("sched.cloudburst.enter")) == 1
 
     for s in sessions:
         s.end()
     stack.sim.run(until=2400.0)
-    assert not stack.lb.cloudbursting
-    assert stack.lb.metrics.counter("cloudburst.reversals").value >= 1
+    assert not stack.sched.cloudbursting
+    assert len(events.events("sched.cloudburst.exit")) >= 1
     remaining = {stack.multi.location_of(inst)
                  for inst in stack.service.serving()}
     assert remaining == {"private"}

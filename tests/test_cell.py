@@ -4,9 +4,17 @@ import inspect
 
 import pytest
 
+from repro.broker import (
+    LoadBalancer,
+    PrivateFirstPolicy,
+    PrivateOnlyPolicy,
+    PublicOnlyPolicy,
+    WorkloadSplitPolicy,
+)
 from repro.core.cell import Cell
 from repro.core.evop import Evop
 from repro.geo import GeoEstate
+from repro.sched import ClassedQueue, ShardedRouter
 
 #: what a cell is, by name: the wiring it was handed, then what it built
 STACK = ["sim", "network", "region", "private", "public", "providers",
@@ -60,6 +68,18 @@ def test_no_option_comes_back_unnoticed():
         "autoscale_interval", "policy", "private_name", "public_name",
         "public_limit", "meter", "breakers", "registry", "monitor_metrics",
         "sched_metrics"]
+    # the scheduling plane's wiring is required, and nothing selects a
+    # location label or a second way to queue, dispatch or burst
+    assert parameters(LoadBalancer.__init__) == [
+        "sim", "multicloud", "network", "sessions", "policy", "monitor",
+        "ledger", "registry", "autoscale_interval", "breakers", "shard_id",
+        "strict_capacity", "batch_headroom", "queue_bounds"]
+    assert parameters(ShardedRouter.__init__) == [
+        "sim", "lbs", "ledger", "multicloud", "metrics"]
+    assert parameters(ClassedQueue.__init__) == ["bounds"]
+    for policy in (PrivateFirstPolicy, WorkloadSplitPolicy,
+                   PrivateOnlyPolicy, PublicOnlyPolicy):
+        assert list(inspect.signature(policy).parameters) == []
 
 
 def test_failover_refuses_a_stranger_and_a_second_attachment():

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.cloud import Flavor, ImageKind, Instance, Job, MachineImage
+from repro.cloud import (
+    Flavor,
+    ImageKind,
+    Instance,
+    Job,
+    MachineImage,
+    MEDIUM,
+    SMALL,
+)
 from repro.core import Evop, EvopConfig
+from repro.obs import obs_of
 
 
 @pytest.fixture()
@@ -69,3 +78,38 @@ def test_autoscaler_replaces_drained_capacity(deployment):
     evop.run_for(600.0)
     # min_replicas=2: the pool healed after the drain
     assert len(service.serving()) >= 2
+
+
+def test_drain_gives_its_vcpus_back_to_the_ledger(deployment):
+    evop = deployment
+    victim = evop.lb.service("left-morland").serving()[0]
+    drained = evop.lb.drain(victim)
+    evop.run_for(600.0)
+    assert drained.value is True
+    assert len(evop.lb.service("left-morland").serving()) >= 2
+    # the book holds the live replicas and nothing else: the broker's
+    # own host was launched outside the Load Balancer
+    replicas = [inst for inst in evop.multicloud.list_nodes("private")
+                if inst is not evop.rb.gateway.instance]
+    assert evop.ledger.committed("private") == sum(
+        inst.flavor.vcpus for inst in replicas)
+
+
+def test_draining_the_only_public_replica_ends_the_burst():
+    # the private pool fits the broker's host and one replica, so the
+    # second replica bursts; no autoscale pass runs to relaunch it
+    evop = Evop(EvopConfig(truth_days=3, storm_day=1, seed=13,
+                           min_replicas=2,
+                           private_vcpus=SMALL.vcpus + MEDIUM.vcpus,
+                           autoscale_interval=1.0e9)).bootstrap()
+    evop.run_for(400.0)
+    assert evop.sched.cloudbursting
+    (victim,) = evop.multicloud.list_nodes("public")
+    start = evop.sim.now
+    drained = evop.lb.drain(victim)
+    evop.run_for(30.0)
+    assert drained.value is True
+    assert not evop.sched.cloudbursting
+    exits = obs_of(evop.sim).events.events("sched.cloudburst.exit",
+                                           since=start)
+    assert len(exits) == 1

@@ -106,17 +106,6 @@ def test_classed_queue_front_push_bypasses_bound_and_preserves_order():
     assert order == ["old1", "old2", "fresh1", "fresh2"]
 
 
-def test_classed_queue_pop_batch_respects_priority():
-    q = ClassedQueue()
-    for item, cls in [("b1", PriorityClass.BATCH),
-                      ("i1", PriorityClass.INTERACTIVE),
-                      ("w1", PriorityClass.WORKFLOW)]:
-        q.push(item, cls)
-    batch = q.pop_batch(2)
-    assert [item for item, _ in batch] == ["i1", "w1"]
-    assert q.depth() == 1
-
-
 def test_dispatcher_counters_and_depths():
     sim = Simulator()
     d = Dispatcher(sim, shard_id=3)
@@ -261,7 +250,7 @@ def test_single_shard_router_manages_one_slice():
     assert managed is not plane.service
     assert (managed.min_replicas, managed.max_replicas) == (2, 7)
     assert plane.lb.service("svc") is managed
-    assert plane.sched.service_slices("svc") == [managed]
+    assert plane.sched.services() == [managed]
     assert plane.sched.slices("svc") == [(plane.lb, managed)]
     plane.sim.run(until=300.0)
     assert len(managed.serving()) == 2 and not plane.service.replicas
@@ -277,8 +266,11 @@ def test_sharded_plane_places_every_session():
     assert len(slices) == 4
     assert sum(s.max_replicas for s in slices) == 16
     plane.sim.run(until=300.0)
-    per_shard = plane.sched.submit_many(
-        [plane.sessions.create(f"user-{i}") for i in range(40)], "svc")
+    per_shard = {}
+    for i in range(40):
+        shard = plane.sched.submit_session(
+            plane.sessions.create(f"user-{i}"), "svc")
+        per_shard[shard] = per_shard.get(shard, 0) + 1
     plane.sim.run(until=600.0)
     assert sum(per_shard.values()) == 40
     assert len(per_shard) >= 2           # rendezvous spread the keys
@@ -339,6 +331,7 @@ def test_bounded_queue_sheds_batch_at_capacity():
                   max_replicas=1)
     lb = LoadBalancer(plane.sim, plane.multi, plane.network, plane.sessions,
                       PrivateFirstPolicy(), monitor=plane.monitor,
+                      ledger=CapacityLedger(plane.sim),
                       strict_capacity=True,
                       queue_bounds={PriorityClass.BATCH: 1})
     lb.manage(plane.service, initial_replicas=0)
@@ -420,7 +413,7 @@ def test_evop_boots_and_serves_with_sharded_plane():
                            private_vcpus=64)).bootstrap()
     evop.run_for(400.0)
     assert evop.sched.shards == 3
-    slices = evop.sched.service_slices(evop.service_name("morland"))
+    slices = evop.sched.slices(evop.service_name("morland"))
     assert 1 <= len(slices) <= 3
     sessions = [evop.rb.connect(f"user-{i}",
                                 evop.service_name("morland"))

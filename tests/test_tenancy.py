@@ -143,12 +143,14 @@ def test_single_lane_is_fifo(items, pop_pattern):
             if want is None:
                 assert got is None
             else:
-                assert got == (want, PriorityClass.INTERACTIVE)
+                assert got == (want, PriorityClass.INTERACTIVE,
+                               DEFAULT_TENANT)
     for item in iterator:
         queue.push(item)
         model.append(item)
     while model:
-        assert queue.pop() == (model.popleft(), PriorityClass.INTERACTIVE)
+        assert queue.pop() == (model.popleft(), PriorityClass.INTERACTIVE,
+                               DEFAULT_TENANT)
     assert queue.pop() is None
 
 
@@ -194,7 +196,7 @@ def test_drain_is_work_conserving_and_lane_fifo(pushes):
     assert queue.depth() == len(pushes)
     served_classes = []
     while True:
-        entry = queue.pop_ex()
+        entry = queue.pop()
         if entry is None:
             break
         item, cls, tenant = entry
@@ -220,7 +222,7 @@ def test_weighted_share_exact_with_integer_quanta(wa, wb, rounds):
         queue.push(("b", i), tenant="org-b", weight=float(wb))
     served = {"org-a": 0, "org-b": 0}
     for _ in range(total):
-        _, _, tenant = queue.pop_ex()
+        _, _, tenant = queue.pop()
         served[tenant] += 1
     assert served["org-a"] == rounds * wa
     assert served["org-b"] == rounds * wb
@@ -232,7 +234,7 @@ def test_fractional_weight_accrues_across_rounds():
     for i in range(20):
         queue.push(("slow", i), tenant="slow", weight=0.5)
         queue.push(("fast", i), tenant="fast", weight=1.0)
-    order = [queue.pop_ex()[2] for _ in range(12)]
+    order = [queue.pop()[2] for _ in range(12)]
     assert order.count("slow") == 4
     assert order.count("fast") == 8
     # the slow lane is interleaved, never pushed to the end
@@ -244,11 +246,11 @@ def test_front_push_served_next_and_promotes_tenant():
     for i in range(3):
         queue.push(("a", i), tenant="org-a")
         queue.push(("b", i), tenant="org-b")
-    first = queue.pop_ex()
+    first = queue.pop()
     assert first[0] == ("a", 0)
     # a displaced item re-enters at the head of its lane and rotation
     queue.push(("a", "displaced"), tenant="org-a", front=True)
-    assert queue.pop_ex()[0] == ("a", "displaced")
+    assert queue.pop()[0] == ("a", "displaced")
 
 
 def test_projected_items_match_actual_service_order():
@@ -286,13 +288,13 @@ def test_emptied_lane_forfeits_deficit():
     queue.push("a1", tenant="org-a", weight=4.0)
     queue.push("b1", tenant="org-b", weight=1.0)
     queue.push("b2", tenant="org-b")
-    assert queue.pop_ex()[2] == "org-a"     # banked 4, spent 1, lane empty
-    assert queue.pop_ex()[2] == "org-b"
+    assert queue.pop()[2] == "org-a"     # banked 4, spent 1, lane empty
+    assert queue.pop()[2] == "org-b"
     queue.push("a2", tenant="org-a")
     queue.push("b3", tenant="org-b")
     # org-a's leftover 3.0 deficit died with its lane: org-b is not
     # locked out while org-a spends stale credit
-    order = [queue.pop_ex()[2] for _ in range(3)]
+    order = [queue.pop()[2] for _ in range(3)]
     assert order.count("org-b") == 2
 
 
