@@ -13,9 +13,10 @@ every instance) and heals it later.  Measured:
   youngest surviving write must be within interval + spacing of it);
 - **RTO**: detection → sessions resettled in survivors, measured
   end-to-end from the kill and checked against the declared budget;
-- **ledger**: the capacity book re-elects a leader within the
-  election bound, admissions in the no-leader window are refused
-  (never guessed), and no vcpu is ever double-committed;
+- **ledger**: the estate's one capacity book, budgeted at each
+  region's private pool, re-elects a leader within the election bound,
+  admissions in the no-leader window are refused (never guessed), and
+  no commit ever lands past a pool (``ledger_overcommits`` is 0);
 - **durable re-adoption**: a checkpointed sweep owned by the victim
   region resumes in the adopter from the *replicated* journal,
   recomputing at most the work done after its last shipped

@@ -11,11 +11,12 @@ single region is expendable:
 * :mod:`repro.geo.election` — leases-based leader election on the
   durable journal lease protocol; monotonic terms are the fencing
   tokens.
-* :mod:`repro.geo.ledger` — the replicated
+* :mod:`repro.geo.ledger` — the estate's one
   :class:`~repro.sched.ledger.CapacityLedger`: leader-only admission,
-  fan-out facts, fenced stale grants, never a double-commit.
+  fenced stale grants, never a double-commit.
 * :mod:`repro.geo.routing` — nearest-healthy sticky session routing
-  with brownout spillover, plus the RFC-7807 ``503`` region guard.
+  with spillover past DEGRADED regions, plus the RFC-7807 ``503``
+  region guard.
 * :mod:`repro.geo.failover` — whole-region verdicts, session
   evacuation, durable-run re-adoption, measured RTO.
 * :mod:`repro.geo.estate` — the builder that wires it all, one region

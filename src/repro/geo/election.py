@@ -4,7 +4,7 @@ The geo capacity ledger needs exactly one decision-maker at a time.
 Rather than invent a consensus protocol — or a lease rule — the
 election carries none of its own: every region's
 :class:`~repro.durable.journal.JournalStore` holds an election journal
-(run id ``geo/<cluster>``), the coordinator takes, extends and reads the
+(run id ``geo/<CLUSTER>``), the coordinator takes, extends and reads the
 lease through :class:`~repro.durable.journal.RunJournal` on every
 reachable region's copy, and the estate's one lease rule
 (:func:`~repro.durable.journal.take_lease`) decides each of them.  The
@@ -36,6 +36,8 @@ from repro.geo.topology import RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
+#: The election's name, in its journals' run id and its events.
+CLUSTER = "capacity-ledger"
 #: Seconds past lease expiry before a takeover campaign starts (the
 #: same idea as recovery's LEASE_GRACE: absorb clock-edge races).
 ELECTION_GRACE = 0.5
@@ -46,11 +48,9 @@ class LeaderElection:
 
     def __init__(self, sim: Simulator, topology: RegionTopology,
                  journals: Dict[str, JournalStore],
-                 cluster: str = "capacity-ledger",
                  ttl: float = 10.0, check_interval: float = 1.0):
         self.sim = sim
         self.topology = topology
-        self.cluster = cluster
         self.ttl = ttl
         self.check_interval = check_interval
         self._journals: Dict[str, RunJournal] = {}
@@ -68,7 +68,7 @@ class LeaderElection:
     def add_region(self, region: str, store: JournalStore) -> None:
         """Seat ``region``: its copy of the election journal lives in
         ``store`` (seats vote in the order they were added)."""
-        self._journals[region] = store.open_or_create(f"geo/{self.cluster}")
+        self._journals[region] = store.open_or_create(f"geo/{CLUSTER}")
 
     def start(self) -> "LeaderElection":
         """Run the first campaign now and keep checking forever."""
@@ -166,7 +166,7 @@ class LeaderElection:
         self.leader_region = candidate
         self.elections.append((self.sim.now, candidate, self.term))
         obs_of(self.sim).events.emit("geo.leader.elected",
-                                     cluster=self.cluster, leader=candidate,
+                                     cluster=CLUSTER, leader=candidate,
                                      term=self.term)
         return candidate
 

@@ -6,7 +6,8 @@ providers and store named after the region — under the geo control
 plane: shared :class:`~repro.geo.topology.RegionTopology`,
 :class:`~repro.geo.replication.Replicator` (warehouse + run journals),
 :class:`~repro.geo.election.LeaderElection` +
-:class:`~repro.geo.ledger.GeoLedger` (whose per-region handle is the
+:class:`~repro.geo.ledger.GeoLedger` (the estate's one capacity book,
+budgeted at each region's private pool; its per-region handle is the
 cell's ledger, and the only place a location is region-qualified),
 :class:`~repro.geo.routing.GeoRouter` (with per-region
 :class:`~repro.geo.routing.RegionGuard`s on the REST apis) and the
@@ -31,7 +32,7 @@ from repro.geo.failover import FailoverCoordinator
 from repro.geo.ledger import GeoLedger
 from repro.geo.replication import Replicator
 from repro.geo.routing import GeoRouter, RegionGuard
-from repro.geo.topology import RegionTopology
+from repro.geo.topology import RegionTopology, qualify
 from repro.sched import PriorityClass
 from repro.services import Network, RestApi
 from repro.sim import RandomStreams, Simulator
@@ -71,14 +72,17 @@ class GeoEstate:
         self.election = LeaderElection(
             self.sim, self.topology, {},
             ttl=election_ttl, check_interval=election_check)
-        self.geo_ledger = GeoLedger(self.sim, self.election, self.topology)
+        # the estate's budget is its private pools, one per region
+        self.geo_ledger = GeoLedger(
+            self.sim, self.election,
+            capacity={qualify(region, "private"): private_vcpus
+                      for region in names})
         self.replicator = Replicator(self.sim, self.topology,
                                      interval=replication_interval)
         self.injector = FaultInjector(self.sim, [], streams=self.streams,
                                       network=self.network)
         self.cells: Dict[str, Cell] = {}
         for region in names:
-            self.geo_ledger.add_region(region)
             cell = self.cells[region] = Cell(
                 self.sim, self.streams, self.network, self.sessions,
                 self.geo_ledger.handle(region), region=region,

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.cloud.errors import StorageUnavailable
 from repro.core.cell import Cell
 from repro.geo.routing import GeoRouter
 from repro.geo.topology import RegionStatus, RegionTopology
@@ -191,7 +192,13 @@ class FailoverCoordinator:
             if report is None or report.adopter not in self._cells:
                 continue
             recovery = self._cells[report.adopter].recovery
-            for state in recovery.orphans():
+            try:
+                orphans = recovery.orphans()
+            except StorageUnavailable:
+                # the adopter was lost too: its replicated journals are
+                # unreadable until it heals, so adoption waits for that
+                continue
+            for state in orphans:
                 if state.run_id not in report.runs_recovered:
                     report.runs_recovered.append(state.run_id)
                 recovery.recover_instance(state.owner,

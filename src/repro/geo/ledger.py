@@ -1,14 +1,16 @@
-"""The replicated, leader-decided capacity ledger.
+"""The leader-decided capacity ledger.
 
-One :class:`~repro.sched.ledger.CapacityLedger` per region, kept in
-lockstep: **decisions** (admit) are made only by the elected leader
-region's replica, **facts** (commit/release) fan out synchronously to
-every reachable replica.  Losing any region therefore never loses the
-book — the next leader's replica already holds every commit — and a
+One capacity book for the whole estate (the scheduling plane's, see
+:mod:`repro.sched.ledger`), keyed by global labels (``region/local``):
+**decisions** (admit) are made only under the elected leader region's
+grant, **facts** (commit/release) land in the one book whichever region
+reports them.  There is no per-region copy to fall behind, so a region
+that heals reads and decides from the same book as everyone else, and a
 bounded no-leader window (see
 :class:`~repro.geo.election.LeaderElection`) is the worst placement
 pays for a leader-region loss: admissions are *refused* (``no_leader``),
-never guessed, so capacity cannot be double-committed while it moves.
+never guessed, so capacity cannot be double-committed while leadership
+moves.
 
 Fencing: admissions carry the ``(leader, term)`` grant they were
 issued under; :meth:`GeoLedger.admit_as` rejects any grant that is not
@@ -17,16 +19,16 @@ die with its term.
 
 Shard Load Balancers never see any of this: they hold a
 :class:`RegionLedgerHandle` speaking local location labels, with the
-same ``admit``/``commit``/``release``/``bursting`` surface a plain
-:class:`CapacityLedger` has.
+same ``admit``/``commit``/``release``/``bursting`` surface a
+single-cell book has.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.geo.election import LeaderElection
-from repro.geo.topology import RegionStatus, RegionTopology, qualify
+from repro.geo.topology import qualify
 from repro.obs.hub import obs_of
 from repro.obs.refusal import Cause, refuse
 from repro.sched.ledger import CapacityLedger
@@ -34,44 +36,23 @@ from repro.sim import Simulator
 from repro.tenancy.context import DEFAULT_TENANT
 
 
-class GeoLedger:
-    """Region-replicated capacity book with leader-only admission."""
+class GeoLedger(CapacityLedger):
+    """The estate's one capacity book, admitting only under a grant.
+
+    ``capacity`` maps global labels to vCPU budgets.  The book counts
+    nothing into a metrics registry: its committed vCPUs, refusals and
+    overcommits are read off the book itself.
+    """
 
     def __init__(self, sim: Simulator, election: LeaderElection,
-                 topology: RegionTopology,
-                 capacity: Optional[Dict[str, int]] = None,
-                 tenant_quotas: Optional[Dict[str, float]] = None):
-        self.sim = sim
+                 capacity: Optional[Dict[str, int]] = None):
+        super().__init__(sim, capacity=capacity)
         self.election = election
-        self.topology = topology
-        self.capacity: Dict[str, int] = dict(capacity or {})
-        #: per-tenant estate-wide vCPU caps, enforced by whichever
-        #: replica is leader (every replica carries the same quotas)
-        self.tenant_quotas: Dict[str, float] = dict(tenant_quotas or {})
-        self._replicas: Dict[str, CapacityLedger] = {}
         #: admissions refused because no leader held a live lease
+        #: (also counted in :attr:`refusals`)
         self.no_leader_refusals = 0
         #: commits observed past a location's budget (must stay 0)
         self.overcommits = 0
-
-    # -- wiring --------------------------------------------------------------
-
-    def add_region(self, region: str) -> CapacityLedger:
-        """Create ``region``'s replica of the book."""
-        if region not in self.topology.regions():
-            raise ValueError(f"region {region!r} not in topology")
-        if region in self._replicas:
-            raise ValueError(f"region {region!r} already has a replica")
-        # replicas carry no metrics registry: three books recording the
-        # same fact would triple-count every commit
-        replica = CapacityLedger(self.sim, capacity=self.capacity,
-                                 tenant_quotas=self.tenant_quotas)
-        self._replicas[region] = replica
-        return replica
-
-    def replica(self, region: str) -> CapacityLedger:
-        """One region's copy of the book."""
-        return self._replicas[region]
 
     def handle(self, region: str) -> "RegionLedgerHandle":
         """The ledger facade a region's shard LBs hold."""
@@ -82,7 +63,7 @@ class GeoLedger:
     def grant(self) -> Optional[Tuple[str, int]]:
         """The current ``(leader, term)``, or ``None`` mid-election."""
         leader = self.election.leader()
-        if leader is None or leader not in self._replicas:
+        if leader is None:
             return None
         return leader, self.election.term
 
@@ -98,6 +79,7 @@ class GeoLedger:
         granted = self.grant()
         if granted is None:
             self.no_leader_refusals += 1
+            self.refusals += 1
             refuse(self.sim, Cause.NO_LEADER, tenant=tenant,
                    region=location.partition("/")[0], location=location,
                    vcpus=vcpus)
@@ -114,74 +96,27 @@ class GeoLedger:
                    term=term, leader=current[0] if current else None,
                    current_term=self.election.term)
             return False
-        return self._replicas[owner].admit(location, vcpus, tenant=tenant)
+        return super().admit(location, vcpus, tenant=tenant)
 
-    # -- facts (fan out everywhere) ------------------------------------------
+    # -- facts ---------------------------------------------------------------
 
     def commit(self, location: str, vcpus: int, public: bool = False,
                tenant: str = DEFAULT_TENANT) -> None:
-        """Record a launch in every reachable replica."""
+        """Record a launch; one past the location's budget is counted."""
+        super().commit(location, vcpus, public=public, tenant=tenant)
         budget = self.capacity.get(location)
-        for _, replica in self._live_replicas():
-            replica.commit(location, vcpus, public=public, tenant=tenant)
-            if budget is not None and replica.committed(location) > budget:
-                self.overcommits += 1
-                obs_of(self.sim).events.emit(
-                    "geo.ledger.overcommit", location=location,
-                    committed=replica.committed(location), budget=budget)
-
-    def release(self, location: str, vcpus: int, public: bool = False,
-                tenant: str = DEFAULT_TENANT) -> None:
-        """Record a retirement in every reachable replica."""
-        for _, replica in self._live_replicas():
-            replica.release(location, vcpus, public=public, tenant=tenant)
-
-    def _live_replicas(self) -> List[Tuple[str, CapacityLedger]]:
-        return [(region, replica)
-                for region, replica in self._replicas.items()
-                if self.topology.status(region) is not RegionStatus.DOWN]
-
-    # -- queries -------------------------------------------------------------
-
-    def committed(self, location: str) -> int:
-        """Committed vCPUs at a global location (max across replicas)."""
-        return max((replica.committed(location)
-                    for _, replica in self._live_replicas()), default=0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """Committed vCPUs per global location (replica maximum)."""
-        merged: Dict[str, int] = {}
-        for _, replica in self._live_replicas():
-            for location, vcpus in replica.snapshot().items():
-                merged[location] = max(merged.get(location, 0), vcpus)
-        return merged
-
-    def committed_by_tenant(self) -> Dict[str, int]:
-        """Per-tenant committed vCPUs (replica maximum, estate-wide)."""
-        merged: Dict[str, int] = {}
-        for _, replica in self._live_replicas():
-            for tenant, vcpus in replica.committed_by_tenant().items():
-                merged[tenant] = max(merged.get(tenant, 0), vcpus)
-        return merged
-
-    @property
-    def bursting(self) -> bool:
-        """Whether any reachable replica records public capacity."""
-        return any(replica.bursting for _, replica in self._live_replicas())
-
-    @property
-    def refusals(self) -> int:
-        """Budget refusals (leader replicas) plus no-leader refusals."""
-        books = sum(replica.refusals for replica in self._replicas.values())
-        return books + self.no_leader_refusals
+        if budget is not None and self.committed(location) > budget:
+            self.overcommits += 1
+            obs_of(self.sim).events.emit(
+                "geo.ledger.overcommit", location=location,
+                committed=self.committed(location), budget=budget)
 
 
 class RegionLedgerHandle:
     """One region's view of the :class:`GeoLedger`.
 
     Speaks the region's local location labels, exposing the same
-    surface the shard Load Balancers expect of a
-    :class:`~repro.sched.ledger.CapacityLedger`.
+    surface the shard Load Balancers expect of a single-cell book.
     """
 
     def __init__(self, geo: GeoLedger, region: str):
@@ -212,16 +147,7 @@ class RegionLedgerHandle:
         """Committed vCPUs at a local location."""
         return self.geo.committed(self._global(location))
 
-    def committed_by_tenant(self) -> Dict[str, int]:
-        """Per-tenant committed vCPUs (replica maximum, estate-wide)."""
-        return self.geo.committed_by_tenant()
-
     @property
     def bursting(self) -> bool:
         """Estate-wide cloudburst state."""
         return self.geo.bursting
-
-    @property
-    def refusals(self) -> int:
-        """Estate-wide refusal count."""
-        return self.geo.refusals

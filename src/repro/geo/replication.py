@@ -100,11 +100,10 @@ class Replicator:
     """
 
     def __init__(self, sim: Simulator, topology: RegionTopology,
-                 interval: float = 5.0, metrics=None):
+                 interval: float = 5.0):
         self.sim = sim
         self.topology = topology
         self.interval = interval
-        self.metrics = metrics
         self._sites: Dict[str, BlobStore] = {}
         self._containers: List[str] = []
         #: (region, container, key) → etag last seen/applied there
@@ -162,8 +161,6 @@ class Replicator:
         shipped = 0
         for container in self._containers:
             shipped += self._converge_container(container, live)
-        if self.metrics is not None:
-            self.metrics.counter("sweeps").increment()
         return shipped
 
     def _live_sites(self) -> List[str]:
@@ -257,8 +254,6 @@ class Replicator:
         if not blobs:
             return None
         self.conflicts += 1
-        if self.metrics is not None:
-            self.metrics.counter("conflicts").increment()
         # deterministic tiebreak: newest write wins, region name breaks
         # simultaneous writes
         winner = max(blobs, key=lambda r: (blobs[r].created_at, r))
@@ -283,8 +278,6 @@ class Replicator:
         self.shipped.append(ShippedRecord(
             time=self.sim.now, container=cname, key=key,
             source=source, target=region, lag=lag))
-        if self.metrics is not None:
-            self.metrics.counter("shipped").increment()
         obs_of(self.sim).events.emit("geo.replicate.shipped",
                                      container=cname, key=key,
                                      target=region, lag=round(lag, 3))

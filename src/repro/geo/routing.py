@@ -8,13 +8,11 @@ order:
   there while the region is healthy (the portal's session state is
   tiny, but the user's datasets and traces live in the regional
   warehouse, so locality matters);
-* **nearest-healthy** — otherwise the closest region (topology ring
-  order from the session's origin) that is healthy and not browned
-  out wins;
-* **spillover on brownout** — a DEGRADED region, or a healthy one
-  whose scheduling queues exceed ``spillover_depth``, is skipped and
-  the session spills to the next region on the ring;
-* **last resort** — if every region is browned out, the nearest not-DOWN
+* **nearest-healthy** — otherwise the closest HEALTHY region (topology
+  ring order from the session's origin) wins;
+* **spillover** — a DEGRADED region is skipped and the session spills
+  to the next region on the ring;
+* **last resort** — if no region is HEALTHY, the nearest not-DOWN
   region still takes the session (serving slowly beats refusing); with
   every region DOWN, new or re-placed, it is refused (``no_region``).
 
@@ -44,20 +42,14 @@ class GeoRouter:
     """Routes sessions to regions, then delegates to the region's plane."""
 
     def __init__(self, sim: Simulator, topology: RegionTopology,
-                 routers: Dict[str, object],
-                 spillover_depth: Optional[int] = None):
+                 routers: Dict[str, object]):
         self.sim = sim
         self.topology = topology
         self.routers = dict(routers)
         for region in topology.regions():
             if region not in self.routers:
                 raise ValueError(f"region {region!r} has no router")
-        self.spillover_depth = spillover_depth
         self.spillovers = 0
-
-    def router(self, region: str):
-        """The region's ShardedRouter."""
-        return self.routers[region]
 
     # -- placement -----------------------------------------------------------
 
@@ -95,25 +87,18 @@ class GeoRouter:
         return region
 
     def pick_region(self, origin: Optional[str] = None) -> Optional[str]:
-        """Nearest healthy un-browned-out region; any survivor failing that."""
+        """Nearest healthy region; any survivor failing that."""
         ring = self.topology.nearest(origin)
         for region in ring:
-            if self.topology.status(region) is RegionStatus.HEALTHY \
-                    and not self.browned_out(region):
+            if self.topology.status(region) is RegionStatus.HEALTHY:
                 return region
         for region in ring:
             if self.topology.status(region) is not RegionStatus.DOWN:
                 return region
         return None
 
-    def browned_out(self, region: str) -> bool:
-        """Whether a region's scheduling queues are past the spill bound."""
-        if self.spillover_depth is None:
-            return False
-        return self._queue_depth(region) > self.spillover_depth
-
     def spillover_target(self, origin: str) -> Optional[str]:
-        """A healthy region (other than ``origin``) with headroom, or None.
+        """A healthy region other than ``origin``, or None.
 
         This is the question the REST guard asks: "if I shed this
         request, is there anywhere better for the retry to land?"
@@ -121,17 +106,9 @@ class GeoRouter:
         for region in self.topology.nearest(origin):
             if region == origin:
                 continue
-            if self.topology.status(region) is RegionStatus.HEALTHY \
-                    and not self.browned_out(region):
+            if self.topology.status(region) is RegionStatus.HEALTHY:
                 return region
         return None
-
-    def _queue_depth(self, region: str) -> int:
-        per_shard = self.routers[region].depths()
-        return sum(count
-                   for per_service in per_shard.values()
-                   for counts in per_service.values()
-                   for count in counts.values())
 
     # -- failover ------------------------------------------------------------
 

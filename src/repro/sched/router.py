@@ -258,12 +258,6 @@ class ShardedRouter:
         """Whether the estate holds public capacity: the ledger's word."""
         return self.ledger.bursting
 
-    def depth(self, service_name: str,
-              priority: Optional[PriorityClass] = None) -> int:
-        """Waiting items for a service, summed across its shards."""
-        return sum(lb.dispatcher.depth(service_name, priority)
-                   for lb in self.lbs)
-
     def depths(self) -> Dict[int, Dict[str, Dict[str, int]]]:
         """Per-shard, per-service, per-class queue depths."""
         return {shard: lb.dispatcher.depths()

@@ -7,12 +7,19 @@ ticks, operator drains and replica crashes.  After every settle — long
 enough for a boot and a health verdict — the shared ledger holds exactly
 the vCPUs of the live nodes at each location, and the router is
 cloudbursting exactly when a public node is live.
+
+A second machine drives a two- or three-region :class:`GeoEstate`
+through arrivals, departures, whole-region kills and heals.  After every
+settle the estate's one book holds each reachable region's live private
+vCPUs, nothing was committed past a pool, and every election took a
+higher term than the last.
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -22,6 +29,7 @@ from benchmarks.e2e.workloads.common import fresh_ids
 from repro.broker import PrivateFirstPolicy, SessionTable
 from repro.cloud import FaultInjector, ImageKind, ImageStore, MEDIUM
 from repro.core.cell import Cell
+from repro.geo import GeoEstate, RegionStatus, qualify
 from repro.sched import CapacityLedger, PriorityClass
 from repro.services import Network, RestApi
 from repro.sim import RandomStreams, Simulator
@@ -118,3 +126,88 @@ class CapacityBook(RuleBasedStateMachine):
 CapacityBook.TestCase.settings = settings(
     max_examples=50, stateful_step_count=12, deadline=None)
 TestCapacityBook = CapacityBook.TestCase
+
+
+#: a region-loss verdict, an election and the evacuees' boots, with room
+#: to spare
+GEO_SETTLE = 120.0
+
+
+class GeoBook(RuleBasedStateMachine):
+    @initialize(regions=st.integers(min_value=2, max_value=3),
+                users=st.integers(min_value=0, max_value=8))
+    def build(self, regions, users):
+        fresh_ids()
+        self.estate = GeoEstate(regions=regions, private_vcpus=8,
+                                election_ttl=8.0,
+                                failover_interval=2.0).warm(until=100.0)
+        # every region starts with ``users`` sessions of its own, as in
+        # region_failover
+        self.open_sessions = [
+            self.estate.submit("user", origin=region)
+            for region in self.estate.regions() for _ in range(users)]
+        self.killed = []
+        self.settled = False
+
+    @rule(count=st.integers(min_value=1, max_value=4), data=st.data())
+    def submit(self, count, data):
+        origin = data.draw(st.sampled_from(self.estate.regions()))
+        for _ in range(count):
+            self.open_sessions.append(
+                self.estate.submit("user", origin=origin))
+        self.settled = False
+
+    @precondition(lambda self: self.open_sessions)
+    @rule(data=st.data())
+    def end(self, data):
+        session = data.draw(st.sampled_from(self.open_sessions))
+        self.open_sessions.remove(session)
+        session.end()
+        self.settled = False
+
+    @rule(half_seconds=st.integers(min_value=0, max_value=7),
+          data=st.data())
+    def kill(self, half_seconds, data):
+        # the wait lands the kill anywhere in a failover check period,
+        # so the region's DOWN verdict may come before or after the
+        # releases of its dead replicas
+        self.estate.sim.run(until=self.estate.sim.now + half_seconds / 2.0)
+        region = data.draw(st.sampled_from(self.estate.regions()))
+        self.estate.injector.region_outage(region)
+        if region not in self.killed:
+            self.killed.append(region)
+        self.settled = False
+
+    @precondition(lambda self: self.killed)
+    @rule(data=st.data())
+    def heal(self, data):
+        region = data.draw(st.sampled_from(self.killed))
+        self.killed.remove(region)
+        self.estate.injector.heal_region(region)
+        self.settled = False
+
+    @rule()
+    def settle(self):
+        self.estate.sim.run(until=self.estate.sim.now + GEO_SETTLE)
+        self.settled = True
+
+    @precondition(lambda self: self.settled)
+    @invariant()
+    def one_book_equals_the_estate(self):
+        estate = self.estate
+        for region, cell in estate.cells.items():
+            if estate.topology.status(region) is RegionStatus.DOWN:
+                continue
+            assert estate.geo_ledger.committed(qualify(region, "private")) \
+                == sum(node.flavor.vcpus
+                       for node in cell.multicloud.list_nodes("private"))
+        assert estate.geo_ledger.overcommits == 0
+        terms = [term for _, _, term in estate.election.elections]
+        assert all(a < b for a, b in zip(terms, terms[1:]))
+        leader = estate.election.leader()
+        assert leader is None or leader == estate.election.elections[-1][1]
+
+
+GeoBook.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=20, deadline=None)
+TestGeoBook = GeoBook.TestCase

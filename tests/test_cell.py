@@ -13,7 +13,13 @@ from repro.broker import (
 )
 from repro.core.cell import Cell
 from repro.core.evop import Evop
-from repro.geo import GeoEstate
+from repro.geo import (
+    GeoEstate,
+    GeoLedger,
+    GeoRouter,
+    LeaderElection,
+    Replicator,
+)
 from repro.sched import ClassedQueue, ShardedRouter
 
 #: what a cell is, by name: the wiring it was handed, then what it built
@@ -77,6 +83,13 @@ def test_no_option_comes_back_unnoticed():
     assert parameters(ShardedRouter.__init__) == [
         "sim", "lbs", "ledger", "multicloud", "metrics"]
     assert parameters(ClassedQueue.__init__) == ["bounds"]
+    # the geo plane: one book, and no switch for a brownout, a second
+    # election or a second meter
+    assert parameters(GeoLedger.__init__) == ["sim", "election", "capacity"]
+    assert parameters(GeoRouter.__init__) == ["sim", "topology", "routers"]
+    assert parameters(LeaderElection.__init__) == [
+        "sim", "topology", "journals", "ttl", "check_interval"]
+    assert parameters(Replicator.__init__) == ["sim", "topology", "interval"]
     for policy in (PrivateFirstPolicy, WorkloadSplitPolicy,
                    PrivateOnlyPolicy, PublicOnlyPolicy):
         assert list(inspect.signature(policy).parameters) == []

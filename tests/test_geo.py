@@ -1,6 +1,7 @@
 """Geo-distributed estate: replication, election, ledger, failover."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.geo import (
     qualify,
 )
 from repro.hydrology.timeseries import TimeSeries
+from repro.obs.hub import obs_of
 from repro.obs.refusal import refused
 from repro.resilience.policy import RetryPolicy
 from repro.services.transport import HttpRequest
@@ -183,13 +185,11 @@ def test_reelection_within_bound_and_term_grows(sim):
 # -- geo ledger (satellite: leader hand-off, fencing, no double commit) ------
 
 
-def _geo_ledger(sim, capacity=8):
-    topo, stores, election = _election(sim)
+def _geo_ledger(sim, capacity=8, regions=("eu", "us", "ap")):
+    topo, stores, election = _election(sim, regions)
     election.start()
     cap = {qualify(r, "private"): capacity for r in topo.regions()}
-    geo = GeoLedger(sim, election, topo, capacity=cap)
-    for region in topo.regions():
-        geo.add_region(region)
+    geo = GeoLedger(sim, election, capacity=cap)
     sim.run(until=5.0)
     return topo, election, geo
 
@@ -206,7 +206,7 @@ def test_ledger_leader_handoff_no_double_commit(sim):
     assert geo.no_leader_refusals == 1
     sim.run(until=sim.now + election.reelection_bound + 1.0)
     assert election.leader() == "us"
-    # the new leader's replica already holds the fact: the remaining
+    # the new leader decides from the same book: the remaining
     # headroom is 4, so 8 more would double-commit and must be refused
     assert geo.admit(qualify("eu", "private"), 8) is False
     assert geo.admit(qualify("eu", "private"), 4) is True
@@ -229,20 +229,50 @@ def test_ledger_fences_stale_leader_grant(sim):
                         qualify("us", "private"), 1) is True
 
 
+def test_a_healed_leader_decides_from_the_whole_book(sim):
+    topo, election, geo = _geo_ledger(sim, capacity=8, regions=("eu", "us"))
+    us = qualify("us", "private")
+    topo.mark("eu", RegionStatus.DOWN)
+    sim.run(until=sim.now + election.reelection_bound + 1.0)
+    assert election.leader() == "us"
+    assert geo.admit(us, 8)
+    geo.commit(us, 8)
+    # eu heals (us renews its lease onto eu's journal), then us is lost
+    # and eu leads again: us's budget is already spent
+    topo.mark("eu", RegionStatus.HEALTHY)
+    sim.run(until=sim.now + election.ttl)
+    topo.mark("us", RegionStatus.DOWN)
+    sim.run(until=sim.now + election.reelection_bound + 1.0)
+    assert [(leader, term) for _, leader, term in election.elections] == [
+        ("eu", 1), ("us", 2), ("eu", 3)]
+    assert geo.committed(us) == 8
+    assert geo.admit(us, 8) is False
+    assert refused(sim, cause="location_budget") == 1
+    assert geo.refusals == 1 and geo.overcommits == 0
+
+
+def test_a_commit_past_the_pool_is_an_overcommit():
+    estate = GeoEstate(regions=2, private_vcpus=4)
+    handle = estate.geo_ledger.handle("us-east")
+    handle.commit("private", 4)
+    assert estate.geo_ledger.overcommits == 0
+    handle.commit("private", 2)
+    assert estate.geo_ledger.overcommits == 1
+    (event,) = obs_of(estate.sim).events.events("geo.ledger.overcommit")
+    assert (event.fields["location"], event.fields["committed"],
+            event.fields["budget"]) == ("us-east/private", 6, 4)
+
+
 # -- geo routing -------------------------------------------------------------
 
 
 class _StubRouter:
     def __init__(self):
         self.submitted = []
-        self.depth = 0
 
     def submit_session(self, session, service, priority=None):
         self.submitted.append(session)
         return 0
-
-    def depths(self):
-        return {0: {"portal": {"interactive": self.depth}}}
 
 
 class _StubSession:
@@ -257,20 +287,21 @@ class _StubSession:
 def test_georouter_sticky_nearest_and_spillover(sim):
     topo = RegionTopology(sim, ["eu", "us", "ap"])
     routers = {r: _StubRouter() for r in topo.regions()}
-    geo = GeoRouter(sim, topo, routers, spillover_depth=2)
+    geo = GeoRouter(sim, topo, routers)
     s1 = _StubSession()
     assert geo.submit_session(s1, "portal", origin="us") == "us"
     assert s1.region == "us"
     # sticky: resubmission goes home even from another origin
     assert geo.submit_session(s1, "portal", origin="ap") == "us"
-    # brownout: queue past the bound spills to the next on the ring
-    routers["us"].depth = 3
+    # a DEGRADED region spills to the next on the ring
+    topo.mark("us", RegionStatus.DEGRADED)
     s2 = _StubSession()
     assert geo.submit_session(s2, "portal", origin="us") == "ap"
     assert geo.spillovers == 1
-    # every region browned out: nearest not-DOWN still serves
-    for router in routers.values():
-        router.depth = 3
+    assert routers["ap"].submitted == [s2]
+    # every region impaired: nearest not-DOWN still serves
+    for region in topo.regions():
+        topo.mark(region, RegionStatus.DEGRADED)
     s3 = _StubSession()
     assert geo.submit_session(s3, "portal", origin="eu") == "eu"
     # all DOWN: refused
@@ -351,6 +382,62 @@ def test_two_region_failover_replaces_sessions(sim):
     # replicated warehouse data readable in the survivor (bounded RPO)
     series = estate.cells[survivor].warehouse.get_series("obs")
     assert series.values == [1.0, 2.0]
+    assert estate.geo_ledger.overcommits == 0
+
+
+def test_losing_the_adopter_too_waits_for_it_to_heal():
+    estate = GeoEstate(regions=3, failover_interval=2.0).warm(until=100.0)
+    estate.injector.region_outage("eu-west")
+    estate.sim.run(until=110.0)
+    (report,) = estate.failover.reports
+    assert report.adopter == "us-east"
+    # a second loss: the adopter's journals are unreadable, so the
+    # orphan sweep skips it instead of failing the coordinator
+    estate.injector.region_outage("us-east")
+    estate.sim.run(until=200.0)
+    assert [estate.topology.status(r) for r in estate.regions()] == [
+        RegionStatus.DOWN, RegionStatus.DOWN, RegionStatus.HEALTHY]
+    estate.injector.heal_region("us-east")
+    estate.sim.run(until=400.0)
+    assert estate.topology.status("us-east") is RegionStatus.HEALTHY
+
+
+def _private_vcpus(cell):
+    return sum(node.flavor.vcpus
+               for node in cell.multicloud.list_nodes("private"))
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.5, 2.5, 3.5])
+def test_the_book_equals_the_estate_after_a_kill_and_a_heal(offset):
+    # region_failover in small: users and churn in every region, the
+    # leader region killed and healed; the kill lands at ``offset`` into
+    # a failover check period, so the region's DOWN verdict comes before
+    # the releases of its dead replicas on some offsets and after on
+    # others
+    estate = GeoEstate(regions=3, private_vcpus=48, election_ttl=8.0,
+                       failover_interval=4.0).warm(until=150.0)
+    sim, regions = estate.sim, estate.regions()
+    for region in regions:
+        for i in range(8):
+            estate.submit(f"{region}-user-{i}", origin=region)
+
+    def churn():
+        live = []
+        for k in itertools.count():
+            live.append(estate.submit(f"churn-{k}", origin=regions[k % 3]))
+            if len(live) > 6:
+                live.pop(0).end()
+            yield 10.0
+
+    sim.spawn(churn(), name="churn")
+    victim = estate.election.leader()
+    estate.injector.region_outage_at(200.0 + offset, victim, duration=200.0)
+    sim.run(until=800.0)
+    assert [t.status for t in estate.topology.transitions] == [
+        RegionStatus.DOWN, RegionStatus.HEALTHY]
+    assert estate.geo_ledger.snapshot() == {
+        qualify(region, "private"): _private_vcpus(cell)
+        for region, cell in estate.cells.items()}
     assert estate.geo_ledger.overcommits == 0
 
 

@@ -78,9 +78,6 @@ class _StubRouter:
     def submit_session(self, session, service_name, priority=None):
         return 0
 
-    def depths(self):
-        return {}
-
 
 class _StubSession:
     _ids = itertools.count()
@@ -140,9 +137,7 @@ class World:
             sim, topology,
             {r: JournalStore(sim, stores[r], name="geo-election")
              for r in topology.regions()}, ttl=6.0, check_interval=1.0)
-        self.geo_ledger = GeoLedger(sim, election, topology)
-        for region in topology.regions():
-            self.geo_ledger.add_region(region)
+        self.geo_ledger = GeoLedger(sim, election)
         # resilience: an open breaker, a held slot with no waiting room,
         # a held slot with one waiter's worth
         self.resilience = MetricsRegistry(sim, namespace="resilience")
