@@ -32,6 +32,14 @@ from repro.obs.hub import obs_of
 from repro.sim import Simulator
 from repro.sim.metrics import MetricsRegistry
 
+#: CPU share at or above which a sample counts as pinned.
+CPU_THRESHOLD = 0.95
+#: The wedged verdict's horizon, in plain windows.  It must be much
+#: longer than one model run, or every busy instance running long jobs
+#: looks stuck: an instance is declared wedged after this many windows
+#: of pinned CPU with zero completions.
+WEDGED_WINDOWS = 8
+
 
 class HealthVerdict(enum.Enum):
     """Outcome of evaluating an instance's sample window."""
@@ -81,25 +89,18 @@ class HealthMonitor:
     """Periodic sampler + heuristic evaluator for a set of instances."""
 
     def __init__(self, sim: Simulator, interval: float = 5.0,
-                 window: int = 4, cpu_threshold: float = 0.95,
-                 wedged_window: Optional[int] = None,
+                 window: int = 4,
                  metrics: Optional[MetricsRegistry] = None):
         self.sim = sim
         self.interval = interval
         self.window = window
-        self.cpu_threshold = cpu_threshold
         # optional instrumentation: every evaluation counts as a check,
         # every fault verdict as a fault — the ratio is the replica-
         # health SLI the telemetry plane alerts on (a single blackholed
         # replica barely dents request availability once the LB routes
         # around it, but it dominates this ratio immediately)
         self.metrics = metrics
-        # the wedged verdict needs a horizon much longer than one model
-        # run, or every busy instance running long jobs looks stuck; by
-        # default it takes 8 plain windows of pinned CPU with zero
-        # completions before an instance is declared wedged
-        self.wedged_window = wedged_window if wedged_window is not None \
-            else 8 * window
+        self.wedged_window = WEDGED_WINDOWS * window
         self._samples: Dict[str, Deque[HealthSample]] = {}
         self._watched: Dict[str, Instance] = {}
         self._callbacks: List[Callable[[Instance, HealthVerdict], None]] = []
@@ -199,10 +200,10 @@ class HealthMonitor:
         transmitted = last.net_out > first.net_out
         if received and not transmitted:
             return HealthVerdict.BLACKHOLED
-        cpu_sustained = all(s.cpu >= self.cpu_threshold for s in recent)
+        cpu_sustained = all(s.cpu >= CPU_THRESHOLD for s in recent)
         if len(samples) >= self.wedged_window:
             horizon = list(samples)[-self.wedged_window:]
-            cpu_pinned_long = all(s.cpu >= self.cpu_threshold for s in horizon)
+            cpu_pinned_long = all(s.cpu >= CPU_THRESHOLD for s in horizon)
             progressed = horizon[-1].jobs_completed > horizon[0].jobs_completed
             if cpu_pinned_long and not progressed:
                 return HealthVerdict.WEDGED

@@ -61,8 +61,6 @@ class LoadBalancer:
                  autoscale_interval: float = 15.0,
                  breakers=None,
                  shard_id: int = 0,
-                 strict_capacity: bool = False,
-                 batch_headroom: int = 0,
                  queue_bounds: Optional[Dict[PriorityClass, int]] = None):
         self.sim = sim
         self.multicloud = multicloud
@@ -70,7 +68,6 @@ class LoadBalancer:
         self.sessions = sessions
         self.policy = policy
         self.monitor = monitor
-        # explicit None check: an empty registry is falsy (it has __len__)
         self.registry = registry if registry is not None else ServiceRegistry()
         self.autoscale_interval = autoscale_interval
         #: shared BreakerRegistry; per-location launch breakers stop the
@@ -83,10 +80,10 @@ class LoadBalancer:
         self.ledger = ledger
         #: hard per-replica session cap (sessions_per_replica) when True;
         #: otherwise sessions pile onto the least-loaded replica unbounded
-        self.strict_capacity = strict_capacity
+        self.strict_capacity = False
         #: free slots batch-class placements must leave for higher classes
         #: (strict mode only)
-        self.batch_headroom = batch_headroom
+        self.batch_headroom = 0
         #: accept-queue bound per replica, as a multiple of its vCPUs;
         #: None disables back-pressure (the ablation baseline)
         self.queue_bound_factor: Optional[int] = 4

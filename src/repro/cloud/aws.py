@@ -17,6 +17,11 @@ from repro.cloud.images import MachineImage
 from repro.cloud.provider import CloudProvider
 from repro.sim import RandomStreams, Simulator
 
+#: Boot time before image staging and jitter, in seconds.
+BASE_BOOT_SECONDS = 45.0
+#: Cross-WAN image staging rate.
+IMAGE_TRANSFER_MBPS = 600.0
+
 
 class AwsCloud(CloudProvider):
     """Elastic public IaaS (the EC2 role).
@@ -28,14 +33,10 @@ class AwsCloud(CloudProvider):
 
     def __init__(self, sim: Simulator, name: str = "aws",
                  account_instance_limit: Optional[int] = None,
-                 base_boot_seconds: float = 45.0,
-                 image_transfer_mbps: float = 600.0,
                  streams: Optional[RandomStreams] = None,
                  meter: Optional[BillingMeter] = None):
         super().__init__(sim, name, streams=streams, meter=meter)
         self.account_instance_limit = account_instance_limit
-        self.base_boot_seconds = base_boot_seconds
-        self.image_transfer_mbps = image_transfer_mbps
 
     def _check_admission(self, flavor: Flavor, project: str) -> None:
         if (self.account_instance_limit is not None
@@ -46,11 +47,11 @@ class AwsCloud(CloudProvider):
 
     def boot_time(self, image: MachineImage) -> float:
         """Cross-WAN staging plus a lognormal-ish long tail."""
-        transfer = image.size_gb * 8000.0 / self.image_transfer_mbps
+        transfer = image.size_gb * 8000.0 / IMAGE_TRANSFER_MBPS
         rng = self.streams.get(f"{self.name}.boot")
         jitter = rng.uniform(0.9, 1.3)
         tail = rng.expovariate(1.0 / 5.0)  # occasional slow scheduler placement
-        return (self.base_boot_seconds + transfer) * jitter + tail
+        return (BASE_BOOT_SECONDS + transfer) * jitter + tail
 
     def _id_prefix(self) -> str:
         return "i"

@@ -51,22 +51,12 @@ from repro.sim import RandomStreams, Simulator
 
 @dataclass(frozen=True)
 class InjectedFault:
-    """One recorded fault injection.
-
-    Indexable like the old ``(time, kind, target)`` tuples so existing
-    call sites keep working, but with named fields and a cause.
-    """
+    """One recorded fault injection: when, what kind, on what, and why."""
 
     time: float
     kind: str
     target: str
     cause: str = ""
-
-    def __getitem__(self, index: int):
-        return (self.time, self.kind, self.target, self.cause)[index]
-
-    def __iter__(self):
-        return iter((self.time, self.kind, self.target, self.cause))
 
 
 @dataclass
@@ -85,20 +75,19 @@ class FaultInjector:
     """Injects instance, network and storage faults.
 
     ``providers`` are the clouds whose instances can be crashed;
-    ``network`` (optional) enables partitions; ``stores`` (optional,
-    :attr:`BlobStore.name` → store, as :meth:`register_region` files
-    them) enables storage faults and outages.
+    ``network`` (optional) enables partitions; the stores
+    :meth:`register_region` files (:attr:`BlobStore.name` → store)
+    take storage faults and outages.
     """
 
     def __init__(self, sim: Simulator, providers: List[CloudProvider],
                  streams: Optional[RandomStreams] = None,
-                 network: Optional[object] = None,
-                 stores: Optional[Dict[str, BlobStore]] = None):
+                 network: Optional[object] = None):
         self.sim = sim
         self.providers = list(providers)
         self.streams = streams or RandomStreams()
         self.network = network
-        self.stores = dict(stores or {})
+        self.stores: Dict[str, BlobStore] = {}
         self.injected: List[InjectedFault] = []
         self._regions: Dict[str, _RegionBinding] = {}
 

@@ -29,6 +29,9 @@ from repro.obs.hub import obs_of
 from repro.sim import Signal, Simulator
 
 _job_ids = itertools.count()
+#: Disk I/O every job charges to its instance's counters.
+JOB_DISK_READ_MB = 1.0
+JOB_DISK_WRITE_MB = 0.5
 
 
 class InstanceState(enum.Enum):
@@ -65,24 +68,21 @@ class Job:
     divides by the instance's effective speed.  ``compute`` runs when the
     job completes and produces the job's value (this is where a real
     TOPMODEL run happens — instantaneous in host time, charged in
-    simulated time).  ``disk_read_mb``/``disk_write_mb`` feed the instance
-    I/O counters.
+    simulated time).  Each completed job adds ``JOB_DISK_READ_MB`` /
+    ``JOB_DISK_WRITE_MB`` to the instance I/O counters.
     """
 
-    __slots__ = ("job_id", "name", "cost", "compute", "disk_read_mb",
-                 "disk_write_mb", "done", "trace", "span")
+    __slots__ = ("job_id", "name", "cost", "compute", "done", "trace",
+                 "span")
 
     def __init__(self, cost: float, compute: Optional[Callable[[], Any]] = None,
-                 name: str = "job", disk_read_mb: float = 1.0,
-                 disk_write_mb: float = 0.5):
+                 name: str = "job"):
         if cost < 0:
             raise ValueError("job cost must be non-negative")
         self.job_id = f"job-{next(_job_ids):06d}"
         self.name = name
         self.cost = cost
         self.compute = compute
-        self.disk_read_mb = disk_read_mb
-        self.disk_write_mb = disk_write_mb
         self.done: Optional[Signal] = None  # attached at submission
         self.trace = None   # optional SpanContext set by the submitter
         self.span = None    # the execution span, opened at submission
@@ -345,8 +345,8 @@ class Instance:
             self._busy_servers -= 1
             self._rank_changed()
             self._account_cpu(job.job_id)
-            self.disk_read_mb += job.disk_read_mb
-            self.disk_write_mb += job.disk_write_mb
+            self.disk_read_mb += JOB_DISK_READ_MB
+            self.disk_write_mb += JOB_DISK_WRITE_MB
             try:
                 value = self._compute(job)
             except Exception as err:  # noqa: BLE001 - surfaced in outcome

@@ -17,6 +17,11 @@ from repro.cloud.instance import Instance
 from repro.cloud.provider import CloudProvider
 from repro.sim import RandomStreams, Simulator
 
+#: Boot time before image copy and jitter, in seconds.
+BASE_BOOT_SECONDS = 25.0
+#: LAN-speed copy rate from the local image store.
+IMAGE_TRANSFER_MBPS = 800.0
+
 
 class OpenStackCloud(CloudProvider):
     """Fixed-capacity private IaaS.
@@ -30,8 +35,6 @@ class OpenStackCloud(CloudProvider):
     def __init__(self, sim: Simulator, total_vcpus: int = 16,
                  name: str = "openstack",
                  project_quota_vcpus: Optional[int] = None,
-                 base_boot_seconds: float = 25.0,
-                 image_transfer_mbps: float = 800.0,
                  streams: Optional[RandomStreams] = None,
                  meter: Optional[BillingMeter] = None):
         super().__init__(sim, name, streams=streams, meter=meter)
@@ -39,8 +42,6 @@ class OpenStackCloud(CloudProvider):
             raise ValueError("total_vcpus must be positive")
         self.total_vcpus = total_vcpus
         self.project_quota_vcpus = project_quota_vcpus
-        self.base_boot_seconds = base_boot_seconds
-        self.image_transfer_mbps = image_transfer_mbps
         self._used_vcpus = 0
         self._project_vcpus: Dict[str, int] = {}
         self._instance_project: Dict[str, str] = {}
@@ -51,10 +52,6 @@ class OpenStackCloud(CloudProvider):
     def free_vcpus(self) -> int:
         """vCPUs still available in the physical pool."""
         return self.total_vcpus - self._used_vcpus
-
-    def utilization(self) -> float:
-        """Fraction of the physical pool in use."""
-        return self._used_vcpus / self.total_vcpus
 
     def is_saturated(self, flavor: Optional[Flavor] = None) -> bool:
         """Whether the pool cannot host one more instance.
@@ -98,9 +95,9 @@ class OpenStackCloud(CloudProvider):
 
     def boot_time(self, image: MachineImage) -> float:
         """Local image store: base boot plus LAN-speed image copy."""
-        transfer = image.size_gb * 8000.0 / self.image_transfer_mbps
+        transfer = image.size_gb * 8000.0 / IMAGE_TRANSFER_MBPS
         jitter = self.streams.get(f"{self.name}.boot").uniform(0.9, 1.1)
-        return (self.base_boot_seconds + transfer) * jitter
+        return (BASE_BOOT_SECONDS + transfer) * jitter
 
     def _id_prefix(self) -> str:
         return "os"

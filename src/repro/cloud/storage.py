@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.errors import BlobNotFound, ContainerNotFound, StorageUnavailable
 from repro.sim import Simulator
@@ -199,10 +199,6 @@ class BlobStore:
             return self._containers[name]
         except KeyError:
             raise ContainerNotFound(name) from None
-
-    def containers(self) -> Iterable[str]:
-        """Names of all containers, sorted."""
-        return sorted(self._containers)
 
     def delete_container(self, name: str, force: bool = False) -> None:
         """Delete a container; refuses non-empty ones unless ``force``."""

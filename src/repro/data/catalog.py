@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 _asset_ids = itertools.count()
 
@@ -111,10 +111,6 @@ class AssetCatalog:
     def by_origin(self, origin: AssetOrigin) -> List[Asset]:
         """Assets from one origin."""
         return [a for a in self._assets.values() if a.origin == origin]
-
-    def find(self, predicate: Callable[[Asset], bool]) -> List[Asset]:
-        """Assets matching an arbitrary predicate."""
-        return [a for a in self._assets.values() if predicate(a)]
 
     def __len__(self) -> int:
         return len(self._assets)

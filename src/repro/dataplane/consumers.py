@@ -13,7 +13,7 @@ but before committing its cursor, so the next holder redelivers.  The
 views deduplicate by ``(stream, seq)``, making the apply idempotent.
 
 A *poison* event (one whose apply raises, deterministically) must not
-stall the partition: after ``max_attempts`` deliveries it is parked in
+stall the partition: after ``MAX_ATTEMPTS`` deliveries it is parked in
 the :class:`DeadLetterQueue` and the cursor advances past it.  Parked
 events stay durable and inspectable, and can be redriven after a fix.
 """
@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.cloud.errors import StorageUnavailable
 from repro.cloud.storage import Container
 from repro.dataplane.events import Event
+from repro.dataplane.outbox import POLL_INTERVAL
 from repro.dataplane.stream import StreamSet
 from repro.durable.journal import (LeaseState, drop_lease, extend_lease,
                                    take_lease)
@@ -42,10 +43,8 @@ CLAIM_TTL = 30.0
 class ClaimTable:
     """Durable per-stream leases: one blob each, the shared lease rule."""
 
-    def __init__(self, sim: Simulator, container: Container,
-                 ttl: float = CLAIM_TTL):
+    def __init__(self, sim: Simulator, container: Container):
         self.sim = sim
-        self.ttl = ttl
         self._container = container
 
     def _read(self, stream: str) -> Optional[LeaseState]:
@@ -65,7 +64,7 @@ class ClaimTable:
         A live claim by another owner refuses; a change of owner bumps
         the epoch (fencing the old holder's late commits).
         """
-        lease = take_lease(self._read(stream), owner, self.sim.now, self.ttl)
+        lease = take_lease(self._read(stream), owner, self.sim.now, CLAIM_TTL)
         return lease.epoch if self._write(stream, lease) else None
 
     def renew(self, stream: str, owner: str, epoch: int) -> bool:
@@ -74,7 +73,7 @@ class ClaimTable:
         if current is None or current.epoch != epoch:
             return False
         return self._write(stream, extend_lease(current, owner, self.sim.now,
-                                                self.ttl))
+                                                CLAIM_TTL))
 
     def holds(self, stream: str, owner: str, epoch: int) -> bool:
         """Whether ``owner`` still holds ``stream`` at ``epoch``."""
@@ -155,17 +154,13 @@ class ConsumerGroup:
     def __init__(self, sim: Simulator, name: str, streams: StreamSet,
                  claims: ClaimTable, dlq: DeadLetterQueue,
                  container: Container,
-                 apply: Callable[[Event], None],
-                 max_attempts: int = MAX_ATTEMPTS,
-                 poll_interval: float = 0.5):
+                 apply: Callable[[Event], None]):
         self.sim = sim
         self.name = name
         self.streams = streams
         self.claims = claims
         self.dlq = dlq
         self.apply = apply
-        self.max_attempts = max_attempts
-        self.poll_interval = poll_interval
         self._container = container
         self._epochs: Dict[str, int] = {}
         self.delivered = 0
@@ -228,7 +223,7 @@ class ConsumerGroup:
             try:
                 self.apply(event)
             except Exception as exc:  # noqa: BLE001 - poison isolation
-                if attempts >= self.max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     self.dlq.park(event, error=repr(exc), attempts=attempts)
                     self._clear_attempts(stream_name, event.seq)
                     # Advance past the poison event: the partition must
@@ -283,4 +278,4 @@ class ConsumerGroup:
                 # ride the outage out: claims and cursors are durable
                 events.emit("dataplane.consumer.stalled",
                             consumer=self.name, cause=str(exc))
-            yield self.poll_interval
+            yield POLL_INTERVAL

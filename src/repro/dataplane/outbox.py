@@ -39,6 +39,9 @@ from repro.sim import Simulator
 #: What an outbox dedup token starts with; the sequence follows.
 TOKEN_PREFIX = "outbox:"
 
+#: Seconds a background relay or consumer loop sleeps between passes.
+POLL_INTERVAL = 0.5
+
 
 @dataclass(frozen=True)
 class OutboxEntry:
@@ -135,11 +138,10 @@ class OutboxRelay:
     """
 
     def __init__(self, sim: Simulator, outbox: TransactionalOutbox,
-                 streams, poll_interval: float = 0.5):
+                 streams):
         self.sim = sim
         self.outbox = outbox
         self.streams = streams
-        self.poll_interval = poll_interval
         self.published = 0
         self._stopped = False
 
@@ -175,4 +177,4 @@ class OutboxRelay:
                 # ride the outage out: the pending table is durable
                 events.emit("dataplane.relay.stalled",
                             relay="outbox-relay", cause=str(exc))
-            yield self.poll_interval
+            yield POLL_INTERVAL

@@ -15,12 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.storage import BlobStore
-from repro.dataplane.consumers import (
-    ClaimTable,
-    ConsumerGroup,
-    DeadLetterQueue,
-    MAX_ATTEMPTS,
-)
+from repro.dataplane.consumers import ClaimTable, ConsumerGroup, DeadLetterQueue
 from repro.dataplane.events import Event
 from repro.dataplane.outbox import OutboxRelay, TransactionalOutbox
 from repro.dataplane.stream import StreamSet
@@ -41,7 +36,6 @@ class DataPlane:
     def __init__(self, sim: Simulator, store: BlobStore,
                  prefix: str = "dataplane",
                  consumer_count: int = 2,
-                 max_attempts: int = MAX_ATTEMPTS,
                  window_hours: float = 24.0):
         self.sim = sim
         self.outbox = TransactionalOutbox(
@@ -62,8 +56,7 @@ class DataPlane:
 
         self.consumers: List[ConsumerGroup] = [
             ConsumerGroup(sim, f"consumer-{i}", self.streams, self.claims,
-                          self.dlq, coordination, self._dispatch,
-                          max_attempts=max_attempts)
+                          self.dlq, coordination, self._dispatch)
             for i in range(consumer_count)]
         #: Optional hook tests use to inject poison behaviour: called
         #: with each event before the views see it; raising marks the

@@ -131,10 +131,6 @@ class MaterializedView:
         self.applied = 0
         self.duplicates = 0
 
-    def etag(self) -> str:
-        """A revision-derived validator for conditional reads."""
-        return f'"{self.name}-{self.revision}"'
-
 
 class LatestObservationView(MaterializedView):
     """Per-procedure latest observation (the SOS dashboard table).

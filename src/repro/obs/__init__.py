@@ -44,7 +44,6 @@ from repro.obs.export import (
     to_jsonl,
     tree_depth,
     write_chrome_trace,
-    write_collapsed_stacks,
 )
 from repro.obs.hub import Observability, obs_of
 from repro.obs.slo import (
@@ -90,5 +89,4 @@ __all__ = [
     "to_jsonl",
     "tree_depth",
     "write_chrome_trace",
-    "write_collapsed_stacks",
 ]

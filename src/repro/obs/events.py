@@ -14,6 +14,9 @@ from typing import Any, Deque, Dict, List, Optional
 
 from repro.sim.kernel import Simulator
 
+#: How many events one log retains.
+MAX_EVENTS = 20_000
+
 
 class Event:
     """One structured happening at a simulated instant."""
@@ -38,9 +41,9 @@ class Event:
 class EventLog:
     """Bounded, queryable log of :class:`Event` records."""
 
-    def __init__(self, sim: Simulator, max_events: int = 20_000):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self._events: Deque[Event] = deque(maxlen=max_events)
+        self._events: Deque[Event] = deque(maxlen=MAX_EVENTS)
         self.dropped = 0
         self.total_emitted = 0
         self._drop_marker: Optional[Event] = None

@@ -182,14 +182,6 @@ def to_collapsed_stacks(spans: Iterable[Span]) -> List[str]:
     return [f"{stack} {value}" for stack, value in sorted(totals.items())]
 
 
-def write_collapsed_stacks(path: str, spans: Iterable[Span]) -> str:
-    """Write :func:`to_collapsed_stacks` lines to ``path``; returns it."""
-    lines = to_collapsed_stacks(spans)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    return path
-
-
 def span_tree(spans: Iterable[Span],
               trace_id: Optional[str] = None) -> List[Dict[str, Any]]:
     """Nest spans into parent→children trees.

@@ -29,11 +29,10 @@ _HUB_ATTR = "_obs_hub"
 class Observability:
     """A tracer plus an event log bound to one simulated clock."""
 
-    def __init__(self, sim: Simulator, max_spans: int = 100_000,
-                 max_events: int = 20_000):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.tracer = Tracer(sim, max_spans=max_spans)
-        self.events = EventLog(sim, max_events=max_events)
+        self.tracer = Tracer(sim)
+        self.events = EventLog(sim)
         self.api_metrics = MetricsRegistry(sim, namespace="rest")
         self.metrics = MetricsRegistry(sim, namespace="obs")
         self.metrics.callback_gauge("events.dropped",

@@ -180,11 +180,6 @@ class SLO:
             return None
         return min(fractions)
 
-    def describe(self) -> Dict[str, Any]:
-        """Plain-dict form for API responses."""
-        return {"name": self.name, "kind": self.kind, "target": self.target,
-                "params": dict(self.params), "labels": dict(self.labels)}
-
 
 class AlertRule:
     """Multi-window multi-burn-rate watcher for one :class:`SLO`.

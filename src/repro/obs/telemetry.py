@@ -40,10 +40,12 @@ from repro.sim.metrics import (Histogram, LabelSet, MetricsRegistry,
                                bucket_quantile)
 
 #: How many points one series retains (a ring buffer: a 5 s scrape
-#: interval keeps one simulated hour at the default).
-DEFAULT_MAX_POINTS = 720
+#: interval keeps one simulated hour).
+MAX_POINTS = 720
 #: How many distinct (name, labels) series one store accepts.
-DEFAULT_MAX_SERIES = 8192
+MAX_SERIES = 8192
+#: Seconds between alert-rule evaluations, or the scrape interval if longer.
+EVALUATION_INTERVAL = 30.0
 
 
 def _label_key(labels: Dict[str, str]) -> LabelSet:
@@ -65,18 +67,15 @@ class Series:
     scan — the SLO evaluator calls :meth:`delta` thousands of times per
     run, and this is what keeps the scraper inside its overhead budget.
     The bound is enforced lazily: the buffer grows to twice
-    ``max_points`` and is then halved in one slice, which amortises the
+    ``MAX_POINTS`` and is then halved in one slice, which amortises the
     front-trim to O(1) per append.
     """
 
-    __slots__ = ("name", "labels", "max_points", "_times", "_values",
-                 "_trimmed")
+    __slots__ = ("name", "labels", "_times", "_values", "_trimmed")
 
-    def __init__(self, name: str, labels: Dict[str, str],
-                 max_points: int = DEFAULT_MAX_POINTS):
+    def __init__(self, name: str, labels: Dict[str, str]):
         self.name = name
         self.labels = dict(labels)
-        self.max_points = max_points
         self._times: List[float] = []
         self._values: List[float] = []
         self._trimmed = False
@@ -85,9 +84,9 @@ class Series:
         """Record ``value`` at time ``t`` (monotonic appends expected)."""
         self._times.append(t)
         self._values.append(float(value))
-        if len(self._times) >= 2 * self.max_points:
-            del self._times[:self.max_points]
-            del self._values[:self.max_points]
+        if len(self._times) >= 2 * MAX_POINTS:
+            del self._times[:MAX_POINTS]
+            del self._values[:MAX_POINTS]
             self._trimmed = True
 
     def points(self, start: Optional[float] = None,
@@ -178,10 +177,7 @@ class SeriesStore:
     dashboards mid-incident.
     """
 
-    def __init__(self, max_series: int = DEFAULT_MAX_SERIES,
-                 max_points: int = DEFAULT_MAX_POINTS):
-        self.max_series = max_series
-        self.max_points = max_points
+    def __init__(self):
         self._series: Dict[Tuple[str, LabelSet], Series] = {}
         self.dropped_series = 0
         # label-superset matching is a full scan; the SLO evaluator asks
@@ -198,11 +194,10 @@ class SeriesStore:
         key = (name, _label_key(labels))
         series = self._series.get(key)
         if series is None:
-            if len(self._series) >= self.max_series:
+            if len(self._series) >= MAX_SERIES:
                 self.dropped_series += 1
                 return None
-            series = Series(name, {k: str(v) for k, v in labels.items()},
-                            max_points=self.max_points)
+            series = Series(name, {k: str(v) for k, v in labels.items()})
             self._series[key] = series
             self._query_cache.clear()
         series.append(t, value)
@@ -475,8 +470,7 @@ class TelemetryPlane:
 
     def __init__(self, sim: Simulator, interval: float = 5.0,
                  store: Optional[SeriesStore] = None,
-                 notifier: Optional[Callable[[Dict[str, Any]], None]] = None,
-                 evaluation_interval: Optional[float] = None):
+                 notifier: Optional[Callable[[Dict[str, Any]], None]] = None):
         from repro.obs.slo import AlertManager  # local: avoid import cycle
         self.sim = sim
         self.store = store if store is not None else SeriesStore()
@@ -488,9 +482,7 @@ class TelemetryPlane:
         # at a pace that still detects faults well inside any human
         # response time.  30s samples the shortest burn window (60s)
         # twice per span, so nothing an alert could catch slips past.
-        self.evaluation_interval = (
-            evaluation_interval if evaluation_interval is not None
-            else max(interval, 30.0))
+        self.evaluation_interval = max(interval, EVALUATION_INTERVAL)
         self._last_evaluated: Optional[float] = None
         self.scraper.on_scrape(self._maybe_evaluate)
 

@@ -22,6 +22,9 @@ from typing import Any, Deque, Dict, List, Optional
 from repro.obs.context import SpanContext, new_span_id, new_trace_id
 from repro.sim.kernel import Simulator
 
+#: How many spans one tracer retains.
+MAX_SPANS = 100_000
+
 
 class Span:
     """One timed operation within a trace."""
@@ -104,15 +107,14 @@ class Span:
 class Tracer:
     """Bounded collector of spans for one simulator.
 
-    ``max_spans`` bounds memory: the store is a deque that drops the
+    ``MAX_SPANS`` bounds memory: the store is a deque that drops the
     oldest finished-or-not spans first, so a long soak keeps its most
     recent traces intact.
     """
 
-    def __init__(self, sim: Simulator, max_spans: int = 100_000):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.max_spans = max_spans
-        self._spans: Deque[Span] = deque(maxlen=max_spans)
+        self._spans: Deque[Span] = deque(maxlen=MAX_SPANS)
         self._active: List[Span] = []
         self.dropped = 0
 

@@ -82,9 +82,7 @@ class ResilientClient:
                  streams: Optional[RandomStreams] = None,
                  breakers: Optional[BreakerRegistry] = None,
                  metrics=None,
-                 max_in_flight: int = 8, max_queue: int = 16,
-                 hedge: bool = True,
-                 hedge_after: Optional[float] = None):
+                 hedge: bool = True):
         self.sim = sim
         self.network = network
         self.service = service
@@ -93,10 +91,8 @@ class ResilientClient:
         self.metrics = metrics if metrics is not None else None
         self.breakers = breakers if breakers is not None \
             else observed_breakers(sim, metrics)
-        self.bulkheads = BulkheadGroup(sim, max_in_flight=max_in_flight,
-                                       max_queue=max_queue)
+        self.bulkheads = BulkheadGroup(sim)
         self.hedge = hedge
-        self.hedge_after = hedge_after
 
     # -- public API --------------------------------------------------------
 
@@ -336,9 +332,7 @@ class ResilientClient:
 
     # -- helpers -----------------------------------------------------------
 
-    def _hedge_delay(self) -> Optional[float]:
-        if self.hedge_after is not None:
-            return self.hedge_after
+    def _hedge_delay(self) -> float:
         if self.metrics is None:
             return DEFAULT_HEDGE_DELAY
         recorder = self.metrics.recorder("attempt_latency")

@@ -232,9 +232,6 @@ class ClassedQueue:
     def __len__(self) -> int:
         return self.depth()
 
-    def __bool__(self) -> bool:
-        return self.depth() > 0
-
 
 class Dispatcher:
     """The per-shard dispatch substrate one Load Balancer runs on.

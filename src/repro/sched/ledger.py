@@ -39,14 +39,13 @@ class CapacityLedger:
 
     def __init__(self, sim: Simulator,
                  capacity: Optional[Dict[str, int]] = None,
-                 metrics=None,
-                 tenant_quotas: Optional[Dict[str, float]] = None):
+                 metrics=None):
         self.sim = sim
         self.capacity: Dict[str, int] = dict(capacity or {})
         self.metrics = metrics
-        #: optional per-tenant vCPU caps, estate-wide (all locations);
-        #: tenants without an entry are uncapped
-        self.tenant_quotas: Dict[str, float] = dict(tenant_quotas or {})
+        #: per-tenant vCPU caps, estate-wide (all locations), stated by
+        #: :meth:`set_tenant_quota`; tenants without an entry are uncapped
+        self.tenant_quotas: Dict[str, float] = {}
         self._committed: Dict[str, int] = {}
         self._tenant_committed: Dict[str, int] = {}
         self._public_nodes = 0

@@ -36,6 +36,8 @@ _conn_ids = itertools.count()
 POLL_CPU_COST = 0.002
 #: CPU charge on the host for emitting one push frame.
 PUSH_CPU_COST = 0.0002
+#: One-way latency of a push frame before jitter, in seconds.
+PUSH_LATENCY = 0.012
 
 
 class ChannelClosed(Exception):
@@ -92,12 +94,10 @@ class PushGateway:
 
     def __init__(self, sim: Simulator, instance: Instance,
                  streams: Optional[RandomStreams] = None,
-                 latency: float = 0.012,
                  ping_interval: Optional[float] = None):
         self.sim = sim
         self.instance = instance
         self.streams = streams or RandomStreams()
-        self.latency = latency
         self.ping_interval = ping_interval
         self.metrics = MetricsRegistry(sim, namespace="channel.ws")
         self._connections: Dict[str, WebSocketConnection] = {}
@@ -151,8 +151,8 @@ class PushGateway:
             self.metrics.recorder("delivery_latency").record(self.sim.now - sent_at)
             conn._deliver(payload, to_client)
 
-        jitter = self.streams.get("ws.latency").uniform(0, self.latency / 2)
-        self.sim.schedule(self.latency + jitter, deliver)
+        jitter = self.streams.get("ws.latency").uniform(0, PUSH_LATENCY / 2)
+        self.sim.schedule(PUSH_LATENCY + jitter, deliver)
 
     def _closed(self, conn: WebSocketConnection) -> None:
         self.metrics.gauge("connections").add(-1)

@@ -35,13 +35,11 @@ class RestClient:
                  resilient: Optional[ResilientClient] = None,
                  service: str = "rest",
                  trace: Any = None,
-                 timeout: Optional[float] = None,
                  deadline: Optional[float] = None,
                  tenant: Optional[str] = None):
         self.sim = sim
         self.address = address
         self.trace = trace
-        self.timeout = timeout
         self.deadline = deadline
         #: tenant identity stamped on every request (the ``Tenant``
         #: header the /v1 boundary validates and rate-limits on)
@@ -87,7 +85,7 @@ class RestClient:
             HttpRequest(method, path, body=body, query=dict(query or {}),
                         headers=request_headers),
             safe=safe, trace=self.trace,
-            timeout=timeout if timeout is not None else self.timeout,
+            timeout=timeout,
             deadline=deadline if deadline is not None else self.deadline)
         done = self.sim.signal(f"client.{method}.{path}")
 

@@ -77,10 +77,8 @@ class IdempotencyIndex:
     that was spelled: no header and ``Tenant: default`` share a record.
     """
 
-    def __init__(self, sim: Simulator, container: Container,
-                 pending_ttl: float = PENDING_TTL):
+    def __init__(self, sim: Simulator, container: Container):
         self.sim = sim
-        self.pending_ttl = pending_ttl
         self._container = container
         self.replays = 0
         self.conflicts = 0
@@ -113,7 +111,7 @@ class IdempotencyIndex:
             "state": "pending",
             "fingerprint": fingerprint,
             "epoch": epoch,
-            "expires": self.sim.now + self.pending_ttl,
+            "expires": self.sim.now + PENDING_TTL,
         })
         return Admission(kind="fresh", epoch=epoch, slot=slot)
 
@@ -141,7 +139,3 @@ class IdempotencyIndex:
         """Drop a reservation (a failed attempt that should not pin the
         key — e.g. the handler never produced a recordable response)."""
         self._container.discard(ticket.slot)
-
-    def depth(self) -> int:
-        """How many keys are tracked (pending + done)."""
-        return len(self._container.list(prefix="idem/"))

@@ -44,11 +44,6 @@ class SoapWpsBinding:
         self.server.operation("DescribeProcess", self._describe_process)
         self.server.operation("Execute", self._execute)
 
-    @property
-    def address(self) -> str:
-        """Network address of the hosting instance."""
-        return self.instance.address
-
     def bind(self, network) -> "SoapWpsBinding":
         """Register the SOAP server on the network; returns self."""
         self.server.bind(network)

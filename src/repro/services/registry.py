@@ -71,6 +71,3 @@ class ServiceRegistry:
     def all(self) -> List[ServiceRecord]:
         """Every record, in registration order."""
         return list(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)

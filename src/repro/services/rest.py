@@ -57,21 +57,19 @@ _REQUEST_ANSWERED = object()
 class HttpError(Exception):
     """Raise inside a handler to produce a non-200 response.
 
-    ``retryable`` flows into the problem-document body so clients know
-    whether backing off and replaying the identical request can help;
-    ``None`` defers to the status-class default.
+    The problem-document body's ``retryable`` is the status class's
+    default, so clients know whether backing off and replaying the
+    identical request can help.
     """
 
-    def __init__(self, status: int, message: str,
-                 retryable: Optional[bool] = None):
+    def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
         self.message = message
-        self.retryable = retryable
 
     def to_problem(self) -> Dict[str, Any]:
         """The problem document for this error."""
-        return problem(self.status, self.message, retryable=self.retryable)
+        return problem(self.status, self.message)
 
 
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")
@@ -111,15 +109,6 @@ class Route:
         self._literal = len(parts) == 1
         #: what the handler's job (and its span) is called
         self.job_name = f"rest:{self.method}:{self.pattern}"
-
-    def match(self, method: str, path: str) -> Optional[Dict[str, str]]:
-        """Path params when the route matches, else ``None``."""
-        if method != self.method:
-            return None
-        found = self._compiled.fullmatch(path)
-        if found is None:
-            return None
-        return found.groupdict()
 
 
 @dataclass

@@ -43,6 +43,9 @@ WS_FRAME_BYTES = 6
 TCP_ACK_BYTES = 40
 #: Default client-side request timeout, seconds.
 DEFAULT_TIMEOUT = 30.0
+#: One-way network latency before jitter, and the jitter's upper bound.
+BASE_LATENCY = 0.012
+LATENCY_JITTER = 0.006
 
 
 def payload_bytes(body: Any) -> int:
@@ -117,12 +120,9 @@ class Network:
     counters and liveness checks hit the right VM.
     """
 
-    def __init__(self, sim: Simulator, streams: Optional[RandomStreams] = None,
-                 base_latency: float = 0.012, latency_jitter: float = 0.006):
+    def __init__(self, sim: Simulator, streams: Optional[RandomStreams] = None):
         self.sim = sim
         self.streams = streams or RandomStreams()
-        self.base_latency = base_latency
-        self.latency_jitter = latency_jitter
         self._endpoints: Dict[str, tuple] = {}  # address -> (server, instance)
         self._partitions: set = set()           # frozenset({a, b}) pairs
         self.total_requests = 0
@@ -158,8 +158,8 @@ class Network:
         return frozenset((a, b)) in self._partitions
 
     def _latency(self) -> float:
-        jitter = self.streams.get("network.latency").uniform(0, self.latency_jitter)
-        return self.base_latency + jitter
+        jitter = self.streams.get("network.latency").uniform(0, LATENCY_JITTER)
+        return BASE_LATENCY + jitter
 
     def request(self, address: str, request: HttpRequest,
                 timeout: float = DEFAULT_TIMEOUT,

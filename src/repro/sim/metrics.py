@@ -118,14 +118,14 @@ class Gauge:
     __slots__ = ("name", "_sim", "_value", "_last_change", "_area", "_start",
                  "_peak")
 
-    def __init__(self, name: str, sim: Simulator, initial: float = 0.0):
+    def __init__(self, name: str, sim: Simulator):
         self.name = name
         self._sim = sim
-        self._value = initial
+        self._value = 0.0
         self._last_change = sim.now
         self._start = sim.now
         self._area = 0.0
-        self._peak = initial
+        self._peak = 0.0
 
     @property
     def value(self) -> float:
@@ -216,15 +216,6 @@ class TimeSeriesRecorder:
     def count(self) -> int:
         """Number of samples recorded."""
         return len(self._samples)
-
-    @property
-    def samples(self) -> List[Tuple[float, float]]:
-        """Copy of the raw ``(time, value)`` samples."""
-        return list(self._samples)
-
-    def values(self) -> List[float]:
-        """Just the sample values, in recording order."""
-        return [v for _t, v in self._samples]
 
     def mean(self) -> float:
         """Arithmetic mean of the values (0.0 when empty)."""
@@ -448,11 +439,9 @@ class MetricsRegistry:
         except KeyError:
             return self._child(self._counters, name, labels, Counter)
 
-    def gauge(self, name: str, /, initial: float = 0.0,
-              **labels: str) -> Gauge:
+    def gauge(self, name: str, /, **labels: str) -> Gauge:
         """Get or create the gauge ``name`` (the child at ``labels``)."""
-        return self._child(self._gauges, name, labels, Gauge, self._sim,
-                           initial)
+        return self._child(self._gauges, name, labels, Gauge, self._sim)
 
     def callback_gauge(self, name: str, read: Callable[[], float], /,
                        **labels: str) -> CallbackGauge:

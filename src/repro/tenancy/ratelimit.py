@@ -104,19 +104,18 @@ class RateDecision:
 class RateLimiter:
     """Per-tenant token buckets with registry-sourced parameters.
 
-    ``default_rate``/``default_burst`` apply to tenants whose spec does
-    not set its own; both ``None`` means those tenants are unlimited
-    while tenants registered with explicit rates are still enforced.
+    ``default_rate``/``default_burst`` (stated by
+    :meth:`Evop.enable_tenancy`) apply to tenants whose spec does not
+    set its own; both ``None`` means those tenants are unlimited while
+    tenants registered with explicit rates are still enforced.
     """
 
     def __init__(self, sim: Simulator, registry: TenantRegistry,
-                 default_rate: Optional[float] = None,
-                 default_burst: Optional[float] = None,
                  metrics=None):
         self.sim = sim
         self.registry = registry
-        self.default_rate = default_rate
-        self.default_burst = default_burst
+        self.default_rate: Optional[float] = None
+        self.default_burst: Optional[float] = None
         self.metrics = metrics
         self._buckets: Dict[str, TokenBucket] = {}
         self.allowed = 0

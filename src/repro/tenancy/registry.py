@@ -16,7 +16,7 @@ equally the scheduler actually divided its work, normalized by weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.tenancy.context import (DEFAULT_TENANT, jain_index,
                                    valid_tenant_id)
@@ -68,15 +68,14 @@ class TenantRegistry:
     """
 
     def __init__(self, specs: Optional[Iterable[TenantSpec]] = None,
-                 default_weight: float = 1.0, strict: bool = False):
-        self.default_weight = default_weight
+                 strict: bool = False):
         self.strict = strict
         self.require_tenant = False
         self._specs: Dict[str, TenantSpec] = {}
         #: work units served per tenant (dequeues, by default) — the
         #: series Jain's index is computed over.
         self.served: Dict[str, float] = {}
-        self.register(TenantSpec(DEFAULT_TENANT, weight=default_weight))
+        self.register(TenantSpec(DEFAULT_TENANT))
         for spec in (specs or []):
             self.register(spec)
 
@@ -95,7 +94,7 @@ class TenantRegistry:
         """The tenant's policy; unknown tenants get default policy."""
         spec = self._specs.get(tenant_id)
         if spec is None:
-            spec = TenantSpec(tenant_id, weight=self.default_weight)
+            spec = TenantSpec(tenant_id)
         return spec
 
     def weight_of(self, tenant_id: str) -> float:
@@ -109,12 +108,6 @@ class TenantRegistry:
     def tenants(self) -> List[str]:
         """Registered tenant ids, registration order."""
         return list(self._specs)
-
-    def __iter__(self) -> Iterator[TenantSpec]:
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
 
     # -- fairness accounting -------------------------------------------------
 
@@ -148,7 +141,7 @@ class TenantRegistry:
             }
         for tenant_id, served in self.served.items():
             if tenant_id not in out:
-                out[tenant_id] = {"weight": self.default_weight,
+                out[tenant_id] = {"weight": self.weight_of(tenant_id),
                                   "rate": None, "burst": None,
                                   "vcpu_quota": None, "served": served}
         return out

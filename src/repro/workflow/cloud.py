@@ -40,6 +40,8 @@ from repro.workflow.engine import (
 )
 
 _run_ids = itertools.count()
+#: How long one service-call stage waits for its answer, in seconds.
+REQUEST_TIMEOUT = 600.0
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,11 @@ class CloudWorkflowEngine:
     """
 
     def __init__(self, sim: Simulator, network: Network,
-                 request_timeout: float = 600.0,
                  client=None, store=None, executor=None,
                  lease_ttl: float = 60.0,
                  scheduler=None):
         self.sim = sim
         self.network = network
-        self.request_timeout = request_timeout
         #: optional shared ResilientClient; with one attached, stage
         #: dispatch rides the fabric (retry/breaker/admission) and uses
         #: the canonical v1 route, surviving mid-workflow crashes
@@ -249,7 +249,7 @@ class CloudWorkflowEngine:
                                     # hence safe=True
                                     reply = yield self.client.call(
                                         call.address_of, request, safe=True,
-                                        timeout=self.request_timeout,
+                                        timeout=REQUEST_TIMEOUT,
                                         trace=stage_span.context)
                                 else:
                                     address = call.address_of()
@@ -265,7 +265,7 @@ class CloudWorkflowEngine:
                                                    request.headers)
                                     reply = yield self.network.request(
                                         address, request,
-                                        timeout=self.request_timeout)
+                                        timeout=REQUEST_TIMEOUT)
                                 if not (isinstance(reply, HttpResponse)
                                         and reply.ok):
                                     fail_stage(

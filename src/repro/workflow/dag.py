@@ -52,10 +52,6 @@ class Workflow:
         self._nodes[node.node_id] = node
         return self
 
-    def node(self, node_id: str) -> WorkflowNode:
-        """Look a node up by id."""
-        return self._nodes[node_id]
-
     def nodes(self) -> List[WorkflowNode]:
         """All nodes, insertion order."""
         return list(self._nodes.values())

@@ -124,13 +124,16 @@ def test_monitor_detects_dead_instance(sim):
 
 
 def test_monitor_detects_wedged_instance(sim):
-    monitor = HealthMonitor(sim, interval=5.0, window=3, wedged_window=6)
+    monitor = HealthMonitor(sim, interval=5.0, window=3)
     instance = make_instance(sim)
     monitor.watch(instance)
     sim.schedule(1.0, instance._degrade, 1e-9)  # effectively stuck
     # keep it loaded so cpu stays pinned even if degradation cleared
     instance.submit(Job(cost=1e9))
-    sim.run(until=60.0)
+    # pinned but short of the wedged horizon reads as load, not a fault
+    sim.run(until=5.0 * (monitor.wedged_window - 2))
+    assert monitor.verdict(instance) == HealthVerdict.OVERLOADED
+    sim.run(until=5.0 * (monitor.wedged_window + 1))
     assert monitor.verdict(instance) == HealthVerdict.WEDGED
 
 

@@ -79,7 +79,7 @@ def test_no_option_comes_back_unnoticed():
     assert parameters(LoadBalancer.__init__) == [
         "sim", "multicloud", "network", "sessions", "policy", "monitor",
         "ledger", "registry", "autoscale_interval", "breakers", "shard_id",
-        "strict_capacity", "batch_headroom", "queue_bounds"]
+        "queue_bounds"]
     assert parameters(ShardedRouter.__init__) == [
         "sim", "lbs", "ledger", "multicloud", "metrics"]
     assert parameters(ClassedQueue.__init__) == ["bounds"]

@@ -11,6 +11,7 @@ from repro.cloud import (
     MachineImage,
     MEDIUM,
 )
+from repro.cloud.instance import JOB_DISK_READ_MB, JOB_DISK_WRITE_MB
 from repro.sim import Simulator
 
 
@@ -155,10 +156,11 @@ def test_cpu_busy_seconds_accumulates(sim):
 
 def test_disk_counters_accumulate(sim):
     inst = make_instance(sim)
-    inst.submit(Job(cost=1.0, disk_read_mb=10, disk_write_mb=3))
+    for _ in range(3):
+        inst.submit(Job(cost=1.0))
     sim.run()
-    assert inst.stats()["disk_read_mb"] == 10
-    assert inst.stats()["disk_write_mb"] == 3
+    assert inst.stats()["disk_read_mb"] == 3 * JOB_DISK_READ_MB
+    assert inst.stats()["disk_write_mb"] == 3 * JOB_DISK_WRITE_MB
 
 
 def test_terminate_while_pending_fires_ready_with_none(sim):

@@ -28,6 +28,7 @@ from repro.dataplane import (
     StreamSet,
     TransactionalOutbox,
 )
+from repro.dataplane.consumers import MAX_ATTEMPTS
 from repro.dataplane.events import Event
 from repro.dataplane.views import (
     CatchmentStatsView,
@@ -289,7 +290,7 @@ def test_consumers_split_streams_and_drain(plane):
 
 
 def test_claim_refuses_live_holder_and_takes_over_expired(sim, store):
-    claims = ClaimTable(sim, store.create_container("claims"), ttl=30.0)
+    claims = ClaimTable(sim, store.create_container("claims"))
     epoch_a = claims.claim("s", "a")
     assert epoch_a == 1
     assert claims.claim("s", "b") is None
@@ -303,7 +304,7 @@ def test_claim_refuses_live_holder_and_takes_over_expired(sim, store):
 
 
 def test_claim_epochs_never_restart_across_release_and_expiry(sim, store):
-    claims = ClaimTable(sim, store.create_container("claims"), ttl=30.0)
+    claims = ClaimTable(sim, store.create_container("claims"))
     first = claims.claim("s", "consumer-0")
     claims.release("s", "consumer-0")
     assert claims.owner_of("s") is None
@@ -373,7 +374,7 @@ def test_poison_event_parks_in_dlq_without_stalling(plane):
     assert plane.dlq.depth() == 1
     entry = plane.dlq.entries()[0]
     assert entry["event"]["seq"] == 1
-    assert entry["attempts"] == plane.consumers[0].max_attempts
+    assert entry["attempts"] == MAX_ATTEMPTS
     assert "nan" in entry["error"]
     # the healthy neighbours were applied exactly once
     assert plane.stats.stats("eden")["count"] == 2

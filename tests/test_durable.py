@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cloud import BlobStore, StorageUnavailable
 from repro.dataplane import ClaimTable
+from repro.dataplane.consumers import CLAIM_TTL
 from repro.durable import (
     DurableSweep,
     Fenced,
@@ -259,7 +260,7 @@ def test_expired_lease_takeover_fences_old_owner(sim, store):
 # -- the lease rule, on both carriers (property) ------------------------------
 
 _OWNERS = ("a", "b", "c")
-_TTL = 10.0
+_TTL = CLAIM_TTL                 # the journal takes it per call, claims fix it
 
 
 class _JournalLeases:
@@ -295,8 +296,7 @@ class _ClaimLeases:
     """The rule as stream claims carry it: one blob, one table."""
 
     def __init__(self, sim):
-        self.claims = ClaimTable(sim, BlobStore(sim).create_container("c"),
-                                 ttl=_TTL)
+        self.claims = ClaimTable(sim, BlobStore(sim).create_container("c"))
 
     def take(self, owner):
         return self.claims.claim("s", owner)

@@ -279,9 +279,9 @@ def test_storage_outage_heals_after_duration(rig):
     sim = rig["sim"]
     blob = BlobStore(sim, name="provider-store")
     container = blob.create_container("data")
-    injector = FaultInjector(sim, [rig["cloud"]],
-                             stores={"private": blob})
-    injector.outage("private", duration=30.0)
+    injector = FaultInjector(sim, [rig["cloud"]])
+    injector.register_region("private", [rig["cloud"]], stores=[blob])
+    injector.outage(blob.name, duration=30.0)
     with pytest.raises(StorageUnavailable):
         container.put("k", "v")
     sim.run(until=sim.now + 31.0)

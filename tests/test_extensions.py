@@ -286,7 +286,7 @@ def test_cloud_workflow_fails_gracefully_on_dead_service(sim, network):
     instance = make_instance(sim)
     wps.replica(instance).bind(network)
     instance._mark_failed("crash")
-    engine = CloudWorkflowEngine(sim, network, request_timeout=10.0)
+    engine = CloudWorkflowEngine(sim, network)
     done = engine.run(build_cloud_workflow(lambda: instance.address),
                       {"depth": 50.0})
     sim.run()

@@ -24,6 +24,7 @@ from repro.obs import (
     obs_of,
     red_view,
 )
+from repro.obs import events, telemetry
 from repro.sim import Simulator
 from repro.sim.metrics import MetricsRegistry
 
@@ -31,8 +32,8 @@ from repro.sim.metrics import MetricsRegistry
 # ---------------------------------------------------------------- series
 
 
-def _series(points, max_points=10_000):
-    s = Series("s", {}, max_points=max_points)
+def _series(points):
+    s = Series("s", {})
     for t, v in points:
         s.append(t, v)
     return s
@@ -64,8 +65,9 @@ def test_series_delta_baselines_at_zero_before_first_trim():
     assert s.delta(20.0, 30.0) == pytest.approx(0.0)
 
 
-def test_series_trim_switches_delta_baseline():
-    s = _series([(float(i), float(i)) for i in range(6)], max_points=3)
+def test_series_trim_switches_delta_baseline(monkeypatch):
+    monkeypatch.setattr(telemetry, "MAX_POINTS", 3)
+    s = _series([(float(i), float(i)) for i in range(6)])
     # amortised trim: the buffer halves once it reaches 2x max_points
     assert len(s) == 3 and s.points()[0] == (3.0, 3.0)
     # after a trim the earliest retained value is the baseline — the
@@ -73,8 +75,9 @@ def test_series_trim_switches_delta_baseline():
     assert s.delta(0.0, 5.0) == pytest.approx(5.0 - 3.0)
 
 
-def test_series_store_bounds_and_query():
-    store = SeriesStore(max_series=2)
+def test_series_store_bounds_and_query(monkeypatch):
+    monkeypatch.setattr(telemetry, "MAX_SERIES", 2)
+    store = SeriesStore()
     store.record("lat", 1.0, 0.5, service="a", le="1")
     store.record("lat", 1.0, 0.7, service="b", le="1")
     assert store.record("other", 1.0, 1.0) is None
@@ -385,9 +388,10 @@ def test_plane_snapshot_and_slo_status():
 # ------------------------------------------------------- event-log marker
 
 
-def test_event_log_pins_truncation_marker_at_horizon():
+def test_event_log_pins_truncation_marker_at_horizon(monkeypatch):
+    monkeypatch.setattr(events, "MAX_EVENTS", 2)
     sim = Simulator()
-    log = EventLog(sim, max_events=2)
+    log = EventLog(sim)
     sim.schedule(1.0, lambda: log.emit("a.one"))
     sim.schedule(2.0, lambda: log.emit("a.two"))
     sim.schedule(3.0, lambda: log.emit("a.three"))

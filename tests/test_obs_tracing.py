@@ -24,6 +24,8 @@ from repro.obs import (
     to_jsonl,
     tree_depth,
 )
+from repro.obs import events
+from repro.obs import tracer as tracer_module
 from repro.sim import Simulator
 from repro.workflow import (
     CloudWorkflowEngine,
@@ -91,17 +93,19 @@ def test_span_finish_is_idempotent_and_stamps_sim_time():
     assert span.annotations == [{"t": 3.5, "message": "midway", "detail": 7}]
 
 
-def test_tracer_bounds_span_store():
-    tracer = Tracer(Simulator(), max_spans=2)
+def test_tracer_bounds_span_store(monkeypatch):
+    monkeypatch.setattr(tracer_module, "MAX_SPANS", 2)
+    tracer = Tracer(Simulator())
     for i in range(5):
         tracer.start_span(f"s{i}").finish()
     assert [s.name for s in tracer.spans()] == ["s3", "s4"]
     assert tracer.dropped == 3
 
 
-def test_event_log_filters_and_bounds():
+def test_event_log_filters_and_bounds(monkeypatch):
+    monkeypatch.setattr(events, "MAX_EVENTS", 3)
     sim = Simulator()
-    log = EventLog(sim, max_events=3)
+    log = EventLog(sim)
     sim.schedule(1.0, lambda: log.emit("lb.launch", service="x"))
     sim.schedule(2.0, lambda: log.emit("lb.replica.ready", service="x"))
     sim.schedule(3.0, lambda: log.emit("instance.failed", cause="crash"))

@@ -41,7 +41,8 @@ def test_events_fire_in_nondecreasing_time_order(delays):
                 min_size=1, max_size=30))
 def test_gauge_time_weighted_mean_within_range(changes):
     sim = Simulator()
-    gauge = MetricsRegistry(sim).gauge("g", initial=changes[0][1])
+    gauge = MetricsRegistry(sim).gauge("g")
+    gauge.set(changes[0][1])
     t = 0.0
     for delay, value in changes:
         t += delay

@@ -35,6 +35,7 @@ from repro.geo import (GeoLedger, GeoRouter, LeaderElection, RegionGuard,
 from repro.obs.hub import obs_of
 from repro.obs.refusal import Cause, refuse, refused
 from repro.resilience import BreakerRegistry, ResilientClient, RetryPolicy
+from repro.resilience.bulkhead import BulkheadGroup
 from repro.sched import CapacityLedger, Dispatcher, PriorityClass
 from repro.services.rest import RestApi, RestServer
 from repro.services.soap import SoapServer
@@ -101,9 +102,9 @@ class World:
         self.dispatcher = Dispatcher(sim, shard_id=3,
                                      bounds={PriorityClass.BATCH: 0})
         self.dispatcher.register("svc")
-        self.ledger = CapacityLedger(
-            sim, capacity={"private": 0},
-            tenant_quotas={tenant: 0.0 for tenant in PRINCIPALS})
+        self.ledger = CapacityLedger(sim, capacity={"private": 0})
+        for tenant in PRINCIPALS:
+            self.ledger.set_tenant_quota(tenant, 0.0)
         # services: replicas whose accept queue takes nothing, and an
         # api behind buckets of one that are already spent
         self.network = Network(sim)
@@ -154,8 +155,12 @@ class World:
             BreakerRegistry.key("portal", TARGET))
         while breaker.state != "open":
             breaker.record_failure()
-        self.crowded = client(max_in_flight=1, max_queue=0)
-        self.queueing = client(max_in_flight=1, max_queue=1)
+        self.crowded = client()
+        self.crowded.bulkheads = BulkheadGroup(sim, max_in_flight=1,
+                                               max_queue=0)
+        self.queueing = client()
+        self.queueing.bulkheads = BulkheadGroup(sim, max_in_flight=1,
+                                                max_queue=1)
         for held in (self.crowded, self.queueing):
             assert held.bulkheads.get(TARGET).acquire().admitted
         # durable + dataplane

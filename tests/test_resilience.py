@@ -22,6 +22,7 @@ from repro.resilience import (
     ResilientClient,
     RetryPolicy,
 )
+from repro.resilience.bulkhead import BulkheadGroup
 from repro.services.client import RestClient
 from repro.services.envelope import problem
 from repro.services.rest import RestApi, RestCacheable, RestServer
@@ -338,8 +339,9 @@ def test_client_sheds_via_bulkhead(sim, network):
     instance = make_instance(sim)
     network.register(instance.address, ScriptedServer(sim, [5.0]), instance)
     client, metrics = client_with_metrics(
-        sim, network, max_in_flight=1, max_queue=0, hedge=False,
+        sim, network, hedge=False,
         policy=RetryPolicy(max_attempts=1, base_delay=0.1, deadline=30.0))
+    client.bulkheads = BulkheadGroup(sim, max_in_flight=1, max_queue=0)
     first = client.call(instance.address, HttpRequest("GET", "/v1/x"))
     second = client.call(instance.address, HttpRequest("GET", "/v1/x"))
     sim.run()
@@ -354,7 +356,8 @@ def test_hedged_get_first_response_wins(sim, network):
     instance = make_instance(sim)
     network.register(instance.address, ScriptedServer(sim, [10.0, 0.1]),
                      instance)
-    client, metrics = client_with_metrics(sim, network, hedge_after=1.0)
+    # under HEDGE_MIN_SAMPLES latencies the hedge waits DEFAULT_HEDGE_DELAY
+    client, metrics = client_with_metrics(sim, network)
     done = client.call(instance.address, HttpRequest("GET", "/v1/x"),
                        timeout=30.0)
     sim.run(until=5.0)
@@ -371,7 +374,7 @@ def test_hedging_skips_unsafe_posts(sim, network):
     instance = make_instance(sim)
     network.register(instance.address, ScriptedServer(sim, [3.0, 0.1]),
                      instance)
-    client, metrics = client_with_metrics(sim, network, hedge_after=0.5)
+    client, metrics = client_with_metrics(sim, network)
     done = client.call(instance.address,
                        HttpRequest("POST", "/v1/execute"), safe=True)
     sim.run()

@@ -332,8 +332,8 @@ def test_bounded_queue_sheds_batch_at_capacity():
     lb = LoadBalancer(plane.sim, plane.multi, plane.network, plane.sessions,
                       PrivateFirstPolicy(), monitor=plane.monitor,
                       ledger=CapacityLedger(plane.sim),
-                      strict_capacity=True,
                       queue_bounds={PriorityClass.BATCH: 1})
+    lb.strict_capacity = True
     lb.manage(plane.service, initial_replicas=0)
     accepted = plane.sessions.create("b-ok")
     lb.place_session(accepted, "svc", priority=PriorityClass.BATCH)

@@ -42,7 +42,8 @@ def test_gauge_time_weighted_mean(sim, registry):
 
 
 def test_gauge_add_adjusts_relative(sim, registry):
-    gauge = registry.gauge("pool", initial=5)
+    gauge = registry.gauge("pool")
+    gauge.set(5)
     gauge.add(-2)
     assert gauge.value == 3
     gauge.add(10)
@@ -50,7 +51,8 @@ def test_gauge_add_adjusts_relative(sim, registry):
 
 
 def test_gauge_mean_before_any_time_passes(sim, registry):
-    gauge = registry.gauge("idle", initial=7)
+    gauge = registry.gauge("idle")
+    gauge.set(7)
     assert gauge.time_weighted_mean() == 7
 
 

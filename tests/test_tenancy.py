@@ -61,7 +61,8 @@ from repro.sched import (
     PriorityClass,
 )
 from repro.services import Network, PushGateway, RestApi
-from repro.services.idempotency import IdempotencyIndex, request_fingerprint
+from repro.services.idempotency import (PENDING_TTL, IdempotencyIndex,
+                                        request_fingerprint)
 from repro.services.transport import HttpRequest
 from repro.sim import RandomStreams, Simulator
 from repro.tenancy import (
@@ -334,8 +335,8 @@ def test_token_bucket_is_deterministic_on_sim_time():
 
 
 def test_rate_decision_headers():
-    limiter = RateLimiter(Simulator(), TenantRegistry(), default_rate=2.0,
-                          default_burst=4.0)
+    limiter = RateLimiter(Simulator(), TenantRegistry())
+    limiter.default_rate, limiter.default_burst = 2.0, 4.0
     allowed = limiter.check("org-a")
     assert allowed.allowed
     headers = allowed.headers()
@@ -405,7 +406,8 @@ def test_tenant_spec_validation():
 
 def test_ledger_enforces_tenant_quota():
     sim = Simulator()
-    ledger = CapacityLedger(sim, tenant_quotas={"org-a": 8.0})
+    ledger = CapacityLedger(sim)
+    ledger.set_tenant_quota("org-a", 8.0)
     assert ledger.admit("private", 4, tenant="org-a")
     ledger.commit("private", 4, tenant="org-a")
     assert ledger.admit("private", 4, tenant="org-a")
@@ -471,7 +473,7 @@ def test_idempotency_keys_are_tenant_scoped():
 def test_idempotency_ticket_carries_the_slot_and_fences_a_stale_record():
     sim = Simulator()
     container = BlobStore(sim).create_container("idempotency")
-    index = IdempotencyIndex(sim, container, pending_ttl=10.0)
+    index = IdempotencyIndex(sim, container)
     fp = request_fingerprint("POST", "/runs", {"x": 1})
     # the slot is the string the index always derived from (tenant, key)
     tickets = {(tenant, key): index.admit(key, fp, tenant=tenant)
@@ -484,7 +486,7 @@ def test_idempotency_ticket_carries_the_slot_and_fences_a_stale_record():
     # the executor dies; once the reservation lapses a retry takes over
     dead = tickets[("org-a", "k")]
     assert index.admit("k", fp, tenant="org-a").kind == "pending"
-    sim.run(until=11.0)
+    sim.run(until=PENDING_TTL + 1.0)
     retry = index.admit("k", fp, tenant="org-a")
     assert (retry.kind, retry.epoch, retry.slot) == \
         ("fresh", dead.epoch + 1, dead.slot)
@@ -665,7 +667,8 @@ def test_default_tenant_is_one_principal_however_spelled(first, second):
     assert rig.sched.metrics.counter("submit", tenant="default").value == 3
     # -- ledger: one row, one quota; an unowned pool is the default's
     assert rig.lb.service("svc").tenant == DEFAULT_TENANT
-    ledger = CapacityLedger(rig.sim, tenant_quotas={DEFAULT_TENANT: 6})
+    ledger = CapacityLedger(rig.sim)
+    ledger.set_tenant_quota(DEFAULT_TENANT, 6)
     ledger.commit("private", 4, **named(first))
     ledger.commit("private", 2, **named(second))
     assert ledger.committed_by_tenant() == {DEFAULT_TENANT: 6}
