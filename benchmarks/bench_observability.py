@@ -28,7 +28,6 @@ PR 6 telemetry plane:
 gate, write nothing, and hold the file's exact half equal to this run's.
 """
 
-from benchmarks.e2e.workloads.common import fresh_ids
 from benchmarks.harness import (
     assert_committed,
     once,
@@ -63,7 +62,6 @@ def run_arm(telemetry: bool, users: int = 32, poll_interval: float = 5.0):
     scraper + SLO evaluation riding on top.  The exemplar probe (a
     telemetry-arm extra) runs after the scraper's meter has been read.
     """
-    fresh_ids()     # the exemplar's trace id is a process-global counter
     evop = Evop(EvopConfig(
         truth_days=4, storm_day=2, private_vcpus=12,
         sessions_per_replica=4, min_replicas=2,

@@ -24,16 +24,15 @@ than removing work from it.  The bench pins three claims:
 3. **priority isolation survives sharding** — under a batch-sweep flood
    the interactive p95 queue wait at 8 shards is no worse than the
    1-shard baseline (per-shard batch headroom spreads reserved slots
-   across the estate).  Simulated clock, exact for a commit: the
-   process-global id counters are rewound before every measurement,
-   because session ids feed the rendezvous hash.
+   across the estate).  Simulated clock, exact for a commit: session
+   ids feed the rendezvous hash, and each measurement's simulator
+   mints its own from zero.
 
 ``python -m benchmarks shard_scaling`` rewrites
 ``BENCH_shard_scaling.json``; under pytest the same ``run`` / ``check``
 gate, write nothing, and hold the file's exact half equal to this run's.
 """
 
-from benchmarks.e2e.workloads.common import fresh_ids
 from benchmarks.harness import (
     assert_committed,
     once,
@@ -112,7 +111,6 @@ class Plane:
 
 
 def _session_snapshot(count=200):
-    fresh_ids()
     plane = Plane(shards=1, replicas=4)
     plane.warm(4)
     for i in range(count):
@@ -182,7 +180,6 @@ def run_identity():
 
 
 def _warm_estate(shards):
-    fresh_ids()
     plane = Plane(shards=shards, replicas=REPLICAS).warm(REPLICAS)
     return plane, [plane.sessions.create(f"user-{i}")
                    for i in range(PLACEMENTS)]
@@ -234,7 +231,6 @@ def measure_isolation(shards, replicas=32, batch_n=300, interactive_n=24,
     slots (or queue ahead of the flood and drain first as batch
     sessions end).  Returns the wait-time distributions per class.
     """
-    fresh_ids()
     plane = Plane(shards=shards, replicas=replicas, sessions_per_replica=8,
                   strict_capacity=True, batch_headroom=4,
                   autoscale_interval=autoscale_interval)

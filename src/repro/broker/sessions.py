@@ -11,15 +11,12 @@ next request without polling.
 from __future__ import annotations
 
 import enum
-import itertools
 from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.instance import Instance
 from repro.sim import Simulator
 from repro.tenancy.context import DEFAULT_TENANT
-
-_session_ids = itertools.count()
 
 
 class SessionState(enum.Enum):
@@ -33,23 +30,30 @@ class SessionState(enum.Enum):
 class UserSession:
     """One user's live attachment to the portal."""
 
+    #: every session opens WAITING.  A class default, not a store in
+    #: ``__init__``: a session opens per connection, and reading an enum
+    #: member off its class is dear on CPython 3.11
+    state = SessionState.WAITING
+
     def __init__(self, sim: Simulator, user_name: str,
                  channel: Optional[Any] = None, purpose: str = "general",
                  tenant: str = DEFAULT_TENANT,
-                 table: Optional["SessionTable"] = None, seq: int = 0):
+                 table: Optional["SessionTable"] = None):
         self._sim = sim
-        # the table indexing this session by where it sits, and the
-        # session's creation rank in it; a bare session is unindexed
+        # the table indexing this session by where it sits; a bare
+        # session is unindexed
         self._table = table
-        self._seq = seq
-        self.session_id = f"sess-{next(_session_ids):06d}"
+        # the session's number in its simulation is also its creation
+        # rank in the table
+        self._seq = sim.next_id("session")
+        # %-formatting: the f-string format spec costs nearly twice as much
+        self.session_id = "sess-%06d" % self._seq
         self.user_name = user_name
         self.channel = channel      # anything with .push(payload)
         self.purpose = purpose      # e.g. the model the user wants to run
         # the principal this session bills to: its DRR lane, its
         # fairness row and the label on its trace
         self.tenant = tenant
-        self.state = SessionState.WAITING
         self.created_at = sim.now
         self.assigned_at: Optional[float] = None
         self.ended_at: Optional[float] = None
@@ -149,7 +153,6 @@ class SessionTable:
     def __init__(self, sim: Simulator):
         self._sim = sim
         self._sessions: Dict[str, UserSession] = {}
-        self._ranks = itertools.count()
         #: creation rank -> waiting session
         self._waiting: Dict[int, UserSession] = {}
         #: instance -> [(creation rank, session)], ascending; a bucket
@@ -161,11 +164,10 @@ class SessionTable:
                purpose: str = "general",
                tenant: str = DEFAULT_TENANT) -> UserSession:
         """Open a new session in WAITING state."""
-        seq = next(self._ranks)
         session = UserSession(self._sim, user_name, channel, purpose,
-                              tenant, self, seq)
+                              tenant, self)
         self._sessions[session.session_id] = session
-        self._waiting[seq] = session
+        self._waiting[session._seq] = session
         return session
 
     # -- index upkeep (called by UserSession) --------------------------------

@@ -17,7 +17,6 @@ sessions and the Load Balancer watches.  It models:
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
@@ -28,7 +27,6 @@ from repro.cloud.images import MachineImage
 from repro.obs.hub import obs_of
 from repro.sim import Signal, Simulator
 
-_job_ids = itertools.count()
 #: Disk I/O every job charges to its instance's counters.
 JOB_DISK_READ_MB = 1.0
 JOB_DISK_WRITE_MB = 0.5
@@ -69,7 +67,8 @@ class Job:
     job completes and produces the job's value (this is where a real
     TOPMODEL run happens — instantaneous in host time, charged in
     simulated time).  Each completed job adds ``JOB_DISK_READ_MB`` /
-    ``JOB_DISK_WRITE_MB`` to the instance I/O counters.
+    ``JOB_DISK_WRITE_MB`` to the instance I/O counters.  ``job_id`` is
+    minted by the simulator when the job is submitted.
     """
 
     __slots__ = ("job_id", "name", "cost", "compute", "done", "trace",
@@ -79,7 +78,7 @@ class Job:
                  name: str = "job"):
         if cost < 0:
             raise ValueError("job cost must be non-negative")
-        self.job_id = f"job-{next(_job_ids):06d}"
+        self.job_id = ""
         self.name = name
         self.cost = cost
         self.compute = compute
@@ -306,6 +305,7 @@ class Instance:
         (callers observe it through the outcome, mirroring a connection
         refused at a dead VM).
         """
+        job.job_id = f"job-{self._sim.next_id('job'):06d}"
         job.done = self._sim.signal(f"{job.job_id}.done")
         if job.trace is not None:
             job.span = obs_of(self._sim).tracer.start_span(

@@ -16,8 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-_asset_ids = itertools.count()
-
 
 class AssetOrigin(enum.Enum):
     """Where an asset's data come from."""
@@ -67,6 +65,7 @@ class AssetCatalog:
 
     def __init__(self) -> None:
         self._assets: Dict[str, Asset] = {}
+        self._ids = itertools.count()
 
     def add(self, name: str, kind: str, origin: AssetOrigin,
             latitude: float, longitude: float, catchment: str = "",
@@ -74,7 +73,7 @@ class AssetCatalog:
             ) -> Asset:
         """Register an asset; returns it with a fresh id."""
         asset = Asset(
-            asset_id=f"asset-{next(_asset_ids):05d}",
+            asset_id=f"asset-{next(self._ids):05d}",
             name=name, kind=kind, origin=origin,
             latitude=latitude, longitude=longitude,
             catchment=catchment, access=access,

@@ -9,13 +9,10 @@ the widget performs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.sim import Simulator
-
-_frame_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class WebcamArchive:
     def capture(self, tags: Optional[Dict[str, float]] = None) -> WebcamFrame:
         """Record a frame at the current simulated time."""
         frame = WebcamFrame(
-            frame_id=f"frame-{next(_frame_ids):08d}",
+            frame_id=f"frame-{self.sim.next_id('frame'):08d}",
             camera_id=self.camera_id,
             time=self.sim.now,
             blob_key=f"webcams/{self.camera_id}/{self.sim.now:.0f}.jpg",

@@ -12,13 +12,10 @@ Reifies the evaluation evidence of Sections VI and VII:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.sim import RandomStreams
-
-_workshop_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,6 @@ class FeedbackEntry:
 class Workshop:
     """One evaluation workshop with collected feedback."""
 
-    workshop_id: str
     catchment: str
     day: float
     attendees: Dict[str, int] = field(default_factory=dict)  # group -> count
@@ -76,9 +72,8 @@ class Workshop:
     @staticmethod
     def new(catchment: str, day: float,
             attendees: Optional[Dict[str, int]] = None) -> "Workshop":
-        """Create a workshop with a fresh id."""
-        return Workshop(workshop_id=f"WS-{next(_workshop_ids):03d}",
-                        catchment=catchment, day=day,
+        """Create a workshop with its own copy of ``attendees``."""
+        return Workshop(catchment=catchment, day=day,
                         attendees=dict(attendees or {}))
 
     def collect(self, entry: FeedbackEntry) -> None:

@@ -10,11 +10,8 @@ experiential user flow."
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-_req_ids = itertools.count(1)
 
 
 @dataclass
@@ -26,13 +23,6 @@ class Requirement:
     kind: str = "functional"    # "functional" | "context" | "ui" | "flow"
     source_step: Optional[str] = None
     satisfied: bool = False
-
-    @staticmethod
-    def new(text: str, kind: str = "functional",
-            source_step: Optional[str] = None) -> "Requirement":
-        """Create a requirement with a fresh id."""
-        return Requirement(requirement_id=f"REQ-{next(_req_ids):03d}",
-                           text=text, kind=kind, source_step=source_step)
 
 
 @dataclass
@@ -72,7 +62,9 @@ class Storyboard:
         if source_step is not None and \
                 not any(s.step_id == source_step for s in self.steps):
             raise ValueError(f"unknown step {source_step!r}")
-        requirement = Requirement.new(text, kind, source_step)
+        requirement = Requirement(
+            requirement_id=f"REQ-{len(self.requirements) + 1:03d}",
+            text=text, kind=kind, source_step=source_step)
         self.requirements.append(requirement)
         return requirement
 

@@ -18,7 +18,6 @@ records the dialogue direction of each exchange for FIG3.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -27,8 +26,6 @@ VERIFICATION_MIN_DAYS = 1.0
 VERIFICATION_MAX_DAYS = 7.0
 VALIDATION_MIN_DAYS = 30.0
 VALIDATION_MAX_DAYS = 60.0
-
-_artefact_ids = itertools.count(1)
 
 
 class ArtefactState(enum.Enum):
@@ -102,7 +99,7 @@ class DevelopmentProcess:
     def new_artefact(self, title: str, storyboard: str) -> Artefact:
         """Start a prototype in DRAFT."""
         artefact = Artefact(
-            artefact_id=f"ART-{next(_artefact_ids):03d}",
+            artefact_id=f"ART-{len(self.artefacts) + 1:03d}",
             title=title, storyboard=storyboard)
         self.artefacts[artefact.artefact_id] = artefact
         return artefact

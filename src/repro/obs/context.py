@@ -7,31 +7,18 @@ Context shape — a single ``traceparent`` header carried in the plain
 — so the transport layer needs no new fields and any protocol stacked on
 HTTP (REST, WPS, SOAP) inherits propagation for free.
 
-Ids are drawn from deterministic counters, not randomness: given the
-same seed and workload a simulation replays identically, and its traces
-must too (the benchmark harness depends on it).
+Ids are minted by the simulator the tracer serves
+(``Simulator.next_id``), not drawn at random: given the same seed and
+workload a simulation replays identically, and its traces do too, in
+any process (the benchmark harness depends on it).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
 
 #: Header key used to carry trace context across the simulated network.
 TRACEPARENT_HEADER = "traceparent"
-
-_trace_ids = itertools.count(1)
-_span_ids = itertools.count(1)
-
-
-def new_trace_id() -> str:
-    """Mint a fresh deterministic 32-hex-digit trace id."""
-    return f"{next(_trace_ids):032x}"
-
-
-def new_span_id() -> str:
-    """Mint a fresh deterministic 16-hex-digit span id."""
-    return f"{next(_span_ids):016x}"
 
 
 class SpanContext:

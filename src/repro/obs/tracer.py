@@ -19,7 +19,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.obs.context import SpanContext, new_span_id, new_trace_id
+from repro.obs.context import SpanContext
 from repro.sim.kernel import Simulator
 
 #: How many spans one tracer retains.
@@ -129,11 +129,15 @@ class Tracer:
         is the parent, and otherwise a fresh trace is started.
         """
         parent_ctx = self._resolve_parent(parent)
+        next_id = self.sim.next_id
         if parent_ctx is None:
-            context = SpanContext(new_trace_id(), new_span_id())
+            # 32 and 16 hex digits, W3C-shaped; counted from 1
+            context = SpanContext(f"{next_id('trace') + 1:032x}",
+                                  f"{next_id('span') + 1:016x}")
             parent_id = None
         else:
-            context = SpanContext(parent_ctx.trace_id, new_span_id())
+            context = SpanContext(parent_ctx.trace_id,
+                                  f"{next_id('span') + 1:016x}")
             parent_id = parent_ctx.span_id
         span = Span(self, name, context, parent_id, kind, self.sim.now,
                     attributes)

@@ -22,7 +22,6 @@ visibly loads the broker VM.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -30,7 +29,6 @@ from repro.cloud.instance import Instance, Job
 from repro.services.transport import HTTP_HEADER_BYTES, WS_FRAME_BYTES, payload_bytes
 from repro.sim import MetricsRegistry, RandomStreams, Simulator
 
-_conn_ids = itertools.count()
 
 #: CPU charge on the host for accepting/answering one poll request.
 POLL_CPU_COST = 0.002
@@ -49,7 +47,7 @@ class WebSocketConnection:
 
     def __init__(self, gateway: "PushGateway", client_name: str):
         self.gateway = gateway
-        self.connection_id = f"ws-{next(_conn_ids):06d}"
+        self.connection_id = f"ws-{gateway.sim.next_id('ws'):06d}"
         self.client_name = client_name
         self.closed = False
         self._client_handlers: List[Callable[[Any], None]] = []

@@ -18,7 +18,6 @@ standard is SOAP-shaped.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -36,8 +35,6 @@ from repro.tenancy.context import DEFAULT_TENANT, TENANT_HEADER
 
 #: Extra CPU charge per call for transaction-state bookkeeping.
 STATE_BOOKKEEPING_COST = 0.004
-
-_session_ids = itertools.count()
 
 
 @dataclass
@@ -111,7 +108,7 @@ class SoapServer:
         def run() -> Any:
             if op == "begin":
                 session = SoapSession(
-                    session_id=f"soap-{next(_session_ids):06d}",
+                    session_id=f"soap-{self.sim.next_id('soap'):06d}",
                     server_address=self.instance.address)
                 self._sessions[session.session_id] = session
                 return {"session_id": session.session_id}

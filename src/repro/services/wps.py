@@ -14,7 +14,6 @@ replica, so *any* replica can answer a status poll.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -35,7 +34,6 @@ from repro.services.transport import HttpRequest
 from repro.sim import Simulator
 from repro.tenancy.context import TENANT_HEADER
 
-_execution_ids = itertools.count()
 
 #: Output keys worth indexing in the run-summary view: the scalar
 #: results a stakeholder compares across runs.  Everything else (full
@@ -275,7 +273,7 @@ class WpsService:
 
     def _execute_sync(self, process: WpsProcess, inputs: Dict[str, Any],
                       tenant: Optional[str] = None):
-        run_id = f"run-{next(_execution_ids):06d}"
+        run_id = f"run-{self.sim.next_id('wps'):06d}"
         submitted_at = self.sim.now
         self._publish_run(run_id, process.identifier, "submitted",
                           submitted_at, tenant=tenant)
@@ -305,7 +303,7 @@ class WpsService:
 
     def _execute_async(self, process: WpsProcess, inputs: Dict[str, Any],
                        tenant: Optional[str] = None):
-        execution_id = f"exec-{next(_execution_ids):06d}"
+        execution_id = f"exec-{self.sim.next_id('wps'):06d}"
         submitted_at = self.sim.now
         status_doc: Dict[str, Any] = {
             "status": "accepted",

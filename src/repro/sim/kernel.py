@@ -20,11 +20,18 @@ Time is a float in seconds; the unit is a convention shared by all
 subsystems.  Determinism is guaranteed by a monotonically increasing
 sequence number used to break ties between events scheduled for the same
 instant.
+
+Every simulator-bound id (a session, a job, a trace, ...) is minted by
+``Simulator.next_id(kind)``, so a run's ids depend on its own history
+alone and two builds from one seed name everything alike, in one process
+or in two.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import defaultdict
 from typing import (Any, Callable, Generator, Iterable, List, Optional,
                     Tuple, Union)
 
@@ -332,6 +339,7 @@ class Simulator:
         self._strict = strict
         self._failures: list = []
         self._cancelled = 0
+        self._ids: defaultdict = defaultdict(itertools.count)
 
     @property
     def now(self) -> float:
@@ -353,6 +361,10 @@ class Simulator:
                                      BaseException]]:
         """Processes and continuations that raised, with what they raised."""
         return list(self._failures)
+
+    def next_id(self, kind: str) -> int:
+        """The next id of ``kind`` in this simulation: 0, 1, 2, ..."""
+        return next(self._ids[kind])
 
     # -- scheduling --------------------------------------------------------
 

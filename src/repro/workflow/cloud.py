@@ -21,7 +21,6 @@ the in-flight stage re-executes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -39,7 +38,6 @@ from repro.workflow.engine import (
     stage_key,
 )
 
-_run_ids = itertools.count()
 #: How long one service-call stage waits for its answer, in seconds.
 REQUEST_TIMEOUT = 600.0
 
@@ -177,7 +175,7 @@ class CloudWorkflowEngine:
         workflow.validate()
         params = dict(parameters or {})
         adopting = run_id is not None
-        record = RunRecord(run_id=run_id or f"cwf-{next(_run_ids):05d}",
+        record = RunRecord(run_id=run_id or f"cwf-{self.sim.next_id('cwf'):05d}",
                            workflow=workflow.name, parameters=params)
         done = self.sim.signal(f"workflow.{workflow.name}")
         tracer = obs_of(self.sim).tracer

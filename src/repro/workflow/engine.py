@@ -22,8 +22,6 @@ from typing import Any, Dict, List, Optional
 from repro.perf.keys import CanonicalisationError, canonical
 from repro.workflow.dag import Workflow, WorkflowNode
 
-_run_ids = itertools.count()
-
 
 @dataclass
 class StageRecord:
@@ -78,6 +76,7 @@ class WorkflowEngine:
     def __init__(self, tracer=None):
         self._cache: Dict[str, Any] = {}
         self._runs: List[RunRecord] = []
+        self._run_ids = itertools.count()
         self._ticks = itertools.count()
         #: optional :class:`~repro.obs.tracer.Tracer`; when set, each run
         #: produces a ``workflow.run`` span with per-stage children,
@@ -102,7 +101,7 @@ class WorkflowEngine:
                 f"CloudWorkflowEngine")
         params = dict(parameters or {})
         record = RunRecord(
-            run_id=f"run-{next(_run_ids):05d}",
+            run_id=f"run-{next(self._run_ids):05d}",
             workflow=workflow.name,
             parameters=params,
         )

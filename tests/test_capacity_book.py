@@ -25,7 +25,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from benchmarks.e2e.workloads.common import fresh_ids
 from repro.broker import PrivateFirstPolicy, SessionTable
 from repro.cloud import FaultInjector, ImageKind, ImageStore, MEDIUM
 from repro.core.cell import Cell
@@ -42,9 +41,6 @@ SETTLE = 300.0
 class CapacityBook(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        # session ids decide the rendezvous shard: rewind them so a
-        # replayed schedule places exactly as it did the first time
-        fresh_ids()
         self.sim = Simulator()
         streams = RandomStreams(seed=7)
         network = Network(self.sim, streams=streams)
@@ -137,7 +133,6 @@ class GeoBook(RuleBasedStateMachine):
     @initialize(regions=st.integers(min_value=2, max_value=3),
                 users=st.integers(min_value=0, max_value=8))
     def build(self, regions, users):
-        fresh_ids()
         self.estate = GeoEstate(regions=regions, private_vcpus=8,
                                 election_ttl=8.0,
                                 failover_interval=2.0).warm(until=100.0)

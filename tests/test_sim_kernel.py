@@ -301,3 +301,10 @@ def test_run_loop_pop_keeps_cancelled_count_consistent():
     assert fired == ["ok"]
     assert sim._cancelled == 0
     assert sim.calendar_size == 0
+
+
+def test_next_id_counts_per_kind_per_simulator():
+    sim, other = Simulator(), Simulator()
+    assert [sim.next_id("job") for _ in range(3)] == [0, 1, 2]
+    assert sim.next_id("session") == 0
+    assert other.next_id("job") == 0
