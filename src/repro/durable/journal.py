@@ -17,10 +17,10 @@ primitives defined here and nowhere else:
   its epoch survive the release.
 
 Carriers: :class:`RunJournal` (log + lease, below),
-:class:`~repro.dataplane.stream.EventStream` (log),
-:class:`~repro.dataplane.consumers.ClaimTable` (lease) and, through its
-journals, :class:`~repro.geo.election.LeaderElection`.  The run journal
-adds:
+:class:`~repro.dataplane.stream.EventStream` (log), and the leases of
+:class:`~repro.dataplane.consumers.ClaimTable`,
+:class:`~repro.services.idempotency.IdempotencyIndex` and, through its
+journals, :class:`~repro.geo.election.LeaderElection`.  The run journal adds:
 
 * **fsync points** — ``append(..., sync=False)`` buffers in executor
   memory; only ``sync()`` makes records durable.  An executor crash
@@ -156,6 +156,10 @@ class LeaseState:
 # -- the lease rule ---------------------------------------------------------
 # Pure: the lease a carrier read back in, the lease it should write out, or
 # ``None`` for refused.  Storage and the error reported are the carrier's.
+
+#: Seconds past a lapsed lease's expiry before a takeover (clock-edge races).
+TAKEOVER_GRACE = 0.5
+
 
 def take_lease(current: Optional[LeaseState], owner: str, now: float,
                ttl: float) -> Optional[LeaseState]:

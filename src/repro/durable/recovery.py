@@ -36,10 +36,6 @@ from repro.durable.state import RunState, replay
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
-#: Safety margin added after lease expiry before adopting, simulated
-#: seconds.  Guards against adopt-at-the-exact-expiry-instant races.
-LEASE_GRACE = 0.5
-
 
 @dataclass
 class RecoveryReport:
@@ -161,8 +157,8 @@ class RecoveryManager:
         # Never adopt while the old owner's lease could still be live —
         # a blackholed executor is unreachable, not provably dead.
         lease = state.lease
-        if lease is not None and lease.expires > self.sim.now:
-            yield (lease.expires - self.sim.now) + LEASE_GRACE
+        if lease is not None and lease.held_at(self.sim.now):
+            yield (lease.expires - self.sim.now) + j.TAKEOVER_GRACE
         try:
             fresh = replay(self.store.open(state.run_id).records(),
                            run_id=state.run_id)

@@ -23,7 +23,7 @@ single region is expendable:
   or three by the same path.
 """
 
-from repro.geo.election import ELECTION_GRACE, LeaderElection
+from repro.geo.election import LeaderElection
 from repro.geo.estate import REGIONS, GeoEstate
 from repro.geo.failover import FailoverCoordinator, FailoverReport
 from repro.geo.ledger import GeoLedger, RegionLedgerHandle
@@ -37,7 +37,6 @@ from repro.geo.topology import (
 )
 
 __all__ = [
-    "ELECTION_GRACE",
     "FailoverCoordinator",
     "FailoverReport",
     "GeoEstate",

@@ -20,10 +20,10 @@ old term, and its in-flight decisions are rejected (see
 :class:`~repro.geo.ledger.GeoLedger`).
 
 Bounded re-election: the leader renews at half-TTL; after a leader
-region dies, its last renewal expires within ``ttl``, the takeover
-grace adds :data:`ELECTION_GRACE`, and the next coordinator check
-(every ``check_interval``) elects a survivor — so re-election lands
-within ``ttl + ELECTION_GRACE + check_interval`` of the loss.
+region dies, its last renewal expires within ``ttl``, the lease rule's
+``TAKEOVER_GRACE`` follows, and the next coordinator check (every
+``check_interval``) elects a survivor — so re-election lands within
+``ttl + TAKEOVER_GRACE + check_interval`` of the loss.
 """
 
 from __future__ import annotations
@@ -31,16 +31,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.errors import StorageUnavailable
-from repro.durable.journal import JournalStore, LeaseError, LeaseState, RunJournal
+from repro.durable.journal import (TAKEOVER_GRACE, JournalStore, LeaseError,
+                                   LeaseState, RunJournal)
 from repro.geo.topology import RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
 #: The election's name, in its journals' run id and its events.
 CLUSTER = "capacity-ledger"
-#: Seconds past lease expiry before a takeover campaign starts (the
-#: same idea as recovery's LEASE_GRACE: absorb clock-edge races).
-ELECTION_GRACE = 0.5
 
 
 class LeaderElection:
@@ -88,7 +86,7 @@ class LeaderElection:
     @property
     def reelection_bound(self) -> float:
         """Worst-case seconds from leader-region loss to a new leader."""
-        return self.ttl + ELECTION_GRACE + self.check_interval
+        return self.ttl + TAKEOVER_GRACE + self.check_interval
 
     # -- queries -------------------------------------------------------------
 
@@ -143,7 +141,7 @@ class LeaderElection:
             if lease.expires - now <= self.ttl / 2.0:
                 self._renew(holder)
             return holder
-        if lease is not None and now < lease.expires + ELECTION_GRACE:
+        if lease is not None and now < lease.expires + TAKEOVER_GRACE:
             self.leader_region = None
             return None
         candidate = self.topology.nearest_available()

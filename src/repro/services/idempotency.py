@@ -11,28 +11,29 @@ The index is a blob container shared by every replica — like the WPS
 status container, it keeps the replicas stateless: whichever replica a
 retry lands on sees the same reservations.  The protocol per key:
 
-1. **fresh** — no record: a *pending* reservation (with a TTL and an
-   epoch) is written before the handler runs, then the final response
-   is recorded against the same epoch.
+1. **fresh** — no record, or one given up without a response: a
+   *pending* reservation (a lease owned by this attempt) is written
+   before the handler runs, then the final response is recorded under it.
 2. **replay** — a completed record whose request fingerprint matches:
    the stored response is returned without running the handler.
 3. **conflict** — a completed (or pending) record whose fingerprint
    differs: the client reused a key for a different request; that is a
    permanent 422, never retried.
-4. **pending** — an unexpired reservation for the same fingerprint:
-   another in-flight attempt is executing; the caller gets a
-   retryable 409 and its backoff outwaits the first attempt.
+4. **pending** — a live reservation for the same fingerprint: another
+   in-flight attempt is executing; the caller gets a retryable 409 and
+   its backoff outwaits the first attempt.
 5. An **expired** reservation (executor died mid-flight) is taken over
-   with a bumped epoch; the dead attempt's late ``record`` is fenced
-   by the epoch check, exactly like the journal lease protocol.
+   at a bumped epoch; the dead attempt's late ``record`` or ``forget``
+   is fenced by the epoch, exactly like the journal lease protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cloud.storage import Container
+from repro.durable.journal import LeaseState, drop_lease, take_lease
 from repro.perf.keys import content_key
 from repro.sim import Simulator
 from repro.tenancy.context import DEFAULT_TENANT
@@ -57,14 +58,15 @@ class Admission:
     ``kind`` is ``fresh`` / ``replay`` / ``conflict`` / ``pending``;
     ``response`` carries the stored document for replays.  A fresh
     admission is the request's ticket: ``slot`` is the blob its
-    reservation lives under (derived once, here) and ``epoch`` fences
-    the eventual :meth:`IdempotencyIndex.record`.
+    reservation lives under (derived once, here) and ``owner`` /
+    ``epoch`` the lease that fences its ``record`` or ``forget``.
     """
 
     kind: str
     epoch: int = 0
     response: Optional[Dict[str, Any]] = None
     slot: str = ""
+    owner: str = ""
 
 
 class IdempotencyIndex:
@@ -81,8 +83,12 @@ class IdempotencyIndex:
         self.sim = sim
         self._container = container
         self.replays = 0
-        self.conflicts = 0
         self.takeovers = 0
+
+    def _read(self, slot: str) -> Tuple[Optional[Dict], Optional[LeaseState]]:
+        """A slot's record (fingerprint, lease, response) and its lease."""
+        record = self._container.read(slot)
+        return record, record and LeaseState.from_payload(record["lease"])
 
     def admit(self, key: str, fingerprint: str,
               tenant: str = DEFAULT_TENANT) -> Admission:
@@ -92,50 +98,47 @@ class IdempotencyIndex:
         are all per ``(tenant, key)``.
         """
         slot = f"idem/{content_key((tenant, key))}"
-        record = self._container.read(slot)
-        if record is not None:
+        record, current = self._read(slot)
+        # a response or a reservation not given up pins the request
+        if current is not None and ("response" in record or current.ttl > 0):
             if record["fingerprint"] != fingerprint:
-                self.conflicts += 1
                 return Admission(kind="conflict")
-            if record["state"] == "done":
+            if "response" in record:
                 self.replays += 1
                 return Admission(kind="replay", response=record["response"])
-            if record["expires"] > self.sim.now:
-                return Admission(kind="pending")
-            # Expired reservation: the executor died; take over.
+        owner = f"idem-{self.sim.next_id('idem')}"
+        lease = take_lease(current, owner, self.sim.now, PENDING_TTL)
+        if lease is None:
+            return Admission(kind="pending")
+        if current is not None and current.ttl > 0:
+            # the reservation lapsed: its executor died; take over
             self.takeovers += 1
-            epoch = record["epoch"] + 1
-        else:
-            epoch = 0
-        self._container.put(slot, {
-            "state": "pending",
-            "fingerprint": fingerprint,
-            "epoch": epoch,
-            "expires": self.sim.now + PENDING_TTL,
-        })
-        return Admission(kind="fresh", epoch=epoch, slot=slot)
+        self._container.put(slot, {"fingerprint": fingerprint,
+                                   "lease": lease.payload()})
+        return Admission(kind="fresh", epoch=lease.epoch, slot=slot,
+                         owner=owner)
 
     def record(self, ticket: Admission, status: int, body: Any,
                headers: Optional[Dict[str, str]] = None) -> bool:
         """Store the final response for a fresh admission.
 
-        Fenced: a stale executor (its reservation expired and was taken
-        over) must not overwrite the new attempt's state.  Returns
-        whether the response was stored.
+        Fenced: a stale executor (its reservation lapsed and was taken
+        over) no longer holds the ticket's ``(owner, epoch)`` and must
+        not overwrite the new attempt's state.  Returns whether stored.
         """
-        record = self._container.read(ticket.slot)
-        if record is None or record["epoch"] != ticket.epoch:
+        record, lease = self._read(ticket.slot)
+        if lease is None or (lease.owner, lease.epoch) != \
+                (ticket.owner, ticket.epoch):
             return False
-        self._container.put(ticket.slot, {
-            "state": "done",
-            "fingerprint": record["fingerprint"],
-            "epoch": ticket.epoch,
-            "response": {"status": status, "body": body,
-                         "headers": dict(headers or {})},
-        })
+        self._container.put(ticket.slot, dict(record, response={
+            "status": status, "body": body, "headers": dict(headers or {})}))
         return True
 
     def forget(self, ticket: Admission) -> None:
-        """Drop a reservation (a failed attempt that should not pin the
-        key — e.g. the handler never produced a recordable response)."""
-        self._container.discard(ticket.slot)
+        """Drop the lease of a failed attempt that should not pin the key;
+        the record and its epoch stay, and a stale ticket changes nothing."""
+        record, current = self._read(ticket.slot)
+        lease = drop_lease(current, ticket.owner, self.sim.now)
+        if lease is not None:
+            self._container.put(ticket.slot,
+                                dict(record, lease=lease.payload()))

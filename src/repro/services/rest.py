@@ -540,8 +540,8 @@ class RestServer:
                 self.api.idempotency.record(ticket, response.status,
                                             response.body, response.headers)
             else:
-                # the handler never completed usefully (5xx); release
-                # the reservation so a retry can execute fresh
+                # the handler never completed usefully (5xx); drop the
+                # lease so a retry may take it — the slot's epoch stays
                 self.api.idempotency.forget(ticket)
         if span is not None and not span.finished:
             span.set_attribute("status", response.status)

@@ -498,6 +498,44 @@ def test_idempotency_ticket_carries_the_slot_and_fences_a_stale_record():
         {"run": "retry"}
 
 
+def _lapsed_and_taken_over():
+    """A lapses mid-flight and B takes its reservation over."""
+    sim = Simulator()
+    index = IdempotencyIndex(sim, BlobStore(sim).create_container("idem"))
+    fp = request_fingerprint("POST", "/runs", {"x": 1})
+    slow = index.admit("k", fp, tenant="org-a")
+    sim.run(until=PENDING_TTL + 1.0)
+    takeover = index.admit("k", fp, tenant="org-a")
+    assert takeover.kind == "fresh" and index.takeovers == 1
+    return index, fp, slow, takeover
+
+
+def test_idempotency_forget_keeps_the_epoch_so_a_stale_record_stays_fenced():
+    index, fp, slow, takeover = _lapsed_and_taken_over()
+    # B answers 5xx: its reservation is given up, and pins nothing
+    index.forget(takeover)
+    retry = index.admit("k", fp, tenant="org-a")
+    assert retry.kind == "fresh"
+    # ... but the slot's epoch went on rising, so A is still fenced
+    assert slow.epoch < takeover.epoch < retry.epoch
+    assert index.record(slow, 200, {"run": "A"}) is False
+    # no replay of A's body while C is still running
+    assert index.admit("k", fp, tenant="org-a").kind == "pending"
+    assert index.record(retry, 200, {"run": "C"}) is True
+    assert index.admit("k", fp, tenant="org-a").response["body"] == \
+        {"run": "C"}
+
+
+def test_idempotency_stale_forget_leaves_the_new_reservation_alone():
+    index, fp, slow, takeover = _lapsed_and_taken_over()
+    # A answers 5xx late: it no longer holds the slot, so nothing changes
+    index.forget(slow)
+    assert index.admit("k", fp, tenant="org-a").kind == "pending"
+    assert index.record(takeover, 200, {"run": "B"}) is True
+    assert index.admit("k", fp, tenant="org-a").response["body"] == \
+        {"run": "B"}
+
+
 # -- the /v1 boundary ---------------------------------------------------------
 
 

@@ -93,7 +93,7 @@ def test_a_keyed_post_derives_its_idempotency_blob_key_once(monkeypatch):
     # admit read + reserve, record read + store: four blob operations
     # under one derivation of the key (four derivations before)
     assert derived == container.list(prefix="idem/")
-    assert container.read(derived[0])["state"] == "done"
+    assert container.read(derived[0])["response"]["status"] == 201
 
 
 def test_an_event_takes_one_json_round_trip_from_record_to_stream(
