@@ -21,7 +21,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dataplane.events import Event
-from repro.perf.keys import content_key
+from repro.perf.keys import Sized, content_key
 
 #: Rolling-statistics window over observation event time, in hours.
 STATS_WINDOW_HOURS = 24.0
@@ -95,10 +95,13 @@ class MaterializedView:
 
     Read methods hand back the *materialized* document — built once per
     change and shared between readers until the next ``_apply`` or
-    ``reset`` replaces it.  A caller that wants to mutate one copies it
-    first; the read API copies what it puts in a response body (the one
-    document or the rows of the page served), so a client cannot reach
-    the view through a body.
+    ``reset`` replaces it.  A document (a row, a stats document) is a
+    :class:`~repro.perf.keys.Sized`: it is rendered for the wire once
+    per change, and a change re-renders only the documents it replaced.
+    A caller that wants to mutate one copies it first; the read API
+    puts ``.copy()`` of each document it serves in a response body, so
+    a client cannot reach the view through a body and the copy carries
+    the size.
     """
 
     name = "view"
@@ -144,7 +147,8 @@ class LatestObservationView(MaterializedView):
     def __init__(self):
         super().__init__()
         self._latest: Dict[str, Dict[str, Any]] = {}
-        self._rows: Optional[List[Dict[str, Any]]] = None
+        self._documents: Dict[str, Sized] = {}
+        self._rows: Optional[List[Sized]] = None
 
     def _apply(self, event: Event) -> None:
         if event.kind != "observation":
@@ -153,21 +157,26 @@ class LatestObservationView(MaterializedView):
         current = self._latest.get(event.key)
         if current is None or row["time"] >= current["time"]:
             self._latest[event.key] = row
+            self._documents.pop(event.key, None)
             self._rows = None
 
     def latest(self, procedure: str) -> Optional[Dict[str, Any]]:
         return self._latest.get(procedure)
 
-    def rows(self) -> List[Dict[str, Any]]:
+    def rows(self) -> List[Sized]:
         """All latest rows, keyed and sorted by procedure id."""
         if self._rows is None:
-            self._rows = [dict(self._latest[p], procedure=p)
-                          for p in sorted(self._latest)]
+            documents = self._documents
+            for procedure in self._latest.keys() - documents.keys():
+                documents[procedure] = Sized(self._latest[procedure],
+                                             procedure=procedure)
+            self._rows = [documents[p] for p in sorted(documents)]
         return self._rows
 
     def reset(self) -> None:
         super().reset()
         self._latest = {}
+        self._documents = {}
         self._rows = None
 
 
@@ -190,7 +199,7 @@ class CatchmentStatsView(MaterializedView):
         self._sums: Dict[str, float] = {}
         self._latest_time: Dict[str, Optional[float]] = {}
         self._revisions: Dict[str, int] = {}
-        self._documents: Dict[str, Dict[str, Any]] = {}
+        self._documents: Dict[str, Sized] = {}
 
     def _apply(self, event: Event) -> None:
         if event.kind != "observation":
@@ -218,7 +227,7 @@ class CatchmentStatsView(MaterializedView):
                 + row["value"]
         self._revisions[catchment] = self._revisions.get(catchment, 0) + 1
 
-    def stats(self, catchment: str) -> Optional[Dict[str, Any]]:
+    def stats(self, catchment: str) -> Optional[Sized]:
         """The materialized stats document, or ``None`` if unknown."""
         document = self._documents.get(catchment)
         if document is None:
@@ -229,9 +238,9 @@ class CatchmentStatsView(MaterializedView):
             count = len(values)
             lo = min(values) if values else None
             hi = max(values) if values else None
-            document = self._documents[catchment] = stats_document(
+            document = self._documents[catchment] = Sized(stats_document(
                 catchment, count, self._sums.get(catchment, 0.0), lo, hi,
-                self._latest_time.get(catchment), self.window_hours)
+                self._latest_time.get(catchment), self.window_hours))
         return document
 
     def catchments(self) -> List[str]:
@@ -262,8 +271,8 @@ class RunSummaryView(MaterializedView):
         super().__init__()
         self._runs: Dict[str, Dict[str, Any]] = {}
         self._position: Dict[str, int] = {}
-        self._built: List[Dict[str, Any]] = []
-        self._rows: Optional[List[Dict[str, Any]]] = None
+        self._built: List[Sized] = []
+        self._rows: Optional[List[Sized]] = None
 
     def _apply(self, event: Event) -> None:
         if event.kind not in ("run.submitted", "run.finished",
@@ -283,12 +292,12 @@ class RunSummaryView(MaterializedView):
         # a fresh row object (appended on first sight): lists handed out
         # earlier keep the old one
         position = self._position.setdefault(run_id, len(self._built))
-        self._built[position:position + 1] = [dict(entry)]
+        self._built[position:position + 1] = [Sized(entry)]
 
     def run(self, run_id: str) -> Optional[Dict[str, Any]]:
         return self._runs.get(run_id)
 
-    def rows(self) -> List[Dict[str, Any]]:
+    def rows(self) -> List[Sized]:
         """All runs, in first-seen order (stable pagination keys)."""
         if self._rows is None:
             self._rows = list(self._built)

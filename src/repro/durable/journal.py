@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cloud.storage import BlobStore, Container
 from repro.obs.hub import obs_of
 from repro.obs.refusal import Cause, refuse
+from repro.perf.keys import CANONICAL
 from repro.sim import Simulator
 
 # -- record kinds -----------------------------------------------------------
@@ -69,6 +70,10 @@ EVENT = "EVENT"
 KINDS = (SCHEDULED, STARTED, ADOPTED, CHECKPOINT, EFFECT, LEASE, DONE,
          FAILED, EVENT)
 
+#: ``json``'s own default encoder settings: a payload's round trip keeps
+#: its key order and fails on anything without a JSON form.
+_ROUND_TRIP = json.JSONEncoder()
+
 
 class LeaseError(RuntimeError):
     """Lease acquisition or renewal failed (held or lost)."""
@@ -89,7 +94,7 @@ def jsonable(value: Any) -> Tuple[bool, Any]:
     if value is None or type(value) in (bool, int, float, str):
         return True, value
     try:
-        return True, json.loads(json.dumps(value))
+        return True, json.loads(_ROUND_TRIP.encode(value))
     except (TypeError, ValueError):
         return False, None
 
@@ -106,10 +111,9 @@ class JournalRecord:
 
     def to_text(self) -> str:
         """Serialise with a trailing CRC over the canonical JSON body."""
-        body = json.dumps(
+        body = CANONICAL.encode(
             {"seq": self.seq, "t": self.time, "run": self.run_id,
-             "kind": self.kind, "payload": self.payload},
-            sort_keys=True, separators=(",", ":"))
+             "kind": self.kind, "payload": self.payload})
         return f"{body}|crc={zlib.crc32(body.encode()):08x}"
 
     @classmethod

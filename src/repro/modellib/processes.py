@@ -19,6 +19,7 @@ from repro.hydrology.hydrograph import HydrographAnalysis
 from repro.hydrology.scenarios import STANDARD_SCENARIOS
 from repro.hydrology.topmodel import TopmodelParameters
 from repro.perf import RunCache, run_key
+from repro.perf.keys import Sized
 from repro.services.wps import InputSpec, ProcessDescription, WpsProcess
 from repro.sim import RandomStreams
 
@@ -120,7 +121,9 @@ class ModelProcess(WpsProcess):
     misses.  The memo is the process object's: a service's replicas
     share it, every estate starts cold, a run that raises is not stored.
     Only host work is saved — the job is charged ``cost(inputs)`` on the
-    simulated clock, hit or miss.
+    simulated clock, hit or miss.  A stored result is a
+    :class:`~repro.perf.keys.Sized` document, so its wire size is
+    rendered once per content: every answer is a copy carrying it.
     """
 
     def __init__(self, description: ProcessDescription, catchment: Catchment,
@@ -145,12 +148,11 @@ class ModelProcess(WpsProcess):
         key = run_key(self.identifier, inputs, forcing)
         found, outputs = self.results.lookup(key)
         if not found:
-            outputs = self.compute(inputs)
+            outputs = Sized(self.compute(inputs))
             self.results.store(key, outputs)
         # one level deep: outputs are scalars and flat lists, and neither
         # a client nor the idempotency index may reach the stored entry
-        return {name: list(value) if isinstance(value, list) else value
-                for name, value in outputs.items()}
+        return outputs.copy()
 
 
 def _single_run_cost(inputs: Dict[str, Any]) -> float:

@@ -59,8 +59,9 @@ def build_read_api(sim: Simulator, plane: "DataPlane") -> RestApi:
                 retryable=False)
         revision = plane.stats.catchment_revision(catchment)
         # the view shares its materialized document between readers;
-        # what leaves the server is the response's own copy
-        return RestCacheable(body=dict(stats),
+        # what leaves the server is the response's own copy, which
+        # carries the size the document was rendered at
+        return RestCacheable(body=stats.copy(),
                              etag=f'"stats-{catchment}-{revision}"')
 
     def latest_observations(request: HttpRequest, params: Dict[str, str]):
@@ -71,7 +72,7 @@ def build_read_api(sim: Simulator, plane: "DataPlane") -> RestApi:
         except CursorError as err:
             return 400, problem(400, "invalid cursor", str(err),
                                 retryable=False)
-        return 200, {"observations": [dict(row) for row in page.items],
+        return 200, {"observations": [row.copy() for row in page.items],
                      "total": page.total,
                      "nextCursor": page.next_cursor}, page.headers
 
@@ -90,7 +91,7 @@ def build_read_api(sim: Simulator, plane: "DataPlane") -> RestApi:
         except CursorError as err:
             return 400, problem(400, "invalid cursor", str(err),
                                 retryable=False)
-        return 200, {"runs": [dict(row) for row in page.items],
+        return 200, {"runs": [row.copy() for row in page.items],
                      "total": page.total,
                      "nextCursor": page.next_cursor}, page.headers
 

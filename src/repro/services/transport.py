@@ -12,18 +12,23 @@ broker must handle:
 * responses from an instance that dies mid-request are lost.
 
 Payload sizes are estimated structurally so benches can compare wire
-overheads of REST, SOAP, WebSocket frames and polling.
+overheads of REST, SOAP, WebSocket frames and polling.  A size is the
+length of the body's JSON text (``default=str``), exactly, but a
+document that cannot change is rendered once: a
+:class:`~repro.perf.keys.Sized` body (a memoised model result, a
+materialized view row or stats document) carries its size, and a body
+holding such documents encodes only the rest of itself.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.cloud.instance import Instance
 from repro.obs.context import extract_context, inject_context
 from repro.obs.hub import obs_of
+from repro.perf.keys import WIRE, Sized
 from repro.services.envelope import problem
 from repro.sim import RandomStreams, Signal, Simulator
 from repro.tenancy.context import TENANT_HEADER
@@ -57,9 +62,36 @@ def payload_bytes(body: Any) -> int:
     if not body and isinstance(body, (dict, list)):
         return 2  # "{}" / "[]": most requests carry an empty query
     try:
-        return len(json.dumps(body, default=str))
+        if isinstance(body, Sized):
+            return body.wire_size()
+        if type(body) is dict:
+            return _known_bytes(body)
+        return len(WIRE.encode(body))
     except (TypeError, ValueError):
         return len(repr(body))
+
+
+def _known_bytes(body: Dict[Any, Any]) -> int:
+    """The size of a dict whose values may be sized documents: only a
+    shadow is encoded, with ``null`` standing in for a document and
+    ``[]`` for a list of them, and their known sizes are added back."""
+    known = 0
+    shadow = None
+    for key, value in body.items():
+        if isinstance(value, Sized):
+            known += value.wire_size() - 4          # len("null")
+            stand_in: Any = None
+        elif type(value) is list and value \
+                and all(isinstance(item, Sized) for item in value):
+            # each item and the ", " after it, less the last separator
+            known += sum(item.wire_size() + 2 for item in value) - 2
+            stand_in = []
+        else:
+            continue
+        if shadow is None:
+            shadow = dict(body)
+        shadow[key] = stand_in
+    return known + len(WIRE.encode(body if shadow is None else shadow))
 
 
 @dataclass

@@ -378,4 +378,9 @@ class WpsService:
                                 f"no execution {execution_id!r}",
                                 retryable=False)
         blob = self.status.get(execution_id)
-        return RestCacheable(body=dict(blob.payload), etag=blob.etag)
+        body = dict(blob.payload)
+        outputs = body.get("outputs")
+        if isinstance(outputs, dict):
+            # the poller's own copy: a memoised result's carries its size
+            body["outputs"] = outputs.copy()
+        return RestCacheable(body=body, etag=blob.etag)

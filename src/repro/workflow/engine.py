@@ -13,13 +13,11 @@ the estate engine, :mod:`repro.workflow.cloud`.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.perf.keys import CanonicalisationError, canonical
+from repro.perf.keys import CanonicalisationError, content_key
 from repro.workflow.dag import Workflow, WorkflowNode
 
 
@@ -183,12 +181,10 @@ def stage_cache_key(basis: Dict[str, Any], node_id: str) -> str:
     can embed memory addresses, making every run a miss).
     """
     try:
-        normalised = canonical(basis, f"stage {node_id!r}")
+        return content_key(basis, f"stage {node_id!r}")
     except CanonicalisationError as err:
         raise CanonicalisationError(
             f"workflow cache key for {err}") from None
-    text = json.dumps(normalised, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _short_repr(value: Any, limit: int = 120) -> str:
