@@ -16,9 +16,8 @@ the reference baseline:
   faster than the seed serial path;
 * (with NumPy) the structure-of-arrays vectorized kernel is >= 10x
   faster than the cold batched path while agreeing with the scalar
-  oracle within the documented bound (``VECTOR_REL_BOUND``), and the
-  process-pool backend returns bit-identical results to the vector
-  backend — the backend-comparison table prints all four arms.
+  oracle within the documented bound (``VECTOR_REL_BOUND``) — the
+  comparison table prints all four arms.
 
 Every host figure is the median of five interleaved readings off
 :func:`benchmarks.harness.stopwatch`, and every speedup the median of
@@ -228,32 +227,18 @@ def run() -> dict:
     arms = {"seed": lambda: [seed_run(model, rain, None, p) for p in params],
             "cold": lambda: model.run_batch(rain, params),
             "warm": lambda: runner.run_many(draws)}          # all hits
-    # the SoA vectorized kernel and its chunked process-pool twin —
-    # measured against the *cold batched* path, which is what they
-    # replace for a never-seen ensemble
+    # the SoA vectorized kernel — measured against the *cold batched*
+    # path, which is what it replaces for a never-seen ensemble
     if HAVE_NUMPY:
         ensemble = TopmodelEnsemble.prepare(model, rain)
         arms["vector"] = lambda: ensemble.batch(draws)
     seconds, results = stopwatch(arms)
 
     worst_rel_err = None
-    vector_pool_identical = None
     if HAVE_NUMPY:
         worst_rel_err = max(
             agreement(a, b)
             for a, b in zip(results["cold"], results["vector"]))
-        pool_runner = EnsembleRunner(
-            ensemble, model_id="topmodel:morland",
-            forcing=forcing_digest(rain), backend="process-pool",
-            batch=ensemble.batch, workers=2,
-            chunk_size=max(1, SAMPLES // 2))
-        # the one arm whose work leaves the process: a wall reading
-        pool_seconds, pool_results = stopwatch(
-            {"pool": lambda: pool_runner.run_many(draws)}, wall=True)
-        seconds.update(pool_seconds)
-        vector_pool_identical = all(
-            identical(a, b)
-            for a, b in zip(results["vector"], pool_results["pool"]))
 
     host = {f"{arm}_seconds": figure for arm, figure in seconds.items()}
     host["cold_speedup"] = ratio(seconds["seed"], seconds["cold"])
@@ -274,13 +259,11 @@ def run() -> dict:
         "numpy": HAVE_NUMPY,
         "vector_worst_rel_err": worst_rel_err,
         "vector_rel_bound": VECTOR_REL_BOUND,
-        "vector_pool_bit_identical": vector_pool_identical,
     }
 
     rows = []
     for label, arm in (("seed serial", "seed"), ("cold batched", "cold"),
                        ("cold vectorized", "vector"),
-                       ("cold process-pool", "pool"),
                        ("warm cached", "warm")):
         if arm in seconds:
             took = seconds[arm]
@@ -302,8 +285,7 @@ def run() -> dict:
          for figure, floor, _meaning in FLOORS if figure in host])
     if HAVE_NUMPY:
         print(f"vectorized kernel: worst flow rel err {worst_rel_err:.3e} "
-              f"(bound {VECTOR_REL_BOUND:.0e}); vector == process-pool "
-              f"bit-identical: {vector_pool_identical}")
+              f"(bound {VECTOR_REL_BOUND:.0e})")
     else:
         print("numpy absent: vectorized arms skipped "
               "(scalar fallback active)")
@@ -344,9 +326,6 @@ def check(result: dict) -> list:
                 f"vector/scalar disagreement "
                 f"{exact['vector_worst_rel_err']:.3e} exceeds bound "
                 f"{exact['vector_rel_bound']:.0e}")
-        if not exact["vector_pool_bit_identical"]:
-            failures.append(
-                "process-pool results are not bit-identical to vector")
     return failures
 
 

@@ -108,18 +108,17 @@ def trace_summary(source, title: str = "trace summary",
 # -- the host clock ------------------------------------------------------------
 
 
-#: the clocks a host figure may name: this process's CPU time, and the
-#: wall for work that leaves the process
-CPU, WALL = "process_time", "perf_counter"
+#: the clock every host figure is read off: this process's CPU time
+CPU = "process_time"
 #: readings the stopwatch takes of each arm
 READINGS = 5
 
 
-def spread(readings: Sequence[float], clock: str = CPU) -> Dict[str, Any]:
+def spread(readings: Sequence[float]) -> Dict[str, Any]:
     """One host figure, in the form every artifact carries it."""
     q1, median, q3 = quartiles(list(readings))
     return {"median": median, "q1": q1, "q3": q3, "repeats": len(readings),
-            "clock": clock, "readings": list(readings)}
+            "clock": CPU, "readings": list(readings)}
 
 
 def ratio(over: Dict[str, Any], under: Dict[str, Any]) -> Dict[str, Any]:
@@ -129,10 +128,10 @@ def ratio(over: Dict[str, Any], under: Dict[str, Any]) -> Dict[str, Any]:
     median does not: it read 1.47-2.21 on thirty trials of a ratio the
     pairs put at 1.70-2.10)."""
     return spread([a / b for a, b in zip(over["readings"],
-                                         under["readings"])], over["clock"])
+                                         under["readings"])])
 
 
-def stopwatch(arms: Dict[Any, Callable], wall: bool = False,
+def stopwatch(arms: Dict[Any, Callable],
               setup: Optional[Callable[[Any], Any]] = None):
     """Time ``arms`` against each other: ``({arm: spread}, {arm: the last
     reading's return value})``.
@@ -140,14 +139,12 @@ def stopwatch(arms: Dict[Any, Callable], wall: bool = False,
     Readings interleave (A B A B ..., as ``benchmarks.e2e --compare``
     alternates trees), so a busy minute on the box stretches every arm
     alike instead of landing on whichever ran in it.  The clock is this
-    process's CPU time; ``wall`` is for an arm whose work leaves the
-    process.  ``setup(arm)``, untimed, builds what one reading consumes
-    and is handed to the arm.  The collector is off while a reading
-    runs, and the caller's heap is frozen so that collecting between
-    readings walks only what the arms allocated.
+    process's CPU time.  ``setup(arm)``, untimed, builds what one
+    reading consumes and is handed to the arm.  The collector is off
+    while a reading runs, and the caller's heap is frozen so that
+    collecting between readings walks only what the arms allocated.
     """
-    clock = WALL if wall else CPU
-    now = getattr(time, clock)
+    now = time.process_time
     readings: Dict[Any, List[float]] = {arm: [] for arm in arms}
     results: Dict[Any, Any] = {}
     enabled = gc.isenabled()
@@ -166,7 +163,7 @@ def stopwatch(arms: Dict[Any, Callable], wall: bool = False,
         gc.unfreeze()
         if enabled:
             gc.enable()
-    return {arm: spread(r, clock) for arm, r in readings.items()}, results
+    return {arm: spread(r) for arm, r in readings.items()}, results
 
 
 # -- the artifacts -------------------------------------------------------------

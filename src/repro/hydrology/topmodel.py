@@ -195,30 +195,15 @@ class Topmodel:
                   pet: Optional[TimeSeries] = None) -> List[TopmodelResult]:
         """Run many parameter sets over one forcing, preparing it once.
 
-        Results are identical to calling :meth:`run` per set; the batch
-        form is what ensemble workloads (calibration, GLUE, OAT sweeps)
-        should use.
+        Results are identical to calling :meth:`run` per set.  This is
+        the scalar reference the vectorized kernel
+        (:func:`repro.hydrology.vectorized.run_batch_vectorized`) is
+        compared against, by the tests and by the fastpath bench; an
+        ensemble workload runs through
+        :class:`~repro.perf.runner.EnsembleRunner` instead.
         """
         forcing = self.prepare(rainfall, pet)
         return [self.run_prepared(forcing, p) for p in parameter_sets]
-
-    def run_batch_vectorized(self, rainfall: TimeSeries,
-                             parameter_sets: Sequence[TopmodelParameters],
-                             pet: Optional[TimeSeries] = None
-                             ) -> List[TopmodelResult]:
-        """Structure-of-arrays batch: the whole ensemble per timestep.
-
-        Delegates to :func:`repro.hydrology.vectorized.run_batch_vectorized`,
-        which lays state out as ``(n_parameter_sets, n_ti_classes)`` NumPy
-        arrays and advances every parameter set with one sequence of
-        array ops per step.  Agrees with :meth:`run_batch` within the
-        documented ulp bound
-        (:data:`~repro.hydrology.vectorized.VECTOR_REL_BOUND`); without
-        NumPy it *is* :meth:`run_batch`, bit for bit.
-        """
-        from repro.hydrology.vectorized import run_batch_vectorized
-        return run_batch_vectorized(self, self.prepare(rainfall, pet),
-                                    parameter_sets)
 
     def run_prepared(self, forcing: PreparedForcing,
                      parameters: Optional[TopmodelParameters] = None

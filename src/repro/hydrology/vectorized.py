@@ -35,9 +35,10 @@ in ``tests/test_topmodel_vectorized.py``):
   parameter sets yields bit-identical rows, because every op is
   element-wise per set or reduces only over that set's own K classes
   (single-set batches are padded to two columns so einsum's 1-D
-  special case never changes the accumulation).  The process-pool
-  backend relies on this — chunked results are bit-equal to one batch,
-  and ``DurableSweep`` checkpoints at chunk boundaries stay exact.
+  special case never changes the accumulation).  ``DurableSweep``
+  relies on this: it evaluates one checkpoint interval per batch, so a
+  sweep resumed from a checkpoint, or re-run at another interval, is
+  bit-equal to one batch over every set.
 
 Without NumPy the module degrades gracefully: ``HAVE_NUMPY`` is False
 and every entry point falls back to the scalar loop, bit-identical to
@@ -308,7 +309,7 @@ def run_batch_vectorized(model: Topmodel, forcing: PreparedForcing,
         _mul(local_deficit, satf, out=sat_deficit)
         # einsum over the class axis, not BLAS dot: gemv's blocking
         # varies with the column count, so dot would break the
-        # chunk-invariance the process-pool backend depends on, while
+        # chunk-invariance DurableSweep checkpoints depend on, while
         # this contraction accumulates classes k = 0..K-1 strictly in
         # order — the same order (hence the same bits) as the scalar
         # kernel's class loop
@@ -392,16 +393,18 @@ def _route_batch(np, flow_raw, params, dt_hours):
 
 
 class TopmodelEnsemble:
-    """A picklable batch simulator binding one model to one forcing.
+    """A batch simulator binding one model to one forcing.
 
     This is the object ensemble workloads hand to
     :class:`~repro.perf.runner.EnsembleRunner`: calling it with one
     parameter dict runs the scalar kernel (``simulate`` semantics), and
-    :meth:`batch` evaluates a whole chunk through the vectorized kernel
-    (``batch`` semantics, the ``vector``/``process-pool`` backends).
-    Everything it holds — the model's TI lists, the prepared forcing
-    tuples, the base parameter dataclass — is plain data, so instances
-    cross ``ProcessPoolExecutor`` boundaries by pickle.
+    :meth:`batch` evaluates a whole batch through the vectorized kernel
+    (``batch`` semantics, the ``vector`` backend).  Any split of a batch
+    returns the same bits as the whole (the kernel is chunk-invariant),
+    which is what keeps a ``DurableSweep`` that evaluates one
+    checkpoint interval at a time exact.  Everything it holds — the
+    model's TI lists, the prepared forcing tuples, the base parameter
+    dataclass — is plain data, so an instance pickles.
 
     ``vectorized`` advertises whether :meth:`batch` actually runs the
     array kernel; when NumPy is absent it is False and the runner's

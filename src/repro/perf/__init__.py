@@ -9,9 +9,8 @@ those evaluations cheap:
   canonical parameters + forcing digest), LRU-bounded cache of run
   results, with hit/miss counters behind ``stats()``;
 * :class:`~repro.perf.runner.EnsembleRunner` — the single funnel that
-  calibration, OAT/regional sensitivity and GLUE evaluate through, with
-  an opt-in thread-pool backend whose results are bit-identical to
-  serial order;
+  calibration, OAT/regional sensitivity and GLUE evaluate through: the
+  scalar loop, or one batch call through the vectorized kernel;
 * :mod:`~repro.perf.keys` — canonical cache-key construction shared with
   the workflow engines' stage caches.
 """

@@ -5,9 +5,9 @@ to the same primitive — "evaluate this model for each of these parameter
 sets" — and before this module each of them re-ran the model from
 scratch.  :class:`EnsembleRunner` is that primitive made shared: one
 ``simulate`` callable, one content-addressed
-:class:`~repro.perf.runcache.RunCache`, and three backends — the
-scalar loop, one vectorized batch call, or chunks across a process
-pool — whose outputs are bit-identical and in input order.
+:class:`~repro.perf.runcache.RunCache`, and two backends — the
+scalar loop or one vectorized batch call — whose outputs come in input
+order.
 
 ``simulate`` must be a pure function of its parameter dict (every model
 binding in :mod:`repro.hydrology` is); deterministic *failures* are as
@@ -17,7 +17,6 @@ captured as a :class:`RunFailure` once and never re-raised from compute.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -31,7 +30,7 @@ from repro.perf.runcache import RunCache
 CAPTURED_ERRORS = (ValueError, ArithmeticError)
 
 #: The evaluation backends ``EnsembleRunner`` can select between.
-BACKENDS = ("scalar", "vector", "process-pool")
+BACKENDS = ("scalar", "vector")
 
 
 def _eval_batch_chunk(batch: Callable[[Sequence[Dict[str, float]]], list],
@@ -39,9 +38,8 @@ def _eval_batch_chunk(batch: Callable[[Sequence[Dict[str, float]]], list],
                       chunk: Sequence[Dict[str, float]]) -> List[Any]:
     """Evaluate one chunk through a batch callable.
 
-    Module-level (not a closure) so the process-pool backend can pickle
-    it.  With ``capture_errors``, a deterministic failure anywhere in
-    the chunk triggers an item-by-item retry so one bad draw yields one
+    With ``capture_errors``, a deterministic failure anywhere in the
+    chunk triggers an item-by-item retry so one bad draw yields one
     :class:`RunFailure` instead of poisoning its whole chunk — the same
     per-item semantics as the scalar backend.
     """
@@ -73,15 +71,11 @@ class RunFailure:
 
 
 class EnsembleRunner:
-    """Runs one model over many parameter sets, cached and optionally
-    parallel.
+    """Runs one model over many parameter sets, cached.
 
     ``model_id`` and ``forcing`` scope the cache keys (same scheme as
     the workflow stage cache: model id + canonical parameters + forcing
     digest), so one :class:`RunCache` can safely back many runners.
-    ``workers`` sizes the process pool and means nothing to the other
-    two backends (under the GIL a thread pool only slowed the scalar
-    loop down).
     ``sim`` (optional) attaches spans/events to that simulator's
     observability hub so cache behaviour shows up in traces.
     ``scheduler`` (optional, requires ``sim``) is a
@@ -91,44 +85,32 @@ class EnsembleRunner:
     sessions and workflow stages.  Results are unchanged either way.
 
     ``backend`` selects how cache misses are computed — ``"scalar"``
-    (per-set ``simulate`` calls, one after another),
-    ``"vector"`` (all misses in one call to ``batch``, e.g. the SoA
-    TOPMODEL kernel), or ``"process-pool"`` (misses chunked into
-    ``chunk_size``-set slices, in input order, across a
-    ``ProcessPoolExecutor`` of ``workers`` processes; chunk results are
-    merged in chunk order, so output order is deterministic).  Cache
-    keys never include the backend, so a warm cache populated by one
-    backend serves every other.  ``batch`` must map a sequence of
-    parameter dicts to a list of results in input order; when it is
-    ``None`` — or advertises ``vectorized = False`` (NumPy missing) —
-    the runner quietly falls back to the scalar backend.
+    (per-set ``simulate`` calls, one after another) or ``"vector"``
+    (all misses in one call to ``batch``, e.g. the SoA TOPMODEL
+    kernel).  Cache keys never include the backend, so a warm cache
+    populated by one backend serves the other.  ``batch`` must map a
+    sequence of parameter dicts to a list of results in input order;
+    when it is ``None`` — or advertises ``vectorized = False`` (NumPy
+    missing) — the runner quietly falls back to the scalar backend.
     """
 
     def __init__(self, simulate: Callable[[Dict[str, float]], Any],
                  model_id: str = "model", forcing: str = "",
                  cache: Optional[RunCache] = None,
-                 workers: int = 1, sim=None, scheduler=None,
-                 backend: str = "scalar",
+                 sim=None, scheduler=None, backend: str = "scalar",
                  batch: Optional[Callable[[Sequence[Dict[str, float]]],
-                                          list]] = None,
-                 chunk_size: int = 64):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+                                          list]] = None):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"expected one of {BACKENDS}")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.simulate = simulate
         self.model_id = model_id
         self.forcing = forcing
         self.cache = cache
-        self.workers = workers
         self.sim = sim
         self.scheduler = scheduler if sim is not None else None
         self.backend = backend
         self.batch = batch
-        self.chunk_size = chunk_size
         self.backend_runs = {name: 0 for name in BACKENDS}
         self.chunks_dispatched = 0
 
@@ -147,9 +129,7 @@ class EnsembleRunner:
         owner = getattr(self.batch, "__self__", None)
         flag = getattr(self.batch, "vectorized",
                        getattr(owner, "vectorized", True))
-        if not flag:
-            return "scalar"
-        return self.backend
+        return "vector" if flag else "scalar"
 
     # -- single evaluation --------------------------------------------------
 
@@ -185,9 +165,8 @@ class EnsembleRunner:
                  capture_errors: bool = False) -> List[Any]:
         """Evaluate a batch; output order always matches input order.
 
-        Every backend returns the same sequence bit for bit: a batch
-        backend only regroups *computation*, never results, and cache
-        stores happen in first-occurrence order.
+        The vector backend only regroups *computation*, never results:
+        cache stores happen in first-occurrence order either way.
         """
         from contextlib import ExitStack
         span = None
@@ -195,7 +174,7 @@ class EnsembleRunner:
         with ExitStack() as scope:
             if self.scheduler is not None:
                 scope.enter_context(self.scheduler.batch_submission(
-                    self.model_id, len(parameter_sets), self.workers))
+                    self.model_id, len(parameter_sets)))
             if self.sim is not None:
                 from repro.obs.hub import obs_of
                 hub = obs_of(self.sim)
@@ -203,15 +182,13 @@ class EnsembleRunner:
                 span = hub.tracer.start_span(
                     f"ensemble.run {self.model_id}", kind="perf",
                     attributes={"runs": len(parameter_sets),
-                                "workers": self.workers,
                                 "backend": backend})
             try:
-                if backend != "scalar":
+                if backend == "vector":
                     results = self._run_misses(
                         parameter_sets, capture_errors,
                         partial(self._compute_batch,
-                                capture_errors=capture_errors,
-                                backend=backend))
+                                capture_errors=capture_errors))
                 else:
                     results = [self.run_one(p, capture_errors)
                                for p in parameter_sets]
@@ -224,7 +201,6 @@ class EnsembleRunner:
                     hub.events.emit("perf.ensemble.batch",
                                     model=self.model_id,
                                     runs=len(parameter_sets),
-                                    workers=self.workers,
                                     backend=backend)
         return results
 
@@ -232,7 +208,7 @@ class EnsembleRunner:
                     capture_errors: bool,
                     compute: Callable[[List[Dict[str, float]]], List[Any]]
                     ) -> List[Any]:
-        """The cache discipline of the batch backends: hits resolved
+        """The cache discipline of the vector backend: hits resolved
         up front, each unique miss computed exactly once — by
         ``compute``, parameter sets in, their results out, same order —
         stores in first-occurrence order (the deterministic merge),
@@ -267,28 +243,12 @@ class EnsembleRunner:
         return out
 
     def _compute_batch(self, miss_params: Sequence[Dict[str, float]],
-                       capture_errors: bool, backend: str) -> List[Any]:
+                       capture_errors: bool) -> List[Any]:
         if not miss_params:
             return []
-        if backend == "vector":
-            chunks = [miss_params]
-        else:
-            # process-pool: fixed-size chunks in input order; pool.map
-            # preserves submission order, so the merged result — and, by
-            # the kernel's chunk invariance, every bit of it — matches
-            # the single-batch vector backend
-            chunks = [list(miss_params[i:i + self.chunk_size])
-                      for i in range(0, len(miss_params), self.chunk_size)]
-        self.chunks_dispatched += len(chunks)
-        evaluate = partial(_eval_batch_chunk, self.batch, capture_errors)
-        if len(chunks) == 1:
-            computed = evaluate(chunks[0])
-        else:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                computed = []
-                for chunk_result in pool.map(evaluate, chunks):
-                    computed.extend(chunk_result)
-        self.backend_runs[backend] += len(miss_params)
+        self.chunks_dispatched += 1
+        computed = _eval_batch_chunk(self.batch, capture_errors, miss_params)
+        self.backend_runs["vector"] += len(miss_params)
         return computed
 
     def _evaluate(self, parameters: Dict[str, float],
@@ -316,9 +276,4 @@ class EnsembleRunner:
         for name in BACKENDS:
             stats[f"runs{{backend={name}}}"] = self.backend_runs[name]
         stats["chunks_dispatched"] = self.chunks_dispatched
-        stats["chunk_size"] = self.chunk_size
-        stats["pool_workers"] = (
-            self.workers if self.backend == "process-pool" else 0)
         return stats
-
-    # -- durable execution ---------------------------------------------------

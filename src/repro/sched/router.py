@@ -206,7 +206,7 @@ class ShardedRouter:
     # -- batch / ensemble sweeps ---------------------------------------------
 
     @contextmanager
-    def batch_submission(self, model_id: str, runs: int, workers: int = 1):
+    def batch_submission(self, model_id: str, runs: int):
         """Scope one ensemble batch as a BATCH-class submission.
 
         Opens a ``sched.submit`` span (class ``batch``, shard by model
@@ -218,8 +218,7 @@ class ShardedRouter:
         span = obs_of(self.sim).tracer.start_span(
             "sched.submit", kind="sched",
             attributes={"shard": shard, "class": "batch",
-                        "model": model_id, "runs": runs,
-                        "workers": workers})
+                        "model": model_id, "runs": runs})
         self.metrics.counter("submit.batch").increment()
         try:
             yield span

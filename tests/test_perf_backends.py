@@ -1,10 +1,10 @@
 """EnsembleRunner backends: selection, cache neutrality, determinism.
 
 The contract under test: cache keys never encode the backend, so a warm
-cache populated by any backend serves every other; the vector and
-process-pool backends return bit-identical sequences (the kernel is
-chunk-invariant); failures replay as :class:`RunFailure` identically
-everywhere; and the per-backend counters feed the telemetry plane.
+cache populated by either backend serves the other; the vector backend
+matches the scalar one; failures replay as :class:`RunFailure`
+identically on both; and the per-backend counters feed the telemetry
+plane.
 """
 
 import random
@@ -15,7 +15,12 @@ from repro.cloud import BlobStore
 from repro.durable import DurableSweep, JournalStore
 from repro.hydrology import TimeSeries, Topmodel, TopmodelParameters
 from repro.hydrology.calibration import MonteCarloCalibrator
-from repro.hydrology.vectorized import HAVE_NUMPY, TopmodelEnsemble
+from repro.hydrology.vectorized import (
+    HAVE_NUMPY,
+    VECTOR_ABS_BOUND,
+    VECTOR_REL_BOUND,
+    TopmodelEnsemble,
+)
 from repro.perf import EnsembleRunner, RunCache
 from repro.perf.runner import RunFailure
 from repro.sim import Simulator
@@ -74,11 +79,16 @@ class ToySim:
 # -- backend selection -------------------------------------------------------
 
 
-def test_backend_and_chunk_size_validation(ensemble):
-    with pytest.raises(ValueError, match="backend"):
-        make_runner(ensemble, "gpu")
-    with pytest.raises(ValueError, match="chunk_size"):
-        make_runner(ensemble, "vector", chunk_size=0)
+def test_backend_validation_names_the_two_backends(ensemble):
+    assert EnsembleRunner(ToySim()).backend == "scalar"
+    for unknown in ("gpu", "process-pool"):
+        with pytest.raises(ValueError) as raised:
+            make_runner(ensemble, unknown)
+        assert "('scalar', 'vector')" in str(raised.value)
+    # the pool's sizing options went with it
+    for option in ("workers", "chunk_size"):
+        with pytest.raises(TypeError, match=option):
+            make_runner(ensemble, "vector", **{option: 2})
 
 
 def test_resolve_backend_falls_back_without_batch():
@@ -101,36 +111,27 @@ def test_resolve_backend_respects_vectorized_flag(ensemble):
 @needs_numpy
 def test_resolve_backend_selects_requested(ensemble):
     assert make_runner(ensemble, "vector").resolve_backend() == "vector"
-    assert (make_runner(ensemble, "process-pool").resolve_backend()
-            == "process-pool")
     assert make_runner(ensemble, "scalar").resolve_backend() == "scalar"
 
 
-# -- cross-backend determinism -----------------------------------------------
+# -- one vector batch ----------------------------------------------------------
 
 
 @needs_numpy
-def test_vector_and_process_pool_bit_identical(ensemble):
-    draws = draw_updates(9)
-    vector = make_runner(ensemble, "vector").run_many(draws)
-    pooled = make_runner(ensemble, "process-pool",
-                         chunk_size=4).run_many(draws)
-    assert all(identical(a, b) for a, b in zip(vector, pooled))
-
-
-@needs_numpy
-def test_process_pool_chunking_and_duplicates(ensemble):
+def test_vector_batch_resolves_duplicates_once(ensemble):
     draws = draw_updates(6)
     with_dups = draws + [draws[2], draws[0]]
     cache = RunCache(max_entries=64)
-    runner = make_runner(ensemble, "process-pool", cache=cache,
-                         chunk_size=2)
+    runner = make_runner(ensemble, "vector", cache=cache)
     out = runner.run_many(with_dups)
     # duplicates resolve to the cached first-occurrence object
     assert out[6] is out[2]
     assert out[7] is out[0]
-    assert runner.chunks_dispatched == 3     # 6 unique misses / chunks of 2
-    assert runner.backend_runs["process-pool"] == 6
+    assert runner.chunks_dispatched == 1     # 6 unique misses, one batch
+    assert runner.backend_runs["vector"] == 6
+    # a warm re-run dispatches nothing
+    runner.run_many(with_dups)
+    assert runner.chunks_dispatched == 1
 
 
 # -- run-key backend neutrality (satellite 1) --------------------------------
@@ -179,17 +180,18 @@ def test_run_failure_replays_identically_across_backends():
         scalar_runner.run_many(draws)
 
 
-def test_run_failure_in_pool_chunk_spares_neighbours():
+def test_run_failure_in_vector_batch_spares_neighbours():
     toy = ToySim()
     draws = [{"x": float(i)} for i in range(5)]
     draws[2] = {"x": -4.0}
     runner = EnsembleRunner(toy, model_id="toy", forcing="f",
-                            backend="process-pool", batch=toy.batch,
-                            chunk_size=5)
+                            backend="vector", batch=toy.batch)
     out = runner.run_many(draws, capture_errors=True)
+    assert runner.chunks_dispatched == 1
     assert isinstance(out[2], RunFailure)
-    # the rest of the poisoned chunk still computed
-    assert out[0] == {"y": 0.0} and out[4] == {"y": 8.0}
+    # the rest of the poisoned batch still computed
+    assert out[:2] + out[3:] == [{"y": 0.0}, {"y": 2.0}, {"y": 6.0},
+                                 {"y": 8.0}]
 
 
 # -- analysis flow-through ---------------------------------------------------
@@ -237,19 +239,26 @@ def test_calibration_through_vector_backend(ensemble):
 def test_durable_sweep_bit_identical_across_backends(ensemble):
     draws = draw_updates(13)
 
-    def sweep_results(backend, checkpoint_every, chunk_size=4):
+    def sweep_results(backend, checkpoint_every):
         sim = Simulator()
         store = JournalStore(sim, BlobStore(sim, name="d"))
         runner = make_runner(ensemble, backend,
-                             cache=RunCache(max_entries=64),
-                             chunk_size=chunk_size)
+                             cache=RunCache(max_entries=64))
         sweep = DurableSweep(runner, store, "sweep-x",
                              checkpoint_every=checkpoint_every)
         return sweep.run(draws), sweep
 
     vector, vsweep = sweep_results("vector", 5)
-    pooled, _ = sweep_results("process-pool", 3)
-    assert all(identical(a, b) for a, b in zip(vector, pooled))
+    # another checkpoint interval splits the batches elsewhere: the
+    # kernel's chunk invariance keeps every bit
+    resplit, _ = sweep_results("vector", 3)
+    assert all(identical(a, b) for a, b in zip(vector, resplit))
+    # the scalar loop agrees with the kernel within its documented bound
+    scalar, _ = sweep_results("scalar", 5)
+    assert len(scalar) == len(vector) == len(draws)
+    for a, b in zip(scalar, vector):
+        assert b.flow.values == pytest.approx(
+            a.flow.values, rel=VECTOR_REL_BOUND, abs=VECTOR_ABS_BOUND)
     assert vsweep.checkpoints_written == 2
     # chunk boundaries follow the checkpoint interval
     assert vsweep.runner.chunks_dispatched == 3
@@ -288,15 +297,14 @@ def _vector_sweep(ensemble, draws, sweep_id):
 @needs_numpy
 def test_stats_report_per_backend_counters(ensemble):
     draws = draw_updates(5)
-    runner = make_runner(ensemble, "process-pool",
-                         cache=RunCache(max_entries=32), workers=2,
-                         chunk_size=2)
+    runner = make_runner(ensemble, "vector", cache=RunCache(max_entries=32))
     runner.run_many(draws)
     stats = runner.stats()
-    assert stats["runs{backend=process-pool}"] == 5
+    assert stats["runs{backend=vector}"] == 5
     assert stats["runs{backend=scalar}"] == 0
-    assert stats["chunks_dispatched"] == 3
-    assert stats["chunk_size"] == 2
-    assert stats["pool_workers"] == 2
-    # the scalar backend reports no pool
-    assert make_runner(ensemble, "scalar").stats()["pool_workers"] == 0
+    assert stats["chunks_dispatched"] == 1
+    # no pool, so none of its keys
+    assert not {"runs{backend=process-pool}", "chunk_size",
+                "pool_workers"} & stats.keys()
+    assert not {"chunk_size", "pool_workers"} & \
+        make_runner(ensemble, "scalar").stats().keys()

@@ -7,6 +7,7 @@ the parameter axis — including chunks of one — is bit-identical to the
 whole batch.
 """
 
+import dataclasses
 import math
 import pickle
 import random
@@ -104,9 +105,10 @@ def test_vector_handles_pet_and_nan_forcing(model):
 def test_model_delegation_matches_kernel(model):
     rain = storm_series()
     params = draw_params(4)
-    via_model = model.run_batch_vectorized(rain, params)
     direct = run_batch_vectorized(model, model.prepare(rain), params)
-    for a, b in zip(via_model, direct):
+    via_ensemble = TopmodelEnsemble.prepare(model, rain).batch(
+        [dataclasses.asdict(p) for p in params])
+    for a, b in zip(via_ensemble, direct):
         assert identical(a, b)
 
 
@@ -151,8 +153,8 @@ def test_binned_vector_tracks_unbinned_scalar_within_binned_bound(model):
     coarse = full.binned(6)
     rain = storm_series()
     flow_scalar_full = full.run(rain).flow.values
-    flow_vector_binned = coarse.run_batch_vectorized(
-        rain, [TopmodelParameters()])[0].flow.values
+    flow_vector_binned = run_batch_vectorized(
+        coarse, coarse.prepare(rain), [TopmodelParameters()])[0].flow.values
     peak = max(flow_scalar_full)
     assert all(abs(a - b) < 0.05 * peak
                for a, b in zip(flow_scalar_full, flow_vector_binned))
@@ -192,7 +194,7 @@ def test_fallback_without_numpy_is_bit_identical(model, monkeypatch):
     params = draw_params(3)
     scalar = model.run_batch(rain, params)
     monkeypatch.setattr(vectorized, "HAVE_NUMPY", False)
-    fallback = model.run_batch_vectorized(rain, params)
+    fallback = run_batch_vectorized(model, model.prepare(rain), params)
     for a, b in zip(scalar, fallback):
         assert identical(a, b)
 
