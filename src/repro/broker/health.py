@@ -183,10 +183,6 @@ class HealthMonitor:
         )
         self._samples[instance.instance_id].append(sample)
 
-    def samples_for(self, instance: Instance) -> List[HealthSample]:
-        """The current sample window for ``instance``."""
-        return list(self._samples.get(instance.instance_id, ()))
-
     def verdict(self, instance: Instance) -> HealthVerdict:
         """Evaluate the heuristics against the sample window."""
         if instance.is_gone:

@@ -249,21 +249,3 @@ class SessionTable:
     def active_count(self) -> int:
         """Sessions currently pinned to an instance."""
         return self._active
-
-    def live_count(self) -> int:
-        """Active plus waiting sessions."""
-        return self._active + len(self._waiting)
-
-    def prune_ended(self, older_than_seconds: float = 0.0) -> int:
-        """Housekeeping: forget sessions that ended before the cutoff.
-
-        Returns how many records were dropped.  Live sessions are never
-        pruned regardless of age.
-        """
-        cutoff = self._sim.now - older_than_seconds
-        doomed = [sid for sid, s in self._sessions.items()
-                  if s.state == SessionState.ENDED
-                  and s.ended_at is not None and s.ended_at <= cutoff]
-        for sid in doomed:
-            del self._sessions[sid]
-        return len(doomed)

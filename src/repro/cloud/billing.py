@@ -93,17 +93,3 @@ class BillingMeter:
             totals[record.provider] = (totals.get(record.provider, 0.0)
                                        + self._record_cost(record))
         return totals
-
-    def total_cost(self) -> float:
-        """Total accrued cost across every provider."""
-        return sum(self.cost_by_provider().values())
-
-    def instance_seconds_by_provider(self) -> Dict[str, float]:
-        """Total instance-seconds per provider (open records counted to now)."""
-        totals: Dict[str, float] = {}
-        for record in self._records:
-            stopped = (record.stopped_at if record.stopped_at is not None
-                       else self.sim.now)
-            totals[record.provider] = (totals.get(record.provider, 0.0)
-                                       + (stopped - record.started_at))
-        return totals

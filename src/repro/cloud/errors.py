@@ -43,8 +43,8 @@ class BlobNotFound(CloudError):
 class StorageUnavailable(CloudError):
     """The blob store is refusing requests (injected outage).
 
-    Raised by every container operation while a ``storage_fault`` or
-    provider ``outage`` is active; durable-execution callers treat it
+    Raised by every container operation while an injected ``outage``
+    is active; durable-execution callers treat it
     like a crash point — nothing written during the fault is trusted.
     """
 

@@ -14,10 +14,9 @@ The durable-execution work adds infrastructure-level faults:
 
 * **partition** — two addresses can no longer reach each other (requests
   between them time out); heals with :meth:`heal_partition`.
-* **storage_fault** — a blob store goes unavailable or arms a one-shot
-  torn write (see :class:`~repro.cloud.storage.BlobStore`).
 * **outage** — a blob store, addressed by its name, is unavailable for
-  a fixed simulated duration, then heals itself.
+  a fixed simulated duration, then heals itself (see
+  :class:`~repro.cloud.storage.BlobStore`).
 * **heal** — undo a degrade/blackhole on an instance.
 
 The geo-distributed estate adds a region-scoped compound fault:
@@ -33,8 +32,9 @@ Every injection is recorded as a structured :class:`InjectedFault` in
 :attr:`FaultInjector.injected` and emitted to the event log, so traces
 show exactly where chaos struck.
 
-Faults can be injected deterministically (``crash_at``) or as a Poisson
-background process (``enable_random_crashes``).
+A fault is injected now, or later through the simulator
+(``crash_at``, ``region_outage_at``, or ``sim.schedule(delay,
+injector.degrade, instance)`` for any other kind).
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cloud.instance import Instance, InstanceState
+from repro.cloud.instance import Instance
 from repro.cloud.provider import CloudProvider
 from repro.cloud.storage import BlobStore
 from repro.obs.hub import obs_of
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,9 @@ class FaultInjector:
     """
 
     def __init__(self, sim: Simulator, providers: List[CloudProvider],
-                 streams: Optional[RandomStreams] = None,
                  network: Optional[object] = None):
         self.sim = sim
         self.providers = list(providers)
-        self.streams = streams or RandomStreams()
         self.network = network
         self.stores: Dict[str, BlobStore] = {}
         self.injected: List[InjectedFault] = []
@@ -140,19 +138,6 @@ class FaultInjector:
         """Schedule a crash ``delay`` seconds from now."""
         self.sim.schedule(delay, self.crash, instance, cause)
 
-    def degrade_at(self, delay: float, instance: Instance,
-                   speed_multiplier: float = 0.1) -> None:
-        """Schedule a degradation ``delay`` seconds from now."""
-        self.sim.schedule(delay, self.degrade, instance, speed_multiplier)
-
-    def blackhole_at(self, delay: float, instance: Instance) -> None:
-        """Schedule a NIC blackhole ``delay`` seconds from now."""
-        self.sim.schedule(delay, self.blackhole, instance)
-
-    def heal_at(self, delay: float, instance: Instance) -> None:
-        """Schedule a heal ``delay`` seconds from now."""
-        self.sim.schedule(delay, self.heal, instance)
-
     # -- network faults ------------------------------------------------------
 
     def partition(self, a: str, b: str) -> None:
@@ -181,11 +166,6 @@ class FaultInjector:
         except KeyError:
             raise ValueError(f"no blob store named {store_name!r} "
                              f"registered") from None
-
-    def storage_fault(self, store_name: str, kind: str) -> None:
-        """Inject a storage fault: ``"unavailable"`` or ``"torn_write"``."""
-        self._store_of(store_name).set_fault(kind)
-        self._record("storage_fault", store_name, kind)
 
     def heal_storage(self, store_name: str) -> None:
         """Clear an ``unavailable`` fault on the store of that name."""
@@ -286,20 +266,3 @@ class FaultInjector:
                          duration: Optional[float] = None) -> None:
         """Schedule a region outage ``delay`` seconds from now."""
         self.sim.schedule(delay, self.region_outage, region, duration)
-
-    # -- background fault process --------------------------------------------
-
-    def enable_random_crashes(self, mean_interval_seconds: float,
-                              horizon: float) -> None:
-        """Crash a random serving instance at Poisson intervals until ``horizon``."""
-        rng = self.streams.get("faults.random")
-
-        def fault_process():
-            while self.sim.now < horizon:
-                yield rng.expovariate(1.0 / mean_interval_seconds)
-                victims = [inst for provider in self.providers
-                           for inst in provider.instances(InstanceState.RUNNING)]
-                if victims:
-                    self.crash(rng.choice(victims), cause="random background fault")
-
-        self.sim.spawn(fault_process(), name="fault-injector")

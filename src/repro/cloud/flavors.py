@@ -32,12 +32,6 @@ class Flavor:
         if self.compute_speed <= 0:
             raise ValueError(f"flavor {self.name!r} has non-positive speed")
 
-    def fits_within(self, other: "Flavor") -> bool:
-        """Whether this flavor's resources fit inside ``other``'s."""
-        return (self.vcpus <= other.vcpus
-                and self.ram_mb <= other.ram_mb
-                and self.disk_gb <= other.disk_gb)
-
 
 #: Single-core shape for lightweight data services.
 SMALL = Flavor("small", vcpus=1, ram_mb=2048, disk_gb=20)

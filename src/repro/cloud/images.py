@@ -64,10 +64,6 @@ class MachineImage:
         if self.run_speed_factor <= 0:
             raise ValueError(f"image {self.name!r} has non-positive speed")
 
-    def supports_model(self, model_name: str) -> bool:
-        """Whether the image ships the named model ready to execute."""
-        return model_name in self.bundled_models
-
 
 @dataclass
 class ImageStore:
@@ -107,14 +103,6 @@ class ImageStore:
         if kind is not None:
             images = [img for img in images if img.kind == kind]
         return images
-
-    def find_streamlined_for(self, model_name: str) -> Optional[MachineImage]:
-        """Newest streamlined bundle that ships ``model_name``, if any."""
-        candidates = [img for img in self.list(ImageKind.STREAMLINED)
-                      if img.supports_model(model_name)]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda img: img.generation)
 
     def rebake(self, image_id: str, *, extra_models: Tuple[str, ...] = (),
                extra_datasets: Tuple[str, ...] = (),

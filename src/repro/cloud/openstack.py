@@ -53,15 +53,6 @@ class OpenStackCloud(CloudProvider):
         """vCPUs still available in the physical pool."""
         return self.total_vcpus - self._used_vcpus
 
-    def is_saturated(self, flavor: Optional[Flavor] = None) -> bool:
-        """Whether the pool cannot host one more instance.
-
-        With a ``flavor`` given, checks that specific shape; otherwise
-        checks whether any capacity remains at all.
-        """
-        needed = flavor.vcpus if flavor is not None else 1
-        return self.free_vcpus < needed
-
     def _check_admission(self, flavor: Flavor, project: str) -> None:
         if flavor.vcpus > self.free_vcpus:
             raise CapacityError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.cloud.instance import Instance
-from repro.sim import Process, Signal, Simulator
+from repro.sim import Signal, Simulator
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,3 @@ class ProvisioningRecipe:
 
         sim.spawn(runner(), name=f"provision.{instance.instance_id}")
         return done
-
-    def apply_process(self, sim: Simulator, instance: Instance) -> Process:
-        """Like :meth:`apply` but returns the process for joining."""
-        signal = self.apply(sim, instance)
-
-        def waiter():
-            result = yield signal
-            return result
-
-        return sim.spawn(waiter(), name=f"provision.wait.{instance.instance_id}")

@@ -101,13 +101,6 @@ class Container:
         except BlobNotFound:
             return default
 
-    def get_if_none_match(self, key: str, etag: str) -> Optional[Blob]:
-        """Conditional get: ``None`` when the caller's etag is current."""
-        blob = self.get(key)
-        if blob.etag == etag:
-            return None
-        return blob
-
     def exists(self, key: str) -> bool:
         """Whether ``key`` is stored."""
         return key in self._blobs
@@ -199,10 +192,3 @@ class BlobStore:
             return self._containers[name]
         except KeyError:
             raise ContainerNotFound(name) from None
-
-    def delete_container(self, name: str, force: bool = False) -> None:
-        """Delete a container; refuses non-empty ones unless ``force``."""
-        container = self.container(name)
-        if len(container) and not force:
-            raise ValueError(f"container {name!r} not empty")
-        del self._containers[name]

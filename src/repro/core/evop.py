@@ -157,8 +157,7 @@ class Evop:
         self.tenants = self.sched.tenants
         self.ratelimit = RateLimiter(self.sim, self.tenants,
                                      metrics=self.sched_metrics)
-        self.injector = FaultInjector(self.sim, [], streams=self.streams,
-                                      network=self.network)
+        self.injector = FaultInjector(self.sim, [], network=self.network)
         self.injector.register_region(cell.region, cell.providers,
                                       [cell.store])
 

@@ -15,7 +15,7 @@ views deduplicate by ``(stream, seq)``, making the apply idempotent.
 A *poison* event (one whose apply raises, deterministically) must not
 stall the partition: after ``MAX_ATTEMPTS`` deliveries it is parked in
 the :class:`DeadLetterQueue` and the cursor advances past it.  Parked
-events stay durable and inspectable, and can be redriven after a fix.
+events stay durable and inspectable (:meth:`DeadLetterQueue.entries`).
 """
 
 from __future__ import annotations
@@ -88,13 +88,6 @@ class ClaimTable:
         self._write(stream, drop_lease(self._read(stream), owner,
                                        self.sim.now))
 
-    def owner_of(self, stream: str) -> Optional[str]:
-        """The live holder of ``stream``, if any."""
-        current = self._read(stream)
-        if current is None or not current.held_at(self.sim.now):
-            return None
-        return current.owner
-
 
 class DeadLetterQueue:
     """Durable parking lot for poison events."""
@@ -123,23 +116,6 @@ class DeadLetterQueue:
         """Every parked entry, oldest key first."""
         return [self._container.get(k).payload
                 for k in self._container.list(prefix="dlq/")]
-
-    def redrive(self, apply: Callable[[Event], None]) -> int:
-        """Re-apply parked events through ``apply``; drop the ones that
-        now succeed.  Returns how many were drained."""
-        drained = 0
-        for key in self._container.list(prefix="dlq/"):
-            doc = self._container.get(key).payload["event"]
-            event = Event(stream=doc["stream"], seq=doc["seq"],
-                          time=doc["time"], kind=doc["kind"],
-                          key=doc["key"], payload=doc["payload"])
-            try:
-                apply(event)
-            except Exception:  # noqa: BLE001 - still poison, keep parked
-                continue
-            self._container.delete(key)
-            drained += 1
-        return drained
 
 
 class ConsumerGroup:

@@ -394,14 +394,6 @@ class RunJournal:
         self._refresh()
         return self._lease
 
-    def owner_at(self, now: Optional[float] = None) -> Optional[str]:
-        """Who holds the run at ``now`` (default: the simulated clock)."""
-        state = self.lease()
-        when = self.sim.now if now is None else now
-        if state is not None and state.held_at(when):
-            return state.owner
-        return None
-
     def acquire(self, owner: str, ttl: float) -> int:
         """Take (or retake) the lease; returns the fencing epoch.
 

@@ -79,8 +79,7 @@ class GeoEstate:
                       for region in names})
         self.replicator = Replicator(self.sim, self.topology,
                                      interval=replication_interval)
-        self.injector = FaultInjector(self.sim, [], streams=self.streams,
-                                      network=self.network)
+        self.injector = FaultInjector(self.sim, [], network=self.network)
         self.cells: Dict[str, Cell] = {}
         for region in names:
             cell = self.cells[region] = Cell(

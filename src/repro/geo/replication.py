@@ -70,10 +70,6 @@ class VersionVector:
         return all(mine.get(region, 0) >= count
                    for region, count in other.counts)
 
-    def concurrent(self, other: "VersionVector") -> bool:
-        """Whether neither history contains the other (a conflict)."""
-        return not self.descends(other) and not other.descends(self)
-
 
 @dataclass(frozen=True)
 class ShippedRecord:
@@ -145,10 +141,6 @@ class Replicator:
         return self
 
     # -- lag accounting ------------------------------------------------------
-
-    def max_lag(self) -> float:
-        """The worst origin-write-to-arrival lag shipped so far."""
-        return max((r.lag for r in self.shipped), default=0.0)
 
     # -- the sweep -----------------------------------------------------------
 

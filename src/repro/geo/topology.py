@@ -74,10 +74,6 @@ class RegionTopology:
         except KeyError:
             raise ValueError(f"unknown region {region!r}") from None
 
-    def is_down(self, region: str) -> bool:
-        """Whether ``region`` is marked DOWN."""
-        return self.status(region) is RegionStatus.DOWN
-
     def mark(self, region: str, status: RegionStatus) -> None:
         """Record a status change (no-op when unchanged)."""
         previous = self.status(region)
@@ -90,11 +86,6 @@ class RegionTopology:
         obs_of(self.sim).events.emit("geo.region.status", region=region,
                                      status=status.value,
                                      previous=previous.value)
-
-    def available(self) -> List[str]:
-        """Regions that can serve at all (not DOWN), in preference order."""
-        return [r for r in self._order
-                if self._status[r] is not RegionStatus.DOWN]
 
     def nearest(self, origin: Optional[str] = None) -> List[str]:
         """All regions ordered by closeness to ``origin``.

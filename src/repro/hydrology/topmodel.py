@@ -364,37 +364,6 @@ class Topmodel:
             water_balance_error_mm=balance_error,
         )
 
-    def binned(self, classes: int) -> "Topmodel":
-        """A coarser copy with the TI distribution merged into ``classes``
-        area-weighted bins — an opt-in speed/accuracy trade.
-
-        The step loop is O(n·classes), so halving the class count halves
-        the hot-loop cost.  Accuracy bound: each class's TI value moves
-        by at most the width of the bin it lands in, so every local
-        saturation deficit ``S̄ + m(λ − TI)`` is perturbed by at most
-        ``m · w`` mm, where ``w`` is the widest bin's TI spread
-        (``w ≈ (max TI − min TI) / classes`` for the default smooth
-        distributions).  Binned runs are NOT bit-identical to the full
-        distribution; callers that need exact reproduction must use the
-        original model.
-        """
-        if classes < 2:
-            raise ValueError("need at least two classes")
-        if classes >= len(self.ti):
-            return Topmodel(self.ti, self.dt_hours)
-        ordered = sorted(self.ti)
-        lo, hi = ordered[0][0], ordered[-1][0]
-        width = (hi - lo) / classes or 1.0
-        sums = [0.0] * classes      # Σ ti·frac per bin
-        areas = [0.0] * classes     # Σ frac per bin
-        for ti_value, fraction in ordered:
-            index = min(classes - 1, int((ti_value - lo) / width))
-            sums[index] += ti_value * fraction
-            areas[index] += fraction
-        merged = [(sums[i] / areas[i], areas[i])
-                  for i in range(classes) if areas[i] > 0]
-        return Topmodel(merged, self.dt_hours)
-
     def _route(self, flow: List[float],
                params: TopmodelParameters) -> List[float]:
         """Pure delay then a linear reservoir."""

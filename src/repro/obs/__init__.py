@@ -11,9 +11,8 @@ workflow stage — and this package makes that path visible:
   infrastructure happenings (instance lifecycle, LB decisions, faults,
   cloudburst transitions);
 * :mod:`~repro.obs.export` renders collected spans as flat percentile
-  summaries, JSON Lines, Chrome ``trace_event`` JSON that opens
-  directly in ``chrome://tracing`` / Perfetto, or collapsed flamegraph
-  stacks (self-time per root-to-span path);
+  summaries, Chrome ``trace_event`` JSON that opens directly in
+  ``chrome://tracing`` / Perfetto, or an indented span tree;
 * :mod:`~repro.obs.telemetry` samples the raw signals of every metrics
   registry into a bounded labeled
   :class:`~repro.obs.telemetry.SeriesStore` on the simulated clock, with
@@ -40,8 +39,6 @@ from repro.obs.export import (
     span_tree,
     summarize_spans,
     to_chrome_trace,
-    to_collapsed_stacks,
-    to_jsonl,
     tree_depth,
     write_chrome_trace,
 )
@@ -85,8 +82,6 @@ __all__ = [
     "span_tree",
     "summarize_spans",
     "to_chrome_trace",
-    "to_collapsed_stacks",
-    "to_jsonl",
     "tree_depth",
     "write_chrome_trace",
 ]

@@ -1,14 +1,13 @@
-"""Exporters: percentile summaries, JSON Lines, Chrome trace_event.
-
-Three consumers, three formats:
+"""Exporters: percentile summaries, Chrome trace_event, span trees.
 
 * the benchmark harness wants a flat per-span-name table —
   :func:`summarize_spans`;
-* log pipelines want one JSON object per line — :func:`to_jsonl`;
 * humans want a flame view — :func:`to_chrome_trace` emits the Chrome
   ``trace_event`` JSON object format (``ph: "X"`` complete events with
   microsecond timestamps), loadable in ``chrome://tracing`` and
-  `Perfetto <https://ui.perfetto.dev>`_ unchanged.
+  `Perfetto <https://ui.perfetto.dev>`_ unchanged;
+* a terminal wants the forest — :func:`span_tree` nests the spans and
+  :func:`render_tree` indents them.
 """
 
 from __future__ import annotations
@@ -50,29 +49,6 @@ def summarize_spans(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
             "total": total,
         }
     return out
-
-
-def _span_dict(span: Span) -> Dict[str, Any]:
-    return {
-        "name": span.name,
-        "kind": span.kind,
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "start": span.start,
-        "end": span.end,
-        "status": span.status,
-        "error": span.error,
-        "attributes": span.attributes,
-        "annotations": span.annotations,
-    }
-
-
-def to_jsonl(spans: Iterable[Span]) -> str:
-    """Spans as JSON Lines (one object per span, start-time order)."""
-    ordered = sorted(spans, key=lambda s: (s.start, s.span_id))
-    return "\n".join(json.dumps(_span_dict(s), default=repr)
-                     for s in ordered)
 
 
 def to_chrome_trace(spans: Iterable[Span],
@@ -151,35 +127,6 @@ def write_chrome_trace(path: str, spans: Iterable[Span],
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=1)
     return path
-
-
-def to_collapsed_stacks(spans: Iterable[Span]) -> List[str]:
-    """Spans as collapsed flamegraph stacks (``a;b;c <self_us>``).
-
-    One line per unique root-to-span path, semicolon-joined names, value
-    the *self* time in integer microseconds — span duration minus the
-    time covered by its children (clamped at zero when children overlap
-    or outlast the parent).  The output feeds ``flamegraph.pl``,
-    speedscope and friends unchanged; identical paths from different
-    traces aggregate, which is the point: the profile shows where the
-    fleet's simulated time goes, not one request's.
-    """
-    totals: Dict[str, int] = {}
-
-    def walk(node: Dict[str, Any], prefix: str) -> None:
-        span = node["span"]
-        stack = f"{prefix};{span.name}" if prefix else span.name
-        if span.finished:
-            child_time = sum(c["span"].duration for c in node["children"]
-                             if c["span"].finished)
-            self_us = int(round(max(0.0, span.duration - child_time) * 1e6))
-            totals[stack] = totals.get(stack, 0) + self_us
-        for child in node["children"]:
-            walk(child, stack)
-
-    for root in span_tree(spans):
-        walk(root, "")
-    return [f"{stack} {value}" for stack, value in sorted(totals.items())]
 
 
 def span_tree(spans: Iterable[Span],

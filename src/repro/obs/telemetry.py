@@ -231,10 +231,6 @@ class SeriesStore:
         """Number of live series."""
         return len(self._series)
 
-    def all_series(self) -> List[Series]:
-        """Every live series (a copy of the list)."""
-        return list(self._series.values())
-
 
 class MetricsScraper:
     """Samples watched registries into a :class:`SeriesStore` periodically.

@@ -51,10 +51,6 @@ class RunCache:
         self.hits += 1
         return True, value
 
-    def peek(self, key: str) -> bool:
-        """Whether ``key`` is cached, without touching any counter."""
-        return key in self._entries
-
     def store(self, key: str, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting LRU entries at the bound."""
         self._entries[key] = value

@@ -173,12 +173,3 @@ class BreakerRegistry:
                                      **self._kwargs)
             self._breakers[target] = breaker
         return breaker
-
-    def states(self) -> Dict[str, str]:
-        """Current state of every known breaker."""
-        return {target: breaker.state
-                for target, breaker in self._breakers.items()}
-
-    def total_trips(self) -> int:
-        """Trips across every breaker in the registry."""
-        return sum(breaker.trips for breaker in self._breakers.values())

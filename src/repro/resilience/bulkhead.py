@@ -51,11 +51,6 @@ class Bulkhead:
         self.queued_total = 0
         self._queue: Deque[Signal] = deque()
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting for a slot."""
-        return len(self._queue)
-
     def acquire(self) -> Ticket:
         """Try to take a slot: admitted, queued, or shed."""
         if self.in_flight < self.max_in_flight:

@@ -48,7 +48,6 @@ from repro.services.wps import (
     WpsService,
 )
 from repro.services.sos import (
-    InMemoryObservationSource,
     Observation,
     SensorDescription,
     SosService,
@@ -67,7 +66,6 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "HttpResponse",
-    "InMemoryObservationSource",
     "InputSpec",
     "Network",
     "Observation",

@@ -106,10 +106,6 @@ class RestClient:
 
     # -- API description ----------------------------------------------------
 
-    def describe_api(self) -> Signal:
-        """``GET /v1`` — the machine-readable route table."""
-        return self.request("GET", "/v1")
-
     # -- WPS ----------------------------------------------------------------
 
     def describe_process(self, identifier: str) -> Signal:

@@ -241,11 +241,6 @@ class RestApi:
                 return route, found.groupdict()
         return None, {}
 
-    @property
-    def routes(self) -> List[Route]:
-        """The registered routes, in registration order."""
-        return list(self._routes)
-
     def describe(self) -> Dict[str, Any]:
         """The machine-readable contract of the route table."""
         return {

@@ -92,10 +92,6 @@ class SoapServer:
         """Register operation ``name``."""
         self._operations[name] = fn
 
-    def live_sessions(self) -> int:
-        """Number of sessions currently held on this server."""
-        return len(self._sessions)
-
     # -- request handling -------------------------------------------------------
 
     def handle(self, request: HttpRequest) -> Signal:

@@ -151,43 +151,3 @@ class SosService:
                 f"begin/end must be numbers, got begin={query.get('begin')!r} "
                 f"end={query.get('end')!r}") from None
         return begin, end
-
-
-class InMemoryObservationSource:
-    """A simple observation source for tests and composition.
-
-    Real deployments back SOS with the sensor network in
-    :mod:`repro.data.sensors`; this in-memory variant lets services be
-    tested without the data layer.
-    """
-
-    def __init__(self) -> None:
-        self._descriptions: Dict[str, SensorDescription] = {}
-        self._observations: Dict[str, List[Observation]] = {}
-
-    def add_sensor(self, description: SensorDescription) -> None:
-        """Register a sensor procedure."""
-        self._descriptions[description.procedure_id] = description
-        self._observations.setdefault(description.procedure_id, [])
-
-    def add_observation(self, observation: Observation) -> None:
-        """Append an observation for a registered procedure."""
-        if observation.procedure_id not in self._descriptions:
-            raise KeyError(observation.procedure_id)
-        self._observations[observation.procedure_id].append(observation)
-
-    def procedures(self) -> List[str]:
-        """All registered procedure ids, sorted."""
-        return sorted(self._descriptions)
-
-    def describe(self, procedure_id: str) -> SensorDescription:
-        """DescribeSensor payload for ``procedure_id``."""
-        return self._descriptions[procedure_id]
-
-    def observations(self, procedure_id: str, begin: float,
-                     end: float) -> List[Observation]:
-        """Observations in ``[begin, end]`` ordered by time."""
-        return sorted(
-            (obs for obs in self._observations[procedure_id]
-             if begin <= obs.time <= end),
-            key=lambda obs: obs.time)

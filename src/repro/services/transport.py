@@ -168,10 +168,6 @@ class Network:
         """Remove the endpoint at ``address`` (idempotent)."""
         self._endpoints.pop(address, None)
 
-    def is_registered(self, address: str) -> bool:
-        """Whether anything is exposed at ``address``."""
-        return address in self._endpoints
-
     def partition(self, a: str, b: str) -> None:
         """Cut connectivity between ``a`` and ``b`` (both directions).
 

@@ -350,25 +350,6 @@ class WpsService:
             "statusLocation": f"/v1/wps/executions/{execution_id}",
         })
 
-    def purge_executions(self, older_than_seconds: float) -> int:
-        """Housekeeping: drop finished execution records older than a cutoff.
-
-        The XaaS uniform view "simplifies housekeeping tasks"; this is
-        one — async status documents accumulate in shared storage and a
-        periodic purge keeps the container bounded.  Returns how many
-        records were removed; running/accepted executions are kept.
-        """
-        cutoff = self.sim.now - older_than_seconds
-        removed = 0
-        for key in self.status.list():
-            doc = self.status.get(key).payload
-            finished = doc.get("finished_at")
-            if doc.get("status") in ("succeeded", "failed") \
-                    and finished is not None and finished < cutoff:
-                self.status.delete(key)
-                removed += 1
-        return removed
-
     def _get_status(self, request: HttpRequest, params: Dict[str, str]):
         # status documents are polled until they settle; the blob etag
         # lets a poller revalidate instead of re-downloading the outputs

@@ -2,10 +2,10 @@
 
 One :class:`TenantRegistry` per estate is the single source of truth
 the layers consult: the scheduler asks :meth:`weight_of` when building
-deficit-round-robin lanes, the capacity ledgers ask :meth:`quota_of`
-before granting vcpus, the rate limiter asks :meth:`spec_of` for bucket
-parameters, and the admin console asks :meth:`snapshot` for the
-``tenants`` status section.
+deficit-round-robin lanes, the capacity ledger is handed each spec's
+``vcpu_quota`` when the tenant is configured, the rate limiter asks
+:meth:`spec_of` for bucket parameters, and the admin console asks
+:meth:`snapshot` for the ``tenants`` status section.
 
 The registry also keeps the *service accounting* that Jain's index is
 computed over: every dequeue the Dispatcher performs on behalf of a
@@ -100,10 +100,6 @@ class TenantRegistry:
     def weight_of(self, tenant_id: str) -> float:
         """DRR quantum for the tenant (default weight when unknown)."""
         return self.spec_of(tenant_id).weight
-
-    def quota_of(self, tenant_id: str) -> Optional[float]:
-        """The tenant's vcpu quota, or ``None`` for uncapped."""
-        return self.spec_of(tenant_id).vcpu_quota
 
     def tenants(self) -> List[str]:
         """Registered tenant ids, registration order."""

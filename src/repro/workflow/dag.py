@@ -91,15 +91,3 @@ class Workflow:
             stuck = sorted(nid for nid, deg in indegree.items() if deg > 0)
             raise CycleError(f"cycle involving {stuck}")
         return order
-
-    def downstream_of(self, node_id: str) -> List[str]:
-        """Ids of every node transitively depending on ``node_id``."""
-        result = set()
-        frontier = [node_id]
-        while frontier:
-            current = frontier.pop()
-            for node in self._nodes.values():
-                if current in node.depends_on and node.node_id not in result:
-                    result.add(node.node_id)
-                    frontier.append(node.node_id)
-        return sorted(result)

@@ -151,10 +151,6 @@ class WorkflowEngine:
         """Every run executed by this engine, oldest first."""
         return list(self._runs)
 
-    def invalidate(self) -> None:
-        """Drop the stage cache (force full recomputation)."""
-        self._cache.clear()
-
 
 def stage_key(node: WorkflowNode, params: Dict[str, Any],
               upstream_keys: Dict[str, str]) -> str:

@@ -77,7 +77,6 @@ def assert_matches_oracle(pools, table, instances):
     assert table.waiting() == waiting
     assert table.active_count() == len(active)
     assert table.waiting_count() == len(waiting)
-    assert table.live_count() == len(active) + len(waiting)
 
 
 # -- random interleavings ---------------------------------------------------------
@@ -99,7 +98,7 @@ _steps = st.lists(st.one_of(
                                "heal", "crash", "terminate")), _instance),
     st.tuples(st.just("create")),
     st.tuples(st.just("assign"), _session, _instance),
-    st.tuples(st.sampled_from(("unassign", "end", "prune")), _session),
+    st.tuples(st.sampled_from(("unassign", "end")), _session),
 ), min_size=30, max_size=90)
 
 
@@ -127,8 +126,6 @@ def _apply(step, sim, instances, pools, table, created):
         sim.run(until=sim.now + step[1])
     elif kind == "create":
         created.append(table.create(f"u{len(created)}"))
-    elif kind == "prune":
-        table.prune_ended()
     elif kind in ("assign", "unassign", "end"):
         if not created:
             return

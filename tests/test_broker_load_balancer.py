@@ -42,8 +42,7 @@ class Stack:
             "svc", self.api, self.image,
             sessions_per_replica=sessions_per_replica,
             min_replicas=min_replicas, max_replicas=max_replicas)
-        self.injector = FaultInjector(self.sim, cell.providers,
-                                      streams=self.streams)
+        self.injector = FaultInjector(self.sim, cell.providers)
 
     def make_rb(self):
         gateway_instance = self.private.launch(self.image, MEDIUM)
@@ -58,7 +57,7 @@ def test_manage_boots_min_replicas():
     stack.sim.run(until=300.0)
     assert len(stack.service.serving()) == 1
     replica = stack.service.serving()[0]
-    assert stack.network.is_registered(replica.address)
+    assert replica.address in stack.network._endpoints
     assert stack.lb.registry.first_address("svc") == replica.address
 
 

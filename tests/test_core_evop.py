@@ -30,7 +30,7 @@ def test_models_published_with_calibration(evop):
     assert entry.calibration is not None
     assert entry.calibration.is_behavioural()
     image = evop.library.image_for("topmodel-morland")
-    assert image.supports_model("topmodel-morland")
+    assert "topmodel-morland" in image.bundled_models
 
 
 def test_truth_series_in_warehouse(evop):

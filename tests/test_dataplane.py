@@ -22,7 +22,6 @@ from repro.dataplane import (
     ClaimTable,
     ConsumerGroup,
     DataPlane,
-    DeadLetterQueue,
     EventStream,
     OutboxRelay,
     StreamSet,
@@ -42,6 +41,7 @@ from repro.obs.hub import obs_of
 from repro.obs.telemetry import TelemetryPlane
 from repro.services.sos import SensorDescription
 from repro.sim import MetricsRegistry, Simulator
+from tests.test_durable import live_owner
 
 
 @pytest.fixture()
@@ -283,7 +283,8 @@ def test_consumers_split_streams_and_drain(plane):
         observe(plane, "kent", i * 900.0, float(i) * 2)
     plane.pump()
     assert plane.lag() == 0
-    owners = {plane.claims.owner_of(name) for name in plane.streams.names()}
+    owners = {live_owner(plane.claims._read(name), plane.sim.now)
+              for name in plane.streams.names()}
     assert owners <= {"consumer-0", "consumer-1"}
     assert plane.stats.stats("eden")["count"] == 5
     assert plane.stats.stats("kent")["count"] == 5
@@ -307,7 +308,7 @@ def test_claim_epochs_never_restart_across_release_and_expiry(sim, store):
     claims = ClaimTable(sim, store.create_container("claims"))
     first = claims.claim("s", "consumer-0")
     claims.release("s", "consumer-0")
-    assert claims.owner_of("s") is None
+    assert live_owner(claims._read("s"), sim.now) is None
     # a peer takes the released stream at once, above the old epoch
     taken = claims.claim("s", "consumer-1")
     assert taken > first
@@ -318,7 +319,7 @@ def test_claim_epochs_never_restart_across_release_and_expiry(sim, store):
     assert again > taken
     assert not claims.holds("s", "consumer-0", first)
     sim.run(until=sim.now + 31.0)
-    assert claims.owner_of("s") is None
+    assert live_owner(claims._read("s"), sim.now) is None
     assert claims.claim("s", "consumer-1") > again
 
 
@@ -337,7 +338,7 @@ def test_consumer_crash_failover_resumes_at_committed_cursor(sim, store):
     assert second.poll_once() == 0
     sim.run(until=sim.now + 31.0)
     assert second.poll_once() == 1
-    assert plane.claims.owner_of("obs.eden") == second.name
+    assert live_owner(plane.claims._read("obs.eden"), sim.now) == second.name
     # no event was lost or double-applied across the failover
     assert plane.stats.stats("eden")["count"] == 4
     assert plane.stats.duplicates == 0
@@ -381,37 +382,6 @@ def test_poison_event_parks_in_dlq_without_stalling(plane):
     parked = obs_of(plane.sim).events.events("refused")
     assert parked and parked[-1].fields["stream"] == "obs.eden"
     assert parked[-1].fields["cause"] == "poison"
-
-
-def test_dlq_redrive_after_fix(plane):
-    observe(plane, "eden", 0.0, float("nan"))
-
-    def reject_nan(event):
-        if math.isnan(event.payload.get("value", 0.0)):
-            raise ValueError("nan observation")
-
-    plane.apply_hook = reject_nan
-    plane.pump()
-    assert plane.dlq.depth() == 1
-    plane.apply_hook = None      # "the bug was fixed"
-    drained = plane.dlq.redrive(plane._dispatch)
-    assert drained == 1
-    assert plane.dlq.depth() == 0
-    assert plane.stats.stats("eden")["count"] == 1
-
-
-def test_redrive_keeps_still_poison_events_parked(sim, store):
-    dlq = DeadLetterQueue(sim, store.create_container("dlq"))
-    from repro.dataplane import Event
-    dlq.park(Event(stream="s", seq=0, time=0.0, kind="observation",
-                   key="p", payload={"value": 1.0}), error="boom",
-             attempts=3)
-
-    def still_broken(event):
-        raise RuntimeError("still broken")
-
-    assert dlq.redrive(still_broken) == 0
-    assert dlq.depth() == 1
 
 
 # -- views --------------------------------------------------------------------
@@ -628,7 +598,7 @@ def test_instrumented_plane_is_scraped(sim, plane):
     telemetry.watch_registry(registry, service="dataplane")
     telemetry.start()
     sim.run(until=sim.now + 12.0)
-    names = {series.name for series in telemetry.store.all_series()}
+    names = set(telemetry.store.names())
     assert "dataplane.consumer.lag" in names
     assert "dataplane.dlq.depth" in names
 

@@ -8,6 +8,7 @@ from repro.data import dem as dem_module
 from repro.data.catchments import catchment_from_dem
 from repro.hydrology import TopmodelParameters
 from repro.sim import RandomStreams
+from tests.test_chaos_and_async import random_crashes
 
 # DEM analysis is the one data-layer feature that requires NumPy
 needs_numpy = pytest.mark.skipif(not dem_module.HAVE_NUMPY,
@@ -63,8 +64,8 @@ def test_soak_availability_under_sustained_churn():
         autoscale_interval=10.0, seed=71,
     )).bootstrap()
     evop.run_for(400.0)
-    evop.injector.enable_random_crashes(mean_interval_seconds=600.0,
-                                        horizon=evop.sim.now + 7200.0)
+    random_crashes(evop, mean_interval_seconds=600.0,
+                   horizon=evop.sim.now + 7200.0)
 
     outcomes = {"ok": 0, "failed": 0}
 

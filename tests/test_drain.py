@@ -43,7 +43,7 @@ def test_drain_migrates_and_waits_for_inflight_work(deployment):
     # the in-flight job completed before termination
     assert job_done.value.succeeded
     assert victim not in service.replicas
-    assert not evop.network.is_registered(victim.address)
+    assert victim.address not in evop.network._endpoints
 
 
 def test_drain_idle_instance_is_quick(deployment):

@@ -26,6 +26,11 @@ from repro.perf.runner import EnsembleRunner
 from repro.sim import Simulator
 
 
+def live_owner(lease, now):
+    """Who holds ``lease`` (a journal's or a stream claim's) at ``now``."""
+    return lease.owner if lease is not None and lease.held_at(now) else None
+
+
 @pytest.fixture()
 def sim():
     return Simulator()
@@ -230,13 +235,13 @@ def test_lease_acquire_renew_release(sim, store):
     journal = store.create("run-d")
     epoch = journal.acquire("exec-a", ttl=60.0)
     assert epoch == 1
-    assert journal.owner_at() == "exec-a"
+    assert live_owner(journal.lease(), sim.now) == "exec-a"
     with pytest.raises(LeaseError):
         store.open("run-d").acquire("exec-b", ttl=60.0)
     sim.run(until=30.0)
     assert journal.renew("exec-a", ttl=60.0) == 1
     journal.release("exec-a")
-    assert journal.owner_at() is None
+    assert live_owner(journal.lease(), sim.now) is None
     # after release anyone may take it, at a bumped epoch
     assert store.open("run-d").acquire("exec-b", ttl=60.0) == 2
 
@@ -254,7 +259,7 @@ def test_expired_lease_takeover_fences_old_owner(sim, store):
     # and cannot renew either
     with pytest.raises(LeaseError):
         journal_a.renew("exec-a", ttl=60.0)
-    assert journal_a.owner_at() == "exec-b"
+    assert live_owner(journal_a.lease(), sim.now) == "exec-b"
 
 
 # -- the lease rule, on both carriers (property) ------------------------------
@@ -502,7 +507,7 @@ def test_sweep_whose_model_raises_fails_the_run_and_frees_it(
     state = replay(journal.records())
     assert state.status == "failed"
     assert state.failure == "TypeError: unsupported operand"
-    assert journal.owner_at() is None               # released, not lapsed
+    assert live_owner(journal.lease(), sim.now) is None               # released, not lapsed
     assert state.checkpoint["completed"] == 2
     tracer = obs_of(sim).tracer
     assert [s.error for s in tracer.spans(name="durable.sweep")] == [

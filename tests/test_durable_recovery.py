@@ -19,6 +19,7 @@ from repro.services import Network, WpsService
 from repro.services.transport import HttpRequest, HttpResponse
 from repro.services.wps import InputSpec, ProcessDescription, WpsProcess
 from repro.sim import Simulator
+from tests.test_durable import live_owner
 from repro.workflow import (
     CloudWorkflowEngine,
     ServiceCall,
@@ -145,7 +146,7 @@ def test_journal_lifecycle_and_a_second_engine_seeded_completely(rig):
     assert state.status == "done" and state.owner == first.executor_id
     assert state.completed == ["choose-storm", "run-model"]
     assert state.parameters == {"depth": 30.0}
-    assert journals.open(record.run_id).owner_at() is None   # released
+    assert live_owner(journals.open(record.run_id).lease(), sim.now) is None   # released
 
     second = CloudWorkflowEngine(sim, rig["network"], store=journals,
                                  executor=rig["replacement"], lease_ttl=10.0)
@@ -183,11 +184,11 @@ def test_blackhole_heal_leaves_exactly_one_owner(rig):
     start = sim.now
     done_a = engine_a.run(workflow, {"depth": 12.0})
     run_id = journals.run_ids()[0]
-    injector.blackhole_at(2.0, rig["executor"])
+    sim.schedule(2.0, injector.blackhole, rig["executor"])
     # ops notice the dark executor and condemn it
     sim.schedule(3.0, recovery.recover_instance,
                  rig["executor"].instance_id, "blackholed")
-    injector.heal_at(9.0, rig["executor"])
+    sim.schedule(9.0, injector.heal, rig["executor"])
     sim.run(until=sim.now + 90.0)
 
     # exactly one DONE in the journal, owned by the adopter
@@ -215,8 +216,8 @@ def test_degrade_then_recover_shows_in_transitions(rig):
     monitor.watch(rig["executor"])
     injector = FaultInjector(sim, [rig["cloud"]])
     t0 = sim.now
-    injector.degrade_at(5.0, rig["executor"])
-    injector.heal_at(30.0, rig["executor"])
+    sim.schedule(5.0, injector.degrade, rig["executor"], 0.1)
+    sim.schedule(30.0, injector.heal, rig["executor"])
     sim.run(until=t0 + 40.0)
 
     transitions = monitor.transitions(rig["executor"])

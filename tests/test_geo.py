@@ -42,8 +42,7 @@ def test_topology_ring_and_status(sim):
     assert topo.nearest("b") == ["b", "c", "a"]
     assert topo.nearest(None) == ["a", "b", "c"]
     topo.mark("a", RegionStatus.DOWN)
-    assert topo.is_down("a")
-    assert topo.available() == ["b", "c"]
+    assert topo.status("a") is RegionStatus.DOWN
     assert topo.nearest_available("a") == "b"
     assert len(topo.transitions) == 1
 
@@ -73,7 +72,8 @@ def test_version_vector_algebra():
     a = VersionVector.of({}).increment("eu").increment("eu")
     b = VersionVector.of({}).increment("us")
     assert a.get("eu") == 2 and a.get("us") == 0
-    assert a.concurrent(b) and b.concurrent(a)
+    # neither history contains the other: a conflict
+    assert not a.descends(b) and not b.descends(a)
     merged = a.merge(b)
     assert merged.descends(a) and merged.descends(b)
     assert merged.increment("eu").descends(merged)
@@ -102,7 +102,7 @@ def test_replicator_ships_within_one_interval(sim):
     sim.run(until=20.0)
     assert stores["us"].container("data").get("k").payload == {"v": 1}
     # RPO: lag never exceeds one replication interval
-    assert 0 < repl.max_lag() <= 5.0
+    assert 0 < max(r.lag for r in repl.shipped) <= 5.0
 
 
 def test_replicator_converges_concurrent_writes(sim):

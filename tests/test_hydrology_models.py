@@ -324,27 +324,3 @@ def test_prepare_rejects_mismatched_pet():
     pet = TimeSeries(0, 3600, [0.1] * (len(rain) - 1))
     with pytest.raises(ValueError, match="PET"):
         model.prepare(rain, pet)
-
-
-def test_binned_model_trades_accuracy_for_class_count():
-    full = Topmodel(Topmodel.exponential_ti_distribution(classes=30))
-    coarse = full.binned(6)
-    assert len(coarse.ti) <= 6
-    # area is conserved and the mean TI barely moves
-    assert abs(sum(f for _t, f in coarse.ti) - 1.0) < 1e-9
-    assert abs(coarse.lam - full.lam) < 0.2
-    # the coarse hydrograph tracks the full one within a few percent
-    rain = storm_series()
-    flow_full = full.run(rain).flow.values
-    flow_coarse = coarse.run(rain).flow.values
-    peak = max(flow_full)
-    assert all(abs(a - b) < 0.05 * peak
-               for a, b in zip(flow_full, flow_coarse))
-
-
-def test_binned_noop_when_already_coarse():
-    model = Topmodel(Topmodel.exponential_ti_distribution(classes=5))
-    same = model.binned(10)
-    assert same.ti == model.ti
-    with pytest.raises(ValueError):
-        model.binned(1)

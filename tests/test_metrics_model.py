@@ -171,8 +171,9 @@ def _series_after_a_minute(first, second):
     getattr(evop, first)()
     getattr(evop, second)()
     evop.run_for(60.0)
+    store = evop.telemetry.store
     return {(s.name, tuple(sorted(s.labels.items())))
-            for s in evop.telemetry.store.all_series()}
+            for name in store.names() for s in store.query(name)}
 
 
 def test_telemetry_and_dataplane_enable_in_either_order():

@@ -157,9 +157,7 @@ def test_recipe_apply_process_joinable():
     recipe = ProvisioningRecipe("r").add_step("a", 10.0)
 
     def driver():
-        proc = recipe.apply_process(sim, instance)
-        yield proc
-        return proc.result
+        return (yield recipe.apply(sim, instance))
 
     result = sim.run_process(driver())
     assert result == ["a"]

@@ -62,7 +62,7 @@ def test_publish_streamlined_bakes_bundle(library, morland):
     assert entry.kind == ModelKind.STREAMLINED
     image = library.image_for("topmodel-morland")
     assert image.kind == ImageKind.STREAMLINED
-    assert image.supports_model("topmodel-morland")
+    assert "topmodel-morland" in image.bundled_models
     assert image.run_speed_factor == ModelLibrary.STREAMLINED_SPEED
     assert entry.calibration.is_behavioural()
 

@@ -3,7 +3,7 @@
 PR 1 shipped the exporters with happy-path coverage only; these pin the
 structural contracts downstream tools depend on — pid/tid assignment in
 the Chrome ``trace_event`` document, orphan handling in span forests,
-collapsed-stack self-time math, and the overflow-bucket interpolation
+and the overflow-bucket interpolation
 in :meth:`Histogram.quantile`.
 """
 
@@ -14,7 +14,6 @@ from repro.obs import (
     span_tree,
     summarize_spans,
     to_chrome_trace,
-    to_collapsed_stacks,
     tree_depth,
     Tracer,
 )
@@ -94,21 +93,6 @@ def test_render_tree_marks_errors_and_open_spans():
     lines = render_tree(span_tree(tracer.spans()))
     assert lines[0].startswith("work") and "open" in lines[0]
     assert lines[1].strip().startswith("broken") and lines[1].endswith("!")
-
-
-def test_collapsed_stacks_attribute_self_time():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    root = tracer.start_span("outer")
-    child = tracer.start_span("inner", parent=root)
-    sim.schedule(2.0, child.finish)
-    sim.schedule(5.0, root.finish)
-    sim.run()
-    stacks = dict(line.rsplit(" ", 1) for line
-                  in to_collapsed_stacks(tracer.spans()))
-    # outer's self time excludes the 2s its child covers
-    assert int(stacks["outer"]) == 3_000_000
-    assert int(stacks["outer;inner"]) == 2_000_000
 
 
 def test_summarize_spans_reports_error_rate():

@@ -21,7 +21,6 @@ from repro.obs import (
     span_tree,
     summarize_spans,
     to_chrome_trace,
-    to_jsonl,
     tree_depth,
 )
 from repro.obs import events
@@ -155,15 +154,6 @@ def test_chrome_trace_event_shape():
     assert event["name"] == "op"
     assert {"pid", "tid", "args"} <= set(event)
     json.dumps(doc)  # must be serialisable as-is
-
-
-def test_jsonl_export_round_trips():
-    tracer = _spans_with_durations([1.0, 2.0])
-    lines = to_jsonl(tracer.spans()).strip().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        record = json.loads(line)
-        assert record["name"] == "op" and record["trace_id"]
 
 
 def test_span_tree_depth_and_rendering():

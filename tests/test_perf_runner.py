@@ -89,7 +89,7 @@ def test_runcache_lru_eviction_order():
     cache.store("b", 2)
     cache.lookup("a")            # refresh a: b becomes LRU
     cache.store("c", 3)
-    assert cache.peek("a") and cache.peek("c") and not cache.peek("b")
+    assert list(cache._entries) == ["a", "c"]     # LRU first
     assert cache.evictions == 1
 
 

@@ -115,7 +115,7 @@ def test_session_state_machine_invariants(operations):
             assert session.instance is not None
         else:
             assert session.instance is None
-        assert table.live_count() in (0, 1)
+        assert table.active_count() + table.waiting_count() in (0, 1)
     # migrations only ever recorded between distinct instances
     for migration in session.migrations:
         assert migration["from"] != migration["to"]

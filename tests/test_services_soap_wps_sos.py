@@ -15,13 +15,40 @@ from repro.services import (
     SoapFault,
     SoapServer,
     SosService,
-    InMemoryObservationSource,
     InputSpec,
     ProcessDescription,
     WpsProcess,
     WpsService,
 )
 from repro.sim import Simulator
+
+
+class InMemoryObservationSource:
+    """An SOS observation source without the data layer behind it."""
+
+    def __init__(self):
+        self._descriptions = {}
+        self._observations = {}
+
+    def add_sensor(self, description):
+        self._descriptions[description.procedure_id] = description
+        self._observations.setdefault(description.procedure_id, [])
+
+    def add_observation(self, observation):
+        if observation.procedure_id not in self._descriptions:
+            raise KeyError(observation.procedure_id)
+        self._observations[observation.procedure_id].append(observation)
+
+    def procedures(self):
+        return sorted(self._descriptions)
+
+    def describe(self, procedure_id):
+        return self._descriptions[procedure_id]
+
+    def observations(self, procedure_id, begin, end):
+        return sorted((obs for obs in self._observations[procedure_id]
+                       if begin <= obs.time <= end),
+                      key=lambda obs: obs.time)
 
 
 @pytest.fixture()
@@ -69,7 +96,7 @@ def test_soap_session_keeps_state_between_calls(sim, network):
     begin = roundtrip(sim, network, instance.address,
                       HttpRequest("POST", "/soap/begin", body={"op": "begin"}))
     client.session_id = begin.body["session_id"]
-    assert server.live_sessions() == 1
+    assert len(server._sessions) == 1
 
     reply = client.call("set_region", payload="eden")
     sim.run()
@@ -101,7 +128,7 @@ def test_soap_end_releases_session(sim, network):
     done = client.call("end")
     sim.run()
     assert done.value.ok
-    assert server.live_sessions() == 0
+    assert len(server._sessions) == 0
 
 
 def test_soap_sessions_lost_when_server_dies(sim, network):
@@ -111,7 +138,7 @@ def test_soap_sessions_lost_when_server_dies(sim, network):
     begin = client.call("begin")
     sim.run()
     client.session_id = begin.value.body["session_id"]
-    assert server.live_sessions() == 1
+    assert len(server._sessions) == 1
     instance._mark_failed("crash")
     reply = client.call("get_region", timeout=5.0)
     sim.run()

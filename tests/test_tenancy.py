@@ -377,10 +377,10 @@ def test_registry_membership_and_default_policy():
     assert registry.known(DEFAULT_TENANT)
     assert not registry.known("stranger")
     assert registry.weight_of("stranger") == 1.0
-    assert registry.quota_of("stranger") is None
+    assert registry.spec_of("stranger").vcpu_quota is None
     registry.register(TenantSpec("vip", weight=3.0, vcpu_quota=8.0))
     assert registry.weight_of("vip") == 3.0
-    assert registry.quota_of("vip") == 8.0
+    assert registry.spec_of("vip").vcpu_quota == 8.0
     assert "vip" in registry.tenants()
 
 

@@ -140,26 +140,6 @@ def test_empty_and_default_parameter_sets(model):
     assert within_bound(scalar, defaulted)
 
 
-# -- binned + vector combined accuracy (satellite 2) -------------------------
-
-
-@needs_numpy
-def test_binned_vector_tracks_unbinned_scalar_within_binned_bound(model):
-    """binned() + the vector kernel stacks two approximations; the
-    binned TI perturbation (documented: a few percent of peak) dominates
-    and the kernel's 1e-9 relative term is absorbed — the combined bound
-    is the binned bound, unchanged."""
-    full = Topmodel(Topmodel.exponential_ti_distribution(classes=30))
-    coarse = full.binned(6)
-    rain = storm_series()
-    flow_scalar_full = full.run(rain).flow.values
-    flow_vector_binned = run_batch_vectorized(
-        coarse, coarse.prepare(rain), [TopmodelParameters()])[0].flow.values
-    peak = max(flow_scalar_full)
-    assert all(abs(a - b) < 0.05 * peak
-               for a, b in zip(flow_scalar_full, flow_vector_binned))
-
-
 # -- property test (satellite 3) ---------------------------------------------
 
 

@@ -60,12 +60,6 @@ def test_duplicate_node_rejected():
         workflow.add(WorkflowNode("a", lambda p, u: 2))
 
 
-def test_downstream_of():
-    workflow = build_linear_workflow([])
-    assert workflow.downstream_of("preprocess") == ["analyse", "model"]
-    assert workflow.downstream_of("analyse") == []
-
-
 def test_run_produces_outputs_and_provenance():
     calls = []
     workflow = build_linear_workflow(calls)
@@ -112,18 +106,6 @@ def test_unrelated_parameter_does_not_invalidate():
     record = engine.run(workflow, {"n": 4, "scale": 2.0, "comment": "second"})
     assert record.cache_hits() == 4
     assert calls == []
-
-
-def test_invalidate_forces_recompute():
-    calls = []
-    workflow = build_linear_workflow(calls)
-    engine = WorkflowEngine()
-    engine.run(workflow, {"n": 2, "scale": 1.0})
-    engine.invalidate()
-    calls.clear()
-    record = engine.run(workflow, {"n": 2, "scale": 1.0})
-    assert record.cache_hits() == 0
-    assert len(calls) == 4
 
 
 def test_diamond_dependencies_each_run_once():

@@ -45,10 +45,10 @@ def test_put_renders_nothing_and_the_first_etag_renders_once():
     assert payload.renders == 0
     first = blob.etag
     assert payload.renders == 1
-    # never again: not for the size, a second etag or a conditional get
+    # never again: not for the size or a second etag
     assert blob.size_bytes == len("CountedRepr()")
     assert blob.etag == first
-    assert container.get_if_none_match("k", first) is None
+    assert container.get("k").etag == first
     assert container.total_bytes() == len("CountedRepr()")
     assert payload.renders == 1
 
