@@ -15,7 +15,7 @@ instances as soon as a user visits the portal").
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.broker.load_balancer import LoadBalancer
 from repro.broker.sessions import SessionTable, UserSession
@@ -23,6 +23,9 @@ from repro.obs.hub import obs_of
 from repro.services.channels import PushGateway
 from repro.sim import MetricsRegistry, Simulator
 from repro.tenancy.context import DEFAULT_TENANT
+
+#: how long a preboot holds the raised pool floor
+PREBOOT_WARM_SECONDS = 900.0
 
 
 class ResourceBroker:
@@ -42,19 +45,17 @@ class ResourceBroker:
         self.metrics = MetricsRegistry(sim, namespace="rb")
 
     def connect(self, user_name: str, service_name: str,
-                channel: Optional[Any] = None,
                 tenant: str = DEFAULT_TENANT) -> UserSession:
         """Open a session for ``user_name`` against ``service_name``.
 
-        Establishes a WebSocket connection (unless the caller brings its
-        own channel), creates the session, and submits it to the
-        scheduling plane.  The assignment — immediate or after a boot —
-        arrives as a ``session.assign`` push on the channel.  ``tenant``
+        Establishes a WebSocket connection (``session.channel``), creates
+        the session, and submits it to the scheduling plane.  The
+        assignment — immediate or after a boot — arrives as a
+        ``session.assign`` push on the channel.  ``tenant``
         is the billing principal: it selects the session's weighted-fair
         lane in the class queues and labels its trace.
         """
-        if channel is None:
-            channel = self.gateway.connect(user_name)
+        channel = self.gateway.connect(user_name)
         session = self.sessions.create(user_name, channel,
                                        purpose=service_name, tenant=tenant)
         # the session span is the root of this user's journey trace; every
@@ -85,28 +86,27 @@ class ResourceBroker:
 
     # -- QoS warm-up hooks ----------------------------------------------------
 
-    def preboot(self, service_name: str, replicas: int,
-                warm_seconds: float = 900.0) -> None:
+    def preboot(self, service_name: str, replicas: int) -> None:
         """Preemptively bootstrap replicas ahead of expected demand.
 
         The paper's flash-crowd mitigation: start instances "as soon as
         a user visits the portal", trading a little cost for much lower
         first-interaction latency.  The pool floor is raised for
-        ``warm_seconds`` so the autoscaler doesn't reap the still-idle
-        warm replicas before the demand they anticipate arrives.  The
-        warm capacity is spread over every shard hosting a slice of the
-        service.
+        :data:`PREBOOT_WARM_SECONDS` so the autoscaler doesn't reap the
+        still-idle warm replicas before the demand they anticipate
+        arrives.  The warm capacity is spread over every shard hosting a
+        slice of the service.
         """
         slices = self.router.slices(service_name)
         shares = _spread(replicas, len(slices))
         for (lb, service), share in zip(slices, shares):
-            self._preboot_slice(lb, service, share, warm_seconds)
+            self._preboot_slice(lb, service, share)
         obs_of(self.sim).events.emit("rb.preboot", service=service_name,
                                      replicas=replicas)
         self.metrics.counter("preboots").increment(replicas)
 
     def _preboot_slice(self, lb: LoadBalancer, service: Any,
-                       replicas: int, warm_seconds: float) -> None:
+                       replicas: int) -> None:
         original_floor = service.min_replicas
         target = max(service.projected_size(), original_floor, replicas)
         service.min_replicas = min(target, service.max_replicas)
@@ -117,7 +117,7 @@ class ResourceBroker:
         def restore_floor() -> None:
             service.min_replicas = original_floor
 
-        self.sim.schedule(warm_seconds, restore_floor)
+        self.sim.schedule(PREBOOT_WARM_SECONDS, restore_floor)
 
     def prefetch(self, container: Any, keys: List[str],
                  cache: Dict[str, Any]) -> int:

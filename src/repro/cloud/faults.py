@@ -12,8 +12,6 @@ detects:
 
 The durable-execution work adds infrastructure-level faults:
 
-* **partition** — two addresses can no longer reach each other (requests
-  between them time out); heals with :meth:`heal_partition`.
 * **outage** — a blob store, addressed by its name, is unavailable for
   a fixed simulated duration, then heals itself (see
   :class:`~repro.cloud.storage.BlobStore`).
@@ -22,11 +20,10 @@ The durable-execution work adds infrastructure-level faults:
 The geo-distributed estate adds a region-scoped compound fault:
 
 * **region_outage** — everything in one registered region fails at
-  once: its instances crash, its blob stores go unavailable, its
-  providers refuse launches, and the network partitions its addresses
-  from every other region's.  :meth:`heal_region` undoes the network,
-  storage and control-plane parts (crashed instances stay dead — the
-  Load Balancer boots replacements once launches work again).
+  once: its instances crash, its blob stores go unavailable and its
+  providers refuse launches.  :meth:`heal_region` undoes the storage and
+  control-plane parts (crashed instances stay dead — the Load Balancer
+  boots replacements once launches work again).
 
 Every injection is recorded as a structured :class:`InjectedFault` in
 :attr:`FaultInjector.injected` and emitted to the event log, so traces
@@ -39,8 +36,8 @@ injector.degrade, instance)`` for any other kind).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.cloud.instance import Instance
 from repro.cloud.provider import CloudProvider
@@ -66,25 +63,20 @@ class _RegionBinding:
     region: str
     providers: List[CloudProvider]
     stores: List[BlobStore]
-    #: address pairs partitioned by the active outage (for healing)
-    partitions: List[Tuple[str, str]] = field(default_factory=list)
     down: bool = False
 
 
 class FaultInjector:
     """Injects instance, network and storage faults.
 
-    ``providers`` are the clouds whose instances can be crashed;
-    ``network`` (optional) enables partitions; the stores
+    ``providers`` are the clouds whose instances can be crashed; the stores
     :meth:`register_region` files (:attr:`BlobStore.name` → store)
     take storage faults and outages.
     """
 
-    def __init__(self, sim: Simulator, providers: List[CloudProvider],
-                 network: Optional[object] = None):
+    def __init__(self, sim: Simulator, providers: List[CloudProvider]):
         self.sim = sim
         self.providers = list(providers)
-        self.network = network
         self.stores: Dict[str, BlobStore] = {}
         self.injected: List[InjectedFault] = []
         self._regions: Dict[str, _RegionBinding] = {}
@@ -138,26 +130,6 @@ class FaultInjector:
         """Schedule a crash ``delay`` seconds from now."""
         self.sim.schedule(delay, self.crash, instance, cause)
 
-    # -- network faults ------------------------------------------------------
-
-    def partition(self, a: str, b: str) -> None:
-        """Cut the network between addresses ``a`` and ``b``.
-
-        Requests between the two sides are silently dropped (the caller
-        times out), in both directions, until :meth:`heal_partition`.
-        """
-        if self.network is None:
-            raise ValueError("FaultInjector has no network to partition")
-        self.network.partition(a, b)
-        self._record("partition", f"{a}|{b}")
-
-    def heal_partition(self, a: str, b: str) -> None:
-        """Restore connectivity between ``a`` and ``b``."""
-        if self.network is None:
-            raise ValueError("FaultInjector has no network to heal")
-        self.network.heal_partition(a, b)
-        self._record("heal_partition", f"{a}|{b}")
-
     # -- storage faults ------------------------------------------------------
 
     def _store_of(self, store_name: str) -> BlobStore:
@@ -208,7 +180,7 @@ class FaultInjector:
 
     def region_outage(self, region: str,
                       duration: Optional[float] = None) -> None:
-        """Take a whole region down: partition + storage + instances.
+        """Take a whole region down: storage, launches and instances.
 
         With ``duration`` the region heals itself after that many
         simulated seconds; otherwise it stays down until
@@ -218,25 +190,13 @@ class FaultInjector:
         if binding.down:
             return
         binding.down = True
-        inside = {p.name for p in binding.providers}
-        # 1. the region's addresses stop reaching every other region
-        if self.network is not None:
-            local = [inst.address for p in binding.providers
-                     for inst in p.instances() if not inst.is_gone]
-            remote = [inst.address for p in self.providers
-                      if p.name not in inside
-                      for inst in p.instances() if not inst.is_gone]
-            for a in local:
-                for b in remote:
-                    self.network.partition(a, b)
-                    binding.partitions.append((a, b))
-        # 2. its object storage goes unavailable
+        # 1. its object storage goes unavailable
         for store in binding.stores:
             store.set_fault("unavailable")
-        # 3. its control planes refuse launches
+        # 2. its control planes refuse launches
         for provider in binding.providers:
             provider.set_launch_fault(f"region {region} outage")
-        # 4. its instances die
+        # 3. its instances die
         for provider in binding.providers:
             for instance in list(provider.instances()):
                 if not instance.is_gone:
@@ -247,15 +207,11 @@ class FaultInjector:
             self.sim.schedule(duration, self.heal_region, region)
 
     def heal_region(self, region: str) -> None:
-        """Restore a region's network, storage and control planes."""
+        """Restore a region's storage and control planes."""
         binding = self._region(region)
         if not binding.down:
             return
         binding.down = False
-        if self.network is not None:
-            for a, b in binding.partitions:
-                self.network.heal_partition(a, b)
-        binding.partitions.clear()
         for store in binding.stores:
             store.clear_fault()
         for provider in binding.providers:

@@ -104,7 +104,7 @@ class ImageStore:
             images = [img for img in images if img.kind == kind]
         return images
 
-    def rebake(self, image_id: str, *, extra_models: Tuple[str, ...] = (),
+    def rebake(self, image_id: str, *,
                extra_datasets: Tuple[str, ...] = (),
                size_increase_gb: float = 0.0) -> MachineImage:
         """Derive a new generation of an image with additional payload."""
@@ -117,7 +117,7 @@ class ImageStore:
             size_gb=base.size_gb + size_increase_gb,
             format=base.format,
             run_speed_factor=base.run_speed_factor,
-            bundled_models=base.bundled_models + extra_models,
+            bundled_models=base.bundled_models,
             bundled_datasets=base.bundled_datasets + extra_datasets,
             parent_id=base.image_id,
             generation=base.generation + 1,

@@ -117,12 +117,9 @@ class CloudProvider(abc.ABC):
         except KeyError:
             raise InstanceNotFound(instance_id) from None
 
-    def instances(self, state: Optional[InstanceState] = None) -> List[Instance]:
-        """All instances ever launched, optionally filtered by state."""
-        result = list(self._instances.values())
-        if state is not None:
-            result = [inst for inst in result if inst.state == state]
-        return result
+    def instances(self) -> List[Instance]:
+        """All instances ever launched."""
+        return list(self._instances.values())
 
     def serving_instances(self) -> List[Instance]:
         """Instances currently able to serve (RUNNING or DEGRADED)."""

@@ -32,17 +32,14 @@ class Blob:
     payload: Any
     created_at: float
     metadata: Dict[str, str] = field(default_factory=dict)
-    declared_size: Optional[int] = None
 
     @cached_property
     def _stamp(self) -> Tuple[int, str]:
         # serialised once: the etag hashes this text and, for a
-        # structured payload of undeclared size, its length is the size
+        # structured payload, its length is the size
         text = repr(self.payload)
-        size = self.declared_size
-        if size is None:
-            size = len(self.payload) if isinstance(
-                self.payload, (bytes, bytearray, str)) else len(text)
+        size = len(self.payload) if isinstance(
+            self.payload, (bytes, bytearray, str)) else len(text)
         return size, hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @property
@@ -77,12 +74,11 @@ class Container:
         return payload
 
     def put(self, key: str, payload: Any,
-            metadata: Optional[Dict[str, str]] = None,
-            size_bytes: Optional[int] = None) -> Blob:
+            metadata: Optional[Dict[str, str]] = None) -> Blob:
         """Store (or overwrite) ``key``; returns the stored blob."""
         self._check_available()
         blob = Blob(key, self._maybe_tear(payload), self._sim.now,
-                    dict(metadata or {}), declared_size=size_bytes)
+                    dict(metadata or {}))
         self._blobs[key] = blob
         return blob
 

@@ -157,7 +157,7 @@ class Evop:
         self.tenants = self.sched.tenants
         self.ratelimit = RateLimiter(self.sim, self.tenants,
                                      metrics=self.sched_metrics)
-        self.injector = FaultInjector(self.sim, [], network=self.network)
+        self.injector = FaultInjector(self.sim, [])
         self.injector.register_region(cell.region, cell.providers,
                                       [cell.store])
 
@@ -316,8 +316,7 @@ class Evop:
         tool.build_catalog()
         self.left_tools[catchment.name] = tool
 
-    def expose_sos(self, catchment_name: Optional[str] = None,
-                   replicas: int = 1) -> str:
+    def expose_sos(self, catchment_name: Optional[str] = None) -> str:
         """Publish a catchment's sensor network as an OGC SOS service.
 
         Returns the managed-service name.  Deployed on demand (not at
@@ -336,8 +335,7 @@ class Evop:
             lambda: SosService(self.sim, service_name,
                                self.left_tools[name].sensors).api,
             image_name=f"sos-host-{name}", size_gb=1.2,
-            purpose="sensor-data", sessions_per_replica=32,
-            replicas=replicas)
+            purpose="sensor-data", sessions_per_replica=32)
 
     def _behind_boundary(self, api: Any) -> Any:
         """Put ``api`` behind the estate's tenancy boundary."""
@@ -347,7 +345,7 @@ class Evop:
 
     def _publish(self, service_name: str, build_api: Callable[[], Any],
                  image_name: str, size_gb: float, purpose: str,
-                 sessions_per_replica: int, replicas: int) -> str:
+                 sessions_per_replica: int) -> str:
         """Put one on-demand REST api under scheduler management.
 
         Idempotent by service name: an api already managed is neither
@@ -360,14 +358,12 @@ class Evop:
             self.images.create(image_name, ImageKind.GENERIC,
                                size_gb=size_gb),
             flavor=SMALL, purpose=purpose,
-            sessions_per_replica=sessions_per_replica,
-            min_replicas=replicas)
+            sessions_per_replica=sessions_per_replica)
         return service_name
 
     # -- the CQRS data plane ------------------------------------------------------------
 
-    def enable_dataplane(self, consumer_count: int = 2,
-                         window_hours: float = 24.0):
+    def enable_dataplane(self):
         """Start the event-sourced data plane and wire every producer.
 
         Sensor ingests, warehouse writes and WPS run lifecycle events
@@ -382,9 +378,7 @@ class Evop:
             raise RuntimeError("call bootstrap() first")
         from repro.dataplane import DataPlane
 
-        plane = DataPlane(self.sim, self.storage,
-                          consumer_count=consumer_count,
-                          window_hours=window_hours)
+        plane = DataPlane(self.sim, self.storage)
         self.warehouse.attach_outbox(plane.outbox)
         for tool in self.left_tools.values():
             tool.sensors.attach_outbox(plane.outbox)
@@ -395,7 +389,7 @@ class Evop:
         self.dataplane = plane
         return plane
 
-    def expose_read_api(self, replicas: int = 1) -> str:
+    def expose_read_api(self) -> str:
         """Publish the materialized views as the managed ``read`` service.
 
         Deployed on demand like :meth:`expose_sos`; requires
@@ -411,14 +405,11 @@ class Evop:
         return self._publish(
             "read", lambda: build_read_api(self.sim, self.dataplane),
             image_name="read-host", size_gb=1.0, purpose="read-model",
-            sessions_per_replica=64, replicas=replicas)
+            sessions_per_replica=64)
 
     # -- tenancy ------------------------------------------------------------------------
 
-    def enable_tenancy(self, specs: Optional[List[Any]] = None,
-                       default_rate: Optional[float] = None,
-                       default_burst: Optional[float] = None,
-                       require_tenant: bool = False):
+    def enable_tenancy(self, specs: Optional[List[Any]] = None):
         """Register tenant policy on the estate's registry and limiter.
 
         The registry (``self.tenants``) and limiter (``self.ratelimit``)
@@ -426,14 +417,12 @@ class Evop:
         dispatchers and in front of every published ``/v1`` API — WPS,
         read, SOS, observability — so this only states policy:
 
-        * each spec's weight (DRR lanes), rate/burst (token bucket:
-          exhausted buckets answer 429 with ``Retry-After``) and
-          ``vcpu_quota`` (enforced by the capacity ledger);
-        * ``default_rate``/``default_burst`` for tenants whose spec
-          sets none (``None``: unlimited);
-        * ``require_tenant`` makes the ``Tenant`` header mandatory (401
-          without it); otherwise a request naming nobody is the
-          ``default`` tenant's.
+        each spec's weight (DRR lanes), rate/burst (token bucket:
+        exhausted buckets answer 429 with ``Retry-After``) and
+        ``vcpu_quota`` (enforced by the capacity ledger).  A tenant whose
+        spec sets no rate is unlimited, and a request naming
+        nobody is the ``default`` tenant's unless
+        ``tenants.require_tenant`` makes the header mandatory (401).
 
         Returns the registry.
         """
@@ -442,9 +431,6 @@ class Evop:
             if spec.vcpu_quota is not None:
                 self.ledger.set_tenant_quota(spec.tenant_id,
                                              spec.vcpu_quota)
-        self.tenants.require_tenant = require_tenant
-        self.ratelimit.default_rate = default_rate
-        self.ratelimit.default_burst = default_burst
         return self.tenants
 
     # -- observability ------------------------------------------------------------------
@@ -517,7 +503,7 @@ class Evop:
         self.telemetry = plane.start()
         return plane
 
-    def expose_observability(self, replicas: int = 1) -> str:
+    def expose_observability(self) -> str:
         """Publish the telemetry plane as a managed REST service.
 
         Deployed on demand like :meth:`expose_sos`; requires
@@ -535,8 +521,7 @@ class Evop:
             lambda: build_observability_api(self.sim, self.telemetry,
                                             obs_of(self.sim).tracer),
             image_name="observability-host", size_gb=1.0,
-            purpose="operations", sessions_per_replica=16,
-            replicas=replicas)
+            purpose="operations", sessions_per_replica=16)
 
     # -- conveniences -------------------------------------------------------------------
 

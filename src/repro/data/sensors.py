@@ -143,25 +143,23 @@ class SensorNetwork:
         self.streams = streams or RandomStreams()
         self._sensors: Dict[str, Sensor] = {}
         self._outbox = None
-        self._stream_prefix = "obs"
 
-    def attach_outbox(self, outbox, stream_prefix: str = "obs") -> None:
+    def attach_outbox(self, outbox) -> None:
         """Publish every ingest (live and backfill) to the data plane.
 
         Observation events are partitioned per catchment — one stream
-        ``<prefix>.<catchment>`` each — so per-catchment ordering is
+        ``obs.<catchment>`` each — so per-catchment ordering is
         total and the stats view's state never depends on how other
         catchments drain.  Sensors added later are wired automatically.
         """
         self._outbox = outbox
-        self._stream_prefix = stream_prefix
         for sensor in self._sensors.values():
             self._wire(sensor)
 
     def _wire(self, sensor: Sensor) -> None:
         description = sensor.description
         catchment = description.catchment or "uncatchmented"
-        stream = f"{self._stream_prefix}.{catchment}"
+        stream = f"obs.{catchment}"
 
         def publish(observation: Observation) -> None:
             self._outbox.record(

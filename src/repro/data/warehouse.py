@@ -35,9 +35,8 @@ class DataWarehouse:
         self._container: Container = store.create_container(self.CONTAINER)
         self._memo: "OrderedDict[str, Tuple[str, TimeSeries]]" = OrderedDict()
         self._outbox = None
-        self._stream = "warehouse"
 
-    def attach_outbox(self, outbox, stream: str = "warehouse") -> None:
+    def attach_outbox(self, outbox) -> None:
         """Announce every dataset write/delete as a data-plane event.
 
         The outbox record lands in the same cooperative step as the
@@ -45,7 +44,6 @@ class DataWarehouse:
         views never miss (or double-see) a warehouse change.
         """
         self._outbox = outbox
-        self._stream = stream
 
     def put_series(self, dataset_id: str, series: TimeSeries,
                    provenance: str = "") -> None:
@@ -64,7 +62,7 @@ class DataWarehouse:
             "length": str(len(series)),
         })
         if self._outbox is not None:
-            self._outbox.record(self._stream, "series.put", key=dataset_id,
+            self._outbox.record("warehouse", "series.put", key=dataset_id,
                                 payload={"units": series.units,
                                          "samples": len(series),
                                          "provenance": provenance})
@@ -99,7 +97,7 @@ class DataWarehouse:
         self._container.delete(dataset_id)
         self._memo.pop(dataset_id, None)
         if self._outbox is not None:
-            self._outbox.record(self._stream, "series.deleted",
+            self._outbox.record("warehouse", "series.deleted",
                                 key=dataset_id, payload={})
 
     def list(self, prefix: str = "") -> List[str]:

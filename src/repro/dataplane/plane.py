@@ -35,8 +35,7 @@ class DataPlane:
 
     def __init__(self, sim: Simulator, store: BlobStore,
                  prefix: str = "dataplane",
-                 consumer_count: int = 2,
-                 window_hours: float = 24.0):
+                 consumer_count: int = 2):
         self.sim = sim
         self.outbox = TransactionalOutbox(
             sim, store.create_container(f"{prefix}-outbox"))
@@ -48,7 +47,7 @@ class DataPlane:
         self.dlq = DeadLetterQueue(sim, coordination)
         self.relay = OutboxRelay(sim, self.outbox, self.streams)
 
-        self.stats = CatchmentStatsView(window_hours=window_hours)
+        self.stats = CatchmentStatsView()
         self.latest = LatestObservationView()
         self.runs = RunSummaryView()
         self.views: Tuple[MaterializedView, ...] = (

@@ -192,9 +192,9 @@ class CatchmentStatsView(MaterializedView):
 
     name = "stats"
 
-    def __init__(self, window_hours: float = STATS_WINDOW_HOURS):
+    def __init__(self):
         super().__init__()
-        self.window_hours = window_hours
+        self.window_hours = STATS_WINDOW_HOURS
         self._windows: Dict[str, deque] = {}
         self._sums: Dict[str, float] = {}
         self._latest_time: Dict[str, Optional[float]] = {}

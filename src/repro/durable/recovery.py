@@ -89,10 +89,9 @@ class RecoveryManager:
         return [replay(self.store.open(run_id).records(), run_id=run_id)
                 for run_id in self.store.run_ids()]
 
-    def orphans(self, now: Optional[float] = None) -> List[RunState]:
+    def orphans(self) -> List[RunState]:
         """In-flight runs whose lease has lapsed — adoptable now."""
-        when = self.sim.now if now is None else now
-        return [s for s in self.scan() if s.orphaned_at(when)]
+        return [s for s in self.scan() if s.orphaned_at(self.sim.now)]
 
     def owned_by(self, instance_id: str) -> List[RunState]:
         """In-flight runs whose journal names ``instance_id`` as owner."""

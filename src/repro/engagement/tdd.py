@@ -104,18 +104,18 @@ class DevelopmentProcess:
         self.artefacts[artefact.artefact_id] = artefact
         return artefact
 
-    def run_verification(self, artefact: Artefact, duration_days: float,
-                         passed: bool = True, feedback: str = "") -> CycleRecord:
-        """A verification cycle: technical correctness with the owners."""
+    def run_verification(self, artefact: Artefact,
+                         duration_days: float) -> CycleRecord:
+        """A verification cycle: technical correctness with the owners
+        (it passes; a prototype fails at validation)."""
         if not (VERIFICATION_MIN_DAYS <= duration_days <= VERIFICATION_MAX_DAYS):
             raise ValueError(
                 f"verification cycles take {VERIFICATION_MIN_DAYS}-"
                 f"{VERIFICATION_MAX_DAYS} days, not {duration_days}")
         record = self._run_cycle(CyclePhase.VERIFICATION, artefact,
-                                 duration_days, passed, feedback)
-        if passed:
-            artefact.state = ArtefactState.VERIFIED
-            artefact.verified_at = self.day
+                                 duration_days, True, "")
+        artefact.state = ArtefactState.VERIFIED
+        artefact.verified_at = self.day
         # verification reports progress to the storyboard owners
         self.dialogue.append(DialogueEvent(
             day=self.day, direction="researchers->stakeholders",

@@ -33,7 +33,6 @@ from repro.geo.ledger import GeoLedger
 from repro.geo.replication import Replicator
 from repro.geo.routing import GeoRouter, RegionGuard
 from repro.geo.topology import RegionTopology, qualify
-from repro.sched import PriorityClass
 from repro.services import Network, RestApi
 from repro.sim import RandomStreams, Simulator
 
@@ -79,7 +78,7 @@ class GeoEstate:
                       for region in names})
         self.replicator = Replicator(self.sim, self.topology,
                                      interval=replication_interval)
-        self.injector = FaultInjector(self.sim, [], network=self.network)
+        self.injector = FaultInjector(self.sim, [])
         self.cells: Dict[str, Cell] = {}
         for region in names:
             cell = self.cells[region] = Cell(
@@ -142,12 +141,10 @@ class GeoEstate:
 
     # -- traffic -------------------------------------------------------------
 
-    def submit(self, user_name: str, origin: Optional[str] = None,
-               priority: PriorityClass = PriorityClass.INTERACTIVE):
-        """Create a session and route it; returns the session."""
+    def submit(self, user_name: str, origin: Optional[str] = None):
+        """Create an interactive session and route it; returns it."""
         session = self.sessions.create(user_name)
-        self.geo_router.submit_session(session, SERVICE,
-                                       priority=priority, origin=origin)
+        self.geo_router.submit_session(session, SERVICE, origin=origin)
         return session
 
     def regions(self) -> List[str]:

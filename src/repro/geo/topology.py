@@ -98,9 +98,9 @@ class RegionTopology:
         pivot = self._order.index(origin)
         return self._order[pivot:] + self._order[:pivot]
 
-    def nearest_available(self, origin: Optional[str] = None) -> Optional[str]:
-        """The closest not-DOWN region to ``origin`` (or ``None``)."""
-        for region in self.nearest(origin):
+    def nearest_available(self) -> Optional[str]:
+        """The first not-DOWN region in preference order (or ``None``)."""
+        for region in self.nearest():
             if self._status[region] is not RegionStatus.DOWN:
                 return region
         return None

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional
 
 from repro.cloud.instance import Instance, Job
 from repro.cloud.multicloud import MultiCloud, NodeTemplate
-from repro.cloud.flavors import Flavor, MEDIUM
+from repro.cloud.flavors import MEDIUM
 from repro.modellib.library import ModelEntry, ModelKind, ModelLibrary
 from repro.sim import Signal, Simulator
 
@@ -63,8 +63,7 @@ class ModelDeployer:
         self.multicloud = multicloud
         self.library = library
 
-    def deploy(self, model_name: str, location: Optional[str] = None,
-               flavor: Flavor = MEDIUM,
+    def deploy(self, model_name: str,
                first_run_cost: float = 2.0) -> Signal:
         """Deploy ``model_name`` and execute one model run.
 
@@ -76,7 +75,7 @@ class ModelDeployer:
         done = self.sim.signal(f"deploy.{model_name}")
         launched_at = self.sim.now
         instance = self.multicloud.create_node(
-            NodeTemplate(image=image, flavor=flavor, location=location))
+            NodeTemplate(image=image, flavor=MEDIUM))
 
         def pipeline():
             booted = yield instance.ready

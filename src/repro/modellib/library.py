@@ -105,9 +105,7 @@ class ModelLibrary:
 
     def publish_experimental(self, name: str, catchment: Catchment,
                              process_factory: Callable[[Catchment], WpsProcess],
-                             install_minutes: float = 8.0,
-                             calibration: Optional[CalibrationRecord] = None
-                             ) -> ModelEntry:
+                             install_minutes: float = 8.0) -> ModelEntry:
         """Author an incubator recipe and register the model."""
         self._check_name(name)
         recipe = (ProvisioningRecipe(f"install-{name}")
@@ -121,8 +119,7 @@ class ModelLibrary:
         entry = ModelEntry(name=name, kind=ModelKind.EXPERIMENTAL,
                            catchment=catchment.name,
                            process_factory=process_factory,
-                           recipe=recipe,
-                           calibration=calibration)
+                           recipe=recipe)
         self._entries[name] = entry
         return entry
 

@@ -297,11 +297,11 @@ class MetricsScraper:
         """Whether the scrape loop is active."""
         return self._running
 
-    def lag(self, now: Optional[float] = None) -> float:
+    def lag(self) -> float:
         """Seconds since the last completed scrape (staleness)."""
         if self.last_scrape_at is None:
             return math.inf
-        return (now if now is not None else self.sim.now) - self.last_scrape_at
+        return self.sim.now - self.last_scrape_at
 
     def _loop(self):
         while self._running:

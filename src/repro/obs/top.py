@@ -21,9 +21,9 @@ from repro.obs.telemetry import red_view
 _REPAINT = "\x1b[H\x1b[J"
 
 
-def _fmt(value: Any, pattern: str = "{:.2f}", missing: str = "—") -> str:
+def _fmt(value: Any, pattern: str = "{:.2f}") -> str:
     if value is None:
-        return missing
+        return "—"
     return pattern.format(value)
 
 

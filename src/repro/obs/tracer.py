@@ -172,22 +172,19 @@ class Tracer:
 
     # -- queries ---------------------------------------------------------------
 
-    def spans(self, trace_id: Optional[str] = None,
-              name: Optional[str] = None) -> List[Span]:
-        """Collected spans, optionally filtered by trace id and/or name."""
+    def spans(self, trace_id: Optional[str] = None) -> List[Span]:
+        """Collected spans, optionally filtered by trace id."""
         out = list(self._spans)
         if trace_id is not None:
             out = [s for s in out if s.trace_id == trace_id]
-        if name is not None:
-            out = [s for s in out if s.name == name]
         return out
 
-    def finish_open_spans(self, error: Optional[str] = None) -> int:
+    def finish_open_spans(self) -> int:
         """Close every still-open span (end-of-run flush); returns count."""
         closed = 0
         for span in self._spans:
             if not span.finished:
-                span.finish(error=error)
+                span.finish()
                 closed += 1
         return closed
 

@@ -112,13 +112,13 @@ def canonical_json(value: Any, path: str = "value") -> str:
     return CANONICAL.encode(canonical(value, path))
 
 
-def content_key(value: Any, path: str = "value", length: int = 16) -> str:
-    """Hex digest of the canonical JSON of ``value``."""
-    return _digest(canonical_json(value, path), length)
+def content_key(value: Any, path: str = "value") -> str:
+    """Hex digest (16 digits) of the canonical JSON of ``value``."""
+    return _digest(canonical_json(value, path))
 
 
-def _digest(text: str, length: int = 16) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:length]
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def forcing_digest(*series: Optional[Any]) -> str:

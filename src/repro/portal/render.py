@@ -15,6 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hydrology.timeseries import TimeSeries
 
+#: pixels of axis space around an SVG plot
+SVG_MARGIN = 40
+
 
 def _escape(text: str) -> str:
     """Minimal XML escaping for SVG text nodes."""
@@ -98,8 +101,7 @@ class ChartSpec:
             ],
         })
 
-    def to_svg(self, width: int = 640, height: int = 320,
-               margin: int = 40) -> str:
+    def to_svg(self, width: int = 640, height: int = 320) -> str:
         """A standalone SVG rendering any browser can display.
 
         Bands are filled polygons behind the lines; thresholds are
@@ -107,6 +109,7 @@ class ChartSpec:
         server-side fallback renderer — the live portal draws with Flot
         from :meth:`to_json`.
         """
+        margin = SVG_MARGIN
         lines = [s for s in self.series if s.kind == "line" and s.points]
         bands = self.bands()
         all_points = [p for s in self.series for p in s.points]

@@ -203,6 +203,11 @@ HELP_TEXT = (
 #: flash crowds and public instances take minutes to boot, so the widget
 #: waits out provisioning rather than surfacing an error to the user.
 WIDGET_DEADLINE = 3600.0
+#: how long an async run is polled before the widget gives up
+ASYNC_MAX_WAIT = 900.0
+#: rows per page of the dashboard's latest table, and runs it lists
+DASHBOARD_PAGE = 50
+DASHBOARD_RUNS = 20
 
 #: How long one attempt waits for its answer (``request_timeout``; a
 #: bench that drives long model runs raises it on the widget).
@@ -354,13 +359,14 @@ class ModellingWidget:
         return done
 
     def run_async(self, poll_interval: float = 5.0,
-                  max_wait: float = 900.0, **extra_inputs: Any) -> Signal:
+                  **extra_inputs: Any) -> Signal:
         """Execute via asynchronous WPS: accept now, poll statusLocation.
 
         Long ensemble or uncertainty runs shouldn't hold an HTTP request
         open; the async path returns a statusLocation immediately and
         the widget polls it — against *any* replica, since execution
-        status lives in shared storage, not on the accepting server.
+        status lives in shared storage, not on the accepting server —
+        for up to :data:`ASYNC_MAX_WAIT` seconds.
         """
         done = self.sim.signal("widget.run_async")
         self.client.trace = self.session.trace_context
@@ -382,7 +388,7 @@ class ModellingWidget:
                 done.fire(None)
                 return
             location = accept.body["statusLocation"]
-            deadline = self.sim.now + max_wait
+            deadline = self.sim.now + ASYNC_MAX_WAIT
             while self.sim.now < deadline:
                 yield poll_interval
                 status = yield self.client.poll_status(location)
@@ -413,12 +419,11 @@ class ModellingWidget:
 
     # -- output ------------------------------------------------------------------------
 
-    def hydrograph_chart(self, run: Optional[ModelRun] = None) -> ChartSpec:
-        """The hydrograph plot for one run (default: the latest)."""
-        if run is None:
-            if not self.runs:
-                raise ValueError("no runs yet")
-            run = self.runs[-1]
+    def hydrograph_chart(self) -> ChartSpec:
+        """The hydrograph plot for the latest run."""
+        if not self.runs:
+            raise ValueError("no runs yet")
+        run = self.runs[-1]
         spec = ChartSpec(
             title=f"Flood hydrograph - {run.scenario}",
             y_label="flow (mm/h)",
@@ -487,12 +492,13 @@ class CatchmentDashboard:
         self.latest: List[Dict[str, Any]] = []
         self.recent_runs: List[Dict[str, Any]] = []
 
-    def refresh(self, page_limit: int = 50, run_limit: int = 20) -> Signal:
+    def refresh(self) -> Signal:
         """Pull stats, the full latest table and recent runs.
 
         Returns a signal fired with ``True`` when every panel loaded.
-        The latest table is collected by following ``nextCursor`` until
-        the server stops offering one.
+        The latest table is collected :data:`DASHBOARD_PAGE` rows a page,
+        following ``nextCursor`` until the server stops offering one;
+        the runs panel is the newest :data:`DASHBOARD_RUNS`.
         """
         done = self.sim.signal(f"dashboard.{self.catchment}")
 
@@ -508,7 +514,7 @@ class CatchmentDashboard:
             cursor: Optional[str] = None
             while True:
                 response = yield self.client.latest_observations(
-                    cursor=cursor, limit=page_limit)
+                    cursor=cursor, limit=DASHBOARD_PAGE)
                 if not (isinstance(response, HttpResponse) and response.ok):
                     ok = False
                     self.errors.append(f"latest failed: {response!r}")
@@ -519,7 +525,7 @@ class CatchmentDashboard:
                     break
             self.latest = [row for row in rows
                            if row.get("catchment") in ("", self.catchment)]
-            response = yield self.client.list_runs(limit=run_limit)
+            response = yield self.client.list_runs(limit=DASHBOARD_RUNS)
             if isinstance(response, HttpResponse) and response.ok:
                 self.recent_runs = response.body.get("runs", [])
             else:

@@ -88,7 +88,7 @@ class ResilientClient:
         self.service = service
         self.policy = policy or RetryPolicy()
         self.streams = streams or RandomStreams()
-        self.metrics = metrics if metrics is not None else None
+        self.metrics = metrics
         self.breakers = breakers if breakers is not None \
             else observed_breakers(sim, metrics)
         self.bulkheads = BulkheadGroup(sim)
@@ -100,8 +100,7 @@ class ResilientClient:
              safe: Optional[bool] = None,
              timeout: Optional[float] = None,
              deadline: Optional[float] = None,
-             trace: Any = None,
-             service: Optional[str] = None) -> Signal:
+             trace: Any = None) -> Signal:
         """Send ``request`` resiliently; the signal always gets a response.
 
         ``safe`` marks the request replayable (defaults to GET-ness);
@@ -119,7 +118,7 @@ class ResilientClient:
                       else self.policy.attempt_timeout,
                       deadline if deadline is not None
                       else self.policy.deadline,
-                      trace, service or self.service),
+                      trace, self.service),
             name=f"resilience.call.{request.path}")
         return done
 

@@ -277,7 +277,6 @@ class Dispatcher:
 
     def enqueue(self, service_name: str, item: Any,
                 priority: PriorityClass = PriorityClass.INTERACTIVE,
-                front: bool = False,
                 item_id: Optional[str] = None,
                 trace_parent=None,
                 tenant: str = DEFAULT_TENANT) -> bool:
@@ -289,7 +288,7 @@ class Dispatcher:
         selects the item's DRR lane (and is whom a shed refuses).
         """
         accepted = self._queues[service_name].push(
-            item, priority, front=front, tenant=tenant,
+            item, priority, tenant=tenant,
             weight=self.tenants.weight_of(tenant))
         self._count(f"enqueue.{priority.name.lower()}" if accepted
                     else f"shed.{priority.name.lower()}")
@@ -347,11 +346,10 @@ class Dispatcher:
         self._count(f"place.{priority.name.lower()}")
         self.tenants.record_service(tenant)
 
-    def depth(self, service_name: str,
-              priority: Optional[PriorityClass] = None) -> int:
-        """Queue depth for one service (optionally one class)."""
+    def depth(self, service_name: str) -> int:
+        """Queue depth for one service."""
         queue = self._queues.get(service_name)
-        return 0 if queue is None else queue.depth(priority)
+        return 0 if queue is None else queue.depth()
 
     def class_depth(self, priority: PriorityClass) -> int:
         """Queue depth of one class, summed across services."""

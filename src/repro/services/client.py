@@ -53,10 +53,8 @@ class RestClient:
 
     def request(self, method: str, path: str, *, body: Any = None,
                 query: Optional[Dict[str, str]] = None,
-                headers: Optional[Dict[str, str]] = None,
                 safe: Optional[bool] = None,
                 timeout: Optional[float] = None,
-                deadline: Optional[float] = None,
                 idempotency_key: Optional[str] = None) -> Signal:
         """Issue one v1 request; the signal always gets a response.
 
@@ -70,23 +68,23 @@ class RestClient:
         says otherwise): the retry stack may replay it on timeouts and
         transient failures without risking duplicate effects.
         """
-        request_headers = dict(headers or {})
+        request_headers: Dict[str, str] = {}
         if self.tenant is not None:
-            request_headers.setdefault(TENANT_HEADER, self.tenant)
+            request_headers[TENANT_HEADER] = self.tenant
         if idempotency_key is not None:
-            request_headers.setdefault("Idempotency-Key", idempotency_key)
+            request_headers["Idempotency-Key"] = idempotency_key
             if safe is None:
                 safe = True
         cached = self._etag_cache.get(path) if method == "GET" else None
         if cached is not None:
-            request_headers.setdefault("If-None-Match", cached[0])
+            request_headers["If-None-Match"] = cached[0]
         raw = self.resilient.call(
             self.address,
             HttpRequest(method, path, body=body, query=dict(query or {}),
                         headers=request_headers),
             safe=safe, trace=self.trace,
             timeout=timeout,
-            deadline=deadline if deadline is not None else self.deadline)
+            deadline=self.deadline)
         done = self.sim.signal(f"client.{method}.{path}")
 
         raw.then(lambda response: done.fire(self._revalidate(path, response)))
@@ -115,7 +113,6 @@ class RestClient:
     def execute_wps(self, identifier: str, inputs: Dict[str, Any],
                     mode: str = "sync",
                     timeout: Optional[float] = None,
-                    deadline: Optional[float] = None,
                     idempotency_key: Optional[str] = None) -> Signal:
         """``POST /v1/wps/processes/{id}/execute``.
 
@@ -129,8 +126,7 @@ class RestClient:
         return self.request(
             "POST", f"/v1/wps/processes/{identifier}/execute",
             body={"mode": mode, "inputs": inputs}, safe=True,
-            timeout=timeout, deadline=deadline,
-            idempotency_key=idempotency_key)
+            timeout=timeout, idempotency_key=idempotency_key)
 
     def poll_status(self, status_location: str) -> Signal:
         """``GET <statusLocation>`` — poll an async execution."""
@@ -148,15 +144,10 @@ class RestClient:
         return self.request("GET", "/v1/observations/latest",
                             query=_page_query({}, cursor, limit))
 
-    def list_runs(self, status: Optional[str] = None,
-                  cursor: Optional[str] = None,
-                  limit: Optional[int] = None) -> Signal:
-        """``GET /v1/runs`` — the run-summary index (paginated)."""
-        query: Dict[str, str] = {}
-        if status is not None:
-            query["status"] = status
+    def list_runs(self, limit: Optional[int] = None) -> Signal:
+        """``GET /v1/runs`` — the first page of the run-summary index."""
         return self.request("GET", "/v1/runs",
-                            query=_page_query(query, cursor, limit))
+                            query=_page_query({}, None, limit))
 
 
 def _page_query(query: Dict[str, str], cursor: Optional[str],

@@ -70,9 +70,7 @@ class Page:
     total: int = 0
 
 
-def parse_limit(query: Dict[str, str],
-                default_limit: int = DEFAULT_LIMIT,
-                max_limit: int = MAX_LIMIT) -> int:
+def parse_limit(query: Dict[str, str]) -> int:
     """The effective page size, validated.
 
     Raises :class:`CursorError` for a non-integer or non-positive
@@ -81,14 +79,14 @@ def parse_limit(query: Dict[str, str],
     """
     raw = query.get("limit")
     if raw is None:
-        return default_limit
+        return DEFAULT_LIMIT
     try:
         limit = int(raw)
     except (TypeError, ValueError):
         raise CursorError(f"limit {raw!r} is not an integer") from None
     if limit < 1:
         raise CursorError(f"limit {limit} must be positive")
-    return min(limit, max_limit)
+    return min(limit, MAX_LIMIT)
 
 
 def _next_link(request: HttpRequest, cursor: str, limit: int) -> str:
@@ -105,9 +103,8 @@ def _next_link(request: HttpRequest, cursor: str, limit: int) -> str:
     return f"<{request.path}?{qs}>; rel=\"next\""
 
 
-def paginate(request: HttpRequest, items: List[Any], keys: List[Any],
-             *, default_limit: int = DEFAULT_LIMIT,
-             max_limit: int = MAX_LIMIT) -> Page:
+def paginate(request: HttpRequest, items: List[Any],
+             keys: List[Any]) -> Page:
     """Slice ``items`` by the request's ``cursor``/``limit`` params.
 
     ``keys`` are the items' sort keys, parallel to ``items`` and in
@@ -120,7 +117,7 @@ def paginate(request: HttpRequest, items: List[Any], keys: List[Any],
     handlers convert that to a 400 problem document.
     """
     query = request.query or {}
-    limit = parse_limit(query, default_limit, max_limit)
+    limit = parse_limit(query)
     start = 0
     token = query.get("cursor")
     if token:

@@ -215,16 +215,14 @@ class RestApi:
                           cost, safe=safe, cacheable=cacheable))
 
     def get(self, pattern: str, handler, cost: float = DEFAULT_HANDLER_COST,
-            safe: Optional[bool] = None, cacheable: bool = False) -> None:
-        """Register a GET route."""
-        self.route("GET", pattern, handler, cost, safe=safe,
-                   cacheable=cacheable)
+            cacheable: bool = False) -> None:
+        """Register a GET route (safe)."""
+        self.route("GET", pattern, handler, cost, cacheable=cacheable)
 
     def post(self, pattern: str, handler, cost: float = DEFAULT_HANDLER_COST,
-             safe: Optional[bool] = None, cacheable: bool = False) -> None:
-        """Register a POST route."""
-        self.route("POST", pattern, handler, cost, safe=safe,
-                   cacheable=cacheable)
+             safe: Optional[bool] = None) -> None:
+        """Register a POST route (never cacheable)."""
+        self.route("POST", pattern, handler, cost, safe=safe)
 
     def resolve(self, request: HttpRequest) -> Tuple[Optional[Route], Dict[str, str]]:
         """Find the route matching ``request`` (first match wins)."""

@@ -156,7 +156,6 @@ class Network:
         self.sim = sim
         self.streams = streams or RandomStreams()
         self._endpoints: Dict[str, tuple] = {}  # address -> (server, instance)
-        self._partitions: set = set()           # frozenset({a, b}) pairs
         self.total_requests = 0
         self.total_bytes = 0.0
 
@@ -168,23 +167,6 @@ class Network:
         """Remove the endpoint at ``address`` (idempotent)."""
         self._endpoints.pop(address, None)
 
-    def partition(self, a: str, b: str) -> None:
-        """Cut connectivity between ``a`` and ``b`` (both directions).
-
-        Partitioned traffic is *dropped*, not refused: the caller sees a
-        timeout, exactly like a blackholed NIC — which is what makes
-        split-brain scenarios interesting for lease-based ownership.
-        """
-        self._partitions.add(frozenset((a, b)))
-
-    def heal_partition(self, a: str, b: str) -> None:
-        """Restore connectivity between ``a`` and ``b`` (idempotent)."""
-        self._partitions.discard(frozenset((a, b)))
-
-    def is_partitioned(self, a: str, b: str) -> bool:
-        """Whether traffic between ``a`` and ``b`` is currently cut."""
-        return frozenset((a, b)) in self._partitions
-
     def _latency(self) -> float:
         jitter = self.streams.get("network.latency").uniform(0, LATENCY_JITTER)
         return BASE_LATENCY + jitter
@@ -192,17 +174,13 @@ class Network:
     def request(self, address: str, request: HttpRequest,
                 timeout: float = DEFAULT_TIMEOUT,
                 extra_request_bytes: int = 0,
-                extra_response_bytes: int = 0,
-                source: Optional[str] = None) -> Signal:
+                extra_response_bytes: int = 0) -> Signal:
         """Send ``request`` to ``address``.
 
         Returns a signal fired with an :class:`HttpResponse`, a
         :class:`ConnectionRefused` or a :class:`RequestTimeout`.  The
         ``extra_*_bytes`` hooks let protocol layers (SOAP envelopes)
         charge their framing overhead without re-implementing routing.
-        ``source`` is the caller's address, used only to honour network
-        partitions — partitioned traffic is dropped (timeout), never
-        refused.
         """
         reply = self.sim.signal("net.reply")
         self.total_requests += 1
@@ -254,8 +232,6 @@ class Network:
                                                           after_seconds=timeout))
 
         def deliver() -> None:
-            if source is not None and self.is_partitioned(source, address):
-                return  # dropped on the floor; the timeout settles it
             endpoint = self._endpoints.get(address)
             if endpoint is None:
                 self._settle(reply, timeout_handle,
@@ -279,10 +255,6 @@ class Network:
                 response_bytes = response.wire_bytes() + extra_response_bytes
                 if not instance.is_serving or instance.network_blackholed:
                     # response never makes it onto the wire; caller times out
-                    return
-                if (source is not None
-                        and self.is_partitioned(source, address)):
-                    # partition opened mid-request: the response is lost
                     return
                 instance.record_bytes_out(response_bytes)
                 self.total_bytes += response_bytes

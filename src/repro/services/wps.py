@@ -155,7 +155,6 @@ class WpsService:
         self.status = status_container
         self._processes: Dict[str, WpsProcess] = {}
         self._outbox = None
-        self._run_stream = "runs"
         self.api = RestApi(f"wps.{name}")
         self.api.get("/wps", self._get_capabilities, cacheable=False)
         self.api.get("/wps/processes/{identifier}", self._describe_process)
@@ -166,7 +165,7 @@ class WpsService:
         self.api.get("/wps/executions/{execution_id}", self._get_status,
                      cacheable=True)
 
-    def attach_outbox(self, outbox, stream: str = "runs") -> None:
+    def attach_outbox(self, outbox) -> None:
         """Publish run lifecycle events to the data plane.
 
         Each Execute records ``run.submitted`` and later
@@ -175,7 +174,6 @@ class WpsService:
         run-summary view never sees a run the service forgot.
         """
         self._outbox = outbox
-        self._run_stream = stream
 
     def _publish_run(self, run_id: str, process: str, status: str,
                      submitted_at: float,
@@ -195,7 +193,7 @@ class WpsService:
                 ok, value = jsonable(outputs[key])
                 if ok:
                     payload[key] = value
-        self._outbox.record(self._run_stream, f"run.{status}", key=run_id,
+        self._outbox.record("runs", f"run.{status}", key=run_id,
                             payload=payload)
 
     def add_process(self, process: WpsProcess) -> None:

@@ -456,26 +456,25 @@ class Simulator:
             self._now = until
         return self._now
 
-    def run_process(self, gen: Generator, name: str = "",
-                    until: Optional[float] = None) -> Any:
+    def run_process(self, gen: Generator, name: str = "") -> Any:
         """Spawn ``gen``, run the simulation, and return the process result.
 
         Convenience for tests and benches that model one top-level driver.
         """
         proc = self.spawn(gen, name=name)
-        self.run(until=until)
+        self.run()
         if proc.error is not None:
             raise SimulationError(f"process {proc.name!r} failed") from proc.error
         return proc.result
 
-    def all_of(self, signals: Iterable[Signal], name: str = "all") -> Signal:
+    def all_of(self, signals: Iterable[Signal]) -> Signal:
         """Return a signal that fires once every input signal has fired.
 
         The combined signal's value is the list of individual values in the
         order the inputs were given.
         """
         pending = list(signals)
-        combined = self.signal(name)
+        combined = self.signal("all")
         if not pending:
             self._schedule_now(combined.fire, [])
             return combined

@@ -456,13 +456,10 @@ class MetricsRegistry:
             return self._child(self._recorders, name, {},
                                TimeSeriesRecorder, self._sim)
 
-    def histogram(self, name: str, /,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  **labels: str) -> Histogram:
+    def histogram(self, name: str, /, **labels: str) -> Histogram:
         """Get or create the fixed-bucket histogram ``name`` (the child
-        at ``labels``)."""
-        return self._child(self._histograms, name, labels, Histogram,
-                           buckets)
+        at ``labels``) over :data:`DEFAULT_BUCKETS`."""
+        return self._child(self._histograms, name, labels, Histogram)
 
     def snapshot(self) -> Dict[str, float]:
         """Flat dict of every metric's headline numbers.

@@ -104,18 +104,15 @@ class RateDecision:
 class RateLimiter:
     """Per-tenant token buckets with registry-sourced parameters.
 
-    ``default_rate``/``default_burst`` (stated by
-    :meth:`Evop.enable_tenancy`) apply to tenants whose spec does not
-    set its own; both ``None`` means those tenants are unlimited while
-    tenants registered with explicit rates are still enforced.
+    A tenant whose spec sets a rate is enforced at that rate (its burst
+    defaults to ``max(1, rate)``); a tenant whose spec sets none is
+    unlimited.
     """
 
     def __init__(self, sim: Simulator, registry: TenantRegistry,
                  metrics=None):
         self.sim = sim
         self.registry = registry
-        self.default_rate: Optional[float] = None
-        self.default_burst: Optional[float] = None
         self.metrics = metrics
         self._buckets: Dict[str, TokenBucket] = {}
         self.allowed = 0
@@ -123,13 +120,10 @@ class RateLimiter:
 
     def _params(self, tenant_id: str):
         spec = self.registry.spec_of(tenant_id)
-        rate = spec.rate if spec.rate is not None else self.default_rate
-        burst = spec.burst if spec.burst is not None else self.default_burst
-        if rate is None:
+        if spec.rate is None:
             return None
-        if burst is None:
-            burst = max(1.0, rate)
-        return rate, burst
+        burst = spec.burst if spec.burst is not None else max(1.0, spec.rate)
+        return spec.rate, burst
 
     def bucket(self, tenant_id: str) -> Optional[TokenBucket]:
         """The tenant's bucket (created on first use; ``None`` = unlimited)."""

@@ -107,22 +107,19 @@ class TenantRegistry:
 
     # -- fairness accounting -------------------------------------------------
 
-    def record_service(self, tenant_id: str, amount: float = 1.0) -> None:
-        """Credit ``amount`` units of service to the tenant."""
-        self.served[tenant_id] = self.served.get(tenant_id, 0.0) + amount
+    def record_service(self, tenant_id: str) -> None:
+        """Credit one unit of service to the tenant."""
+        self.served[tenant_id] = self.served.get(tenant_id, 0.0) + 1.0
 
-    def fairness(self, tenant_ids: Optional[Iterable[str]] = None) -> float:
+    def fairness(self) -> float:
         """Jain's index over weight-normalized service shares.
 
-        Restricted to ``tenant_ids`` when given (e.g. only the tenants
-        that actually had demand); otherwise every tenant that received
-        any service.  Shares are ``served / weight`` so a weight-2
-        tenant legitimately served twice as much still scores 1.0.
+        Over every tenant that received any service.  Shares are
+        ``served / weight`` so a weight-2 tenant legitimately served
+        twice as much still scores 1.0.
         """
-        ids = list(tenant_ids) if tenant_ids is not None \
-            else list(self.served)
-        shares = [self.served.get(t, 0.0) / self.weight_of(t) for t in ids]
-        return jain_index(shares)
+        return jain_index([served / self.weight_of(t)
+                           for t, served in self.served.items()])
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Per-tenant policy + accounting (the admin console's view)."""

@@ -77,12 +77,12 @@ class StageFailure:
 
 
 def service_node(node_id: str, call: ServiceCall,
-                 depends_on=(), params_used=(),
-                 description: str = "") -> WorkflowNode:
-    """A :class:`WorkflowNode` whose execution is a web-service call."""
+                 depends_on=()) -> WorkflowNode:
+    """A :class:`WorkflowNode` whose execution is a web-service call; it
+    reads the workflow's parameters only through its upstream outputs."""
     return WorkflowNode(node_id=node_id, fn=lambda p, u: None,
-                        depends_on=depends_on, params_used=params_used,
-                        description=description or f"WPS {call.process_id}",
+                        depends_on=depends_on,
+                        description=f"WPS {call.process_id}",
                         service_call=call)
 
 

@@ -17,15 +17,17 @@ from repro.services.wps import InputSpec, ProcessDescription, WpsProcess
 from repro.workflow.dag import Workflow
 from repro.workflow.engine import WorkflowEngine
 
+#: simulated CPU seconds an Execute of a composite charges per stage
+COST_PER_STAGE = 0.5
+
 
 def compose_wps_process(workflow: Workflow,
                         identifier: str,
                         title: str,
                         inputs: Sequence[InputSpec],
                         output_node: str,
-                        engine: Optional[WorkflowEngine] = None,
-                        cost_per_stage: float = 0.5,
-                        abstract: str = "") -> WpsProcess:
+                        engine: Optional[WorkflowEngine] = None
+                        ) -> WpsProcess:
     """Wrap ``workflow`` as a WPS process.
 
     ``inputs`` declare the process interface; they are passed through as
@@ -42,8 +44,7 @@ def compose_wps_process(workflow: Workflow,
     description = ProcessDescription(
         identifier=identifier,
         title=title,
-        abstract=abstract or (f"Composite process over workflow "
-                              f"{workflow.name!r}"),
+        abstract=f"Composite process over workflow {workflow.name!r}",
         inputs=list(inputs),
         outputs=[output_node],
     )
@@ -63,6 +64,6 @@ def compose_wps_process(workflow: Workflow,
         return result
 
     def cost(validated_inputs: Dict[str, Any]) -> float:
-        return cost_per_stage * len(workflow.nodes())
+        return COST_PER_STAGE * len(workflow.nodes())
 
     return WpsProcess(description, run=run, cost=cost)

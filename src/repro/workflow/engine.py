@@ -183,6 +183,6 @@ def stage_cache_key(basis: Dict[str, Any], node_id: str) -> str:
             f"workflow cache key for {err}") from None
 
 
-def _short_repr(value: Any, limit: int = 120) -> str:
+def _short_repr(value: Any) -> str:
     text = repr(value)
-    return text if len(text) <= limit else text[:limit - 3] + "..."
+    return text if len(text) <= 120 else text[:117] + "..."

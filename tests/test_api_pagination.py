@@ -19,6 +19,7 @@ from repro.dataplane.views import view_fingerprint
 from repro.geo import GeoEstate
 from repro.obs.hub import obs_of
 from repro.obs.telemetry import TelemetryPlane
+from repro.portal import widgets
 from repro.portal.uploads import UploadService
 from repro.portal.widgets import CatchmentDashboard
 from repro.resilience.policy import RetryPolicy
@@ -685,7 +686,7 @@ def test_rest_client_revalidates_stats(sim, network):
     assert second.headers.get("X-Revalidated") == "true"
 
 
-def test_dashboard_renders_from_read_api(sim, network):
+def test_dashboard_renders_from_read_api(sim, network, monkeypatch):
     plane = seed_plane(sim, rows=3)
     plane.outbox.record("runs", "run.submitted", key="run-7",
                         payload={"process": "double", "submittedAt": 1.0})
@@ -694,7 +695,8 @@ def test_dashboard_renders_from_read_api(sim, network):
     RestServer(sim, build_read_api(sim, plane), instance).bind(network)
 
     dashboard = CatchmentDashboard(sim, network, instance.address, "eden")
-    done = dashboard.refresh(page_limit=2)
+    monkeypatch.setattr(widgets, "DASHBOARD_PAGE", 2)
+    done = dashboard.refresh()
     sim.run()
     assert done.value is True and dashboard.errors == []
     summary = dashboard.summary()

@@ -232,9 +232,8 @@ def test_resource_broker_connect_pushes_assignment():
     stack.sim.run(until=120.0)
     rb = stack.make_rb()
     received = []
-    conn = rb.gateway.connect("alice")
-    conn.on_client_message(received.append)
-    session = rb.connect("alice", "svc", channel=conn)
+    session = rb.connect("alice", "svc")
+    session.channel.on_client_message(received.append)
     stack.sim.run(until=stack.sim.now + 10.0)
     assert session.state.value == "active"
     assigns = [m for m in received if m["type"] == "session.assign"]

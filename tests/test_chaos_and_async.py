@@ -24,7 +24,8 @@ def random_crashes(evop, mean_interval_seconds, horizon):
         while evop.sim.now < horizon:
             yield rng.expovariate(1.0 / mean_interval_seconds)
             victims = [inst for provider in injector.providers
-                       for inst in provider.instances(InstanceState.RUNNING)]
+                       for inst in provider.instances()
+                       if inst.state is InstanceState.RUNNING]
             if victims:
                 injector.crash(rng.choice(victims),
                                cause="random background fault")

@@ -59,9 +59,10 @@ def test_rebake_preserves_payload_and_links_parent():
     store = ImageStore()
     base = store.create("bundle", ImageKind.STREAMLINED, size_gb=6.0,
                         bundled_models=("topmodel",))
-    derived = store.rebake(base.image_id, extra_models=("fuse",),
+    derived = store.rebake(base.image_id, extra_datasets=("eden/2013",),
                            size_increase_gb=2.0)
-    assert derived.bundled_models == ("topmodel", "fuse")
+    assert derived.bundled_models == ("topmodel",)
+    assert derived.bundled_datasets == base.bundled_datasets + ("eden/2013",)
     assert derived.size_gb == 8.0
     assert derived.parent_id == base.image_id
     assert [img.image_id for img in store.lineage(derived.image_id)] == [
@@ -137,15 +138,19 @@ def test_container_create_is_idempotent(sim):
     [1, "two", 3.0, None, {"nested": ("tuple", [True])}],
     0, 3.5, None,
 ])
-@pytest.mark.parametrize("declared", [None, 0, 4096])
-def test_put_etag_and_size_follow_the_two_repr_formula(sim, payload, declared):
+@pytest.mark.parametrize("prior", [None, 0, 4096])
+def test_put_etag_and_size_follow_the_two_repr_formula(sim, payload, prior):
     """``put`` serialises once; what it stamps is what serialising the
-    payload separately for the size and for the etag always stamped."""
-    blob = BlobStore(sim).create_container("c").put(
-        "k", payload, metadata={"units": "mm"}, size_bytes=declared)
-    if declared is not None:
-        size = declared
-    elif isinstance(payload, (bytes, bytearray, str)):
+    payload separately for the size and for the etag always stamped.
+    ``prior`` is the size of a blob the put overwrites, whose etag and
+    size were already read (``None``: the key was free): nothing of it
+    survives in the new blob or in the container's byte count."""
+    container = BlobStore(sim).create_container("c")
+    if prior is not None:
+        old = container.put("k", "x" * prior, metadata={"units": "m"})
+        assert (old.size_bytes, len(old.etag)) == (prior, 16)
+    blob = container.put("k", payload, metadata={"units": "mm"})
+    if isinstance(payload, (bytes, bytearray, str)):
         size = len(payload)
     else:
         size = len(repr(payload))
@@ -153,6 +158,8 @@ def test_put_etag_and_size_follow_the_two_repr_formula(sim, payload, declared):
     assert blob.etag == hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
     assert (blob.key, blob.payload, blob.created_at, blob.metadata) == \
         ("k", payload, sim.now, {"units": "mm"})
+    assert container.get("k") is blob
+    assert container.total_bytes() == size
 
 
 def test_a_torn_put_stamps_the_stored_text(sim):
@@ -164,14 +171,13 @@ def test_a_torn_put_stamps_the_stored_text(sim):
     assert blob.etag == hashlib.sha256(repr("01234567").encode()).hexdigest()[:16]
 
 
-def eager_stamp(payload, declared):
+def eager_stamp(payload):
     """What ``put`` used to compute on every call: the oracle for the
     values a blob now works out the first time either is read."""
     text = repr(payload)
-    if declared is None:
-        declared = len(payload) \
-            if isinstance(payload, (bytes, bytearray, str)) else len(text)
-    return declared, hashlib.sha256(text.encode()).hexdigest()[:16]
+    size = len(payload) \
+        if isinstance(payload, (bytes, bytearray, str)) else len(text)
+    return size, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -187,21 +193,20 @@ _payloads = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(payload=_payloads,
-       declared=st.one_of(st.none(), st.integers(0, 1 << 20)),
        torn=st.booleans(),
        reads=st.lists(st.sampled_from(("etag", "size_bytes")),
                       min_size=1, max_size=5))
 def test_etag_and_size_read_in_any_order_equal_the_eager_stamp(
-        payload, declared, torn, reads):
+        payload, torn, reads):
     store = BlobStore(Simulator())
     if torn:
         store.set_fault("torn_write")
-    blob = store.create_container("c").put("k", payload, size_bytes=declared)
+    blob = store.create_container("c").put("k", payload)
     # the tear happened at put time, to the stored payload
     stored = payload[: max(1, (2 * len(payload)) // 3)] \
         if torn and isinstance(payload, str) and len(payload) > 1 else payload
     assert blob.payload == stored
-    size, etag = eager_stamp(stored, declared)
+    size, etag = eager_stamp(stored)
     for name in reads:
         assert getattr(blob, name) == (etag if name == "etag" else size)
     assert (blob.size_bytes, blob.etag) == (size, etag)

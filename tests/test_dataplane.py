@@ -636,7 +636,7 @@ def test_property_incremental_state_equals_full_replay(rows):
     live_stats = view_fingerprint(plane.stats)
     live_latest = view_fingerprint(plane.latest)
 
-    replica = CatchmentStatsView(window_hours=plane.stats.window_hours)
+    replica = CatchmentStatsView()
     latest_replica = LatestObservationView()
     for name in plane.streams.names():
         for event in plane.streams.stream(name).replay():

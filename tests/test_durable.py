@@ -510,8 +510,8 @@ def test_sweep_whose_model_raises_fails_the_run_and_frees_it(
     assert live_owner(journal.lease(), sim.now) is None               # released, not lapsed
     assert state.checkpoint["completed"] == 2
     tracer = obs_of(sim).tracer
-    assert [s.error for s in tracer.spans(name="durable.sweep")] == [
-        "TypeError: unsupported operand"]
+    assert [s.error for s in tracer.spans()
+            if s.name == "durable.sweep"] == ["TypeError: unsupported operand"]
     assert all(s.finished for s in tracer.spans())
 
     healed.append(True)

@@ -16,7 +16,6 @@ from repro.durable import JournalStore, RecoveryManager, replay
 from repro.durable import journal as j
 from repro.obs.hub import obs_of
 from repro.services import Network, WpsService
-from repro.services.transport import HttpRequest, HttpResponse
 from repro.services.wps import InputSpec, ProcessDescription, WpsProcess
 from repro.sim import Simulator
 from tests.test_durable import live_owner
@@ -253,27 +252,6 @@ def test_no_address_dispatch_fails_typed_and_journaled(rig):
     state = replay(journals.open(record.run_id).records())
     assert state.status == "failed"
     assert "no endpoint resolves" in state.failure
-
-
-def test_partition_fault_drops_traffic_until_healed(rig):
-    sim, network = rig["sim"], rig["network"]
-    injector = FaultInjector(sim, [rig["cloud"]], network=network)
-    client_addr = rig["executor"].address
-    server_addr = rig["wps_host"].address
-    injector.partition(client_addr, server_addr)
-
-    reply = network.request(server_addr, HttpRequest("GET", "/v1/wps"),
-                            timeout=5.0, source=client_addr)
-    sim.run()
-    assert not isinstance(reply.value, HttpResponse)  # timed out
-
-    injector.heal_partition(client_addr, server_addr)
-    reply = network.request(server_addr, HttpRequest("GET", "/v1/wps"),
-                            timeout=5.0, source=client_addr)
-    sim.run()
-    assert isinstance(reply.value, HttpResponse) and reply.value.ok
-    assert [f.kind for f in injector.injected] == ["partition",
-                                                   "heal_partition"]
 
 
 def test_storage_outage_heals_after_duration(rig):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cloud import BlobStore, MultiCloud
 from repro.cloud.errors import CloudError
+from repro.cloud.flavors import SMALL
 from repro.durable import JournalStore
 from repro.geo import (
     GeoEstate,
@@ -43,7 +44,7 @@ def test_topology_ring_and_status(sim):
     assert topo.nearest(None) == ["a", "b", "c"]
     topo.mark("a", RegionStatus.DOWN)
     assert topo.status("a") is RegionStatus.DOWN
-    assert topo.nearest_available("a") == "b"
+    assert topo.nearest_available() == "b"
     assert len(topo.transitions) == 1
 
 
@@ -345,11 +346,10 @@ def test_region_outage_and_heal(sim):
     assert cell.store.faulted
     assert all(len(p.serving_instances()) == 0 for p in cell.providers)
     with pytest.raises(CloudError):
-        cell.private.launch(estate.image,
-                            next(iter(cell.private.flavors.values()))
-                            if hasattr(cell.private, "flavors") else None)
+        cell.private.launch(estate.image, SMALL)
     estate.injector.heal_region(region)
     assert not cell.store.faulted
+    assert cell.private.launch(estate.image, SMALL).instance_id
     kinds = [f.kind for f in estate.injector.injected]
     assert "region_outage" in kinds and "heal_region" in kinds
 

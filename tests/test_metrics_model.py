@@ -26,6 +26,7 @@ from repro.services import HttpRequest, RestApi
 from repro.services.obsapi import build_observability_api
 from repro.services.rest import RestServer
 from repro.sim import MetricsRegistry, Simulator
+from repro.sim.metrics import DEFAULT_BUCKETS
 from repro.tenancy.context import TENANT_HEADER
 
 TENANTS = ("default", "org-a", "org-b")
@@ -92,7 +93,7 @@ def test_a_family_is_labeled_or_it_is_not():
     registry = MetricsRegistry(Simulator(), namespace="svc")
     registry.counter("requests", tenant="org-a")
     registry.gauge("depth")
-    registry.histogram("dur", buckets=(1.0,))
+    registry.histogram("dur")
     with pytest.raises(ValueError, match="svc.requests"):
         registry.counter("requests")
     with pytest.raises(ValueError):
@@ -111,8 +112,7 @@ def test_labeled_histogram_total_is_the_merged_distribution():
     registry = MetricsRegistry(Simulator())
     for tenant, seen in (("a", (0.5, 0.7)), ("b", (3.0,))):
         for value in seen:
-            registry.histogram("dur", buckets=(1.0, 5.0),
-                               tenant=tenant).observe(value)
+            registry.histogram("dur", tenant=tenant).observe(value)
     snapshot = registry.snapshot()
     assert snapshot["dur.count"] == 3
     assert snapshot["dur{tenant=a}.count"] == 2
@@ -123,8 +123,9 @@ def test_labeled_histogram_total_is_the_merged_distribution():
 # ------------------------------------------------- windowed percentiles
 
 
-BOUNDS = (1.0, 2.0, 5.0, 10.0)
-observations = st.lists(st.floats(0.0, 20.0), max_size=40)
+BOUNDS = DEFAULT_BUCKETS
+# past the last bound too, so the overflow bucket is reached
+observations = st.lists(st.floats(0.0, 2 * BOUNDS[-1]), max_size=40)
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,7 +134,7 @@ observations = st.lists(st.floats(0.0, 20.0), max_size=40)
 def test_window_quantile_brackets_the_exact_percentile(before, during, q):
     sim = Simulator()
     registry = MetricsRegistry(sim)
-    hist = registry.histogram("dur", buckets=BOUNDS)
+    hist = registry.histogram("dur")
     store = SeriesStore()
     scraper = MetricsScraper(sim, store)
     scraper.add_registry(registry, service="w")

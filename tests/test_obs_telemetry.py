@@ -25,8 +25,9 @@ from repro.obs import (
     red_view,
 )
 from repro.obs import events, telemetry
+from repro.obs.telemetry import format_bound
 from repro.sim import Simulator
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 
 # ---------------------------------------------------------------- series
@@ -108,7 +109,7 @@ def test_scraper_samples_registries_probes_and_buckets():
     scraper = MetricsScraper(sim, store, interval=5.0)
     registry = MetricsRegistry(sim, namespace="svc")
     registry.counter("requests").increment(3)
-    registry.histogram("dur", buckets=(1.0, 10.0)).observe(0.5)
+    registry.histogram("dur").observe(0.5)
     registry.callback_gauge("depth", lambda: 7)
     scraper.add_registry(registry, service="svc")
     scraper.start()
@@ -120,12 +121,13 @@ def test_scraper_samples_registries_probes_and_buckets():
     assert store.get("depth", service="svc").latest() == (20.0, 7.0)
     # cumulative bucket series carry the le label; +Inf sees every value
     buckets = store.query("dur.bucket", service="svc")
-    assert sorted(s.labels["le"] for s in buckets) == ["+Inf", "1", "10"]
+    assert sorted(s.labels["le"] for s in buckets) == sorted(
+        [format_bound(b) for b in DEFAULT_BUCKETS] + ["+Inf"])
     assert store.get("dur.bucket", service="svc", le="+Inf").latest()[1] == 1.0
     # the scraper meters itself into the same store
     assert store.get("scrape.samples", service="telemetry") is not None
     assert scraper.host_seconds >= 0.0
-    assert scraper.lag(sim.now) == pytest.approx(sim.now - 20.0)
+    assert scraper.lag() == pytest.approx(sim.now - 20.0)
 
 
 def test_scraper_skips_unchanged_bucket_points():
@@ -133,7 +135,7 @@ def test_scraper_skips_unchanged_bucket_points():
     store = SeriesStore()
     scraper = MetricsScraper(sim, store, interval=1.0)
     registry = MetricsRegistry(sim)
-    hist = registry.histogram("dur", buckets=(1.0,))
+    hist = registry.histogram("dur")
     hist.observe(0.5)
     scraper.add_registry(registry)
 
@@ -155,7 +157,7 @@ def test_scraper_keeps_same_named_metrics_of_two_registries_apart():
     for service, hits, seen in (("a", 2, 0.5), ("b", 5, 3.0)):
         registry = MetricsRegistry(sim)
         registry.counter("requests").increment(hits)
-        registry.histogram("dur", buckets=(1.0,)).observe(seen)
+        registry.histogram("dur").observe(seen)
         scraper.add_registry(registry, service=service)
     probed = MetricsRegistry(sim)
     probed.callback_gauge("requests", lambda: 9)

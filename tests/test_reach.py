@@ -26,28 +26,12 @@ import re
 from functools import lru_cache
 from typing import Dict, Iterator, List, Set, Tuple
 
-from tests.test_options import CALLERS, ROOT, _trees
+from tests.test_options import (
+    _ACCESS, _CATALOG, _CHANNELS, _CHARTS, _DEF, _FAULTS, _QC, _REGISTRY,
+    _SEARCH, _SENSORS, _SOS, _STORYBOARDS, _TRACEABILITY, _WIDGETS, _WPS,
+    CALLERS, ROOT, _trees, design_rows)
 
 REASONS = {"paper", "science", "oracle", "seam", "dispatch"}
-
-_FAULTS = "Fault injection (crash, degradation, network blackhole)"
-_WPS = "OGC WPS (model execution services; sync + async)"
-_SOS = "OGC SOS (sensor observation services)"
-_CHANNELS = "WebSocket-like duplex channels + polling baseline"
-_REGISTRY = "Service registry / catalogue"
-_SENSORS = ("In-situ sensor network (rain, level, temperature, turbidity)"
-            " + live feeds")
-_CATALOG = ("Asset catalogue (geotagged, multi-origin: in-situ / warehoused"
-            " / user / external)")
-_WIDGETS = ("Visualization widgets: time-series, multimodal sensor+webcam,"
-            " modelling widget (scenario buttons + parameter sliders + help)")
-_CHARTS = "Chart spec renderer (Flot-like series → JSON/ASCII)"
-_STORYBOARDS = "Storyboards, requirements capture"
-_QC = "Observational QC (range/spike/flatline/gap pre-processing)"
-_SEARCH = 'Catalogue keyword search + facets ("hard to locate")'
-_TRACEABILITY = "Storyboard→system requirement traceability probes"
-_ACCESS = ("Data ownership / delegation (restricted data usable by models,"
-           " not downloadable)")
 
 #: each ``paper`` row's DESIGN.md system-inventory row (its first cell)
 ROWS: Dict[str, str] = {
@@ -106,7 +90,6 @@ KEEP: Dict[str, str] = {
     "DataPlane.rebuild": "oracle",
 }
 
-_DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
 _TOKEN = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
 
 
@@ -194,10 +177,7 @@ def test_every_kept_callable_is_unreached_and_has_a_known_reason():
     assert set(KEEP.values()) <= REASONS
     assert set(KEEP) <= set(unreached)
     assert set(ROWS) == {name for name, why in KEEP.items() if why == "paper"}
-    design = (ROOT / "DESIGN.md").read_text()
-    rows = {line.split("|")[1].strip() for line in design.splitlines()
-            if line.startswith("| ")}
-    assert set(ROWS.values()) <= rows
+    assert set(ROWS.values()) <= design_rows()
 
 
 def test_every_kept_callable_is_checked_by_a_test():

@@ -113,7 +113,7 @@ def test_dispatcher_counters_and_depths():
     assert d.enqueue("svc", "a", PriorityClass.INTERACTIVE)
     assert d.enqueue("svc", "b", PriorityClass.BATCH)
     assert d.depth("svc") == 2
-    assert d.depth("svc", PriorityClass.BATCH) == 1
+    assert d.queue("svc").depth(PriorityClass.BATCH) == 1
     assert d.depths() == {"svc": {"interactive": 1, "workflow": 0,
                                   "batch": 1}}
     # one class across services: what the queue-depth probes sample
@@ -339,7 +339,7 @@ def test_bounded_queue_sheds_batch_at_capacity():
     lb.place_session(accepted, "svc", priority=PriorityClass.BATCH)
     shed = plane.sessions.create("b-shed")
     lb.place_session(shed, "svc", priority=PriorityClass.BATCH)
-    assert lb.dispatcher.depth("svc", PriorityClass.BATCH) == 1
+    assert lb.dispatcher.queue("svc").depth(PriorityClass.BATCH) == 1
     assert refused(plane.sim, cause="queue_full") == 1
     assert obs_of(plane.sim).events.events("refused")[-1].fields["item"] \
         == shed.session_id

@@ -179,7 +179,7 @@ def test_histogram_empty_and_validation():
 
 
 def test_registry_histogram_in_snapshot(sim, registry):
-    hist = registry.histogram("rt", buckets=(1.0, 2.0, 4.0))
+    hist = registry.histogram("rt")
     assert registry.histogram("rt") is hist
     for value in (0.5, 1.5, 3.0):
         hist.observe(value)

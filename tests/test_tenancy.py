@@ -313,7 +313,7 @@ def test_dispatcher_records_service_in_registry():
         dispatcher.dequeue("svc")
     # weight 2 tenant legitimately served 2:1 — fairness still 1.0
     assert registry.served == {"org-a": 4.0, "org-b": 2.0}
-    assert registry.fairness(["org-a", "org-b"]) == pytest.approx(1.0)
+    assert registry.fairness() == pytest.approx(1.0)
     assert dispatcher.tenant_depths() == {"org-a": 2, "org-b": 4}
 
 
@@ -335,8 +335,8 @@ def test_token_bucket_is_deterministic_on_sim_time():
 
 
 def test_rate_decision_headers():
-    limiter = RateLimiter(Simulator(), TenantRegistry())
-    limiter.default_rate, limiter.default_burst = 2.0, 4.0
+    limiter = RateLimiter(Simulator(), TenantRegistry(
+        specs=[TenantSpec("org-a", rate=2.0, burst=4.0)]))
     allowed = limiter.check("org-a")
     assert allowed.allowed
     headers = allowed.headers()
@@ -357,7 +357,7 @@ def test_rate_limiter_spec_overrides_and_unlimited_default():
     registry = TenantRegistry(specs=[TenantSpec("metered", rate=1.0,
                                                 burst=2.0)])
     limiter = RateLimiter(sim, registry)
-    # no default rate: unregistered tenants and the default are unlimited
+    # a spec without a rate: unregistered tenants and the default are unlimited
     assert all(limiter.check(DEFAULT_TENANT).allowed for _ in range(50))
     assert all(limiter.check("stranger").allowed for _ in range(50))
     assert limiter.fill("stranger") is None
@@ -386,7 +386,8 @@ def test_registry_membership_and_default_policy():
 
 def test_registry_snapshot_includes_unregistered_served():
     registry = TenantRegistry()
-    registry.record_service("drive-by", 5.0)
+    for _ in range(5):
+        registry.record_service("drive-by")
     snapshot = registry.snapshot()
     assert snapshot["drive-by"]["served"] == 5.0
     assert snapshot["drive-by"]["weight"] == 1.0
@@ -837,15 +838,17 @@ def test_evop_enable_tenancy_and_admin_console_section():
     registry, limiter = evop.tenants, evop.ratelimit
     assert list(console.status()["tenancy"]["tenants"]) == [DEFAULT_TENANT]
     assert evop.enable_tenancy(
-        specs=[TenantSpec("org-a", weight=2.0, rate=5.0, vcpu_quota=8.0)],
-        require_tenant=True) is registry
+        specs=[TenantSpec("org-a", weight=2.0, rate=5.0, vcpu_quota=8.0)]
+    ) is registry
+    evop.tenants.require_tenant = True
     # policy lands on the two shared objects; nothing is rebuilt
     assert evop.tenants is registry and evop.ratelimit is limiter
     assert evop.sched.tenants is registry
     assert all(lb.dispatcher.tenants is registry for lb in evop.sched.lbs)
     assert registry.require_tenant
     assert evop.ledger.tenant_quotas == {"org-a": 8.0}
-    registry.record_service("org-a", 4.0)
+    for _ in range(4):
+        registry.record_service("org-a")
     evop.ratelimit.check("org-a")
     status = console.status()["tenancy"]
     assert status["tenants"]["org-a"]["weight"] == 2.0
