@@ -54,7 +54,6 @@ class GeoRouter:
     # -- placement -----------------------------------------------------------
 
     def submit_session(self, session, service_name: str,
-                       priority: PriorityClass = PriorityClass.INTERACTIVE,
                        origin: Optional[str] = None) -> Optional[str]:
         """Place a session; returns the serving region (None if refused).
 
@@ -72,8 +71,8 @@ class GeoRouter:
                                          origin=home, region=region)
         session.region = region
         session.geo_service = service_name
-        self.routers[region].submit_session(session, service_name,
-                                            priority=priority)
+        self.routers[region].submit_session(
+            session, service_name, priority=PriorityClass.INTERACTIVE)
         return region
 
     def _region_for(self, session, service_name: str,

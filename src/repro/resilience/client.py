@@ -38,7 +38,7 @@ from repro.services.transport import (
     Network,
     RequestTimeout,
 )
-from repro.sim import RandomStreams, Signal, Simulator
+from repro.sim import MetricsRegistry, RandomStreams, Signal, Simulator
 from repro.tenancy.context import DEFAULT_TENANT, TENANT_HEADER
 
 #: Hedge delay used until enough latency samples exist for a p95.
@@ -54,7 +54,7 @@ QUEUE_WAIT = 10.0
 AddressLike = Union[str, Callable[[], Optional[str]]]
 
 
-def observed_breakers(sim: Simulator, metrics=None) -> BreakerRegistry:
+def observed_breakers(sim: Simulator, metrics: MetricsRegistry) -> BreakerRegistry:
     """A :class:`BreakerRegistry` wired into obs events and metrics.
 
     Use one shared registry per fleet: the client fabric, the load
@@ -64,11 +64,10 @@ def observed_breakers(sim: Simulator, metrics=None) -> BreakerRegistry:
     def on_transition(target: str, old: str, new: str) -> None:
         obs_of(sim).events.emit("resilience.breaker", target=target,
                                from_state=old, to_state=new)
-        if metrics is not None:
-            if new == "open":
-                metrics.counter("breaker.trips").increment()
-            elif new == "closed":
-                metrics.counter("breaker.recoveries").increment()
+        if new == "open":
+            metrics.counter("breaker.trips").increment()
+        elif new == "closed":
+            metrics.counter("breaker.recoveries").increment()
 
     return BreakerRegistry(sim, on_transition=on_transition)
 
@@ -81,16 +80,17 @@ class ResilientClient:
                  policy: Optional[RetryPolicy] = None,
                  streams: Optional[RandomStreams] = None,
                  breakers: Optional[BreakerRegistry] = None,
-                 metrics=None,
+                 metrics: Optional[MetricsRegistry] = None,
                  hedge: bool = True):
         self.sim = sim
         self.network = network
         self.service = service
         self.policy = policy or RetryPolicy()
         self.streams = streams or RandomStreams()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry(sim, namespace="resilience")
         self.breakers = breakers if breakers is not None \
-            else observed_breakers(sim, metrics)
+            else observed_breakers(sim, self.metrics)
         self.bulkheads = BulkheadGroup(sim)
         self.hedge = hedge
 
@@ -210,13 +210,12 @@ class ResilientClient:
         span.finish(error=None if response.status < 500
                     else f"http {response.status}")
         self._count("success" if response.ok else "errors")
-        if self.metrics is not None:
-            # end-to-end duration with a trace exemplar: a bad bucket
-            # keeps the trace id of a request that actually landed there
-            self.metrics.histogram("request.duration").observe(
-                self.sim.now - start,
-                exemplar={"trace_id": span.trace_id, "t": self.sim.now,
-                          "status": response.status})
+        # end-to-end duration with a trace exemplar: a bad bucket keeps
+        # the trace id of a request that actually landed there
+        self.metrics.histogram("request.duration").observe(
+            self.sim.now - start,
+            exemplar={"trace_id": span.trace_id, "t": self.sim.now,
+                      "status": response.status})
         if not done.fired:
             done.fire(response)
 
@@ -332,15 +331,13 @@ class ResilientClient:
     # -- helpers -----------------------------------------------------------
 
     def _hedge_delay(self) -> float:
-        if self.metrics is None:
-            return DEFAULT_HEDGE_DELAY
         recorder = self.metrics.recorder("attempt_latency")
         if recorder.count < HEDGE_MIN_SAMPLES:
             return DEFAULT_HEDGE_DELAY
         return max(0.05, recorder.percentile(95))
 
     def _observe_latency(self, outcome: Any, started: float) -> None:
-        if self.metrics is not None and isinstance(outcome, HttpResponse):
+        if isinstance(outcome, HttpResponse):
             self.metrics.recorder("attempt_latency").record(
                 self.sim.now - started)
 
@@ -370,8 +367,7 @@ class ResilientClient:
             504, "resilience budget exhausted", detail, retryable=True))
 
     def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).increment()
+        self.metrics.counter(name).increment()
 
     @staticmethod
     def _fire_unset(signal: Signal, value: Any) -> None:

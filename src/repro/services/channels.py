@@ -12,7 +12,8 @@ compare bytes, message counts and notification latency like-for-like:
 
 * :class:`PushGateway` / :class:`WebSocketConnection` — frames cost
   ``WS_FRAME_BYTES`` + payload; delivery after one network latency;
-  optional keepalive pings.
+  optional keepalive pings.  The host pays one CPU job per emission of N
+  frames (a broadcast, or one push / send): N + 1 calendar events, not 2N.
 * :class:`PollingClient` — each poll is a full HTTP exchange whether or
   not updates are pending; delivery waits for the next poll tick.
 
@@ -27,7 +28,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cloud.instance import Instance, Job
 from repro.services.transport import HTTP_HEADER_BYTES, WS_FRAME_BYTES, payload_bytes
-from repro.sim import MetricsRegistry, RandomStreams, Simulator
+from repro.sim import MetricsRegistry, RandomStreams, Simulator, TimeSeriesRecorder
 
 
 #: CPU charge on the host for accepting/answering one poll request.
@@ -63,13 +64,17 @@ class WebSocketConnection:
         """Register a server-side handler for client sends."""
         self._server_handlers.append(handler)
 
-    def push(self, payload: Any, payload_size: Optional[int] = None) -> None:
-        """Server → client frame (``payload_size`` when already measured)."""
-        self.gateway._transmit(self, payload, True, payload_size)
+    def push(self, payload: Any) -> None:
+        """Server → client frame."""
+        if self.closed:
+            raise ChannelClosed(self.connection_id)
+        self.gateway._emit([self], payload, True)
 
     def send(self, payload: Any) -> None:
         """Client → server frame."""
-        self.gateway._transmit(self, payload, to_client=False)
+        if self.closed:
+            raise ChannelClosed(self.connection_id)
+        self.gateway._emit([self], payload, False)
 
     def close(self) -> None:
         """Close the connection; later frames raise :class:`ChannelClosed`."""
@@ -77,7 +82,12 @@ class WebSocketConnection:
             self.closed = True
             self.gateway._closed(self)
 
-    def _deliver(self, payload: Any, to_client: bool) -> None:
+    def _deliver(self, payload: Any, to_client: bool, sent_at: float,
+                 recorder: TimeSeriesRecorder) -> None:
+        """A frame lands, unless the socket closed or a pushing host went dark."""
+        if self.closed or (to_client and self.gateway.instance.network_blackholed):
+            return
+        recorder.record(self.gateway.sim.now - sent_at)
         handlers = self._client_handlers if to_client else self._server_handlers
         if to_client:
             self.messages_to_client += 1
@@ -120,37 +130,30 @@ class PushGateway:
 
     def broadcast(self, payload: Any) -> None:
         """Push ``payload`` to every open connection."""
-        # one frame, many sockets: serialise it once, not per connection
-        size = payload_bytes(payload)
-        for conn in self.connections():
-            conn.push(payload, size)
+        self._emit(self.connections(), payload, True)
 
-    def _transmit(self, conn: WebSocketConnection, payload: Any,
-                  to_client: bool, payload_size: Optional[int] = None) -> None:
-        if conn.closed:
-            raise ChannelClosed(conn.connection_id)
-        if payload_size is None:
-            payload_size = payload_bytes(payload)
-        frame_bytes = WS_FRAME_BYTES + payload_size
-        self.metrics.counter("bytes").increment(frame_bytes)
-        self.metrics.counter("messages").increment()
+    def _emit(self, conns: List[WebSocketConnection], payload: Any,
+              to_client: bool) -> None:
+        """One frame of ``payload`` to each of ``conns``: measured once,
+        charged once, one CPU job for all (nothing waits on it)."""
+        if not conns:
+            return
+        frames = len(conns)
+        sent = frames * (WS_FRAME_BYTES + payload_bytes(payload))
+        self.metrics.counter("bytes").increment(sent)
+        self.metrics.counter("messages").increment(frames)
         if to_client:
-            self.instance.record_bytes_out(frame_bytes)
+            self.instance.record_bytes_out(sent)
         else:
-            self.instance.record_bytes_in(frame_bytes)
-        self.instance.submit(Job(cost=PUSH_CPU_COST, name="ws-frame"))
+            self.instance.record_bytes_in(sent)
+        self.instance.submit(Job(cost=frames * PUSH_CPU_COST, name="ws-frame"))
         sent_at = self.sim.now
-
-        def deliver() -> None:
-            if conn.closed:
-                return
-            if to_client and self.instance.network_blackholed:
-                return
-            self.metrics.recorder("delivery_latency").record(self.sim.now - sent_at)
-            conn._deliver(payload, to_client)
-
-        jitter = self.streams.get("ws.latency").uniform(0, PUSH_LATENCY / 2)
-        self.sim.schedule(PUSH_LATENCY + jitter, deliver)
+        recorder = self.metrics.recorder("delivery_latency")
+        jitter = self.streams.get("ws.latency").uniform
+        schedule = self.sim.schedule
+        for conn in conns:
+            schedule(PUSH_LATENCY + jitter(0, PUSH_LATENCY / 2), conn._deliver,
+                     payload, to_client, sent_at, recorder)
 
     def _closed(self, conn: WebSocketConnection) -> None:
         self.metrics.gauge("connections").add(-1)

@@ -23,6 +23,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience.bulkhead import BulkheadGroup
+from repro.resilience.client import DEFAULT_HEDGE_DELAY, HEDGE_MIN_SAMPLES
 from repro.services.client import RestClient
 from repro.services.envelope import problem
 from repro.services.rest import RestApi, RestCacheable, RestServer
@@ -367,6 +368,30 @@ def test_hedged_get_first_response_wins(sim, network):
     assert metrics.snapshot()["hedge.wins"] == 1
     sim.run()                          # the slow loser completes harmlessly
     assert client.bulkheads.get(instance.address).in_flight == 0
+
+
+def test_client_without_a_registry_hedges_at_its_observed_p95(sim, network):
+    instance = make_instance(sim)
+    fast = [0.2] * HEDGE_MIN_SAMPLES
+    network.register(instance.address,
+                     ScriptedServer(sim, fast + [10.0, 0.1]), instance)
+    client = ResilientClient(sim, network, service="svc",
+                             streams=RandomStreams(5))
+    for _ in fast:
+        assert client._hedge_delay() == DEFAULT_HEDGE_DELAY
+        client.call(instance.address, HttpRequest("GET", "/v1/x"))
+        sim.run()
+    p95 = client.metrics.recorder("attempt_latency").percentile(95)
+    assert 0.2 <= p95 < 0.5
+    assert client._hedge_delay() == p95
+    # the slow request is hedged at the p95, well before the fixed 1 s
+    start = sim.now
+    done = client.call(instance.address, HttpRequest("GET", "/v1/x"),
+                       timeout=30.0)
+    sim.run(until=start + 2 * p95)
+    assert done.fired and done.value.body["n"] == len(fast) + 2
+    assert client.metrics.snapshot()["hedge.wins"] == 1
+    sim.run()
 
 
 def test_hedging_skips_unsafe_posts(sim, network):
