@@ -8,14 +8,21 @@ rule run journals and the leader election follow): the
 claim lapses, and the peer that takes over holds a higher epoch, which
 fences any late cursor commit from the previous holder.
 
-Delivery is at-least-once — a consumer can die after applying an event
-but before committing its cursor, so the next holder redelivers.  The
-views deduplicate by ``(stream, seq)``, making the apply idempotent.
+Delivery is at-least-once, and the views deduplicate by ``(stream,
+seq)``, making the apply idempotent.
 
 A *poison* event (one whose apply raises, deterministically) must not
 stall the partition: after ``MAX_ATTEMPTS`` deliveries it is parked in
 the :class:`DeadLetterQueue` and the cursor advances past it.  Parked
 events stay durable and inspectable (:meth:`DeadLetterQueue.entries`).
+
+A drain applies every event past the committed cursor inside one
+simulator step, so no crash, takeover or store fault lands inside it,
+and commits the cursor once for the batch, fenced.  A failure stops the
+drain, so only the event at the committed cursor can carry a count of
+failed deliveries (``attempts/<stream>/<seq>``): it is read once per
+drain and written only when an apply raises.  It is a blob, so a new
+owner goes on counting where a crashed one stopped.
 """
 
 from __future__ import annotations
@@ -162,15 +169,6 @@ class ConsumerGroup:
     def _attempts_key(self, stream: str, seq: int) -> str:
         return f"attempts/{stream}/{seq:08d}"
 
-    def _bump_attempts(self, stream: str, seq: int) -> int:
-        key = self._attempts_key(stream, seq)
-        count = self._container.read(key, 0) + 1
-        self._container.put(key, count)
-        return count
-
-    def _clear_attempts(self, stream: str, seq: int) -> None:
-        self._container.discard(self._attempts_key(stream, seq))
-
     # -- the drain loop ------------------------------------------------------
 
     def poll_once(self) -> int:
@@ -190,30 +188,40 @@ class ConsumerGroup:
 
     def _drain_stream(self, stream_name: str, epoch: int) -> int:
         stream = self.streams.stream(stream_name)
-        cursor = self.committed_cursor(stream_name)
+        start = cursor = self.committed_cursor(stream_name)
+        events = stream.read(from_seq=cursor)
+        if not events:
+            return 0
+        # Only the event at the committed cursor can carry failed
+        # deliveries: a failure stops the drain there.
+        failed = self._container.read(
+            self._attempts_key(stream_name, cursor), 0)
         applied = 0
-        for event in stream.read(from_seq=cursor):
-            attempts = self._bump_attempts(stream_name, event.seq)
-            if attempts > 1:
+        for event in events:
+            attempts = failed + 1
+            if failed:
                 self.redelivered += 1
             try:
                 self.apply(event)
             except Exception as exc:  # noqa: BLE001 - poison isolation
-                if attempts >= MAX_ATTEMPTS:
-                    self.dlq.park(event, error=repr(exc), attempts=attempts)
-                    self._clear_attempts(stream_name, event.seq)
-                    # Advance past the poison event: the partition must
-                    # not stall behind one bad record.
-                    cursor = event.seq + 1
-                    self._commit_cursor(stream_name, cursor, epoch)
-                    continue
-                # Leave the cursor where it is; the event redelivers on
-                # the next poll (ours or a peer's after failover).
-                break
-            self.delivered += 1
-            applied += 1
-            self._clear_attempts(stream_name, event.seq)
+                if attempts < MAX_ATTEMPTS:
+                    # Leave the cursor here; the event redelivers on the
+                    # next poll (ours or a peer's after failover).
+                    self._container.put(
+                        self._attempts_key(stream_name, event.seq), attempts)
+                    break
+                # Park and advance past the poison event: the partition
+                # must not stall behind one bad record.
+                self.dlq.park(event, error=repr(exc), attempts=attempts)
+            else:
+                self.delivered += 1
+                applied += 1
+            if failed:
+                self._container.discard(
+                    self._attempts_key(stream_name, event.seq))
+                failed = 0
             cursor = event.seq + 1
+        if cursor != start:
             self._commit_cursor(stream_name, cursor, epoch)
         return applied
 

@@ -184,10 +184,14 @@ class CatchmentStatsView(MaterializedView):
     """Per-catchment rolling stats over a sliding event-time window.
 
     The incremental contract: appending a value extends the running
-    fold exactly as :func:`fold_values` would have; evicting expired
-    values re-folds the surviving window from scratch.  Either way the
-    resulting ``(count, sum, min, max)`` is what a full recompute over
-    the same rows produces, bit for bit.
+    ``(sum, min, max)`` fold by one step exactly as :func:`fold_values`
+    would have; evicting expired values re-folds the surviving window
+    from scratch, sum, min and max at once.  Either way the resulting
+    ``(count, sum, min, max)`` is what :func:`fold_values` (and so a
+    full recompute) over the surviving window produces, bit for bit:
+    a tie keeps its first occurrence (``-0.0`` before ``0.0`` stays
+    ``-0.0``), and a NaN never wins a comparison, so it is the min or
+    max only when it came first.  A read does no work over the window.
     """
 
     name = "stats"
@@ -196,7 +200,8 @@ class CatchmentStatsView(MaterializedView):
         super().__init__()
         self.window_hours = STATS_WINDOW_HOURS
         self._windows: Dict[str, deque] = {}
-        self._sums: Dict[str, float] = {}
+        #: per catchment, the window's running ``(sum, min, max)``
+        self._folds: Dict[str, Tuple[float, Any, Any]] = {}
         self._latest_time: Dict[str, Optional[float]] = {}
         self._revisions: Dict[str, int] = {}
         self._documents: Dict[str, Sized] = {}
@@ -208,23 +213,28 @@ class CatchmentStatsView(MaterializedView):
         catchment = row.get("catchment") or event.key
         self._documents.pop(catchment, None)
         window = self._windows.setdefault(catchment, deque())
-        window.append((row["time"], row["value"]))
+        value = row["value"]
+        window.append((row["time"], value))
         latest = self._latest_time.get(catchment)
         if latest is None or row["time"] > latest:
             self._latest_time[catchment] = row["time"]
         horizon = self._latest_time[catchment] - self.window_hours * 3600.0
-        if window and window[0][0] < horizon:
+        if window[0][0] < horizon:
             # Eviction: drop expired rows, then re-fold the survivors so
             # the float accumulation matches a from-scratch recompute.
             while window and window[0][0] < horizon:
                 window.popleft()
-            _, total, _, _ = fold_values(v for _, v in window)
-            self._sums[catchment] = total
+            _, total, lo, hi = fold_values(v for _, v in window)
         else:
             # Pure append: extend the fold by one term, which is the
-            # same operation fold_values performs last.
-            self._sums[catchment] = self._sums.get(catchment, 0.0) \
-                + row["value"]
+            # same step fold_values performs last.
+            total, lo, hi = self._folds.get(catchment, (0.0, None, None))
+            total += value
+            if lo is None or value < lo:
+                lo = value
+            if hi is None or value > hi:
+                hi = value
+        self._folds[catchment] = (total, lo, hi)
         self._revisions[catchment] = self._revisions.get(catchment, 0) + 1
 
     def stats(self, catchment: str) -> Optional[Sized]:
@@ -234,12 +244,9 @@ class CatchmentStatsView(MaterializedView):
             window = self._windows.get(catchment)
             if window is None:
                 return None
-            values = [v for _, v in window]
-            count = len(values)
-            lo = min(values) if values else None
-            hi = max(values) if values else None
+            total, lo, hi = self._folds[catchment]
             document = self._documents[catchment] = Sized(stats_document(
-                catchment, count, self._sums.get(catchment, 0.0), lo, hi,
+                catchment, len(window), total, lo, hi,
                 self._latest_time.get(catchment), self.window_hours))
         return document
 
@@ -253,7 +260,7 @@ class CatchmentStatsView(MaterializedView):
     def reset(self) -> None:
         super().reset()
         self._windows = {}
-        self._sums = {}
+        self._folds = {}
         self._latest_time = {}
         self._revisions = {}
         self._documents = {}

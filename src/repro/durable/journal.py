@@ -83,16 +83,41 @@ class Fenced(LeaseError):
     """A write was refused because another owner appended first."""
 
 
+#: An int inside ``±_HUGE`` prints under any digit limit Python allows.
+_HUGE = 10 ** 600
+
+
+def _plain(item: Any) -> bool:
+    """Whether a JSON round trip hands ``item`` back as itself: ``None``,
+    a ``bool``, a ``float`` (``NaN`` and ``Infinity`` too), a printable
+    ``int`` or an ASCII ``str`` (a surrogate pair would come back as one
+    character) — of exactly these types."""
+    kind = type(item)
+    if kind is str:
+        return item.isascii()
+    if kind is int:
+        return -_HUGE < item < _HUGE
+    return item is None or kind is float or kind is bool
+
+
 def jsonable(value: Any) -> Tuple[bool, Any]:
     """``(True, value)`` when ``value`` survives a JSON round trip.
 
     Journal payloads must be replayable from bytes; anything without a
     JSON form is journaled by ``repr`` only and marked non-replayable.
     A plain JSON scalar is its own round trip and is handed straight
-    back; subclasses and containers take the trip.
+    back, and a flat ``dict`` of them under ASCII ``str`` keys (an event
+    payload is one) comes back as a copy, without encoding.  Subclasses,
+    other keys and nested containers take the trip.
     """
-    if value is None or type(value) in (bool, int, float, str):
+    if _plain(value):
         return True, value
+    if type(value) is dict:
+        for key, item in value.items():
+            if type(key) is not str or not key.isascii() or not _plain(item):
+                break
+        else:
+            return True, dict(value)
     try:
         return True, json.loads(_ROUND_TRIP.encode(value))
     except (TypeError, ValueError):

@@ -9,9 +9,10 @@ incrementally maintained state against a full replay.
 """
 
 import math
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.storage import BlobStore
@@ -33,6 +34,7 @@ from repro.dataplane.views import (
     CatchmentStatsView,
     LatestObservationView,
     RunSummaryView,
+    fold_values,
     recompute_catchment_stats,
     view_fingerprint,
 )
@@ -648,6 +650,54 @@ def test_property_incremental_state_equals_full_replay(rows):
     raw = [{"time": t * 3600.0, "value": v} for t, v in rows]
     assert plane.stats.stats("eden") == recompute_catchment_stats(
         "eden", raw, plane.stats.window_hours)
+
+
+#: values where a careless min / max differs from ``fold_values``: ties
+#: of signed zeros, infinities and NaN
+EDGES = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan)
+
+#: (event hour, value) in arrival order: hours jump back (backfill) and
+#: forward past the 24 h window (eviction); values come from a pool of a
+#: few edge values and any floats, so ties are common
+arrivals = st.tuples(
+    st.lists(st.sampled_from(EDGES), max_size=4),
+    st.lists(st.floats(), max_size=2),
+).map(lambda pools: pools[0] + pools[1]).filter(bool).flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.integers(min_value=0, max_value=100),
+                  st.sampled_from(pool)),
+        min_size=1, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrivals)
+@example([(0, 0.0), (1, -0.0)])               # a tie keeps the first zero
+@example([(0, 5.0), (1, math.nan), (2, 3.0)])  # NaN wins no comparison
+@example([(0, -1.0), (30, 1.0)])              # eviction drops the min
+def test_property_every_stats_read_equals_the_fold_of_its_window(rows):
+    """Read after every event: the document is ``fold_values`` over the
+    rows still in the window, bit for bit (``repr`` tells ``-0.0`` from
+    ``0.0`` and matches NaN with NaN)."""
+    view = CatchmentStatsView()
+    window = deque()
+    latest = None
+    for seq, (hour, value) in enumerate(rows):
+        time = hour * 3600.0
+        assert view.apply(Event(
+            stream="obs.eden", seq=seq, time=time, kind="observation",
+            key="eden-level-1",
+            payload={"time": time, "value": value, "catchment": "eden"}))
+        # the window's own rule: arrival order, evicted from the front
+        # once older than 24 h before the latest event time
+        window.append((time, value))
+        latest = time if latest is None else max(latest, time)
+        while window[0][0] < latest - view.window_hours * 3600.0:
+            window.popleft()
+        document = view.stats("eden")
+        count, total, lo, hi = fold_values(v for _, v in window)
+        assert repr((document["count"], document["sum"], document["min"],
+                     document["max"], document["latestTime"])) == \
+            repr((count, total, lo, hi, latest))
 
 
 # -- Evop integration ---------------------------------------------------------

@@ -97,6 +97,68 @@ def test_jsonable_edges():
     assert ok and type(clean) is float and clean == 3.5
 
 
+#: flat payload values: every JSON scalar edge, lone surrogates included
+flat_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**300, 10**300),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]))),
+    flat_values, max_size=8))
+def test_jsonable_flat_dict_equals_the_round_trip(payload):
+    """A flat payload skips the encoder; what it hands back is what the
+    round trip would have, ``repr`` for ``repr`` (NaN, ``-0.0``, key
+    order), and a copy."""
+    ok, clean = j.jsonable(payload)
+    trip = json.loads(json.JSONEncoder().encode(payload))
+    assert ok and repr(clean) == repr(trip)
+    assert type(clean) is dict and clean is not payload
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """How many JSON encodes run from here on."""
+    count = [0]
+    encode = json.JSONEncoder.encode
+
+    def counting(self, value):
+        count[0] += 1
+        return encode(self, value)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    return count
+
+
+def test_jsonable_encodes_a_flat_dict_never_and_anything_else_once(encodes):
+    import enum
+
+    class Level(enum.IntEnum):
+        HIGH = 2
+
+    class Name(str):
+        pass
+
+    assert j.jsonable({"a": 1, "b": -0.0, "c": None, "d": "x", "e": True}) \
+        == (True, {"a": 1, "b": -0.0, "c": None, "d": "x", "e": True})
+    assert encodes[0] == 0
+    # a subclass or a non-str key takes the trip and comes back plain
+    for value, plain in (({"level": Level.HIGH}, {"level": 2}),
+                         ({"name": Name("eden")}, {"name": "eden"}),
+                         ({1: "int key"}, {"1": "int key"})):
+        before = encodes[0]
+        ok, clean = j.jsonable(value)
+        assert ok and clean == plain and encodes[0] == before + 1
+        assert [type(v) for v in clean.values()] == \
+            [type(v) for v in plain.values()]
+    # an int too long to print has no JSON form, flat or not
+    assert j.jsonable({"n": 10 ** 5000}) == (False, None)
+    assert j.jsonable(10 ** 5000) == (False, None)
+
+
 # -- append / sync / crash --------------------------------------------------
 
 
