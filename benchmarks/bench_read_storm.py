@@ -154,8 +154,10 @@ def run_arm(arm: str, total_requests: int, rows_per_catchment: int) -> dict:
         for k in range(budget):
             catchment = CATCHMENTS[(reader_id + k) % len(CATCHMENTS)]
             started = sim.now
-            response = yield server.handle(HttpRequest(
-                "GET", f"/v1/catchments/{catchment}/stats"))
+            answered = sim.signal("read")
+            server.handle(HttpRequest(
+                "GET", f"/v1/catchments/{catchment}/stats"), answered.fire)
+            response = yield answered
             latencies.append(sim.now - started)
             if response.status != 200:
                 errors[0] += 1

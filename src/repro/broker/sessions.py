@@ -30,10 +30,21 @@ class SessionState(enum.Enum):
 class UserSession:
     """One user's live attachment to the portal."""
 
-    #: every session opens WAITING.  A class default, not a store in
-    #: ``__init__``: a session opens per connection, and reading an enum
-    #: member off its class is dear on CPython 3.11
+    #: a session opens WAITING, unplaced, untraced and unclassed: class
+    #: defaults, not stores in ``__init__``, as a session opens per
+    #: connection (and an enum member read off its class is dear on 3.11)
     state = SessionState.WAITING
+    assigned_at: Optional[float] = None
+    ended_at: Optional[float] = None
+    instance: Optional[Instance] = None
+    #: distributed tracing: the RB opens a root span per session and
+    #: parks its context here; widgets propagate it on every request
+    trace_context: Optional[Any] = None
+    trace_span: Optional[Any] = None
+    #: scheduling class (a repro.sched PriorityClass), stamped by the
+    #: plane at submission; None means interactive — kept untyped so
+    #: the session layer stays below the scheduling substrate
+    priority: Optional[Any] = None
 
     def __init__(self, sim: Simulator, user_name: str,
                  channel: Optional[Any] = None, purpose: str = "general",
@@ -55,18 +66,7 @@ class UserSession:
         # fairness row and the label on its trace
         self.tenant = tenant
         self.created_at = sim.now
-        self.assigned_at: Optional[float] = None
-        self.ended_at: Optional[float] = None
-        self.instance: Optional[Instance] = None
         self.migrations: List[Dict[str, Any]] = []
-        # distributed tracing: the RB opens a root span per session and
-        # parks its context here; widgets propagate it on every request
-        self.trace_context: Optional[Any] = None
-        self.trace_span: Optional[Any] = None
-        # scheduling class (a repro.sched PriorityClass), stamped by the
-        # plane at submission; None means interactive — kept untyped so
-        # the session layer stays below the scheduling substrate
-        self.priority: Optional[Any] = None
 
     @property
     def wait_time(self) -> Optional[float]:

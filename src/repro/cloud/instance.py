@@ -59,6 +59,10 @@ class JobOutcome:
         return self.finished_at - self.started_at
 
 
+def ignore(outcome: JobOutcome) -> None:
+    """The ``on_done`` of a job whose outcome nobody reads."""
+
+
 class Job:
     """A unit of compute submitted to an instance.
 
@@ -68,10 +72,11 @@ class Job:
     TOPMODEL run happens — instantaneous in host time, charged in
     simulated time).  Each completed job adds ``JOB_DISK_READ_MB`` /
     ``JOB_DISK_WRITE_MB`` to the instance I/O counters.  ``job_id`` is
-    minted by the simulator when the job is submitted.
+    minted by the simulator, and ``on_done`` attached, when the job is
+    submitted.
     """
 
-    __slots__ = ("job_id", "name", "cost", "compute", "done", "trace",
+    __slots__ = ("job_id", "name", "cost", "compute", "on_done", "trace",
                  "span")
 
     def __init__(self, cost: float, compute: Optional[Callable[[], Any]] = None,
@@ -82,7 +87,6 @@ class Job:
         self.name = name
         self.cost = cost
         self.compute = compute
-        self.done: Optional[Signal] = None  # attached at submission
         self.trace = None   # optional SpanContext set by the submitter
         self.span = None    # the execution span, opened at submission
 
@@ -117,7 +121,7 @@ class Instance:
         self.max_queue: Optional[int] = None
         self._busy_servers = 0
         self._degradation = 1.0       # service-speed multiplier (<1 when degraded)
-        self._running_jobs: Dict[str, Any] = {}   # job_id -> timer EventHandle
+        self._running_jobs: Dict[str, Any] = {}   # job_id -> (timer, job, finish)
 
         # cumulative resource counters (health monitor reads these)
         self.cpu_busy_seconds = 0.0
@@ -290,23 +294,24 @@ class Instance:
         if job.span is not None and not job.span.finished:
             job.span.annotate("aborted", cause=cause)
             job.span.finish(error=cause)
-        outcome = JobOutcome(job_id=job.job_id, succeeded=False, error=cause,
-                             started_at=self._sim.now,
-                             finished_at=self._sim.now)
-        if job.done is not None and not job.done.fired:
-            job.done.fire(outcome)
+        job.on_done(JobOutcome(job_id=job.job_id, succeeded=False,
+                               error=cause, started_at=self._sim.now,
+                               finished_at=self._sim.now))
 
     # -- job execution --------------------------------------------------------
 
-    def submit(self, job: Job) -> Signal:
-        """Queue ``job``; returns a signal fired with its :class:`JobOutcome`.
-
-        Submitting to a non-serving instance fails the job immediately
-        (callers observe it through the outcome, mirroring a connection
-        refused at a dead VM).
+    def submit(self, job: Job,
+               on_done: Optional[Callable[[JobOutcome], None]] = None
+               ) -> Optional[Signal]:
+        """Queue ``job``; ``on_done(outcome)`` runs once, inside the event
+        that completes or refuses it — at once for a non-serving instance
+        or a full queue (a connection refused at a dead VM).  A job nobody
+        waits on passes :func:`ignore`; without ``on_done`` the
+        :class:`JobOutcome` fires a signal, returned for a process to yield.
         """
+        done = self._sim.signal("job.done") if on_done is None else None
+        job.on_done = on_done if done is None else done.fire
         job.job_id = f"job-{self._sim.next_id('job'):06d}"
-        job.done = self._sim.signal(f"{job.job_id}.done")
         if job.trace is not None:
             job.span = obs_of(self._sim).tracer.start_span(
                 f"job {job.name}", parent=job.trace, kind="job",
@@ -314,14 +319,13 @@ class Instance:
                             "job_id": job.job_id, "cost": job.cost})
         if not self.is_serving:
             self._fail_job(job, f"instance {self.instance_id} not serving")
-            return job.done
-        if self.max_queue is not None and len(self._queue) >= self.max_queue:
+        elif self.max_queue is not None and len(self._queue) >= self.max_queue:
             self._fail_job(job, "queue full")
-            return job.done
-        self._queue.append(job)
-        self._rank_changed()
-        self._dispatch()
-        return job.done
+        else:
+            self._queue.append(job)
+            self._rank_changed()
+            self._dispatch()
+        return done
 
     def install_model(self, model_name: str) -> None:
         """Record that a model was installed on this (incubator) instance."""
@@ -355,10 +359,9 @@ class Instance:
                 self.jobs_completed += 1
                 if job.span is not None and not job.span.finished:
                     job.span.finish()
-                outcome = JobOutcome(job_id=job.job_id, succeeded=True,
-                                     value=value, started_at=started,
-                                     finished_at=self._sim.now)
-                job.done.fire(outcome)
+                job.on_done(JobOutcome(job_id=job.job_id, succeeded=True,
+                                       value=value, started_at=started,
+                                       finished_at=self._sim.now))
             self._dispatch()
 
         handle = self._sim.schedule(duration, finish)

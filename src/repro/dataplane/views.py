@@ -185,13 +185,13 @@ class CatchmentStatsView(MaterializedView):
 
     The incremental contract: appending a value extends the running
     ``(sum, min, max)`` fold by one step exactly as :func:`fold_values`
-    would have; evicting expired values re-folds the surviving window
-    from scratch, sum, min and max at once.  Either way the resulting
-    ``(count, sum, min, max)`` is what :func:`fold_values` (and so a
-    full recompute) over the surviving window produces, bit for bit:
-    a tie keeps its first occurrence (``-0.0`` before ``0.0`` stays
-    ``-0.0``), and a NaN never wins a comparison, so it is the min or
-    max only when it came first.  A read does no work over the window.
+    would have; an eviction leaves it stale (so do appends after it)
+    until the next read re-folds the surviving window once.  Either way
+    the resulting ``(count, sum, min, max)`` is what :func:`fold_values`
+    (and so a full recompute) over the surviving window produces, bit
+    for bit: a tie keeps its first occurrence (``-0.0`` before ``0.0``
+    stays ``-0.0``), and a NaN never wins a comparison, so it is the
+    min or max only when it came first.
     """
 
     name = "stats"
@@ -200,8 +200,9 @@ class CatchmentStatsView(MaterializedView):
         super().__init__()
         self.window_hours = STATS_WINDOW_HOURS
         self._windows: Dict[str, deque] = {}
-        #: per catchment, the window's running ``(sum, min, max)``
-        self._folds: Dict[str, Tuple[float, Any, Any]] = {}
+        #: per catchment, the window's running ``(sum, min, max)``, or
+        #: ``None`` while an eviction has left it stale
+        self._folds: Dict[str, Optional[Tuple[float, Any, Any]]] = {}
         self._latest_time: Dict[str, Optional[float]] = {}
         self._revisions: Dict[str, int] = {}
         self._documents: Dict[str, Sized] = {}
@@ -219,22 +220,21 @@ class CatchmentStatsView(MaterializedView):
         if latest is None or row["time"] > latest:
             self._latest_time[catchment] = row["time"]
         horizon = self._latest_time[catchment] - self.window_hours * 3600.0
+        fold = self._folds.get(catchment, (0.0, None, None))
         if window[0][0] < horizon:
-            # Eviction: drop expired rows, then re-fold the survivors so
-            # the float accumulation matches a from-scratch recompute.
+            # Eviction: drop expired rows and leave the fold stale; the
+            # next read re-folds the survivors, as a recompute would.
             while window and window[0][0] < horizon:
                 window.popleft()
-            _, total, lo, hi = fold_values(v for _, v in window)
-        else:
+            fold = None
+        elif fold is not None:
             # Pure append: extend the fold by one term, which is the
             # same step fold_values performs last.
-            total, lo, hi = self._folds.get(catchment, (0.0, None, None))
-            total += value
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
-        self._folds[catchment] = (total, lo, hi)
+            total, lo, hi = fold
+            fold = (total + value,
+                    value if lo is None or value < lo else lo,
+                    value if hi is None or value > hi else hi)
+        self._folds[catchment] = fold
         self._revisions[catchment] = self._revisions.get(catchment, 0) + 1
 
     def stats(self, catchment: str) -> Optional[Sized]:
@@ -244,7 +244,11 @@ class CatchmentStatsView(MaterializedView):
             window = self._windows.get(catchment)
             if window is None:
                 return None
-            total, lo, hi = self._folds[catchment]
+            fold = self._folds[catchment]
+            if fold is None:
+                fold = self._folds[catchment] = fold_values(
+                    v for _, v in window)[1:]
+            total, lo, hi = fold
             document = self._documents[catchment] = Sized(stats_document(
                 catchment, len(window), total, lo, hi,
                 self._latest_time.get(catchment), self.window_hours))

@@ -91,9 +91,8 @@ class ModelDeployer:
                     done.fire(None)
                     return
             provisioned_at = self.sim.now
-            run_done = instance.submit(Job(cost=first_run_cost,
-                                           name=f"first-run:{model_name}"))
-            outcome = yield run_done
+            outcome = yield instance.submit(Job(
+                cost=first_run_cost, name=f"first-run:{model_name}"))
             if not outcome.succeeded:
                 done.fire(None)
                 return

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.cloud.instance import Instance, Job
+from repro.cloud.instance import Instance, Job, ignore
 from repro.services.transport import HTTP_HEADER_BYTES, WS_FRAME_BYTES, payload_bytes
 from repro.sim import MetricsRegistry, RandomStreams, Simulator, TimeSeriesRecorder
 
@@ -146,7 +146,8 @@ class PushGateway:
             self.instance.record_bytes_out(sent)
         else:
             self.instance.record_bytes_in(sent)
-        self.instance.submit(Job(cost=frames * PUSH_CPU_COST, name="ws-frame"))
+        self.instance.submit(Job(cost=frames * PUSH_CPU_COST, name="ws-frame"),
+                             ignore)
         sent_at = self.sim.now
         recorder = self.metrics.recorder("delivery_latency")
         jitter = self.streams.get("ws.latency").uniform
@@ -228,7 +229,7 @@ class PollingClient:
             self.instance.record_bytes_out(response_bytes)
             self.metrics.counter("bytes").increment(request_bytes + response_bytes)
             self.metrics.counter("messages").increment(2)
-            self.instance.submit(Job(cost=POLL_CPU_COST, name="poll"))
+            self.instance.submit(Job(cost=POLL_CPU_COST, name="poll"), ignore)
             for enqueued_at, payload in drained:
                 self.updates_delivered += 1
                 self.metrics.recorder("delivery_latency").record(

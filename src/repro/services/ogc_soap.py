@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.cloud.instance import Instance, Job
+from repro.cloud.instance import Instance, Job, ignore
 from repro.services.soap import SoapServer, SoapSession
 from repro.services.wps import WpsService
 from repro.sim import Simulator
@@ -84,7 +84,7 @@ class SoapWpsBinding:
         # already been paid for, the model cost is burnt synchronously
         # here (host-instantaneous, simulated via the surcharge job)
         self.instance.submit(Job(cost=process.cost(inputs),
-                                 name=f"soap-wps:{identifier}"))
+                                 name=f"soap-wps:{identifier}"), ignore)
         outputs = process.execute(inputs)
         session.state["last_execution"] = identifier
         return {

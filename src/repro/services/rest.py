@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cloud.instance import Instance, Job, JobOutcome
+from repro.cloud.instance import Instance, Job, JobOutcome, ignore
 from repro.obs.context import extract_context
 from repro.obs.hub import obs_of
 from repro.obs.refusal import Cause, refuse
@@ -39,7 +39,7 @@ from repro.obs.tracer import Span
 from repro.services.envelope import problem, refusal_problem
 from repro.services.idempotency import Admission, request_fingerprint
 from repro.services.transport import HttpRequest, HttpResponse, Network
-from repro.sim import Signal, Simulator
+from repro.sim import Simulator
 from repro.tenancy.context import (DEFAULT_TENANT, TENANT_HEADER,
                                    valid_tenant_id)
 from repro.tenancy.registry import TenantRegistry
@@ -49,9 +49,6 @@ DEFAULT_HANDLER_COST = 0.005
 
 #: The current (and only) API version routes are mounted under.
 API_VERSION = "v1"
-
-#: Sentinel: the idempotency admission already answered the request.
-_REQUEST_ANSWERED = object()
 
 
 class HttpError(Exception):
@@ -279,9 +276,11 @@ class RestServer:
         network.register(self.instance.address, self, self.instance)
         return self
 
-    def handle(self, request: HttpRequest) -> Signal:
-        """Process a request; returns a signal fired with the response."""
-        done = self.sim.signal("rest.response")
+    def handle(self, request: HttpRequest,
+               reply: Callable[[HttpResponse], None]) -> None:
+        """Process a request; ``reply(response)`` is called once, inside
+        the event that produced the response — or never, when the
+        hosting instance dies first and the caller times out."""
         route, params = self.api.resolve(request)
         # traced requests get a server span covering route resolution
         # through response emission; the job it submits continues below it
@@ -293,52 +292,29 @@ class RestServer:
                 f"{route.pattern if route else request.path}",
                 parent=context, kind="server",
                 attributes={"instance": self.instance.instance_id})
-        # server-side RED metrics react to the response signal:
-        # requests/errors counters plus a duration histogram whose
-        # buckets retain a trace exemplar when the request was traced
-        # (a replica that never answers records nothing — the client's
-        # view covers that failure mode)
-        started = self.sim.now
-        api_metrics = obs_of(self.sim).api_metrics.sub(self.api.name)
-        # answers given before an identity is established (no route,
-        # a refused header) are the default tenant's
-        tenant_id = DEFAULT_TENANT
-
-        def metered(response: HttpResponse) -> None:
-            # RED counters are per tenant; an api's total is their sum
-            api_metrics.counter("requests", tenant=tenant_id).increment()
-            if response.status >= 500:
-                api_metrics.counter("errors", tenant=tenant_id).increment()
-            exemplar = None
-            if span is not None:
-                exemplar = {"trace_id": span.trace_id, "t": self.sim.now,
-                            "status": response.status}
-            api_metrics.histogram("duration").observe(
-                self.sim.now - started, exemplar=exemplar)
-
-        done.then(metered)
+        exchange = _Exchange(reply, span, self.sim.now,
+                             obs_of(self.sim).api_metrics.sub(self.api.name),
+                             DEFAULT_TENANT, None)
         if route is None:
-            self._finish(done, HttpResponse(
+            self._finish(exchange, HttpResponse(
                 status=404,
                 body=problem(404, "no route",
                              f"no route {request.method} {request.path}",
-                             retryable=False)),
-                span)
-            return done
-        tenant_id, denied = self._resolve_tenant(request)
+                             retryable=False)))
+            return
+        exchange.tenant, denied = self._resolve_tenant(request)
         if denied is not None:
-            self._finish(done, denied, span)
-            return done
+            self._finish(exchange, denied)
+            return
         if span is not None:
-            span.set_attribute("tenant", tenant_id)
+            span.set_attribute("tenant", exchange.tenant)
         if self.api.guard is not None:
             denial = self.api.guard(request)
             if denial is not None:
-                self._finish(done, denial, span)
-                return done
-        ticket = self._admit_idempotent(done, request, span, tenant_id)
-        if ticket is _REQUEST_ANSWERED:
-            return done
+                self._finish(exchange, denial)
+                return
+        if self._admit_idempotent(exchange, request):
+            return
         job = Job(cost=route.cost, name=route.job_name,
                   compute=lambda: route.handler(request, params))
         if span is not None:
@@ -347,63 +323,51 @@ class RestServer:
         def on_outcome(outcome: JobOutcome) -> None:
             self.requests_handled += 1
             if not outcome.succeeded:
-                self._job_failed(done, outcome, span, ticket, tenant_id)
+                self._job_failed(exchange, outcome)
                 return
             result = outcome.value
+            if isinstance(result, (RestDeferred, RestBackground)) \
+                    and span is not None and result.job.trace is None:
+                result.job.trace = span.context
             if isinstance(result, RestDeferred):
-                deferred_job = result.job
-                if span is not None and deferred_job.trace is None:
-                    deferred_job.trace = span.context
 
                 def on_deferred(deferred: JobOutcome) -> None:
                     if not deferred.succeeded:
-                        self._job_failed(done, deferred, span, ticket, tenant_id)
+                        self._job_failed(exchange, deferred)
                         return
-                    status, body, headers = self._coerce(
-                        result.render(deferred.value))
-                    self._finish(done, HttpResponse(status=status, body=body,
-                                                    headers=headers),
-                                 span, ticket)
+                    self._finish(exchange, self._coerce(
+                        result.render(deferred.value)))
 
-                self.instance.submit(deferred_job).then(on_deferred)
+                self.instance.submit(result.job, on_deferred)
             elif isinstance(result, RestCacheable):
-                self._finish(done, self._revalidate(request, result), span,
-                             ticket)
+                self._finish(exchange, self._revalidate(request, result))
             elif isinstance(result, RestBackground):
-                background_job = result.job
-                if span is not None and background_job.trace is None:
-                    background_job.trace = span.context
-                self.instance.submit(background_job)
-                self._finish(done, HttpResponse(status=result.status,
-                                                body=result.body), span,
-                             ticket)
+                self.instance.submit(result.job, ignore)
+                self._finish(exchange, HttpResponse(status=result.status,
+                                                    body=result.body))
             else:
-                status, body, headers = self._coerce(result)
-                self._finish(done, HttpResponse(status=status, body=body,
-                                                headers=headers),
-                             span, ticket)
+                self._finish(exchange, self._coerce(result))
 
-        self.instance.submit(job).then(on_outcome)
-        return done
+        self.instance.submit(job, on_outcome)
 
-    def _job_failed(self, done: Signal, outcome: JobOutcome,
-                    span: Optional[Span], ticket, tenant: str) -> None:
+    def _job_failed(self, exchange: "_Exchange",
+                    outcome: JobOutcome) -> None:
         if outcome.error == "queue full":
             # a full accept queue is the canonical transient failure: the
             # same request against a quieter (or newly booted) replica works
-            event = refuse(self.sim, Cause.SERVER_OVERLOADED, tenant=tenant,
-                           span=span, service=self.api.name,
+            event = refuse(self.sim, Cause.SERVER_OVERLOADED,
+                           tenant=exchange.tenant, span=exchange.span,
+                           service=self.api.name,
                            instance=self.instance.instance_id,
                            detail="accept queue full")
-            self._finish(done, HttpResponse(
-                status=503, body=refusal_problem(event)), span, ticket)
+            self._finish(exchange, HttpResponse(
+                status=503, body=refusal_problem(event)))
         elif outcome.error and outcome.error.startswith("job raised"):
-            self._finish(done, self._error_response(outcome.error),
-                         span, ticket)
-        elif span is not None:
+            self._finish(exchange, self._error_response(outcome.error))
+        elif exchange.span is not None:
             # instance died: the response never leaves; the caller
             # times out, and the server span records why
-            span.finish(error=outcome.error or "instance lost")
+            exchange.span.finish(error=outcome.error or "instance lost")
 
     def _resolve_tenant(self, request: HttpRequest
                         ) -> Tuple[str, Optional[HttpResponse]]:
@@ -454,46 +418,47 @@ class RestServer:
                                             headers=decision.headers())
         return tenant, None
 
-    def _admit_idempotent(self, done: Signal, request: HttpRequest,
-                          span: Optional[Span], tenant: str):
+    def _admit_idempotent(self, exchange: "_Exchange",
+                          request: HttpRequest) -> bool:
         """Classify a keyed mutating request before any work happens.
 
-        Returns the fresh admission — the ticket the final ``_finish``
-        must record under — ``None`` when the request is unkeyed, or
-        the :data:`_REQUEST_ANSWERED` sentinel when the admission
-        itself produced the response (replay, conflict, in-flight).
-        Keys are tenant-scoped: the same key from two tenants is two
-        independent requests."""
+        Returns whether the admission itself answered the request
+        (replay, conflict, in-flight).  A fresh admission is the ticket
+        the final ``_finish`` must record under, kept on ``exchange``;
+        an unkeyed request leaves it ``None``.  Keys are tenant-scoped:
+        the same key from two tenants is two independent requests."""
         index = self.api.idempotency
         key = request.headers.get("Idempotency-Key")
         if index is None or not key or request.method == "GET":
-            return None
+            return False
         admission = index.admit(key, request_fingerprint(
-            request.method, request.path, request.body), tenant=tenant)
+            request.method, request.path, request.body),
+            tenant=exchange.tenant)
         if admission.kind == "replay":
             stored = admission.response or {}
             headers = dict(stored.get("headers") or {})
             headers["Idempotency-Replayed"] = "true"
-            self._finish(done, HttpResponse(
+            self._finish(exchange, HttpResponse(
                 status=stored.get("status", 200), body=stored.get("body"),
-                headers=headers), span)
-            return _REQUEST_ANSWERED
+                headers=headers))
+            return True
         if admission.kind == "conflict":
-            self._finish(done, HttpResponse(status=422, body=problem(
+            self._finish(exchange, HttpResponse(status=422, body=problem(
                 422, "idempotency key reuse",
                 f"Idempotency-Key {key!r} was already used with a "
-                f"different request", retryable=False)), span)
-            return _REQUEST_ANSWERED
+                f"different request", retryable=False)))
+            return True
         if admission.kind == "pending":
             # Another attempt with this key is executing right now; a
             # retryable 409 lets the client's backoff outwait it and
             # collect the replay.
-            self._finish(done, HttpResponse(status=409, body=problem(
+            self._finish(exchange, HttpResponse(status=409, body=problem(
                 409, "request in flight",
                 f"Idempotency-Key {key!r} has an attempt in flight",
-                retryable=True)), span)
-            return _REQUEST_ANSWERED
-        return admission
+                retryable=True)))
+            return True
+        exchange.ticket = admission
+        return False
 
     def _error_response(self, error: str) -> HttpResponse:
         # handler raised: HttpError carries a status, anything else is a 500
@@ -513,20 +478,21 @@ class RestServer:
                             headers=headers)
 
     @staticmethod
-    def _coerce(result: Any) -> Tuple[int, Any, Dict[str, str]]:
+    def _coerce(result: Any) -> HttpResponse:
         # handlers return a body, a (status, body) pair, or a
         # (status, body, headers) triple
         if isinstance(result, tuple) and isinstance(result[0], int):
             if len(result) == 2:
-                return result[0], result[1], {}
+                return HttpResponse(result[0], result[1])
             if len(result) == 3:
-                return result[0], result[1], dict(result[2] or {})
-        return 200, result, {}
+                return HttpResponse(result[0], result[1],
+                                    dict(result[2] or {}))
+        return HttpResponse(200, result)
 
-    def _finish(self, done: Signal, response: HttpResponse,
-                span: Optional[Span] = None,
-                ticket: Optional[Admission] = None) -> None:
-        if ticket is not None and self.api.idempotency is not None:
+    def _finish(self, exchange: "_Exchange", response: HttpResponse) -> None:
+        """Record, close, meter and send ``response``: the one way out."""
+        ticket = exchange.ticket
+        if ticket is not None:
             if response.status < 500:
                 # pin the outcome: every replay of this key now gets
                 # exactly this response without re-running the handler
@@ -536,9 +502,36 @@ class RestServer:
                 # the handler never completed usefully (5xx); drop the
                 # lease so a retry may take it — the slot's epoch stays
                 self.api.idempotency.forget(ticket)
+        span = exchange.span
         if span is not None and not span.finished:
             span.set_attribute("status", response.status)
             span.finish(error=None if response.status < 500
                         else f"http {response.status}")
-        if not done.fired:
-            done.fire(response)
+        # RED metrics: requests/errors per tenant, and a duration whose
+        # buckets keep a trace exemplar (a replica that never answers
+        # records nothing — the client's view covers that failure mode)
+        metrics = exchange.metrics
+        metrics.counter("requests", tenant=exchange.tenant).increment()
+        if response.status >= 500:
+            metrics.counter("errors", tenant=exchange.tenant).increment()
+        exemplar = None
+        if span is not None:
+            exemplar = {"trace_id": span.trace_id, "t": self.sim.now,
+                        "status": response.status}
+        metrics.histogram("duration").observe(
+            self.sim.now - exchange.started, exemplar=exemplar)
+        exchange.reply(response)
+
+
+@dataclass
+class _Exchange:
+    """One request's server-side state, from routing to its reply."""
+
+    reply: Callable[[HttpResponse], None]
+    span: Optional[Span]
+    started: float
+    metrics: Any
+    #: answers given before an identity is established (no route, a
+    #: refused header) are the default tenant's
+    tenant: str
+    ticket: Optional[Admission]

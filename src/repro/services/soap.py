@@ -94,9 +94,10 @@ class SoapServer:
 
     # -- request handling -------------------------------------------------------
 
-    def handle(self, request: HttpRequest) -> Signal:
-        """Process a SOAP call: body = {op, session_id, payload}."""
-        done = self.sim.signal(f"soap.{self.name}")
+    def handle(self, request: HttpRequest,
+               reply: Callable[[HttpResponse], None]) -> None:
+        """Process a SOAP call: body = {op, session_id, payload};
+        ``reply(response)`` runs once, in the event that produced it."""
         body = request.body or {}
         op = body.get("op")
         cost = self.operation_cost + STATE_BOOKKEEPING_COST
@@ -136,20 +137,19 @@ class SoapServer:
                                    tenant=tenant, service=self.name,
                                    instance=self.instance.instance_id,
                                    detail="accept queue full")
-                    done.fire(HttpResponse(status=503,
-                                           body=refusal_problem(event)))
+                    reply(HttpResponse(status=503,
+                                       body=refusal_problem(event)))
                 elif outcome.error and outcome.error.startswith("job raised"):
-                    done.fire(HttpResponse(status=500,
-                                           body=SoapFault("Server", outcome.error)))
+                    reply(HttpResponse(status=500,
+                                       body=SoapFault("Server", outcome.error)))
                 return
             result = outcome.value
             if isinstance(result, SoapFault):
-                done.fire(HttpResponse(status=500, body=result))
+                reply(HttpResponse(status=500, body=result))
             else:
-                done.fire(HttpResponse(status=200, body=result))
+                reply(HttpResponse(status=200, body=result))
 
-        self.instance.submit(job).then(on_outcome)
-        return done
+        self.instance.submit(job, on_outcome)
 
 
 class SoapClient:

@@ -11,6 +11,9 @@ broker must handle:
   inbound" signature),
 * responses from an instance that dies mid-request are lost.
 
+A server answers by direct call: ``handle(request, reply)`` calls
+``reply(response)`` inside the event that produced the response.
+
 Payload sizes are estimated structurally so benches can compare wire
 overheads of REST, SOAP, WebSocket frames and polling.  A size is the
 length of the body's JSON text (``default=str``), exactly, but a
@@ -23,14 +26,14 @@ holding such documents encodes only the rest of itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from functools import partial
+from typing import Any, Dict, Optional
 
 from repro.cloud.instance import Instance
 from repro.obs.context import extract_context, inject_context
 from repro.obs.hub import obs_of
 from repro.perf.keys import WIRE, Sized
-from repro.services.envelope import problem
-from repro.sim import RandomStreams, Signal, Simulator
+from repro.sim import EventHandle, RandomStreams, Signal, Simulator
 from repro.tenancy.context import TENANT_HEADER
 
 #: Approximate HTTP header block, bytes.
@@ -145,10 +148,11 @@ class RequestTimeout:
 class Network:
     """Routes requests to servers registered at instance addresses.
 
-    A *server* here is any object with ``handle(request) -> Signal``
-    returning a signal eventually fired with an :class:`HttpResponse`
-    (both REST and SOAP engines satisfy this).  Each server is bound to
-    the :class:`~repro.cloud.instance.Instance` hosting it so that byte
+    A *server* here is any object with ``handle(request, reply)`` that
+    calls ``reply(response)`` with an :class:`HttpResponse` at most
+    once, inside the event that produced it (both REST and SOAP engines
+    satisfy this).  Each server is bound to the
+    :class:`~repro.cloud.instance.Instance` hosting it so that byte
     counters and liveness checks hit the right VM.
     """
 
@@ -212,68 +216,64 @@ class Network:
                                 else f"http {outcome.status}")
                 elif isinstance(outcome, ConnectionRefused):
                     span.finish(error="connection refused")
-                elif isinstance(outcome, RequestTimeout):
+                else:
                     span.finish(error=f"timeout after "
                                       f"{outcome.after_seconds:.0f}s")
-                else:
-                    span.finish(error=f"no response: {outcome!r}")
 
             reply.then(client_watch)
 
-        # Every path that can complete this request funnels through one
-        # settle helper: it cancels the timeout timer and fires the reply
-        # only if nothing else fired first.  The guard is what makes the
-        # timeout race safe — a slow response crossing the wire while the
-        # timer pops (or a blackholed instance recovering and answering
-        # long after the caller gave up) must never double-fire the
-        # one-shot reply signal.
-        timeout_handle = self.sim.schedule(timeout, self._settle, reply, None,
-                                           RequestTimeout(address=address,
-                                                          after_seconds=timeout))
-
-        def deliver() -> None:
-            endpoint = self._endpoints.get(address)
-            if endpoint is None:
-                self._settle(reply, timeout_handle,
-                             ConnectionRefused(address=address))
-                return
-            server, instance = endpoint
-            if not instance.is_serving:
-                self._settle(reply, timeout_handle,
-                             ConnectionRefused(address=address))
-                return
-            instance.record_bytes_in(request_bytes)
-            instance.record_bytes_out(TCP_ACK_BYTES)  # ack; dropped if blackholed
-            if not instance.network_blackholed:
-                self.total_bytes += TCP_ACK_BYTES
-
-            def respond(response: Any) -> None:
-                if not isinstance(response, HttpResponse):
-                    response = HttpResponse(status=500, body=problem(
-                        500, "bad handler",
-                        "handler produced no HttpResponse", retryable=False))
-                response_bytes = response.wire_bytes() + extra_response_bytes
-                if not instance.is_serving or instance.network_blackholed:
-                    # response never makes it onto the wire; caller times out
-                    return
-                instance.record_bytes_out(response_bytes)
-                self.total_bytes += response_bytes
-                if not reply.fired:
-                    # a response later than the caller's timeout has
-                    # paid its wire bytes but must not re-fire
-                    self.sim.schedule(self._latency(), self._settle, reply,
-                                      timeout_handle, response)
-
-            server.handle(request).then(respond)
-
-        self.sim.schedule(self._latency(), deliver)
+        # Every path that can complete this request fires the reply only
+        # if nothing else fired first.  That guard makes the timeout race
+        # safe — a slow response crossing the wire while the timer pops
+        # (or a blackholed instance recovering and answering long after
+        # the caller gave up) must never double-fire the one-shot reply.
+        timer = self.sim.schedule(timeout, self._expire, reply, address,
+                                  timeout)
+        self.sim.schedule(self._latency(), self._deliver, address, request,
+                          request_bytes, extra_response_bytes, reply, timer)
         return reply
 
     @staticmethod
-    def _settle(signal: Signal, timeout_handle: Optional[Any],
-                value: Any) -> None:
+    def _expire(reply: Signal, address: str, timeout: float) -> None:
+        """The caller's timer popped with the request still unsettled."""
+        if not reply.fired:
+            reply.fire(RequestTimeout(address=address, after_seconds=timeout))
+
+    def _deliver(self, address: str, request: HttpRequest,
+                 request_bytes: int, extra_response_bytes: int,
+                 reply: Signal, timer: EventHandle) -> None:
+        """The request arrives: refused, or served with ``_respond``."""
+        endpoint = self._endpoints.get(address)
+        if endpoint is None or not endpoint[1].is_serving:
+            self._settle(reply, timer, ConnectionRefused(address=address))
+            return
+        server, instance = endpoint
+        instance.record_bytes_in(request_bytes)
+        instance.record_bytes_out(TCP_ACK_BYTES)  # ack; dropped if blackholed
+        if not instance.network_blackholed:
+            self.total_bytes += TCP_ACK_BYTES
+        server.handle(request, partial(self._respond, instance,
+                                       extra_response_bytes, reply, timer))
+
+    def _respond(self, instance: Instance, extra_response_bytes: int,
+                 reply: Signal, timer: EventHandle,
+                 response: HttpResponse) -> None:
+        """The server answered: put the response on the wire."""
+        if not instance.is_serving or instance.network_blackholed:
+            # response never makes it onto the wire; caller times out
+            return
+        response_bytes = response.wire_bytes() + extra_response_bytes
+        instance.record_bytes_out(response_bytes)
+        self.total_bytes += response_bytes
+        if not reply.fired:
+            # a response later than the caller's timeout has paid its
+            # wire bytes but must not re-fire
+            self.sim.schedule(self._latency(), self._settle, reply, timer,
+                              response)
+
+    @staticmethod
+    def _settle(signal: Signal, timer: EventHandle, value: Any) -> None:
         """Fire ``signal`` with ``value`` unless it already settled."""
-        if timeout_handle is not None:
-            timeout_handle.cancel()
+        timer.cancel()
         if not signal.fired:
             signal.fire(value)

@@ -72,12 +72,7 @@ def make_instance(sim, instance_id="api-0000", vcpus=2):
 def call(sim, server, request):
     """Drive one request through ``server.handle`` to completion."""
     out = []
-
-    def go():
-        response = yield server.handle(request)
-        out.append(response)
-
-    sim.spawn(go(), name="call")
+    server.handle(request, out.append)
     sim.run()
     return out[0]
 
@@ -394,15 +389,10 @@ def test_wps_idempotency_conflict_and_pending_verdicts(sim):
     # First request admitted; the process costs 4 sim-seconds, so a
     # same-key arrival before it finishes sees the pending entry.
     out = []
-
-    def first():
-        response = yield server.handle(HttpRequest(
-            "POST", "/v1/wps/processes/proc-0/execute",
-            body={"inputs": {"x": 1.0}},
-            headers={"Idempotency-Key": "k1"}))
-        out.append(response)
-
-    sim.spawn(first(), name="first")
+    server.handle(HttpRequest(
+        "POST", "/v1/wps/processes/proc-0/execute",
+        body={"inputs": {"x": 1.0}},
+        headers={"Idempotency-Key": "k1"}), out.append)
     sim.run(until=sim.now + 0.5)
 
     pending = call(sim, server, HttpRequest(

@@ -30,6 +30,7 @@ from repro.dataplane import (
 )
 from repro.dataplane.consumers import MAX_ATTEMPTS
 from repro.dataplane.events import Event
+from repro.dataplane import views
 from repro.dataplane.views import (
     CatchmentStatsView,
     LatestObservationView,
@@ -698,6 +699,30 @@ def test_property_every_stats_read_equals_the_fold_of_its_window(rows):
         assert repr((document["count"], document["sum"], document["min"],
                      document["max"], document["latestTime"])) == \
             repr((count, total, lo, hi, latest))
+
+
+def test_evicting_appends_refold_nothing_until_a_read(monkeypatch):
+    """An eviction only marks the fold stale: N evicting appends with no
+    read in between fold nothing, and the read after them folds once."""
+    folds = []
+
+    def counting(values):
+        folds.append(1)
+        return fold_values(values)
+
+    monkeypatch.setattr(views, "fold_values", counting)
+    view = CatchmentStatsView()
+    for seq in range(50):
+        time = seq * 25 * 3600.0            # each row evicts the one before
+        view.apply(Event(
+            stream="obs.eden", seq=seq, time=time, kind="observation",
+            key="eden-level-1",
+            payload={"time": time, "value": float(seq), "catchment": "eden"}))
+    assert folds == []
+    document = view.stats("eden")
+    assert len(folds) == 1
+    assert (document["count"], document["sum"]) == (1, 49.0)
+    assert view.stats("eden") is document and len(folds) == 1
 
 
 # -- Evop integration ---------------------------------------------------------

@@ -214,9 +214,10 @@ def _instance(sim, instance_id):
 
 
 def _call(sim, server, request):
-    signal = server.handle(request)
+    replies = []
+    server.handle(request, replies.append)
     sim.run(until=sim.now + 5.0)
-    return signal.value
+    return replies[0]
 
 
 @pytest.fixture()

@@ -64,21 +64,14 @@ class ScriptedServer:
         self.status = status
         self.calls = 0
 
-    def handle(self, request):
-        done = self.sim.signal("scripted")
+    def handle(self, request, reply):
         index = min(self.calls, len(self.delays) - 1)
         self.calls += 1
-        n = self.calls
-
-        def worker():
-            yield self.delays[index]
-            body = ({"n": n} if self.status < 400
-                    else problem(self.status, "scripted failure",
-                                 retryable=False))
-            done.fire(HttpResponse(status=self.status, body=body))
-
-        self.sim.spawn(worker(), name="scripted.worker")
-        return done
+        body = ({"n": self.calls} if self.status < 400
+                else problem(self.status, "scripted failure",
+                             retryable=False))
+        self.sim.schedule(self.delays[index], reply,
+                          HttpResponse(status=self.status, body=body))
 
 
 def advance(sim, seconds):

@@ -33,11 +33,14 @@ from repro.cloud import Flavor, ImageKind, Instance, MachineImage
 from repro.cloud.instance import Job
 from repro.obs import obs_of
 from repro.obs.context import inject_context
-from repro.services import HttpRequest, Network, RestApi, RestServer
+from repro.services import (HttpRequest, Network, PushGateway, RestApi,
+                            RestServer)
 from repro.services.rest import RestDeferred
 from repro.sim import Interrupt, Simulator
 from repro.sim import kernel
 from repro.sim.kernel import SimulationError
+from repro.tenancy import RateLimiter, TenantSpec
+from repro.tenancy.context import TENANT_HEADER
 
 # -- the oracle ---------------------------------------------------------------
 
@@ -353,9 +356,14 @@ def test_all_of_matches_the_spawned_waiter_version():
 #
 # Counts, not timings: they repeat exactly, so they gate without a noise
 # margin.  A GET's calendar events: client timeout, request delivery,
-# handler job completion, the server's reaction to the job, the RED
-# meter, the transport's reaction to the response, response delivery,
-# the caller's own reaction to the reply.
+# handler job completion, response delivery, the caller's own reaction
+# to the reply.  Inside the replica everything is a direct call: the job
+# calls the server's reaction, which meters and calls the transport's
+# ``reply``, in the event that completed the job.  A request answered
+# without a job (404, 429, a full accept queue) drops the job
+# completion: four events.
+
+IMAGE = MachineImage(image_id="img-0", name="svc", kind=ImageKind.GENERIC)
 
 
 @pytest.fixture()
@@ -371,8 +379,7 @@ def counted(monkeypatch):
     monkeypatch.setattr(kernel.Process, "__init__", counting_init)
     sim = Simulator()
     network = Network(sim)
-    image = MachineImage(image_id="img-0", name="svc", kind=ImageKind.GENERIC)
-    instance = Instance(sim, "os-0000", "openstack", image,
+    instance = Instance(sim, "os-0000", "openstack", IMAGE,
                         Flavor("f", 2, 2048, 20))
     instance._mark_running()
     api = RestApi("catalog")
@@ -382,36 +389,37 @@ def counted(monkeypatch):
         job=Job(cost=0.5, name="render"),
         render=lambda outcome: (200, {"run": params["run_id"]})))
     RestServer(sim, api, instance).bind(network)
-    return sim, network, instance.address, built
+    return sim, network, instance, api, built
 
 
-def events_of_one_get(sim, network, address, path, headers=None):
+def events_of_one_get(sim, network, address, path, headers=None,
+                      status=200):
     replies = []
     before = sim.events_scheduled
     network.request(address, HttpRequest("GET", path, headers=headers or {})
                     ).then(replies.append)
     sim.run()
     [response] = replies
-    assert response.status == 200
+    assert response.status == status
     return sim.events_scheduled - before
 
 
-def test_untraced_get_costs_8_events_and_no_process(counted):
-    sim, network, address, built = counted
-    assert events_of_one_get(sim, network, address,
-                             "/v1/catchments/eden/stats") == 8
+def test_untraced_get_costs_5_events_and_no_process(counted):
+    sim, network, instance, _api, built = counted
+    assert events_of_one_get(sim, network, instance.address,
+                             "/v1/catchments/eden/stats") == 5
     assert built == []
     assert len(obs_of(sim).tracer.spans()) == 0
 
 
-def test_traced_get_costs_9_events_and_no_process(counted):
-    sim, network, address, built = counted
+def test_traced_get_costs_6_events_and_no_process(counted):
+    sim, network, instance, _api, built = counted
     root = obs_of(sim).tracer.start_span("test")
     headers = {}
     inject_context(root.context, headers)
     # one more than untraced: the client span closes on the reply
-    assert events_of_one_get(sim, network, address,
-                             "/v1/catchments/eden/stats", headers) == 9
+    assert events_of_one_get(sim, network, instance.address,
+                             "/v1/catchments/eden/stats", headers) == 6
     assert built == []
     names = sorted(span.name.split()[0]
                    for span in obs_of(sim).tracer.spans())
@@ -420,10 +428,58 @@ def test_traced_get_costs_9_events_and_no_process(counted):
                if span is not root)
 
 
-def test_deferred_get_costs_10_events_and_no_process(counted):
-    sim, network, address, built = counted
-    # two more than a plain GET: the deferred job's completion and the
-    # server's reaction to it
-    assert events_of_one_get(sim, network, address,
-                             "/v1/runs/r-1/result") == 10
+def test_deferred_get_costs_6_events_and_no_process(counted):
+    sim, network, instance, _api, built = counted
+    # one more than a plain GET: the deferred job's completion, which
+    # renders and replies in the same event
+    assert events_of_one_get(sim, network, instance.address,
+                             "/v1/runs/r-1/result") == 6
     assert built == []
+
+
+def test_unrouted_404_costs_4_events(counted):
+    sim, network, instance, _api, _built = counted
+    assert events_of_one_get(sim, network, instance.address, "/v1/nowhere",
+                             status=404) == 4
+
+
+def test_rate_limited_429_costs_4_events(counted):
+    sim, network, instance, api, _built = counted
+    api.tenants.register(TenantSpec("org-a", rate=0.001, burst=1.0))
+    api.limiter = RateLimiter(sim, api.tenants)
+    assert api.limiter.check("org-a").allowed        # the one token
+    assert events_of_one_get(sim, network, instance.address,
+                             "/v1/catchments/eden/stats",
+                             {TENANT_HEADER: "org-a"}, status=429) == 4
+
+
+def test_queue_full_503_costs_4_events(counted):
+    sim, network, instance, _api, _built = counted
+    instance.max_queue = 0          # every job is refused at submission
+    assert events_of_one_get(sim, network, instance.address,
+                             "/v1/catchments/eden/stats", status=503) == 4
+
+
+def test_push_frame_job_allocates_no_signal(monkeypatch):
+    sim = Simulator()
+    instance = Instance(sim, "ws-0000", "openstack", IMAGE,
+                        Flavor("f", 1, 2048, 20))
+    instance._mark_running()
+    gateway = PushGateway(sim, instance)
+    for k in range(3):
+        gateway.connect(f"client-{k}")
+    signals = []
+    init = kernel.Signal.__init__
+
+    def counting_init(self, *args, **kwargs):
+        signals.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.Signal, "__init__", counting_init)
+    before = sim.events_scheduled
+    gateway.broadcast({"level": 1.5})
+    sim.run()
+    # one frame job for the three sockets, three arrivals, no signal
+    assert sim.events_scheduled - before == 4
+    assert instance.jobs_completed == 1
+    assert signals == []

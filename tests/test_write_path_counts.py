@@ -87,7 +87,7 @@ def test_a_keyed_post_derives_its_idempotency_blob_key_once(monkeypatch):
     replies = []
     server.handle(HttpRequest(
         "POST", "/v1/runs", body={"x": 1},
-        headers={"Idempotency-Key": "once"})).then(replies.append)
+        headers={"Idempotency-Key": "once"}), replies.append)
     sim.run()
     assert [r.status for r in replies] == [201]
     # admit read + reserve, record read + store: four blob operations
