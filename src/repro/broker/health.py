@@ -74,15 +74,12 @@ class VerdictTransition:
 
 @dataclass(frozen=True)
 class HealthSample:
-    """One observation of an instance's counters."""
+    """One observation of the instance counters the heuristics read."""
 
-    time: float
     cpu: float
     net_in: float
     net_out: float
-    disk_read: float
-    disk_write: float
-    jobs_completed: float
+    jobs_completed: int
 
 
 class HealthMonitor:
@@ -171,17 +168,9 @@ class HealthMonitor:
                         callback(instance, verdict)
 
     def _take_sample(self, instance: Instance) -> None:
-        stats = instance.stats()
-        sample = HealthSample(
-            time=self.sim.now,
-            cpu=stats["cpu_utilization"],
-            net_in=stats["net_bytes_in"],
-            net_out=stats["net_bytes_out"],
-            disk_read=stats["disk_read_mb"],
-            disk_write=stats["disk_write_mb"],
-            jobs_completed=stats["jobs_completed"],
-        )
-        self._samples[instance.instance_id].append(sample)
+        self._samples[instance.instance_id].append(HealthSample(
+            instance.cpu_utilization(), instance.net_bytes_in,
+            instance.net_bytes_out, instance.jobs_completed))
 
     def verdict(self, instance: Instance) -> HealthVerdict:
         """Evaluate the heuristics against the sample window."""

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.broker.health import HealthMonitor, HealthVerdict
 from repro.broker.policies import PlacementContext, SchedulingPolicy
 from repro.broker.pool import ManagedService
-from repro.broker.sessions import SessionTable, UserSession
+from repro.broker.sessions import SessionState, SessionTable, UserSession
 from repro.cloud.errors import CloudError
 from repro.cloud.instance import Instance
 from repro.cloud.multicloud import MultiCloud, NodeTemplate
@@ -233,12 +233,12 @@ class LoadBalancer:
             if entry is None:
                 return
             session, cls = entry
-            if session.state.value == "ended":
+            if session.state is SessionState.ENDED:
                 self._finish_place_span(session, None)
                 self.dispatcher.finish_submit_span(
                     session.session_id, error="session ended while waiting")
                 continue
-            if session.state.value != "waiting":
+            if session.state is not SessionState.WAITING:
                 # already placed elsewhere (a geo failover re-placed it
                 # in a surviving region while this entry sat queued);
                 # assigning again would yank the user back

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cloud.flavors import Flavor
 from repro.cloud.images import MachineImage
-from repro.cloud.instance import Instance, InstanceState
+from repro.cloud.instance import Instance
 from repro.tenancy.context import DEFAULT_TENANT
 
 #: one replica's place in the ranking: (unhealthy, load, join order, replica)
@@ -80,9 +80,8 @@ class ManagedService:
         return [inst for inst in self.replicas if inst.is_serving]
 
     def healthy_serving(self) -> List[Instance]:
-        """Serving replicas that are not degraded or blackholed."""
-        return [inst for inst in self.serving()
-                if inst.state.value == "running" and not inst.network_blackholed]
+        """Replicas that are healthy: running and able to send."""
+        return [inst for inst in self.replicas if inst.is_healthy]
 
     def projected_size(self) -> int:
         """Serving replicas plus launches in flight."""
@@ -133,9 +132,8 @@ class ManagedService:
         if not instance.is_serving:
             self._rank.pop(instance, None)
             return
-        unhealthy = (instance.state is not InstanceState.RUNNING
-                     or instance.network_blackholed)
-        rank = (unhealthy, instance.load(), self._joined[instance], instance)
+        rank = (not instance.is_healthy, instance.load(),
+                self._joined[instance], instance)
         self._rank[instance] = rank
         heapq.heappush(self._heap, rank)
         # superseded ranks pile up under a replica that is never the

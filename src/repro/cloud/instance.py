@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, Optional, Set
 
 from repro.cloud.errors import InvalidStateError
 from repro.cloud.flavors import Flavor
@@ -146,8 +146,18 @@ class Instance:
 
     @property
     def is_serving(self) -> bool:
-        """Whether the instance can accept and answer requests."""
+        """Whether the instance is up: a message reaching it lands."""
         return self.state in (InstanceState.RUNNING, InstanceState.DEGRADED)
+
+    @property
+    def can_send(self) -> bool:
+        """Whether what it sends leaves: up, and the NIC not blackholed."""
+        return self.is_serving and not self.network_blackholed
+
+    @property
+    def is_healthy(self) -> bool:
+        """Running at full speed and able to send: what placement prefers."""
+        return self.state is InstanceState.RUNNING and not self.network_blackholed
 
     @property
     def is_gone(self) -> bool:
@@ -172,10 +182,6 @@ class Instance:
         if not self.is_serving:
             return 0.0
         return min(1.0, self._busy_servers / self.flavor.vcpus)
-
-    def queue_length(self) -> int:
-        """Jobs waiting (not yet executing)."""
-        return len(self._queue)
 
     def load(self) -> float:
         """Busy servers plus queued jobs, per vCPU — the LB's load metric."""
@@ -392,26 +398,12 @@ class Instance:
         """Count inbound bytes delivered to this instance."""
         self.net_bytes_in += n
 
-    def record_bytes_out(self, n: float) -> None:
-        """Count outbound bytes, unless the NIC is blackholed."""
-        if not self.network_blackholed:
+    def record_bytes_out(self, n: float) -> bool:
+        """Count ``n`` bytes out if :attr:`can_send`; whether they left."""
+        if self.can_send:
             self.net_bytes_out += n
-
-    # -- introspection ---------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        """Point-in-time resource statistics (the CloudWatch-ish view)."""
-        return {
-            "cpu_utilization": self.cpu_utilization(),
-            "queue_length": float(self.queue_length()),
-            "load": self.load(),
-            "disk_read_mb": self.disk_read_mb,
-            "disk_write_mb": self.disk_write_mb,
-            "net_bytes_in": self.net_bytes_in,
-            "net_bytes_out": self.net_bytes_out,
-            "jobs_completed": float(self.jobs_completed),
-            "jobs_failed": float(self.jobs_failed),
-        }
+            return True
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Instance {self.instance_id} {self.state.value} "

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.broker.sessions import SessionState
 from repro.cloud.errors import StorageUnavailable
 from repro.core.cell import Cell
 from repro.geo.routing import GeoRouter
@@ -154,9 +155,9 @@ class FailoverCoordinator:
         # evacuate: every non-ended session homed here moves now
         doomed = [s for s in self.sessions.all()
                   if getattr(s, "region", None) == region
-                  and s.state.value != "ended"]
+                  and s.state is not SessionState.ENDED]
         for session in doomed:
-            if session.state.value == "active":
+            if session.state is SessionState.ACTIVE:
                 session.unassign()
         report.sessions_detached = len(doomed)
         report.evacuated = list(doomed)
@@ -215,7 +216,7 @@ class FailoverCoordinator:
         for report in self.reports:
             if report.resettled_at is not None:
                 continue
-            if all(s.state.value != "waiting" for s in report.evacuated):
+            if all(s.state is not SessionState.WAITING for s in report.evacuated):
                 report.resettled_at = self.sim.now
                 obs_of(self.sim).events.emit(
                     "geo.failover.resettled", region=report.region,

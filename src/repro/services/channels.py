@@ -18,7 +18,10 @@ compare bytes, message counts and notification latency like-for-like:
   not updates are pending; delivery waits for the next poll tick.
 
 Byte and CPU costs are charged to the hosting instance, so heavy polling
-visibly loads the broker VM.
+visibly loads the broker VM.  Both keep the wire's liveness rule
+(:mod:`repro.services.transport`): a push, ping or poll answer leaves only
+a host that ``can_send`` (else nothing is counted), a client's frame or
+poll lands only at one that ``is_serving``, and a sent frame lands.
 """
 
 from __future__ import annotations
@@ -82,17 +85,20 @@ class WebSocketConnection:
             self.closed = True
             self.gateway._closed(self)
 
-    def _deliver(self, payload: Any, to_client: bool, sent_at: float,
-                 recorder: TimeSeriesRecorder) -> None:
-        """A frame lands, unless the socket closed or a pushing host went dark."""
-        if self.closed or (to_client and self.gateway.instance.network_blackholed):
+    def _deliver(self, payload: Any, to_client: bool, frame: int,
+                 sent_at: float, recorder: TimeSeriesRecorder) -> None:
+        """A frame lands unless the socket closed; a client's ``frame``
+        bytes land only at a serving host, which counts them in."""
+        if self.closed or not (to_client or self.gateway.instance.is_serving):
             return
         recorder.record(self.gateway.sim.now - sent_at)
-        handlers = self._client_handlers if to_client else self._server_handlers
         if to_client:
             self.messages_to_client += 1
+            handlers = self._client_handlers
         else:
+            self.gateway.instance.record_bytes_in(frame)
             self.messages_to_server += 1
+            handlers = self._server_handlers
         for handler in handlers:
             handler(payload)
 
@@ -134,27 +140,25 @@ class PushGateway:
 
     def _emit(self, conns: List[WebSocketConnection], payload: Any,
               to_client: bool) -> None:
-        """One frame of ``payload`` to each of ``conns``: measured once,
-        charged once, one CPU job for all (nothing waits on it)."""
+        """One frame of ``payload`` to each of ``conns``: one CPU job for
+        all (nothing waits on it); a push then leaves only if it can send."""
         if not conns:
             return
         frames = len(conns)
-        sent = frames * (WS_FRAME_BYTES + payload_bytes(payload))
-        self.metrics.counter("bytes").increment(sent)
-        self.metrics.counter("messages").increment(frames)
-        if to_client:
-            self.instance.record_bytes_out(sent)
-        else:
-            self.instance.record_bytes_in(sent)
         self.instance.submit(Job(cost=frames * PUSH_CPU_COST, name="ws-frame"),
                              ignore)
+        frame = WS_FRAME_BYTES + payload_bytes(payload)
+        if to_client and not self.instance.record_bytes_out(frames * frame):
+            return  # a dead or dark host puts nothing on the wire
+        self.metrics.counter("bytes").increment(frames * frame)
+        self.metrics.counter("messages").increment(frames)
         sent_at = self.sim.now
         recorder = self.metrics.recorder("delivery_latency")
         jitter = self.streams.get("ws.latency").uniform
         schedule = self.sim.schedule
         for conn in conns:
             schedule(PUSH_LATENCY + jitter(0, PUSH_LATENCY / 2), conn._deliver,
-                     payload, to_client, sent_at, recorder)
+                     payload, to_client, frame, sent_at, recorder)
 
     def _closed(self, conn: WebSocketConnection) -> None:
         self.metrics.gauge("connections").add(-1)
@@ -164,11 +168,10 @@ class PushGateway:
             yield self.ping_interval
             if conn.closed or not self.instance.is_serving:
                 return
-            ping_bytes = 2 * WS_FRAME_BYTES  # ping + pong
-            self.metrics.counter("bytes").increment(ping_bytes)
-            self.metrics.counter("messages").increment(2)
-            self.instance.record_bytes_out(WS_FRAME_BYTES)
-            self.instance.record_bytes_in(WS_FRAME_BYTES)
+            if self.instance.record_bytes_out(WS_FRAME_BYTES):  # the ping
+                self.instance.record_bytes_in(WS_FRAME_BYTES)   # its pong
+                self.metrics.counter("bytes").increment(2 * WS_FRAME_BYTES)
+                self.metrics.counter("messages").increment(2)
 
 
 class PollingClient:
@@ -220,16 +223,18 @@ class PollingClient:
             if not self._running or not self.instance.is_serving:
                 return
             self.polls += 1
+            self.instance.record_bytes_in(HTTP_HEADER_BYTES)
+            self.instance.submit(Job(cost=POLL_CPU_COST, name="poll"), ignore)
+            response_bytes = HTTP_HEADER_BYTES + sum(
+                payload_bytes(p) for _t, p in self._pending)
+            answered = self.instance.record_bytes_out(response_bytes)
+            self.metrics.counter("bytes").increment(
+                HTTP_HEADER_BYTES + answered * response_bytes)
+            self.metrics.counter("messages").increment(1 + answered)
+            if not answered:
+                continue  # a dark host's answer never leaves; the mailbox waits
             drained = list(self._pending)
             self._pending.clear()
-            request_bytes = HTTP_HEADER_BYTES
-            response_bytes = HTTP_HEADER_BYTES + sum(
-                payload_bytes(p) for _t, p in drained)
-            self.instance.record_bytes_in(request_bytes)
-            self.instance.record_bytes_out(response_bytes)
-            self.metrics.counter("bytes").increment(request_bytes + response_bytes)
-            self.metrics.counter("messages").increment(2)
-            self.instance.submit(Job(cost=POLL_CPU_COST, name="poll"), ignore)
             for enqueued_at, payload in drained:
                 self.updates_delivered += 1
                 self.metrics.recorder("delivery_latency").record(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.instance import Instance, Job, JobOutcome, ignore
@@ -67,6 +68,15 @@ class HttpError(Exception):
     def to_problem(self) -> Dict[str, Any]:
         """The problem document for this error."""
         return problem(self.status, self.message)
+
+
+def _answer(produce: Callable[..., Any], *args: Any) -> Any:
+    """``produce(*args)``: a handler's or a render's result, or the
+    ``(status, problem)`` answer of the :class:`HttpError` it raised."""
+    try:
+        return produce(*args)
+    except HttpError as err:
+        return err.status, err.to_problem()
 
 
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")
@@ -316,7 +326,7 @@ class RestServer:
         if self._admit_idempotent(exchange, request):
             return
         job = Job(cost=route.cost, name=route.job_name,
-                  compute=lambda: route.handler(request, params))
+                  compute=partial(_answer, route.handler, request, params))
         if span is not None:
             job.trace = span.context
 
@@ -335,8 +345,11 @@ class RestServer:
                     if not deferred.succeeded:
                         self._job_failed(exchange, deferred)
                         return
-                    self._finish(exchange, self._coerce(
-                        result.render(deferred.value)))
+                    try:
+                        response = self._coerce(_answer(result.render, deferred.value))
+                    except Exception as err:  # noqa: BLE001 - a 500, as a handler's
+                        response = self._error_response(str(err))
+                    self._finish(exchange, response)
 
                 self.instance.submit(result.job, on_deferred)
             elif isinstance(result, RestCacheable):
@@ -461,7 +474,7 @@ class RestServer:
         return False
 
     def _error_response(self, error: str) -> HttpResponse:
-        # handler raised: HttpError carries a status, anything else is a 500
+        # a handler or render raised something other than an HttpError
         match = re.search(r"job raised: (.*)", error)
         message = match.group(1) if match else error
         return HttpResponse(status=500, body=problem(

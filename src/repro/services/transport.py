@@ -3,13 +3,18 @@
 Every client→service interaction in the reproduction flows through a
 :class:`Network`: it adds propagation latency, accounts bytes against the
 hosting instance's NIC counters, and reproduces the failure behaviours the
-broker must handle:
+broker must handle.  One rule decides them (and the push channel's): a
+message leaves a host only if it ``can_send``, asked once as it leaves,
+lands only on a host that ``is_serving``, and once on the wire it lands.
 
 * requests to a dead instance are *refused* (fast failure),
 * requests to a blackholed instance are *received but never answered*
   (the caller times out — the paper's "zero outbound while receiving
   inbound" signature),
-* responses from an instance that dies mid-request are lost.
+* responses from an instance that dies or goes dark mid-request are lost,
+* a push from a dead or dark gateway puts nothing on the wire (a dark
+  one still runs its CPU job); a frame sent before the fault lands,
+* a poll a dark host cannot answer drains nothing: the next answer does.
 
 A server answers by direct call: ``handle(request, reply)`` calls
 ``reply(response)`` inside the event that produced the response.
@@ -249,8 +254,7 @@ class Network:
             return
         server, instance = endpoint
         instance.record_bytes_in(request_bytes)
-        instance.record_bytes_out(TCP_ACK_BYTES)  # ack; dropped if blackholed
-        if not instance.network_blackholed:
+        if instance.record_bytes_out(TCP_ACK_BYTES):  # the ack, unless dark
             self.total_bytes += TCP_ACK_BYTES
         server.handle(request, partial(self._respond, instance,
                                        extra_response_bytes, reply, timer))
@@ -259,11 +263,9 @@ class Network:
                  reply: Signal, timer: EventHandle,
                  response: HttpResponse) -> None:
         """The server answered: put the response on the wire."""
-        if not instance.is_serving or instance.network_blackholed:
-            # response never makes it onto the wire; caller times out
-            return
         response_bytes = response.wire_bytes() + extra_response_bytes
-        instance.record_bytes_out(response_bytes)
+        if not instance.record_bytes_out(response_bytes):
+            return  # it never leaves the host; the caller times out
         self.total_bytes += response_bytes
         if not reply.fired:
             # a response later than the caller's timeout has paid its

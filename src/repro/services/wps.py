@@ -255,10 +255,7 @@ class WpsService:
                                 f"execute body must be an object, got "
                                 f"{type(body).__name__}", retryable=False)
         mode = body.get("mode", "sync")
-        try:
-            inputs = process.validate(body.get("inputs", {}))
-        except HttpError as err:
-            return err.status, err.to_problem()
+        inputs = process.validate(body.get("inputs", {}))
         # a format, not an identity: run payloads and status documents
         # carry a ``tenant`` key only when the request carried the header
         tenant = request.headers.get(TENANT_HEADER)

@@ -150,8 +150,8 @@ class CloudWorkflowEngine:
         return self.executor is not None and self.executor.is_gone
 
     def _executor_dark(self) -> bool:
-        """Blackholed: alive, but nothing it sends leaves the NIC."""
-        return self.executor is not None and self.executor.network_blackholed
+        """Nothing the executor sends leaves it (dark, or gone)."""
+        return self.executor is not None and not self.executor.can_send
 
     # -- run -----------------------------------------------------------------
 

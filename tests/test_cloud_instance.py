@@ -67,7 +67,7 @@ def test_jobs_queue_when_servers_busy(sim):
     inst = make_instance(sim, flavor=Flavor("f", 1, 1024, 10))
     first = inst.submit(Job(cost=10.0))
     second = inst.submit(Job(cost=10.0))
-    assert inst.queue_length() == 1
+    assert inst.load() == 2.0  # one running, one queued
     assert inst.cpu_utilization() == 1.0
     sim.run()
     assert first.value.finished_at == pytest.approx(10.0)
@@ -159,8 +159,8 @@ def test_disk_counters_accumulate(sim):
     for _ in range(3):
         inst.submit(Job(cost=1.0))
     sim.run()
-    assert inst.stats()["disk_read_mb"] == 3 * JOB_DISK_READ_MB
-    assert inst.stats()["disk_write_mb"] == 3 * JOB_DISK_WRITE_MB
+    assert inst.disk_read_mb == 3 * JOB_DISK_READ_MB
+    assert inst.disk_write_mb == 3 * JOB_DISK_WRITE_MB
 
 
 def test_terminate_while_pending_fires_ready_with_none(sim):

@@ -66,14 +66,14 @@ def test_bounded_queue_rejects_excess(sim):
     rejected = [s for s in signals if s.fired
                 and not s.value.succeeded and s.value.error == "queue full"]
     assert len(rejected) == 2
-    assert inst.queue_length() == 2
+    assert inst.load() == 3.0  # one running, two queued
 
 
 def test_unbounded_queue_accepts_everything(sim):
     inst = running_instance(sim, vcpus=1)
     for _ in range(50):
         inst.submit(Job(cost=1.0))
-    assert inst.queue_length() == 49
+    assert inst.load() == 50.0  # one running, 49 queued
 
 
 def test_rest_responds_503_when_overloaded(sim):

@@ -8,6 +8,12 @@ interleaving of connects, closes, pushes, sends, blackholes and crashes,
 every socket must see the same frames at the same instants, and every
 byte, message and busy-second counter must agree.  The event budget is
 pinned beside it: a broadcast to N sockets is N + 1 calendar events.
+
+The oracle states the wire's liveness rule on its own: each frame's job
+is submitted first; a push leaves only a host that ``can_send`` at that
+instant (otherwise nothing is counted and nothing lands); a frame on the
+wire lands unless its socket closed; a client's frame lands, and counts
+its bytes in, only at a host that ``is_serving`` when it arrives.
 """
 
 import pytest
@@ -38,20 +44,22 @@ class PerFrameGateway(PushGateway):
         if payload_size is None:
             payload_size = payload_bytes(payload)
         frame_bytes = WS_FRAME_BYTES + payload_size
+        self.instance.submit(Job(cost=channels.PUSH_CPU_COST, name="ws-frame"))
+        if to_client and not self.instance.can_send:
+            return  # a dead or dark host sends nothing
         self.metrics.counter("bytes").increment(frame_bytes)
         self.metrics.counter("messages").increment()
         if to_client:
-            self.instance.record_bytes_out(frame_bytes)
-        else:
-            self.instance.record_bytes_in(frame_bytes)
-        self.instance.submit(Job(cost=channels.PUSH_CPU_COST, name="ws-frame"))
+            self.instance.net_bytes_out += frame_bytes
         sent_at = self.sim.now
 
         def deliver():
             if conn.closed:
                 return
-            if to_client and self.instance.network_blackholed:
-                return
+            if not to_client:
+                if not self.instance.is_serving:
+                    return  # a client's frame lands only at a live host
+                self.instance.net_bytes_in += frame_bytes
             self.metrics.recorder("delivery_latency").record(
                 self.sim.now - sent_at)
             if to_client:

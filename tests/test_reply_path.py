@@ -72,8 +72,7 @@ class Watched:
                 recorded = stored.get("response", {}).get("status") \
                     == response.status
             self.emitted.append(
-                (response, instance.is_serving
-                 and not instance.network_blackholed, recorded))
+                (response, instance.can_send, recorded))
             reply(response)
 
         self.server.handle(request, watched)

@@ -15,8 +15,12 @@ from repro.services import (
     RestApi,
     RestServer,
 )
-from repro.services.rest import RestBackground, RestDeferred
+from repro.services.idempotency import IdempotencyIndex
+from repro.services.rest import HttpError, RestBackground, RestDeferred
 from repro.cloud.instance import Job
+from repro.cloud.storage import BlobStore
+from repro.obs import obs_of
+from repro.obs.context import inject_context
 from repro.sim import Simulator
 
 
@@ -142,6 +146,54 @@ def test_handler_exception_becomes_500(sim, network):
                        HttpRequest("GET", "/v1/bad"))
     assert response.status == 500
     assert "kaboom" in str(response.body)
+
+
+def test_handler_http_error_answers_with_its_own_status(sim, network):
+    instance = make_instance(sim)
+    api = RestApi("catalog")
+
+    def missing(req, p):
+        raise HttpError(404, "no such dataset")
+
+    api.get("/datasets/{dataset_id}", missing)
+    RestServer(sim, api, instance).bind(network)
+    response = request(sim, network, instance.address,
+                       HttpRequest("GET", "/v1/datasets/eden"))
+    assert response.status == 404
+    assert response.body == HttpError(404, "no such dataset").to_problem()
+    assert obs_of(sim).api_metrics.sub("catalog").snapshot().get(
+        "errors", 0.0) == 0.0
+
+
+def test_raising_render_answers_500_and_finishes_once(sim, network):
+    instance = make_instance(sim)
+    api = RestApi("wps-ish")
+    api.idempotency = IdempotencyIndex(
+        sim, BlobStore(sim).create_container("idempotency"))
+
+    def execute(req, p):
+        return RestDeferred(job=Job(cost=1.0), render=lambda out: 1 / 0)
+
+    api.post("/execute", execute)
+    RestServer(sim, api, instance).bind(network)
+    root = obs_of(sim).tracer.start_span("test")
+    headers = {"Idempotency-Key": "k"}
+    inject_context(root.context, headers)
+    response = request(sim, network, instance.address,
+                       HttpRequest("POST", "/v1/execute", headers=headers))
+    assert response.status == 500
+    assert response.body["title"] == "handler error"
+    assert "division by zero" in response.body["detail"]
+    red = obs_of(sim).api_metrics.sub("wps-ish").snapshot()
+    assert (red["requests"], red["errors"]) == (1.0, 1.0)
+    [server_span] = [span for span in obs_of(sim).tracer.spans()
+                     if span.kind == "server"]
+    assert server_span.error == "http 500"
+    # the key's lease was dropped: a retry runs again instead of a 409
+    retry = request(sim, network, instance.address,
+                    HttpRequest("POST", "/v1/execute",
+                                headers={"Idempotency-Key": "k"}))
+    assert retry.status == 500
 
 
 def test_byte_accounting_on_instance(sim, network):
