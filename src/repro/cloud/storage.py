@@ -11,6 +11,10 @@ records, idempotency records, checkpoints, cursors) are never asked for
 an etag or a size, so both are derived from the stored payload the first
 time either is read.  The payload is handed over at ``put``: mutating it
 afterwards changes the stored data, whenever the etag was taken.
+
+Every ``put`` takes the container's next write number and moves its key
+to the end of the container's write order; ``written_since(mark)`` walks
+back from the newest write to ``mark``, so it costs the writes since.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ class Blob:
     key: str
     payload: Any
     created_at: float
+    write: int  # the container's number for the put that stored it
     metadata: Dict[str, str] = field(default_factory=dict)
 
     @cached_property
@@ -59,7 +64,9 @@ class Container:
         self.name = name
         self._sim = sim
         self._store = store
+        #: key → blob, in write order
         self._blobs: Dict[str, Blob] = {}
+        self.writes = 0  # the latest put's write number
 
     def _check_available(self) -> None:
         if self._store is not None:
@@ -77,8 +84,10 @@ class Container:
             metadata: Optional[Dict[str, str]] = None) -> Blob:
         """Store (or overwrite) ``key``; returns the stored blob."""
         self._check_available()
+        self.writes += 1
         blob = Blob(key, self._maybe_tear(payload), self._sim.now,
-                    dict(metadata or {}))
+                    self.writes, dict(metadata or {}))
+        self._blobs.pop(key, None)  # a re-put moves to the end
         self._blobs[key] = blob
         return blob
 
@@ -119,6 +128,17 @@ class Container:
         """Keys with the given prefix, sorted."""
         self._check_available()
         return sorted(k for k in self._blobs if k.startswith(prefix))
+
+    def written_since(self, mark: int) -> List[str]:
+        """Keys whose latest ``put`` came after write number ``mark``,
+        oldest first; a key deleted since is not among them."""
+        self._check_available()
+        keys = []
+        for blob in reversed(self._blobs.values()):
+            if blob.write <= mark:
+                break
+            keys.append(blob.key)
+        return keys[::-1]
 
     def total_bytes(self) -> int:
         """Sum of stored blob sizes."""

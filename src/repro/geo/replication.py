@@ -14,14 +14,21 @@ than one interval before a region is lost has been shipped to the
 survivors.  Replication lag is measured per shipped blob (origin write
 time to arrival at the last surviving site) so the bench can check the
 bound rather than assert it.
+
+A sweep costs the writes made since the last one: it reads each site's
+change feed (``Container.written_since``) and converges only those keys
+and any it left unconverged, as a converged key ships nothing.  Only a
+site joining the live set (first sweep, heal, fault cleared) makes it
+converge every known key.  Deletes are not replicated: a key ships from
+a live site that holds its elected version and still stores the blob.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro.cloud.errors import StorageUnavailable
+from repro.cloud.errors import BlobNotFound, StorageUnavailable
 from repro.cloud.storage import Blob, BlobStore
 from repro.geo.topology import RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
@@ -90,9 +97,9 @@ class Replicator:
     containers to sweep.  Detection is etag-based: a blob whose etag
     differs from what the replicator last saw at that site is a new
     local write and bumps the site's component of the key's version
-    vector.  Sites whose region is DOWN (or whose store raises
-    :class:`StorageUnavailable`) are skipped and catch up on the first
-    sweep after they heal.
+    vector.  Sites whose region is DOWN (or whose store is faulted) are
+    skipped; the first sweep after they heal converges every known key,
+    any other only the keys written or left pending since the last.
     """
 
     def __init__(self, sim: Simulator, topology: RegionTopology,
@@ -106,6 +113,12 @@ class Replicator:
         self._seen: Dict[Tuple[str, str, str], str] = {}
         #: (region, container, key) → that site's version vector
         self._versions: Dict[Tuple[str, str, str], VersionVector] = {}
+        #: (region, container) → the write number its feed was read to
+        self._marks: Dict[Tuple[str, str], int] = {}
+        #: (container, key) written, or not converged, since last sweep
+        self._pending: Set[Tuple[str, str]] = set()
+        #: the sites live at the last sweep
+        self._live: Set[str] = set()
         self.shipped: List[ShippedRecord] = []
         self.conflicts = 0
         self.sweeps = 0
@@ -140,19 +153,24 @@ class Replicator:
         self.sim.spawn(pump(), name="geo-replicator")
         return self
 
-    # -- lag accounting ------------------------------------------------------
-
     # -- the sweep -----------------------------------------------------------
 
     def sweep(self) -> int:
         """One replication round; returns blobs shipped."""
         self.sweeps += 1
         live = self._live_sites()
+        rejoined = not self._live.issuperset(live)
+        self._live = set(live)
         for region in live:
             self._absorb_local_writes(region)
-        shipped = 0
-        for container in self._containers:
-            shipped += self._converge_container(container, live)
+        shipped, pending, self._pending = 0, self._pending, set()
+        for cname in self._containers:
+            keys = {key for c, key in pending if c == cname}
+            if rejoined:  # a returning site may lack any key: look at all
+                keys = {key for (region, c, key) in self._versions
+                        if c == cname and region in self._live}
+            for key in sorted(keys):
+                shipped += self._converge_key(cname, key, live)
         return shipped
 
     def _live_sites(self) -> List[str]:
@@ -167,12 +185,17 @@ class Replicator:
         return live
 
     def _absorb_local_writes(self, region: str) -> None:
-        """Bump version vectors for writes made at ``region`` directly."""
+        """Mark pending every key written at ``region`` since its last
+        sweep, bumping the version vector of each whose etag changed."""
         store = self._sites[region]
         for cname in self._containers:
             try:
                 container = store.create_container(cname)
-                for key in container.list():
+                written = container.written_since(
+                    self._marks.get((region, cname), 0))
+                self._marks[(region, cname)] = container.writes
+                for key in written:
+                    self._pending.add((cname, key))
                     etag = container.get(key).etag
                     site_key = (region, cname, key)
                     if self._seen.get(site_key) == etag:
@@ -183,68 +206,60 @@ class Replicator:
             except StorageUnavailable:
                 return
 
-    def _converge_container(self, cname: str, live: List[str]) -> int:
-        keys = set()
-        for region in live:
-            keys.update(key for (r, c, key) in self._versions
-                        if r == region and c == cname)
-        shipped = 0
-        for key in sorted(keys):
-            shipped += self._converge_key(cname, key, live)
-        return shipped
-
     def _converge_key(self, cname: str, key: str, live: List[str]) -> int:
+        """Ship the elected version of ``key`` to every live site; a key
+        left unconverged is pending again."""
         held = {region: self._versions[(region, cname, key)]
                 for region in live
                 if (region, cname, key) in self._versions}
-        if not held:
-            return 0
-        winner, target = self._elect_version(cname, key, held)
-        if winner is None:
-            return 0
-        try:
-            blob = self._sites[winner].create_container(cname).get(key)
-        except StorageUnavailable:
+        blobs: Dict[str, Blob] = {}
+        for region in held:
+            try:
+                blobs[region] = \
+                    self._sites[region].create_container(cname).get(key)
+            except (StorageUnavailable, BlobNotFound):
+                continue  # a delete is kept: that site cannot ship
+        if not blobs:
+            return 0  # no live site stores the key
+        source, target = self._elect_version(cname, key, held, blobs)
+        if source is None:
+            self._pending.add((cname, key))  # an older copy may ship later
             return 0
         shipped = 0
         for region in live:
-            if region == winner or held.get(region) == target:
+            if region == source or held.get(region) == target:
                 continue
-            if self._apply(winner, region, cname, key, blob, target):
+            if self._apply(source, region, cname, key, blobs[source], target):
                 shipped += 1
-        # the winner's own history may widen after a conflict merge
-        if held.get(winner) != target:
-            self._versions[(winner, cname, key)] = target
+            else:
+                self._pending.add((cname, key))
+        # the source's own history may widen after a conflict merge
+        if held.get(source) != target:
+            self._versions[(source, cname, key)] = target
         return shipped
 
     def _elect_version(self, cname: str, key: str,
-                       held: Dict[str, VersionVector]):
-        """Pick the version every site should converge to.
+                       held: Dict[str, VersionVector],
+                       blobs: Dict[str, Blob]):
+        """Pick the version every site should converge to, and its source.
 
         Returns ``(source_region, target_vector)``; a dominant history
-        wins outright, otherwise the conflict is resolved and the
-        target becomes the merge of every history.
+        wins outright, shipped by the first site holding it that still
+        stores the blob (``None`` if none does), otherwise the conflict
+        is resolved and the target becomes the merge of every history.
         """
-        for region, vector in held.items():
+        for vector in held.values():
             if all(vector.descends(other) for other in held.values()):
-                return region, vector
-        winner = self._resolve_conflict(cname, key, held)
+                return next((region for region in blobs
+                             if held[region] == vector), None), vector
+        winner = self._resolve_conflict(cname, key, blobs)
         merged = VersionVector()
         for vector in held.values():
             merged = merged.merge(vector)
         return winner, merged
 
     def _resolve_conflict(self, cname: str, key: str,
-                          held: Dict[str, VersionVector]) -> Optional[str]:
-        blobs: Dict[str, Blob] = {}
-        for region in held:
-            try:
-                blobs[region] = \
-                    self._sites[region].create_container(cname).get(key)
-            except StorageUnavailable:
-                continue
-        if not blobs:
-            return None
+                          blobs: Dict[str, Blob]) -> str:
         self.conflicts += 1
         # deterministic tiebreak: newest write wins, region name breaks
         # simultaneous writes
@@ -266,6 +281,8 @@ class Replicator:
         site_key = (region, cname, key)
         self._seen[site_key] = applied.etag
         self._versions[site_key] = target
+        # a sweep is one step: no local write came since the site's mark
+        self._marks[(region, cname)] = applied.write
         lag = max(0.0, self.sim.now - blob.created_at)
         self.shipped.append(ShippedRecord(
             time=self.sim.now, container=cname, key=key,
