@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, insort
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.instance import Instance
 from repro.sim import Simulator
@@ -27,8 +27,24 @@ class SessionState(enum.Enum):
     ENDED = "ended"
 
 
+class _SessionId:
+    """``UserSession.session_id``: the text ``sess-NNNNNN`` of the
+    session's number, rendered on first read and then an ordinary
+    instance attribute.  Opening a session renders nothing: its first
+    reader (the ``session.assign`` push, a trace attribute) pays."""
+
+    def __get__(self, session: Optional["UserSession"], owner: type) -> Any:
+        if session is None:
+            return self
+        session.session_id = value = "sess-%06d" % session._seq
+        return value
+
+
 class UserSession:
     """One user's live attachment to the portal."""
+
+    #: ``sess-NNNNNN`` of the session's number (see :class:`_SessionId`)
+    session_id = _SessionId()
 
     #: a session opens WAITING, unplaced, untraced and unclassed: class
     #: defaults, not stores in ``__init__``, as a session opens per
@@ -45,6 +61,9 @@ class UserSession:
     #: plane at submission; None means interactive — kept untyped so
     #: the session layer stays below the scheduling substrate
     priority: Optional[Any] = None
+    #: one ``{"at", "from", "to"}`` record per move between instances;
+    #: most sessions never move, so none owns a list until its first
+    migrations: Sequence[Dict[str, Any]] = ()
 
     def __init__(self, sim: Simulator, user_name: str,
                  channel: Optional[Any] = None, purpose: str = "general",
@@ -57,8 +76,6 @@ class UserSession:
         # the session's number in its simulation is also its creation
         # rank in the table
         self._seq = sim.next_id("session")
-        # %-formatting: the f-string format spec costs nearly twice as much
-        self.session_id = "sess-%06d" % self._seq
         self.user_name = user_name
         self.channel = channel      # anything with .push(payload)
         self.purpose = purpose      # e.g. the model the user wants to run
@@ -66,7 +83,6 @@ class UserSession:
         # fairness row and the label on its trace
         self.tenant = tenant
         self.created_at = sim.now
-        self.migrations: List[Dict[str, Any]] = []
 
     @property
     def wait_time(self) -> Optional[float]:
@@ -91,11 +107,11 @@ class UserSession:
         if self.assigned_at is None:
             self.assigned_at = self._sim.now
         if previous is not None and previous is not instance:
-            self.migrations.append({
+            self.migrations = [*self.migrations, {
                 "at": self._sim.now,
                 "from": previous.address,
                 "to": instance.address,
-            })
+            }]
         self.state = SessionState.ACTIVE
         self._push({
             "type": "session.assign",
@@ -152,7 +168,8 @@ class SessionTable:
 
     def __init__(self, sim: Simulator):
         self._sim = sim
-        self._sessions: Dict[str, UserSession] = {}
+        #: every session ever opened, in creation order
+        self._sessions: List[UserSession] = []
         #: creation rank -> waiting session
         self._waiting: Dict[int, UserSession] = {}
         #: instance -> [(creation rank, session)], ascending; a bucket
@@ -166,7 +183,7 @@ class SessionTable:
         """Open a new session in WAITING state."""
         session = UserSession(self._sim, user_name, channel, purpose,
                               tenant, self)
-        self._sessions[session.session_id] = session
+        self._sessions.append(session)
         self._waiting[session._seq] = session
         return session
 
@@ -197,10 +214,6 @@ class SessionTable:
         self._active -= 1
 
     # -- reads ---------------------------------------------------------------
-
-    def get(self, session_id: str) -> UserSession:
-        """Look a session up by id."""
-        return self._sessions[session_id]
 
     def active(self) -> List[UserSession]:
         """Sessions currently pinned to an instance, in creation order.
@@ -240,7 +253,7 @@ class SessionTable:
 
     def all(self) -> List[UserSession]:
         """Every session ever created."""
-        return list(self._sessions.values())
+        return list(self._sessions)
 
     def waiting_count(self) -> int:
         """Sessions not yet assigned."""

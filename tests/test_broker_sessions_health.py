@@ -67,6 +67,18 @@ def test_session_migration_recorded_and_pushed(sim):
     assert len(session.migrations) == 1
 
 
+def test_session_ids_follow_the_simulator_and_render_on_first_read(sim):
+    first, second = SessionTable(sim), SessionTable(sim)
+    a, b, c = first.create("a"), second.create("b"), first.create("c")
+    # opening a session renders no id and allocates no migration list
+    assert "session_id" not in vars(a) and a.migrations == ()
+    assert [s.session_id for s in (a, b, c)] == [
+        "sess-000000", "sess-000001", "sess-000002"]
+    assert a.session_id is vars(a)["session_id"]
+    assert first.all() == [a, c] and second.all() == [b]
+    assert SessionTable(Simulator()).create("z").session_id == "sess-000000"
+
+
 def test_assign_after_end_rejected(sim):
     session = SessionTable(sim).create("alice")
     session.end()
