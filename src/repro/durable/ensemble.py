@@ -16,10 +16,10 @@ sweep executor crash meant starting the whole batch again.
   result under its content-addressed ``run_key``; publication is an
   existence-checked put, so at-least-once replay across crashes never
   applies an effect twice — the MillWheel discipline, keyed by the
-  cache keys the perf layer already computes.
+  run keys the perf layer's cache uses, computed once per set.
 
-Evaluation is one loop: a chunk goes through ``run_many`` up to the
-next checkpoint boundary, whatever the runner's backend.  Crashes are
+Evaluation is one ``run_many`` batch per attempt, whatever the runner's
+backend, its results checkpointed interval by interval.  Crashes are
 simulated, not thrown: ``run(..., interrupt_after=k)`` makes the
 executor die after ``k`` evaluations of *this attempt* (unsynced journal
 tail lost, optionally a torn record left behind) and returns ``None``.
@@ -117,20 +117,31 @@ class DurableSweep:
                                     sweep=self.sweep_id, completed=start)
         span.set_attribute("resumed_from", start)
 
-        # a chunk runs to the next checkpoint boundary or the crash point:
-        # checkpoint boundaries *are* the chunk boundaries, and the
-        # kernel's chunk invariance plus backend-independent run keys keep
-        # the journal, the effects and every result bit-identical whatever
-        # the backend (a crashed-and-resumed sweep never mixes kernels)
+        # one batch up to the crash point, whose run keys serve the cache
+        # and the effects, walked one checkpoint interval at a time (chunk
+        # invariance and backend-free keys keep every bit); a batch that
+        # raises is retried interval by interval (those intervals' lookups,
+        # dispatches, spans and events count twice), so the run fails at
+        # the interval that raised with every earlier one checkpointed
         stop = total if interrupt_after is None \
             else min(total, start + interrupt_after)
+        attempt = list(parameter_sets[start:stop])
+        keys = [self.runner.key_of(params) for params in attempt]
+        try:
+            values = self.runner.run_many(attempt, capture_errors=True,
+                                          keys=keys)
+        except Exception as err:
+            values = None
+            span.set_attribute("batch_failed", f"{type(err).__name__}: {err}")
         index = start
         while index < stop:
             end = min(stop, index + self.checkpoint_every
                       - (index % self.checkpoint_every))
-            chunk = list(parameter_sets[index:end])
+            lo, hi = index - start, end - start
             try:
-                values = self.runner.run_many(chunk, capture_errors=True)
+                chunk = values[lo:hi] if values is not None else \
+                    self.runner.run_many(attempt[lo:hi], capture_errors=True,
+                                         keys=keys[lo:hi])
             except Exception as err:
                 # alive and knows the run is over: a replacement must not
                 # have to wait the lease out
@@ -138,10 +149,10 @@ class DurableSweep:
                 fail(journal, self.owner, error, completed=index)
                 span.finish(error=error)
                 raise
-            self.computed += len(values)
-            for params, value in zip(chunk, values):
+            self.computed += len(chunk)
+            for key, value in zip(keys[lo:hi], chunk):
                 results.append(value)
-                self._apply_effect(journal, params, value)
+                self._apply_effect(journal, key, value)
             if end % self.checkpoint_every == 0:
                 self._checkpoint(journal, results, end)
             index = end
@@ -159,12 +170,11 @@ class DurableSweep:
         span.finish()
         return results
 
-    def _apply_effect(self, journal: j.RunJournal,
-                      params: Dict[str, float], value: Any) -> None:
+    def _apply_effect(self, journal: j.RunJournal, key: str,
+                      value: Any) -> None:
         """Publish the result under its run key, at most once ever."""
         if self.effects is None:
             return
-        key = self.runner.key_of(params)
         if self.effects.exists(key):
             self.effects_deduped += 1
             return

@@ -36,9 +36,8 @@ in ``tests/test_topmodel_vectorized.py``):
   element-wise per set or reduces only over that set's own K classes
   (single-set batches are padded to two columns so einsum's 1-D
   special case never changes the accumulation).  ``DurableSweep``
-  relies on this: it evaluates one checkpoint interval per batch, so a
-  sweep resumed from a checkpoint, or re-run at another interval, is
-  bit-equal to one batch over every set.
+  relies on this: it evaluates one batch per attempt, so a sweep
+  resumed from a checkpoint is bit-equal to one batch over every set.
 
 Without NumPy the module degrades gracefully: ``HAVE_NUMPY`` is False
 and every entry point falls back to the scalar loop, bit-identical to
@@ -401,8 +400,8 @@ class TopmodelEnsemble:
     :meth:`batch` evaluates a whole batch through the vectorized kernel
     (``batch`` semantics, the ``vector`` backend).  Any split of a batch
     returns the same bits as the whole (the kernel is chunk-invariant),
-    which is what keeps a ``DurableSweep`` that evaluates one
-    checkpoint interval at a time exact.  Everything it holds — the
+    which keeps a ``DurableSweep`` resumed from a checkpoint exact (one
+    batch per attempt).  Everything it holds — the
     model's TI lists, the prepared forcing tuples, the base parameter
     dataclass — is plain data, so an instance pickles.
 

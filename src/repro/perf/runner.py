@@ -18,7 +18,6 @@ captured as a :class:`RunFailure` once and never re-raised from compute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.perf.keys import run_key
@@ -146,9 +145,13 @@ class EnsembleRunner:
         of raising — a cache hit on a failure therefore reproduces the
         failure without re-running the model.
         """
+        return self._run_keyed(parameters, capture_errors, None)
+
+    def _run_keyed(self, parameters: Dict[str, float], capture_errors: bool,
+                   key: Optional[str]) -> Any:
         if self.cache is None:
             return self._evaluate(parameters, capture_errors)
-        key = self.key_of(parameters)
+        key = key or self.key_of(parameters)
         found, value = self.cache.lookup(key)
         if found:
             if isinstance(value, RunFailure) and not capture_errors:
@@ -162,11 +165,13 @@ class EnsembleRunner:
     # -- batch evaluation ---------------------------------------------------
 
     def run_many(self, parameter_sets: Sequence[Dict[str, float]],
-                 capture_errors: bool = False) -> List[Any]:
+                 capture_errors: bool = False,
+                 keys: Optional[Sequence[str]] = None) -> List[Any]:
         """Evaluate a batch; output order always matches input order.
 
         The vector backend only regroups *computation*, never results:
         cache stores happen in first-occurrence order either way.
+        ``keys`` are the sets' run keys when the caller already has them.
         """
         from contextlib import ExitStack
         span = None
@@ -185,13 +190,12 @@ class EnsembleRunner:
                                 "backend": backend})
             try:
                 if backend == "vector":
-                    results = self._run_misses(
-                        parameter_sets, capture_errors,
-                        partial(self._compute_batch,
-                                capture_errors=capture_errors))
+                    results = self._run_misses(parameter_sets, keys,
+                                               capture_errors)
                 else:
-                    results = [self.run_one(p, capture_errors)
-                               for p in parameter_sets]
+                    keys = keys or [None] * len(parameter_sets)
+                    results = [self._run_keyed(p, capture_errors, key)
+                               for p, key in zip(parameter_sets, keys)]
             finally:
                 if span is not None:
                     if self.cache is not None:
@@ -205,35 +209,37 @@ class EnsembleRunner:
         return results
 
     def _run_misses(self, parameter_sets: Sequence[Dict[str, float]],
-                    capture_errors: bool,
-                    compute: Callable[[List[Dict[str, float]]], List[Any]]
-                    ) -> List[Any]:
+                    keys: Optional[Sequence[str]],
+                    capture_errors: bool) -> List[Any]:
         """The cache discipline of the vector backend: hits resolved
-        up front, each unique miss computed exactly once — by
-        ``compute``, parameter sets in, their results out, same order —
+        up front, each unique miss computed exactly once, in one batch,
         stores in first-occurrence order (the deterministic merge),
-        outputs merged back to input order."""
+        outputs merged back to input order.  A repeat is served after its
+        first occurrence is stored, as the scalar loop serves it; hits and
+        misses are the scalar loop's while the cache holds the batch."""
         if self.cache is None:
-            out = compute(list(parameter_sets))
+            out = self._compute_batch(list(parameter_sets), capture_errors)
         else:
-            keys = [self.key_of(p) for p in parameter_sets]
+            keys = keys or [self.key_of(p) for p in parameter_sets]
             resolved: Dict[str, Any] = {}
-            seen = set()
-            miss_keys: List[str] = []
-            miss_params: List[Dict[str, float]] = []
+            misses: Dict[str, Dict[str, float]] = {}
+            repeats: List[str] = []
             for key, params in zip(keys, parameter_sets):
-                if key in seen:
+                if key in resolved or key in misses:
+                    repeats.append(key)
                     continue
-                seen.add(key)
                 found, value = self.cache.lookup(key)
                 if found:
                     resolved[key] = value
                 else:
-                    miss_keys.append(key)
-                    miss_params.append(params)
-            for key, value in zip(miss_keys, compute(miss_params)):
+                    misses[key] = params
+            for key, value in zip(misses, self._compute_batch(
+                    list(misses.values()), capture_errors)):
                 self.cache.store(key, value)
                 resolved[key] = value
+            for key in repeats:
+                if not self.cache.lookup(key)[0]:
+                    self.cache.store(key, resolved[key])
             out = [resolved[key] for key in keys]
         for value in out:
             if isinstance(value, RunFailure) and not capture_errors:

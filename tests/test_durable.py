@@ -698,6 +698,20 @@ class TwoLoopSweep(DurableSweep):
         span.finish()
         return results
 
+    def _apply_effect(self, journal, params, value):
+        """Publish the result under its run key, at most once ever."""
+        if self.effects is None:
+            return
+        key = self.runner.key_of(params)
+        if self.effects.exists(key):
+            self.effects_deduped += 1
+            return
+        self.effects.put(key, value)
+        self.effects_applied += 1
+        # bookkeeping only — dedup correctness comes from the existence
+        # check above, so EFFECT records ride to the next fsync point
+        journal.append(j.EFFECT, sync=False, key=key)
+
     def _batch_backend(self):
         resolve = getattr(self.runner, "resolve_backend", None)
         return resolve is not None and resolve() != "scalar"

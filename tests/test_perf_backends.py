@@ -21,7 +21,9 @@ from repro.hydrology.vectorized import (
     VECTOR_REL_BOUND,
     TopmodelEnsemble,
 )
+from repro.obs.hub import obs_of
 from repro.perf import EnsembleRunner, RunCache
+from repro.perf.keys import run_key
 from repro.perf.runner import RunFailure
 from repro.sim import Simulator
 
@@ -260,8 +262,8 @@ def test_durable_sweep_bit_identical_across_backends(ensemble):
         assert b.flow.values == pytest.approx(
             a.flow.values, rel=VECTOR_REL_BOUND, abs=VECTOR_ABS_BOUND)
     assert vsweep.checkpoints_written == 2
-    # chunk boundaries follow the checkpoint interval
-    assert vsweep.runner.chunks_dispatched == 3
+    # one kernel batch per attempt, whatever the checkpoint interval
+    assert vsweep.runner.chunks_dispatched == 1
 
 
 @needs_numpy
@@ -280,6 +282,131 @@ def test_durable_sweep_crash_resume_stays_on_vector_kernel(ensemble):
     results = resumed.run(draws)
     assert resumed.resumed_from == 5
     assert all(identical(a, b) for a, b in zip(baseline, results))
+
+
+@needs_numpy
+def test_durable_sweep_is_one_kernel_batch_per_attempt(ensemble):
+    draws = draw_updates(15)
+    baseline, _ = _vector_sweep(ensemble, draws, "sweep-base")
+    sim = Simulator()
+    store = JournalStore(sim, BlobStore(sim, name="d"))
+    runner = make_runner(ensemble, "vector",
+                         cache=RunCache(max_entries=64))
+    fresh = DurableSweep(runner, store, "sweep-one", checkpoint_every=5)
+    assert all(identical(a, b) for a, b in zip(baseline, fresh.run(draws)))
+    assert runner.chunks_dispatched == 1
+    assert fresh.checkpoints_written == 3
+    # a crashed attempt is one batch, and its resumption one more
+    runner = make_runner(ensemble, "vector",
+                         cache=RunCache(max_entries=64))
+    crashed = DurableSweep(runner, store, "sweep-two", checkpoint_every=5)
+    assert crashed.run(draws, interrupt_after=7) is None
+    assert (runner.chunks_dispatched, crashed.checkpoints_written) == (1, 1)
+    resumed = DurableSweep(runner, store, "sweep-two", checkpoint_every=5)
+    results = resumed.run(draws)
+    assert (runner.chunks_dispatched, resumed.checkpoints_written) == (2, 2)
+    assert all(identical(a, b) for a, b in zip(baseline, results))
+    assert [r.payload["completed"] for r in store.open("sweep-two").records()
+            if r.kind == "CHECKPOINT"] == [5, 10, 15]
+
+
+def test_vector_batch_counts_repeats_as_the_scalar_loop_does():
+    toy = ToySim()
+    draws = [{"x": float(i)} for i in range(4)]
+    with_dups = draws + [draws[1], draws[1], draws[3]]
+    counts = {}
+    for backend in ("scalar", "vector"):
+        cache = RunCache(max_entries=16)
+        runner = EnsembleRunner(toy, model_id="toy", forcing="f",
+                                cache=cache, backend=backend,
+                                batch=toy.batch)
+        runner.run_many(draws[:1])
+        runner.run_many(with_dups)
+        counts[backend] = (cache.hits, cache.misses)
+    assert counts["vector"] == counts["scalar"] == (4, 4)
+
+
+def test_vector_batch_larger_than_the_cache_looks_each_set_up_once():
+    toy = ToySim()
+    x = [{"x": float(i)} for i in range(4)]
+    counts, entries = {}, {}
+    for backend in ("scalar", "vector"):
+        cache = RunCache(max_entries=2)
+        runner = EnsembleRunner(toy, model_id="toy", forcing="f",
+                                cache=cache, backend=backend,
+                                batch=toy.batch)
+        runner.run_many(x[:1])
+        # x1's first occurrence is evicted before its repeat: a miss,
+        # stored again, on both backends
+        assert runner.run_many([x[0], x[1], x[2], x[3], x[1]]) == \
+            [toy(p) for p in (x[0], x[1], x[2], x[3], x[1])]
+        entries[backend] = list(cache._entries)
+        # x3 is a hit resolved up front by the vector batch; the scalar
+        # loop's store of x0 evicts it first: the counts part here
+        runner.run_many([x[0], x[2], x[3]])
+        counts[backend] = (cache.hits, cache.misses)
+    assert entries["vector"] == entries["scalar"]
+    assert counts == {"scalar": (1, 8), "vector": (2, 7)}
+
+
+class BrokenKernel(ToySim):
+    """A batch that raises an error no run captures."""
+
+    def batch(self, parameter_sets):
+        if any(p["x"] == 6.0 for p in parameter_sets):
+            raise TypeError("x=6 breaks the kernel")
+        return super().batch(parameter_sets)
+
+
+def test_failed_attempt_batch_is_retried_interval_by_interval():
+    toy = BrokenKernel()
+    sim = Simulator()
+    store = JournalStore(sim, BlobStore(sim, name="d"))
+    runner = EnsembleRunner(toy, model_id="toy", forcing="f",
+                            cache=RunCache(max_entries=64), sim=sim,
+                            backend="vector", batch=toy.batch)
+    sweep = DurableSweep(runner, store, "sweep-f", checkpoint_every=4)
+    with pytest.raises(TypeError, match="x=6"):
+        sweep.run([{"x": float(i)} for i in range(10)])
+    assert sweep.checkpoints_written == 1
+    assert [r.payload["completed"] for r in store.open("sweep-f").records()
+            if r.kind == "CHECKPOINT"] == [4]
+    # the failed attempt batch looked up all 10 sets and dispatched once;
+    # the retry then looks up, dispatches and spans [0, 4) and [4, 8)
+    # again (8 misses and 2 dispatches at the parent)
+    stats = runner.stats()
+    assert (stats["hits"], stats["misses"]) == (0, 18)
+    assert stats["chunks_dispatched"] == 3
+    assert stats["runs{backend=vector}"] == 4
+    spans = obs_of(sim).tracer.spans()
+    assert [s.attributes["runs"] for s in spans
+            if s.name == "ensemble.run toy"] == [10, 4, 4]
+    [swept] = [s for s in spans if s.name == "durable.sweep"]
+    assert swept.attributes["batch_failed"] == "TypeError: x=6 breaks the kernel"
+
+
+@pytest.mark.parametrize("backend", ["scalar", "vector"])
+def test_cold_sweep_attempt_keys_each_set_once(monkeypatch, backend):
+    from repro.perf import runner as perf_runner
+    keyed = []
+
+    def counting(model_id, parameters, forcing=""):
+        keyed.append(parameters["x"])
+        return run_key(model_id, parameters, forcing)
+
+    monkeypatch.setattr(perf_runner, "run_key", counting)
+    toy = ToySim()
+    sim = Simulator()
+    blobstore = BlobStore(sim, name="d")
+    runner = EnsembleRunner(toy, model_id="toy", forcing="f",
+                            cache=RunCache(max_entries=64), backend=backend,
+                            batch=toy.batch)
+    sweep = DurableSweep(runner, JournalStore(sim, blobstore), "sweep-k",
+                         checkpoint_every=4,
+                         effects=blobstore.create_container("results"))
+    sweep.run([{"x": float(i)} for i in range(10)])
+    assert sorted(keyed) == [float(i) for i in range(10)]
+    assert sweep.effects_applied == 10
 
 
 def _vector_sweep(ensemble, draws, sweep_id):
