@@ -7,7 +7,9 @@ sessions and the Load Balancer watches.  It models:
   ``DEGRADED``/``FAILED`` fault branches),
 * a multi-server FIFO execution engine (one server per vCPU) whose job
   service times honour flavor speed and image run-speed factors — queueing
-  under load is what makes the LB's responsiveness heuristics meaningful,
+  under load is what makes the LB's responsiveness heuristics meaningful;
+  a running job is its finish event ``_finish_job(job, started)``, whose
+  arguments carry the start time a crash charges CPU from,
 * cumulative resource counters (CPU busy-time, disk I/O, network in/out)
   that the health monitor samples, including the two failure signatures
   the paper names: *sustained high CPU* and *zero outbound traffic while
@@ -18,14 +20,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional, Set
+from typing import Any, Callable, Deque, Dict, NamedTuple, Optional, Set
 
 from repro.cloud.errors import InvalidStateError
 from repro.cloud.flavors import Flavor
 from repro.cloud.images import MachineImage
 from repro.obs.hub import obs_of
-from repro.sim import Signal, Simulator
+from repro.sim import EventHandle, Signal, Simulator
 
 #: Disk I/O every job charges to its instance's counters.
 JOB_DISK_READ_MB = 1.0
@@ -42,16 +43,14 @@ class InstanceState(enum.Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
-class JobOutcome:
+class JobOutcome(NamedTuple):
     """Result of a job: either a value or the error that sank it."""
 
-    job_id: str
     succeeded: bool
-    value: Any = None
-    error: Optional[str] = None
-    started_at: float = 0.0
-    finished_at: float = 0.0
+    value: Any
+    error: Optional[str]
+    started_at: float
+    finished_at: float
 
     @property
     def duration(self) -> float:
@@ -71,24 +70,28 @@ class Job:
     job completes and produces the job's value (this is where a real
     TOPMODEL run happens — instantaneous in host time, charged in
     simulated time).  Each completed job adds ``JOB_DISK_READ_MB`` /
-    ``JOB_DISK_WRITE_MB`` to the instance I/O counters.  ``job_id`` is
-    minted by the simulator, and ``on_done`` attached, when the job is
-    submitted.
+    ``JOB_DISK_WRITE_MB`` to the instance I/O counters.  The job's
+    number ``seq`` is minted by the simulator, and ``on_done`` attached,
+    when the job is submitted; ``job_id`` renders the number as text.
     """
 
-    __slots__ = ("job_id", "name", "cost", "compute", "on_done", "trace",
+    __slots__ = ("seq", "name", "cost", "compute", "on_done", "trace",
                  "span")
 
     def __init__(self, cost: float, compute: Optional[Callable[[], Any]] = None,
                  name: str = "job"):
         if cost < 0:
             raise ValueError("job cost must be non-negative")
-        self.job_id = ""
         self.name = name
         self.cost = cost
         self.compute = compute
         self.trace = None   # optional SpanContext set by the submitter
         self.span = None    # the execution span, opened at submission
+
+    @property
+    def job_id(self) -> str:
+        """``job-NNNNNN`` of the number minted at submission."""
+        return "job-%06d" % self.seq
 
 
 class Instance:
@@ -121,11 +124,11 @@ class Instance:
         self.max_queue: Optional[int] = None
         self._busy_servers = 0
         self._degradation = 1.0       # service-speed multiplier (<1 when degraded)
-        self._running_jobs: Dict[str, Any] = {}   # job_id -> (timer, job, finish)
+        # each running job's finish event, ``_finish_job(job, started)``
+        self._running_jobs: Dict[Job, EventHandle] = {}
 
         # cumulative resource counters (health monitor reads these)
         self.cpu_busy_seconds = 0.0
-        self._busy_since: Dict[str, float] = {}   # job_id -> start time
         self.disk_read_mb = 0.0
         self.disk_write_mb = 0.0
         self.net_bytes_in = 0.0
@@ -216,25 +219,21 @@ class Instance:
         self.ready.fire(self)
 
     def _mark_terminated(self) -> None:
-        if self.is_gone:
-            return
-        previous = self.state
-        self.state = InstanceState.TERMINATED
-        self._rank_changed()
-        self._emit("instance.terminated", previous=previous.value)
-        self._abort_all_work("instance terminated")
-        if previous == InstanceState.PENDING and not self.ready.fired:
-            self.ready.fire(None)
-        self.terminated.fire(self)
+        self._end(InstanceState.TERMINATED, "instance terminated")
 
     def _mark_failed(self, cause: str) -> None:
+        self._end(InstanceState.FAILED, cause, cause=cause)
+
+    def _end(self, state: InstanceState, error: str, **fields) -> None:
+        """Leave service for good, failing every job with ``error``."""
         if self.is_gone:
             return
         previous = self.state
-        self.state = InstanceState.FAILED
+        self.state = state
         self._rank_changed()
-        self._emit("instance.failed", previous=previous.value, cause=cause)
-        self._abort_all_work(cause)
+        self._emit(f"instance.{state.value}", previous=previous.value,
+                   **fields)
+        self._abort_all_work(error)
         if previous == InstanceState.PENDING and not self.ready.fired:
             self.ready.fire(None)
         self.terminated.fire(self)
@@ -279,16 +278,17 @@ class Instance:
         if not self._running_jobs or old_speed == new_speed:
             return
         stretch = old_speed / new_speed
-        for job_id, (handle, job, finish_fn) in list(self._running_jobs.items()):
-            remaining = handle.when - self._sim.now
+        sim = self._sim
+        for job, handle in list(self._running_jobs.items()):
             handle.cancel()
-            new_handle = self._sim.schedule(remaining * stretch, finish_fn)
-            self._running_jobs[job_id] = (new_handle, job, finish_fn)
+            self._running_jobs[job] = sim.schedule(
+                (handle.when - sim.now) * stretch, handle.fn, *handle.args)
 
     def _abort_all_work(self, cause: str) -> None:
-        for job_id, (handle, job, _finish) in list(self._running_jobs.items()):
+        now = self._sim.now
+        for job, handle in list(self._running_jobs.items()):
             handle.cancel()
-            self._account_cpu(job_id)
+            self.cpu_busy_seconds += now - handle.args[1]   # its start
             self._fail_job(job, cause)
         self._running_jobs.clear()
         self._busy_servers = 0
@@ -300,9 +300,8 @@ class Instance:
         if job.span is not None and not job.span.finished:
             job.span.annotate("aborted", cause=cause)
             job.span.finish(error=cause)
-        job.on_done(JobOutcome(job_id=job.job_id, succeeded=False,
-                               error=cause, started_at=self._sim.now,
-                               finished_at=self._sim.now))
+        now = self._sim.now
+        job.on_done(JobOutcome(False, None, cause, now, now))
 
     # -- job execution --------------------------------------------------------
 
@@ -317,7 +316,7 @@ class Instance:
         """
         done = self._sim.signal("job.done") if on_done is None else None
         job.on_done = on_done if done is None else done.fire
-        job.job_id = f"job-{self._sim.next_id('job'):06d}"
+        job.seq = self._sim.next_id("job")
         if job.trace is not None:
             job.span = obs_of(self._sim).tracer.start_span(
                 f"job {job.name}", parent=job.trace, kind="job",
@@ -345,33 +344,30 @@ class Instance:
     def _start_job(self, job: Job) -> None:
         self._busy_servers += 1
         started = self._sim.now
-        self._busy_since[job.job_id] = started
         duration = job.cost / self.effective_speed if job.cost > 0 else 0.0
         if job.span is not None:
             job.span.set_attribute("queue_wait", started - job.span.start)
+        self._running_jobs[job] = self._sim.schedule(
+            duration, self._finish_job, job, started)
 
-        def finish() -> None:
-            self._running_jobs.pop(job.job_id, None)
-            self._busy_servers -= 1
-            self._rank_changed()
-            self._account_cpu(job.job_id)
-            self.disk_read_mb += JOB_DISK_READ_MB
-            self.disk_write_mb += JOB_DISK_WRITE_MB
-            try:
-                value = self._compute(job)
-            except Exception as err:  # noqa: BLE001 - surfaced in outcome
-                self._fail_job(job, f"job raised: {err}")
-            else:
-                self.jobs_completed += 1
-                if job.span is not None and not job.span.finished:
-                    job.span.finish()
-                job.on_done(JobOutcome(job_id=job.job_id, succeeded=True,
-                                       value=value, started_at=started,
-                                       finished_at=self._sim.now))
-            self._dispatch()
-
-        handle = self._sim.schedule(duration, finish)
-        self._running_jobs[job.job_id] = (handle, job, finish)
+    def _finish_job(self, job: Job, started: float) -> None:
+        del self._running_jobs[job]
+        self._busy_servers -= 1
+        self._rank_changed()
+        now = self._sim.now
+        self.cpu_busy_seconds += now - started
+        self.disk_read_mb += JOB_DISK_READ_MB
+        self.disk_write_mb += JOB_DISK_WRITE_MB
+        try:
+            value = self._compute(job)
+        except Exception as err:  # noqa: BLE001 - surfaced in outcome
+            self._fail_job(job, f"job raised: {err}")
+        else:
+            self.jobs_completed += 1
+            if job.span is not None and not job.span.finished:
+                job.span.finish()
+            job.on_done(JobOutcome(True, value, None, started, now))
+        self._dispatch()
 
     def _compute(self, job: Job) -> Any:
         """Run the job's compute, scoping its span for nested tracing.
@@ -386,11 +382,6 @@ class Instance:
             return job.compute()
         with obs_of(self._sim).tracer.activate(job.span):
             return job.compute()
-
-    def _account_cpu(self, job_id: str) -> None:
-        started = self._busy_since.pop(job_id, None)
-        if started is not None:
-            self.cpu_busy_seconds += self._sim.now - started
 
     # -- network accounting (called by the transport layer) -------------------
 

@@ -225,7 +225,7 @@ def run_batch_vectorized(model: Topmodel, forcing: PreparedForcing,
     neg_return_flow = reduced[2]
     recharge = reduced[3]
     local_deficit = np.empty_like(offsets)
-    unsatf = np.empty_like(offsets)
+    unsat_stored = np.empty_like(offsets)
     denom = np.empty_like(offsets)
     stored_buf = np.empty_like(offsets)
     suz = np.zeros_like(offsets)
@@ -289,22 +289,21 @@ def run_batch_vectorized(model: Topmodel, forcing: PreparedForcing,
 
         _add(mean_deficit, offsets, out=local_deficit)
         _le(local_deficit, 0.0, out=satf, casting="unsafe")
-        _sub(1.0, satf, out=unsatf)
+        # stored − stored·satf is stored·(1 − satf) exactly: the stored
+        # water of the unsaturated classes, 0.0 in the saturated ones
+        _mul(stored, satf, out=sat_stored)
+        _sub(stored, sat_stored, out=unsat_stored)
 
         # unsaturated drainage toward the water table; saturated classes
-        # get a dummy denominator of 1.0 (their flux is masked to zero)
+        # (local·td ≤ 0) get a dummy denominator of 1.0 and drain 0/1 = 0
         _mul(local_deficit, td_full, out=denom)
-        _mul(denom, unsatf, out=denom)
-        _add(denom, satf, out=denom)
-        _div(stored, denom, out=flux)
+        _max(denom, satf, out=denom)
+        _div(unsat_stored, denom, out=flux)
         if not unit_dt:
             # flux · 1.0 is exact — skip the op at the hourly timestep
             _mul(flux, dt, out=flux)
-        _min(flux, stored, out=flux)
-        _sub(stored, flux, out=suz_next)
-        _mul(suz_next, unsatf, out=suz_next)
-        _mul(flux, unsatf, out=flux)
-        _mul(stored, satf, out=sat_stored)
+        _min(flux, unsat_stored, out=flux)
+        _sub(unsat_stored, flux, out=suz_next)
         _mul(local_deficit, satf, out=sat_deficit)
         # einsum over the class axis, not BLAS dot: gemv's blocking
         # varies with the column count, so dot would break the

@@ -329,39 +329,42 @@ class RestServer:
                   compute=partial(_answer, route.handler, request, params))
         if span is not None:
             job.trace = span.context
+        self.instance.submit(job, partial(self._on_outcome, exchange,
+                                          request))
 
-        def on_outcome(outcome: JobOutcome) -> None:
-            self.requests_handled += 1
-            if not outcome.succeeded:
-                self._job_failed(exchange, outcome)
-                return
-            result = outcome.value
-            if isinstance(result, (RestDeferred, RestBackground)) \
-                    and span is not None and result.job.trace is None:
-                result.job.trace = span.context
-            if isinstance(result, RestDeferred):
+    def _on_outcome(self, exchange: "_Exchange", request: HttpRequest,
+                    outcome: JobOutcome) -> None:
+        self.requests_handled += 1
+        if not outcome.succeeded:
+            self._job_failed(exchange, outcome)
+            return
+        result = outcome.value
+        if isinstance(result, (RestDeferred, RestBackground)) \
+                and exchange.span is not None and result.job.trace is None:
+            result.job.trace = exchange.span.context
+        if isinstance(result, RestDeferred):
+            self.instance.submit(result.job, partial(
+                self._on_deferred, exchange, result.render))
+        elif isinstance(result, RestCacheable):
+            self._finish(exchange, self._revalidate(request, result))
+        elif isinstance(result, RestBackground):
+            self.instance.submit(result.job, ignore)
+            self._finish(exchange, HttpResponse(status=result.status,
+                                                body=result.body))
+        else:
+            self._finish(exchange, self._coerce(result))
 
-                def on_deferred(deferred: JobOutcome) -> None:
-                    if not deferred.succeeded:
-                        self._job_failed(exchange, deferred)
-                        return
-                    try:
-                        response = self._coerce(_answer(result.render, deferred.value))
-                    except Exception as err:  # noqa: BLE001 - a 500, as a handler's
-                        response = self._error_response(str(err))
-                    self._finish(exchange, response)
-
-                self.instance.submit(result.job, on_deferred)
-            elif isinstance(result, RestCacheable):
-                self._finish(exchange, self._revalidate(request, result))
-            elif isinstance(result, RestBackground):
-                self.instance.submit(result.job, ignore)
-                self._finish(exchange, HttpResponse(status=result.status,
-                                                    body=result.body))
-            else:
-                self._finish(exchange, self._coerce(result))
-
-        self.instance.submit(job, on_outcome)
+    def _on_deferred(self, exchange: "_Exchange",
+                     render: Callable[[Any], Tuple[int, Any]],
+                     deferred: JobOutcome) -> None:
+        if not deferred.succeeded:
+            self._job_failed(exchange, deferred)
+            return
+        try:
+            response = self._coerce(_answer(render, deferred.value))
+        except Exception as err:  # noqa: BLE001 - a 500, as a handler's
+            response = self._error_response(str(err))
+        self._finish(exchange, response)
 
     def _job_failed(self, exchange: "_Exchange",
                     outcome: JobOutcome) -> None:

@@ -19,9 +19,10 @@ standard is SOAP-shaped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
-from repro.cloud.instance import Instance, Job
+from repro.cloud.instance import Instance, Job, JobOutcome
 from repro.obs.refusal import Cause, refuse
 from repro.services.envelope import refusal_problem
 from repro.services.transport import (
@@ -31,7 +32,8 @@ from repro.services.transport import (
     SOAP_ENVELOPE_BYTES,
 )
 from repro.sim import Signal, Simulator
-from repro.tenancy.context import DEFAULT_TENANT, TENANT_HEADER
+from repro.tenancy.context import (DEFAULT_TENANT, TENANT_HEADER,
+                                   valid_tenant_id)
 
 #: Extra CPU charge per call for transaction-state bookkeeping.
 STATE_BOOKKEEPING_COST = 0.004
@@ -100,56 +102,56 @@ class SoapServer:
         ``reply(response)`` runs once, in the event that produced it."""
         body = request.body or {}
         op = body.get("op")
-        cost = self.operation_cost + STATE_BOOKKEEPING_COST
+        job = Job(cost=self.operation_cost + STATE_BOOKKEEPING_COST,
+                  name=f"soap:{op}", compute=partial(self._run, op, body))
+        self.instance.submit(job, partial(self._on_outcome, request, reply))
 
-        def run() -> Any:
-            if op == "begin":
-                session = SoapSession(
-                    session_id=f"soap-{self.sim.next_id('soap'):06d}",
-                    server_address=self.instance.address)
-                self._sessions[session.session_id] = session
-                return {"session_id": session.session_id}
-            session_id = body.get("session_id")
-            session = self._sessions.get(session_id)
-            if session is None:
-                return SoapFault(code="Client.NoSuchSession",
-                                 reason=f"unknown session {session_id!r}")
-            session.operations += 1
-            if op == "end":
-                del self._sessions[session_id]
-                return {"ended": session_id, "operations": session.operations}
-            fn = self._operations.get(op)
-            if fn is None:
-                return SoapFault(code="Client.NoSuchOperation",
-                                 reason=f"unknown operation {op!r}")
-            return fn(session, body.get("payload"))
+    def _run(self, op: Any, body: Dict[str, Any]) -> Any:
+        """The operation's job body: run ``op`` against its session."""
+        if op == "begin":
+            session = SoapSession(
+                session_id=f"soap-{self.sim.next_id('soap'):06d}",
+                server_address=self.instance.address)
+            self._sessions[session.session_id] = session
+            return {"session_id": session.session_id}
+        session_id = body.get("session_id")
+        session = self._sessions.get(session_id)
+        if session is None:
+            return SoapFault(code="Client.NoSuchSession",
+                             reason=f"unknown session {session_id!r}")
+        session.operations += 1
+        if op == "end":
+            del self._sessions[session_id]
+            return {"ended": session_id, "operations": session.operations}
+        fn = self._operations.get(op)
+        if fn is None:
+            return SoapFault(code="Client.NoSuchOperation",
+                             reason=f"unknown operation {op!r}")
+        return fn(session, body.get("payload"))
 
-        job = Job(cost=cost, name=f"soap:{op}", compute=run)
-
-        def on_outcome(outcome) -> None:
-            if not outcome.succeeded:
-                if outcome.error == "queue full":
-                    # previously a silent drop that forced the caller to
-                    # burn its full timeout; an explicit 503 problem lets
-                    # a resilient client back off and try again
-                    tenant = request.headers.get(TENANT_HEADER, DEFAULT_TENANT)
-                    event = refuse(self.sim, Cause.SERVER_OVERLOADED,
-                                   tenant=tenant, service=self.name,
-                                   instance=self.instance.instance_id,
-                                   detail="accept queue full")
-                    reply(HttpResponse(status=503,
-                                       body=refusal_problem(event)))
-                elif outcome.error and outcome.error.startswith("job raised"):
-                    reply(HttpResponse(status=500,
-                                       body=SoapFault("Server", outcome.error)))
-                return
-            result = outcome.value
-            if isinstance(result, SoapFault):
-                reply(HttpResponse(status=500, body=result))
-            else:
-                reply(HttpResponse(status=200, body=result))
-
-        self.instance.submit(job, on_outcome)
+    def _on_outcome(self, request: HttpRequest,
+                    reply: Callable[[HttpResponse], None],
+                    outcome: JobOutcome) -> None:
+        """The operation's job finished: reply with its result or fault."""
+        if not outcome.succeeded:
+            if outcome.error == "queue full":
+                # a 503 problem lets a resilient client back off; a
+                # malformed Tenant header is the default tenant's, as in REST
+                tenant = request.headers.get(TENANT_HEADER)
+                if not valid_tenant_id(tenant):
+                    tenant = DEFAULT_TENANT
+                event = refuse(self.sim, Cause.SERVER_OVERLOADED,
+                               tenant=tenant, service=self.name,
+                               instance=self.instance.instance_id,
+                               detail="accept queue full")
+                reply(HttpResponse(status=503, body=refusal_problem(event)))
+            elif outcome.error and outcome.error.startswith("job raised"):
+                reply(HttpResponse(status=500,
+                                   body=SoapFault("Server", outcome.error)))
+            return
+        result = outcome.value
+        reply(HttpResponse(status=500 if isinstance(result, SoapFault)
+                           else 200, body=result))
 
 
 class SoapClient:

@@ -164,6 +164,8 @@ class Network:
     def __init__(self, sim: Simulator, streams: Optional[RandomStreams] = None):
         self.sim = sim
         self.streams = streams or RandomStreams()
+        # BASE + JITTER·random() is uniform(0, JITTER)'s draw, bit for bit
+        self._random = self.streams.get("network.latency").random
         self._endpoints: Dict[str, tuple] = {}  # address -> (server, instance)
         self.total_requests = 0
         self.total_bytes = 0.0
@@ -177,8 +179,7 @@ class Network:
         self._endpoints.pop(address, None)
 
     def _latency(self) -> float:
-        jitter = self.streams.get("network.latency").uniform(0, LATENCY_JITTER)
-        return BASE_LATENCY + jitter
+        return BASE_LATENCY + LATENCY_JITTER * self._random()
 
     def request(self, address: str, request: HttpRequest,
                 timeout: float = DEFAULT_TIMEOUT,
@@ -213,19 +214,7 @@ class Network:
                 parent=parent_context, kind="client",
                 attributes=attributes)
             inject_context(span.context, request.headers)
-
-            def client_watch(outcome: Any) -> None:
-                if isinstance(outcome, HttpResponse):
-                    span.set_attribute("status", outcome.status)
-                    span.finish(error=None if outcome.status < 500
-                                else f"http {outcome.status}")
-                elif isinstance(outcome, ConnectionRefused):
-                    span.finish(error="connection refused")
-                else:
-                    span.finish(error=f"timeout after "
-                                      f"{outcome.after_seconds:.0f}s")
-
-            reply.then(client_watch)
+            reply.then(partial(self._client_watch, span))
 
         # Every path that can complete this request fires the reply only
         # if nothing else fired first.  That guard makes the timeout race
@@ -237,6 +226,19 @@ class Network:
         self.sim.schedule(self._latency(), self._deliver, address, request,
                           request_bytes, extra_response_bytes, reply, timer)
         return reply
+
+    @staticmethod
+    def _client_watch(span: Any, outcome: Any) -> None:
+        """Close a traced request's client span on its outcome."""
+        if isinstance(outcome, HttpResponse):
+            span.set_attribute("status", outcome.status)
+            span.finish(error=None if outcome.status < 500
+                        else f"http {outcome.status}")
+        elif isinstance(outcome, ConnectionRefused):
+            span.finish(error="connection refused")
+        else:
+            span.finish(error=f"timeout after "
+                              f"{outcome.after_seconds:.0f}s")
 
     @staticmethod
     def _expire(reply: Signal, address: str, timeout: float) -> None:

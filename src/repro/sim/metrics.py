@@ -459,7 +459,10 @@ class MetricsRegistry:
     def histogram(self, name: str, /, **labels: str) -> Histogram:
         """Get or create the fixed-bucket histogram ``name`` (the child
         at ``labels``) over :data:`DEFAULT_BUCKETS`."""
-        return self._child(self._histograms, name, labels, Histogram)
+        try:
+            return self._histograms[name][_label_set(labels) if labels else ()]
+        except KeyError:
+            return self._child(self._histograms, name, labels, Histogram)
 
     def snapshot(self) -> Dict[str, float]:
         """Flat dict of every metric's headline numbers.

@@ -20,7 +20,9 @@ from repro.services import (
     WpsProcess,
     WpsService,
 )
+from repro.obs import obs_of
 from repro.sim import Simulator
+from repro.tenancy import DEFAULT_TENANT, TENANT_HEADER
 
 
 class InMemoryObservationSource:
@@ -144,6 +146,24 @@ def test_soap_sessions_lost_when_server_dies(sim, network):
     sim.run()
     # connection refused — the conversational state is simply gone
     assert not hasattr(reply.value, "status")
+
+
+def test_soap_overload_refusal_of_a_malformed_tenant_is_the_defaults(
+        sim, network):
+    # as REST accounts for a refused header: a malformed Tenant is the
+    # default tenant's, never a series of its own
+    instance = make_instance(sim)
+    instance.max_queue = 0
+    make_soap(sim, network, instance)
+    for raw in ("../Bad Tenant 0!", "UPPER", "a" * 200):
+        reply = roundtrip(sim, network, instance.address, HttpRequest(
+            "POST", "/soap/begin", body={"op": "begin"},
+            headers={TENANT_HEADER: raw}))
+        assert reply.status == 503
+    series = [(labels, counter.value) for name, labels, counter
+              in obs_of(sim).metrics.instruments() if name == "refused"]
+    assert series == [((("cause", "server_overloaded"),
+                        ("tenant", DEFAULT_TENANT)), 3.0)]
 
 
 def test_soap_envelope_heavier_than_rest(sim, network):

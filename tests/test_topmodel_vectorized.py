@@ -4,7 +4,10 @@ The kernel's numerical contract (see ``repro.hydrology.vectorized``):
 outputs agree with the scalar oracle within ``VECTOR_REL_BOUND``
 (np.exp is the single per-step rounding source), and any chunking of
 the parameter axis — including chunks of one — is bit-identical to the
-whole batch.
+whole batch.  Agreement, PET/NaN forcing and chunk invariance are
+checked at the hourly step and off it (``DT_HOURS``): only off it does
+the kernel scale the drainage flux by ``dt`` and round the channel
+delay to a step count.
 """
 
 import dataclasses
@@ -30,7 +33,10 @@ needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy absent")
 
 SERIES_FIELDS = ("flow", "baseflow", "overland", "saturated_fraction",
                  "actual_et")
-RANGES = {"m": (5.0, 60.0), "td": (0.1, 5.0), "q0_mm_h": (0.02, 1.0)}
+RANGES = {"m": (5.0, 60.0), "td": (0.1, 5.0), "q0_mm_h": (0.02, 1.0),
+          "channel_delay_hours": (0.0, 6.0), "interception_mm": (0.0, 2.0)}
+#: timesteps the scalar-agreement and chunk-invariance tests run at
+DT_HOURS = (0.25, 1.0, 3.0)
 
 
 def storm_series(tail=60):
@@ -41,6 +47,13 @@ def storm_series(tail=60):
 @pytest.fixture()
 def model():
     return Topmodel(Topmodel.exponential_ti_distribution(), dt_hours=1.0)
+
+
+def models():
+    """``(dt_hours, model)`` at every step of :data:`DT_HOURS`."""
+    for dt in DT_HOURS:
+        yield dt, Topmodel(Topmodel.exponential_ti_distribution(),
+                           dt_hours=dt)
 
 
 def draw_params(count, seed=7):
@@ -74,31 +87,33 @@ def identical(a, b):
 
 
 @needs_numpy
-def test_vector_agrees_with_scalar_within_bound(model):
+def test_vector_agrees_with_scalar_within_bound():
     rain = storm_series()
     params = draw_params(16)
-    forcing = model.prepare(rain)
-    scalar = [model.run_prepared(forcing, p) for p in params]
-    vector = run_batch_vectorized(model, forcing, params)
-    assert len(vector) == len(scalar)
-    for a, b in zip(scalar, vector):
-        assert within_bound(a, b)
+    for dt, model in models():
+        forcing = model.prepare(rain)
+        scalar = [model.run_prepared(forcing, p) for p in params]
+        vector = run_batch_vectorized(model, forcing, params)
+        assert len(vector) == len(scalar)
+        for i, (a, b) in enumerate(zip(scalar, vector)):
+            assert within_bound(a, b), f"set {i} diverged at dt {dt} h"
 
 
 @needs_numpy
-def test_vector_handles_pet_and_nan_forcing(model):
+def test_vector_handles_pet_and_nan_forcing():
     values = [1.0, math.nan, 0.0, 4.0, -1.0] + [0.3] * 40
     rain = TimeSeries(0, 3600, values, units="mm/step", name="rain")
     pet = TimeSeries(0, 3600, [0.05] * len(values), units="mm/step",
                      name="pet")
     params = draw_params(5, seed=3)
-    forcing = model.prepare(rain, pet)
-    scalar = [model.run_prepared(forcing, p) for p in params]
-    vector = run_batch_vectorized(model, forcing, params)
-    for a, b in zip(scalar, vector):
-        assert within_bound(a, b)
-        # actual ET really ran (not the zero-filled no-PET path)
-        assert b.actual_et.total() > 0.0
+    for dt, model in models():
+        forcing = model.prepare(rain, pet)
+        scalar = [model.run_prepared(forcing, p) for p in params]
+        vector = run_batch_vectorized(model, forcing, params)
+        for i, (a, b) in enumerate(zip(scalar, vector)):
+            assert within_bound(a, b), f"set {i} diverged at dt {dt} h"
+            # actual ET really ran (not the zero-filled no-PET path)
+            assert b.actual_et.total() > 0.0
 
 
 @needs_numpy
@@ -116,18 +131,19 @@ def test_model_delegation_matches_kernel(model):
 
 
 @needs_numpy
-def test_chunking_is_bit_identical_including_size_one(model):
+def test_chunking_is_bit_identical_including_size_one():
     rain = storm_series()
     params = draw_params(11)
-    forcing = model.prepare(rain)
-    whole = run_batch_vectorized(model, forcing, params)
-    for size in (1, 2, 3, 5, 10, 11):
-        chunked = []
-        for i in range(0, len(params), size):
-            chunked.extend(
-                run_batch_vectorized(model, forcing, params[i:i + size]))
-        assert all(identical(a, b) for a, b in zip(whole, chunked)), \
-            f"chunk size {size} changed bits"
+    for dt, model in models():
+        forcing = model.prepare(rain)
+        whole = run_batch_vectorized(model, forcing, params)
+        for size in (1, 2, 3, 5, 10, 11):
+            chunked = []
+            for i in range(0, len(params), size):
+                chunked.extend(
+                    run_batch_vectorized(model, forcing, params[i:i + size]))
+            assert all(identical(a, b) for a, b in zip(whole, chunked)), \
+                f"chunk size {size} changed bits at dt {dt} h"
 
 
 @needs_numpy
