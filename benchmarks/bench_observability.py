@@ -47,8 +47,8 @@ FAULT_SCHEDULE = ((120.0, "crash"), (600.0, "blackhole"),
 HORIZON = 1800.0
 #: a firing transition must follow each injection within this budget
 DETECTION_BUDGET = 300.0
-#: scraper host cost ceiling, µs per scrape per series: ~1.5 in the
-#: committed BENCH_observability.json (512 scrapes of 84 series), so 3x
+#: scraper host cost ceiling, µs per scrape per series: 1-2 in the
+#: committed BENCH_observability.json (512 scrapes of 73 series), so 3x
 #: headroom for a slow box
 SCRAPE_US_PER_SERIES_CEILING = 5.0
 #: scrapes per reading of the scraper's meter

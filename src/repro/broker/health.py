@@ -6,8 +6,9 @@ these metrics, such as sustained high CPU utilisation or zero outbound
 network usage whilst receiving inbound traffic, triggers LB into starting
 a new instance and redirecting users".
 
-The monitor samples each watched instance on a fixed period and issues a
-verdict from the sample window:
+The monitor samples each watched instance's CPU share, NIC bytes in and
+out, and jobs completed (disk I/O is not modelled) on a fixed period,
+and issues a verdict from the sample window:
 
 * ``DEAD`` — the instance stopped serving altogether.
 * ``WEDGED`` — CPU pinned high for the whole window *and* no jobs
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.cloud.instance import Instance
-from repro.obs.hub import obs_of
 from repro.sim import Simulator
 from repro.sim.metrics import MetricsRegistry
 
@@ -160,9 +160,6 @@ class HealthMonitor:
                         instance_id=instance.instance_id,
                         previous=previous, verdict=verdict)
                     self._transitions.append(transition)
-                    obs_of(self.sim).events.emit(
-                        "health.transition", instance=instance.instance_id,
-                        previous=previous.value, verdict=verdict.value)
                 if verdict != HealthVerdict.HEALTHY:
                     for callback in self._callbacks:
                         callback(instance, verdict)

@@ -277,7 +277,6 @@ class LoadBalancer:
             breaker = (self.breakers.get(f"launch@{location}")
                        if self.breakers is not None else None)
             if breaker is not None and not breaker.allow():
-                self.metrics.counter(f"launch.skipped.{location}").increment()
                 self._log("launch.skipped", service=service.name,
                           location=location)
                 continue

@@ -69,7 +69,6 @@ class ResourceBroker:
         session.trace_span = span
         hub.events.emit("rb.connect", user=user_name, service=service_name,
                         session=session.session_id, tenant=tenant)
-        self.metrics.counter("connects").increment()
         self.router.submit_session(session, service_name)
         return session
 
@@ -80,9 +79,6 @@ class ResourceBroker:
         is how "sensing when user sessions end" feeds load balancing.
         """
         session.end()
-        obs_of(self.sim).events.emit("rb.disconnect",
-                                     session=session.session_id)
-        self.metrics.counter("disconnects").increment()
 
     # -- QoS warm-up hooks ----------------------------------------------------
 
@@ -101,9 +97,6 @@ class ResourceBroker:
         shares = _spread(replicas, len(slices))
         for (lb, service), share in zip(slices, shares):
             self._preboot_slice(lb, service, share)
-        obs_of(self.sim).events.emit("rb.preboot", service=service_name,
-                                     replicas=replicas)
-        self.metrics.counter("preboots").increment(replicas)
 
     def _preboot_slice(self, lb: LoadBalancer, service: Any,
                        replicas: int) -> None:

@@ -26,8 +26,7 @@ The geo-distributed estate adds a region-scoped compound fault:
   boots replacements once launches work again).
 
 Every injection is recorded as a structured :class:`InjectedFault` in
-:attr:`FaultInjector.injected` and emitted to the event log, so traces
-show exactly where chaos struck.
+:attr:`FaultInjector.injected`, the one record of where chaos struck.
 
 A fault is injected now, or later through the simulator
 (``crash_at``, ``region_outage_at``, or ``sim.schedule(delay,
@@ -42,7 +41,6 @@ from typing import Dict, List, Optional
 from repro.cloud.instance import Instance
 from repro.cloud.provider import CloudProvider
 from repro.cloud.storage import BlobStore
-from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
 
@@ -91,8 +89,6 @@ class FaultInjector:
         fault = InjectedFault(time=self.sim.now, kind=kind, target=target,
                               cause=cause)
         self.injected.append(fault)
-        obs_of(self.sim).events.emit("fault.injected", fault=kind,
-                                     target=target, cause=cause)
 
     # -- deterministic instance faults ---------------------------------------
 
@@ -104,20 +100,17 @@ class FaultInjector:
         provider = self._provider_of(instance)
         instance._mark_failed(cause)
         provider._on_instance_gone(instance, was_serving)
-        provider.metrics.counter("faults.crash").increment()
         self._record("crash", instance.instance_id, cause)
 
     def degrade(self, instance: Instance, speed_multiplier: float = 0.1) -> None:
         """Pin ``instance`` at 100% CPU with drastically slowed service."""
         instance._degrade(speed_multiplier)
-        self._provider_of(instance).metrics.counter("faults.degrade").increment()
         self._record("degrade", instance.instance_id,
                      f"speed x{speed_multiplier}")
 
     def blackhole(self, instance: Instance) -> None:
         """Stop ``instance`` transmitting while it still receives."""
         instance._blackhole()
-        self._provider_of(instance).metrics.counter("faults.blackhole").increment()
         self._record("blackhole", instance.instance_id)
 
     def heal(self, instance: Instance) -> None:

@@ -10,10 +10,10 @@ sessions and the Load Balancer watches.  It models:
   under load is what makes the LB's responsiveness heuristics meaningful;
   a running job is its finish event ``_finish_job(job, started)``, whose
   arguments carry the start time a crash charges CPU from,
-* cumulative resource counters (CPU busy-time, disk I/O, network in/out)
-  that the health monitor samples, including the two failure signatures
-  the paper names: *sustained high CPU* and *zero outbound traffic while
-  receiving inbound*.
+* cumulative resource counters (CPU busy-time, network bytes in/out,
+  jobs completed) that the health monitor samples, including the two
+  failure signatures the paper names: *sustained high CPU* and *zero
+  outbound traffic while receiving inbound*.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from repro.cloud.flavors import Flavor
 from repro.cloud.images import MachineImage
 from repro.obs.hub import obs_of
 from repro.sim import EventHandle, Signal, Simulator
-
-#: Disk I/O every job charges to its instance's counters.
-JOB_DISK_READ_MB = 1.0
-JOB_DISK_WRITE_MB = 0.5
-
 
 class InstanceState(enum.Enum):
     """Lifecycle states of a simulated instance."""
@@ -69,10 +64,11 @@ class Job:
     divides by the instance's effective speed.  ``compute`` runs when the
     job completes and produces the job's value (this is where a real
     TOPMODEL run happens — instantaneous in host time, charged in
-    simulated time).  Each completed job adds ``JOB_DISK_READ_MB`` /
-    ``JOB_DISK_WRITE_MB`` to the instance I/O counters.  The job's
-    number ``seq`` is minted by the simulator, and ``on_done`` attached,
-    when the job is submitted; ``job_id`` renders the number as text.
+    simulated time).  A completed job adds its busy time to the
+    instance's ``cpu_busy_seconds`` and one to its ``jobs_completed``,
+    two of the counters the health monitor samples.  The job's number
+    ``seq`` is minted by the simulator, and ``on_done`` attached, when
+    the job is submitted; ``job_id`` renders the number as text.
     """
 
     __slots__ = ("seq", "name", "cost", "compute", "on_done", "trace",
@@ -129,8 +125,6 @@ class Instance:
 
         # cumulative resource counters (health monitor reads these)
         self.cpu_busy_seconds = 0.0
-        self.disk_read_mb = 0.0
-        self.disk_write_mb = 0.0
         self.net_bytes_in = 0.0
         self.net_bytes_out = 0.0
         self.network_blackholed = False
@@ -356,8 +350,6 @@ class Instance:
         self._rank_changed()
         now = self._sim.now
         self.cpu_busy_seconds += now - started
-        self.disk_read_mb += JOB_DISK_READ_MB
-        self.disk_write_mb += JOB_DISK_WRITE_MB
         try:
             value = self._compute(job)
         except Exception as err:  # noqa: BLE001 - surfaced in outcome

@@ -72,7 +72,6 @@ class OpenStackCloud(CloudProvider):
         self._project_vcpus[project] = (self._project_vcpus.get(project, 0)
                                         + flavor.vcpus)
         self._instance_project[instance.instance_id] = project
-        self.metrics.gauge("vcpus.used").set(self._used_vcpus)
         return instance
 
     def _release_capacity(self, instance: Instance) -> None:
@@ -80,7 +79,6 @@ class OpenStackCloud(CloudProvider):
         project = self._instance_project.pop(instance.instance_id, None)
         if project is not None:
             self._project_vcpus[project] -= instance.flavor.vcpus
-        self.metrics.gauge("vcpus.used").set(self._used_vcpus)
 
     # -- boot behaviour -----------------------------------------------------------
 

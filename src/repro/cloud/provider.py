@@ -56,13 +56,11 @@ class CloudProvider(abc.ABC):
         errors and fall back to another provider (cloudbursting).
         """
         if self._launch_fault is not None:
-            self.metrics.counter("launches.refused").increment()
             raise CloudError(f"{self.name}: {self._launch_fault}")
         self._check_admission(flavor, project)
         instance_id = f"{self._id_prefix()}-{next(self._ids):04d}"
         instance = Instance(self.sim, instance_id, self.name, image, flavor)
         self._instances[instance_id] = instance
-        self.metrics.counter("launches").increment()
         self.metrics.gauge("instances.running").add(0)  # ensure gauge exists
 
         def boot_done() -> None:

@@ -109,8 +109,6 @@ class Evop:
         # — the signal that catches single-replica faults the request-
         # level availability ratio dilutes away once the LB fails over
         self.broker_metrics = MetricsRegistry(self.sim, namespace="broker")
-        self.broker_metrics.callback_gauge("sessions.active",
-                                           self.sessions.active_count)
         policy_cls = _POLICIES.get(self.config.policy)
         if policy_cls is None:
             raise ValueError(f"unknown policy {self.config.policy!r}; "

@@ -254,7 +254,6 @@ class ConsumerGroup:
 
     def _run(self):
         events = obs_of(self.sim).events
-        events.emit("dataplane.consumer.started", consumer=self.name)
         while not self._stopped:
             try:
                 self.poll_once()

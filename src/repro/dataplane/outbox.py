@@ -169,7 +169,6 @@ class OutboxRelay:
 
     def _run(self):
         events = obs_of(self.sim).events
-        events.emit("dataplane.relay.started")
         while not self._stopped:
             try:
                 self.drain_once()

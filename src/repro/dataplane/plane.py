@@ -26,7 +26,6 @@ from repro.dataplane.views import (
     RunSummaryView,
     view_fingerprint,
 )
-from repro.obs.hub import obs_of
 from repro.sim import MetricsRegistry, Simulator
 
 
@@ -78,8 +77,6 @@ class DataPlane:
         self.relay.start()
         for consumer in self.consumers:
             consumer.start()
-        obs_of(self.sim).events.emit(
-            "dataplane.started", consumers=len(self.consumers))
 
     def stop(self) -> None:
         self.relay.stop()
@@ -155,7 +152,4 @@ class DataPlane:
                 except Exception:  # noqa: BLE001 - mirrors DLQ skip
                     continue
                 view.apply(event)
-        obs_of(self.sim).events.emit(
-            "dataplane.view.rebuilt", view=view.name,
-            revision=view.revision)
         return view_fingerprint(view)

@@ -121,8 +121,8 @@ class DurableSweep:
         # and the effects, walked one checkpoint interval at a time (chunk
         # invariance and backend-free keys keep every bit); a batch that
         # raises is retried interval by interval (those intervals' lookups,
-        # dispatches, spans and events count twice), so the run fails at
-        # the interval that raised with every earlier one checkpointed
+        # dispatches and spans count twice), so the run fails at the
+        # interval that raised with every earlier one checkpointed
         stop = total if interrupt_after is None \
             else min(total, start + interrupt_after)
         attempt = list(parameter_sets[start:stop])

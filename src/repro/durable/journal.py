@@ -399,8 +399,6 @@ class RunJournal:
             text = replace(self._tail[0], seq=base).to_text()
             self._container.put(self._log.key(base),
                                 text[: max(1, (2 * len(text)) // 3)])
-            obs_of(self.sim).events.emit("durable.journal.torn",
-                                         run=self.run_id, seq=base)
         self._tail.clear()
         return lost
 
@@ -433,9 +431,6 @@ class RunJournal:
                 f"run {self.run_id} leased by {current.owner!r} until "
                 f"t={current.expires:.1f} (now t={now:.1f})")
         self.append(LEASE, **lease.payload())
-        obs_of(self.sim).events.emit("durable.lease.acquired",
-                                     run=self.run_id, owner=owner,
-                                     epoch=lease.epoch, ttl=ttl)
         return lease.epoch
 
     def renew(self, owner: str, ttl: float) -> int:

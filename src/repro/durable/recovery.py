@@ -122,8 +122,6 @@ class RecoveryManager:
 
     def _recover_instance(self, instance_id: str, verdict: str):
         detected = self.sim.now
-        obs_of(self.sim).events.emit("durable.recover.triggered",
-                                     instance=instance_id, verdict=verdict)
         try:
             owned = self.owned_by(instance_id)
         except StorageUnavailable:
@@ -133,9 +131,6 @@ class RecoveryManager:
             # store heals — or a surviving region working from its
             # replicated journals — can still recover these runs.
             self._condemned.discard(instance_id)
-            obs_of(self.sim).events.emit("durable.recover.deferred",
-                                         instance=instance_id,
-                                         reason="journal store unavailable")
             return
         for state in owned:
             if state.run_id in self._adopting:
@@ -177,18 +172,11 @@ class RecoveryManager:
                             f"{fresh.workflow!r} not registered"
                             if workflow is None else
                             "cannot adopt: no engine factory")
-            obs_of(self.sim).events.emit("durable.recover.stranded",
-                                         run=state.run_id,
-                                         reason=report.error)
             span.finish(error=report.error)
             return
         report.adopted_at = self.sim.now
         report.stages_replayed = len(fresh.completed)
         engine = self.engine_factory()
-        obs_of(self.sim).events.emit(
-            "durable.recover.adopted", run=state.run_id,
-            replayed=report.stages_replayed,
-            replacement=getattr(engine, "executor_id", "?"))
         try:
             done = engine.run(workflow, fresh.parameters,
                               run_id=state.run_id)

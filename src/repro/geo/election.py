@@ -34,10 +34,9 @@ from repro.cloud.errors import StorageUnavailable
 from repro.durable.journal import (TAKEOVER_GRACE, JournalStore, LeaseError,
                                    LeaseState, RunJournal)
 from repro.geo.topology import RegionStatus, RegionTopology
-from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
-#: The election's name, in its journals' run id and its events.
+#: The election's name, in its journals' run id.
 CLUSTER = "capacity-ledger"
 
 
@@ -163,9 +162,6 @@ class LeaderElection:
         self.term = max(self.term + 1, max(epochs))
         self.leader_region = candidate
         self.elections.append((self.sim.now, candidate, self.term))
-        obs_of(self.sim).events.emit("geo.leader.elected",
-                                     cluster=CLUSTER, leader=candidate,
-                                     term=self.term)
         return candidate
 
     def _renew(self, holder: str) -> None:

@@ -40,7 +40,6 @@ from repro.cloud.errors import StorageUnavailable
 from repro.core.cell import Cell
 from repro.geo.routing import GeoRouter
 from repro.geo.topology import RegionStatus, RegionTopology
-from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
 
@@ -166,9 +165,6 @@ class FailoverCoordinator:
         # one survivor — the nearest at detection time — adopts the
         # lost region's durable runs from its replicated journals
         report.adopter = self.georouter.pick_region(region)
-        obs_of(self.sim).events.emit(
-            "geo.failover.begin", region=region,
-            sessions=len(doomed), adopter=report.adopter or "")
 
     def _restore(self, region: str) -> None:
         self.topology.mark(region, RegionStatus.HEALTHY)
@@ -176,7 +172,6 @@ class FailoverCoordinator:
             if report.region == region and report.restored_at is None:
                 report.restored_at = self.sim.now
                 break
-        obs_of(self.sim).events.emit("geo.failover.restored", region=region)
 
     def _sweep_orphans(self) -> None:
         """Adopt orphaned runs in each downed region's designated survivor.
@@ -218,7 +213,3 @@ class FailoverCoordinator:
                 continue
             if all(s.state is not SessionState.WAITING for s in report.evacuated):
                 report.resettled_at = self.sim.now
-                obs_of(self.sim).events.emit(
-                    "geo.failover.resettled", region=report.region,
-                    sessions=len(report.evacuated),
-                    rto=round(self.sim.now - report.detected_at, 3))

@@ -31,7 +31,6 @@ from typing import Dict, List, Set, Tuple
 from repro.cloud.errors import BlobNotFound, StorageUnavailable
 from repro.cloud.storage import Blob, BlobStore
 from repro.geo.topology import RegionStatus, RegionTopology
-from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
 
@@ -263,12 +262,7 @@ class Replicator:
         self.conflicts += 1
         # deterministic tiebreak: newest write wins, region name breaks
         # simultaneous writes
-        winner = max(blobs, key=lambda r: (blobs[r].created_at, r))
-        obs_of(self.sim).events.emit("geo.replicate.conflict",
-                                     container=cname, key=key,
-                                     winner=winner,
-                                     contenders=sorted(blobs))
-        return winner
+        return max(blobs, key=lambda r: (blobs[r].created_at, r))
 
     def _apply(self, source: str, region: str, cname: str, key: str,
                blob: Blob, target: VersionVector) -> bool:
@@ -287,7 +281,4 @@ class Replicator:
         self.shipped.append(ShippedRecord(
             time=self.sim.now, container=cname, key=key,
             source=source, target=region, lag=lag))
-        obs_of(self.sim).events.emit("geo.replicate.shipped",
-                                     container=cname, key=key,
-                                     target=region, lag=round(lag, 3))
         return True

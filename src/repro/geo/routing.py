@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.geo.topology import RegionStatus, RegionTopology
-from repro.obs.hub import obs_of
 from repro.obs.refusal import Cause, refuse
 from repro.sched.core import PriorityClass
 from repro.services.envelope import refusal_problem
@@ -66,9 +65,6 @@ class GeoRouter:
             return None
         if home is not None and region != home:
             self.spillovers += 1
-            obs_of(self.sim).events.emit("geo.route.spillover",
-                                         session=session.session_id,
-                                         origin=home, region=region)
         session.region = region
         session.geo_service = service_name
         self.routers[region].submit_session(

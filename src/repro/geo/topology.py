@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
 
@@ -83,9 +82,6 @@ class RegionTopology:
         self.transitions.append(RegionTransition(
             time=self.sim.now, region=region,
             previous=previous, status=status))
-        obs_of(self.sim).events.emit("geo.region.status", region=region,
-                                     status=status.value,
-                                     previous=previous.value)
 
     def nearest(self, origin: Optional[str] = None) -> List[str]:
         """All regions ordered by closeness to ``origin``.

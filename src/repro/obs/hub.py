@@ -10,8 +10,9 @@ The hub also owns two registries.  ``api_metrics`` is where REST
 servers record per-API, per-tenant request counters and duration
 histograms: server-side RED metrics need a home that exists before any
 deployment wiring, for the same reason the tracer does.  ``metrics``
-holds the ``refused`` family (:mod:`.refusal`) and the hub's retention
-gauges (``events.dropped``, ``spans.dropped``), read live on sampling.
+holds the ``refused`` family (:mod:`.refusal`).  Retention — what the
+bounded tracer and event log shed — is :meth:`Observability.snapshot`,
+not a gauge.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ class Observability:
         self.events = EventLog(sim)
         self.api_metrics = MetricsRegistry(sim, namespace="rest")
         self.metrics = MetricsRegistry(sim, namespace="obs")
-        self.metrics.callback_gauge("events.dropped",
-                                    lambda: self.events.dropped)
-        self.metrics.callback_gauge("spans.dropped",
-                                    lambda: self.tracer.dropped)
 
     def snapshot(self) -> Dict[str, Any]:
         """Retention health: what was kept, what was silently shed.

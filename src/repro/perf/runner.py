@@ -75,8 +75,8 @@ class EnsembleRunner:
     ``model_id`` and ``forcing`` scope the cache keys (same scheme as
     the workflow stage cache: model id + canonical parameters + forcing
     digest), so one :class:`RunCache` can safely back many runners.
-    ``sim`` (optional) attaches spans/events to that simulator's
-    observability hub so cache behaviour shows up in traces.
+    ``sim`` (optional) attaches a span per batch to that simulator's
+    tracer so cache behaviour shows up in traces.
     ``scheduler`` (optional, requires ``sim``) is a
     :class:`~repro.sched.router.ShardedRouter`; each batch is then
     scoped as a BATCH-class submission on the scheduling plane, so
@@ -182,9 +182,8 @@ class EnsembleRunner:
                     self.model_id, len(parameter_sets)))
             if self.sim is not None:
                 from repro.obs.hub import obs_of
-                hub = obs_of(self.sim)
                 hits_before = self.cache.hits if self.cache else 0
-                span = hub.tracer.start_span(
+                span = obs_of(self.sim).tracer.start_span(
                     f"ensemble.run {self.model_id}", kind="perf",
                     attributes={"runs": len(parameter_sets),
                                 "backend": backend})
@@ -202,10 +201,6 @@ class EnsembleRunner:
                         span.set_attribute(
                             "cache_hits", self.cache.hits - hits_before)
                     span.finish()
-                    hub.events.emit("perf.ensemble.batch",
-                                    model=self.model_id,
-                                    runs=len(parameter_sets),
-                                    backend=backend)
         return results
 
     def _run_misses(self, parameter_sets: Sequence[Dict[str, float]],

@@ -55,19 +55,16 @@ AddressLike = Union[str, Callable[[], Optional[str]]]
 
 
 def observed_breakers(sim: Simulator, metrics: MetricsRegistry) -> BreakerRegistry:
-    """A :class:`BreakerRegistry` wired into obs events and metrics.
+    """A :class:`BreakerRegistry` that counts its trips in ``metrics``
+    (``breaker.trips``).
 
     Use one shared registry per fleet: the client fabric, the load
     balancer and the provisioner all consult the same trip state.
     """
 
     def on_transition(target: str, old: str, new: str) -> None:
-        obs_of(sim).events.emit("resilience.breaker", target=target,
-                               from_state=old, to_state=new)
         if new == "open":
             metrics.counter("breaker.trips").increment()
-        elif new == "closed":
-            metrics.counter("breaker.recoveries").increment()
 
     return BreakerRegistry(sim, on_transition=on_transition)
 
@@ -129,7 +126,6 @@ class ResilientClient:
              deadline: float, trace: Any, service: str):
         start = self.sim.now
         rng = self.streams.get("resilience.backoff")
-        events = obs_of(self.sim).events
         span = obs_of(self.sim).tracer.start_span(
             f"resilience {base_request.method} {base_request.path}",
             parent=trace, kind="client",
@@ -170,7 +166,7 @@ class ResilientClient:
                 if outcome is None:
                     outcome = yield from self._wire(
                         resolve, address, base_request,
-                        min(timeout, remaining), safe, span, events)
+                        min(timeout, remaining), safe, span)
                     if self._target_failure(outcome):
                         breaker.record_failure()
                     else:
@@ -198,9 +194,6 @@ class ResilientClient:
                 exhausted = "deadline"
                 break
             self._count("retries")
-            events.emit("resilience.retry", target=address,
-                        path=base_request.path, attempt=attempt,
-                        backoff=round(delay, 4))
             span.annotate("retry", attempt=attempt, backoff=round(delay, 4))
             yield delay
 
@@ -258,7 +251,7 @@ class ResilientClient:
 
     def _wire(self, resolve: Callable[[], Optional[str]], address: str,
               base_request: HttpRequest, timeout: float, safe: bool,
-              span, events):
+              span):
         bulkhead = self.bulkheads.get(address)
         started = self.sim.now
         # hedging is for read-only routes: a GET duplicated costs header
@@ -304,8 +297,6 @@ class ResilientClient:
             if not hedge_bulkhead.try_acquire():
                 return  # never displace demand traffic for a hedge
             self._count("hedges")
-            events.emit("resilience.hedge", target=hedge_address,
-                        path=base_request.path)
             span.annotate("hedged", target=hedge_address)
             state["pending"] += 1
             hedge_signal = self._send(hedge_address, base_request,

@@ -170,8 +170,6 @@ class ShardedRouter:
                        ) -> int:
         """Place ``session`` on its rendezvous shard; returns the shard."""
         shard = self.shard_of(session.session_id, service_name)
-        self.metrics.counter(
-            f"submit.{priority.name.lower()}").increment()
         self.metrics.counter("submit", tenant=session.tenant).increment()
         self.lbs[shard].place_session(session, service_name,
                                       priority=priority)
@@ -183,8 +181,7 @@ class ShardedRouter:
                    parent=None) -> CallTicket:
         """Admit one workflow-stage service call through the plane.
 
-        Opens the stage's ``sched.submit`` span and counts it; nothing
-        gates.  ``release_call`` must follow the dispatch, success or
+        Opens the stage's ``sched.submit`` span; nothing gates.  ``release_call`` must follow the dispatch, success or
         not.
         """
         shard = self.shard_of(run_id)
@@ -192,7 +189,6 @@ class ShardedRouter:
             "sched.submit", parent=parent, kind="sched",
             attributes={"shard": shard, "class": "workflow",
                         "run_id": run_id, "node": node_id})
-        self.metrics.counter("submit.workflow").increment()
         return CallTicket(shard=shard, span=span)
 
     def release_call(self, ticket: CallTicket,
@@ -219,7 +215,6 @@ class ShardedRouter:
             "sched.submit", kind="sched",
             attributes={"shard": shard, "class": "batch",
                         "model": model_id, "runs": runs})
-        self.metrics.counter("submit.batch").increment()
         try:
             yield span
         finally:

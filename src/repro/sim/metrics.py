@@ -10,8 +10,8 @@ Four instruments carry every raw signal the system emits:
 * :class:`Histogram` — fixed-bucket distribution for high-volume series
   where keeping raw samples would be wasteful; percentiles are estimated
   by linear interpolation inside the owning bucket.
-* :class:`TimeSeriesRecorder` — raw ``(t, value)`` samples with exact
-  percentiles: an end-of-run bench instrument, never scraped.
+* :class:`TimeSeriesRecorder` — every raw value, in record order, with
+  exact percentiles: an end-of-run bench instrument, never scraped.
 
 A :class:`MetricsRegistry` namespaces them per subsystem.  Labels are
 native: ``registry.counter("requests", tenant="org-a")`` is one child of
@@ -187,19 +187,18 @@ class CallbackGauge:
 
 
 class TimeSeriesRecorder:
-    """Raw samples with summary statistics.
+    """Raw values with summary statistics.
 
-    Stores every ``(t, value)`` pair; the simulated workloads are small
-    enough (tens of thousands of samples) that exact percentiles beat the
-    complexity of a sketch.
+    Stores every recorded value, not its time; the simulated workloads
+    are small enough (tens of thousands of samples) that exact
+    percentiles beat the complexity of a sketch.
     """
 
-    __slots__ = ("name", "_sim", "_samples", "_sum", "_ordered_values")
+    __slots__ = ("name", "_values", "_sum", "_ordered_values")
 
-    def __init__(self, name: str, sim: Simulator):
+    def __init__(self, name: str):
         self.name = name
-        self._sim = sim
-        self._samples: List[Tuple[float, float]] = []
+        self._values: List[float] = []
         self._sum = 0.0
         # sorted-value cache, extended lazily with whatever arrived since
         # the last percentile call: the resilient client asks for the
@@ -208,33 +207,32 @@ class TimeSeriesRecorder:
         self._ordered_values: List[float] = []
 
     def record(self, value: float) -> None:
-        """Record ``value`` at the current simulated time."""
-        self._samples.append((self._sim.now, value))
+        """Record ``value``."""
+        self._values.append(value)
         self._sum += value
 
     @property
     def count(self) -> int:
-        """Number of samples recorded."""
-        return len(self._samples)
+        """Number of values recorded."""
+        return len(self._values)
 
     def mean(self) -> float:
         """Arithmetic mean of the values (0.0 when empty)."""
-        if not self._samples:
+        if not self._values:
             return 0.0
-        return self._sum / len(self._samples)
+        return self._sum / len(self._values)
 
     def _ordered(self) -> List[float]:
         done = len(self._ordered_values)
-        fresh = len(self._samples) - done
+        fresh = len(self._values) - done
         if fresh > 0:
             if fresh <= 32:
                 # a few new values insort in C-speed memmoves; a full
                 # re-sort would pay O(n) comparisons on every call
-                for _t, v in self._samples[done:]:
+                for v in self._values[done:]:
                     bisect.insort(self._ordered_values, v)
             else:
-                self._ordered_values.extend(
-                    v for _t, v in self._samples[done:])
+                self._ordered_values.extend(self._values[done:])
                 self._ordered_values.sort()
         return self._ordered_values
 
@@ -244,20 +242,10 @@ class TimeSeriesRecorder:
             raise ValueError(f"percentile out of range: {q}")
         return percentile(self._ordered(), q)
 
-    def maximum(self) -> float:
-        """Largest recorded value (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return self._ordered()[-1]
-
     def summary(self) -> Dict[str, float]:
         """What :meth:`MetricsRegistry.snapshot` reports, by key suffix."""
         return _five_statistics(self.mean(), self.percentile,
-                                len(self._samples))
-
-    def window(self, start: float, end: float) -> List[float]:
-        """Values recorded in the half-open time window ``[start, end)``."""
-        return [v for t, v in self._samples if start <= t < end]
+                                len(self._values))
 
 
 #: Default latency-shaped bucket bounds (seconds), roughly logarithmic.
@@ -454,7 +442,7 @@ class MetricsRegistry:
             return self._recorders[name][()]
         except KeyError:
             return self._child(self._recorders, name, {},
-                               TimeSeriesRecorder, self._sim)
+                               TimeSeriesRecorder)
 
     def histogram(self, name: str, /, **labels: str) -> Histogram:
         """Get or create the fixed-bucket histogram ``name`` (the child

@@ -11,7 +11,6 @@ from repro.cloud import (
     MachineImage,
     MEDIUM,
 )
-from repro.cloud.instance import JOB_DISK_READ_MB, JOB_DISK_WRITE_MB
 from repro.sim import Simulator
 
 
@@ -152,15 +151,6 @@ def test_cpu_busy_seconds_accumulates(sim):
     inst.submit(Job(cost=4.0))
     sim.run()
     assert inst.cpu_busy_seconds == pytest.approx(14.0)
-
-
-def test_disk_counters_accumulate(sim):
-    inst = make_instance(sim)
-    for _ in range(3):
-        inst.submit(Job(cost=1.0))
-    sim.run()
-    assert inst.disk_read_mb == 3 * JOB_DISK_READ_MB
-    assert inst.disk_write_mb == 3 * JOB_DISK_WRITE_MB
 
 
 def test_terminate_while_pending_fires_ready_with_none(sim):

@@ -125,6 +125,35 @@ def test_crashed_run_readopted_recomputes_only_in_flight_stage(rig):
     assert state.owner == rig["replacement"].instance_id
 
 
+def test_an_unregistered_workflow_is_stranded_in_its_report(rig):
+    """Who was condemned, when, and why nothing adopted the run are read
+    from the run's :class:`RecoveryReport`."""
+    sim, journals = rig["sim"], rig["journals"]
+    monitor = HealthMonitor(sim, interval=1.0, window=2)
+    monitor.watch(rig["executor"])
+    engine = CloudWorkflowEngine(
+        sim, rig["network"], store=journals, executor=rig["executor"],
+        lease_ttl=10.0)
+    recovery = RecoveryManager(
+        sim, journals, monitor=monitor,
+        engine_factory=lambda: CloudWorkflowEngine(
+            sim, rig["network"], store=journals,
+            executor=rig["replacement"], lease_ttl=10.0))
+    engine.run(build_workflow(lambda: rig["wps_host"].address),
+               {"depth": 30.0})
+    start = sim.now
+    FaultInjector(sim, [rig["cloud"]]).crash_at(2.0, rig["executor"])
+    sim.run(until=sim.now + 60.0)
+
+    (report,) = recovery.reports
+    assert report.instance_id == rig["executor"].instance_id
+    assert report.verdict == HealthVerdict.DEAD.value
+    assert start + 2.0 <= report.detected_at < start + 10.0
+    assert report.error == ("cannot adopt: workflow 'durable-study' "
+                            "not registered")
+    assert not report.ok and recovery.recovered() == []
+
+
 def test_journal_lifecycle_and_a_second_engine_seeded_completely(rig):
     """The journaling engine writes the whole protocol, and what it wrote
     is enough for a cold engine to re-run the run with nothing executed

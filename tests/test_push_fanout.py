@@ -191,7 +191,7 @@ def play(gateway_class, schedule, seed):
         "refused": refused,
         "messages_to_client": [c.messages_to_client for c in conns],
         "messages_to_server": [c.messages_to_server for c in conns],
-        "latency": list(gateway.metrics.recorder("delivery_latency")._samples),
+        "latency": list(gateway.metrics.recorder("delivery_latency")._values),
         "bytes": gateway.metrics.counter("bytes").value,
         "messages": gateway.metrics.counter("messages").value,
         "net_bytes_out": host.net_bytes_out,
